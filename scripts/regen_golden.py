@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen SVG golden files under tests/golden/.
+"""Regenerate the frozen golden files under tests/golden/: the SVG
+figures and the corpus traces.
 
 Run from the repository root after a deliberate change to the figure
-layout, then review the diff.
+layout or the trace format, then review the diff.
 """
 
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "src"))
 
 from figures import FIGURES  # noqa: E402
+from traces import corpus_traces  # noqa: E402
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def main() -> int:
@@ -21,6 +25,9 @@ def main() -> int:
         path = GOLDEN / f"{name}.svg"
         path.write_text(render(), encoding="utf-8")
         print(f"wrote {path}")
+    path = GOLDEN / "corpus_traces.txt"
+    path.write_text(corpus_traces(), encoding="utf-8")
+    print(f"wrote {path}")
     return 0
 
 

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Run every bundled demo script and print its trace and verdict."""
 
+import pathlib
 import sys
 
-from symsum.demos import DEMOS
-from symsum.script import render_trace_text, run
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from symsum.demos import DEMOS  # noqa: E402
+from symsum.script import render_trace_text, run  # noqa: E402
 
 
 def main() -> int:

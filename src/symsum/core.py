@@ -12,10 +12,11 @@ All types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from operator import attrgetter
 from typing import Optional, Union
 
 from .areas import AreaValue
@@ -330,9 +331,52 @@ class Atom:
 
 class ManifoldExpr:
     """Base for all expression nodes.  Subclasses are frozen dataclasses;
-    `marks` is the tuple of surface marks visible on the composite."""
+    `marks` is the tuple of surface marks visible on the composite.
+
+    Equality and hashing are structural, as for the generated dataclass
+    methods, but walk the tree with an explicit stack, so trees of any
+    depth compare.  Derived quantities that depend on the whole subtree
+    (label pool, invariants, hash) are memoized on the node in the slots
+    below and computed bottom-up from the children's memos; see
+    `fill_memo`."""
 
     marks: tuple[SurfaceMark, ...]
+
+    # per-node memos, filled in by label_pool, expr_invariants and __hash__
+    _pool: Optional[frozenset[str]] = None
+    _inv = None
+    _hash: Optional[int] = None
+
+    def _local(self):
+        """The node's own data: its field values other than child
+        expressions."""
+        return _data_fields(type(self))(self)
+
+    def introduced_labels(self) -> tuple[str, ...]:
+        """Mark labels this node creates on top of its children's; by
+        default every label on the node, for nodes whose marks are all
+        new, as after thinning."""
+        return self.mark_labels
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, ManifoldExpr):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._local() != b._local():
+                return False
+            stack.extend(zip(a.children(), b.children()))
+        return True
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            fill_memo(self, "_hash", _node_hash)
+        return self._hash
 
     def mark(self, label: str) -> SurfaceMark:
         for m in self.marks:
@@ -349,6 +393,41 @@ class ManifoldExpr:
 
     def children(self) -> tuple["ManifoldExpr", ...]:
         return ()
+
+
+# fields holding child expressions; every other field is node data
+_CHILD_FIELDS = {"left", "right", "inner", "entries"}
+
+
+@cache
+def _data_fields(cls):
+    # always a tuple: comparing tuples skips identical members, such as
+    # the atoms that both sides of a proof share
+    names = [f.name for f in fields(cls) if f.name not in _CHILD_FIELDS]
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda node: (get(node),)
+
+
+def _node_hash(node: ManifoldExpr) -> int:
+    kids = tuple(c._hash for c in node.children())
+    return hash((type(node), node._local(), kids))
+
+
+def fill_memo(root: ManifoldExpr, slot: str, compute) -> None:
+    """Set the memo `slot` on `root` to `compute(root)`, first filling it
+    on every node below whose memo is unset.  `compute` sees only nodes
+    whose children's memos are set; the walk keeps an explicit stack and
+    descends no further than the nearest set memos."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        missing = [c for c in node.children() if getattr(c, slot) is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if getattr(node, slot) is None:  # a shared node may be done already
+            node.__dict__[slot] = compute(node)
 
 
 def _finish_marks(
@@ -374,27 +453,31 @@ def _finish_marks(
 
 
 def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
-    seen: set[str] = set()
-    for e in exprs:
-        pool = label_pool(e)
-        overlap = seen & pool
-        if overlap:
-            raise MarkError(
-                f"mark labels reused across summands: {sorted(overlap)}"
-            )
-        seen |= pool
+    pools = [label_pool(e) for e in exprs]
+    for i in range(1, len(pools)):
+        for earlier in pools[:i]:
+            if not pools[i].isdisjoint(earlier):
+                overlap = frozenset().union(*pools[:i]) & pools[i]
+                raise MarkError(
+                    f"mark labels reused across summands: {sorted(overlap)}"
+                )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomNode(ManifoldExpr):
     atom: Atom
+
+    def __post_init__(self):
+        # an atom's label pool is no bigger than the atom, so it is set
+        # here and never handed over (see label_pool)
+        self.__dict__["_pool"] = frozenset(m.label for m in self.atom.marks)
 
     @cached_property
     def marks(self) -> tuple[SurfaceMark, ...]:
         return self.atom.marks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSum(ManifoldExpr):
     """Sum of `left` and `right` along left's mark `left_mark` and
     right's mark `right_mark` (removed from the composite).  Orthogonal
@@ -416,6 +499,13 @@ class PairSum(ManifoldExpr):
 
     def children(self):
         return (self.left, self.right)
+
+    def introduced_labels(self):
+        lt = self.left.mark(self.left_mark)
+        rs = self.right.mark(self.right_mark)
+        if lt.orthogonal_at and rs.orthogonal_at:
+            return (self.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}",)
+        return ()
 
     @property
     def glue_genus(self) -> int:
@@ -490,7 +580,7 @@ def fourfold_violations(quad: tuple[QuadEntry, ...]) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourSum(ManifoldExpr):
     """Simultaneous sum of four triples along T_i = S_{i+1}.  Stored
     unevaluated; invariants and marks come from the fixed evaluation
@@ -516,6 +606,9 @@ class FourSum(ManifoldExpr):
 
     def children(self):
         return tuple(e for e, _, _ in self.entries)
+
+    def _local(self):
+        return (tuple((s, t) for _, s, t in self.entries), self.gluings)
 
     def evaluated(self, rotation: int = 0) -> ManifoldExpr:
         """The pairwise-sum evaluation ((1#2)#(3#4)) after rotating the
@@ -545,7 +638,7 @@ def _carry_label_of(ps: PairSum) -> str:
     return ps.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlowUp(ManifoldExpr):
     """Blow-up at a point, of the given exceptional size.  If `at_mark`
     is set, the point lies on that mark: the mark becomes its proper
@@ -567,6 +660,11 @@ class BlowUp(ManifoldExpr):
 
     def children(self):
         return (self.inner,)
+
+    def introduced_labels(self):
+        if self.new_transform_label:
+            return (self.exceptional_label, self.new_transform_label)
+        return (self.exceptional_label,)
 
     @property
     def new_transform_label(self) -> Optional[str]:
@@ -645,7 +743,7 @@ def _suffixed(
     return _finish_marks(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Thin(ManifoldExpr):
     """Remove an S^1-invariant neighborhood of the mark, of fiber area
     `amount`: the mark loses amount * (its normal number) of area, its
@@ -669,7 +767,7 @@ class Thin(ManifoldExpr):
         return _suffixed(self.inner, self.mark_label, self.amount, -1, "-")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Thicken(ManifoldExpr):
     """Glue in an S^1-invariant neighborhood along the mark: the mark
     gains amount * (its normal number) of area, its partner gains
@@ -707,7 +805,7 @@ def _check_eps_amount(amount: AreaValue) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Desing(ManifoldExpr):
     """Replace two orthogonally intersecting marks S, T by the smoothed
     surface in the class [S]+[T]: genus adds, normal numbers add plus
@@ -723,6 +821,9 @@ class Desing(ManifoldExpr):
 
     def children(self):
         return (self.inner,)
+
+    def introduced_labels(self):
+        return (self.result_label,)
 
     @property
     def result_label(self) -> str:
@@ -749,25 +850,22 @@ class Desing(ManifoldExpr):
 
 def label_pool(e: ManifoldExpr) -> frozenset[str]:
     """Every mark label introduced anywhere in the subtree (including
-    labels later consumed by gluings)."""
-    if isinstance(e, AtomNode):
-        return frozenset(m.label for m in e.atom.marks)
-    pool: set[str] = set()
-    for c in e.children():
-        pool |= label_pool(c)
-    if isinstance(e, PairSum):
-        lt = e.left.mark(e.left_mark)
-        rs = e.right.mark(e.right_mark)
-        if lt.orthogonal_at and rs.orthogonal_at:
-            pool.add(e.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}")
-    elif isinstance(e, BlowUp):
-        pool.add(e.exceptional_label)
-        if e.new_transform_label:
-            pool.add(e.new_transform_label)
-    elif isinstance(e, (Thin, Thicken)):
-        pool |= {m.label for m in e.marks}
-    elif isinstance(e, Desing):
-        pool.add(e.result_label)
-    elif isinstance(e, FourSum):
-        pool |= {m.label for m in e.marks}
-    return frozenset(pool)
+    labels later consumed by gluings).
+
+    Memoized without quadratic memory: a node's pool is its children's
+    pools plus its own introduced labels, and once it is built the
+    children hand theirs over.  Atoms keep theirs, which are no bigger
+    than the atoms.  Asking again for a handed-over pool walks down only
+    as far as the nearest nodes that still hold one."""
+    if e._pool is None:
+        fill_memo(e, "_pool", _take_over_pools)
+    return e._pool
+
+
+def _take_over_pools(node: ManifoldExpr) -> frozenset[str]:
+    kids = node.children()
+    pool = frozenset(node.introduced_labels()).union(*(c._pool for c in kids))
+    for c in kids:
+        if not isinstance(c, AtomNode):
+            c.__dict__["_pool"] = None
+    return pool

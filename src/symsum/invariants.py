@@ -27,6 +27,7 @@ from .core import (
     SymsumError,
     Thicken,
     Thin,
+    fill_memo,
 )
 
 
@@ -72,19 +73,27 @@ def _fiber_sum(a: InvariantVector, b: InvariantVector, genus: int) -> InvariantV
 
 
 def expr_invariants(e: ManifoldExpr) -> InvariantVector:
+    """chi and sigma of the expression, memoized per node and computed
+    bottom-up from the children's, without recursion."""
+    if e._inv is None:
+        fill_memo(e, "_inv", _node_invariants)
+    return e._inv
+
+
+def _node_invariants(e: ManifoldExpr) -> InvariantVector:
+    # every child's invariants are memoized already
     if isinstance(e, AtomNode):
         return atom_invariants(e.atom)
     if isinstance(e, PairSum):
-        return _fiber_sum(
-            expr_invariants(e.left), expr_invariants(e.right), e.glue_genus
-        )
+        return _fiber_sum(e.left._inv, e.right._inv, e.glue_genus)
     if isinstance(e, FourSum):
+        # the entries are done, so this only visits the three new sums
         return expr_invariants(e.evaluated())
     if isinstance(e, BlowUp):
-        inner = expr_invariants(e.inner)
+        inner = e.inner._inv
         return InvariantVector(inner.euler + 1, inner.signature - 1)
     if isinstance(e, (Thin, Thicken, Desing)):
-        return expr_invariants(e.inner)
+        return e.inner._inv
     raise SymsumError(f"unknown expression node {type(e).__name__}")
 
 

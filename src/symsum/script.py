@@ -340,11 +340,27 @@ class _Parser:
 
     # -- numbers and areas -------------------------------------------
 
+    @staticmethod
+    def number(t: Token) -> Fraction:
+        try:
+            return Fraction(t.value)
+        except ZeroDivisionError:
+            raise ScriptError(f"zero denominator in {t.value!r}", t.line, t.col) from None
+
     def parse_fraction(self) -> Fraction:
         neg = bool(self.accept("-"))
-        t = self.expect("num", "number")
-        f = Fraction(t.value)
+        f = self.number(self.expect("num", "number"))
         return -f if neg else f
+
+    def parse_int(self) -> int:
+        """An integer slot: a number that is exactly an integer; never
+        truncates."""
+        neg = bool(self.accept("-"))
+        t = self.expect("num", "number")
+        f = self.number(t)
+        if f.denominator != 1:
+            raise ScriptError(f"{t.value!r} is not an integer", t.line, t.col)
+        return -int(f) if neg else int(f)
 
     def parse_area(self) -> AreaValue:
         const = self.parse_fraction()
@@ -353,7 +369,7 @@ class _Parser:
             nxt = self.peek(2)
             if nxt.kind == "name" and nxt.value in ("e", "eps"):
                 sign = -1 if self.next().kind == "-" else 1
-                eps = Fraction(self.expect("num").value)
+                eps = self.number(self.expect("num"))
                 self.next()  # e / eps
                 return AreaValue(const, sign * eps)
         if t.kind == "name" and t.value in ("e", "eps"):
@@ -369,7 +385,7 @@ class _Parser:
         pos = Pos(t.line, t.col)
         if t.value == "E":
             self.expect("(")
-            n = int(self.parse_fraction())
+            n = self.parse_int()
             self.expect(")")
             return KindSpec("E", (n,), pos)
         if t.value == "CP2":
@@ -378,16 +394,16 @@ class _Parser:
             return KindSpec("CP2rev", (), pos)
         if t.value == "W":
             self.expect("(")
-            g = int(self.parse_fraction())
+            g = self.parse_int()
             self.expect(",")
-            n = int(self.parse_fraction())
+            n = self.parse_int()
             self.expect(",")
             f = self.parse_area()
             self.expect(")")
             return KindSpec("W", (g, n, f), pos)
         if t.value == "Rational":
             self.expect("(")
-            k = int(self.parse_fraction())
+            k = self.parse_int()
             self.expect(")")
             return KindSpec("Rational", (k,), pos)
         raise ScriptError(
@@ -399,11 +415,11 @@ class _Parser:
         self.expect(":")
         self.keyword("g")
         self.expect("=")
-        g = int(self.parse_fraction())
+        g = self.parse_int()
         self.expect(",")
         self.keyword("i")
         self.expect("=")
-        i = int(self.parse_fraction())
+        i = self.parse_int()
         self.expect(",")
         self.keyword("a")
         self.expect("=")

@@ -250,6 +250,8 @@ def apply_shifts(e: ManifoldExpr, shifts: dict[str, AreaValue]) -> ManifoldExpr:
 
 
 def _shift_walk(e: ManifoldExpr, remaining: dict[str, AreaValue]) -> ManifoldExpr:
+    if not remaining:
+        return e  # nothing left to shift: share the subtree and its memos
     if isinstance(e, AtomNode):
         hits = [m for m in e.atom.marks if m.label in remaining]
         if not hits:

@@ -44,6 +44,13 @@ def test_check_parse_error(tmp_path, capsys):
     assert main(["check", str(f)]) == 2
 
 
+def test_zero_denominator_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.ssum"
+    f.write_text("atom A E(1) { F: g=1, i=0, a=1/0 }\nlhs A\nrhs A\ntarget =\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    assert "1:30: zero denominator in '1/0'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 

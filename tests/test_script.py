@@ -1,11 +1,15 @@
 """Parser, printer, and runner for the proof-script DSL."""
 
+import pathlib
 import random
 import string
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from traces import corpus_traces
 
 from symsum.core import EquivLevel, SymsumError
 from symsum.demos import CORPUS, DEMOS, GOMPF_STIPSICZ, VERIFYING
@@ -175,3 +179,62 @@ def test_demo_names():
         "gompf-stipsicz",
         "rational-blowdown",
     ]
+
+
+def _error_at(src: str, literal: str) -> str:
+    """The `line:col:` prefix of the first occurrence of `literal` in `src`."""
+    i = src.index(literal)
+    line = src.count("\n", 0, i) + 1
+    col = i - (src.rfind("\n", 0, i) + 1) + 1
+    return f"{line}:{col}:"
+
+
+def test_zero_denominator_is_a_script_error():
+    src = "atom A E(1) { F: g=1, i=0, a=1/0 }\nlhs A\nrhs A\ntarget =\n"
+    r = run(src)
+    assert r.code == 2
+    assert r.messages == [f"{_error_at(src, '1/0')} zero denominator in '1/0'"]
+
+
+def test_zero_denominator_in_eps_coefficient():
+    src = "atom A E(1) { F: g=1, i=0, a=1+1/0e }\nlhs A\nrhs A\ntarget =\n"
+    r = run(src)
+    assert r.code == 2
+    assert r.messages[0].startswith(_error_at(src, "1/0"))
+
+
+# each script verified before integer slots were checked, because the
+# fraction was truncated to the integer that makes it valid
+INTEGER_SLOTS = {
+    "E(n)": ("atom A E({}) {{ S: g=0, i=-1, a=1 }}", "3/2"),
+    "W(g,...)": ("atom A W({},1,0+1e) {{ P: g=0, i=-1, a=1+1e }}", "1/2"),
+    "W(g,n,...)": ("atom A W(0,{},0+1e) {{ P: g=0, i=-1, a=1+1e }}", "3/2"),
+    "Rational(k)": ("atom A Rational({}) {{ P: g=0, i=-1, a=1 }}", "17/2"),
+    "g=": ("atom A E(1) {{ F: g={}, i=0, a=1 }}", "3/2"),
+    "i=": ("atom A E(1) {{ S: g=0, i=-{}, a=1 }}", "3/2"),
+}
+
+
+def _slot_script(slot: str, number: str) -> str:
+    return INTEGER_SLOTS[slot][0].format(number) + "\nlhs A\nrhs A\ntarget =\n"
+
+
+@pytest.mark.parametrize("slot", INTEGER_SLOTS)
+def test_integer_slot_rejects_fraction(slot):
+    literal = INTEGER_SLOTS[slot][1]
+    src = _slot_script(slot, literal)
+    r = run(src)
+    assert r.code == 2
+    assert r.messages == [f"{_error_at(src, literal)} {literal!r} is not an integer"]
+
+
+@pytest.mark.parametrize("slot", INTEGER_SLOTS)
+def test_integer_slot_accepts_exact_integer(slot):
+    n = int(Fraction(INTEGER_SLOTS[slot][1]))  # what the fraction truncated to
+    assert run(_slot_script(slot, str(n))).code == 0
+    assert run(_slot_script(slot, f"{2 * n}/2")).code == 0
+
+
+def test_corpus_traces_match_golden():
+    golden = pathlib.Path(__file__).parent / "golden" / "corpus_traces.txt"
+    assert corpus_traces() == golden.read_text(encoding="utf-8")
