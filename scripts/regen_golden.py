@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the frozen golden files under tests/golden/: the SVG
-figures and the corpus traces.
+figures, the corpus traces and the script golden (printed
+corpus, run messages, malformed inputs and mirrored-rule shapes).
 
 Run from the repository root after a deliberate change to the figure
 layout or the trace format, then review the diff.
@@ -14,7 +15,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "src"))
 
 from figures import FIGURES  # noqa: E402
-from traces import corpus_traces  # noqa: E402
+from traces import corpus_traces, script_golden  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -25,9 +26,10 @@ def main() -> int:
         path = GOLDEN / f"{name}.svg"
         path.write_text(render(), encoding="utf-8")
         print(f"wrote {path}")
-    path = GOLDEN / "corpus_traces.txt"
-    path.write_text(corpus_traces(), encoding="utf-8")
-    print(f"wrote {path}")
+    for name, render in (("corpus_traces", corpus_traces), ("script_golden", script_golden)):
+        path = GOLDEN / f"{name}.txt"
+        path.write_text(render(), encoding="utf-8")
+        print(f"wrote {path}")
     return 0
 
 

@@ -202,7 +202,9 @@ def _cp2_degree(m: SurfaceMark) -> int:
     return d
 
 
-def _is_ruled_fiber(m: SurfaceMark, kind: RuledSurface) -> bool:
+def is_ruled_fiber(m: SurfaceMark, kind: RuledSurface) -> bool:
+    """Whether the mark is a fiber of the ruled surface: a sphere of
+    self-intersection zero with the fiber area."""
     return m.genus == 0 and m.normal_number == 0 and m.area == kind.fiber_area
 
 
@@ -243,7 +245,7 @@ def _check_atom_marks(kind: AtomKind, marks: tuple[SurfaceMark, ...]) -> None:
             raise MarkError("ruled surface fiber area must be positive")
         sections = []
         for m in marks:
-            if _is_ruled_fiber(m, kind):
+            if is_ruled_fiber(m, kind):
                 continue
             k = m.normal_number
             if m.genus != kind.genus:
@@ -279,7 +281,7 @@ def _check_atom_marks(kind: AtomKind, marks: tuple[SurfaceMark, ...]) -> None:
             if m.orthogonal_at is None:
                 continue
             other = by_label[m.orthogonal_at]
-            mf, of = _is_ruled_fiber(m, kind), _is_ruled_fiber(other, kind)
+            mf, of = is_ruled_fiber(m, kind), is_ruled_fiber(other, kind)
             if mf and of:
                 raise MarkError(f"fibers {m.label}, {other.label} are disjoint")
             if not mf and not of:
@@ -329,9 +331,22 @@ class Atom:
 # ---------------------------------------------------------------------------
 
 
+def rename(relabel: dict[str, str], value):
+    """`value` with its mark labels renamed by `relabel`: a label, None,
+    or a tuple of them such as `PairSum.pairs`."""
+    if isinstance(value, tuple):
+        return tuple(rename(relabel, v) for v in value)
+    return relabel.get(value, value)
+
+
 class ManifoldExpr:
     """Base for all expression nodes.  Subclasses are frozen dataclasses;
     `marks` is the tuple of surface marks visible on the composite.
+
+    Every tree walk goes through one protocol.  `children()` lists the
+    child expressions in the order of their `at =` path selectors,
+    `SELECTORS`.  `MARK_REFS[i]` names the fields that hold labels of
+    child i's marks.  `with_children` builds a copy with new children.
 
     Equality and hashing are structural, as for the generated dataclass
     methods, but walk the tree with an explicit stack, so trees of any
@@ -341,6 +356,9 @@ class ManifoldExpr:
     `fill_memo`."""
 
     marks: tuple[SurfaceMark, ...]
+
+    SELECTORS: tuple[str, ...] = ()
+    MARK_REFS: tuple[tuple[str, ...], ...] = ()
 
     # per-node memos, filled in by label_pool, expr_invariants and __hash__
     _pool: Optional[frozenset[str]] = None
@@ -394,16 +412,25 @@ class ManifoldExpr:
     def children(self) -> tuple["ManifoldExpr", ...]:
         return ()
 
-
-# fields holding child expressions; every other field is node data
-_CHILD_FIELDS = {"left", "right", "inner", "entries"}
+    def with_children(self, kids, relabel=None, at=None, **changes):
+        """A copy with the children `kids` and the field values `changes`,
+        built once.  With a `relabel` map, the references to the marks of
+        child `at` (of every child when `at` is None) are renamed."""
+        changes.update(zip(self.SELECTORS, kids))
+        if relabel:
+            for i, refs in enumerate(self.MARK_REFS):
+                if at is None or i == at:
+                    for name in refs:
+                        changes[name] = rename(relabel, getattr(self, name))
+        return replace(self, **changes)
 
 
 @cache
 def _data_fields(cls):
     # always a tuple: comparing tuples skips identical members, such as
-    # the atoms that both sides of a proof share
-    names = [f.name for f in fields(cls) if f.name not in _CHILD_FIELDS]
+    # the atoms that both sides of a proof share.  Child fields are named
+    # by their selectors; FourSum, whose are not, has its own _local.
+    names = [f.name for f in fields(cls) if f.name not in cls.SELECTORS]
     get = attrgetter(*names)
     return get if len(names) > 1 else lambda node: (get(node),)
 
@@ -493,6 +520,9 @@ class PairSum(ManifoldExpr):
     carry_label: Optional[str] = None
     pairs: tuple[tuple[str, str], ...] = ()
 
+    SELECTORS = ("left", "right")
+    MARK_REFS = (("left_mark", "pairs"), ("right_mark", "pairs"))
+
     def __post_init__(self):
         _check_disjoint_pools(self.left, self.right)
         self.marks  # force validation
@@ -501,11 +531,22 @@ class PairSum(ManifoldExpr):
         return (self.left, self.right)
 
     def introduced_labels(self):
-        lt = self.left.mark(self.left_mark)
-        rs = self.right.mark(self.right_mark)
-        if lt.orthogonal_at and rs.orthogonal_at:
-            return (self.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}",)
-        return ()
+        return (self.carry_name,) if all(self.partners) else ()
+
+    @property
+    def partners(self) -> tuple[Optional[str], Optional[str]]:
+        """The orthogonal partners of the two glued marks."""
+        return (
+            self.left.mark(self.left_mark).orthogonal_at,
+            self.right.mark(self.right_mark).orthogonal_at,
+        )
+
+    @property
+    def carry_name(self) -> str:
+        """The label of the connected-sum mark of the two partners, which
+        the sum carries when both glued marks have one."""
+        lp, rp = self.partners
+        return self.carry_label or f"{lp}#{rp}"
 
     @property
     def glue_genus(self) -> int:
@@ -523,7 +564,7 @@ class PairSum(ManifoldExpr):
         carry = None
         if lp is not None and rp is not None:
             carry = SurfaceMark(
-                self.carry_label or f"{lp.label}#{rp.label}",
+                self.carry_name,
                 lp.genus + rp.genus,
                 lp.normal_number + rp.normal_number,
                 lp.area + rp.area,
@@ -589,6 +630,9 @@ class FourSum(ManifoldExpr):
     entries: tuple[QuadEntry, ...]
     gluings: tuple[GluingChoice, ...] = (STD_GLUE,) * 4
 
+    # each child's mark references sit next to it in its entry
+    SELECTORS = ("x1", "x2", "x3", "x4")
+
     def __post_init__(self):
         if len(self.entries) != 4 or len(self.gluings) != 4:
             raise MarkError("a 4-fold sum needs exactly four triples")
@@ -610,6 +654,14 @@ class FourSum(ManifoldExpr):
     def _local(self):
         return (tuple((s, t) for _, s, t in self.entries), self.gluings)
 
+    def with_children(self, kids, relabel=None, at=None, **changes):
+        entries = []
+        for i, (kid, (_, s, t)) in enumerate(zip(kids, self.entries)):
+            if relabel and (at is None or i == at):
+                s, t = rename(relabel, (s, t))
+            entries.append((kid, s, t))
+        return replace(self, entries=tuple(entries), **changes)
+
     def evaluated(self, rotation: int = 0) -> ManifoldExpr:
         """The pairwise-sum evaluation ((1#2)#(3#4)) after rotating the
         entries; rotation 3 gives the companion grouping (4#1)#(2#3)."""
@@ -618,24 +670,16 @@ class FourSum(ManifoldExpr):
         (x1, _, t1), (x2, s2, _), (x3, _, t3), (x4, s4, _) = ent
         left = PairSum(x1, t1, x2, s2, glu[0])
         right = PairSum(x3, t3, x4, s4, glu[2])
-        lc = _carry_label_of(left)
-        rc = _carry_label_of(right)
-        return PairSum(left, lc, right, rc, glu[1])
+        if not all(left.partners + right.partners):
+            raise MarkError(
+                "four-fold entries must carry a connected-sum mark; a glued "
+                "mark is missing its orthogonal partner"
+            )
+        return PairSum(left, left.carry_name, right, right.carry_name, glu[1])
 
     @cached_property
     def marks(self) -> tuple[SurfaceMark, ...]:
         return self.evaluated().marks
-
-
-def _carry_label_of(ps: PairSum) -> str:
-    lt = ps.left.mark(ps.left_mark)
-    rs = ps.right.mark(ps.right_mark)
-    if lt.orthogonal_at is None or rs.orthogonal_at is None:
-        raise MarkError(
-            "four-fold entries must carry a connected-sum mark; a glued "
-            "mark is missing its orthogonal partner"
-        )
-    return ps.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,6 +694,9 @@ class BlowUp(ManifoldExpr):
     transform_label: Optional[str] = None
     exceptional_label: str = "E"
     pair_exceptional: bool = False
+
+    SELECTORS = ("inner",)
+    MARK_REFS = (("at_mark",),)
 
     def __post_init__(self):
         if not self.size.is_positive:
@@ -754,6 +801,8 @@ class Thin(ManifoldExpr):
     amount: AreaValue
 
     volume_flag = "decreased"
+    SELECTORS = ("inner",)
+    MARK_REFS = (("mark_label",),)
 
     def __post_init__(self):
         _check_eps_amount(self.amount)
@@ -778,6 +827,8 @@ class Thicken(ManifoldExpr):
     amount: AreaValue
 
     volume_flag = "increased"
+    SELECTORS = ("inner",)
+    MARK_REFS = (("mark_label",),)
 
     def __post_init__(self):
         _check_eps_amount(self.amount)
@@ -815,6 +866,9 @@ class Desing(ManifoldExpr):
     mark_s: str
     mark_t: str
     label: Optional[str] = None
+
+    SELECTORS = ("inner",)
+    MARK_REFS = (("mark_s", "mark_t"),)
 
     def __post_init__(self):
         self.marks

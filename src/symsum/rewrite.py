@@ -36,10 +36,20 @@ from .core import (
     Thicken,
     Thin,
     fourfold_violations,
+    is_ruled_fiber,
     label_pool,
+    rename,
 )
 from .invariants import InvariantVector, expr_invariants
-from .sums import apply_shifts, make_ruled_atom, min_twist, rescale, split_ruled
+from .sums import (
+    _shift_walk,
+    apply_shifts,
+    check_shifts_found,
+    make_ruled_atom,
+    min_twist,
+    rescale,
+    split_ruled,
+)
 
 
 class RuleError(SymsumError):
@@ -105,114 +115,45 @@ def parse_path(text: Optional[str]) -> tuple[str, ...]:
     return tuple(text.split("."))
 
 
-def resolve_path(e: ManifoldExpr, path: tuple[str, ...]) -> ManifoldExpr:
-    cur = e
+def _spine(e: ManifoldExpr, path: tuple[str, ...]):
+    """The nodes along `path` from `e` down, each with the index of the
+    child that the path enters, and the subtree the path ends at."""
+    nodes = []
     for sel in path:
-        cur = _child(cur, sel)
-    return cur
+        if sel not in e.SELECTORS:
+            raise RuleError(
+                f"path selector {sel!r} does not apply to {type(e).__name__}"
+            )
+        i = e.SELECTORS.index(sel)
+        nodes.append((e, i))
+        e = e.children()[i]
+    return nodes, e
 
 
-def _child(e: ManifoldExpr, sel: str) -> ManifoldExpr:
-    if isinstance(e, PairSum):
-        if sel == "left":
-            return e.left
-        if sel == "right":
-            return e.right
-    elif isinstance(e, FourSum):
-        if sel in ("x1", "x2", "x3", "x4"):
-            return e.entries[int(sel[1]) - 1][0]
-    elif isinstance(e, (BlowUp, Thin, Thicken, Desing)):
-        if sel == "inner":
-            return e.inner
-    raise RuleError(f"path selector {sel!r} does not apply to {type(e).__name__}")
+def resolve_path(e: ManifoldExpr, path: tuple[str, ...]) -> ManifoldExpr:
+    return _spine(e, path)[1]
 
 
 def _rebuild(
-    e: ManifoldExpr,
-    path: tuple[str, ...],
+    spine: list[tuple[ManifoldExpr, int]],
     new_sub: ManifoldExpr,
     shifts: dict[str, AreaValue],
     relabel: dict[str, str],
 ) -> ManifoldExpr:
-    """Replace the subtree at `path`, rename enclosing references per the
-    rule's label map, and shift the named atom marks, in one
-    construction pass so gluing checks only see the final state."""
-    if not path:
-        out = new_sub
-        if shifts:
-            out = apply_shifts(out, shifts)
-        return out
-    return _rebuild_walk(e, path, new_sub, dict(shifts), relabel)
-
-
-def _rn(relabel: dict[str, str], label):
-    return relabel.get(label, label) if label is not None else None
-
-
-def _rebuild_walk(e, path, new_sub, remaining, relabel):
-    from .sums import _shift_walk  # shared atom-shift walker
-
-    if not path:
-        return new_sub
-    sel, rest = path[0], path[1:]
-    pairs_of = lambda node: tuple(
-        (_rn(relabel, a), _rn(relabel, b)) for a, b in node.pairs
-    )
-    if isinstance(e, PairSum):
-        if sel == "left":
-            return replace(
-                e,
-                left=_rebuild_walk(e.left, rest, new_sub, remaining, relabel),
-                right=_shift_walk(e.right, remaining),
-                left_mark=_rn(relabel, e.left_mark),
-                pairs=pairs_of(e),
-            )
-        if sel == "right":
-            return replace(
-                e,
-                left=_shift_walk(e.left, remaining),
-                right=_rebuild_walk(e.right, rest, new_sub, remaining, relabel),
-                right_mark=_rn(relabel, e.right_mark),
-                pairs=pairs_of(e),
-            )
-    elif isinstance(e, FourSum):
-        idx = int(sel[1]) - 1
-        entries = []
-        for i, (x, s, t) in enumerate(e.entries):
-            if i == idx:
-                entries.append(
-                    (
-                        _rebuild_walk(x, rest, new_sub, remaining, relabel),
-                        _rn(relabel, s),
-                        _rn(relabel, t),
-                    )
-                )
-            else:
-                entries.append((_shift_walk(x, remaining), s, t))
-        return replace(e, entries=tuple(entries))
-    elif isinstance(e, BlowUp):
-        if sel == "inner":
-            return replace(
-                e,
-                inner=_rebuild_walk(e.inner, rest, new_sub, remaining, relabel),
-                at_mark=_rn(relabel, e.at_mark),
-            )
-    elif isinstance(e, (Thin, Thicken)):
-        if sel == "inner":
-            return replace(
-                e,
-                inner=_rebuild_walk(e.inner, rest, new_sub, remaining, relabel),
-                mark_label=_rn(relabel, e.mark_label),
-            )
-    elif isinstance(e, Desing):
-        if sel == "inner":
-            return replace(
-                e,
-                inner=_rebuild_walk(e.inner, rest, new_sub, remaining, relabel),
-                mark_s=_rn(relabel, e.mark_s),
-                mark_t=_rn(relabel, e.mark_t),
-            )
-    raise RuleError(f"path selector {sel!r} does not apply to {type(e).__name__}")
+    """Replace the subtree at the end of `spine`, rename enclosing
+    references per the rule's label map, and shift the named atom marks
+    anywhere in the new tree, in one construction pass so gluing checks
+    only see the final state."""
+    remaining = dict(shifts)
+    out = _shift_walk(new_sub, remaining)
+    for node, i in reversed(spine):
+        kids = [
+            out if j == i else _shift_walk(c, remaining)
+            for j, c in enumerate(node.children())
+        ]
+        out = node.with_children(kids, relabel, at=i)
+    check_shifts_found(remaining)
+    return out
 
 
 def _fresh(label: str, pool: set[str]) -> str:
@@ -278,8 +219,7 @@ def apply_rule(
     if rule_id not in RULES:
         raise RuleError(f"unknown rule id {rule_id!r}")
     b = Bindings(bindings)
-    path = parse_path(b.label("at", "root"))
-    sub = resolve_path(whole, path)
+    spine, sub = _spine(whole, parse_path(b.label("at", "root")))
     result = RULES[rule_id](sub, b, rev)
     new_sub, level, notes = result[0], result[1], result[2]
     relabel = result[3] if len(result) > 3 else {}
@@ -294,7 +234,7 @@ def apply_rule(
             + ", ".join(f"{l} by {d}" for l, d in shifts.items())
         )
         level = level.combine(WK)
-    new_whole = _rebuild(whole, path, new_sub, shifts, relabel)
+    new_whole = _rebuild(spine, new_sub, shifts, relabel)
     before = expr_invariants(whole)
     after = expr_invariants(new_whole)
     if before != after:
@@ -322,11 +262,16 @@ def _expect(cond: bool, equation: str):
         raise RuleError(f"side condition failed: {equation}")
 
 
-def _partner(e: ManifoldExpr, label: str) -> SurfaceMark:
-    m = e.mark(label)
-    if m.orthogonal_at is None:
-        raise RuleError(f"mark {label!r} has no orthogonal partner")
-    return e.mark(m.orthogonal_at)
+def _halves(ps: PairSum) -> list[tuple[ManifoldExpr, str]]:
+    """The two summands of a sum, each with its glued mark."""
+    return [(ps.left, ps.left_mark), (ps.right, ps.right_mark)]
+
+
+def _pair(side: int, half, other, gluing=STD_GLUE, **kw) -> PairSum:
+    """The sum of `half` on `side` (0 left, 1 right) with `other`; each
+    is a summand with its glued mark."""
+    (left, left_mark), (right, right_mark) = (other, half) if side else (half, other)
+    return PairSum(left, left_mark, right, right_mark, gluing, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +308,12 @@ def _r1(sub, b, rev):
 def _quad_of_nested(sub: PairSum):
     inner1, inner2 = sub.left, sub.right
     quad = []
-    for ps, glue_is_t in ((inner1, True), (inner2, True)):
-        lt = ps.left.mark(ps.left_mark)
-        rs = ps.right.mark(ps.right_mark)
-        if lt.orthogonal_at is None or rs.orthogonal_at is None:
+    for ps in (inner1, inner2):
+        lp, rp = ps.partners
+        if lp is None or rp is None:
             raise RuleError("grand-sum form needs carried marks on both inner sums")
-        quad.append((ps.left, lt.orthogonal_at, ps.left_mark))
-        quad.append((ps.right, ps.right_mark, rs.orthogonal_at))
+        quad.append((ps.left, lp, ps.left_mark))
+        quad.append((ps.right, ps.right_mark, rp))
     entries = tuple(quad)
     bad = fourfold_violations(entries)
     if bad:
@@ -387,31 +331,17 @@ def _extract_assoc_triples(sub: PairSum, rev: bool):
     """Read off the three triples from either side of the associativity
     statement.  Forward shape: (X1 # X2) summed with Desing(X3) along the
     carried mark; reverse shape: Desing(X1) summed with (X2 # X3)."""
-    if not rev:
-        if not (isinstance(sub.left, PairSum) and isinstance(sub.right, Desing)):
-            raise RuleError(
-                "R2 expects (X1 # X2) summed with a desingularized pair"
-            )
-        inner, des = sub.left, sub.right
-        x1, t1l = inner.left, inner.left_mark
-        x2, s2l = inner.right, inner.right_mark
-        x3 = des.inner
-        s3l, t3l = des.mark_s, des.mark_t
-        s1l = _partner_label(x1, t1l)
-        t2l = _partner_label(x2, s2l)
-    else:
-        if not (isinstance(sub.left, Desing) and isinstance(sub.right, PairSum)):
-            raise RuleError(
-                "R2 (reverse) expects a desingularized pair summed with (X2 # X3)"
-            )
-        des, inner = sub.left, sub.right
-        x1 = des.inner
-        s1l, t1l = des.mark_s, des.mark_t
-        x2, t2l = inner.left, inner.left_mark
-        x3, s3l = inner.right, inner.right_mark
-        s2l = _partner_label(x2, t2l)
-        t3l = _partner_label(x3, s3l)
-    return (x1, s1l, t1l), (x2, s2l, t2l), (x3, s3l, t3l)
+    inner, des = (sub.right, sub.left) if rev else (sub.left, sub.right)
+    if not (isinstance(inner, PairSum) and isinstance(des, Desing)):
+        raise RuleError(
+            "R2 (reverse) expects a desingularized pair summed with (X2 # X3)"
+            if rev
+            else "R2 expects (X1 # X2) summed with a desingularized pair"
+        )
+    (xa, ta), (xb, sb) = _halves(inner)
+    summed = ((xa, _partner_label(xa, ta), ta), (xb, sb, _partner_label(xb, sb)))
+    resolved = (des.inner, des.mark_s, des.mark_t)
+    return (resolved, *summed) if rev else (*summed, resolved)
 
 
 def _partner_label(e: ManifoldExpr, label: str) -> str:
@@ -470,28 +400,22 @@ def _r2(sub, b, rev):
     if eps is not None:
         notes += _verify_assoc_expansion(sub, t1, t2, t3, eps, rev)
         level = EQ
+    # the other grouping: the desingularized pair moves to the other end
     (x1, s1l, t1l), (x2, s2l, t2l), (x3, s3l, t3l) = t1, t2, t3
-    if not rev:
+    if rev:
+        inner = PairSum(
+            x1, t1l, x2, s2l, sub.right.gluing, carry_label=b.label("carry")
+        )
+        des = Desing(x3, s3l, t3l, b.label("resolve_label"))
+    else:
         des = Desing(x1, s1l, t1l, b.label("resolve_label"))
         inner = PairSum(
             x2, t2l, x3, s3l, sub.left.gluing, carry_label=b.label("carry")
         )
-        carry = _carry_name(inner)
-        new = PairSum(des, des.result_label, inner, carry, sub.gluing)
-    else:
-        inner = PairSum(
-            x1, t1l, x2, s2l, sub.right.gluing, carry_label=b.label("carry")
-        )
-        carry = _carry_name(inner)
-        des = Desing(x3, s3l, t3l, b.label("resolve_label"))
-        new = PairSum(inner, carry, des, des.result_label, sub.gluing)
+    new = _pair(
+        int(rev), (des, des.result_label), (inner, inner.carry_name), sub.gluing
+    )
     return new, level, notes
-
-
-def _carry_name(ps: PairSum) -> str:
-    lt = ps.left.mark(ps.left_mark)
-    rs = ps.right.mark(ps.right_mark)
-    return ps.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}"
 
 
 def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[str]:
@@ -590,7 +514,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
 
     # identities collapsing the perturbed groupings onto the two sides
     inner12 = eval_a.left
-    carry12 = inner12.mark(_carry_name(inner12))
+    carry12 = inner12.mark(inner12.carry_name)
     if not rev:
         lhs_inner_carry = sub.left.mark(sub.left_mark)
         des_mark = sub.right.mark(sub.right_mark)
@@ -608,7 +532,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         f"{carry12.data} vs {want12}",
     )
     inner34 = eval_a.right
-    carry34 = inner34.mark(_carry_name(inner34))
+    carry34 = inner34.mark(inner34.carry_name)
     want34 = (
         des_mark.genus,
         des_mark.normal_number,
@@ -625,7 +549,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
     )
 
     inner41 = eval_b.left
-    carry41 = inner41.mark(_carry_name(inner41))
+    carry41 = inner41.mark(inner41.carry_name)
     s1m, t1m = x1.mark(s1l), x1.mark(t1l)
     resolved1 = (
         s1m.genus + t1m.genus,
@@ -643,7 +567,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         f"{carry41.data} vs {want41}",
     )
     inner23 = eval_b.right
-    carry23 = inner23.mark(_carry_name(inner23))
+    carry23 = inner23.mark(inner23.carry_name)
     s2m, t3mm = x2.mark(s2l), x3.mark(t3l)
     merged23 = (
         s2m.genus + t3mm.genus,
@@ -703,64 +627,49 @@ def _neutral_w(g, fiber, glue_idx, glue_area, twin_idx, labels, pairs=(), fibers
     )
 
 
-@rule("R3")
-def _r3(sub, b, rev):
-    fiber = b.area("fiber", area(0, 1))
-    glue_lbl = b.label("glue_section", "Gk")
-    twin_lbl = b.label("twin_section", "Gk2")
-    if not rev:
-        if not isinstance(sub, Desing):
-            raise RuleError("R3 applies to a desingularized pair")
-        s = sub.inner.mark(sub.mark_s)
-        k = -s.normal_number
-        w = _neutral_w(
-            s.genus, fiber, k, s.area, 2 - k, (glue_lbl, twin_lbl),
-            pairs=((twin_lbl, glue_lbl),),
-        )
-        new = PairSum(
-            w, glue_lbl, sub.inner, sub.mark_s,
-            carry_label=b.label("carry", sub.result_label),
-        )
-        return new, WK, [
-            f"resolved {sub.mark_s}+{sub.mark_t} through a genus-{s.genus} "
-            f"ruled surface with sections {k} and {2 - k}"
-        ]
-    if not isinstance(sub, PairSum) or not isinstance(sub.left, AtomNode):
-        raise RuleError("R3 (reverse) expects a ruled surface summed on the left")
-    _require_ruled(sub.left)
-    t_lbl = _partner_label(sub.right, sub.right_mark)
-    new = Desing(sub.right, sub.right_mark, t_lbl, b.label("resolve_label"))
-    return new, WK, ["folded the ruled summand back into an intersection point"]
+def _resolve_rule(name: str, w_side: int, glue_default: str, twin_default: str):
+    """R3 (w_side 0) sums the ruled surface onto S from the left; R3b
+    (w_side 1) is its mirror image, summing onto T from the right."""
+
+    @rule(name)
+    def handler(sub, b, rev):
+        fiber = b.area("fiber", area(0, 1))
+        glue_lbl = b.label("glue_section", glue_default)
+        twin_lbl = b.label("twin_section", twin_default)
+        if not rev:
+            if not isinstance(sub, Desing):
+                raise RuleError(f"{name} applies to a desingularized pair")
+            glued = (sub.mark_s, sub.mark_t)[w_side]
+            m = sub.inner.mark(glued)
+            j = -m.normal_number  # the glued section's index; its twin's is 2 - j
+            w = _neutral_w(
+                m.genus, fiber, j, m.area, 2 - j, (glue_lbl, twin_lbl),
+                pairs=((twin_lbl, glue_lbl),),
+            )
+            new = _pair(
+                w_side, (w, glue_lbl), (sub.inner, glued),
+                carry_label=b.label("carry", sub.result_label),
+            )
+            return new, WK, [
+                f"resolved {sub.mark_s}+{sub.mark_t} through a genus-{m.genus} "
+                f"ruled surface with sections {j} and {2 - j}"
+            ]
+        halves = _halves(sub) if isinstance(sub, PairSum) else None
+        if halves is None or not isinstance(halves[w_side][0], AtomNode):
+            raise RuleError(
+                f"{name} (reverse) expects a ruled surface summed on the "
+                + ("left", "right")[w_side]
+            )
+        _require_ruled(halves[w_side][0])
+        x, glued = halves[1 - w_side]
+        partner = _partner_label(x, glued)
+        s_lbl, t_lbl = (partner, glued) if w_side else (glued, partner)
+        new = Desing(x, s_lbl, t_lbl, b.label("resolve_label"))
+        return new, WK, ["folded the ruled summand back into an intersection point"]
 
 
-@rule("R3b")
-def _r3b(sub, b, rev):
-    fiber = b.area("fiber", area(0, 1))
-    glue_lbl = b.label("glue_section", "Gk2")
-    twin_lbl = b.label("twin_section", "Gk")
-    if not rev:
-        if not isinstance(sub, Desing):
-            raise RuleError("R3b applies to a desingularized pair")
-        t = sub.inner.mark(sub.mark_t)
-        k = t.normal_number + 2
-        w = _neutral_w(
-            t.genus, fiber, 2 - k, t.area, k, (glue_lbl, twin_lbl),
-            pairs=((glue_lbl, twin_lbl),),
-        )
-        new = PairSum(
-            sub.inner, sub.mark_t, w, glue_lbl,
-            carry_label=b.label("carry", sub.result_label),
-        )
-        return new, WK, [
-            f"resolved {sub.mark_s}+{sub.mark_t} through a genus-{t.genus} "
-            f"ruled surface with sections {2 - k} and {k}"
-        ]
-    if not isinstance(sub, PairSum) or not isinstance(sub.right, AtomNode):
-        raise RuleError("R3b (reverse) expects a ruled surface summed on the right")
-    _require_ruled(sub.right)
-    s_lbl = _partner_label(sub.left, sub.left_mark)
-    new = Desing(sub.left, s_lbl, sub.left_mark, b.label("resolve_label"))
-    return new, WK, ["folded the ruled summand back into an intersection point"]
+_resolve_rule("R3", 0, "Gk", "Gk2")
+_resolve_rule("R3b", 1, "Gk2", "Gk")
 
 
 def _require_ruled(node: AtomNode) -> RuledSurface:
@@ -857,10 +766,8 @@ def _r4(sub, b, rev):
     # reverse: strip a neutral ruled summand (possibly blown up)
     if not isinstance(sub, PairSum):
         raise RuleError("R4 (reverse) applies to a pairwise sum")
-    for side, side_glue, other, other_glue in (
-        (sub.left, sub.left_mark, sub.right, sub.right_mark),
-        (sub.right, sub.right_mark, sub.left, sub.left_mark),
-    ):
+    halves = _halves(sub)
+    for (side, side_glue), (other, other_glue) in (halves, halves[::-1]):
         if isinstance(side, AtomNode) and isinstance(side.atom.kind, RuledSurface):
             _check_neutral_shape(side, side_glue)
             return other, WK, ["removed a neutral ruled summand"]
@@ -889,7 +796,7 @@ def _check_neutral_shape(w: AtomNode, glue_label: str) -> None:
     """The ruled summand must consist of two sections of opposite
     self-intersection (one of them glued) plus at most fiber marks."""
     kind = w.atom.kind
-    sections = [m for m in w.atom.marks if not _r11_is_fiber(m, kind)]
+    sections = [m for m in w.atom.marks if not is_ruled_fiber(m, kind)]
     if len(sections) != 2:
         raise RuleError("neutral ruled summand needs exactly two sections")
     a, b = sections
@@ -934,67 +841,47 @@ def r5_inequalities(s: SurfaceMark, s_prime: SurfaceMark) -> tuple[str, str]:
 
 @rule("R5")
 def _r5(sub, b, rev):
+    """Forward the right summand is blown up, reverse the left one; the
+    blow-up moves to the other summand."""
     if not isinstance(sub, PairSum):
         raise RuleError("R5 applies to a pairwise sum")
-    if not rev:
-        blow = sub.right
-        if not (isinstance(blow, BlowUp) and blow.at_mark is not None):
-            raise RuleError("R5 expects the right summand blown up along its mark")
-        if sub.right_mark != blow.new_transform_label:
-            raise RuleError("R5 expects the sum glued along the proper transform")
-        x, s_lbl = sub.left, sub.left_mark
-        y, sp_lbl = blow.inner, blow.at_mark
-        s, sp = x.mark(s_lbl), y.mark(sp_lbl)
-        _expect(
-            s.genus == sp.genus,
-            f"g({s_lbl}) = g({sp_lbl}): {s.genus} vs {sp.genus}",
-        )
-        _expect(
-            s.normal_number == -sp.normal_number + 1,
-            f"i({s_lbl}) = -i({sp_lbl})+1: {s.normal_number} vs "
-            f"-{sp.normal_number}+1",
-        )
-        size = b.area("new_size", blow.size)
-        tl = b.label("transform", s_lbl + "~")
-        el = b.label("exceptional", "E2")
-        y_shift = (s.area - size) - sp.area
-        y_new = apply_shifts(y, {sp_lbl: y_shift}) if y_shift != area(0) else y
-        x_blown = BlowUp(x, s_lbl, size, tl, el)
-        new = PairSum(x_blown, tl, y_new, sp_lbl, sub.gluing)
-        ineq_a, ineq_b = r5_inequalities(s, sp)
-        notes = [
-            "traded the blow-up point across the sum; exceptional size "
-            f"{blow.size} -> {size}, area({sp_lbl}) deformed by {y_shift}",
-            "equal areas on both sides are impossible: " + ineq_a + "; " + ineq_b,
-        ]
-        return new, WK, notes
-    # reverse: mirror image
-    blow = sub.left
+    blown_side = 0 if rev else 1
+    blow, glued = _halves(sub)[blown_side]
+    x, s_lbl = _halves(sub)[1 - blown_side]
     if not (isinstance(blow, BlowUp) and blow.at_mark is not None):
-        raise RuleError("R5 (reverse) expects the left summand blown up")
-    if sub.left_mark != blow.new_transform_label:
-        raise RuleError("R5 (reverse) expects the sum glued along the proper transform")
-    x, s_lbl = blow.inner, blow.at_mark
-    y, sp_lbl = sub.right, sub.right_mark
+        raise RuleError(
+            "R5 (reverse) expects the left summand blown up"
+            if rev
+            else "R5 expects the right summand blown up along its mark"
+        )
+    if glued != blow.new_transform_label:
+        raise RuleError(
+            f"R5{' (reverse)' if rev else ''} expects the sum glued along the "
+            "proper transform"
+        )
+    y, sp_lbl = blow.inner, blow.at_mark
     s, sp = x.mark(s_lbl), y.mark(sp_lbl)
     _expect(
-        sp.genus == s.genus, f"g({sp_lbl}) = g({s_lbl}): {sp.genus} vs {s.genus}"
+        s.genus == sp.genus,
+        f"g({s_lbl}) = g({sp_lbl}): {s.genus} vs {sp.genus}",
     )
     _expect(
-        sp.normal_number == -s.normal_number + 1,
-        f"i({sp_lbl}) = -i({s_lbl})+1: {sp.normal_number} vs -{s.normal_number}+1",
+        s.normal_number == -sp.normal_number + 1,
+        f"i({s_lbl}) = -i({sp_lbl})+1: {s.normal_number} vs "
+        f"-{sp.normal_number}+1",
     )
     size = b.area("new_size", blow.size)
-    tl = b.label("transform", sp_lbl + "~")
+    tl = b.label("transform", s_lbl + "~")
     el = b.label("exceptional", "E2")
-    x_shift = (sp.area - size) - s.area
-    x_new = apply_shifts(x, {s_lbl: x_shift}) if x_shift != area(0) else x
-    y_blown = BlowUp(y, sp_lbl, size, tl, el)
-    new = PairSum(x_new, s_lbl, y_blown, tl, sub.gluing)
-    ineq_a, ineq_b = r5_inequalities(sp, s)
+    y_shift = (s.area - size) - sp.area
+    y_new = apply_shifts(y, {sp_lbl: y_shift}) if y_shift != area(0) else y
+    x_blown = BlowUp(x, s_lbl, size, tl, el)
+    new = _pair(1 - blown_side, (x_blown, tl), (y_new, sp_lbl), sub.gluing)
+    ineq_a, ineq_b = r5_inequalities(s, sp)
+    size_note = "" if rev else f"exceptional size {blow.size} -> {size}, "
     return new, WK, [
-        "traded the blow-up point across the sum; "
-        f"area({s_lbl}) deformed by {x_shift}",
+        f"traded the blow-up point across the sum; {size_note}"
+        f"area({sp_lbl}) deformed by {y_shift}",
         "equal areas on both sides are impossible: " + ineq_a + "; " + ineq_b,
     ]
 
@@ -1090,7 +977,7 @@ def _r7(sub, b, rev):
             # exact inverse of the blow-up
             blow = sub.left
             if blow.at_mark is not None and blow.pair_exceptional:
-                restored = sub.mark(_carry_name(sub))
+                restored = sub.mark(sub.carry_name)
                 original = blow.inner.mark(blow.at_mark)
                 _expect(
                     restored.data == original.data,
@@ -1140,16 +1027,14 @@ def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
             "iterated blow-up of the plane"
         )
     relabel = {}
-    lt = sub.left.mark(sub.left_mark)
-    rs = sub.right.mark(sub.right_mark)
     result_label = b.label("mark")
-    if result_label and lt.orthogonal_at and rs.orthogonal_at:
-        relabel[_carry_name(sub)] = result_label
+    if result_label and all(sub.partners):
+        relabel[sub.carry_name] = result_label
     marks = tuple(
         replace(
             m,
-            label=_rn(relabel, m.label),
-            orthogonal_at=_rn(relabel, m.orthogonal_at),
+            label=rename(relabel, m.label),
+            orthogonal_at=rename(relabel, m.orthogonal_at),
         )
         for m in sub.marks
     )
@@ -1177,8 +1062,6 @@ def _r8(sub, b, rev):
             raise RuleError("R8 needs the amount to trade (slot eps)")
         thin_side = Thin(sub.left, sub.left_mark, eps)
         thick_side = Thicken(sub.right, sub.right_mark, eps)
-        lt = sub.left.mark(sub.left_mark)
-        rs = sub.right.mark(sub.right_mark)
         new = PairSum(
             thin_side,
             sub.left_mark + "-",
@@ -1187,9 +1070,9 @@ def _r8(sub, b, rev):
             sub.gluing,
             carry_label=b.label("carry"),
         )
-        if lt.orthogonal_at and rs.orthogonal_at:
-            old_carry = sub.mark(_carry_name(sub))
-            new_carry = new.mark(_carry_name(new))
+        if all(sub.partners):
+            old_carry = sub.mark(sub.carry_name)
+            new_carry = new.mark(new.carry_name)
             _expect(
                 old_carry.data == new_carry.data,
                 f"carried mark survives the trade bitwise: {new_carry.data} "
@@ -1344,7 +1227,7 @@ def _r11(sub, b, rev):
     ):
         raise RuleError("R11 applies to a blown-up ruled-surface atom")
     kind = _require_ruled(sub.inner)
-    sections = [m for m in sub.inner.atom.marks if not _r11_is_fiber(m, kind)]
+    sections = [m for m in sub.inner.atom.marks if not is_ruled_fiber(m, kind)]
     if len(sections) != 2:
         raise RuleError("R11 expects exactly two disjoint sections")
     blown = sub.inner.mark(sub.at_mark)
@@ -1392,10 +1275,6 @@ def _r11(sub, b, rev):
     ]
 
 
-def _r11_is_fiber(m: SurfaceMark, kind: RuledSurface) -> bool:
-    return m.genus == 0 and m.normal_number == 0 and m.area == kind.fiber_area
-
-
 # ---------------------------------------------------------------------------
 # regroup: re-associate across a middle summand with disjoint gluing marks
 # ---------------------------------------------------------------------------
@@ -1403,48 +1282,33 @@ def _r11_is_fiber(m: SurfaceMark, kind: RuledSurface) -> bool:
 
 @rule("regroup")
 def _regroup(sub, b, rev):
+    """Forward the nested sum is on the left, reverse on the right; it
+    moves to the other side."""
     if not isinstance(sub, PairSum):
         raise RuleError("regroup applies to a pairwise sum")
-    if not rev:
-        inner = sub.left
-        if not isinstance(inner, PairSum):
-            raise RuleError("regroup expects a nested sum on the left")
-        middle = inner.right
-        m1 = inner.right_mark  # glued to the A side
-        m2 = sub.left_mark  # glued to the B side, carried through inner
-        if not middle.has_mark(m2):
-            raise RuleError(
-                f"gluing marks {m1!r} and {m2!r} are not on a common middle summand"
-            )
-        mm1, mm2 = middle.mark(m1), middle.mark(m2)
-        if mm1.orthogonal_at == mm2.label:
-            raise RuleError(
-                f"marks {m1!r} and {m2!r} are recorded as intersecting; "
-                "regrouping needs them disjoint"
-            )
-        new_inner = PairSum(middle, m2, sub.right, sub.right_mark, sub.gluing)
-        new = PairSum(inner.left, inner.left_mark, new_inner, m1, inner.gluing)
-        return new, EQ, [
-            f"regrouped across the middle summand (disjoint marks {m1}, {m2})"
-        ]
-    inner = sub.right
+    nested = 1 if rev else 0
+    inner, m_out = _halves(sub)[nested]  # m_out: glued to the far side
+    far = _halves(sub)[1 - nested]
     if not isinstance(inner, PairSum):
-        raise RuleError("regroup (reverse) expects a nested sum on the right")
-    middle = inner.left
-    m1 = sub.right_mark
-    m2 = inner.left_mark
-    if not middle.has_mark(m1):
+        raise RuleError(
+            "regroup (reverse) expects a nested sum on the right"
+            if rev
+            else "regroup expects a nested sum on the left"
+        )
+    near = _halves(inner)[nested]
+    middle, m_in = _halves(inner)[1 - nested]  # m_in: glued to the near side
+    m1, m2 = (m_out, m_in) if rev else (m_in, m_out)
+    if not middle.has_mark(m_out):
         raise RuleError(
             f"gluing marks {m1!r} and {m2!r} are not on a common middle summand"
         )
-    mm1, mm2 = middle.mark(m1), middle.mark(m2)
-    if mm1.orthogonal_at == mm2.label:
+    if middle.mark(m1).orthogonal_at == m2:
         raise RuleError(
             f"marks {m1!r} and {m2!r} are recorded as intersecting; "
             "regrouping needs them disjoint"
         )
-    new_inner = PairSum(sub.left, sub.left_mark, middle, m1, sub.gluing)
-    new = PairSum(new_inner, m2, inner.right, inner.right_mark, inner.gluing)
+    new_inner = _pair(nested, (middle, m_out), far, sub.gluing)
+    new = _pair(nested, near, (new_inner, m_in), inner.gluing)
     return new, EQ, [
         f"regrouped across the middle summand (disjoint marks {m1}, {m2})"
     ]
@@ -1463,13 +1327,9 @@ def _deform(sub, b, rev):
     if f is not None:
         new = rescale(sub, f)
         notes.append(f"rescaled every area by {f}")
-    if not notes and not _has_shift(b):
+    if not notes and not b.has("shift1"):
         raise RuleError("deform needs a rescale factor or shift slots")
     return new, WK, notes
-
-
-def _has_shift(b: Bindings) -> bool:
-    return b.has("shift1")
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ Grammar (tokens are whitespace-insensitive; `#` at a token boundary
 starts a comment running to end of line):
 
     script   := decl* "lhs" expr "rhs" expr "target" ("=" | "~") step*
-    decl     := "atom" NAME kind "{" markspec (";" markspec)* "}"
+    decl     := "atom" NAME kind [markblock]
               | "triple" NAME "(" expr "," NAME "," NAME ")"
     kind     := "E" "(" NUM ")" | "CP2" | "CP2rev"
               | "W" "(" NUM "," NUM "," area ")" | "Rational" "(" NUM ")"
     markspec := NAME ":" "g" "=" NUM "," "i" "=" SNUM "," "a" "=" area
                 ["," "perp" NAME]
-    expr     := NAME | kind "{" markspec (";" markspec)* "}"
+    markblock := "{" [markspec (";" markspec)* [";"]] "}"
+    expr     := NAME | kind markblock
               | "sum" "(" expr "," NAME "," expr "," NAME sumopts ")"
               | "sum4" "(" entry "," entry "," entry "," entry ")"
               | "blowup" "(" expr "," ("at" "=" NAME | "generic") ","
@@ -35,13 +36,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
+from string import Formatter
 from typing import Optional, Union
 
 from .areas import AreaValue, area
 from .core import (
     Atom,
+    AtomKind,
     AtomNode,
     BlowUp,
     Desing,
@@ -55,7 +59,6 @@ from .core import (
     ProjectivePlaneReversed,
     RationalSurface,
     RuledSurface,
-    STD_GLUE,
     SurfaceMark,
     SymsumError,
     Thicken,
@@ -159,23 +162,16 @@ def _pos_field():
 class MarkSpec:
     label: str
     genus: int
-    normal: int
+    normal_number: int
     area: AreaValue
-    perp: Optional[str] = None
-    pos: Pos = _pos_field()
-
-
-@dataclass
-class KindSpec:
-    tag: str  # "E" | "CP2" | "CP2rev" | "W" | "Rational"
-    params: tuple = ()
+    orthogonal_at: Optional[str] = None
     pos: Pos = _pos_field()
 
 
 @dataclass
 class AtomDecl:
     name: str
-    kind: KindSpec
+    kind: AtomKind
     marks: list[MarkSpec]
     pos: Pos = _pos_field()
 
@@ -197,68 +193,22 @@ class RefExpr:
 
 @dataclass
 class AtomExpr:
-    kind: KindSpec
+    kind: AtomKind
     marks: list[MarkSpec]
     pos: Pos = _pos_field()
 
 
 @dataclass
-class SumExpr:
-    left: "ExprNode"
-    tmark: str
-    right: "ExprNode"
-    smark: str
-    glue: Optional[str] = None
-    carry: Optional[str] = None
-    pairs: list[tuple[str, str]] = field(default_factory=list)
+class OpExpr:
+    """An operation: its core node class and exactly the constructor
+    arguments that the source wrote, with AST expressions for children."""
+
+    cls: type
+    args: dict
     pos: Pos = _pos_field()
 
 
-@dataclass
-class Sum4Expr:
-    entries: list[tuple["ExprNode", str, str]]
-    pos: Pos = _pos_field()
-
-
-@dataclass
-class BlowupExpr:
-    inner: "ExprNode"
-    at: Optional[str]
-    size: AreaValue
-    transform: Optional[str] = None
-    exc: Optional[str] = None
-    pairexc: bool = False
-    pos: Pos = _pos_field()
-
-
-@dataclass
-class ThinExpr:
-    inner: "ExprNode"
-    mark: str
-    amount: AreaValue
-    pos: Pos = _pos_field()
-
-
-@dataclass
-class ThickenExpr:
-    inner: "ExprNode"
-    mark: str
-    amount: AreaValue
-    pos: Pos = _pos_field()
-
-
-@dataclass
-class DesingExpr:
-    inner: "ExprNode"
-    s: str
-    t: str
-    label: Optional[str] = None
-    pos: Pos = _pos_field()
-
-
-ExprNode = Union[
-    RefExpr, AtomExpr, SumExpr, Sum4Expr, BlowupExpr, ThinExpr, ThickenExpr, DesingExpr
-]
+ExprNode = Union[RefExpr, AtomExpr, OpExpr]
 
 SlotVal = tuple  # ("num", Fraction) | ("area", AreaValue) | ("name", str) | ("str", str)
 
@@ -287,7 +237,17 @@ class ExprFileAst:
     expr: ExprNode
 
 
-KIND_TAGS = ("E", "CP2", "CP2rev", "W", "Rational")
+KINDS = {
+    "E": EllipticSurface,
+    "CP2": ProjectivePlane,
+    "CP2rev": ProjectivePlaneReversed,
+    "W": RuledSurface,
+    "Rational": RationalSurface,
+}
+# for each kind, whether each parameter is an area (else an integer)
+_KIND_PARAMS = {
+    cls: tuple(f.type == "AreaValue" for f in fields(cls)) for cls in KINDS.values()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -380,35 +340,21 @@ class _Parser:
 
     # -- declarations ------------------------------------------------
 
-    def parse_kind(self) -> KindSpec:
+    def parse_kind(self) -> AtomKind:
+        """An atom kind, its parameters parsed by the types of its fields."""
         t = self.expect("name", "atom kind")
-        pos = Pos(t.line, t.col)
-        if t.value == "E":
-            self.expect("(")
-            n = self.parse_int()
+        cls = KINDS.get(t.value)
+        if cls is None:
+            raise ScriptError(
+                f"unknown atom kind {t.value!r}", t.line, t.col, expected=set(KINDS)
+            )
+        params = []
+        for is_area in _KIND_PARAMS[cls]:
+            self.expect("," if params else "(")
+            params.append(self.parse_area() if is_area else self.parse_int())
+        if params:
             self.expect(")")
-            return KindSpec("E", (n,), pos)
-        if t.value == "CP2":
-            return KindSpec("CP2", (), pos)
-        if t.value == "CP2rev":
-            return KindSpec("CP2rev", (), pos)
-        if t.value == "W":
-            self.expect("(")
-            g = self.parse_int()
-            self.expect(",")
-            n = self.parse_int()
-            self.expect(",")
-            f = self.parse_area()
-            self.expect(")")
-            return KindSpec("W", (g, n, f), pos)
-        if t.value == "Rational":
-            self.expect("(")
-            k = self.parse_int()
-            self.expect(")")
-            return KindSpec("Rational", (k,), pos)
-        raise ScriptError(
-            f"unknown atom kind {t.value!r}", t.line, t.col, expected=set(KIND_TAGS)
-        )
+        return cls(*params)
 
     def parse_markspec(self) -> MarkSpec:
         name = self.expect("name", "mark label")
@@ -436,11 +382,11 @@ class _Parser:
 
     def parse_markblock(self) -> list[MarkSpec]:
         self.expect("{")
-        marks = [self.parse_markspec()]
-        while self.accept(";"):
-            if self.peek().kind == "}":
-                break
+        marks = []
+        while self.peek().kind != "}":
             marks.append(self.parse_markspec())
+            if not self.accept(";"):
+                break
         self.expect("}")
         return marks
 
@@ -455,13 +401,7 @@ class _Parser:
         if self.at_keyword("triple"):
             self.next()
             name = self.expect("name", "triple name")
-            self.expect("(")
-            e = self.parse_expr()
-            self.expect(",")
-            s = self.expect("name").value
-            self.expect(",")
-            tt = self.expect("name").value
-            self.expect(")")
+            e, s, tt = self.parse_triple()
             return TripleDecl(name.value, e, s, tt, Pos(name.line, name.col))
         raise ScriptError(
             f"unexpected {t.value or t.kind!r}",
@@ -471,6 +411,18 @@ class _Parser:
         )
 
     # -- expressions -------------------------------------------------
+
+    def parse_triple(self) -> tuple[ExprNode, str, str]:
+        """An expression with the labels of its S and T marks, in
+        parentheses."""
+        self.expect("(")
+        e = self.parse_expr()
+        self.expect(",")
+        s = self.expect("name").value
+        self.expect(",")
+        t = self.expect("name").value
+        self.expect(")")
+        return e, s, t
 
     def parse_expr(self) -> ExprNode:
         t = self.peek()
@@ -490,26 +442,26 @@ class _Parser:
             right = self.parse_expr()
             self.expect(",")
             sm = self.expect("name").value
-            node = SumExpr(left, tm, right, sm, pos=pos)
+            args = {"left": left, "left_mark": tm, "right": right, "right_mark": sm}
             while self.accept(","):
                 key = self.expect("name", "sum option").value
                 self.expect("=")
                 if key == "glue":
-                    node.glue = self.expect("name").value
+                    args["gluing"] = GluingChoice(self.expect("name").value)
                 elif key == "carry":
-                    node.carry = self.expect("name").value
+                    args["carry_label"] = self.expect("name").value
                 elif key == "pair":
                     a = self.expect("name").value
                     self.expect(":")
                     bb = self.expect("name").value
-                    node.pairs.append((a, bb))
+                    args["pairs"] = args.get("pairs", ()) + ((a, bb),)
                 else:
                     raise ScriptError(
                         f"unknown sum option {key!r}", t.line, t.col,
                         expected={"glue", "carry", "pair"},
                     )
             self.expect(")")
-            return node
+            return OpExpr(PairSum, args, pos)
         if t.value == "sum4":
             self.next()
             self.expect("(")
@@ -517,16 +469,9 @@ class _Parser:
             for j in range(4):
                 if j:
                     self.expect(",")
-                self.expect("(")
-                e = self.parse_expr()
-                self.expect(",")
-                s = self.expect("name").value
-                self.expect(",")
-                tt = self.expect("name").value
-                self.expect(")")
-                entries.append((e, s, tt))
+                entries.append(self.parse_triple())
             self.expect(")")
-            return Sum4Expr(entries, pos)
+            return OpExpr(FourSum, {"entries": tuple(entries)}, pos)
         if t.value == "blowup":
             self.next()
             self.expect("(")
@@ -543,24 +488,24 @@ class _Parser:
             self.keyword("size")
             self.expect("=")
             size = self.parse_area()
-            node = BlowupExpr(inner, at, size, pos=pos)
+            args = {"inner": inner, "at_mark": at, "size": size}
             while self.accept(","):
                 key = self.expect("name", "blowup option").value
                 if key == "pairexc":
-                    node.pairexc = True
+                    args["pair_exceptional"] = True
                     continue
                 self.expect("=")
                 if key == "transform":
-                    node.transform = self.expect("name").value
+                    args["transform_label"] = self.expect("name").value
                 elif key == "exc":
-                    node.exc = self.expect("name").value
+                    args["exceptional_label"] = self.expect("name").value
                 else:
                     raise ScriptError(
                         f"unknown blowup option {key!r}", t.line, t.col,
                         expected={"transform", "exc", "pairexc"},
                     )
             self.expect(")")
-            return node
+            return OpExpr(BlowUp, args, pos)
         if t.value in ("thin", "thicken"):
             self.next()
             self.expect("(")
@@ -570,8 +515,9 @@ class _Parser:
             self.expect(",")
             amt = self.parse_area()
             self.expect(")")
-            cls = ThinExpr if t.value == "thin" else ThickenExpr
-            return cls(inner, mark, amt, pos)
+            cls = Thin if t.value == "thin" else Thicken
+            args = {"inner": inner, "mark_label": mark, "amount": amt}
+            return OpExpr(cls, args, pos)
         if t.value == "desing":
             self.next()
             self.expect("(")
@@ -580,14 +526,14 @@ class _Parser:
             s = self.expect("name").value
             self.expect(",")
             tt = self.expect("name").value
-            label = None
+            args = {"inner": inner, "mark_s": s, "mark_t": tt}
             if self.accept(","):
                 self.keyword("label")
                 self.expect("=")
-                label = self.expect("name").value
+                args["label"] = self.expect("name").value
             self.expect(")")
-            return DesingExpr(inner, s, tt, label, pos)
-        if t.value in KIND_TAGS and self.peek(1).kind in ("(", "{"):
+            return OpExpr(Desing, args, pos)
+        if t.value in KINDS and self.peek(1).kind in ("(", "{"):
             # an inline atom: the kind tag is followed by parameters or marks
             kind = self.parse_kind()
             marks = self.parse_markblock() if self.peek().kind == "{" else []
@@ -700,38 +646,26 @@ def parse_expr_file(source: str) -> ExprFileAst:
 # ---------------------------------------------------------------------------
 
 
-def _build_kind(k: KindSpec):
-    if k.tag == "E":
-        return EllipticSurface(*k.params)
-    if k.tag == "CP2":
-        return ProjectivePlane()
-    if k.tag == "CP2rev":
-        return ProjectivePlaneReversed()
-    if k.tag == "W":
-        return RuledSurface(*k.params)
-    if k.tag == "Rational":
-        return RationalSurface(*k.params)
-    raise ScriptError(f"unknown kind tag {k.tag!r}", k.pos.line, k.pos.col)
-
-
-def _build_atom(kind: KindSpec, marks: list[MarkSpec], pos: Pos) -> AtomNode:
+def _build_atom(kind: AtomKind, marks: list[MarkSpec], pos: Pos) -> AtomNode:
     declared = {m.label for m in marks}
     for m in marks:
-        if m.perp is not None and m.perp not in declared:
+        if m.orthogonal_at is not None and m.orthogonal_at not in declared:
             raise ScriptError(
-                f"unresolved mark {m.perp!r}", m.pos.line, m.pos.col
+                f"unresolved mark {m.orthogonal_at!r}", m.pos.line, m.pos.col
             )
-    perp = {m.label: m.perp for m in marks}
+    perp = {m.label: m.orthogonal_at for m in marks}
     # a one-sided perp declaration implies its mirror
     for m in marks:
-        if m.perp is not None and perp[m.perp] is None:
-            perp[m.perp] = m.label
+        if m.orthogonal_at is not None and perp[m.orthogonal_at] is None:
+            perp[m.orthogonal_at] = m.label
     try:
         return AtomNode(
             Atom(
-                _build_kind(kind),
+                kind,
                 tuple(
-                    SurfaceMark(m.label, m.genus, m.normal, m.area, perp[m.label])
+                    SurfaceMark(
+                        m.label, m.genus, m.normal_number, m.area, perp[m.label]
+                    )
                     for m in marks
                 ),
             )
@@ -765,36 +699,15 @@ def _build_expr(node: ExprNode, env) -> ManifoldExpr:
         return env[node.name]
     if isinstance(node, AtomExpr):
         return _build_atom(node.kind, node.marks, node.pos)
-    if isinstance(node, SumExpr):
-        return PairSum(
-            _build_expr(node.left, env),
-            node.tmark,
-            _build_expr(node.right, env),
-            node.smark,
-            GluingChoice(node.glue) if node.glue else STD_GLUE,
-            carry_label=node.carry,
-            pairs=tuple(node.pairs),
-        )
-    if isinstance(node, Sum4Expr):
-        return FourSum(
-            tuple((_build_expr(e, env), s, t) for e, s, t in node.entries)
-        )
-    if isinstance(node, BlowupExpr):
-        return BlowUp(
-            _build_expr(node.inner, env),
-            node.at,
-            node.size,
-            node.transform,
-            node.exc or "E",
-            node.pairexc,
-        )
-    if isinstance(node, ThinExpr):
-        return Thin(_build_expr(node.inner, env), node.mark, node.amount)
-    if isinstance(node, ThickenExpr):
-        return Thicken(_build_expr(node.inner, env), node.mark, node.amount)
-    if isinstance(node, DesingExpr):
-        return Desing(_build_expr(node.inner, env), node.s, node.t, node.label)
-    raise ScriptError(f"unknown expression node {type(node).__name__}")
+    # one frame per nesting level: children are built here, not by a helper
+    args = dict(node.args)
+    for name in node.cls.SELECTORS:
+        if name in args:
+            args[name] = _build_expr(args[name], env)
+    if "entries" in args:  # FourSum keeps its children in its entries
+        entries = args["entries"]
+        args["entries"] = tuple((_build_expr(x, env), s, t) for x, s, t in entries)
+    return node.cls(**args)
 
 
 @dataclass
@@ -834,17 +747,105 @@ def build_script(ast: ScriptAst) -> BuiltScript:
 # Printing
 # ---------------------------------------------------------------------------
 
+# the source form of each operation: `{field}` prints that constructor
+# argument; an option (see _OPTIONS) prints only when it is given
+_FORMS = {
+    PairSum: "sum({left}, {left_mark}, {right}, {right_mark}{gluing}{carry_label}{pairs})",
+    FourSum: "sum4({entries})",
+    BlowUp: "blowup({inner}, {at_mark}, size = {size}"
+    "{transform_label}{exceptional_label}{pair_exceptional})",
+    Thin: "thin({inner}, {mark_label}, {amount})",
+    Thicken: "thicken({inner}, {mark_label}, {amount})",
+    Desing: "desing({inner}, {mark_s}, {mark_t}{label})",
+}
+# the source keyword of each option
+_OPTIONS = {
+    "gluing": "glue",
+    "carry_label": "carry",
+    "pairs": "pair",
+    "transform_label": "transform",
+    "exceptional_label": "exc",
+    "pair_exceptional": "pairexc",
+    "label": "label",
+}
 
-def _kind_text(k) -> str:
-    if isinstance(k, KindSpec):
-        if k.tag == "E":
-            return f"E({k.params[0]})"
-        if k.tag == "W":
-            g, n, f = k.params
-            return f"W({g},{n},{f.compact()})"
-        if k.tag == "Rational":
-            return f"Rational({k.params[0]})"
-        return k.tag
+
+def _field_printer(cls, f: Field):
+    """The function that prints the value of field `f` of `cls`."""
+    name = f.name
+    if name in cls.SELECTORS:  # a child, printed with one frame per level
+        return serialize_expr
+    if name == "entries":
+        return lambda v: ", ".join(f"({serialize_expr(x)}, {s}, {t})" for x, s, t in v)
+    if name == "at_mark":
+        return lambda v: "generic" if v is None else f"at = {v}"
+    if name == "pairs":
+        return lambda v: "".join(f", pair = {a}:{b}" for a, b in v)
+    if name == "pair_exceptional":
+        return lambda v: ", pairexc"
+    if name == "gluing":
+        return lambda v: f", glue = {v.label}"
+    if name in _OPTIONS:
+        return lambda v: f", {_OPTIONS[name]} = {v}"
+    return AreaValue.compact if f.type == "AreaValue" else str
+
+
+def serialize_expr(node) -> str:
+    """The source text of a built expression or of an AST expression.  An
+    option prints when the source gave it (AST) or when it differs from
+    its default (built node), so an explicit `exc = E` prints from the
+    AST only."""
+    form = _PIECES.get(type(node))
+    if form is not None:  # a built operation node
+        text, _, _, shows, values = form
+        parts = []
+        for show, value in zip(shows, values(node)):  # a loop: one frame per level
+            parts.append(show(value))
+        return text.format(*parts)
+    if isinstance(node, AtomNode):
+        return _atom_text(node.atom.kind, node.atom.marks)
+    if isinstance(node, OpExpr):
+        text, names, shows, _, _ = _PIECES[node.cls]
+        args = node.args
+        parts = []
+        for name, show in zip(names, shows):
+            parts.append(show(args[name]) if name in args else "")
+        return text.format(*parts)
+    if isinstance(node, AtomExpr):
+        return _atom_text(node.kind, node.marks)
+    return node.name  # a RefExpr
+
+
+def _pieces(cls, form: str) -> tuple:
+    """How `cls` prints: its form with `{}` for each field, the fields'
+    names, their printers for AST arguments and for built nodes (where an
+    option at its default prints as nothing), and a getter of a built
+    node's field values."""
+    by_name = {f.name: f for f in fields(cls)}
+    names = [name for _, name, _, _ in Formatter().parse(form) if name]
+    shows = [_field_printer(cls, by_name[name]) for name in names]
+    node_shows = [
+        _unless_default(show, by_name[name].default) if name in _OPTIONS else show
+        for name, show in zip(names, shows)
+    ]
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda node: (get(node),)
+    return re.sub(r"\{\w+\}", "{}", form), names, shows, node_shows, values
+
+
+def _unless_default(show, default):
+    return lambda value: "" if value is default or value == default else show(value)
+
+
+_PIECES = {cls: _pieces(cls, form) for cls, form in _FORMS.items()}
+
+
+def _atom_text(kind: AtomKind, marks) -> str:
+    body = "; ".join(map(_mark_text, marks))
+    return f"{_kind_text(kind)} {{ {body} }}" if marks else f"{_kind_text(kind)} {{ }}"
+
+
+def _kind_text(k: AtomKind) -> str:
     if isinstance(k, EllipticSurface):
         return f"E({k.n})"
     if isinstance(k, ProjectivePlane):
@@ -858,59 +859,12 @@ def _kind_text(k) -> str:
     raise SymsumError(f"unknown kind {k!r}")
 
 
-def _markspec_text(label, genus, normal, a: AreaValue, perp) -> str:
-    out = f"{label}: g={genus}, i={normal}, a={a.compact()}"
-    if perp:
-        out += f", perp {perp}"
+def _mark_text(m) -> str:
+    """A mark, as a MarkSpec or a SurfaceMark."""
+    out = f"{m.label}: g={m.genus}, i={m.normal_number}, a={m.area.compact()}"
+    if m.orthogonal_at:
+        out += f", perp {m.orthogonal_at}"
     return out
-
-
-def _expr_node_text(node: ExprNode) -> str:
-    if isinstance(node, RefExpr):
-        return node.name
-    if isinstance(node, AtomExpr):
-        marks = "; ".join(
-            _markspec_text(m.label, m.genus, m.normal, m.area, m.perp)
-            for m in node.marks
-        )
-        return f"{_kind_text(node.kind)} {{ {marks} }}"
-    if isinstance(node, SumExpr):
-        out = (
-            f"sum({_expr_node_text(node.left)}, {node.tmark}, "
-            f"{_expr_node_text(node.right)}, {node.smark}"
-        )
-        if node.glue:
-            out += f", glue = {node.glue}"
-        if node.carry:
-            out += f", carry = {node.carry}"
-        for a, b in node.pairs:
-            out += f", pair = {a}:{b}"
-        return out + ")"
-    if isinstance(node, Sum4Expr):
-        parts = ", ".join(
-            f"({_expr_node_text(e)}, {s}, {t})" for e, s, t in node.entries
-        )
-        return f"sum4({parts})"
-    if isinstance(node, BlowupExpr):
-        at = "generic" if node.at is None else f"at = {node.at}"
-        out = f"blowup({_expr_node_text(node.inner)}, {at}, size = {node.size.compact()}"
-        if node.transform:
-            out += f", transform = {node.transform}"
-        if node.exc:
-            out += f", exc = {node.exc}"
-        if node.pairexc:
-            out += ", pairexc"
-        return out + ")"
-    if isinstance(node, ThinExpr):
-        return f"thin({_expr_node_text(node.inner)}, {node.mark}, {node.amount.compact()})"
-    if isinstance(node, ThickenExpr):
-        return f"thicken({_expr_node_text(node.inner)}, {node.mark}, {node.amount.compact()})"
-    if isinstance(node, DesingExpr):
-        out = f"desing({_expr_node_text(node.inner)}, {node.s}, {node.t}"
-        if node.label:
-            out += f", label = {node.label}"
-        return out + ")"
-    raise SymsumError(f"unknown expression node {type(node).__name__}")
 
 
 def _slot_text(v: SlotVal) -> str:
@@ -928,18 +882,14 @@ def print_script(ast: ScriptAst) -> str:
     lines = []
     for d in ast.decls:
         if isinstance(d, AtomDecl):
-            marks = "; ".join(
-                _markspec_text(m.label, m.genus, m.normal, m.area, m.perp)
-                for m in d.marks
-            )
-            block = f" {{ {marks} }}" if d.marks else ""
-            lines.append(f"atom {d.name} {_kind_text(d.kind)}{block}")
+            text = _atom_text(d.kind, d.marks) if d.marks else _kind_text(d.kind)
+            lines.append(f"atom {d.name} {text}")
         else:
             lines.append(
-                f"triple {d.name} ({_expr_node_text(d.expr)}, {d.s}, {d.t})"
+                f"triple {d.name} ({serialize_expr(d.expr)}, {d.s}, {d.t})"
             )
-    lines.append(f"lhs {_expr_node_text(ast.lhs)}")
-    lines.append(f"rhs {_expr_node_text(ast.rhs)}")
+    lines.append(f"lhs {serialize_expr(ast.lhs)}")
+    lines.append(f"rhs {serialize_expr(ast.rhs)}")
     lines.append(f"target {ast.target}")
     for s in ast.steps:
         slots = ", ".join(f"{k} = {_slot_text(v)}" for k, v in s.slots.items())
@@ -950,58 +900,6 @@ def print_script(ast: ScriptAst) -> str:
             line += f' "{s.note}"'
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Serializing built expressions (used by traces and tooling)
-# ---------------------------------------------------------------------------
-
-
-def serialize_expr(e: ManifoldExpr) -> str:
-    if isinstance(e, AtomNode):
-        marks = "; ".join(
-            _markspec_text(m.label, m.genus, m.normal_number, m.area, m.orthogonal_at)
-            for m in e.atom.marks
-        )
-        block = f"{{ {marks} }}" if e.atom.marks else "{ }"
-        return f"{_kind_text(e.atom.kind)} {block}"
-    if isinstance(e, PairSum):
-        out = (
-            f"sum({serialize_expr(e.left)}, {e.left_mark}, "
-            f"{serialize_expr(e.right)}, {e.right_mark}"
-        )
-        if e.gluing != STD_GLUE:
-            out += f", glue = {e.gluing.label}"
-        if e.carry_label:
-            out += f", carry = {e.carry_label}"
-        for a, b in e.pairs:
-            out += f", pair = {a}:{b}"
-        return out + ")"
-    if isinstance(e, FourSum):
-        parts = ", ".join(
-            f"({serialize_expr(x)}, {s}, {t})" for x, s, t in e.entries
-        )
-        return f"sum4({parts})"
-    if isinstance(e, BlowUp):
-        at = "generic" if e.at_mark is None else f"at = {e.at_mark}"
-        out = f"blowup({serialize_expr(e.inner)}, {at}, size = {e.size.compact()}"
-        if e.transform_label:
-            out += f", transform = {e.transform_label}"
-        if e.exceptional_label != "E":
-            out += f", exc = {e.exceptional_label}"
-        if e.pair_exceptional:
-            out += ", pairexc"
-        return out + ")"
-    if isinstance(e, Thin):
-        return f"thin({serialize_expr(e.inner)}, {e.mark_label}, {e.amount.compact()})"
-    if isinstance(e, Thicken):
-        return f"thicken({serialize_expr(e.inner)}, {e.mark_label}, {e.amount.compact()})"
-    if isinstance(e, Desing):
-        out = f"desing({serialize_expr(e.inner)}, {e.mark_s}, {e.mark_t}"
-        if e.label:
-            out += f", label = {e.label}"
-        return out + ")"
-    raise SymsumError(f"unknown expression node {type(e).__name__}")
 
 
 def mark_table(e: ManifoldExpr) -> str:

@@ -14,7 +14,6 @@ from .core import (
     Atom,
     AtomNode,
     BlowUp,
-    Desing,
     EllipticSurface,
     FourSum,
     GluingChoice,
@@ -31,6 +30,7 @@ from .core import (
     Thin,
     Violation,
     fourfold_violations,
+    is_ruled_fiber,
     pairwise_violations,
 )
 
@@ -90,12 +90,6 @@ def desingularize(s: SurfaceMark, t: SurfaceMark, label: Optional[str] = None) -
         s.normal_number + t.normal_number + 2,
         s.area + t.area,
     )
-
-
-def desing_node(
-    e: ManifoldExpr, mark_s: str, mark_t: str, label: Optional[str] = None
-) -> Desing:
-    return Desing(e, mark_s, mark_t, label)
 
 
 def blow_up(
@@ -220,20 +214,13 @@ def _map_areas(e: ManifoldExpr, fn) -> ManifoldExpr:
             kind = replace(kind, fiber_area=fn(kind.fiber_area))
         marks = tuple(replace(m, area=fn(m.area)) for m in e.atom.marks)
         return AtomNode(Atom(kind, marks))
-    if isinstance(e, PairSum):
-        return replace(e, left=_map_areas(e.left, fn), right=_map_areas(e.right, fn))
-    if isinstance(e, FourSum):
-        return replace(
-            e,
-            entries=tuple((_map_areas(x, fn), s, t) for x, s, t in e.entries),
-        )
-    if isinstance(e, BlowUp):
-        return replace(e, inner=_map_areas(e.inner, fn), size=fn(e.size))
-    if isinstance(e, (Thin, Thicken)):
-        return replace(e, inner=_map_areas(e.inner, fn), amount=fn(e.amount))
-    if isinstance(e, Desing):
-        return replace(e, inner=_map_areas(e.inner, fn))
-    raise MarkError(f"unknown expression node {type(e).__name__}")
+    kids = []
+    for c in e.children():  # a loop, not a comprehension: one frame per level
+        kids.append(_map_areas(c, fn))
+    # the areas held by the node itself: blow-up sizes, thinning and
+    # thickening amounts
+    changes = {f: fn(getattr(e, f)) for f in ("size", "amount") if hasattr(e, f)}
+    return e.with_children(kids, **changes)
 
 
 def apply_shifts(e: ManifoldExpr, shifts: dict[str, AreaValue]) -> ManifoldExpr:
@@ -242,57 +229,52 @@ def apply_shifts(e: ManifoldExpr, shifts: dict[str, AreaValue]) -> ManifoldExpr:
     only the final state).  Raises if a label is not found on any atom."""
     remaining = dict(shifts)
     out = _shift_walk(e, remaining)
+    check_shifts_found(remaining)
+    return out
+
+
+def check_shifts_found(remaining: dict[str, AreaValue]) -> None:
+    """Raise if `_shift_walk` left shift targets that no atom carries."""
     if remaining:
         raise MarkError(
             f"shift targets not found on any atom: {sorted(remaining)}"
         )
-    return out
 
 
 def _shift_walk(e: ManifoldExpr, remaining: dict[str, AreaValue]) -> ManifoldExpr:
+    """`e` with the atom marks named in `remaining` shifted by their
+    amounts; each target found is removed from `remaining`."""
     if not remaining:
         return e  # nothing left to shift: share the subtree and its memos
-    if isinstance(e, AtomNode):
-        hits = [m for m in e.atom.marks if m.label in remaining]
-        if not hits:
-            return e
-        new_marks = list(e.atom.marks)
-        kind = e.atom.kind
-        for m in hits:
-            delta = remaining.pop(m.label)
-            _check_shift_allowed(kind, e.atom.marks, m)
-            if isinstance(kind, RuledSurface):
-                # pullback from the base moves every section in step
-                new_marks = [
-                    nm
-                    if _is_fiber_mark(kind, nm)
-                    else replace(nm, area=nm.area + delta)
-                    for nm in new_marks
-                ]
-            else:
-                new_marks = [
-                    nm if nm.label != m.label else replace(nm, area=nm.area + delta)
-                    for nm in new_marks
-                ]
-        return AtomNode(Atom(kind, tuple(new_marks)))
-    if isinstance(e, PairSum):
-        return replace(
-            e,
-            left=_shift_walk(e.left, remaining),
-            right=_shift_walk(e.right, remaining),
-        )
-    if isinstance(e, FourSum):
-        return replace(
-            e,
-            entries=tuple((_shift_walk(x, remaining), s, t) for x, s, t in e.entries),
-        )
-    if isinstance(e, (BlowUp, Thin, Thicken, Desing)):
-        return replace(e, inner=_shift_walk(e.inner, remaining))
-    raise MarkError(f"unknown expression node {type(e).__name__}")
-
-
-def _is_fiber_mark(kind: RuledSurface, m: SurfaceMark) -> bool:
-    return m.genus == 0 and m.normal_number == 0 and m.area == kind.fiber_area
+    if not isinstance(e, AtomNode):
+        kids = []
+        for c in e.children():  # a loop, not a comprehension: one frame per level
+            kids.append(_shift_walk(c, remaining))
+        if all(k is c for k, c in zip(kids, e.children())):
+            return e  # no target below: share the subtree and its memos
+        return e.with_children(kids)
+    hits = [m for m in e.atom.marks if m.label in remaining]
+    if not hits:
+        return e
+    new_marks = list(e.atom.marks)
+    kind = e.atom.kind
+    for m in hits:
+        delta = remaining.pop(m.label)
+        _check_shift_allowed(kind, e.atom.marks, m)
+        if isinstance(kind, RuledSurface):
+            # pullback from the base moves every section in step
+            new_marks = [
+                nm
+                if is_ruled_fiber(nm, kind)
+                else replace(nm, area=nm.area + delta)
+                for nm in new_marks
+            ]
+        else:
+            new_marks = [
+                nm if nm.label != m.label else replace(nm, area=nm.area + delta)
+                for nm in new_marks
+            ]
+    return AtomNode(Atom(kind, tuple(new_marks)))
 
 
 def _check_shift_allowed(kind, marks, m: SurfaceMark) -> None:
@@ -340,7 +322,7 @@ def split_ruled(
             f"got {plus.normal_number} and {minus.normal_number}"
         )
     extra = [m for m in w.atom.marks if m.label not in (plus_label, minus_label)]
-    if any(not _is_fiber_mark(kind, m) for m in extra):
+    if any(not is_ruled_fiber(m, kind) for m in extra):
         raise MarkError("split tracks only the two named sections and fibers")
     if len(extra) > 1 or any(m.orthogonal_at for m in extra):
         raise MarkError("split carries at most one unpaired fiber mark")

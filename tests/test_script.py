@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traces import corpus_traces
+from traces import corpus_traces, script_golden
 
-from symsum.core import EquivLevel, SymsumError
-from symsum.demos import CORPUS, DEMOS, GOMPF_STIPSICZ, VERIFYING
+from symsum.core import Atom, AtomNode, EquivLevel, RationalSurface, SymsumError
+from symsum.demos import BLOWUP_TRADE, CORPUS, DEMOS, GOMPF_STIPSICZ, VERIFYING
 from symsum.script import (
     AtomDecl,
     ScriptError,
+    build_expr,
     build_script,
     parse,
     parse_expr_file,
@@ -238,3 +239,63 @@ def test_integer_slot_accepts_exact_integer(slot):
 def test_corpus_traces_match_golden():
     golden = pathlib.Path(__file__).parent / "golden" / "corpus_traces.txt"
     assert corpus_traces() == golden.read_text(encoding="utf-8")
+
+
+def test_script_golden():
+    golden = pathlib.Path(__file__).parent / "golden" / "script_golden.txt"
+    assert script_golden() == golden.read_text(encoding="utf-8")
+
+
+def _blowup_trade_with(step: str, extra: str) -> str:
+    """BLOWUP_TRADE with `extra` slots added to the step starting `step`."""
+    head, sep, tail = BLOWUP_TRADE.partition(step)
+    close = tail.index("}")
+    assert sep and close >= 0
+    return head + sep + tail[:close].rstrip() + ", " + extra + " " + tail[close:]
+
+
+def test_unknown_shift_target_below_the_root_fails():
+    r = run(_blowup_trade_with("by R11 { at = left.right", "shift2 = Nope, by2 = 7"))
+    assert r.code == 1
+    assert r.messages == [
+        "proof failed at step 2: R11: shift targets not found on any atom: ['Nope']"
+    ]
+
+
+def test_shift_target_removed_by_the_step_fails():
+    r = run(_blowup_trade_with("by R4 { at = right", "shift2 = Gm, by2 = 1"))
+    assert r.code == 1
+    assert r.messages == [
+        "proof failed at step 4: R4: shift targets not found on any atom: ['Gm']"
+    ]
+
+
+def test_shift_reaches_the_rewritten_subtree_below_the_root():
+    src = (
+        "atom A E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=1, perp Sigma-3 }\n"
+        "atom A2 E(3) { Sigma-3: g=0, i=-3, a=2, perp F3; F3: g=1, i=0, a=1, perp Sigma-3 }\n"
+        "atom B E(1) { F1: g=1, i=0, a=1 }\n"
+        "lhs sum(A, F3, B, F1)\nrhs sum(A2, F3, B, F1)\ntarget ~\n"
+        "by deform { at = left, shift1 = Sigma-3, by1 = 1 }\n"
+    )
+    r = run(src)
+    assert r.code == 0, r.messages
+    assert r.verdict.trace[1].notes == ["deformed areas: Sigma-3 by 1 + 0*eps"]
+
+
+def test_markless_inline_atom_round_trips():
+    ast = parse("lhs Rational(9) { } rhs Rational(9) {} target ~\n")
+    printed = print_script(ast)
+    assert run(printed).code == 0
+    assert "Rational(9) { }" in printed
+    assert parse(printed) == ast
+    assert print_script(parse(printed)) == printed
+
+
+def test_markless_built_atom_round_trips():
+    e = AtomNode(Atom(RationalSurface(2)))
+    text = serialize_expr(e)
+    assert text == "Rational(2) { }"
+    rebuilt = build_expr(parse_expr_file("expr " + text).expr, {})
+    assert rebuilt == e
+    assert serialize_expr(rebuilt) == text
