@@ -18,6 +18,7 @@ from .invariants import expr_invariants
 from .polytope import render_four_sum, render_pair_sum, render_triple
 from .script import (
     ScriptError,
+    build_decls,
     build_expr,
     mark_table,
     parse_expr_file,
@@ -71,17 +72,8 @@ def _load_expr_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     ast = parse_expr_file(source)
-    env = {}
-    triples = []
-    from .script import AtomDecl, TripleDecl, _build_atom
-
-    for d in ast.decls:
-        if isinstance(d, AtomDecl):
-            env[d.name] = _build_atom(d.kind, d.marks, d.pos)
-        elif isinstance(d, TripleDecl):
-            e = build_expr(d.expr, env)
-            triples.append((e, d.s, d.t))
-    return build_expr(ast.expr, env), triples
+    env, triples = build_decls(ast.decls)
+    return build_expr(ast.expr, env), [(t.expr, t.s, t.t) for t in triples.values()]
 
 
 def main(argv=None) -> int:

@@ -184,10 +184,9 @@ def validate_ruled(
     area > (k+1)*fiber/2 when g = 0 and k is odd."""
     if not fiber_area.is_positive:
         raise MarkError(f"fiber area {fiber_area} must be positive")
-    bound = fiber_area.scale(Fraction(k, 2))
     if g == 0 and k % 2 != 0:
-        bound = fiber_area.scale(Fraction(k + 1, 2))
-    return section_area > bound
+        k += 1
+    return section_area > fiber_area.scale(Fraction(k, 2))
 
 
 def _cp2_degree(m: SurfaceMark) -> int:
@@ -264,8 +263,10 @@ def _check_atom_marks(kind: AtomKind, marks: tuple[SurfaceMark, ...]) -> None:
                     f"index {k} and fiber {kind.fiber_area}"
                 )
             sections.append(m)
-        for a in sections:
-            for b in sections:
+        # the condition is antisymmetric, so each unordered pair is
+        # checked once, in the order that finds the same first failure
+        for i, a in enumerate(sections):
+            for b in sections[i + 1 :]:
                 spread = kind.fiber_area.scale(
                     Fraction(a.normal_number - b.normal_number, 2)
                 )
@@ -493,6 +494,11 @@ def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
 @dataclass(frozen=True, eq=False)
 class AtomNode(ManifoldExpr):
     atom: Atom
+
+    # memo of the atom's source text, filled in by script.serialize_expr;
+    # only atoms keep one, as a memo per operation node would hold
+    # O(depth^2) text on a nested chain
+    _text = None
 
     def __post_init__(self):
         # an atom's label pool is no bigger than the atom, so it is set

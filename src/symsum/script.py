@@ -40,7 +40,7 @@ from dataclasses import Field, dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter
 from string import Formatter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .areas import AreaValue, area
 from .core import (
@@ -81,65 +81,66 @@ class ScriptError(SymsumError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_#+~^-]*")
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
-_PUNCT = "{}(),;:=.+-~"
+# One master regex: optional blanks, then one alternative per token class,
+# named by `lastgroup`.  Every character that starts no token is `bad`, so
+# `finditer` skips nothing; `\Z` takes blanks at the end of the text.  A
+# token's column counts characters since the last newline outside a string
+# (a string spanning a newline does not advance the line), and a comment
+# running to the end of the text leaves the eof token at its `#`.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r]*
+    (?: (?P<name>[A-Za-z][A-Za-z0-9_#+~^-]*)
+      | (?P<num>\d+(?:/\d+)?)
+      | (?P<punct>[{}(),;:=.+~-])
+      | (?P<newline>\n)
+      | (?P<comment>\#[^\n]*)
+      | (?P<str>"[^"]*")
+      | (?P<bad>.)
+      | \Z )""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "num" | "str" | one of _PUNCT | "eof"
+class Token(NamedTuple):
+    kind: str  # "name" | "num" | "str" | one of "{}(),;:=.+-~" | "eof"
     value: str
     line: int
     col: int
 
 
+_new_token = tuple.__new__  # skips NamedTuple's Python-level __new__
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    add = toks.append
+    line, line_start, end = 1, 0, len(text)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "name" or kind == "num":
+            start, stop = m.span(kind)
+            add(_new_token(Token, (kind, text[start:stop], line, start - line_start + 1)))
+        elif kind == "punct":
+            start = m.end() - 1
+            c = text[start]
+            add(_new_token(Token, (c, c, line, start - line_start + 1)))
+        elif kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
+            line_start = m.end()
+        elif kind == "str":
+            start, stop = m.span(kind)
+            add(Token("str", text[start + 1 : stop - 1], line, start - line_start + 1))
+        elif kind == "comment":
+            if m.end() == len(text):
+                end = m.start(kind)  # the eof stays at the `#`
+        elif kind == "bad":
+            start = m.end() - 1
+            c = text[start]
+            col = start - line_start + 1
+            if c == '"':
                 raise ScriptError("unterminated string", line, col)
-            toks.append(Token("str", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            toks.append(Token("num", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if c in _PUNCT:
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ScriptError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            raise ScriptError(f"unexpected character {c!r}", line, col)
+    add(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -257,11 +258,13 @@ _KIND_PARAMS = {
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        toks = tokenize(text)
+        # two more eofs, so that peek(2) from the eof is still the eof
+        self.toks = toks + [toks[-1], toks[-1]]
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -270,7 +273,7 @@ class _Parser:
         return t
 
     def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind:
             raise ScriptError(
                 f"unexpected {t.kind!r}" + (f" {t.value!r}" if t.value else ""),
@@ -278,10 +281,12 @@ class _Parser:
                 t.col,
                 expected={what or kind},
             )
-        return self.next()
+        if kind != "eof":
+            self.i += 1
+        return t
 
     def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == kind and (value is None or t.value == value):
             return self.next()
         return None
@@ -302,10 +307,13 @@ class _Parser:
 
     @staticmethod
     def number(t: Token) -> Fraction:
-        try:
-            return Fraction(t.value)
-        except ZeroDivisionError:
-            raise ScriptError(f"zero denominator in {t.value!r}", t.line, t.col) from None
+        """The value of a `num` token, `p` or `p/q`."""
+        num, _, den = t.value.partition("/")
+        if not den:
+            return Fraction(int(num))
+        if not int(den):
+            raise ScriptError(f"zero denominator in {t.value!r}", t.line, t.col)
+        return Fraction(int(num), int(den))
 
     def parse_fraction(self) -> Fraction:
         neg = bool(self.accept("-"))
@@ -633,12 +641,24 @@ class _Parser:
             seen.add(d.name)
 
 
+def _parse(source: str, entry):
+    """`entry` run on a parser of `source`.  The parser recurses once per
+    nesting level, so nesting past the interpreter's recursion limit is
+    a ScriptError at the token where the limit was hit."""
+    p = _Parser(source)
+    try:
+        return entry(p)
+    except RecursionError:
+        t = p.peek()
+        raise ScriptError("expression nested too deeply", t.line, t.col) from None
+
+
 def parse(source: str) -> ScriptAst:
-    return _Parser(source).parse_script()
+    return _parse(source, _Parser.parse_script)
 
 
 def parse_expr_file(source: str) -> ExprFileAst:
-    return _Parser(source).parse_expr_file()
+    return _parse(source, _Parser.parse_expr_file)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +708,10 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
         raise
     except SymsumError as exc:
         raise ScriptError(str(exc), node.pos.line, node.pos.col) from exc
+    except RecursionError:  # the builder recurses once per nesting level
+        raise ScriptError(
+            "expression nested too deeply", node.pos.line, node.pos.col
+        ) from None
 
 
 def _build_expr(node: ExprNode, env) -> ManifoldExpr:
@@ -720,10 +744,12 @@ class BuiltScript:
     ast: ScriptAst
 
 
-def build_script(ast: ScriptAst) -> BuiltScript:
+def build_decls(decls: list) -> tuple[dict[str, ManifoldExpr], dict[str, BuiltTriple]]:
+    """The atoms and the triples that a script or an expression file
+    declares, each by name; a triple must carry both of its marks."""
     env: dict[str, ManifoldExpr] = {}
     triples: dict[str, BuiltTriple] = {}
-    for d in ast.decls:
+    for d in decls:
         if isinstance(d, AtomDecl):
             env[d.name] = _build_atom(d.kind, d.marks, d.pos)
         else:
@@ -734,6 +760,11 @@ def build_script(ast: ScriptAst) -> BuiltScript:
                         f"unresolved mark {lbl!r}", d.pos.line, d.pos.col
                     )
             triples[d.name] = BuiltTriple(e, d.s, d.t)
+    return env, triples
+
+
+def build_script(ast: ScriptAst) -> BuiltScript:
+    env, triples = build_decls(ast.decls)
     lhs = build_expr(ast.lhs, env)
     rhs = build_expr(ast.rhs, env)
     steps = [
@@ -803,7 +834,11 @@ def serialize_expr(node) -> str:
             parts.append(show(value))
         return text.format(*parts)
     if isinstance(node, AtomNode):
-        return _atom_text(node.atom.kind, node.atom.marks)
+        # memoized on the atom, which the trees of a proof's steps share
+        text = node._text
+        if text is None:
+            text = node.__dict__["_text"] = _atom_text(node.atom.kind, node.atom.marks)
+        return text
     if isinstance(node, OpExpr):
         text, names, shows, _, _ = _PIECES[node.cls]
         args = node.args

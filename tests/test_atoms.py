@@ -1,5 +1,8 @@
 """Atom catalog validation: mark constraints per atom kind."""
 
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -137,6 +140,36 @@ def test_ruled_section_spread_enforced():
                 SurfaceMark("G1", 0, 1, area(1, 2)),
             ),
         )
+
+
+def _first_spread_failure(fiber, sections):
+    """The message of the first ordered pair of sections, in the order of
+    a nested loop over all pairs, whose areas do not differ by the spread."""
+    for a in sections:
+        for b in sections:
+            spread = fiber.scale(Fraction(a.normal_number - b.normal_number, 2))
+            if a.area - b.area != spread:
+                return (
+                    f"sections {a.label}, {b.label}: areas must differ by "
+                    f"{spread}, got {a.area - b.area}"
+                )
+    return None
+
+
+@pytest.mark.parametrize("off", [(-1,), (1,), (3, -3)])
+def test_ruled_spread_reports_the_first_failing_pair(off):
+    fiber = area(0, 1)
+    for labels in permutations("ABCD"):  # atoms keep their marks by label
+        sections = sorted(
+            (
+                SurfaceMark(label, 0, k, area(1, Fraction(k, 2) + (k in off)))
+                for label, k in zip(labels, (3, 1, -1, -3))
+            ),
+            key=lambda m: m.label,
+        )
+        with pytest.raises(MarkError) as exc:
+            Atom(RuledSurface(0, 3, fiber), tuple(sections))
+        assert str(exc.value) == _first_spread_failure(fiber, sections)
 
 
 def test_ruled_parity_and_twist_bound():

@@ -1,12 +1,17 @@
 """The command-line interface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import symsum
 from symsum.cli import main
 from symsum.demos import GOMPF_STIPSICZ
+from test_memo import chain_script
 
 EXPRS = pathlib.Path(__file__).parent.parent / "scripts" / "exprs"
 
@@ -101,3 +106,42 @@ def test_proof_failure_exit_code(tmp_path, capsys):
     )
     assert main(["check", str(f)]) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_polytope_triple_with_unknown_mark_exits_2(tmp_path, capsys):
+    f = tmp_path / "t.expr"
+    f.write_text(
+        "atom A E(3) { F: g=1, i=0, a=1 }\ntriple t (A, F, Nope)\nexpr A\n", encoding="utf-8"
+    )
+    out = tmp_path / "t.svg"
+    assert main(["polytope", str(f), "--figure", "triple", "-o", str(out)]) == 2
+    assert "2:8: unresolved mark 'Nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    f = tmp_path / "deep.ssum"
+    f.write_text(chain_script(1000, 500), encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.endswith(": expression nested too deeply\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth, code", [(960, 0), (1000, 2)])
+def test_check_deep_chain_in_a_fresh_interpreter(tmp_path, depth, code):
+    """Depth 960 still verifies from the command line, where the stack
+    starts shallow; depth 1000 is a one-line error."""
+    f = tmp_path / "deep.ssum"
+    f.write_text(chain_script(depth, depth // 2), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symsum.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symsum.cli", "check", str(f)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stdout == "verdict: = (symplectomorphic) chi=4 sigma=0\n"
+    else:
+        assert proc.stderr.endswith(": expression nested too deeply\n")

@@ -4,8 +4,11 @@ and invariant memos checked against plain recursive recomputation.
 The depth tests run under the interpreter's default recursion limit:
 nothing here raises it."""
 
+import json
 import sys
 import tracemalloc
+
+import pytest
 
 from symsum.areas import area
 from symsum.core import (
@@ -27,7 +30,17 @@ from symsum.core import (
 from symsum.demos import CORPUS
 from symsum.invariants import InvariantVector, atom_invariants, expr_invariants
 from symsum.rewrite import apply_rule
-from symsum.script import build_script, parse, run
+from symsum import script
+from symsum.script import (
+    OpExpr,
+    ScriptError,
+    build_script,
+    parse,
+    render_trace_json,
+    render_trace_text,
+    run,
+    serialize_expr,
+)
 
 
 def chain_script(depth: int, path_len: int) -> str:
@@ -205,3 +218,37 @@ def test_pool_walk_memory_stays_linear_in_depth():
     assert len(pool) == 2 * 399
     # the pools of all 399 levels alive at once would take several MB
     assert peak < 500_000
+
+
+def test_render_prints_each_distinct_atom_once(monkeypatch):
+    calls = []
+    atom_text = script._atom_text
+    monkeypatch.setattr(script, "_atom_text", lambda *a: calls.append(a) or atom_text(*a))
+    r = run(chain_script(50, 20))
+    exprs = [rec.expr for rec in r.verdict.trace]
+    atoms = [n for n in nodes(*exprs) if isinstance(n, AtomNode)]
+    text, js = render_trace_text(r.verdict), render_trace_json(r.verdict)
+    assert len(calls) == len(atoms) < 2 * 50
+    for a in atoms:  # a fresh print of every tree agrees with the memos
+        del a.__dict__["_text"]
+    fresh = [serialize_expr(e) for e in exprs]
+    assert len(calls) == 2 * len(atoms)
+    assert all(f"  {s}" in text.splitlines() for s in fresh)
+    assert [json.loads(line)["expr"] for line in js.splitlines()] == fresh
+
+
+def test_nesting_past_the_recursion_limit_is_a_script_error():
+    r = run(chain_script(1000, 500))
+    assert r.code == 2 and r.verdict is None
+    assert len(r.messages) == 1
+    assert r.messages[0].endswith(": expression nested too deeply")
+
+
+def test_building_past_the_recursion_limit_is_a_script_error():
+    ast = parse("atom W W(0,1,0+1e) { A: g=0, i=-1, a=1 }\nlhs W rhs W target =")
+    deep = ast.lhs
+    for _ in range(2000):  # an AST no parse would return under the limit
+        deep = OpExpr(Thin, {"inner": deep, "mark_label": "A", "amount": area(1)}, deep.pos)
+    ast.lhs = deep
+    with pytest.raises(ScriptError, match="^2:5: expression nested too deeply$"):
+        build_script(ast)

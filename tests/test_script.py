@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traces import corpus_traces, script_golden
+from traces import corpus_traces, script_golden, token_golden
 
 from symsum.core import Atom, AtomNode, EquivLevel, RationalSurface, SymsumError
 from symsum.demos import BLOWUP_TRADE, CORPUS, DEMOS, GOMPF_STIPSICZ, VERIFYING
 from symsum.script import (
     AtomDecl,
     ScriptError,
+    _Parser,
     build_expr,
     build_script,
     parse,
@@ -23,6 +24,7 @@ from symsum.script import (
     print_script,
     run,
     serialize_expr,
+    tokenize,
 )
 
 
@@ -299,3 +301,47 @@ def test_markless_built_atom_round_trips():
     rebuilt = build_expr(parse_expr_file("expr " + text).expr, {})
     assert rebuilt == e
     assert serialize_expr(rebuilt) == text
+
+
+def test_token_golden():
+    golden = pathlib.Path(__file__).parent / "golden" / "tokens.txt"
+    assert token_golden() == golden.read_text(encoding="utf-8")
+
+
+# newline-free, quote-free text: lexer pieces, then any other character
+_LEXER_TEXT = st.text(
+    st.sampled_from(list("aZe09_#+~^-/{}(),;:=. \t\r٣"))
+    | st.characters(blacklist_characters='\n"'),
+    max_size=80,
+)
+
+
+@given(_LEXER_TEXT)
+@settings(max_examples=300)
+def test_token_positions_point_at_their_values(text):
+    try:
+        toks = tokenize(text)
+    except ScriptError as exc:
+        assert exc.line == 1 and text[exc.col - 1] not in " \t\r"
+        return
+    assert toks[-1].kind == "eof" and [t.kind for t in toks].count("eof") == 1
+    for t in toks[:-1]:
+        assert t.line == 1
+        assert text[t.col - 1 : t.col - 1 + len(t.value)] == t.value
+
+
+@given(
+    st.text(st.sampled_from("0123456789٣"), min_size=1, max_size=6),
+    st.one_of(st.none(), st.text(st.sampled_from("0123456789٣"), min_size=1, max_size=6)),
+)
+def test_number_is_the_fraction_of_its_text(num, den):
+    text = num if den is None else f"{num}/{den}"
+    tok = tokenize(text)[0]
+    assert tok.value == text
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ScriptError, match="zero denominator"):
+            _Parser.number(tok)
+        return
+    assert _Parser.number(tok) == expected

@@ -3,10 +3,19 @@
 `corpus_traces` is the text and JSON traces of the corpus.  `script_golden`
 is everything else a script's user sees: the printed form and the run
 messages of every corpus script, and the exit code, messages and trace of
-each input in `MALFORMED` and `RULE_SHAPES`."""
+each input in `MALFORMED` and `RULE_SHAPES`.  `token_golden` is the token
+stream of every corpus script and of each input in `TOKEN_EDGES`."""
 
 from symsum.demos import CORPUS
-from symsum.script import parse, print_script, render_trace_json, render_trace_text, run
+from symsum.script import (
+    ScriptError,
+    parse,
+    print_script,
+    render_trace_json,
+    render_trace_text,
+    run,
+    tokenize,
+)
 
 
 def corpus_traces() -> str:
@@ -163,4 +172,43 @@ def script_golden() -> str:
             parts.extend(result.messages)
             if result.verdict is not None:
                 parts.append(render_trace_text(result.verdict))
+    return "\n".join(parts) + "\n"
+
+
+# inputs at the edges of the lexer: where a token's line:col comes from,
+# and each way tokenizing fails
+TOKEN_EDGES = {
+    "trailing comment without newline": "atom X CP2 # a comment",
+    "comment then newline": "lhs X # note\nrhs Y\n",
+    "string spanning a newline": 'by R8 { } "two\nlines" rev\ntarget =',
+    "tab and carriage return": "atom\tX\r\nCP2 {\tQ: g=0, i=4, a=3/4 }\r\n",
+    "unicode digit": "E(\u0663) a=1/\u0663",
+    "unterminated string": 'by R8 { } "open\nrev',
+    "stray at": "lhs X @ rhs",
+    "stray dollar": "lhs\n  $X",
+    "name with #+~^-": "Sigma-3#Sigma-1 T+1 S~2 A^b-c x#y # tail",
+    "fraction with two slashes": "a=1/2/3",
+    "numbers, signs and eps": "1+1/2e -3/4-0eps 12ab",
+    "punctuation": "{}(),;:=.+-~",
+    "empty": "",
+    "only whitespace": " \t\r\n\n  ",
+}
+
+
+def _token_lines(source: str) -> list[str]:
+    try:
+        toks = tokenize(source)
+    except ScriptError as exc:
+        return [f"error: {exc}"]
+    return [f"{t.kind} {t.value!r} {t.line}:{t.col}" for t in toks]
+
+
+def token_golden() -> str:
+    """`kind value line:col` of every token, or the tokenizer's error, of
+    each corpus script and each input in `TOKEN_EDGES`."""
+    parts = []
+    for table, inputs in (("corpus", CORPUS), ("edge", TOKEN_EDGES)):
+        for name, source in inputs.items():
+            parts.append(f"=== {table} {name}")
+            parts.extend(_token_lines(source))
     return "\n".join(parts) + "\n"
