@@ -11,9 +11,10 @@ anywhere in the calculus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .record import Frozen, set_field
 
 RationalLike = Union[int, str, Fraction]
 
@@ -30,16 +31,16 @@ def _frac(x: RationalLike) -> Fraction:
     raise AreaError(f"not a rational coefficient: {x!r}")
 
 
-@dataclass(frozen=True)
-class AreaValue:
+class AreaValue(Frozen):
     """const + eps_coeff * eps, ordered lexicographically."""
 
-    const: Fraction
-    eps_coeff: Fraction = Fraction(0)
+    def __init__(self, const: Fraction, eps_coeff: Fraction = Fraction(0)):
+        self.__post_init__(const, eps_coeff)
 
-    def __post_init__(self):
-        object.__setattr__(self, "const", _frac(self.const))
-        object.__setattr__(self, "eps_coeff", _frac(self.eps_coeff))
+    def __post_init__(self, const, eps_coeff):
+        # every AreaValue passes here once (perfbench's tracer counts them)
+        set_field(self, "const", _frac(const))
+        set_field(self, "eps_coeff", _frac(eps_coeff))
 
     # -- arithmetic -------------------------------------------------
 

@@ -15,7 +15,6 @@ from . import __version__
 from .core import SymsumError
 from .demos import DEMOS
 from .invariants import expr_invariants
-from .polytope import render_four_sum, render_pair_sum, render_triple
 from .script import (
     ScriptError,
     build_decls,
@@ -95,6 +94,9 @@ def main(argv=None) -> int:
             print(mark_table(expr))
             return 0
         if args.command == "polytope":
+            # only this subcommand draws, so only it imports the renderer
+            from .polytope import render_four_sum, render_pair_sum, render_triple
+
             expr, triples = _load_expr_file(args.file)
             need = {"triple": 1, "pairsum": 2, "foursum": 4}[args.figure]
             if len(triples) < need:

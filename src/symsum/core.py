@@ -12,14 +12,13 @@ All types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import attrgetter
 from typing import Optional, Union
 
 from .areas import AreaValue
+from .record import Frozen, set_field, values_getter
 
 
 class SymsumError(Exception):
@@ -30,14 +29,18 @@ class MarkError(SymsumError):
     pass
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed gluing condition, with both offending values."""
+class Violation(Frozen):
+    """One failed gluing condition, with both offending values: the
+    `condition` is "genus", "normal_number" or "area", and `index` the
+    position in a 4-fold quadruple (1-based)."""
 
-    condition: str  # "genus" | "normal_number" | "area"
-    left: object
-    right: object
-    index: Optional[int] = None  # position in a 4-fold quadruple (1-based)
+    def __init__(
+        self, condition: str, left: object, right: object, index: Optional[int] = None
+    ):
+        set_field(self, "condition", condition)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "index", index)
 
     def __str__(self) -> str:
         where = f" at i={self.index}" if self.index is not None else ""
@@ -76,33 +79,34 @@ class EquivLevel(Enum):
         raise SymsumError(f"unknown equivalence symbol {sym!r}")
 
 
-@dataclass(frozen=True)
-class GluingChoice:
+class GluingChoice(Frozen):
     """Opaque tag for the boundary identification; equality is by label."""
 
-    label: str = "std"
+    def __init__(self, label: str = "std"):
+        set_field(self, "label", label)
 
 
 STD_GLUE = GluingChoice()
 
 
-@dataclass(frozen=True)
-class SurfaceMark:
-    label: str
-    genus: int
-    normal_number: int
-    area: AreaValue
-    orthogonal_at: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.label:
+class SurfaceMark(Frozen):
+    def __init__(
+        self, label: str, genus: int, normal_number: int, area: AreaValue,
+        orthogonal_at: Optional[str] = None,
+    ):
+        if not label:
             raise MarkError("mark label must be nonempty")
-        if self.genus < 0:
-            raise MarkError(f"mark {self.label}: genus must be >= 0")
-        if not self.area.is_positive:
-            raise MarkError(f"mark {self.label}: area {self.area} is not positive")
-        if self.orthogonal_at == self.label:
-            raise MarkError(f"mark {self.label} cannot intersect itself orthogonally")
+        if genus < 0:
+            raise MarkError(f"mark {label}: genus must be >= 0")
+        if not area.is_positive:
+            raise MarkError(f"mark {label}: area {area} is not positive")
+        if orthogonal_at == label:
+            raise MarkError(f"mark {label} cannot intersect itself orthogonally")
+        set_field(self, "label", label)
+        set_field(self, "genus", genus)
+        set_field(self, "normal_number", normal_number)
+        set_field(self, "area", area)
+        set_field(self, "orthogonal_at", orthogonal_at)
 
     @property
     def data(self):
@@ -128,43 +132,41 @@ def pairwise_violations(t1: SurfaceMark, s2: SurfaceMark) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EllipticSurface:
+class EllipticSurface(Frozen):
     """E(n): fiber sums of the rational elliptic surface, n >= 1.
     Marks: sections (genus 0, normal number -n) and fibers (genus 1, 0)."""
 
-    n: int
+    def __init__(self, n: int):
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class ProjectivePlane:
+class ProjectivePlane(Frozen):
     """CP^2.  Marks are degree-d curve shadows: normal number d^2,
     genus (d-1)(d-2)/2, areas proportional to d."""
 
 
-@dataclass(frozen=True)
-class ProjectivePlaneReversed:
+class ProjectivePlaneReversed(Frozen):
     """CP^2 with reversed orientation; carries no marks here."""
 
 
-@dataclass(frozen=True)
-class RuledSurface:
+class RuledSurface(Frozen):
     """S^2-bundle over a genus-g surface, twist n >= 1.
     Sections G_k satisfy k = n (mod 2), |k| <= n; fibers have the
     declared fiber area, and section areas are spread by half a fiber
     per unit of self-intersection."""
 
-    genus: int
-    twist: int
-    fiber_area: AreaValue
+    def __init__(self, genus: int, twist: int, fiber_area: AreaValue):
+        set_field(self, "genus", genus)
+        set_field(self, "twist", twist)
+        set_field(self, "fiber_area", fiber_area)
 
 
-@dataclass(frozen=True)
-class RationalSurface:
+class RationalSurface(Frozen):
     """CP^2 # k reversed-CP^2.  k = 8 is Y, k = 9 the rational elliptic
     surface.  Marks are unconstrained beyond the generic rules."""
 
-    blowups: int
+    def __init__(self, blowups: int):
+        set_field(self, "blowups", blowups)
 
 
 AtomKind = Union[
@@ -298,19 +300,15 @@ def _check_atom_marks(kind: AtomKind, marks: tuple[SurfaceMark, ...]) -> None:
         raise MarkError(f"unknown atom kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: AtomKind
-    marks: tuple[SurfaceMark, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "marks", tuple(sorted(self.marks, key=lambda m: m.label)))
-        labels = [m.label for m in self.marks]
+class Atom(Frozen):
+    def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):
+        marks = tuple(sorted(marks, key=lambda m: m.label))
+        labels = [m.label for m in marks]
         if len(set(labels)) != len(labels):
             dup = next(l for l in labels if labels.count(l) > 1)
             raise MarkError(f"duplicate mark label {dup!r}")
-        by_label = {m.label: m for m in self.marks}
-        for m in self.marks:
+        by_label = {m.label: m for m in marks}
+        for m in marks:
             if m.orthogonal_at is None:
                 continue
             other = by_label.get(m.orthogonal_at)
@@ -324,7 +322,9 @@ class Atom:
                     f"orthogonal pairing {m.label} <-> {other.label} "
                     "must be symmetric"
                 )
-        _check_atom_marks(self.kind, self.marks)
+        _check_atom_marks(kind, marks)
+        set_field(self, "kind", kind)
+        set_field(self, "marks", marks)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +340,8 @@ def rename(relabel: dict[str, str], value):
     return relabel.get(value, value)
 
 
-class ManifoldExpr:
-    """Base for all expression nodes.  Subclasses are frozen dataclasses;
+class ManifoldExpr(Frozen):
+    """Base for all expression nodes.  Subclasses are frozen records;
     `marks` is the tuple of surface marks visible on the composite.
 
     Every tree walk goes through one protocol.  `children()` lists the
@@ -349,12 +349,11 @@ class ManifoldExpr:
     `SELECTORS`.  `MARK_REFS[i]` names the fields that hold labels of
     child i's marks.  `with_children` builds a copy with new children.
 
-    Equality and hashing are structural, as for the generated dataclass
-    methods, but walk the tree with an explicit stack, so trees of any
-    depth compare.  Derived quantities that depend on the whole subtree
-    (label pool, invariants, hash) are memoized on the node in the slots
-    below and computed bottom-up from the children's memos; see
-    `fill_memo`."""
+    Equality and hashing are structural, as for other records, but walk
+    the tree with an explicit stack, so trees of any depth compare.
+    Derived quantities that depend on the whole subtree (label pool,
+    invariants, hash) are memoized on the node in the slots below and
+    computed bottom-up from the children's memos; see `fill_memo`."""
 
     marks: tuple[SurfaceMark, ...]
 
@@ -423,7 +422,7 @@ class ManifoldExpr:
                 if at is None or i == at:
                     for name in refs:
                         changes[name] = rename(relabel, getattr(self, name))
-        return replace(self, **changes)
+        return self.replace(**changes)
 
 
 @cache
@@ -431,9 +430,7 @@ def _data_fields(cls):
     # always a tuple: comparing tuples skips identical members, such as
     # the atoms that both sides of a proof share.  Child fields are named
     # by their selectors; FourSum, whose are not, has its own _local.
-    names = [f.name for f in fields(cls) if f.name not in cls.SELECTORS]
-    get = attrgetter(*names)
-    return get if len(names) > 1 else lambda node: (get(node),)
+    return values_getter([n for n, _ in cls.FIELDS if n not in cls.SELECTORS])
 
 
 def _node_hash(node: ManifoldExpr) -> int:
@@ -475,8 +472,8 @@ def _finish_marks(
             raise MarkError(f"pairing {a} <-> {b}: a mark is already paired")
         if a == b:
             raise MarkError(f"mark {a!r} cannot be paired with itself")
-        by_label[a] = replace(by_label[a], orthogonal_at=b)
-        by_label[b] = replace(by_label[b], orthogonal_at=a)
+        by_label[a] = by_label[a].replace(orthogonal_at=b)
+        by_label[b] = by_label[b].replace(orthogonal_at=a)
     return tuple(sorted(by_label.values(), key=lambda m: m.label))
 
 
@@ -491,26 +488,23 @@ def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
                 )
 
 
-@dataclass(frozen=True, eq=False)
 class AtomNode(ManifoldExpr):
-    atom: Atom
-
     # memo of the atom's source text, filled in by script.serialize_expr;
     # only atoms keep one, as a memo per operation node would hold
     # O(depth^2) text on a nested chain
     _text = None
 
-    def __post_init__(self):
+    def __init__(self, atom: Atom):
+        set_field(self, "atom", atom)
         # an atom's label pool is no bigger than the atom, so it is set
         # here and never handed over (see label_pool)
-        self.__dict__["_pool"] = frozenset(m.label for m in self.atom.marks)
+        set_field(self, "_pool", frozenset(m.label for m in atom.marks))
 
     @cached_property
     def marks(self) -> tuple[SurfaceMark, ...]:
         return self.atom.marks
 
 
-@dataclass(frozen=True, eq=False)
 class PairSum(ManifoldExpr):
     """Sum of `left` and `right` along left's mark `left_mark` and
     right's mark `right_mark` (removed from the composite).  Orthogonal
@@ -518,19 +512,22 @@ class PairSum(ManifoldExpr):
     a single connected-sum mark; marks disjoint from the gluing pass
     through unchanged."""
 
-    left: ManifoldExpr
-    left_mark: str
-    right: ManifoldExpr
-    right_mark: str
-    gluing: GluingChoice = STD_GLUE
-    carry_label: Optional[str] = None
-    pairs: tuple[tuple[str, str], ...] = ()
-
     SELECTORS = ("left", "right")
     MARK_REFS = (("left_mark", "pairs"), ("right_mark", "pairs"))
 
-    def __post_init__(self):
-        _check_disjoint_pools(self.left, self.right)
+    def __init__(
+        self, left: ManifoldExpr, left_mark: str, right: ManifoldExpr, right_mark: str,
+        gluing: GluingChoice = STD_GLUE, carry_label: Optional[str] = None,
+        pairs: tuple[tuple[str, str], ...] = (),
+    ):
+        set_field(self, "left", left)
+        set_field(self, "left_mark", left_mark)
+        set_field(self, "right", right)
+        set_field(self, "right_mark", right_mark)
+        set_field(self, "gluing", gluing)
+        set_field(self, "carry_label", carry_label)
+        set_field(self, "pairs", pairs)
+        _check_disjoint_pools(left, right)
         self.marks  # force validation
 
     def children(self):
@@ -604,9 +601,9 @@ class PairSum(ManifoldExpr):
                         orth = carry.label
                     elif half_dropped and orth == half.label:
                         orth = None
-                out.append(replace(m, orthogonal_at=orth))
+                out.append(m.replace(orthogonal_at=orth))
         if carry is not None:
-            out.append(replace(carry, orthogonal_at=carry_partner))
+            out.append(carry.replace(orthogonal_at=carry_partner))
         return _finish_marks(out, self.pairs)
 
 
@@ -623,35 +620,36 @@ def fourfold_violations(quad: tuple[QuadEntry, ...]) -> list[Violation]:
         t = quad[i][0].mark(t_label)
         s = quad[(i + 1) % 4][0].mark(s_label)
         for v in pairwise_violations(t, s):
-            out.append(replace(v, index=i + 1))
+            out.append(v.replace(index=i + 1))
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class FourSum(ManifoldExpr):
     """Simultaneous sum of four triples along T_i = S_{i+1}.  Stored
     unevaluated; invariants and marks come from the fixed evaluation
     ((1#2)#(3#4))."""
 
-    entries: tuple[QuadEntry, ...]
-    gluings: tuple[GluingChoice, ...] = (STD_GLUE,) * 4
-
     # each child's mark references sit next to it in its entry
     SELECTORS = ("x1", "x2", "x3", "x4")
 
-    def __post_init__(self):
-        if len(self.entries) != 4 or len(self.gluings) != 4:
+    def __init__(
+        self, entries: tuple[QuadEntry, ...],
+        gluings: tuple[GluingChoice, ...] = (STD_GLUE,) * 4,
+    ):
+        if len(entries) != 4 or len(gluings) != 4:
             raise MarkError("a 4-fold sum needs exactly four triples")
-        _check_disjoint_pools(*(e for e, _, _ in self.entries))
-        for e, s, t in self.entries:
+        _check_disjoint_pools(*(e for e, _, _ in entries))
+        for e, s, t in entries:
             sm, tm = e.mark(s), e.mark(t)
             if sm.orthogonal_at != tm.label:
                 raise MarkError(
                     f"triple marks {s}, {t} must be orthogonally paired"
                 )
-        bad = fourfold_violations(self.entries)
+        bad = fourfold_violations(entries)
         if bad:
             raise AdmissibilityError(bad)
+        set_field(self, "entries", entries)
+        set_field(self, "gluings", gluings)
         self.marks
 
     def children(self):
@@ -666,7 +664,7 @@ class FourSum(ManifoldExpr):
             if relabel and (at is None or i == at):
                 s, t = rename(relabel, (s, t))
             entries.append((kid, s, t))
-        return replace(self, entries=tuple(entries), **changes)
+        return self.replace(entries=tuple(entries), **changes)
 
     def evaluated(self, rotation: int = 0) -> ManifoldExpr:
         """The pairwise-sum evaluation ((1#2)#(3#4)) after rotating the
@@ -688,27 +686,29 @@ class FourSum(ManifoldExpr):
         return self.evaluated().marks
 
 
-@dataclass(frozen=True, eq=False)
 class BlowUp(ManifoldExpr):
     """Blow-up at a point, of the given exceptional size.  If `at_mark`
     is set, the point lies on that mark: the mark becomes its proper
     transform (normal number down one, area down by the size)."""
 
-    inner: ManifoldExpr
-    at_mark: Optional[str]
-    size: AreaValue
-    transform_label: Optional[str] = None
-    exceptional_label: str = "E"
-    pair_exceptional: bool = False
-
     SELECTORS = ("inner",)
     MARK_REFS = (("at_mark",),)
 
-    def __post_init__(self):
-        if not self.size.is_positive:
-            raise MarkError(f"blow-up size {self.size} must be positive")
-        if self.at_mark is None and self.pair_exceptional:
+    def __init__(
+        self, inner: ManifoldExpr, at_mark: Optional[str], size: AreaValue,
+        transform_label: Optional[str] = None, exceptional_label: str = "E",
+        pair_exceptional: bool = False,
+    ):
+        if not size.is_positive:
+            raise MarkError(f"blow-up size {size} must be positive")
+        if at_mark is None and pair_exceptional:
             raise MarkError("cannot pair the exceptional mark at a generic point")
+        set_field(self, "inner", inner)
+        set_field(self, "at_mark", at_mark)
+        set_field(self, "size", size)
+        set_field(self, "transform_label", transform_label)
+        set_field(self, "exceptional_label", exceptional_label)
+        set_field(self, "pair_exceptional", pair_exceptional)
         self.marks
 
     def children(self):
@@ -754,7 +754,7 @@ class BlowUp(ManifoldExpr):
                 if m.label == at.label:
                     continue
                 if m.orthogonal_at == at.label:
-                    m = replace(m, orthogonal_at=tlabel)
+                    m = m.replace(orthogonal_at=tlabel)
                 out.append(m)
         else:
             out.extend(self.inner.marks)
@@ -771,8 +771,7 @@ def _suffixed(
 ) -> tuple[SurfaceMark, ...]:
     m = inner.mark(mark_label)
     shift = amount.scale(m.normal_number) if sign > 0 else -amount.scale(m.normal_number)
-    new_main = replace(
-        m,
+    new_main = m.replace(
         label=m.label + suffix,
         area=m.area + shift,
         orthogonal_at=(m.orthogonal_at + suffix) if m.orthogonal_at else None,
@@ -784,8 +783,7 @@ def _suffixed(
         if other.label == m.orthogonal_at:
             partner_shift = amount if sign > 0 else -amount
             out.append(
-                replace(
-                    other,
+                other.replace(
                     label=other.label + suffix,
                     area=other.area + partner_shift,
                     orthogonal_at=new_main.label,
@@ -796,22 +794,20 @@ def _suffixed(
     return _finish_marks(out)
 
 
-@dataclass(frozen=True, eq=False)
 class Thin(ManifoldExpr):
     """Remove an S^1-invariant neighborhood of the mark, of fiber area
     `amount`: the mark loses amount * (its normal number) of area, its
     orthogonal partner loses `amount`.  Total volume decreases."""
 
-    inner: ManifoldExpr
-    mark_label: str
-    amount: AreaValue
-
     volume_flag = "decreased"
     SELECTORS = ("inner",)
     MARK_REFS = (("mark_label",),)
 
-    def __post_init__(self):
-        _check_eps_amount(self.amount)
+    def __init__(self, inner: ManifoldExpr, mark_label: str, amount: AreaValue):
+        _check_eps_amount(amount)
+        set_field(self, "inner", inner)
+        set_field(self, "mark_label", mark_label)
+        set_field(self, "amount", amount)
         self.marks
 
     def children(self):
@@ -822,27 +818,23 @@ class Thin(ManifoldExpr):
         return _suffixed(self.inner, self.mark_label, self.amount, -1, "-")
 
 
-@dataclass(frozen=True, eq=False)
 class Thicken(ManifoldExpr):
     """Glue in an S^1-invariant neighborhood along the mark: the mark
     gains amount * (its normal number) of area, its partner gains
     `amount`.  Total volume increases."""
 
-    inner: ManifoldExpr
-    mark_label: str
-    amount: AreaValue
-
     volume_flag = "increased"
     SELECTORS = ("inner",)
     MARK_REFS = (("mark_label",),)
 
-    def __post_init__(self):
-        _check_eps_amount(self.amount)
-        m = self.inner.mark(self.mark_label)
-        if not validate_ruled(m.genus, -m.normal_number, m.area, self.amount):
-            raise AdmissibilityError(
-                [Violation("ruled_section_area", m.area, self.amount)]
-            )
+    def __init__(self, inner: ManifoldExpr, mark_label: str, amount: AreaValue):
+        _check_eps_amount(amount)
+        m = inner.mark(mark_label)
+        if not validate_ruled(m.genus, -m.normal_number, m.area, amount):
+            raise AdmissibilityError([Violation("ruled_section_area", m.area, amount)])
+        set_field(self, "inner", inner)
+        set_field(self, "mark_label", mark_label)
+        set_field(self, "amount", amount)
         self.marks
 
     def children(self):
@@ -862,21 +854,21 @@ def _check_eps_amount(amount: AreaValue) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Desing(ManifoldExpr):
     """Replace two orthogonally intersecting marks S, T by the smoothed
     surface in the class [S]+[T]: genus adds, normal numbers add plus
     two, areas add."""
 
-    inner: ManifoldExpr
-    mark_s: str
-    mark_t: str
-    label: Optional[str] = None
-
     SELECTORS = ("inner",)
     MARK_REFS = (("mark_s", "mark_t"),)
 
-    def __post_init__(self):
+    def __init__(
+        self, inner: ManifoldExpr, mark_s: str, mark_t: str, label: Optional[str] = None
+    ):
+        set_field(self, "inner", inner)
+        set_field(self, "mark_s", mark_s)
+        set_field(self, "mark_t", mark_t)
+        set_field(self, "label", label)
         self.marks
 
     def children(self):

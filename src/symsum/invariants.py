@@ -9,8 +9,6 @@ chi = chi_1 + chi_2 - 2*(2-2g) and additive signature, a blow-up adds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Atom,
     AtomNode,
@@ -29,12 +27,13 @@ from .core import (
     Thin,
     fill_memo,
 )
+from .record import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class InvariantVector:
-    euler: int
-    signature: int
+class InvariantVector(Frozen):
+    def __init__(self, euler: int, signature: int):
+        set_field(self, "euler", euler)
+        set_field(self, "signature", signature)
 
     def __add__(self, other: "InvariantVector") -> "InvariantVector":
         return InvariantVector(self.euler + other.euler, self.signature + other.signature)

@@ -10,7 +10,6 @@ exactly; drift is an internal defect and aborts the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -41,6 +40,7 @@ from .core import (
     rename,
 )
 from .invariants import InvariantVector, expr_invariants
+from .record import Record
 from .sums import (
     _shift_walk,
     apply_shifts,
@@ -168,12 +168,12 @@ def _fresh(label: str, pool: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RuleApplication:
-    expr: ManifoldExpr
-    level: EquivLevel
-    notes: list[str] = field(default_factory=list)
-    relabel: dict[str, str] = field(default_factory=dict)
+class RuleApplication(Record):
+    def __init__(
+        self, expr: ManifoldExpr, level: EquivLevel, notes: list[str],
+        relabel: dict[str, str],
+    ):
+        self.expr, self.level, self.notes, self.relabel = expr, level, notes, relabel
 
 
 # handlers return (new_subtree, level, notes) or additionally a label map
@@ -351,6 +351,19 @@ def _partner_label(e: ManifoldExpr, label: str) -> str:
     return m.orthogonal_at
 
 
+def _joined(a: SurfaceMark, b: SurfaceMark, extra: int = 0) -> tuple:
+    """The (genus, normal number, area) of the mark joining `a` and `b`:
+    their connected sum, or with `extra` = 2 their desingularization."""
+    normal = a.normal_number + b.normal_number + extra
+    return (a.genus + b.genus, normal, a.area + b.area)
+
+
+def _perturbed(data: tuple, eps: AreaValue) -> tuple:
+    """Mark data after thickening by `eps` (thinning when negative)."""
+    genus, normal, a = data
+    return (genus, normal, a + eps.scale(normal))
+
+
 def _check_assoc_conditions(t1, t2, t3) -> list[str]:
     (x1, s1l, t1l), (x2, s2l, t2l), (x3, s3l, t3l) = t1, t2, t3
     marks = {
@@ -512,82 +525,42 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
     eval_a = grand.evaluated(0)
     eval_b = grand.evaluated(3)
 
-    # identities collapsing the perturbed groupings onto the two sides
-    inner12 = eval_a.left
-    carry12 = inner12.mark(inner12.carry_name)
+    # identities collapsing the perturbed groupings onto the two sides.
+    # The sub's own grouping, (1,2)(3,4) forward and (4,1)(2,3) reverse,
+    # is read off its marks; the other one is computed from the triples.
+    (inner, inner_mark), (des, des_label) = _halves(sub)[:: -1 if rev else 1]
+    own = (inner.mark(inner_mark).data, des.mark(des_label).data)
     if not rev:
-        lhs_inner_carry = sub.left.mark(sub.left_mark)
-        des_mark = sub.right.mark(sub.right_mark)
+        sum12, resolved34 = own
+        resolved41 = _joined(x1.mark(s1l), x1.mark(t1l), 2)
+        sum23 = _joined(x2.mark(s2l), x3.mark(t3l))
     else:
-        lhs_inner_carry = sub.right.mark(sub.right_mark)
-        des_mark = sub.left.mark(sub.left_mark)
-    want12 = (
-        lhs_inner_carry.genus,
-        lhs_inner_carry.normal_number,
-        lhs_inner_carry.area - eps.scale(lhs_inner_carry.normal_number),
-    )
-    _expect(
-        carry12.data == want12,
-        f"thinned (S1#T2) equals the perturbed carry bitwise: "
-        f"{carry12.data} vs {want12}",
-    )
-    inner34 = eval_a.right
-    carry34 = inner34.mark(inner34.carry_name)
-    want34 = (
-        des_mark.genus,
-        des_mark.normal_number,
-        des_mark.area + eps.scale(des_mark.normal_number),
-    )
-    _expect(
-        carry34.data == want34,
-        f"thickened (S3+T3) equals the perturbed carry bitwise: "
-        f"{carry34.data} vs {want34}",
-    )
-    notes.append(
-        f"grouping (1,2)(3,4): carries {carry12.area} and {carry34.area} "
-        "match the thinned/thickened outer marks bitwise"
-    )
-
-    inner41 = eval_b.left
-    carry41 = inner41.mark(inner41.carry_name)
-    s1m, t1m = x1.mark(s1l), x1.mark(t1l)
-    resolved1 = (
-        s1m.genus + t1m.genus,
-        s1m.normal_number + t1m.normal_number + 2,
-        s1m.area + t1m.area,
-    )
-    want41 = (
-        resolved1[0],
-        resolved1[1],
-        resolved1[2] + eps.scale(resolved1[1]),
-    )
-    _expect(
-        carry41.data == want41,
-        f"thickened (S1+T1) equals the perturbed carry bitwise: "
-        f"{carry41.data} vs {want41}",
-    )
-    inner23 = eval_b.right
-    carry23 = inner23.mark(inner23.carry_name)
-    s2m, t3mm = x2.mark(s2l), x3.mark(t3l)
-    merged23 = (
-        s2m.genus + t3mm.genus,
-        s2m.normal_number + t3mm.normal_number,
-        s2m.area + t3mm.area,
-    )
-    want23 = (
-        merged23[0],
-        merged23[1],
-        merged23[2] - eps.scale(merged23[1]),
-    )
-    _expect(
-        carry23.data == want23,
-        f"thinned (S2#T3) equals the perturbed carry bitwise: "
-        f"{carry23.data} vs {want23}",
-    )
-    notes.append(
-        f"grouping (4,1)(2,3): carries {carry41.area} and {carry23.area} "
-        "match the thickened/thinned outer marks bitwise"
-    )
+        sum23, resolved41 = own
+        sum12 = _joined(x1.mark(s1l), x2.mark(t2l))
+        resolved34 = _joined(x3.mark(s3l), x3.mark(t3l), 2)
+    groupings = {
+        "(1,2)(3,4)": (
+            eval_a, ("thinned (S1#T2)", sum12, -eps), ("thickened (S3+T3)", resolved34, eps)
+        ),
+        "(4,1)(2,3)": (
+            eval_b, ("thickened (S1+T1)", resolved41, eps), ("thinned (S2#T3)", sum23, -eps)
+        ),
+    }
+    for name, (grouping, *outer) in groupings.items():
+        carries = []
+        for half, (what, data, delta) in zip((grouping.left, grouping.right), outer):
+            carry = half.mark(half.carry_name)
+            want = _perturbed(data, delta)
+            _expect(
+                carry.data == want,
+                f"{what} equals the perturbed carry bitwise: {carry.data} vs {want}",
+            )
+            carries.append(carry.area)
+        hows = "/".join(what.split()[0] for what, _, _ in outer)
+        notes.append(
+            f"grouping {name}: carries {carries[0]} and {carries[1]} "
+            f"match the {hows} outer marks bitwise"
+        )
 
     inv_a, inv_b, inv_sub = (
         expr_invariants(eval_a),
@@ -1031,8 +1004,7 @@ def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
     if result_label and all(sub.partners):
         relabel[sub.carry_name] = result_label
     marks = tuple(
-        replace(
-            m,
+        m.replace(
             label=rename(relabel, m.label),
             orthogonal_at=rename(relabel, m.orthogonal_at),
         )
@@ -1129,7 +1101,7 @@ def _r9(sub, b, rev):
             SurfaceMark(lf, 1, 0, fiber, ls),
         ]
         for fm in fibers:
-            left_marks.append(replace(fm, orthogonal_at=None))
+            left_marks.append(fm.replace(orthogonal_at=None))
         right_marks = (
             SurfaceMark(rs_lbl, 0, -1, rsa, rf),
             SurfaceMark(rf, 1, 0, fiber, rs_lbl),
@@ -1199,9 +1171,9 @@ def _r10(sub, b, rev):
     marks = []
     for m in sub.marks:
         if m.genus == 0 and m.normal_number == 0:
-            marks.append(replace(m, area=doubled, orthogonal_at=None))
+            marks.append(m.replace(area=doubled, orthogonal_at=None))
         else:
-            marks.append(replace(m, orthogonal_at=None))
+            marks.append(m.replace(orthogonal_at=None))
     twist = min_twist(*(m.normal_number for m in marks if m.genus == k1.genus))
     new = AtomNode(Atom(RuledSurface(k1.genus, twist, doubled), tuple(marks)))
     got = sorted(m.data for m in new.marks)
@@ -1337,22 +1309,20 @@ def _deform(sub, b, rev):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProofStep:
-    rule: str
-    bindings: dict
-    rev: bool = False
-    note: Optional[str] = None
+class ProofStep(Record):
+    def __init__(
+        self, rule: str, bindings: dict, rev: bool = False, note: Optional[str] = None
+    ):
+        self.rule, self.bindings, self.rev, self.note = rule, bindings, rev, note
 
 
-@dataclass
-class StepRecord:
-    index: int
-    rule: str
-    level: Optional[EquivLevel]
-    invariants: InvariantVector
-    expr: ManifoldExpr
-    notes: list[str] = field(default_factory=list)
+class StepRecord(Record):
+    def __init__(
+        self, index: int, rule: str, level: Optional[EquivLevel],
+        invariants: InvariantVector, expr: ManifoldExpr, notes: list[str],
+    ):
+        self.index, self.rule, self.level = index, rule, level
+        self.invariants, self.expr, self.notes = invariants, expr, notes
 
     def header(self) -> str:
         lvl = self.level.symbol if self.level else "start"
@@ -1362,13 +1332,13 @@ class StepRecord:
         )
 
 
-@dataclass
-class Verdict:
-    verified: bool
-    level: Optional[EquivLevel]
-    trace: list[StepRecord]
-    failure: Optional[str] = None
-    failed_step: Optional[int] = None
+class Verdict(Record):
+    def __init__(
+        self, verified: bool, level: Optional[EquivLevel], trace: list[StepRecord],
+        failure: Optional[str] = None, failed_step: Optional[int] = None,
+    ):
+        self.verified, self.level, self.trace = verified, level, trace
+        self.failure, self.failed_step = failure, failed_step
 
     @property
     def invariants(self) -> InvariantVector:
@@ -1380,7 +1350,7 @@ def check_equiv(
 ) -> Verdict:
     cur = lhs
     level = EQ
-    trace = [StepRecord(0, "start", None, expr_invariants(lhs), lhs)]
+    trace = [StepRecord(0, "start", None, expr_invariants(lhs), lhs, [])]
     for i, step in enumerate(steps, start=1):
         try:
             app = apply_rule(cur, step.rule, step.bindings, step.rev)

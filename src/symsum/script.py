@@ -34,9 +34,7 @@ Expression files use the same declarations followed by `expr <expr>`.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import Field, dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter
 from string import Formatter
@@ -64,6 +62,7 @@ from .core import (
     Thicken,
     Thin,
 )
+from .record import Record
 from .rewrite import RULE_IDS, ProofStep, Verdict, check_equiv
 
 
@@ -149,64 +148,57 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Pos:
-    line: int = 0
-    col: int = 0
+class Pos(Record):
+    def __init__(self, line: int = 0, col: int = 0):
+        self.line, self.col = line, col
 
 
-def _pos_field():
-    return field(default_factory=Pos, compare=False, repr=False)
+class Syntax(Record):
+    """An AST record: its source position `pos` is left out of == and repr."""
+
+    HIDDEN = ("pos",)
 
 
-@dataclass
-class MarkSpec:
-    label: str
-    genus: int
-    normal_number: int
-    area: AreaValue
-    orthogonal_at: Optional[str] = None
-    pos: Pos = _pos_field()
+class MarkSpec(Syntax):
+    def __init__(
+        self, label: str, genus: int, normal_number: int, area: AreaValue,
+        orthogonal_at: Optional[str] = None, pos: Optional[Pos] = None,
+    ):
+        self.label, self.genus, self.normal_number = label, genus, normal_number
+        self.area, self.orthogonal_at, self.pos = area, orthogonal_at, pos or Pos()
 
 
-@dataclass
-class AtomDecl:
-    name: str
-    kind: AtomKind
-    marks: list[MarkSpec]
-    pos: Pos = _pos_field()
+class AtomDecl(Syntax):
+    def __init__(
+        self, name: str, kind: AtomKind, marks: list[MarkSpec], pos: Optional[Pos] = None
+    ):
+        self.name, self.kind, self.marks, self.pos = name, kind, marks, pos or Pos()
 
 
-@dataclass
-class TripleDecl:
-    name: str
-    expr: "ExprNode"
-    s: str
-    t: str
-    pos: Pos = _pos_field()
+class TripleDecl(Syntax):
+    def __init__(
+        self, name: str, expr: ExprNode, s: str, t: str, pos: Optional[Pos] = None
+    ):
+        self.name, self.expr, self.s, self.t = name, expr, s, t
+        self.pos = pos or Pos()
 
 
-@dataclass
-class RefExpr:
-    name: str
-    pos: Pos = _pos_field()
+class RefExpr(Syntax):
+    def __init__(self, name: str, pos: Optional[Pos] = None):
+        self.name, self.pos = name, pos or Pos()
 
 
-@dataclass
-class AtomExpr:
-    kind: AtomKind
-    marks: list[MarkSpec]
-    pos: Pos = _pos_field()
+class AtomExpr(Syntax):
+    def __init__(self, kind: AtomKind, marks: list[MarkSpec], pos: Optional[Pos] = None):
+        self.kind, self.marks, self.pos = kind, marks, pos or Pos()
 
 
-@dataclass
-class OpExpr:
+class OpExpr(Syntax):
     """An operation: its core node class and exactly the constructor
     arguments that the source wrote, with AST expressions for children."""
 
-    cls: type
-    args: dict
-    pos: Pos = _pos_field()
+    def __init__(self, cls: type, args: dict, pos: Optional[Pos] = None):
+        self.cls, self.args, self.pos = cls, args, pos or Pos()
 
 
 ExprNode = Union[RefExpr, AtomExpr, OpExpr]
@@ -214,28 +206,27 @@ ExprNode = Union[RefExpr, AtomExpr, OpExpr]
 SlotVal = tuple  # ("num", Fraction) | ("area", AreaValue) | ("name", str) | ("str", str)
 
 
-@dataclass
-class StepNode:
-    rule: str
-    slots: dict[str, SlotVal]
-    rev: bool = False
-    note: Optional[str] = None
-    pos: Pos = _pos_field()
+class StepNode(Syntax):
+    def __init__(
+        self, rule: str, slots: dict[str, SlotVal], rev: bool = False,
+        note: Optional[str] = None, pos: Optional[Pos] = None,
+    ):
+        self.rule, self.slots, self.rev, self.note = rule, slots, rev, note
+        self.pos = pos or Pos()
 
 
-@dataclass
-class ScriptAst:
-    decls: list
-    lhs: ExprNode
-    rhs: ExprNode
-    target: str
-    steps: list[StepNode]
+class ScriptAst(Record):
+    def __init__(
+        self, decls: list, lhs: ExprNode, rhs: ExprNode, target: str,
+        steps: list[StepNode],
+    ):
+        self.decls, self.lhs, self.rhs = decls, lhs, rhs
+        self.target, self.steps = target, steps
 
 
-@dataclass
-class ExprFileAst:
-    decls: list
-    expr: ExprNode
+class ExprFileAst(Record):
+    def __init__(self, decls: list, expr: ExprNode):
+        self.decls, self.expr = decls, expr
 
 
 KINDS = {
@@ -247,7 +238,7 @@ KINDS = {
 }
 # for each kind, whether each parameter is an area (else an integer)
 _KIND_PARAMS = {
-    cls: tuple(f.type == "AreaValue" for f in fields(cls)) for cls in KINDS.values()
+    cls: tuple(t == "AreaValue" for _, t in cls.FIELDS) for cls in KINDS.values()
 }
 
 
@@ -694,11 +685,9 @@ def _build_atom(kind: AtomKind, marks: list[MarkSpec], pos: Pos) -> AtomNode:
         raise ScriptError(str(exc), pos.line, pos.col) from exc
 
 
-@dataclass
-class BuiltTriple:
-    expr: ManifoldExpr
-    s: str
-    t: str
+class BuiltTriple(Record):
+    def __init__(self, expr: ManifoldExpr, s: str, t: str):
+        self.expr, self.s, self.t = expr, s, t
 
 
 def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
@@ -734,14 +723,13 @@ def _build_expr(node: ExprNode, env) -> ManifoldExpr:
     return node.cls(**args)
 
 
-@dataclass
-class BuiltScript:
-    lhs: ManifoldExpr
-    rhs: ManifoldExpr
-    target: EquivLevel
-    steps: list[ProofStep]
-    triples: dict[str, BuiltTriple]
-    ast: ScriptAst
+class BuiltScript(Record):
+    def __init__(
+        self, lhs: ManifoldExpr, rhs: ManifoldExpr, target: EquivLevel,
+        steps: list[ProofStep], triples: dict[str, BuiltTriple], ast: ScriptAst,
+    ):
+        self.lhs, self.rhs, self.target, self.steps = lhs, rhs, target, steps
+        self.triples, self.ast = triples, ast
 
 
 def build_decls(decls: list) -> tuple[dict[str, ManifoldExpr], dict[str, BuiltTriple]]:
@@ -801,9 +789,8 @@ _OPTIONS = {
 }
 
 
-def _field_printer(cls, f: Field):
-    """The function that prints the value of field `f` of `cls`."""
-    name = f.name
+def _field_printer(cls, name: str, annotation: str):
+    """The function that prints the value of field `name` of `cls`."""
     if name in cls.SELECTORS:  # a child, printed with one frame per level
         return serialize_expr
     if name == "entries":
@@ -818,7 +805,7 @@ def _field_printer(cls, f: Field):
         return lambda v: f", glue = {v.label}"
     if name in _OPTIONS:
         return lambda v: f", {_OPTIONS[name]} = {v}"
-    return AreaValue.compact if f.type == "AreaValue" else str
+    return AreaValue.compact if annotation == "AreaValue" else str
 
 
 def serialize_expr(node) -> str:
@@ -856,11 +843,11 @@ def _pieces(cls, form: str) -> tuple:
     names, their printers for AST arguments and for built nodes (where an
     option at its default prints as nothing), and a getter of a built
     node's field values."""
-    by_name = {f.name: f for f in fields(cls)}
+    annotations = dict(cls.FIELDS)
     names = [name for _, name, _, _ in Formatter().parse(form) if name]
-    shows = [_field_printer(cls, by_name[name]) for name in names]
+    shows = [_field_printer(cls, name, annotations[name]) for name in names]
     node_shows = [
-        _unless_default(show, by_name[name].default) if name in _OPTIONS else show
+        _unless_default(show, cls.DEFAULTS[name]) if name in _OPTIONS else show
         for name, show in zip(names, shows)
     ]
     get = attrgetter(*names)
@@ -952,12 +939,14 @@ def mark_table(e: ManifoldExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
-    code: int  # 0 verified at target, 1 proof failure, 2 parse/resolution error
-    verdict: Optional[Verdict]
-    messages: list[str]
-    built: Optional[BuiltScript] = None
+class RunResult(Record):
+    # code: 0 verified at target, 1 proof failure, 2 parse/resolution error
+    def __init__(
+        self, code: int, verdict: Optional[Verdict], messages: list[str],
+        built: Optional[BuiltScript] = None,
+    ):
+        self.code, self.verdict, self.messages = code, verdict, messages
+        self.built = built
 
     @property
     def ok(self) -> bool:
@@ -1007,6 +996,8 @@ def render_trace_text(verdict: Verdict) -> str:
 
 
 def render_trace_json(verdict: Verdict) -> str:
+    import json  # here, not at the top: only a JSON trace pays for the import
+
     lines = []
     for rec in verdict.trace:
         lines.append(

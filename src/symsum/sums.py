@@ -4,8 +4,8 @@ the splitting of a ruled surface into two thinner copies."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
+from operator import is_
 from typing import Optional
 
 from .areas import AreaValue
@@ -173,7 +173,7 @@ def make_ruled_atom(
         if partner is not None:
             k, a = sections[partner]
             marks = [
-                m if m.label != partner else replace(m, orthogonal_at=label)
+                m if m.label != partner else m.replace(orthogonal_at=label)
                 for m in marks
             ]
     return AtomNode(Atom(RuledSurface(genus, twist, fiber_area), tuple(marks)))
@@ -208,19 +208,44 @@ def rescale(e: ManifoldExpr, factor: Fraction) -> ManifoldExpr:
 
 
 def _map_areas(e: ManifoldExpr, fn) -> ManifoldExpr:
-    if isinstance(e, AtomNode):
-        kind = e.atom.kind
+    def atom(a: AtomNode) -> AtomNode:
+        kind = a.atom.kind
         if isinstance(kind, RuledSurface):
-            kind = replace(kind, fiber_area=fn(kind.fiber_area))
-        marks = tuple(replace(m, area=fn(m.area)) for m in e.atom.marks)
+            kind = kind.replace(fiber_area=fn(kind.fiber_area))
+        marks = tuple(m.replace(area=fn(m.area)) for m in a.atom.marks)
         return AtomNode(Atom(kind, marks))
-    kids = []
-    for c in e.children():  # a loop, not a comprehension: one frame per level
-        kids.append(_map_areas(c, fn))
-    # the areas held by the node itself: blow-up sizes, thinning and
-    # thickening amounts
-    changes = {f: fn(getattr(e, f)) for f in ("size", "amount") if hasattr(e, f)}
-    return e.with_children(kids, **changes)
+
+    def own_areas(n: ManifoldExpr) -> dict:
+        # blow-up sizes, thinning and thickening amounts
+        return {f: fn(getattr(n, f)) for f in ("size", "amount") if hasattr(n, f)}
+
+    return _rebuild_up(e, atom, own_areas)
+
+
+def _rebuild_up(e: ManifoldExpr, atom_fn, changes=lambda n: {}, done=lambda: False):
+    """`e` rebuilt bottom-up by a loop, so trees of any depth walk: each
+    atom `a`, left to right, becomes `atom_fn(a)`, and each other node
+    whose children changed is rebuilt with the field values `changes(node)`.
+    Once `done()` holds, the nodes not yet visited are kept as they are."""
+    top = (None, (e,), [])  # a parent above the root collects the result
+    stack = [top]
+    while stack:
+        node, children, kids = stack[-1]
+        if len(kids) == len(children):
+            stack.pop()
+            if stack:
+                same = all(map(is_, kids, children))
+                new = node if same else node.with_children(kids, **changes(node))
+                stack[-1][2].append(new)
+            continue
+        c = children[len(kids)]
+        if done():
+            kids.append(c)
+        elif isinstance(c, AtomNode):
+            kids.append(atom_fn(c))
+        else:
+            stack.append((c, c.children(), []))
+    return top[2][0]
 
 
 def apply_shifts(e: ManifoldExpr, shifts: dict[str, AreaValue]) -> ManifoldExpr:
@@ -243,16 +268,16 @@ def check_shifts_found(remaining: dict[str, AreaValue]) -> None:
 
 def _shift_walk(e: ManifoldExpr, remaining: dict[str, AreaValue]) -> ManifoldExpr:
     """`e` with the atom marks named in `remaining` shifted by their
-    amounts; each target found is removed from `remaining`."""
+    amounts; each target found is removed from `remaining`, atoms taking
+    them from left to right.  Subtrees without a target are shared."""
     if not remaining:
-        return e  # nothing left to shift: share the subtree and its memos
-    if not isinstance(e, AtomNode):
-        kids = []
-        for c in e.children():  # a loop, not a comprehension: one frame per level
-            kids.append(_shift_walk(c, remaining))
-        if all(k is c for k, c in zip(kids, e.children())):
-            return e  # no target below: share the subtree and its memos
-        return e.with_children(kids)
+        return e
+    return _rebuild_up(
+        e, lambda a: _shift_atom(a, remaining), done=lambda: not remaining
+    )
+
+
+def _shift_atom(e: AtomNode, remaining: dict[str, AreaValue]) -> AtomNode:
     hits = [m for m in e.atom.marks if m.label in remaining]
     if not hits:
         return e
@@ -266,12 +291,12 @@ def _shift_walk(e: ManifoldExpr, remaining: dict[str, AreaValue]) -> ManifoldExp
             new_marks = [
                 nm
                 if is_ruled_fiber(nm, kind)
-                else replace(nm, area=nm.area + delta)
+                else nm.replace(area=nm.area + delta)
                 for nm in new_marks
             ]
         else:
             new_marks = [
-                nm if nm.label != m.label else replace(nm, area=nm.area + delta)
+                nm if nm.label != m.label else nm.replace(area=nm.area + delta)
                 for nm in new_marks
             ]
     return AtomNode(Atom(kind, tuple(new_marks)))

@@ -3,7 +3,6 @@ with_children, on every node class, and a rebuild far deeper than the
 recursion limit."""
 
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -49,14 +48,14 @@ def primed(atom_node: AtomNode) -> tuple[AtomNode, dict]:
     """The atom with every mark label primed, and the label map."""
     relabel = {m.label: m.label + "'" for m in atom_node.atom.marks}
     marks = tuple(
-        replace(m, label=relabel[m.label], orthogonal_at=rename(relabel, m.orthogonal_at))
+        m.replace(label=relabel[m.label], orthogonal_at=rename(relabel, m.orthogonal_at))
         for m in atom_node.atom.marks
     )
     return AtomNode(Atom(atom_node.atom.kind, marks)), relabel
 
 
 def data(e) -> dict:
-    return {f.name: getattr(e, f.name) for f in fields(e) if f.name not in e.SELECTORS}
+    return {name: getattr(e, name) for name, _ in e.FIELDS if name not in e.SELECTORS}
 
 
 @pytest.mark.parametrize("name", NODES)
