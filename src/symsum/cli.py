@@ -116,7 +116,7 @@ def main(argv=None) -> int:
                 fh.write(svg)
             print(f"wrote {args.output}")
             return 0
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable input, unwritable output
         print(f"file error: {exc}", file=sys.stderr)
         return 2
     except ScriptError as exc:

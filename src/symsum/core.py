@@ -361,7 +361,7 @@ class ManifoldExpr(Frozen):
     MARK_REFS: tuple[tuple[str, ...], ...] = ()
 
     # per-node memos, filled in by label_pool, expr_invariants and __hash__
-    _pool: Optional[frozenset[str]] = None
+    _pool: Optional[set[str]] = None  # a frozenset on an atom
     _inv = None
     _hash: Optional[int] = None
 
@@ -900,24 +900,27 @@ class Desing(ManifoldExpr):
         return _finish_marks(rest + [new])
 
 
-def label_pool(e: ManifoldExpr) -> frozenset[str]:
+def label_pool(e: ManifoldExpr) -> set[str] | frozenset[str]:
     """Every mark label introduced anywhere in the subtree (including
     labels later consumed by gluings).
 
-    Memoized without quadratic memory: a node's pool is its children's
-    pools plus its own introduced labels, and once it is built the
-    children hand theirs over.  Atoms keep theirs, which are no bigger
-    than the atoms.  Asking again for a handed-over pool walks down only
-    as far as the nearest nodes that still hold one."""
+    Memoized without quadratic memory or time: a node's pool is its
+    children's pools plus its own introduced labels, and once it is built
+    the children hand theirs over; it grows the largest handed-over set in
+    place.  Atoms keep theirs, frozensets no bigger than the atoms.  Asking
+    again for a handed-over pool walks down only as far as the nearest
+    nodes that still hold one.  A parent may later take over and grow the
+    set returned, so a caller must not keep it."""
     if e._pool is None:
         fill_memo(e, "_pool", _take_over_pools)
     return e._pool
 
 
-def _take_over_pools(node: ManifoldExpr) -> frozenset[str]:
+def _take_over_pools(node: ManifoldExpr) -> set[str]:
     kids = node.children()
-    pool = frozenset(node.introduced_labels()).union(*(c._pool for c in kids))
-    for c in kids:
-        if not isinstance(c, AtomNode):
-            c.__dict__["_pool"] = None
+    owned = [c for c in kids if not isinstance(c, AtomNode)]
+    pool = max([c._pool for c in owned], key=len) if owned else set()
+    pool.update(node.introduced_labels(), *(c._pool for c in kids if c._pool is not pool))
+    for c in owned:
+        c.__dict__["_pool"] = None
     return pool

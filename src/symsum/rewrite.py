@@ -257,9 +257,17 @@ def _collect_shifts(b: Bindings) -> dict[str, AreaValue]:
     return out
 
 
-def _expect(cond: bool, equation: str):
-    if not cond:
-        raise RuleError(f"side condition failed: {equation}")
+def _failed(equation: str) -> RuleError:
+    """The error of a side condition that does not hold; a caller formats
+    `equation` only once the condition has failed."""
+    return RuleError(f"side condition failed: {equation}")
+
+
+def _expect_same_marks(new: ManifoldExpr, old: ManifoldExpr, claim: str) -> None:
+    """The side condition that `new` carries exactly the mark data of `old`."""
+    got, want = sorted(m.data for m in new.marks), sorted(m.data for m in old.marks)
+    if got != want:
+        raise _failed(f"{claim}: {got} vs {want}")
 
 
 def _halves(ps: PairSum) -> list[tuple[ManifoldExpr, str]]:
@@ -373,27 +381,23 @@ def _check_assoc_conditions(t1, t2, t3) -> list[str]:
     }
     notes = []
     for a, bb in (("T1", "S2"), ("T2", "S3"), ("T3", "S1")):
-        _expect(
-            marks[a].genus == marks[bb].genus,
-            f"g({a}) = g({bb}): {marks[a].genus} vs {marks[bb].genus}",
+        if marks[a].genus != marks[bb].genus:
+            raise _failed(f"g({a}) = g({bb}): {marks[a].genus} vs {marks[bb].genus}")
+        if marks[a].area != marks[bb].area:
+            raise _failed(f"area({a}) = area({bb}): {marks[a].area} vs {marks[bb].area}")
+    if marks["T1"].normal_number != -marks["S2"].normal_number:
+        raise _failed(
+            f"i(T1) = -i(S2): {marks['T1'].normal_number} vs {marks['S2'].normal_number}"
         )
-        _expect(
-            marks[a].area == marks[bb].area,
-            f"area({a}) = area({bb}): {marks[a].area} vs {marks[bb].area}",
+    if marks["T2"].normal_number != -marks["S3"].normal_number:
+        raise _failed(
+            f"i(T2) = -i(S3): {marks['T2'].normal_number} vs {marks['S3'].normal_number}"
         )
-    _expect(
-        marks["T1"].normal_number == -marks["S2"].normal_number,
-        f"i(T1) = -i(S2): {marks['T1'].normal_number} vs {marks['S2'].normal_number}",
-    )
-    _expect(
-        marks["T2"].normal_number == -marks["S3"].normal_number,
-        f"i(T2) = -i(S3): {marks['T2'].normal_number} vs {marks['S3'].normal_number}",
-    )
-    _expect(
-        marks["T3"].normal_number == -(marks["S1"].normal_number + 2),
-        f"i(T3) = -(i(S1)+2): {marks['T3'].normal_number} vs "
-        f"-({marks['S1'].normal_number}+2)",
-    )
+    if marks["T3"].normal_number != -(marks["S1"].normal_number + 2):
+        raise _failed(
+            f"i(T3) = -(i(S1)+2): {marks['T3'].normal_number} vs "
+            f"-({marks['S1'].normal_number}+2)"
+        )
     notes.append(
         "third area condition area(T3) = area(S1) checked as stated "
         f"({marks['T3'].area}); at the deformation level it is implied by "
@@ -466,10 +470,8 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         raise RuleError(f"ruled summand cannot be built: {exc}") from exc
     diff = a_lo - a_hi
     expected_diff = eps.scale(2 * (1 - k))
-    _expect(
-        diff == expected_diff,
-        f"section area difference 2(1-k)*eps: {diff} vs {expected_diff}",
-    )
+    if diff != expected_diff:
+        raise _failed(f"section area difference 2(1-k)*eps: {diff} vs {expected_diff}")
     notes.append(
         f"ruled summand sections: {w_lo} area {a_lo}, {w_hi} area {a_hi}; "
         f"difference 2(1-k)*eps = {diff} with k={k}"
@@ -495,13 +497,8 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         pairs=((c2, hi2),),
     )
     halves = PairSum(w1, c1, w2, c2)
-    got = sorted(m.data for m in halves.marks)
-    want = sorted(m.data for m in x4p.marks)
-    _expect(
-        got == want,
-        f"sum of two half-fiber ruled pieces reproduces the ruled summand: "
-        f"{got} vs {want}",
-    )
+    claim = "sum of two half-fiber ruled pieces reproduces the ruled summand"
+    _expect_same_marks(halves, x4p, claim)
     notes.append(
         "ruled summand rebuilt as a sum of two half-fiber copies; "
         "outer section data matches bitwise"
@@ -551,10 +548,8 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         for half, (what, data, delta) in zip((grouping.left, grouping.right), outer):
             carry = half.mark(half.carry_name)
             want = _perturbed(data, delta)
-            _expect(
-                carry.data == want,
-                f"{what} equals the perturbed carry bitwise: {carry.data} vs {want}",
-            )
+            if carry.data != want:
+                raise _failed(f"{what} equals the perturbed carry bitwise: {carry.data} vs {want}")
             carries.append(carry.area)
         hows = "/".join(what.split()[0] for what, _, _ in outer)
         notes.append(
@@ -567,18 +562,16 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         expr_invariants(eval_b),
         expr_invariants(sub),
     )
-    _expect(
-        inv_a == inv_b == inv_sub,
-        f"invariants agree across groupings: {inv_a}, {inv_b}, {inv_sub}",
-    )
+    if not (inv_a == inv_b == inv_sub):
+        raise _failed(f"invariants agree across groupings: {inv_a}, {inv_b}, {inv_sub}")
     marks_a = sorted(m.data for m in eval_a.marks)
     marks_b = sorted(m.data for m in eval_b.marks)
     marks_sub = sorted(m.data for m in sub.marks)
-    _expect(
-        marks_a == marks_b == marks_sub,
-        f"leftover mark data agrees across groupings: {marks_a}, {marks_b}, "
-        f"{marks_sub}",
-    )
+    if not (marks_a == marks_b == marks_sub):
+        raise _failed(
+            f"leftover mark data agrees across groupings: {marks_a}, {marks_b}, "
+            f"{marks_sub}"
+        )
     notes.append(f"both groupings: {inv_a}; leftover marks identical")
     return notes
 
@@ -684,11 +677,11 @@ def _r3r(sub, b, rev):
         carry_lbl = b.label("carry", des.result_label + "+")
         new = PairSum(w, glue_lbl, core_x, des.mark_s + "-+", carry_label=carry_lbl)
         got = new.mark(carry_lbl)
-        _expect(
-            got.data == resolved.data,
-            f"carried mark equals the thickened resolved mark bitwise: "
-            f"{got.data} vs {resolved.data}",
-        )
+        if got.data != resolved.data:
+            raise _failed(
+                f"carried mark equals the thickened resolved mark bitwise: "
+                f"{got.data} vs {resolved.data}"
+            )
         return new, EQ, [
             f"exact resolution: section areas {s.area + eps.scale(k + 1)} and "
             f"{t.area + eps.scale(3 - k)}, carried mark {got.area}"
@@ -834,15 +827,13 @@ def _r5(sub, b, rev):
         )
     y, sp_lbl = blow.inner, blow.at_mark
     s, sp = x.mark(s_lbl), y.mark(sp_lbl)
-    _expect(
-        s.genus == sp.genus,
-        f"g({s_lbl}) = g({sp_lbl}): {s.genus} vs {sp.genus}",
-    )
-    _expect(
-        s.normal_number == -sp.normal_number + 1,
-        f"i({s_lbl}) = -i({sp_lbl})+1: {s.normal_number} vs "
-        f"-{sp.normal_number}+1",
-    )
+    if s.genus != sp.genus:
+        raise _failed(f"g({s_lbl}) = g({sp_lbl}): {s.genus} vs {sp.genus}")
+    if s.normal_number != -sp.normal_number + 1:
+        raise _failed(
+            f"i({s_lbl}) = -i({sp_lbl})+1: {s.normal_number} vs "
+            f"-{sp.normal_number}+1"
+        )
     size = b.area("new_size", blow.size)
     tl = b.label("transform", s_lbl + "~")
     el = b.label("exceptional", "E2")
@@ -873,18 +864,17 @@ def _r6(sub, b, rev):
         if not (isinstance(blow, BlowUp) and blow.at_mark is not None):
             raise RuleError("R6 expects a blown-up manifold on the left")
         s = blow.inner.mark(blow.at_mark)
-        _expect(
-            s.normal_number == -3,
-            f"i({blow.at_mark}) = -3: got {s.normal_number}",
-        )
-        _expect(s.genus == 0, f"g({blow.at_mark}) = 0: got {s.genus}")
+        if s.normal_number != -3:
+            raise _failed(f"i({blow.at_mark}) = -3: got {s.normal_number}")
+        if s.genus != 0:
+            raise _failed(f"g({blow.at_mark}) = 0: got {s.genus}")
         q_side = sub.right
         q = q_side.mark(sub.right_mark)
-        _expect(
-            (q.genus, q.normal_number) == (0, 4),
-            f"quadric mark needs (g, i) = (0, 4): got ({q.genus}, "
-            f"{q.normal_number})",
-        )
+        if (q.genus, q.normal_number) != (0, 4):
+            raise _failed(
+                f"quadric mark needs (g, i) = (0, 4): got ({q.genus}, "
+                f"{q.normal_number})"
+            )
         if not _is_plane_side(q_side):
             raise RuleError("R6 expects the quadric side to be a plane")
         return blow.inner, WK, [
@@ -895,7 +885,8 @@ def _r6(sub, b, rev):
     if s_lbl is None:
         raise RuleError("R6 (reverse) needs the -3 sphere mark (slot s)")
     s = sub.mark(s_lbl)
-    _expect(s.normal_number == -3, f"i({s_lbl}) = -3: got {s.normal_number}")
+    if s.normal_number != -3:
+        raise _failed(f"i({s_lbl}) = -3: got {s.normal_number}")
     size = b.area("size")
     if size is None:
         raise RuleError("R6 (reverse) needs a blow-up size")
@@ -952,11 +943,11 @@ def _r7(sub, b, rev):
             if blow.at_mark is not None and blow.pair_exceptional:
                 restored = sub.mark(sub.carry_name)
                 original = blow.inner.mark(blow.at_mark)
-                _expect(
-                    restored.data == original.data,
-                    f"carried transform#line equals the original mark bitwise: "
-                    f"{restored.data} vs {original.data}",
-                )
+                if restored.data != original.data:
+                    raise _failed(
+                        f"carried transform#line equals the original mark bitwise: "
+                        f"{restored.data} vs {original.data}"
+                    )
             return blow.inner, EQ, ["blow-down undoes the blow-up exactly"]
         if isinstance(sub.left, AtomNode):
             return _r7_fold_atom(sub, b, ex)
@@ -1045,11 +1036,11 @@ def _r8(sub, b, rev):
         if all(sub.partners):
             old_carry = sub.mark(sub.carry_name)
             new_carry = new.mark(new.carry_name)
-            _expect(
-                old_carry.data == new_carry.data,
-                f"carried mark survives the trade bitwise: {new_carry.data} "
-                f"vs {old_carry.data}",
-            )
+            if old_carry.data != new_carry.data:
+                raise _failed(
+                    f"carried mark survives the trade bitwise: {new_carry.data} "
+                    f"vs {old_carry.data}"
+                )
         return new, EQ, [
             f"traded a collar of size {eps} across the gluing "
             f"({sub.left_mark} thinned, {sub.right_mark} thickened)"
@@ -1152,12 +1143,7 @@ def _r10(sub, b, rev):
         cut1 = b.label("cut1", "cut1")
         cut2 = b.label("cut2", "cut2")
         new = split_ruled(sub, plus, minus, (cut1, cut2))
-        got = sorted(m.data for m in new.marks)
-        want = sorted(m.data for m in sub.marks)
-        _expect(
-            got == want,
-            f"outer marks of the split reproduce the atom bitwise: {got} vs {want}",
-        )
+        _expect_same_marks(new, sub, "outer marks of the split reproduce the atom bitwise")
         return new, EQ, ["split the ruled surface into two half-fiber copies"]
     if not isinstance(sub, PairSum):
         raise RuleError("R10 (reverse) applies to a pairwise sum")
@@ -1176,12 +1162,7 @@ def _r10(sub, b, rev):
             marks.append(m.replace(orthogonal_at=None))
     twist = min_twist(*(m.normal_number for m in marks if m.genus == k1.genus))
     new = AtomNode(Atom(RuledSurface(k1.genus, twist, doubled), tuple(marks)))
-    got = sorted(m.data for m in new.marks)
-    want = sorted(m.data for m in sub.marks)
-    _expect(
-        got == want,
-        f"merged atom reproduces the sum's marks bitwise: {got} vs {want}",
-    )
+    _expect_same_marks(new, sub, "merged atom reproduces the sum's marks bitwise")
     return new, EQ, ["merged two half-fiber ruled copies"]
 
 
@@ -1235,12 +1216,11 @@ def _r11(sub, b, rev):
     for m in new.marks:
         if m.label == sub.exceptional_label:
             continue
-        _expect(
-            (m.genus, m.normal_number)
-            == (old[m.label].genus, old[m.label].normal_number),
-            f"mark {m.label} keeps (g, i): ({m.genus}, {m.normal_number}) vs "
-            f"({old[m.label].genus}, {old[m.label].normal_number})",
-        )
+        if (m.genus, m.normal_number) != (old[m.label].genus, old[m.label].normal_number):
+            raise _failed(
+                f"mark {m.label} keeps (g, i): ({m.genus}, {m.normal_number}) vs "
+                f"({old[m.label].genus}, {old[m.label].normal_number})"
+            )
     return new, WK, [
         f"moved the blow-up to the companion ruled surface: sections "
         f"{new_keep_idx}, {new_blown_idx}, blown at {pre_lbl}"

@@ -7,27 +7,17 @@ starts a comment running to end of line):
     script   := decl* "lhs" expr "rhs" expr "target" ("=" | "~") step*
     decl     := "atom" NAME kind [markblock]
               | "triple" NAME "(" expr "," NAME "," NAME ")"
-    kind     := "E" "(" NUM ")" | "CP2" | "CP2rev"
-              | "W" "(" NUM "," NUM "," area ")" | "Rational" "(" NUM ")"
     markspec := NAME ":" "g" "=" NUM "," "i" "=" SNUM "," "a" "=" area
                 ["," "perp" NAME]
     markblock := "{" [markspec (";" markspec)* [";"]] "}"
-    expr     := NAME | kind markblock
-              | "sum" "(" expr "," NAME "," expr "," NAME sumopts ")"
-              | "sum4" "(" entry "," entry "," entry "," entry ")"
-              | "blowup" "(" expr "," ("at" "=" NAME | "generic") ","
-                             "size" "=" area blowopts ")"
-              | "thin" "(" expr "," NAME "," area ")"
-              | "thicken" "(" expr "," NAME "," area ")"
-              | "desing" "(" expr "," NAME "," NAME ["," "label" "=" NAME] ")"
-    entry    := "(" expr "," NAME "," NAME ")"
-    sumopts  := ["," "glue" "=" NAME] ["," "carry" "=" NAME]
-                ("," "pair" "=" NAME ":" NAME)*
-    blowopts := ["," "transform" "=" NAME] ["," "exc" "=" NAME] ["," "pairexc"]
+    expr     := NAME | kind markblock | op
     step     := "by" RULEID "{" [slot ("," slot)*] "}" ["rev"] [STRING]
     slot     := NAME "=" (area | NUM | NAME ("." NAME)* | STRING)
     area     := SNUM [("+" | "-") NUM ("e" | "eps")]
 
+A `kind` and an `op` are written in the source form of an atom kind
+(`_KIND_FORMS`) or of an operation (`_FORMS`, with its `_OPTIONS`): those
+tables are the grammar that the parser reads and the printer writes.
 Rational literals are `p/q`; areas are written `1`, `0+1e`, `5/4-3e`.
 Expression files use the same declarations followed by `expr <expr>`.
 """
@@ -62,7 +52,7 @@ from .core import (
     Thicken,
     Thin,
 )
-from .record import Record
+from .record import Record, values_getter
 from .rewrite import RULE_IDS, ProofStep, Verdict, check_equiv
 
 
@@ -229,19 +219,6 @@ class ExprFileAst(Record):
         self.decls, self.expr = decls, expr
 
 
-KINDS = {
-    "E": EllipticSurface,
-    "CP2": ProjectivePlane,
-    "CP2rev": ProjectivePlaneReversed,
-    "W": RuledSurface,
-    "Rational": RationalSurface,
-}
-# for each kind, whether each parameter is an area (else an integer)
-_KIND_PARAMS = {
-    cls: tuple(t == "AreaValue" for _, t in cls.FIELDS) for cls in KINDS.values()
-}
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -279,16 +256,18 @@ class _Parser:
     def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
         t = self.toks[self.i]
         if t.kind == kind and (value is None or t.value == value):
-            return self.next()
+            self.i += 1  # never the eof, which no caller accepts
+            return t
         return None
 
     def keyword(self, word: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "name" or t.value != word:
             raise ScriptError(
                 f"unexpected {t.value or t.kind!r}", t.line, t.col, expected={word}
             )
-        return self.next()
+        self.i += 1
+        return t
 
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
@@ -340,20 +319,17 @@ class _Parser:
     # -- declarations ------------------------------------------------
 
     def parse_kind(self) -> AtomKind:
-        """An atom kind, its parameters parsed by the types of its fields."""
+        """An atom kind: its tag, then the rest of its form."""
         t = self.expect("name", "atom kind")
-        cls = KINDS.get(t.value)
-        if cls is None:
+        if t.value not in KINDS:
             raise ScriptError(
                 f"unknown atom kind {t.value!r}", t.line, t.col, expected=set(KINDS)
             )
-        params = []
-        for is_area in _KIND_PARAMS[cls]:
-            self.expect("," if params else "(")
-            params.append(self.parse_area() if is_area else self.parse_int())
-        if params:
-            self.expect(")")
-        return cls(*params)
+        return self.parse_form(KINDS[t.value])
+
+    def parse_atom(self) -> tuple[AtomKind, list[MarkSpec]]:
+        kind = self.parse_kind()
+        return kind, self.parse_markblock() if self.peek().kind == "{" else []
 
     def parse_markspec(self) -> MarkSpec:
         name = self.expect("name", "mark label")
@@ -394,14 +370,11 @@ class _Parser:
         if self.at_keyword("atom"):
             self.next()
             name = self.expect("name", "atom name")
-            kind = self.parse_kind()
-            marks = self.parse_markblock() if self.peek().kind == "{" else []
-            return AtomDecl(name.value, kind, marks, Pos(name.line, name.col))
+            return AtomDecl(name.value, *self.parse_atom(), Pos(name.line, name.col))
         if self.at_keyword("triple"):
             self.next()
             name = self.expect("name", "triple name")
-            e, s, tt = self.parse_triple()
-            return TripleDecl(name.value, e, s, tt, Pos(name.line, name.col))
+            return TripleDecl(name.value, *self.parse_form(_TRIPLE), Pos(name.line, name.col))
         raise ScriptError(
             f"unexpected {t.value or t.kind!r}",
             t.line,
@@ -411,19 +384,78 @@ class _Parser:
 
     # -- expressions -------------------------------------------------
 
-    def parse_triple(self) -> tuple[ExprNode, str, str]:
-        """An expression with the labels of its S and T marks, in
-        parentheses."""
-        self.expect("(")
-        e = self.parse_expr()
-        self.expect(",")
-        s = self.expect("name").value
-        self.expect(",")
-        t = self.expect("name").value
-        self.expect(")")
-        return e, s, t
-
     def parse_expr(self) -> ExprNode:
+        return self.parse_form(None)
+
+    def parse_form(self, want: Optional[_Form]):
+        """An expression (`want` None) or the form `want`, read with an
+        explicit stack of the forms opened and not yet closed: a child
+        slot opens a form on top, and a closed form fills the slot below.
+        A leaf child is read in place."""
+        toks, stack, expect = self.toks, [], _Parser.expect
+        while True:
+            t = toks[self.i]
+            if want is None:  # an operation, opened by its keyword, or a leaf
+                want = _GRAMMAR.get(t.value) if t.kind == "name" else None
+                if want is None:
+                    return self.parse_leaf()
+                self.i += 1
+            # an open form: the form, its first token, its args, its next step
+            stack.append([want, t, {}, 0])
+            value = None
+            while stack:  # read on in the innermost open form
+                top = stack[-1]
+                form, start, args, i = top
+                steps = form.steps
+                if value is not None:  # a closed child, for the slot where reading stopped
+                    _, child, field = steps[i - 1]
+                    # a triple joins the tuple of its slot
+                    args[field] = args.get(field, ()) + (value,) if child is _TRIPLE else value
+                while True:
+                    read, arg, field = steps[i]
+                    i += 1
+                    if read is expect and toks[self.i].kind == arg:
+                        self.i += 1  # the punctuation expected
+                    elif read is None:  # a child slot, or the end of the form
+                        t = toks[self.i]
+                        if arg is not None or t.kind == "name" and t.value in _GRAMMAR:
+                            break
+                        args[field] = self.parse_leaf()
+                    elif field is not None:
+                        args[field] = read(self)
+                    elif arg is not None:  # a word, or punctuation
+                        read(self, arg)
+                    else:
+                        self.parse_options(form, args, start)
+                if arg is not _CLOSED:
+                    top[3], want = i, arg
+                    break
+                stack.pop()
+                value = form.make(args, start)
+            else:
+                return value
+
+    def parse_options(self, form: _Form, args: dict, start: Token) -> None:
+        """The `, key = value` options of `form`; a flag has no value, and
+        only a repeatable option may be given twice."""
+        while self.accept(","):
+            t = self.expect("name", f"{form.name} option")
+            option = form.options.get(t.value)
+            if option is None or option[1] is not None:  # not a flag
+                self.expect("=")
+            if option is None:
+                raise ScriptError(
+                    f"unknown {form.name} option {t.value!r}", start.line, start.col,
+                    expected=set(form.options),
+                )
+            field, read, repeats = option
+            if field in args and not repeats:
+                raise ScriptError(f"repeated {form.name} option {t.value!r}", t.line, t.col)
+            value = True if read is None else read(self)
+            args[field] = args.get(field, ()) + (value,) if repeats else value
+
+    def parse_leaf(self) -> ExprNode:
+        """A reference to a declared name, or an inline atom."""
         t = self.peek()
         if t.kind != "name":
             raise ScriptError(
@@ -431,114 +463,27 @@ class _Parser:
                 expected={"expression"},
             )
         pos = Pos(t.line, t.col)
-        if t.value == "sum":
-            self.next()
-            self.expect("(")
-            left = self.parse_expr()
-            self.expect(",")
-            tm = self.expect("name").value
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect(",")
-            sm = self.expect("name").value
-            args = {"left": left, "left_mark": tm, "right": right, "right_mark": sm}
-            while self.accept(","):
-                key = self.expect("name", "sum option").value
-                self.expect("=")
-                if key == "glue":
-                    args["gluing"] = GluingChoice(self.expect("name").value)
-                elif key == "carry":
-                    args["carry_label"] = self.expect("name").value
-                elif key == "pair":
-                    a = self.expect("name").value
-                    self.expect(":")
-                    bb = self.expect("name").value
-                    args["pairs"] = args.get("pairs", ()) + ((a, bb),)
-                else:
-                    raise ScriptError(
-                        f"unknown sum option {key!r}", t.line, t.col,
-                        expected={"glue", "carry", "pair"},
-                    )
-            self.expect(")")
-            return OpExpr(PairSum, args, pos)
-        if t.value == "sum4":
-            self.next()
-            self.expect("(")
-            entries = []
-            for j in range(4):
-                if j:
-                    self.expect(",")
-                entries.append(self.parse_triple())
-            self.expect(")")
-            return OpExpr(FourSum, {"entries": tuple(entries)}, pos)
-        if t.value == "blowup":
-            self.next()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(",")
-            if self.at_keyword("generic"):
-                self.next()
-                at = None
-            else:
-                self.keyword("at")
-                self.expect("=")
-                at = self.expect("name").value
-            self.expect(",")
-            self.keyword("size")
-            self.expect("=")
-            size = self.parse_area()
-            args = {"inner": inner, "at_mark": at, "size": size}
-            while self.accept(","):
-                key = self.expect("name", "blowup option").value
-                if key == "pairexc":
-                    args["pair_exceptional"] = True
-                    continue
-                self.expect("=")
-                if key == "transform":
-                    args["transform_label"] = self.expect("name").value
-                elif key == "exc":
-                    args["exceptional_label"] = self.expect("name").value
-                else:
-                    raise ScriptError(
-                        f"unknown blowup option {key!r}", t.line, t.col,
-                        expected={"transform", "exc", "pairexc"},
-                    )
-            self.expect(")")
-            return OpExpr(BlowUp, args, pos)
-        if t.value in ("thin", "thicken"):
-            self.next()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(",")
-            mark = self.expect("name").value
-            self.expect(",")
-            amt = self.parse_area()
-            self.expect(")")
-            cls = Thin if t.value == "thin" else Thicken
-            args = {"inner": inner, "mark_label": mark, "amount": amt}
-            return OpExpr(cls, args, pos)
-        if t.value == "desing":
-            self.next()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(",")
-            s = self.expect("name").value
-            self.expect(",")
-            tt = self.expect("name").value
-            args = {"inner": inner, "mark_s": s, "mark_t": tt}
-            if self.accept(","):
-                self.keyword("label")
-                self.expect("=")
-                args["label"] = self.expect("name").value
-            self.expect(")")
-            return OpExpr(Desing, args, pos)
         if t.value in KINDS and self.peek(1).kind in ("(", "{"):
             # an inline atom: the kind tag is followed by parameters or marks
-            kind = self.parse_kind()
-            marks = self.parse_markblock() if self.peek().kind == "{" else []
-            return AtomExpr(kind, marks, pos)
+            return AtomExpr(*self.parse_atom(), pos)
         self.next()
         return RefExpr(t.value, pos)
+
+    def read_name(self) -> str:
+        return self.expect("name").value
+
+    def parse_at(self) -> Optional[str]:
+        """A blow-up's point: `generic`, or `at = X` on the mark X."""
+        if self.accept("name", "generic"):
+            return None
+        self.keyword("at")
+        self.expect("=")
+        return self.read_name()
+
+    def parse_pair(self) -> tuple[str, str]:
+        a = self.read_name()
+        self.expect(":")
+        return a, self.read_name()
 
     # -- steps -------------------------------------------------------
 
@@ -632,24 +577,12 @@ class _Parser:
             seen.add(d.name)
 
 
-def _parse(source: str, entry):
-    """`entry` run on a parser of `source`.  The parser recurses once per
-    nesting level, so nesting past the interpreter's recursion limit is
-    a ScriptError at the token where the limit was hit."""
-    p = _Parser(source)
-    try:
-        return entry(p)
-    except RecursionError:
-        t = p.peek()
-        raise ScriptError("expression nested too deeply", t.line, t.col) from None
-
-
 def parse(source: str) -> ScriptAst:
-    return _parse(source, _Parser.parse_script)
+    return _Parser(source).parse_script()
 
 
 def parse_expr_file(source: str) -> ExprFileAst:
-    return _parse(source, _Parser.parse_expr_file)
+    return _Parser(source).parse_expr_file()
 
 
 # ---------------------------------------------------------------------------
@@ -691,36 +624,41 @@ class BuiltTriple(Record):
 
 
 def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
+    """The core expression of `node`, built bottom-up with an explicit
+    stack of the operations being built, each with its arguments, in
+    which its children (under their selectors, FourSum's too) are replaced
+    as they are built; a node's failed check is reported at `node`."""
     try:
-        return _build_expr(node, env)
+        top = {"": node}
+        stack = [(None, top, iter(("",)), None)]  # a parent above the root
+        while True:
+            op, args, names, slot = stack[-1]
+            for name in names:
+                c = args[name]
+                if c.__class__ is OpExpr:
+                    c_args = dict(c.args)
+                    if c.cls is FourSum:
+                        c_args.update(zip(FourSum.SELECTORS, [x for x, _, _ in c_args["entries"]]))
+                    stack.append((c, c_args, iter(c.cls.SELECTORS), name))
+                    break
+                if c.__class__ is AtomExpr:
+                    args[name] = _build_atom(c.kind, c.marks, c.pos)
+                elif c.name in env:
+                    args[name] = env[c.name]
+                else:
+                    raise ScriptError(f"unresolved identifier {c.name!r}", c.pos.line, c.pos.col)
+            else:  # every child is built
+                stack.pop()
+                if not stack:
+                    return top[""]
+                if op.cls is FourSum:
+                    entries = zip(FourSum.SELECTORS, args["entries"])
+                    args["entries"] = tuple((args.pop(x), s, t) for x, (_, s, t) in entries)
+                stack[-1][1][slot] = op.cls(**args)
     except ScriptError:
         raise
     except SymsumError as exc:
         raise ScriptError(str(exc), node.pos.line, node.pos.col) from exc
-    except RecursionError:  # the builder recurses once per nesting level
-        raise ScriptError(
-            "expression nested too deeply", node.pos.line, node.pos.col
-        ) from None
-
-
-def _build_expr(node: ExprNode, env) -> ManifoldExpr:
-    if isinstance(node, RefExpr):
-        if node.name not in env:
-            raise ScriptError(
-                f"unresolved identifier {node.name!r}", node.pos.line, node.pos.col
-            )
-        return env[node.name]
-    if isinstance(node, AtomExpr):
-        return _build_atom(node.kind, node.marks, node.pos)
-    # one frame per nesting level: children are built here, not by a helper
-    args = dict(node.args)
-    for name in node.cls.SELECTORS:
-        if name in args:
-            args[name] = _build_expr(args[name], env)
-    if "entries" in args:  # FourSum keeps its children in its entries
-        entries = args["entries"]
-        args["entries"] = tuple((_build_expr(x, env), s, t) for x, s, t in entries)
-    return node.cls(**args)
 
 
 class BuiltScript(Record):
@@ -763,11 +701,14 @@ def build_script(ast: ScriptAst) -> BuiltScript:
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Operation forms: the grammar that the parser reads and the printer writes
 # ---------------------------------------------------------------------------
 
-# the source form of each operation: `{field}` prints that constructor
-# argument; an option (see _OPTIONS) prints only when it is given
+# the source form of each operation.  Literal text is what the parser
+# expects and the printer writes; a `{field}` slot holds that constructor
+# argument, read and printed by the kind of the field (_SLOT_KINDS).  An
+# option (see _OPTIONS) is read as `, key = value` in any order, and
+# prints only when it is given.
 _FORMS = {
     PairSum: "sum({left}, {left_mark}, {right}, {right_mark}{gluing}{carry_label}{pairs})",
     FourSum: "sum4({entries})",
@@ -776,6 +717,14 @@ _FORMS = {
     Thin: "thin({inner}, {mark_label}, {amount})",
     Thicken: "thicken({inner}, {mark_label}, {amount})",
     Desing: "desing({inner}, {mark_s}, {mark_t}{label})",
+}
+# the source form of each atom kind, opened by its tag
+_KIND_FORMS = {
+    EllipticSurface: "E({n})",
+    ProjectivePlane: "CP2",
+    ProjectivePlaneReversed: "CP2rev",
+    RuledSurface: "W({genus},{twist},{fiber_area})",
+    RationalSurface: "Rational({blowups})",
 }
 # the source keyword of each option
 _OPTIONS = {
@@ -788,97 +737,157 @@ _OPTIONS = {
     "label": "label",
 }
 
+_CLOSED = object()  # what the stop at the end of a form wants
+_ABSENT = object()  # the value of an option that is not given
+_ENTRIES = object()  # how FourSum's entries print: as triples
 
-def _field_printer(cls, name: str, annotation: str):
-    """The function that prints the value of field `name` of `cls`."""
-    if name in cls.SELECTORS:  # a child, printed with one frame per level
-        return serialize_expr
-    if name == "entries":
-        return lambda v: ", ".join(f"({serialize_expr(x)}, {s}, {t})" for x, s, t in v)
-    if name == "at_mark":
-        return lambda v: "generic" if v is None else f"at = {v}"
-    if name == "pairs":
-        return lambda v: "".join(f", pair = {a}:{b}" for a, b in v)
-    if name == "pair_exceptional":
-        return lambda v: ", pairexc"
-    if name == "gluing":
-        return lambda v: f", glue = {v.label}"
-    if name in _OPTIONS:
-        return lambda v: f", {_OPTIONS[name]} = {v}"
-    return AreaValue.compact if annotation == "AreaValue" else str
+
+class _Form:
+    """A source form compiled once: the steps in which the parser reads it,
+    the pieces from which the printer writes it, and its options by
+    keyword.  The fields of record class `cls` give the slots their kinds
+    and the options their defaults; `make(args, t)` is the value read from
+    the form that opened at token `t`."""
+
+    def __init__(self, form: str, cls: type, make):
+        self.make, self.steps, self.pieces, self.options, self.fields = make, [], [], {}, []
+        kinds = dict(cls.FIELDS)
+        for literal, field, _, _ in Formatter().parse(form):
+            for t in tokenize(literal)[:-1]:  # a word, or punctuation
+                read = _Parser.keyword if t.kind == "name" else _Parser.expect
+                self.steps.append((read, t.value, None))
+            if field is None:
+                self.tail = literal
+                continue
+            self.fields.append(field)
+            read, show = _SLOT_KINDS.get(field) or _SLOT_KINDS[kinds[field]]
+            if field in _OPTIONS:  # printed after its key, per member if it repeats
+                key = _OPTIONS[field]
+                repeats = kinds[field].startswith("tuple")
+                self.options[key] = (field, read, repeats)
+                if self.steps[-1][0] is not _Parser.parse_options:
+                    self.steps.append((_Parser.parse_options, None, None))
+                literal = f", {key}" if read is None else f", {key} = "
+                if repeats:
+                    show = lambda value, text=show, sep=literal: sep.join(map(text, value))
+            elif show is _ENTRIES:  # four triples, separated by commas
+                for j in range(4):
+                    if j:
+                        self.steps.append((_Parser.expect, ",", None))
+                    self.steps.append((None, _TRIPLE, field))
+            else:  # a read, or a stop at a child slot (read None)
+                self.steps.append((read, None, field))
+            self.pieces.append((literal, show))
+        self.steps.append((None, _CLOSED, None))
+        self.name = None  # the keyword or tag that opens a form is read before it
+        if self.steps[0][0] is _Parser.keyword:
+            self.name = self.steps.pop(0)[1]
+        self.get = values_getter(self.fields)
+        # how a built node leaves an option out, at its default, and an AST
+        self.defaults = [cls.DEFAULTS[f] if f in _OPTIONS else _ABSENT for f in self.fields]
+        self.absent = [_ABSENT] * len(self.fields)
+
+
+# how a slot or an option's value is read and printed, by the name of its
+# field or else by its annotation.  A child expression (read None) is read
+# and printed from the parser's and the printer's stacks, and FourSum's
+# entries as four triples; a flag (read None) has no value, and a tuple's
+# members repeat their option.
+_SLOT_KINDS = {
+    "at_mark": (_Parser.parse_at, lambda v: "generic" if v is None else f"at = {v}"),
+    "ManifoldExpr": (None, None),
+    "tuple[QuadEntry, ...]": (None, _ENTRIES),
+    "str": (_Parser.read_name, str),
+    "Optional[str]": (_Parser.read_name, str),
+    "int": (_Parser.parse_int, str),
+    "AreaValue": (_Parser.parse_area, AreaValue.compact),
+    "GluingChoice": (lambda p: GluingChoice(p.read_name()), attrgetter("label")),
+    "tuple[tuple[str, str], ...]": (_Parser.parse_pair, ":".join),
+    "bool": (None, lambda value: ""),
+}
+
+
+_TRIPLE = _Form("({expr}, {s}, {t})", BuiltTriple, lambda args, t: tuple(args.values()))
+_FORM_OF = {
+    cls: _Form(form, cls, lambda args, t, cls=cls: OpExpr(cls, args, Pos(t.line, t.col)))
+    for cls, form in _FORMS.items()
+}
+_GRAMMAR = {form.name: form for form in _FORM_OF.values()}  # the operations, by keyword
+for cls, form in _KIND_FORMS.items():
+    _FORM_OF[cls] = _Form(form, cls, lambda args, t, cls=cls: cls(**args))
+KINDS = {_FORM_OF[cls].name: _FORM_OF[cls] for cls in _KIND_FORMS}  # the atom kinds, by tag
+
+
+# ---------------------------------------------------------------------------
+# Printing
+# ---------------------------------------------------------------------------
 
 
 def serialize_expr(node) -> str:
-    """The source text of a built expression or of an AST expression.  An
-    option prints when the source gave it (AST) or when it differs from
-    its default (built node), so an explicit `exc = E` prints from the
-    AST only."""
-    form = _PIECES.get(type(node))
-    if form is not None:  # a built operation node
-        text, _, _, shows, values = form
-        parts = []
-        for show, value in zip(shows, values(node)):  # a loop: one frame per level
-            parts.append(show(value))
-        return text.format(*parts)
-    if isinstance(node, AtomNode):
+    """The source text of a built expression, an AST expression or an atom
+    kind, written from an explicit stack of the forms being printed, each
+    with the slots it has still to print.  An option prints when the
+    source gave it (AST) or when it differs from its default (built node),
+    so an explicit `exc = E` prints from the AST only."""
+    leaf = _leaf_text(node)
+    if leaf is not None:
+        return leaf
+    out, stack = [], [_slots(node)]
+    while stack:
+        slots, tail = stack[-1]
+        for (literal, show), value, default in slots:
+            if value is default or (default is not _ABSENT and value == default):
+                continue  # an option not given
+            out.append(literal)
+            if show is None:  # a child: a leaf prints here, an operation on top
+                leaf = _leaf_text(value)
+                if leaf is None:
+                    stack.append(_slots(value))
+                    break
+                out.append(leaf)
+            elif show is _ENTRIES:  # triples, separated by commas, on top
+                seps = [", "] * (len(value) - 1) + [""]
+                for entry, sep in reversed(list(zip(value, seps))):
+                    stack.append((zip(_TRIPLE.pieces, entry, _TRIPLE.absent), _TRIPLE.tail + sep))
+                break
+            else:
+                out.append(show(value))
+        else:
+            out.append(tail)
+            stack.pop()
+    return "".join(out)
+
+
+def _slots(node) -> tuple:
+    """The slots of an operation node or an atom kind to print, with their
+    values and defaults, and the text after them."""
+    form = _FORM_OF.get(node.__class__)
+    if form is not None:  # a built node
+        return zip(form.pieces, form.get(node), form.defaults), form.tail
+    form, args = _FORM_OF[node.cls], node.args
+    values = [args.get(field, _ABSENT) for field in form.fields]
+    return zip(form.pieces, values, form.absent), form.tail
+
+
+def _leaf_text(node) -> Optional[str]:
+    """The text of an atom or a name; None for an operation."""
+    cls = node.__class__
+    if cls is AtomNode:
         # memoized on the atom, which the trees of a proof's steps share
         text = node._text
         if text is None:
             text = node.__dict__["_text"] = _atom_text(node.atom.kind, node.atom.marks)
         return text
-    if isinstance(node, OpExpr):
-        text, names, shows, _, _ = _PIECES[node.cls]
-        args = node.args
-        parts = []
-        for name, show in zip(names, shows):
-            parts.append(show(args[name]) if name in args else "")
-        return text.format(*parts)
-    if isinstance(node, AtomExpr):
+    if cls is RefExpr:
+        return node.name
+    if cls is AtomExpr:
         return _atom_text(node.kind, node.marks)
-    return node.name  # a RefExpr
-
-
-def _pieces(cls, form: str) -> tuple:
-    """How `cls` prints: its form with `{}` for each field, the fields'
-    names, their printers for AST arguments and for built nodes (where an
-    option at its default prints as nothing), and a getter of a built
-    node's field values."""
-    annotations = dict(cls.FIELDS)
-    names = [name for _, name, _, _ in Formatter().parse(form) if name]
-    shows = [_field_printer(cls, name, annotations[name]) for name in names]
-    node_shows = [
-        _unless_default(show, cls.DEFAULTS[name]) if name in _OPTIONS else show
-        for name, show in zip(names, shows)
-    ]
-    get = attrgetter(*names)
-    values = get if len(names) > 1 else lambda node: (get(node),)
-    return re.sub(r"\{\w+\}", "{}", form), names, shows, node_shows, values
-
-
-def _unless_default(show, default):
-    return lambda value: "" if value is default or value == default else show(value)
-
-
-_PIECES = {cls: _pieces(cls, form) for cls, form in _FORMS.items()}
+    return None
 
 
 def _atom_text(kind: AtomKind, marks) -> str:
     body = "; ".join(map(_mark_text, marks))
-    return f"{_kind_text(kind)} {{ {body} }}" if marks else f"{_kind_text(kind)} {{ }}"
-
-
-def _kind_text(k: AtomKind) -> str:
-    if isinstance(k, EllipticSurface):
-        return f"E({k.n})"
-    if isinstance(k, ProjectivePlane):
-        return "CP2"
-    if isinstance(k, ProjectivePlaneReversed):
-        return "CP2rev"
-    if isinstance(k, RuledSurface):
-        return f"W({k.genus},{k.twist},{k.fiber_area.compact()})"
-    if isinstance(k, RationalSurface):
-        return f"Rational({k.blowups})"
-    raise SymsumError(f"unknown kind {k!r}")
+    return f"{serialize_expr(kind)} {{ {body} }}" if marks else f"{serialize_expr(kind)} {{ }}"
 
 
 def _mark_text(m) -> str:
@@ -893,8 +902,8 @@ def _slot_text(v: SlotVal) -> str:
     tag, val = v
     if tag == "num":
         return str(val)
-    if tag == "area":
-        return val.compact()
+    if tag == "area":  # with its eps term even at zero, so that it reads back as an area
+        return val.compact() if val.eps_coeff else f"{val.const}+0e"
     if tag == "str":
         return f'"{val}"'
     return str(val)
@@ -904,7 +913,7 @@ def print_script(ast: ScriptAst) -> str:
     lines = []
     for d in ast.decls:
         if isinstance(d, AtomDecl):
-            text = _atom_text(d.kind, d.marks) if d.marks else _kind_text(d.kind)
+            text = _atom_text(d.kind, d.marks) if d.marks else serialize_expr(d.kind)
             lines.append(f"atom {d.name} {text}")
         else:
             lines.append(

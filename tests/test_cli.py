@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import symsum
+from symsum import cli
 from symsum.cli import main
 from symsum.demos import GOMPF_STIPSICZ
 from test_memo import chain_script
@@ -119,29 +120,84 @@ def test_polytope_triple_with_unknown_mark_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_check_past_the_recursion_limit_exits_2(tmp_path, capsys):
+def test_check_past_the_recursion_limit_verifies(tmp_path, capsys):
+    """No depth limit is left: parsing, building and printing keep explicit
+    stacks, so a chain nested past the recursion limit verifies."""
     f = tmp_path / "deep.ssum"
     f.write_text(chain_script(1000, 500), encoding="utf-8")
-    assert main(["check", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.endswith(": expression nested too deeply\n") and err.count("\n") == 1
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == "verdict: = (symplectomorphic) chi=4 sigma=0\n"
 
 
-@pytest.mark.parametrize("depth, code", [(960, 0), (1000, 2)])
+def _check_in_a_fresh_interpreter(path, *options):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symsum.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "symsum.cli", "check", str(path), *options],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("depth, code", [(960, 0), (1000, 0), (5000, 0)])
 def test_check_deep_chain_in_a_fresh_interpreter(tmp_path, depth, code):
-    """Depth 960 still verifies from the command line, where the stack
-    starts shallow; depth 1000 is a one-line error."""
+    """Chains nested past the recursion limit verify from the command line,
+    at the interpreter's default limit."""
     f = tmp_path / "deep.ssum"
     f.write_text(chain_script(depth, depth // 2), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symsum.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "symsum.cli", "check", str(f)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _check_in_a_fresh_interpreter(f)
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
-    if code == 0:
-        assert proc.stdout == "verdict: = (symplectomorphic) chi=4 sigma=0\n"
+    assert proc.stderr == ""
+    assert proc.stdout == "verdict: = (symplectomorphic) chi=4 sigma=0\n"
+
+
+@pytest.mark.parametrize("trace", ["text", "json"])
+def test_depth_5000_chain_renders_its_trace(tmp_path, trace):
+    f = tmp_path / "deep.ssum"
+    f.write_text(chain_script(5000, 2500), encoding="utf-8")
+    proc = _check_in_a_fresh_interpreter(f, "--trace", trace)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    *trace_lines, verdict = proc.stdout.splitlines()
+    assert verdict == "verdict: = (symplectomorphic) chi=4 sigma=0"
+    if trace == "json":
+        records = [json.loads(line) for line in trace_lines]
+        assert [(r["step"], r["chi"], r["sigma"]) for r in records] == [
+            (step, 4, 0) for step in range(5)
+        ]
+        exprs = [r["expr"] for r in records]
     else:
-        assert proc.stderr.endswith(": expression nested too deeply\n")
+        exprs = [line[2:] for line in trace_lines if line.startswith("  sum(")]
+    # each R8 forward/reverse pair returns to the chain it started from
+    assert len(exprs) == 5 and exprs[0] == exprs[2] == exprs[4]
+    assert exprs[0].startswith("sum(" * 4999 + "W(0,1,0+1e) { A1:")
+
+
+def test_check_a_directory_is_a_file_error(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: [Errno 21] Is a directory") and err.count("\n") == 1
+
+
+def test_check_undecodable_bytes_is_a_file_error(tmp_path, capsys):
+    f = tmp_path / "bad.ssum"
+    f.write_bytes(b"lhs \xff")
+    assert main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "file error: 'utf-8' codec can't decode byte 0xff in position 4: "
+        "invalid start byte\n"
+    )
+
+
+def test_polytope_unwritable_output_is_a_file_error(tmp_path, capsys, monkeypatch):
+    real_open = open
+
+    def deny_writes(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", deny_writes, raising=False)
+    out = tmp_path / "x.svg"
+    args = ["polytope", str(EXPRS / "fig_triple.expr"), "--figure", "triple", "-o", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"file error: [Errno 13] Permission denied: '{out}'\n"

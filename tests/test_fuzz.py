@@ -5,7 +5,8 @@ or a name, so most mutants still parse and reach the build and check
 phases.  Whatever a mutant does, `run()` must return an exit code of the
 contract (0 verified, 1 proof failure, 2 parse/resolution error) with
 no exception escaping, an exit 2 must say why in exactly one line, and
-the traces of an exit 0 or 1 must render.
+the traces of an exit 0 or 1 must render.  A mutant that parses must
+also print back to the same AST.
 """
 
 import random
@@ -13,7 +14,14 @@ import re
 import time
 
 from symsum.demos import CORPUS
-from symsum.script import render_trace_json, render_trace_text, run
+from symsum.script import (
+    ScriptError,
+    parse,
+    print_script,
+    render_trace_json,
+    render_trace_text,
+    run,
+)
 
 # the lexer's token classes, and blanks and comments kept as they are so
 # that joining the pieces gives the text back
@@ -54,6 +62,7 @@ def test_mutated_corpus_scripts_keep_the_exit_code_contract():
     names = sorted(CORPUS)
     escapes, broken = [], []
     codes = {0: 0, 1: 0, 2: 0}
+    parsed = 0
     start = time.process_time()
     for n in range(MUTATIONS):
         name = names[n % len(names)]
@@ -63,6 +72,14 @@ def test_mutated_corpus_scripts_keep_the_exit_code_contract():
             if result.code in (0, 1):
                 render_trace_text(result.verdict)
                 render_trace_json(result.verdict)
+            try:
+                ast = parse(text)
+            except ScriptError:
+                ast = None
+            if ast is not None:
+                parsed += 1
+                if parse(print_script(ast)) != ast:
+                    broken.append(f"mutation {n} ({op} in {name}): print_script round trip")
         except Exception as exc:  # the contract allows none to escape
             escapes.append(f"mutation {n} ({op} in {name}): {type(exc).__name__}: {exc}")
             continue
@@ -78,4 +95,5 @@ def test_mutated_corpus_scripts_keep_the_exit_code_contract():
     assert not broken, broken[:5]
     # the mutants reach every phase: some verify, some fail a proof step
     assert all(codes.values()), codes
+    assert parsed > MUTATIONS // 4, parsed
     assert seconds < 10, f"{MUTATIONS} mutations took {seconds:.1f} s of CPU"

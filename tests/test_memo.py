@@ -8,8 +8,6 @@ import json
 import sys
 import tracemalloc
 
-import pytest
-
 from symsum.areas import area
 from symsum.core import (
     Atom,
@@ -33,7 +31,6 @@ from symsum.rewrite import apply_rule
 from symsum import script
 from symsum.script import (
     OpExpr,
-    ScriptError,
     build_script,
     parse,
     render_trace_json,
@@ -237,18 +234,40 @@ def test_render_prints_each_distinct_atom_once(monkeypatch):
     assert [json.loads(line)["expr"] for line in js.splitlines()] == fresh
 
 
-def test_nesting_past_the_recursion_limit_is_a_script_error():
+def test_nesting_past_the_recursion_limit_verifies():
+    assert sys.getrecursionlimit() <= 1000
     r = run(chain_script(1000, 500))
-    assert r.code == 2 and r.verdict is None
-    assert len(r.messages) == 1
-    assert r.messages[0].endswith(": expression nested too deeply")
+    assert r.code == 0, r.messages
+    assert r.messages == ["verdict: = (symplectomorphic) chi=4 sigma=0"]
 
 
-def test_building_past_the_recursion_limit_is_a_script_error():
-    ast = parse("atom W W(0,1,0+1e) { A: g=0, i=-1, a=1 }\nlhs W rhs W target =")
+def test_building_a_2000_deep_ast_under_the_recursion_limit():
+    """A valid AST no parse would have returned when parsing recursed:
+    2000 nested thinnings of the marks A, A-, A--, ..."""
+    assert sys.getrecursionlimit() <= 1000
+    ast = parse("lhs W(0,1,0+1e) { A: g=0, i=-1, a=1 } rhs W(0,1,0+1e) { } target =")
     deep = ast.lhs
-    for _ in range(2000):  # an AST no parse would return under the limit
-        deep = OpExpr(Thin, {"inner": deep, "mark_label": "A", "amount": area(1)}, deep.pos)
+    for k in range(2000):
+        args = {"inner": deep, "mark_label": "A" + "-" * k, "amount": area(0, 1)}
+        deep = OpExpr(Thin, args, deep.pos)
     ast.lhs = deep
-    with pytest.raises(ScriptError, match="^2:5: expression nested too deeply$"):
-        build_script(ast)
+    built = build_script(ast).lhs
+    assert [(m.label, m.area) for m in built.marks] == [("A" + "-" * 2000, area(1, 2000))]
+    assert label_pool(built) == {"A" + "-" * k for k in range(2001)}
+    text = serialize_expr(built)
+    assert text == serialize_expr(deep) and text.startswith("thin(" * 2000 + "W(0,1,0+1e) {")
+
+
+def test_pools_of_parents_over_a_shared_child():
+    """Successive proof steps build new parents over one shared child: a
+    pool taken over in place by one parent leaves the other's right."""
+    child = chain(6)
+    first = PairSum(child, "B6", ruled(7), "A7")
+    second = Thin(child, "B6", area(0, 1))
+    for parent in (first, second, first, second):
+        assert label_pool(parent) == _ref_pool(parent)
+        assert label_pool(child) == _ref_pool(child)
+    grand = PairSum(first, "B7", ruled(8), "A8")
+    assert label_pool(grand) == _ref_pool(grand)
+    assert label_pool(second) == _ref_pool(second)
+    assert label_pool(first) == _ref_pool(first)

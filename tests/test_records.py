@@ -223,3 +223,18 @@ def test_importing_the_cli_loads_no_unneeded_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_side_conditions_that_hold_format_nothing(monkeypatch):
+    """A side condition formats its failure message, which may hold mark
+    data and area reprs, only once it has failed."""
+    from symsum.demos import VERIFYING
+    from symsum.record import Record
+    from symsum.script import run
+
+    calls = []
+    record_repr = Record.__repr__
+    monkeypatch.setattr(Record, "__repr__", lambda r: calls.append(r) or record_repr(r))
+    for name, source in VERIFYING.items():
+        assert run(source).code == 0, name
+    assert len(calls) == 0  # the count, as printing the records would call the repr

@@ -11,7 +11,20 @@ from hypothesis import strategies as st
 
 from traces import corpus_traces, script_golden, token_golden
 
-from symsum.core import Atom, AtomNode, EquivLevel, RationalSurface, SymsumError
+from symsum import script
+from symsum.core import (
+    Atom,
+    AtomNode,
+    BlowUp,
+    Desing,
+    EquivLevel,
+    FourSum,
+    PairSum,
+    RationalSurface,
+    SymsumError,
+    Thicken,
+    Thin,
+)
 from symsum.demos import BLOWUP_TRADE, CORPUS, DEMOS, GOMPF_STIPSICZ, VERIFYING
 from symsum.script import (
     AtomDecl,
@@ -345,3 +358,86 @@ def test_number_is_the_fraction_of_its_text(num, den):
             _Parser.number(tok)
         return
     assert _Parser.number(tok) == expected
+
+
+def test_zero_eps_area_slot_round_trips():
+    """`1+0e` is an area and `1` a number, which a rule may tell apart: R1
+    takes its rotation as a number only."""
+    src = CORPUS["fourfold-cyclic"].replace("rotate = 1 }", "rotate = 1+0e, by1 = 0+0e }")
+    ast = parse(src)
+    printed = print_script(ast)
+    assert "rotate = 1+0e, by1 = 0+0e }" in printed
+    assert parse(printed) == ast
+    assert run(printed).messages == run(src).messages
+    assert run(src).code == 1
+
+
+_DECLS = (
+    "atom A E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=1, perp Sigma-3 }\n"
+    "atom C E(1) { Sigma-1c: g=0, i=-1, a=1, perp F1c; F1c: g=1, i=0, a=1, perp Sigma-1c;\n"
+    "              F2: g=1, i=0, a=1 }\n"
+    "atom D E(1) { F1d: g=1, i=0, a=1, perp Sigma-1d; Sigma-1d: g=0, i=-1, a=1, perp F1d }\n"
+    "atom X E(3) { Sigma-3: g=0, i=-3, a=1 }\n"
+) + "".join(
+    f"atom X{i} Rational({4 + i}) {{ A{i}: g=1, i=2, a=1, perp B{i}; "
+    f"B{i}: g=1, i=-2, a=1, perp A{i} }}\n"
+    for i in (1, 2, 3, 4)
+)
+
+# one expression of each operation, in printed form, with every option of
+# its form set to a value other than its default
+EVERY_OPTION = {
+    PairSum: "sum(C, F1c, D, F1d, glue = twisted, carry = Sigma-2, pair = Sigma-2:F2)",
+    FourSum: "sum4((X1, A1, B1), (X2, A2, B2), (X3, A3, B3), (X4, A4, B4))",
+    BlowUp: "blowup(X, at = Sigma-3, size = 1/4, transform = St, exc = E5, pairexc)",
+    Thin: "thin(A, F3, 0+1e)",
+    Thicken: "thicken(A, Sigma-3, 0+1e)",
+    Desing: "desing(A, Sigma-3, F3, label = T)",
+}
+
+
+def _expr_script(expr: str) -> str:
+    return f"{_DECLS}lhs {expr}\nrhs A\ntarget =\n"
+
+
+@pytest.mark.parametrize("cls", list(EVERY_OPTION), ids=lambda cls: cls.__name__)
+def test_every_form_round_trips_with_every_option(cls):
+    text = EVERY_OPTION[cls]
+    keys = [script._OPTIONS[f] for f, _ in cls.FIELDS if f in script._OPTIONS]
+    assert all(f", {key}" in text for key in keys)
+    ast = parse(_expr_script(text)).lhs
+    assert ast.cls is cls and serialize_expr(ast) == text
+    built = build_script(parse(_expr_script(text))).lhs
+    printed = serialize_expr(built)  # with the atoms written out
+    assert all(f", {key}" in printed for key in keys)
+    assert build_script(parse(_expr_script(printed))).lhs == built
+
+
+def test_unknown_desing_option_is_reported_like_the_others():
+    with pytest.raises(ScriptError) as exc:
+        parse(_expr_script("desing(A, Sigma-3, F3, lable = T)"))
+    assert str(exc.value) == "10:5: unknown desing option 'lable' (expected label)"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("sum(C, F1c, D, F1d, glue = a, glue = b)", "repeated sum option 'glue'"),
+        ("sum(C, F1c, D, F1d, carry = S, carry = S)", "repeated sum option 'carry'"),
+        ("blowup(X, generic, size = 1/4, exc = E, exc = F)", "repeated blowup option 'exc'"),
+        ("blowup(X, at = Sigma-3, size = 1/4, pairexc, pairexc)",
+         "repeated blowup option 'pairexc'"),
+        ("blowup(X, at = Sigma-3, size = 1/4, transform = S, exc = E, transform = T)",
+         "repeated blowup option 'transform'"),
+        ("desing(A, Sigma-3, F3, label = T, label = U)", "repeated desing option 'label'"),
+    ],
+)
+def test_repeated_option_is_a_script_error(expr, message):
+    with pytest.raises(ScriptError, match=f"^10:\\d+: {message}$"):
+        parse(_expr_script(expr))
+
+
+def test_pair_option_repeats():
+    expr = "sum(C, F1c, D, F1d, carry = Sigma-2, pair = Sigma-2:F2, pair = Sigma-1c:Sigma-1d)"
+    ast = parse(_expr_script(expr))
+    assert ast.lhs.args["pairs"] == (("Sigma-2", "F2"), ("Sigma-1c", "Sigma-1d"))
