@@ -6,61 +6,101 @@ surfaces carrying exact eps-linear areas.  The rewrite module checks
 claimed equivalence chains rule by rule, tracking whether each step is
 a symplectomorphism ("=") or a weak deformation ("~"), and cross-checks
 the Euler characteristic and signature at every step.
+
+The names below load lazily (PEP 562): `import symsum` imports no
+submodule, and the first use of a name imports the module that
+defines it.  So do the submodules that `import symsum` used to load.
 """
 
 __version__ = "0.1.0"
 
-from .areas import AreaValue, area, area_add, area_less
-from .core import (
-    AdmissibilityError,
-    Atom,
-    AtomNode,
-    BlowUp,
-    Desing,
-    EllipticSurface,
-    EquivLevel,
-    FourSum,
-    GluingChoice,
-    ManifoldExpr,
-    MarkError,
-    PairSum,
-    ProjectivePlane,
-    ProjectivePlaneReversed,
-    RationalSurface,
-    RuledSurface,
-    SurfaceMark,
-    SymsumError,
-    Thicken,
-    Thin,
-    Violation,
-    validate_ruled,
-)
-from .invariants import (
-    InvariantVector,
-    atom_invariants,
-    en_inductive_invariants,
-    expr_invariants,
-)
-from .rewrite import (
-    InvariantDriftError,
-    ProofStep,
-    RuleError,
-    Verdict,
-    apply_rule,
-    check_equiv,
-)
-from .script import RunResult, ScriptError, parse, print_script, run, serialize_expr
-from .sums import (
-    blow_down,
-    blow_up,
-    check_fourfold_admissible,
-    check_pairwise_admissible,
-    desingularize,
-    fourfold_sum,
-    pairwise_sum,
-    rescale,
-    shift_section_area,
-    split_ruled,
-    thicken,
-    thin,
-)
+# each exported name -> the submodule that defines it
+_HOMES = {
+    **dict.fromkeys(("AreaValue", "area", "area_add", "area_less"), "areas"),
+    **dict.fromkeys(
+        (
+            "AdmissibilityError",
+            "Atom",
+            "AtomNode",
+            "BlowUp",
+            "Desing",
+            "EllipticSurface",
+            "EquivLevel",
+            "FourSum",
+            "GluingChoice",
+            "ManifoldExpr",
+            "MarkError",
+            "PairSum",
+            "ProjectivePlane",
+            "ProjectivePlaneReversed",
+            "RationalSurface",
+            "RuledSurface",
+            "SurfaceMark",
+            "SymsumError",
+            "Thicken",
+            "Thin",
+            "Violation",
+            "validate_ruled",
+        ),
+        "core",
+    ),
+    **dict.fromkeys(
+        ("InvariantVector", "atom_invariants", "en_inductive_invariants", "expr_invariants"),
+        "invariants",
+    ),
+    **dict.fromkeys(
+        (
+            "InvariantDriftError",
+            "ProofStep",
+            "RuleError",
+            "Verdict",
+            "apply_rule",
+            "check_equiv",
+        ),
+        "rewrite",
+    ),
+    **dict.fromkeys(
+        ("RunResult", "ScriptError", "parse", "print_script", "run", "serialize_expr"),
+        "script",
+    ),
+    **dict.fromkeys(
+        (
+            "blow_down",
+            "blow_up",
+            "check_fourfold_admissible",
+            "check_pairwise_admissible",
+            "desingularize",
+            "fourfold_sum",
+            "pairwise_sum",
+            "rescale",
+            "shift_section_area",
+            "split_ruled",
+            "thicken",
+            "thin",
+        ),
+        "sums",
+    ),
+}
+
+_SUBMODULES = ("areas", "core", "invariants", "record", "rewrite", "script", "sums")
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    # `__import__` binds the submodule here, under its name; unlike
+    # `importlib.import_module`, `python -X importtime` reports it
+    if name in _SUBMODULES:
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")
+    value = getattr(globals()[home], name)
+    globals()[name] = value  # later lookups find it without this call
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

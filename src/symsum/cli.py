@@ -13,7 +13,6 @@ import sys
 
 from . import __version__
 from .core import SymsumError
-from .demos import DEMOS
 from .invariants import expr_invariants
 from .script import (
     ScriptError,
@@ -27,22 +26,18 @@ from .script import (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="symsum",
-        description="symbolic calculus and proof checker for sums of "
-        "symplectic 4-manifolds",
-    )
-    p.add_argument("--version", action="version", version=f"symsum {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-
+def _add_check(sub) -> None:
     check = sub.add_parser("check", help="verify a proof script")
     check.add_argument("file")
     check.add_argument("--trace", choices=("text", "json"), default=None)
 
+
+def _add_invariants(sub) -> None:
     inv = sub.add_parser("invariants", help="invariants of an expression file")
     inv.add_argument("file")
 
+
+def _add_polytope(sub) -> None:
     poly = sub.add_parser("polytope", help="render moment-map figures")
     poly.add_argument("file")
     poly.add_argument(
@@ -50,9 +45,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     poly.add_argument("-o", "--output", required=True)
 
+
+def _add_demo(sub) -> None:
+    from .demos import DEMOS
+
     demo = sub.add_parser("demo", help="run a bundled proof script")
     demo.add_argument("name", choices=sorted(DEMOS))
     demo.add_argument("--trace", choices=("text", "json"), default="text")
+
+
+_SUBCOMMANDS = {
+    "check": _add_check,
+    "invariants": _add_invariants,
+    "polytope": _add_polytope,
+    "demo": _add_demo,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one.  The scoped parser is only given a valid subcommand, and its
+    metavar spells the whole tree's usage line, so it prints the same
+    help and errors as the whole tree."""
+    p = argparse.ArgumentParser(
+        prog="symsum",
+        description="symbolic calculus and proof checker for sums of "
+        "symplectic 4-manifolds",
+    )
+    p.add_argument("--version", action="version", version=f"symsum {__version__}")
+    if command in _SUBCOMMANDS:
+        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+        sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+        _SUBCOMMANDS[command](sub)
+    else:
+        sub = p.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return p
 
 
@@ -76,7 +104,8 @@ def _load_expr_file(path: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -86,6 +115,8 @@ def main(argv=None) -> int:
             with open(args.file, "r", encoding="utf-8") as fh:
                 return _run_script(fh.read(), args.trace)
         if args.command == "demo":
+            from .demos import DEMOS
+
             return _run_script(DEMOS[args.name], args.trace)
         if args.command == "invariants":
             expr, _ = _load_expr_file(args.file)

@@ -1,0 +1,108 @@
+"""R7: blow-down as a sum with the plane along a line."""
+
+from __future__ import annotations
+
+from ..core import (
+    Atom,
+    AtomNode,
+    BlowUp,
+    EllipticSurface,
+    PairSum,
+    ProjectivePlane,
+    RationalSurface,
+    SurfaceMark,
+    rename,
+)
+from ..rewrite import EQ, WK, RuleError, _failed, rule
+
+
+@rule("R7")
+def _r7(sub, b, rev):
+    if not rev:
+        if not isinstance(sub, PairSum):
+            raise RuleError("R7 applies to a pairwise sum")
+        plane = sub.right
+        if not (
+            isinstance(plane, AtomNode)
+            and isinstance(plane.atom.kind, ProjectivePlane)
+        ):
+            raise RuleError("R7 expects a plane as the right summand")
+        lines = plane.atom.marks
+        if len(lines) != 2 or any(m.normal_number != 1 for m in lines):
+            raise RuleError("R7 expects the plane to carry exactly two lines")
+        ex = sub.left.mark(sub.left_mark)
+        if (ex.genus, ex.normal_number) != (0, -1):
+            raise RuleError(
+                f"R7 expects the gluing mark to be exceptional (g=0, i=-1); "
+                f"got (g={ex.genus}, i={ex.normal_number})"
+            )
+        if isinstance(sub.left, BlowUp) and sub.left.exceptional_label == ex.label:
+            # exact inverse of the blow-up
+            blow = sub.left
+            if blow.at_mark is not None and blow.pair_exceptional:
+                restored = sub.mark(sub.carry_name)
+                original = blow.inner.mark(blow.at_mark)
+                if restored.data != original.data:
+                    raise _failed(
+                        f"carried transform#line equals the original mark bitwise: "
+                        f"{restored.data} vs {original.data}"
+                    )
+            return blow.inner, EQ, ["blow-down undoes the blow-up exactly"]
+        if isinstance(sub.left, AtomNode):
+            return _r7_fold_atom(sub, b, ex)
+        raise RuleError(
+            "R7 expects the left summand to be a blow-up or an atom with an "
+            "exceptional mark"
+        )
+    # reverse: re-introduce the plane-sum form of a blow-down
+    at = b.label("at_mark")
+    size = b.area("size")
+    if size is None:
+        raise RuleError("R7 (reverse) needs a blow-up size")
+    el = b.label("exceptional", "E")
+    tl = b.label("transform")
+    pair_ex = bool(b.integer("pair_exceptional", 0))
+    blown = BlowUp(sub, at, size, tl, el, pair_ex)
+    l1 = b.label("line1", "L1")
+    l2 = b.label("line2", "L2")
+    plane = AtomNode(
+        Atom(
+            ProjectivePlane(),
+            (
+                SurfaceMark(l1, 0, 1, size, l2),
+                SurfaceMark(l2, 0, 1, size, l1),
+            ),
+        )
+    )
+    new = PairSum(blown, el, plane, l1, carry_label=b.label("carry"))
+    return new, EQ, ["expressed a blow-up/blow-down pair as a plane sum"]
+
+
+def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
+    kind = sub.left.atom.kind
+    if isinstance(kind, EllipticSurface) and kind.n == 1:
+        new_kind = RationalSurface(8)
+    elif isinstance(kind, RationalSurface) and kind.blowups >= 1:
+        new_kind = RationalSurface(kind.blowups - 1)
+    else:
+        raise RuleError(
+            "blow-down folds only the rational elliptic surface or an "
+            "iterated blow-up of the plane"
+        )
+    relabel = {}
+    result_label = b.label("mark")
+    if result_label and all(sub.partners):
+        relabel[sub.carry_name] = result_label
+    marks = tuple(
+        m.replace(
+            label=rename(relabel, m.label),
+            orthogonal_at=rename(relabel, m.orthogonal_at),
+        )
+        for m in sub.marks
+    )
+    new = AtomNode(Atom(new_kind, marks))
+    notes = [
+        f"blow-down of {ex.label} folds the summand into a plane with "
+        f"{new_kind.blowups} reversed summands"
+    ]
+    return new, WK, notes, relabel

@@ -53,7 +53,7 @@ from .core import (
     Thin,
 )
 from .record import Record, values_getter
-from .rewrite import RULE_IDS, ProofStep, Verdict, check_equiv
+from .rewrite import RULE_IDS, InvariantDriftError, ProofStep, Verdict, check_equiv
 
 
 class ScriptError(SymsumError):
@@ -189,6 +189,27 @@ class OpExpr(Syntax):
 
     def __init__(self, cls: type, args: dict, pos: Optional[Pos] = None):
         self.cls, self.args, self.pos = cls, args, pos or Pos()
+
+    def __eq__(self, other):
+        """Compares like a record, from an explicit stack of the value
+        pairs still to compare, so that nesting costs no Python frames;
+        FourSum's entries and their triples are compared member-wise."""
+        if other.__class__ is not OpExpr:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is OpExpr and b.__class__ is OpExpr:
+                if a.cls is not b.cls or a.args.keys() != b.args.keys():
+                    return False
+                stack.extend((v, b.args[k]) for k, v in a.args.items())
+            elif a.__class__ is tuple and b.__class__ is tuple and len(a) == len(b):
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
 
 
 ExprNode = Union[RefExpr, AtomExpr, OpExpr]
@@ -949,7 +970,8 @@ def mark_table(e: ManifoldExpr) -> str:
 
 
 class RunResult(Record):
-    # code: 0 verified at target, 1 proof failure, 2 parse/resolution error
+    # code: 0 verified at target, 1 proof failure or a rule that changed
+    # chi/sigma, 2 parse/resolution error
     def __init__(
         self, code: int, verdict: Optional[Verdict], messages: list[str],
         built: Optional[BuiltScript] = None,
@@ -968,7 +990,10 @@ def run(source: str) -> RunResult:
         built = build_script(ast)
     except ScriptError as exc:
         return RunResult(2, None, [str(exc)])
-    verdict = check_equiv(built.lhs, built.rhs, built.steps)
+    try:
+        verdict = check_equiv(built.lhs, built.rhs, built.steps)
+    except InvariantDriftError as exc:  # a defect of a rule, not of the proof
+        return RunResult(1, None, [f"error: {exc}"], built)
     messages = []
     if not verdict.verified:
         messages.append(

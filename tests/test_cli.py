@@ -61,6 +61,35 @@ def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["check", "-h"],
+        ["check", "proof.ssum", "extra"],
+        ["check", "proof.ssum", "--trace", "xml"],
+        ["check", "proof.ssum", "--version"],
+        ["demo"],
+        ["demo", "no-such-demo"],
+        ["demo", "assoc-sym", "--bogus"],
+        ["demo", "assoc-sym", "--trace"],
+    ],
+)
+def test_scoped_parser_prints_what_the_full_tree_prints(argv, capsys, monkeypatch):
+    """A call naming a subcommand builds only that subparser; for a
+    malformed call it prints the same usage, help and error text, to the
+    same streams, and exits with the same code as the whole tree."""
+    scoped_build, results = cli._build_parser, []
+    for build in (scoped_build, lambda command: scoped_build(None)):
+        monkeypatch.setattr(cli, "_build_parser", build)
+        code = main(argv)
+        results.append((capsys.readouterr(), code))
+    (scoped, scoped_code), (full, full_code) = results
+    assert (scoped.out, scoped.err, scoped_code) == (full.out, full.err, full_code)
+    assert scoped_code == (0 if "-h" in argv else 2)
+    assert "usage: symsum" in scoped.out + scoped.err
+
+
 def test_version(capsys):
     assert main(["--version"]) == 0
     assert "symsum 0.1.0" in capsys.readouterr().out
@@ -107,6 +136,31 @@ def test_proof_failure_exit_code(tmp_path, capsys):
     )
     assert main(["check", str(f)]) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_invariant_drift_exits_1_through_run_and_main(tmp_path, capsys, monkeypatch):
+    """A rule that changes chi is a defect of the rule: `run()` returns
+    code 1 with the line the CLI prints, and the CLI exits 1 with it."""
+    from symsum.core import Atom, AtomNode, EquivLevel, ProjectivePlane
+    from symsum.demos import CORPUS
+    from symsum.rewrite import RULES
+    from symsum.script import run
+
+    def drifting(sub, b, rev):  # a plane in place of the subtree: chi 3
+        return AtomNode(Atom(ProjectivePlane(), ())), EquivLevel.SYMPLECTOMORPHIC, []
+
+    monkeypatch.setitem(RULES, "deform", drifting)
+    source = CORPUS["deform-rescale"]
+    result = run(source)
+    assert (result.code, result.verdict) == (1, None)
+    [message] = result.messages
+    assert message.startswith("error: rule deform changed invariants: ")
+    assert "chi=3" in message.split(" -> ")[1]
+    f = tmp_path / "drift.ssum"
+    f.write_text(source, encoding="utf-8")
+    assert main(["check", str(f), "--trace", "text"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message + "\n")
 
 
 def test_polytope_triple_with_unknown_mark_exits_2(tmp_path, capsys):

@@ -5,8 +5,10 @@ the same instances; users see them, e.g. in R2's side-condition
 failures, so they stay byte-identical.
 """
 
+import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,8 +33,9 @@ from symsum.core import (
     Thin,
     Violation,
 )
+from symsum.demos import CORPUS
 from symsum.invariants import InvariantVector
-from symsum.rewrite import ProofStep
+from symsum.rewrite import RULE_MODULES, ProofStep
 from symsum.script import (
     AtomDecl,
     AtomExpr,
@@ -44,6 +47,7 @@ from symsum.script import (
     ScriptAst,
     StepNode,
     TripleDecl,
+    parse,
 )
 
 S = SurfaceMark("S", 0, -1, area(1), "T")
@@ -207,22 +211,66 @@ def test_fields_are_the_init_parameters():
     assert [name for name, _ in RefExpr.FIELDS] == ["name", "pos"]
 
 
-def test_importing_the_cli_loads_no_unneeded_modules():
+# what `import symsum.cli` loads of symsum: the checker, `symsum.sums`
+# among it, and no rule module
+CHECKER = {
+    "symsum", "symsum.record", "symsum.areas", "symsum.core", "symsum.invariants",
+    "symsum.sums", "symsum.rewrite", "symsum.script",
+}
+
+
+def _imported(args, env):
+    """The modules a fresh interpreter run with `args` imports, as
+    `python -X importtime` reports them."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(re.findall(r"^import time:.*\| +([\w.]+)$", proc.stderr, re.M))
+
+
+def test_importing_the_cli_loads_no_unneeded_modules(tmp_path):
     """`import symsum.cli` is most of a CLI call; the records build their
     methods without the standard library's generated-method machinery,
     and JSON and the figure renderer load only in the subcommands that
-    use them."""
-    code = (
-        "import sys, symsum.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'json', 'symsum.polytope')"
-        " if m in sys.modules))\n"
-    )
+    use them.  A call compiles the modules of its script's rules and no
+    other rule module."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symsum.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    resolve = tmp_path / "resolve.ssum"
+    resolve.write_text(CORPUS["resolve"], encoding="utf-8")
+    calls = [
+        (["-c", "import symsum.cli"], None, CHECKER | {"symsum.cli"}),
+        (["-m", "symsum.cli", "demo", "assoc-sym"], "assoc-sym", CHECKER | {"symsum.demos"}),
+        (["-m", "symsum.cli", "check", str(resolve), "--trace", "json"], "resolve", CHECKER),
+    ]
+    for args, script, expected in calls:
+        loaded = _imported(args, env)
+        if script is not None:
+            rules = {f"symsum.rules.{RULE_MODULES[s.rule]}" for s in parse(CORPUS[script]).steps}
+            expected = expected | {"symsum.rules"} | rules
+        assert {m for m in loaded if m.startswith("symsum")} == expected, args
+        assert not loaded & {"dataclasses", "inspect", "symsum.polytope"}, args
+        assert ("json" in loaded) == ("json" in args), args
+
+
+def test_import_symsum_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symsum.__file__).parent.parent))
+    loaded = _imported(["-c", "import symsum"], env)
+    assert {m for m in loaded if m.startswith("symsum")} == {"symsum"}
+
+
+def test_lazy_exports_are_their_home_modules_attributes():
+    for name in symsum.__all__:
+        home = symsum._HOMES[name]
+        assert getattr(symsum, name) is getattr(importlib.import_module(f"symsum.{home}"), name)
+    assert set(symsum.__all__) <= set(dir(symsum))
+    namespace = {}
+    exec("from symsum import *", namespace)
+    assert set(symsum.__all__) <= set(namespace)
+    assert namespace["run"] is symsum.script.run
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        symsum.no_such_name
 
 
 def test_side_conditions_that_hold_format_nothing(monkeypatch):

@@ -1,9 +1,15 @@
 """The rewrite rule catalog and the equivalence checker."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import symsum
 
 from test_fourfold import random_quad
 
@@ -25,6 +31,8 @@ from symsum.core import (
 )
 from symsum.invariants import atom_invariants, en_inductive_invariants, expr_invariants
 from symsum.rewrite import (
+    RULE_IDS,
+    RULE_MODULES,
     ProofStep,
     RuleError,
     apply_rule,
@@ -77,6 +85,42 @@ def assoc_lhs():
     inner = PairSum(e3_atom(), "F3", e1_atom(), "F1")
     des = Desing(plane_atom(), "L1", "L2", "Q")
     return PairSum(inner, "Sigma-3#Sigma-1", des, "Q")
+
+
+# -- the registry ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule_id", RULE_IDS)
+def test_applying_a_rule_registers_exactly_its_module(rule_id):
+    """In a fresh interpreter no rule is registered until a step names
+    one; applying `rule_id` (here a shape error) loads its module alone,
+    which registers exactly the ids that the table maps to it."""
+    code = (
+        "import sys\n"
+        "from symsum.core import Atom, AtomNode, ProjectivePlane\n"
+        "from symsum.rewrite import RULES, RuleError, apply_rule\n"
+        "assert not RULES\n"
+        "try:\n"
+        f"    apply_rule(AtomNode(Atom(ProjectivePlane(), ())), {rule_id!r}, {{}})\n"
+        "except RuleError:\n"
+        "    pass\n"
+        "print(sorted(RULES), sorted(m for m in sys.modules if m.startswith('symsum.rules.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symsum.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    module = RULE_MODULES[rule_id]
+    ids = sorted(r for r, m in RULE_MODULES.items() if m == module)
+    assert proc.stdout == f"{ids} {[f'symsum.rules.{module}']}\n"
+
+
+def test_unknown_rule_id_loads_nothing():
+    before = set(sys.modules)
+    with pytest.raises(RuleError, match="unknown rule id 'R99'"):
+        apply_rule(plane_atom(), "R99", {})
+    assert set(sys.modules) == before
 
 
 # -- R1 ----------------------------------------------------------------------

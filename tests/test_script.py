@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_memo import chain_script
 from traces import corpus_traces, script_golden, token_golden
 
 from symsum import script
@@ -52,14 +53,31 @@ def test_gompf_script_shape():
     assert built.target == EquivLevel.WEAK_DEFORMATION
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+# the corpus, and a chain nested past the recursion limit, which the AST
+# records compare without a frame per level
+ROUND_TRIP = {**CORPUS, "chain-2000": chain_script(2000, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
 def test_print_parse_round_trip(name):
-    src = CORPUS[name]
+    src = ROUND_TRIP[name]
     ast = parse(src)
     printed = print_script(ast)
     reparsed = parse(printed)
     assert reparsed == ast
     assert print_script(reparsed) == printed
+
+
+def test_deep_asts_differing_at_the_bottom_are_unequal():
+    src = chain_script(2000, 2)
+    innermost = "sum(W1, B1, W2, A2)"
+    changed = src.replace(innermost, "sum(W1, B1, W2, A2, carry=Z)")
+    assert parse(src).lhs != parse(changed).lhs
+    # FourSum's entries compare member-wise
+    four = parse(CORPUS["fourfold-cyclic"]).lhs
+    assert four == parse(CORPUS["fourfold-cyclic"]).lhs
+    other = four.replace(args={**four.args, "entries": four.args["entries"][::-1]})
+    assert four != other
 
 
 def test_corpus_is_big_enough():
