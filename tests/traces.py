@@ -3,7 +3,7 @@
 `corpus_traces` is the text and JSON traces of the corpus.  `script_golden`
 is everything else a script's user sees: the printed form and the run
 messages of every corpus script, and the exit code, messages and trace of
-each input in `MALFORMED` and `RULE_SHAPES`.  `token_golden` is the token
+each input in `MALFORMED`, `RULE_SHAPES` and `RULE_MESSAGES`.  `token_golden` is the token
 stream of every corpus script and of each input in `TOKEN_EDGES`."""
 
 from symsum.demos import CORPUS
@@ -158,6 +158,195 @@ RULE_SHAPES = {
 }
 
 
+_THICK_DES = "thicken(desing(E3, Sigma-3, F3, label=ST), ST, 0+1e)"
+_E3U = "atom E3 E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=2, perp Sigma-3 }\n"
+_R = (
+    "atom R Rational(1) { S: g=0, i=-2, a=1 }\n"
+    "atom R1 Rational(1) { S: g=1, i=-3, a=1 }\n"
+    "atom Z Rational(0) { M: g=0, i=3, a=3/4; Q: g=0, i=4, a=3/4 }\n"
+    "atom Z1 Rational(0) { M: g=1, i=4, a=3/4 }\n"
+)
+_BLOW_X = "blowup(X, at=Sigma-3, size=1/4, transform=St)"
+_LINES = "atom P4 CP2 { L1: g=0, i=1, a=1/4, perp L2; L2: g=0, i=1, a=1/4, perp L1 }\n"
+_FOLD = (
+    "atom R2 Rational(2) { S: g=0, i=-1, a=1 }\n"
+    "atom R0 Rational(0) { S: g=0, i=-1, a=1 }\n"
+)
+_SPLIT = (
+    "atom W2 W(0,1,0+2e) { G-1: g=0, i=-1, a=1; G1: g=0, i=1, a=1+2e }\n"
+    "atom Wa W(0,1,0+1e) { G-1: g=0, i=-1, a=1; c1: g=0, i=1, a=1+1e }\n"
+    "atom Wb W(0,1,0+1e) { c2: g=0, i=-1, a=1+1e; G1: g=0, i=1, a=1+2e }\n"
+    "atom Wc W(0,1,0+2e) { c3: g=0, i=-1, a=1+1e; H1: g=0, i=1, a=1+3e }\n"
+    "atom Wf W(0,1,0+1e) { G-1: g=0, i=-1, a=1; c1: g=0, i=1, a=1+1e; Fa: g=0, i=0, a=0+1e }\n"
+    "atom W3 W(0,3,0+2e) { G-1: g=0, i=-1, a=1; G1: g=0, i=1, a=1+2e; G3: g=0, i=3, a=1+4e }\n"
+    "atom W4 W(0,1,0+2e) { G-1: g=0, i=-1, a=1; G1: g=0, i=1, a=1+2e, perp F;\n"
+    "  F: g=0, i=0, a=0+2e, perp G1 }\n"
+)
+_RULED = (
+    "atom V W(0,3,0+1e) { Gk: g=0, i=3, a=1; Gm: g=0, i=-3, a=1-3e }\n"
+    "atom V1 W(0,1,0+1e) { G1: g=0, i=1, a=1 }\n"
+    "atom V3 W(0,3,0+1e) { G3: g=0, i=3, a=1; G1: g=0, i=1, a=1-1e }\n"
+    "atom Vp W(0,3,0+1e) { Gk: g=0, i=3, a=1, perp Fw; Gm: g=0, i=-3, a=1-3e;\n"
+    "  Fw: g=0, i=0, a=0+1e, perp Gk }\n"
+)
+_COLLAR = (
+    "atom B Rational(0) { B: g=0, i=-3, a=0+1e }\n"
+    "atom A Rational(0) { A: g=0, i=1, a=1; A-: g=0, i=0, a=1 }\n"
+    "atom A1 Rational(0) { A: g=0, i=1, a=0+1e }\n"
+    "atom U Rational(0) { A: g=0, i=1, a=1; B: g=0, i=1, a=1 }\n"
+    "atom E5 E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=1, perp Sigma-3;\n"
+    "  F2: g=1, i=0, a=1 }\n"
+)
+
+
+def _assoc(*marks) -> str:
+    """The three summands X1, X2, X3 of R2 as rational surfaces, whose
+    marks are free: X{n} carries S{n} and T{n}, paired, and `marks` gives
+    (genus, normal number, area) of S1, T1, S2, T2, S3, T3."""
+    out = ""
+    for n in (1, 2, 3):
+        (gs, i_s, a_s), (gt, i_t, a_t) = marks[2 * n - 2 : 2 * n]
+        out += (
+            f"atom X{n} Rational(1) {{ S{n}: g={gs}, i={i_s}, a={a_s}, perp T{n}; "
+            f"T{n}: g={gt}, i={i_t}, a={a_t}, perp S{n} }}\n"
+        )
+    return out
+
+
+_FWD2 = "sum(sum(X1, T1, X2, S2), S1#T2, desing(X3, S3, T3, label=Q), Q)"
+_REV2 = "sum(desing(X1, S1, T1, label=Q), Q, sum(X2, T2, X3, S3), S2#T3)"
+
+# the shape errors and side-condition failures of the other rules, and the
+# failures of building thin, thicken and desing, that a script can reach.
+# The side conditions that the marks of a well-formed expression always
+# meet have no input: R2's section difference and perturbed carries and
+# its rows settled by a gluing, R3r's carried mark, R5's two rows, R6's
+# quadric, R7's exceptional mark and carried transform, R8's carried
+# mark, R10's split reproduction and R11's (g, i) check.
+RULE_MESSAGES = {
+    # R2's side conditions that a script can break: the rows that the
+    # glued marks do not settle already
+    "R2 genus T2 S3": _script(
+        _assoc((1, 0, 1), (0, 0, 1), (0, 0, 1), (0, -1, 1), (1, 0, 1), (0, -1, 1)), _FWD2, "R2 { }"
+    ),
+    "R2 area T2 S3": _script(
+        _assoc((0, 0, 1), (0, 0, 1), (0, 0, 1), (0, -1, 1), (0, 0, "3/2"), (0, -1, "1/2")), _FWD2,
+        "R2 { }",
+    ),
+    "R2 normal T2 S3": _script(
+        _assoc((0, -2, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 1, 1), (0, -1, 1)), _FWD2, "R2 { }"
+    ),
+    "R2 rev genus T1 S2": _script(
+        _assoc((1, 0, 1), (0, -1, 1), (1, 0, 1), (0, 0, 1), (0, 0, 1), (0, -1, 1)), _REV2,
+        "R2 { } rev",
+    ),
+    "R2 rev area T1 S2": _script(
+        _assoc((0, 0, 1), (0, -1, 1), (0, 0, "3/2"), (0, 0, 1), (0, 0, 1), (0, -1, "1/2")), _REV2,
+        "R2 { } rev",
+    ),
+    "R2 rev normal T1 S2": _script(
+        _assoc((0, 0, 1), (0, 0, 1), (0, 1, 1), (0, -1, 1), (0, 1, 1), (0, -3, 1)), _REV2,
+        "R2 { } rev",
+    ),
+    "R2 eps collar too thin": _script(
+        _assoc((0, 0, 2), (0, -1, "0+2e"), (0, 1, "0+2e"), (0, 3, 2), (0, -3, 2), (0, -2, 2)),
+        _FWD2, "R2 { eps = 0+1e }",
+    ),
+    # R3r, the exact resolution
+    "R3r and back": _script(
+        _E3, _THICK_DES, "R3r { eps = 0+1e }", "R3r { resolve_label = ST } rev"
+    ),
+    "R3r not thickened": _script(_E3, "desing(E3, Sigma-3, F3)", "R3r { }"),
+    "R3r eps mismatch": _script(_E3, _THICK_DES, "R3r { eps = 0+2e }"),
+    "R3r summand not buildable": _script(_E3U, _THICK_DES, "R3r { eps = 0+1e }"),
+    "R3r rev not a sum": _script(_E3, "E3", "R3r { } rev"),
+    "R3r rev not ruled": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R3r { } rev"),
+    "R3r rev not a collar": _script(_W, "sum(W, Gk, Y, S)", "R3r { } rev"),
+    # R6, the rational blow-down
+    "R6 rev and back": _script(
+        _P, "X", "R6 { s = Sigma-3, size = 1/4, transform = St } rev", "R6 { }"
+    ),
+    "R6 not a sum": _script(_P, "X", "R6 { }"),
+    "R6 not blown up": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R6 { }"),
+    "R6 not -3": _script(_R, "sum(blowup(R, at=S, size=1/4, transform=St), St, Z, M)", "R6 { }"),
+    "R6 not genus 0": _script(
+        _R, "sum(blowup(R1, at=S, size=1/4, transform=St), St, Z1, M)", "R6 { }"
+    ),
+    "R6 not a plane": _script(_P + _R, f"sum({_BLOW_X}, St, Z, Q)", "R6 { }"),
+    "R6 rev no sphere": _script(_P, "X", "R6 { } rev"),
+    "R6 rev not -3": _script(_E4, "E4", "R6 { s = Sigma-4 } rev"),
+    "R6 rev no size": _script(_P, "X", "R6 { s = Sigma-3 } rev"),
+    # R7, blow-down as a plane sum
+    "R7 rev paired and back": _script(
+        _P, "X", "R7 { at_mark = Sigma-3, size = 1/4, transform = St, pair_exceptional = 1 } rev",
+        "R7 { }",
+    ),
+    "R7 rev generic and back": _script(_P, "X", "R7 { size = 1/4 } rev", "R7 { }"),
+    "R7 rev no size": _script(_P, "X", "R7 { } rev"),
+    "R7 not a sum": _script(_P, "X", "R7 { }"),
+    "R7 not a plane": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R7 { }"),
+    "R7 not two lines": _script(_P, "sum(blowup(X, generic, size=1/4), E, L, M)", "R7 { }"),
+    "R7 fold elliptic": _script(_ASSOC, "sum(E1, Sigma-1, P, L1)", "R7 { mark = T }"),
+    "R7 fold rational": _script(_FOLD + _ASSOC, "sum(R2, S, P, L1)", "R7 { }"),
+    "R7 fold no blow-ups": _script(_FOLD + _ASSOC, "sum(R0, S, P, L1)", "R7 { }"),
+    "R7 not blown up there": _script(
+        _P + _LINES,
+        "sum(blowup(blowup(X, generic, size=1/4), generic, size=1/8, exc=E2), E, P4, L1)",
+        "R7 { }",
+    ),
+    # R8, the collar trade
+    "R8 and back": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { eps = 0+1e }", "R8 { } rev"),
+    "R8 not a sum": _script(_E3, "E3", "R8 { }"),
+    "R8 no eps": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { }"),
+    "R8 eps not infinitesimal": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { eps = 1 }"),
+    "R8 rev not a collar": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { } rev"),
+    "R8 rev unequal amounts": _script(
+        _E3 + _E1, "sum(thin(E3, F3, 0+1e), F3-, thicken(E1, F1, 0+2e), F1+)", "R8 { } rev"
+    ),
+    # R10, splitting a ruled surface
+    "R10 and back": _script(
+        _SPLIT, "W2", "R10 { plus = G1, minus = G-1, cut1 = c1, cut2 = c2 }", "R10 { } rev"
+    ),
+    "R10 not an atom": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R10 { }"),
+    "R10 not ruled": _script(_E3, "E3", "R10 { }"),
+    "R10 no sections": _script(_SPLIT, "W2", "R10 { plus = G1 }"),
+    "R10 wrong indices": _script(_SPLIT, "W2", "R10 { plus = G-1, minus = G1 }"),
+    "R10 third section": _script(_SPLIT, "W3", "R10 { plus = G1, minus = G-1 }"),
+    "R10 paired fiber": _script(_SPLIT, "W4", "R10 { plus = G1, minus = G-1 }"),
+    "R10 rev not a sum": _script(_SPLIT, "W2", "R10 { } rev"),
+    "R10 rev not atoms": _script(
+        _Q2, "sum(sum(E3, F3, E1, F1), Sigma-3#Sigma-1, Q2, Q)", "R10 { } rev"
+    ),
+    "R10 rev not ruled": _script(_W, "sum(W, Gk, Y, S)", "R10 { } rev"),
+    "R10 rev unequal fibers": _script(_SPLIT, "sum(Wa, c1, Wc, c3)", "R10 { } rev"),
+    "R10 rev fiber mark": _script(_SPLIT, "sum(Wf, c1, Wb, c2)", "R10 { } rev"),
+    # R11, moving a blow-up between the sections of a ruled surface
+    "R11 twice": _script(
+        _RULED, "blowup(V, at=Gk, size=1/4)", "R11 { }", "R11 { }"
+    ),
+    "R11 new fiber": _script(
+        _RULED, "blowup(V, at=Gk, size=1/4)", "R11 { new_fiber = 0+2e, new_size = 1/8, pre = P }"
+    ),
+    "R11 not blown up": _script(_RULED, "V", "R11 { }"),
+    "R11 not ruled": _script(_P, _BLOW_X, "R11 { }"),
+    "R11 one section": _script(_RULED, "blowup(V1, at=G1, size=1/4)", "R11 { }"),
+    "R11 same sign": _script(_RULED, "blowup(V3, at=G3, size=1/4)", "R11 { }"),
+    "R11 paired section": _script(_RULED, "blowup(Vp, at=Gm, size=1/4)", "R11 { }"),
+    # the collar forms thin and thicken, and desing
+    "thin and thicken": _script(_E3, "thin(thicken(E3, F3, 0+1e), Sigma-3+, 0+1e)"),
+    "thin amount not infinitesimal": _script(_E3, "thin(E3, Sigma-3, 1)"),
+    "thicken amount not positive": _script(_E3, "thicken(E3, F3, 0-1e)"),
+    "thicken section too small": _script(_COLLAR, "thicken(B, B, 0+1e)"),
+    "thin unknown mark": _script(_E3, "thin(E3, Nope, 0+1e)"),
+    "thin label collision": _script(_COLLAR, "thin(A, A, 0+1e)"),
+    "thin area not positive": _script(_COLLAR, "thin(A1, A, 0+1e)"),
+    "desing default label": _script(_E3, "desing(E3, Sigma-3, F3)"),
+    "desing unpaired": _script(_COLLAR, "desing(U, A, B)"),
+    "desing unknown mark": _script(_E3, "desing(E3, Sigma-3, Nope)"),
+    "desing label collision": _script(_COLLAR, "desing(E5, Sigma-3, F3, label=F2)"),
+}
+
+
 def script_golden() -> str:
     parts = []
     for name, source in CORPUS.items():
@@ -165,7 +354,9 @@ def script_golden() -> str:
         parts.append(print_script(parse(source)).rstrip("\n"))
         parts.append(f"=== {name} messages")
         parts.extend(run(source).messages)
-    for table, inputs in (("malformed", MALFORMED), ("rule", RULE_SHAPES)):
+    for table, inputs in (
+        ("malformed", MALFORMED), ("rule", RULE_SHAPES), ("message", RULE_MESSAGES)
+    ):
         for name, source in inputs.items():
             result = run(source)
             parts.append(f"=== {table} {name} exit={result.code}")
