@@ -119,9 +119,6 @@ def area(const: RationalLike, eps: RationalLike = 0) -> AreaValue:
     return AreaValue(_frac(const), _frac(eps))
 
 
-ZERO = AreaValue(Fraction(0), Fraction(0))
-
-
 def area_add(x: AreaValue, y: AreaValue) -> AreaValue:
     """Componentwise sum of two areas."""
     return x + y

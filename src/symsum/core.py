@@ -686,12 +686,20 @@ class FourSum(ManifoldExpr):
         return self.evaluated().marks
 
 
-class BlowUp(ManifoldExpr):
+class _Unary(ManifoldExpr):
+    """A node over one child expression, `inner`."""
+
+    SELECTORS = ("inner",)
+
+    def children(self):
+        return (self.inner,)
+
+
+class BlowUp(_Unary):
     """Blow-up at a point, of the given exceptional size.  If `at_mark`
     is set, the point lies on that mark: the mark becomes its proper
     transform (normal number down one, area down by the size)."""
 
-    SELECTORS = ("inner",)
     MARK_REFS = (("at_mark",),)
 
     def __init__(
@@ -710,9 +718,6 @@ class BlowUp(ManifoldExpr):
         set_field(self, "exceptional_label", exceptional_label)
         set_field(self, "pair_exceptional", pair_exceptional)
         self.marks
-
-    def children(self):
-        return (self.inner,)
 
     def introduced_labels(self):
         if self.new_transform_label:
@@ -766,100 +771,100 @@ class BlowUp(ManifoldExpr):
         return _finish_marks(out)
 
 
-def _suffixed(
-    inner: ManifoldExpr, mark_label: str, amount: AreaValue, sign: int, suffix: str
-) -> tuple[SurfaceMark, ...]:
-    m = inner.mark(mark_label)
-    shift = amount.scale(m.normal_number) if sign > 0 else -amount.scale(m.normal_number)
-    new_main = m.replace(
-        label=m.label + suffix,
-        area=m.area + shift,
-        orthogonal_at=(m.orthogonal_at + suffix) if m.orthogonal_at else None,
-    )
-    out = [new_main]
-    for other in inner.marks:
-        if other.label == m.label:
-            continue
-        if other.label == m.orthogonal_at:
-            partner_shift = amount if sign > 0 else -amount
-            out.append(
-                other.replace(
-                    label=other.label + suffix,
-                    area=other.area + partner_shift,
-                    orthogonal_at=new_main.label,
-                )
+class _Collar(_Unary):
+    """An S^1-invariant neighborhood of the mark `mark_label`, of fiber
+    area `amount`, glued in (SIGN +1) or cut out (SIGN -1): the mark's
+    area moves by SIGN * amount * (its normal number), its orthogonal
+    partner's by SIGN * amount, and both take the label suffix SUFFIX."""
+
+    MARK_REFS = (("mark_label",),)
+    SIGN: int
+    SUFFIX: str
+
+    def __init__(self, inner: ManifoldExpr, mark_label: str, amount: AreaValue):
+        # amounts live in the eps lattice so results stay eps-linear
+        if amount.const != 0 or amount.eps_coeff <= 0:
+            raise MarkError(
+                f"thickening/thinning amount must be a positive multiple of eps, "
+                f"got {amount}"
             )
-        else:
-            out.append(other)
-    return _finish_marks(out)
+        self._admit(inner, mark_label, amount)
+        set_field(self, "inner", inner)
+        set_field(self, "mark_label", mark_label)
+        set_field(self, "amount", amount)
+        self.marks
+
+    @staticmethod
+    def _admit(inner: ManifoldExpr, mark_label: str, amount: AreaValue) -> None:
+        """Raise if the collar cannot be taken along the mark."""
+
+    @cached_property
+    def marks(self) -> tuple[SurfaceMark, ...]:
+        m = self.inner.mark(self.mark_label)
+        step = self.amount.scale(self.SIGN)  # the partner's change of area
+        main = m.replace(
+            label=m.label + self.SUFFIX,
+            area=m.area + step.scale(m.normal_number),
+            orthogonal_at=(m.orthogonal_at + self.SUFFIX) if m.orthogonal_at else None,
+        )
+        out = [main]
+        for other in self.inner.marks:
+            if other.label == m.orthogonal_at:
+                out.append(
+                    other.replace(
+                        label=other.label + self.SUFFIX,
+                        area=other.area + step,
+                        orthogonal_at=main.label,
+                    )
+                )
+            elif other.label != m.label:
+                out.append(other)
+        return _finish_marks(out)
 
 
-class Thin(ManifoldExpr):
+class Thin(_Collar):
     """Remove an S^1-invariant neighborhood of the mark, of fiber area
     `amount`: the mark loses amount * (its normal number) of area, its
     orthogonal partner loses `amount`.  Total volume decreases."""
 
-    volume_flag = "decreased"
-    SELECTORS = ("inner",)
-    MARK_REFS = (("mark_label",),)
-
-    def __init__(self, inner: ManifoldExpr, mark_label: str, amount: AreaValue):
-        _check_eps_amount(amount)
-        set_field(self, "inner", inner)
-        set_field(self, "mark_label", mark_label)
-        set_field(self, "amount", amount)
-        self.marks
-
-    def children(self):
-        return (self.inner,)
-
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
-        return _suffixed(self.inner, self.mark_label, self.amount, -1, "-")
+    SIGN, SUFFIX, volume_flag = -1, "-", "decreased"
 
 
-class Thicken(ManifoldExpr):
+class Thicken(_Collar):
     """Glue in an S^1-invariant neighborhood along the mark: the mark
     gains amount * (its normal number) of area, its partner gains
     `amount`.  Total volume increases."""
 
-    volume_flag = "increased"
-    SELECTORS = ("inner",)
-    MARK_REFS = (("mark_label",),)
+    SIGN, SUFFIX, volume_flag = 1, "+", "increased"
 
-    def __init__(self, inner: ManifoldExpr, mark_label: str, amount: AreaValue):
-        _check_eps_amount(amount)
+    @staticmethod
+    def _admit(inner, mark_label, amount):
         m = inner.mark(mark_label)
         if not validate_ruled(m.genus, -m.normal_number, m.area, amount):
             raise AdmissibilityError([Violation("ruled_section_area", m.area, amount)])
-        set_field(self, "inner", inner)
-        set_field(self, "mark_label", mark_label)
-        set_field(self, "amount", amount)
-        self.marks
-
-    def children(self):
-        return (self.inner,)
-
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
-        return _suffixed(self.inner, self.mark_label, self.amount, +1, "+")
 
 
-def _check_eps_amount(amount: AreaValue) -> None:
-    # amounts live in the eps lattice so results stay eps-linear
-    if amount.const != 0 or amount.eps_coeff <= 0:
+def desingularize(s: SurfaceMark, t: SurfaceMark, label: Optional[str] = None) -> SurfaceMark:
+    """The smoothed surface in the class [S]+[T] of two orthogonally
+    paired marks: genus g_S + g_T, normal number i_S + i_T + 2, area the
+    sum."""
+    if s.orthogonal_at != t.label or t.orthogonal_at != s.label:
         raise MarkError(
-            f"thickening/thinning amount must be a positive multiple of eps, "
-            f"got {amount}"
+            f"desingularization needs {s.label} and {t.label} to be "
+            "orthogonally paired"
         )
+    return SurfaceMark(
+        label or f"{s.label}+{t.label}",
+        s.genus + t.genus,
+        s.normal_number + t.normal_number + 2,
+        s.area + t.area,
+    )
 
 
-class Desing(ManifoldExpr):
+class Desing(_Unary):
     """Replace two orthogonally intersecting marks S, T by the smoothed
-    surface in the class [S]+[T]: genus adds, normal numbers add plus
-    two, areas add."""
+    surface in the class [S]+[T] (see `desingularize`)."""
 
-    SELECTORS = ("inner",)
     MARK_REFS = (("mark_s", "mark_t"),)
 
     def __init__(
@@ -870,9 +875,6 @@ class Desing(ManifoldExpr):
         set_field(self, "mark_t", mark_t)
         set_field(self, "label", label)
         self.marks
-
-    def children(self):
-        return (self.inner,)
 
     def introduced_labels(self):
         return (self.result_label,)
@@ -885,17 +887,7 @@ class Desing(ManifoldExpr):
     def marks(self) -> tuple[SurfaceMark, ...]:
         s = self.inner.mark(self.mark_s)
         t = self.inner.mark(self.mark_t)
-        if s.orthogonal_at != t.label:
-            raise MarkError(
-                f"desingularization needs {s.label} and {t.label} to be "
-                "orthogonally paired"
-            )
-        new = SurfaceMark(
-            self.result_label,
-            s.genus + t.genus,
-            s.normal_number + t.normal_number + 2,
-            s.area + t.area,
-        )
+        new = desingularize(s, t, self.result_label)
         rest = [m for m in self.inner.marks if m.label not in (s.label, t.label)]
         return _finish_marks(rest + [new])
 

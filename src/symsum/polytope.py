@@ -51,10 +51,10 @@ def _line(x1, y1, x2, y2, style: str) -> str:
     )
 
 
-def _text(x, y, s: str, size: int = 14) -> str:
+def _text(x, y, s: str) -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
-        f'font-size="{size}">{s}</text>'
+        f'font-size="14">{s}</text>'
     )
 
 

@@ -31,7 +31,7 @@ from .core import (
 )
 from .invariants import InvariantVector, expr_invariants
 from .record import Record
-from .sums import _shift_walk, check_shifts_found, make_ruled_atom
+from .sums import _shift_walk, check_shifts_found
 
 
 class RuleError(SymsumError):
@@ -74,10 +74,10 @@ class Bindings:
             return AreaValue(Fraction(v))
         raise RuleError(f"slot {slot!r} expects an area, got {v!r}")
 
-    def fraction(self, slot: str, default: Optional[Fraction] = None) -> Optional[Fraction]:
+    def fraction(self, slot: str) -> Optional[Fraction]:
         v = self.raw.get(slot)
         if v is None:
-            return default
+            return None
         if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
             return Fraction(v)
         raise RuleError(f"slot {slot!r} expects a rational, got {v!r}")
@@ -249,11 +249,16 @@ def _failed(equation: str) -> RuleError:
     return RuleError(f"side condition failed: {equation}")
 
 
-def _expect_same_marks(new: ManifoldExpr, old: ManifoldExpr, claim: str) -> None:
-    """The side condition that `new` carries exactly the mark data of `old`."""
-    got, want = sorted(m.data for m in new.marks), sorted(m.data for m in old.marks)
+def _expect(got, want, claim: str) -> None:
+    """The side condition `got == want`, which fails as "claim: got vs
+    want"; the values are formatted only once it has failed."""
     if got != want:
         raise _failed(f"{claim}: {got} vs {want}")
+
+
+def _expect_same_marks(new: ManifoldExpr, old: ManifoldExpr, claim: str) -> None:
+    """The side condition that `new` carries exactly the mark data of `old`."""
+    _expect(sorted(m.data for m in new.marks), sorted(m.data for m in old.marks), claim)
 
 
 def _halves(ps: PairSum) -> list[tuple[ManifoldExpr, str]]:
@@ -273,18 +278,6 @@ def _partner_label(e: ManifoldExpr, label: str) -> str:
     if m.orthogonal_at is None:
         raise RuleError(f"mark {label!r} has no orthogonal partner")
     return m.orthogonal_at
-
-
-def _neutral_w(g, fiber, glue_idx, glue_area, twin_idx, labels, pairs=(), fibers=None):
-    glue_lbl, twin_lbl = labels
-    twin_area = glue_area + fiber.scale(Fraction(twin_idx - glue_idx, 2))
-    return make_ruled_atom(
-        g,
-        fiber,
-        {glue_lbl: (glue_idx, glue_area), twin_lbl: (twin_idx, twin_area)},
-        fibers=fibers,
-        pairs=pairs,
-    )
 
 
 def _require_ruled(node: AtomNode) -> RuledSurface:

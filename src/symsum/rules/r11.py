@@ -4,7 +4,7 @@ results."""
 from fractions import Fraction
 
 from ..core import AtomNode, BlowUp, is_ruled_fiber
-from ..rewrite import WK, RuleError, _failed, _require_ruled, rule
+from ..rewrite import WK, RuleError, _expect, _require_ruled, rule
 from ..sums import make_ruled_atom
 
 
@@ -51,13 +51,10 @@ def _r11(sub, b, rev):
     # sanity: mark identities are preserved up to area deformation
     old = {m.label: m for m in sub.marks}
     for m in new.marks:
-        if m.label == sub.exceptional_label:
-            continue
-        if (m.genus, m.normal_number) != (old[m.label].genus, old[m.label].normal_number):
-            raise _failed(
-                f"mark {m.label} keeps (g, i): ({m.genus}, {m.normal_number}) vs "
-                f"({old[m.label].genus}, {old[m.label].normal_number})"
-            )
+        if m.label != sub.exceptional_label:
+            o = old[m.label]
+            got, want = (m.genus, m.normal_number), (o.genus, o.normal_number)
+            _expect(got, want, f"mark {m.label} keeps (g, i)")
     return new, WK, [
         f"moved the blow-up to the companion ruled surface: sections "
         f"{new_keep_idx}, {new_blown_idx}, blown at {pre_lbl}"

@@ -12,6 +12,7 @@ from ..core import (
     SurfaceMark,
     Thicken,
     Thin,
+    desingularize,
     fourfold_violations,
     label_pool,
 )
@@ -20,6 +21,7 @@ from ..rewrite import (
     EQ,
     WK,
     RuleError,
+    _expect,
     _expect_same_marks,
     _failed,
     _halves,
@@ -27,7 +29,7 @@ from ..rewrite import (
     _partner_label,
     rule,
 )
-from ..sums import make_ruled_atom
+from ..sums import _neutral_w, make_ruled_atom
 
 
 def _fresh(label: str, pool: set[str]) -> str:
@@ -54,17 +56,20 @@ def _extract_assoc_triples(sub: PairSum, rev: bool):
     return (resolved, *summed) if rev else (*summed, resolved)
 
 
-def _joined(a: SurfaceMark, b: SurfaceMark, extra: int = 0) -> tuple:
-    """The (genus, normal number, area) of the mark joining `a` and `b`:
-    their connected sum, or with `extra` = 2 their desingularization."""
-    normal = a.normal_number + b.normal_number + extra
-    return (a.genus + b.genus, normal, a.area + b.area)
+def _joined(a: SurfaceMark, b: SurfaceMark) -> tuple:
+    """The (genus, normal number, area) of the connected sum of `a` and `b`."""
+    return (a.genus + b.genus, a.normal_number + b.normal_number, a.area + b.area)
 
 
 def _perturbed(data: tuple, eps: AreaValue) -> tuple:
     """Mark data after thickening by `eps` (thinning when negative)."""
     genus, normal, a = data
     return (genus, normal, a + eps.scale(normal))
+
+
+# the glued pairs (T, S) of the grand sum, each with the extra self-
+# intersection that the desingularized pair adds: i(T) = -(i(S) + extra)
+_ROWS = (("T1", "S2", 0), ("T2", "S3", 0), ("T3", "S1", 2))
 
 
 def _check_assoc_conditions(t1, t2, t3) -> list[str]:
@@ -74,31 +79,21 @@ def _check_assoc_conditions(t1, t2, t3) -> list[str]:
         "S2": x2.mark(s2l), "T2": x2.mark(t2l),
         "S3": x3.mark(s3l), "T3": x3.mark(t3l),
     }
-    notes = []
-    for a, bb in (("T1", "S2"), ("T2", "S3"), ("T3", "S1")):
-        if marks[a].genus != marks[bb].genus:
-            raise _failed(f"g({a}) = g({bb}): {marks[a].genus} vs {marks[bb].genus}")
-        if marks[a].area != marks[bb].area:
-            raise _failed(f"area({a}) = area({bb}): {marks[a].area} vs {marks[bb].area}")
-    if marks["T1"].normal_number != -marks["S2"].normal_number:
-        raise _failed(
-            f"i(T1) = -i(S2): {marks['T1'].normal_number} vs {marks['S2'].normal_number}"
-        )
-    if marks["T2"].normal_number != -marks["S3"].normal_number:
-        raise _failed(
-            f"i(T2) = -i(S3): {marks['T2'].normal_number} vs {marks['S3'].normal_number}"
-        )
-    if marks["T3"].normal_number != -(marks["S1"].normal_number + 2):
-        raise _failed(
-            f"i(T3) = -(i(S1)+2): {marks['T3'].normal_number} vs "
-            f"-({marks['S1'].normal_number}+2)"
-        )
-    notes.append(
+    for t, s, _ in _ROWS:
+        _expect(marks[t].genus, marks[s].genus, f"g({t}) = g({s})")
+        _expect(marks[t].area, marks[s].area, f"area({t}) = area({s})")
+    for t, s, extra in _ROWS:
+        i_t, i_s = marks[t].normal_number, marks[s].normal_number
+        if i_t != -(i_s + extra):
+            claim, want = (
+                (f"-(i({s})+{extra})", f"-({i_s}+{extra})") if extra else (f"-i({s})", i_s)
+            )
+            raise _failed(f"i({t}) = {claim}: {i_t} vs {want}")
+    return [
         "third area condition area(T3) = area(S1) checked as stated "
         f"({marks['T3'].area}); at the deformation level it is implied by "
         "admissibility, the symplectomorphism-level expansion uses it directly"
-    )
-    return notes
+    ]
 
 
 @rule("R2")
@@ -164,9 +159,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
     except MarkError as exc:
         raise RuleError(f"ruled summand cannot be built: {exc}") from exc
     diff = a_lo - a_hi
-    expected_diff = eps.scale(2 * (1 - k))
-    if diff != expected_diff:
-        raise _failed(f"section area difference 2(1-k)*eps: {diff} vs {expected_diff}")
+    _expect(diff, eps.scale(2 * (1 - k)), "section area difference 2(1-k)*eps")
     notes.append(
         f"ruled summand sections: {w_lo} area {a_lo}, {w_hi} area {a_hi}; "
         f"difference 2(1-k)*eps = {diff} with k={k}"
@@ -179,18 +172,8 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
     f1 = _fresh("Fw", pool)
     lo1 = _fresh("loA", pool)
     hi2 = _fresh("hiB", pool)
-    w1 = make_ruled_atom(
-        g,
-        eps,
-        {c1: (k - 2, a_cut), lo1: (2 - k, a_cut + eps.scale(2 - k))},
-        fibers={f1: c1},
-    )
-    w2 = make_ruled_atom(
-        g,
-        eps,
-        {c2: (2 - k, a_cut), hi2: (k, a_cut + eps.scale(k - 1))},
-        pairs=((c2, hi2),),
-    )
+    w1 = _neutral_w(g, eps, k - 2, a_cut, 2 - k, (c1, lo1), fibers={f1: c1})
+    w2 = _neutral_w(g, eps, 2 - k, a_cut, k, (c2, hi2), pairs=((c2, hi2),))
     halves = PairSum(w1, c1, w2, c2)
     claim = "sum of two half-fiber ruled pieces reproduces the ruled summand"
     _expect_same_marks(halves, x4p, claim)
@@ -224,12 +207,12 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
     own = (inner.mark(inner_mark).data, des.mark(des_label).data)
     if not rev:
         sum12, resolved34 = own
-        resolved41 = _joined(x1.mark(s1l), x1.mark(t1l), 2)
+        resolved41 = desingularize(x1.mark(s1l), x1.mark(t1l)).data
         sum23 = _joined(x2.mark(s2l), x3.mark(t3l))
     else:
         sum23, resolved41 = own
         sum12 = _joined(x1.mark(s1l), x2.mark(t2l))
-        resolved34 = _joined(x3.mark(s3l), x3.mark(t3l), 2)
+        resolved34 = desingularize(x3.mark(s3l), x3.mark(t3l)).data
     groupings = {
         "(1,2)(3,4)": (
             eval_a, ("thinned (S1#T2)", sum12, -eps), ("thickened (S3+T3)", resolved34, eps)
@@ -243,8 +226,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         for half, (what, data, delta) in zip((grouping.left, grouping.right), outer):
             carry = half.mark(half.carry_name)
             want = _perturbed(data, delta)
-            if carry.data != want:
-                raise _failed(f"{what} equals the perturbed carry bitwise: {carry.data} vs {want}")
+            _expect(carry.data, want, f"{what} equals the perturbed carry bitwise")
             carries.append(carry.area)
         hows = "/".join(what.split()[0] for what, _, _ in outer)
         notes.append(

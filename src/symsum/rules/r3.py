@@ -9,12 +9,12 @@ from ..rewrite import (
     WK,
     RuleError,
     _halves,
-    _neutral_w,
     _pair,
     _partner_label,
     _require_ruled,
     rule,
 )
+from ..sums import _neutral_w
 
 
 def _resolve_rule(name: str, w_side: int, glue_default: str, twin_default: str):

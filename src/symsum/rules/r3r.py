@@ -2,7 +2,7 @@
 
 from ..areas import area
 from ..core import AtomNode, Desing, PairSum, Thicken, Thin
-from ..rewrite import EQ, RuleError, _failed, _require_ruled, rule
+from ..rewrite import EQ, RuleError, _expect, _require_ruled, rule
 from ..sums import make_ruled_atom
 
 
@@ -34,11 +34,8 @@ def _r3r(sub, b, rev):
         carry_lbl = b.label("carry", des.result_label + "+")
         new = PairSum(w, glue_lbl, core_x, des.mark_s + "-+", carry_label=carry_lbl)
         got = new.mark(carry_lbl)
-        if got.data != resolved.data:
-            raise _failed(
-                f"carried mark equals the thickened resolved mark bitwise: "
-                f"{got.data} vs {resolved.data}"
-            )
+        claim = "carried mark equals the thickened resolved mark bitwise"
+        _expect(got.data, resolved.data, claim)
         return new, EQ, [
             f"exact resolution: section areas {s.area + eps.scale(k + 1)} and "
             f"{t.area + eps.scale(3 - k)}, carried mark {got.area}"

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from ..areas import area
 from ..core import AtomNode, BlowUp, PairSum, RuledSurface, is_ruled_fiber
-from ..rewrite import WK, RuleError, _halves, _neutral_w, rule
+from ..rewrite import WK, RuleError, _halves, rule
+from ..sums import _neutral_w
 
 
 @rule("R4")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..areas import area
 from ..core import BlowUp, PairSum, SurfaceMark
-from ..rewrite import WK, RuleError, _failed, _halves, _pair, rule
+from ..rewrite import WK, RuleError, _expect, _failed, _halves, _pair, rule
 from ..sums import apply_shifts
 
 
@@ -39,8 +39,7 @@ def _r5(sub, b, rev):
         )
     y, sp_lbl = blow.inner, blow.at_mark
     s, sp = x.mark(s_lbl), y.mark(sp_lbl)
-    if s.genus != sp.genus:
-        raise _failed(f"g({s_lbl}) = g({sp_lbl}): {s.genus} vs {sp.genus}")
+    _expect(s.genus, sp.genus, f"g({s_lbl}) = g({sp_lbl})")
     if s.normal_number != -sp.normal_number + 1:
         raise _failed(
             f"i({s_lbl}) = -i({sp_lbl})+1: {s.normal_number} vs "

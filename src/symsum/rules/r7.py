@@ -13,7 +13,8 @@ from ..core import (
     SurfaceMark,
     rename,
 )
-from ..rewrite import EQ, WK, RuleError, _failed, rule
+from ..rewrite import EQ, WK, RuleError, _expect, rule
+from ..sums import blow_down
 
 
 @rule("R7")
@@ -42,11 +43,10 @@ def _r7(sub, b, rev):
             if blow.at_mark is not None and blow.pair_exceptional:
                 restored = sub.mark(sub.carry_name)
                 original = blow.inner.mark(blow.at_mark)
-                if restored.data != original.data:
-                    raise _failed(
-                        f"carried transform#line equals the original mark bitwise: "
-                        f"{restored.data} vs {original.data}"
-                    )
+                _expect(
+                    restored.data, original.data,
+                    "carried transform#line equals the original mark bitwise",
+                )
             return blow.inner, EQ, ["blow-down undoes the blow-up exactly"]
         if isinstance(sub.left, AtomNode):
             return _r7_fold_atom(sub, b, ex)
@@ -63,18 +63,8 @@ def _r7(sub, b, rev):
     tl = b.label("transform")
     pair_ex = bool(b.integer("pair_exceptional", 0))
     blown = BlowUp(sub, at, size, tl, el, pair_ex)
-    l1 = b.label("line1", "L1")
-    l2 = b.label("line2", "L2")
-    plane = AtomNode(
-        Atom(
-            ProjectivePlane(),
-            (
-                SurfaceMark(l1, 0, 1, size, l2),
-                SurfaceMark(l2, 0, 1, size, l1),
-            ),
-        )
-    )
-    new = PairSum(blown, el, plane, l1, carry_label=b.label("carry"))
+    lines = (b.label("line1", "L1"), b.label("line2", "L2"))
+    new = blow_down(blown, el, lines, carry_label=b.label("carry"))
     return new, EQ, ["expressed a blow-up/blow-down pair as a plane sum"]
 
 

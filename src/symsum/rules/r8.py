@@ -2,7 +2,7 @@
 thickening the other."""
 
 from ..core import PairSum, Thicken, Thin
-from ..rewrite import EQ, RuleError, _failed, rule
+from ..rewrite import EQ, RuleError, _expect, rule
 
 
 @rule("R8")
@@ -26,11 +26,7 @@ def _r8(sub, b, rev):
         if all(sub.partners):
             old_carry = sub.mark(sub.carry_name)
             new_carry = new.mark(new.carry_name)
-            if old_carry.data != new_carry.data:
-                raise _failed(
-                    f"carried mark survives the trade bitwise: {new_carry.data} "
-                    f"vs {old_carry.data}"
-                )
+            _expect(new_carry.data, old_carry.data, "carried mark survives the trade bitwise")
         return new, EQ, [
             f"traded a collar of size {eps} across the gluing "
             f"({sub.left_mark} thinned, {sub.right_mark} thickened)"

@@ -211,6 +211,36 @@ class OpExpr(Syntax):
                 return False
         return True
 
+    def __repr__(self) -> str:
+        """The record repr, written from an explicit stack of pieces, each
+        a text and then a value, so that nesting costs no Python frames:
+        an OpExpr, a dict or a tuple value pushes its own pieces, and any
+        other value writes its repr."""
+        out, stack = [], [("", self)]
+        while stack:
+            text, x = stack.pop()
+            out.append(text)
+            cls = x.__class__
+            if cls is OpExpr:
+                pieces = [(f"OpExpr(cls={x.cls!r}, args=", x.args), (")", _NO_VALUE)]
+            elif cls is dict:
+                pieces = [
+                    (f"{', ' if i else '{'}{k!r}: ", v) for i, (k, v) in enumerate(x.items())
+                ]
+                pieces.append(("}" if x else "{}", _NO_VALUE))
+            elif cls is tuple:
+                pieces = [(", " if i else "(", v) for i, v in enumerate(x)]
+                pieces.append(("()" if not x else ",)" if len(x) == 1 else ")", _NO_VALUE))
+            else:
+                if x is not _NO_VALUE:
+                    out.append(repr(x))
+                continue
+            stack.extend(reversed(pieces))
+        return "".join(out)
+
+
+_NO_VALUE = object()  # the value of a repr piece that is only text
+
 
 ExprNode = Union[RefExpr, AtomExpr, OpExpr]
 
@@ -536,18 +566,11 @@ class _Parser:
         if t.kind == "str":
             return ("str", self.next().value)
         if t.kind == "num" or t.kind == "-":
-            save = self.i
-            const = self.parse_fraction()
-            nxt = self.peek()
-            if nxt.kind in "+-" and self.peek(1).kind == "num":
-                after = self.peek(2)
-                if after.kind == "name" and after.value in ("e", "eps"):
-                    self.i = save
-                    return ("area", self.parse_area())
-            if nxt.kind == "name" and nxt.value in ("e", "eps"):
-                self.next()
-                return ("area", AreaValue(Fraction(0), const))
-            return ("num", const)
+            value = self.parse_area()
+            # an area ends in its `e` or `eps`, a plain number in a number
+            if self.toks[self.i - 1].kind == "name":
+                return ("area", value)
+            return ("num", value.const)
         name = self.expect("name", "slot value").value
         while self.accept("."):
             name += "." + self.expect("name").value

@@ -29,13 +29,14 @@ from .core import (
     Thicken,
     Thin,
     Violation,
+    desingularize,
     fourfold_violations,
     is_ruled_fiber,
     pairwise_violations,
 )
 
-# the admissibility checks live with the mark types; re-exported here as
-# the public operation names
+# the admissibility checks and `desingularize` live with the mark types;
+# re-exported here as the public operation names
 check_pairwise_admissible = pairwise_violations
 check_fourfold_admissible = fourfold_violations
 
@@ -77,19 +78,6 @@ def fourfold_sum(
     gluings: tuple[GluingChoice, ...] = (STD_GLUE,) * 4,
 ) -> FourSum:
     return FourSum(tuple(quad), tuple(gluings))
-
-
-def desingularize(s: SurfaceMark, t: SurfaceMark, label: Optional[str] = None) -> SurfaceMark:
-    """The smoothed surface in the class [S]+[T]: genus g_S + g_T, normal
-    number i_S + i_T + 2, area the sum."""
-    if s.orthogonal_at != t.label or t.orthogonal_at != s.label:
-        raise MarkError(f"marks {s.label}, {t.label} are not orthogonally paired")
-    return SurfaceMark(
-        label or f"{s.label}+{t.label}",
-        s.genus + t.genus,
-        s.normal_number + t.normal_number + 2,
-        s.area + t.area,
-    )
 
 
 def blow_up(
@@ -155,13 +143,11 @@ def make_ruled_atom(
     sections: dict[str, tuple[int, AreaValue]],
     fibers: dict[str, Optional[str]] | None = None,
     pairs: tuple[tuple[str, str], ...] = (),
-    twist: Optional[int] = None,
 ) -> AtomNode:
-    """Ruled-surface atom with the given sections {label: (k, area)} and
-    fiber marks {label: partner-or-None}; `pairs` orthogonally pairs two
-    sections."""
-    if twist is None:
-        twist = min_twist(*(k for k, _ in sections.values()))
+    """Ruled-surface atom of the least twist with the given sections
+    {label: (k, area)} and fiber marks {label: partner-or-None}; `pairs`
+    orthogonally pairs two sections."""
+    twist = min_twist(*(k for k, _ in sections.values()))
     paired: dict[str, str] = {}
     for a, b in pairs:
         paired[a], paired[b] = b, a
@@ -186,16 +172,25 @@ def thicken_as_w_sum(node: Thicken, labels: tuple[str, str, str] = ("Gk", "G-k",
     m = node.inner.mark(node.mark_label)
     k = -m.normal_number
     glue_label, twin_label, fiber_label = labels
-    w = make_ruled_atom(
-        m.genus,
-        node.amount,
-        {
-            glue_label: (k, m.area),
-            twin_label: (-k, m.area - node.amount.scale(k)),
-        },
+    w = _neutral_w(
+        m.genus, node.amount, k, m.area, -k, (glue_label, twin_label),
         fibers={fiber_label: glue_label},
     )
     return PairSum(node.inner, node.mark_label, w, glue_label)
+
+
+def _neutral_w(g, fiber, glue_idx, glue_area, twin_idx, labels, pairs=(), fibers=None):
+    """The ruled atom with the given fiber area and two sections, the
+    glued one and its twin, whose area follows from their indices."""
+    glue_lbl, twin_lbl = labels
+    twin_area = glue_area + fiber.scale(Fraction(twin_idx - glue_idx, 2))
+    return make_ruled_atom(
+        g,
+        fiber,
+        {glue_lbl: (glue_idx, glue_area), twin_lbl: (twin_idx, twin_area)},
+        fibers=fibers,
+        pairs=pairs,
+    )
 
 
 def rescale(e: ManifoldExpr, factor: Fraction) -> ManifoldExpr:
@@ -358,16 +353,12 @@ def split_ruled(
             [Violation("area", plus.area, mid_area + half.scale(k))]
         )
     cut1, cut2 = cut_labels
-    piece1 = make_ruled_atom(
-        kind.genus,
-        half,
-        {minus_label: (-k, minus.area), cut1: (k, mid_area)},
+    piece1 = _neutral_w(
+        kind.genus, half, -k, minus.area, k, (minus_label, cut1),
         fibers={m.label + "^1": cut1 for m in extra},
     )
-    piece2 = make_ruled_atom(
-        kind.genus,
-        half,
-        {cut2: (-k, mid_area), plus_label: (k, plus.area)},
+    piece2 = _neutral_w(
+        kind.genus, half, -k, mid_area, k, (cut2, plus_label),
         fibers={m.label + "^2": cut2 for m in extra},
     )
     carry = None

@@ -1,0 +1,103 @@
+"""A bytes-level fuzz of `symsum check`: corpus files with bytes deleted,
+inserted, replaced or cut off, and files at the edges of reading text
+(invalid UTF-8, NUL, a byte-order mark, CRLF and CR-only line ends, an
+empty file, a truncated one, a directory), fed to `cli.main`.
+
+Whatever the file holds, `main` must return an exit code of the contract
+(0 verified, 1 proof failure, 2 parse, resolution or file error) with no
+exception escaping, and an exit 2 must say why in exactly one line of
+standard error.
+"""
+
+import os
+import random
+
+import pytest
+
+from symsum.cli import main
+from symsum.demos import CORPUS
+
+MUTATIONS = 1500
+SEED = 20261019
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """`data` with one to three random byte edits."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(data) + 1)
+        op = rng.choice(("delete", "insert", "replace", "truncate"))
+        if op == "delete":
+            del data[at : at + rng.randint(1, 4)]
+        elif op == "insert":
+            data[at:at] = bytes(rng.randrange(256) for _ in range(rng.randint(1, 3)))
+        elif op == "replace" and at < len(data):
+            data[at] = rng.randrange(256)
+        elif op == "truncate":
+            del data[at:]
+    return bytes(data)
+
+
+def _check(path, capsys) -> tuple[int, str]:
+    code = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), code
+    if code == 2:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    return code, err
+
+
+def test_byte_mutations_of_the_corpus_keep_the_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(SEED)
+    sources = [text.encode("utf-8") for _, text in sorted(CORPUS.items())]
+    path = tmp_path / "mutant.ssum"
+    codes = {0: 0, 1: 0, 2: 0}
+    for n in range(MUTATIONS):
+        path.write_bytes(mutate(sources[n % len(sources)], rng))
+        code, _ = _check(path, capsys)
+        codes[code] += 1
+    assert all(codes.values()), codes  # the mutants reach every outcome
+
+
+GOOD = CORPUS["resolve"].encode("utf-8")
+
+# each file at an edge of reading text, with the exit code it must give
+EDGE_FILES = {
+    "invalid utf-8": (b"\xff\xfe" + GOOD, 2),
+    "lone continuation byte": (GOOD.replace(b"lhs", b"lhs \x80", 1), 2),
+    "nul": (GOOD.replace(b"lhs", b"lhs \x00", 1), 2),
+    "byte-order mark": (b"\xef\xbb\xbf" + GOOD, 2),
+    "crlf": (GOOD.replace(b"\n", b"\r\n"), 0),
+    "cr only": (GOOD.replace(b"\n", b"\r"), 0),
+    "empty": (b"", 2),
+    "truncated": (GOOD[: len(GOOD) // 2], 2),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_FILES)
+def test_edge_files(name, tmp_path, capsys):
+    data, expected = EDGE_FILES[name]
+    path = tmp_path / "edge.ssum"
+    path.write_bytes(data)
+    code, err = _check(path, capsys)
+    assert code == expected, err
+
+
+def test_a_directory_is_a_file_error(tmp_path, capsys):
+    code, err = _check(tmp_path, capsys)
+    assert code == 2 and err.startswith("file error: ")
+
+
+@pytest.mark.skipif(
+    os.name != "posix" or os.geteuid() == 0,
+    reason="root reads a file whatever its mode, so the file stays readable",
+)
+def test_an_unreadable_file_is_a_file_error(tmp_path, capsys):
+    path = tmp_path / "locked.ssum"
+    path.write_bytes(GOOD)
+    path.chmod(0)
+    try:
+        code, err = _check(path, capsys)
+    finally:
+        path.chmod(0o600)
+    assert code == 2 and err.startswith("file error: ")

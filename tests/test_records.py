@@ -30,6 +30,7 @@ from symsum.core import (
     RationalSurface,
     RuledSurface,
     SurfaceMark,
+    Thicken,
     Thin,
     Violation,
 )
@@ -45,10 +46,14 @@ from symsum.script import (
     Pos,
     RefExpr,
     ScriptAst,
+    ScriptError,
     StepNode,
     TripleDecl,
     parse,
 )
+from symsum.record import Record
+from test_memo import chain_script
+from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
 
 S = SurfaceMark("S", 0, -1, area(1), "T")
 T = SurfaceMark("T", 1, 0, area("1/2", -3), "S")
@@ -211,6 +216,91 @@ def test_fields_are_the_init_parameters():
     assert [name for name, _ in RefExpr.FIELDS] == ["name", "pos"]
 
 
+def _collars():
+    x = AtomNode(Atom(RationalSurface(0), (S.replace(normal_number=1), T)))
+    return Thin(x, "S", area(0, 1)), Thicken(x, "S", area(0, 1))
+
+
+def test_thin_and_thicken_are_two_classes_on_one_base():
+    """The two collars share their fields and code but are different
+    node types, which compare unequal and hash differently."""
+    thin, thick = _collars()
+    assert thin != thick and thick != thin
+    assert hash(thin) != hash(thick)
+    assert thin == Thin(thin.inner, "S", area(0, 1)) and hash(thin) == hash(_collars()[0])
+    fields = (("inner", "ManifoldExpr"), ("mark_label", "str"), ("amount", "AreaValue"))
+    for node, flag, suffix in ((thin, "decreased", "-"), (thick, "increased", "+")):
+        name = type(node).__name__
+        assert type(node).FIELDS == fields and type(node).DEFAULTS == {}
+        assert node.volume_flag == flag
+        assert node.mark_labels == ("S" + suffix, "T" + suffix)
+        assert repr(node) == (
+            f"{name}(inner={node.inner!r}, mark_label='S', amount={EPS})"
+        )
+        assert node.replace(amount=area(0, 2)).amount == area(0, 2)
+        assert type(node.replace()) is type(node)
+
+
+def test_tracer_counts_each_collar_node_once():
+    """perfbench's tracer counts node constructors by class name; the two
+    collars share their `__init__`, and each construction counts once."""
+    root = str(pathlib.Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.tracer import Tracer
+
+    import symsum.invariants  # noqa: F401  (the tracer wraps its walks)
+    import symsum.sums  # noqa: F401
+
+    thin, thick = _collars()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        Thin(thin.inner, "S", area(0, 1))
+        Thicken(thick.inner, "S", area(0, 1))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["core.nodes_created"] == 2
+    _collars()
+    assert tracer.counts["core.nodes_created"] == 2
+
+
+def _asts():
+    """The AST of every corpus and golden script that parses, and of one
+    with a gluing option."""
+    glued = "lhs sum(A, F, B, F, glue = twist) rhs A target ="
+    for source in [*CORPUS.values(), *MALFORMED.values(), *RULE_SHAPES.values(),
+                   *RULE_MESSAGES.values(), glued]:
+        try:
+            yield parse(source)
+        except ScriptError:
+            pass
+
+
+def test_op_expr_repr_is_the_record_repr(monkeypatch):
+    """OpExpr's repr, written from a stack, prints the bytes of the
+    recursive record repr: options, pairs and FourSum's entries too."""
+    asts = list(_asts())
+    iterative = [repr(ast) for ast in asts]
+    monkeypatch.setattr(OpExpr, "__repr__", Record.__repr__)
+    assert iterative == [repr(ast) for ast in asts]
+    for option in ("FourSum", "'pairs': ((", "'gluing': GluingChoice", "'pair_exceptional'"):
+        assert any(option in text for text in iterative), option
+
+
+def test_op_expr_repr_of_a_deep_tree():
+    lhs = parse(chain_script(2000, 2)).lhs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default, at which the record repr fails
+    try:
+        text = repr(lhs)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("OpExpr(cls=<class 'symsum.core.PairSum'>") == 1999
+    assert text.startswith("OpExpr(cls=<class 'symsum.core.PairSum'>, args={'left': OpExpr(")
+    assert text.endswith("'right': RefExpr(name='W2000'), 'right_mark': 'A2000'})")
+
+
 # what `import symsum.cli` loads of symsum: the checker, `symsum.sums`
 # among it, and no rule module
 CHECKER = {
@@ -277,7 +367,6 @@ def test_side_conditions_that_hold_format_nothing(monkeypatch):
     """A side condition formats its failure message, which may hold mark
     data and area reprs, only once it has failed."""
     from symsum.demos import VERIFYING
-    from symsum.record import Record
     from symsum.script import run
 
     calls = []

@@ -13,6 +13,7 @@ from test_memo import chain_script
 from traces import corpus_traces, script_golden, token_golden
 
 from symsum import script
+from symsum.areas import area
 from symsum.core import (
     Atom,
     AtomNode,
@@ -388,6 +389,28 @@ def test_zero_eps_area_slot_round_trips():
     assert parse(printed) == ast
     assert run(printed).messages == run(src).messages
     assert run(src).code == 1
+
+
+
+@pytest.mark.parametrize(
+    "literal, slot",
+    [
+        ("3", ("num", Fraction(3))),
+        ("-3/4", ("num", Fraction(-3, 4))),
+        ("2 + 1", ("num", Fraction(2))),
+        ("0+1e", ("area", area(0, 1))),
+        ("1 - 2/3 eps", ("area", area(1, Fraction(-2, 3)))),
+        ("-1/2e", ("area", area(0, Fraction(-1, 2)))),
+        ("5/4-3e", ("area", area(Fraction(5, 4), -3))),
+    ],
+)
+def test_slot_value_is_an_area_exactly_when_it_ends_in_eps(literal, slot):
+    """A slot reads its number as an area, and keeps it as a plain number
+    unless its last token is `e` or `eps`."""
+    parser = _Parser(literal)
+    tag, value = parser.parse_slot_value()
+    assert (tag, value) == slot and type(value) is type(slot[1])
+    assert parser.peek().kind == ("+" if literal == "2 + 1" else "eof")
 
 
 _DECLS = (
