@@ -379,6 +379,49 @@ def test_number_is_the_fraction_of_its_text(num, den):
     assert _Parser.number(tok) == expected
 
 
+_BIG = "123456789012345678901234567890"
+
+
+def test_number_literals_read_and_print_back_exactly():
+    """Integer slots read `4/2`, `6/3` and `-0` as the integers they are,
+    and areas keep `-0`, `0/5+1e` and a 30-digit constant exactly."""
+    src = (
+        f"atom A E(6/3) {{ F: g=4/2, i=-0, a=-0; G: g=1, i=0, a=0/5+1e;\n"
+        f"  H: g=1, i=0, a={_BIG}-{_BIG}/11e }}\nlhs A\nrhs A\ntarget =\n"
+    )
+    decl = parse(src).decls[0]
+    assert decl.kind.n == 2 and type(decl.kind.n) is int
+    (f, g, h) = decl.marks
+    assert (f.genus, f.normal_number) == (2, 0)
+    assert all(type(v) is int for m in decl.marks for v in (m.genus, m.normal_number))
+    big = int(_BIG)
+    assert (f.area, g.area, h.area) == (area(0), area(0, 1), area(big, Fraction(-big, 11)))
+    assert repr(h.area) == (
+        f"AreaValue(const=Fraction({_BIG}, 1), eps_coeff=Fraction(-{_BIG}, 11))"
+    )
+    printed = print_script(parse(src))
+    assert printed.splitlines()[:2] == [
+        "atom A E(2) { F: g=2, i=0, a=0; G: g=1, i=0, a=0+1e; "
+        f"H: g=1, i=0, a={_BIG}-{_BIG}/11e }}",
+        "lhs A",
+    ]
+    assert parse(printed) == parse(src)
+
+
+@pytest.mark.parametrize(
+    "mark, literal, message",
+    [
+        ("g=3/2, i=0, a=1", "3/2", "'3/2' is not an integer"),
+        ("g=1, i=0, a=1/0", "1/0", "zero denominator in '1/0'"),
+        ("g=1, i=0/0, a=1", "0/0", "zero denominator in '0/0'"),
+    ],
+)
+def test_number_literal_errors(mark, literal, message):
+    src = f"atom A E(1) {{ F: {mark} }}\nlhs A\nrhs A\ntarget =\n"
+    r = run(src)
+    assert (r.code, r.messages) == (2, [f"{_error_at(src, literal)} {message}"])
+
+
 def test_zero_eps_area_slot_round_trips():
     """`1+0e` is an area and `1` a number, which a rule may tell apart: R1
     takes its rotation as a number only."""
