@@ -5,13 +5,16 @@ thinning amounts.  Every statement made with it must hold "for all
 sufficiently small eps", which forces the lexicographic order: the
 rational constant part decides first, the eps coefficient breaks ties.
 Both coefficients are exact rationals; no floating point is used
-anywhere in the calculus.
+anywhere in the calculus.  An area is held as three ints, (c + e*eps)/d
+with d > 0 and gcd(c, e, d) = 1, so its arithmetic and order are
+integer operations.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .record import Frozen, set_field
@@ -23,88 +26,139 @@ class AreaError(ValueError):
     """Malformed or out-of-range area value."""
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x: RationalLike) -> Union[int, Fraction]:
+    """`x` as an exact rational: an int or a Fraction, both of which have
+    `numerator` and `denominator`."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
         return Fraction(x)
     raise AreaError(f"not a rational coefficient: {x!r}")
+
+
+def _new(c: int, e: int, d: int) -> "AreaValue":
+    value = object.__new__(AreaValue)
+    value.__post_init__(c, e, d)
+    return value
 
 
 class AreaValue(Frozen):
     """const + eps_coeff * eps, ordered lexicographically."""
 
     def __init__(self, const: Fraction, eps_coeff: Fraction = Fraction(0)):
-        self.__post_init__(const, eps_coeff)
+        c, e = _frac(const), _frac(eps_coeff)
+        cd, ed = c.denominator, e.denominator
+        d = cd if cd == ed else cd * ed // gcd(cd, ed)
+        self.__post_init__(c.numerator * (d // cd), e.numerator * (d // ed), d)
 
-    def __post_init__(self, const, eps_coeff):
+    def __post_init__(self, c: int, e: int, d: int):
         # every AreaValue passes here once (perfbench's tracer counts them)
-        set_field(self, "const", _frac(const))
-        set_field(self, "eps_coeff", _frac(eps_coeff))
+        if d != 1:
+            g = gcd(c, e, d)
+            if g != 1:
+                c, e, d = c // g, e // g, d // g
+        set_field(self, "_c", c)
+        set_field(self, "_e", e)
+        set_field(self, "_d", d)
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self._c, self._d)
+
+    @property
+    def eps_coeff(self) -> Fraction:
+        return Fraction(self._e, self._d)
+
+    def __eq__(self, other):
+        if other.__class__ is AreaValue:
+            return self._c == other._c and self._e == other._e and self._d == other._d
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._c, self._e, self._d))
 
     # -- arithmetic -------------------------------------------------
 
     def __add__(self, other: "AreaValue") -> "AreaValue":
-        return AreaValue(self.const + other.const, self.eps_coeff + other.eps_coeff)
+        d, od = self._d, other._d
+        if d == od:
+            return _new(self._c + other._c, self._e + other._e, d)
+        return _new(self._c * od + other._c * d, self._e * od + other._e * d, d * od)
 
     def __sub__(self, other: "AreaValue") -> "AreaValue":
-        return AreaValue(self.const - other.const, self.eps_coeff - other.eps_coeff)
+        d, od = self._d, other._d
+        if d == od:
+            return _new(self._c - other._c, self._e - other._e, d)
+        return _new(self._c * od - other._c * d, self._e * od - other._e * d, d * od)
 
     def __neg__(self) -> "AreaValue":
-        return AreaValue(-self.const, -self.eps_coeff)
+        return _new(-self._c, -self._e, self._d)
 
     def scale(self, factor: RationalLike) -> "AreaValue":
         f = _frac(factor)
-        return AreaValue(self.const * f, self.eps_coeff * f)
+        p = f.numerator
+        return _new(self._c * p, self._e * p, self._d * f.denominator)
 
     # -- order ------------------------------------------------------
 
-    def _key(self):
-        return (self.const, self.eps_coeff)
+    def _cross(self, other: "AreaValue"):
+        """Both areas over the common denominator self._d * other._d."""
+        d, od = self._d, other._d
+        return (self._c * od, self._e * od), (other._c * d, other._e * d)
 
     def __lt__(self, other: "AreaValue") -> bool:
-        return self._key() < other._key()
+        x, y = self._cross(other)
+        return x < y
 
     def __le__(self, other: "AreaValue") -> bool:
-        return self._key() <= other._key()
+        x, y = self._cross(other)
+        return x <= y
 
     def __gt__(self, other: "AreaValue") -> bool:
-        return self._key() > other._key()
+        x, y = self._cross(other)
+        return x > y
 
     def __ge__(self, other: "AreaValue") -> bool:
-        return self._key() >= other._key()
+        x, y = self._cross(other)
+        return x >= y
 
     @property
     def is_positive(self) -> bool:
-        return self._key() > (0, 0)
+        return self._c > 0 or self._c == 0 and self._e > 0
 
     # -- text forms -------------------------------------------------
 
+    def _parts(self):
+        if self._d == 1:
+            return self._c, self._e
+        return self.const, self.eps_coeff
+
     def __str__(self) -> str:
         # canonical long form, always two components
-        if self.eps_coeff < 0:
-            return f"{self.const} - {-self.eps_coeff}*eps"
-        return f"{self.const} + {self.eps_coeff}*eps"
+        const, eps = self._parts()
+        if eps < 0:
+            return f"{const} - {-eps}*eps"
+        return f"{const} + {eps}*eps"
 
     def compact(self) -> str:
         """Short form used in atom and script serializations, e.g. ``1+2e``."""
-        if self.eps_coeff == 0:
-            return f"{self.const}"
-        sign = "+" if self.eps_coeff >= 0 else "-"
-        return f"{self.const}{sign}{abs(self.eps_coeff)}e"
+        const, eps = self._parts()
+        if eps == 0:
+            return f"{const}"
+        sign = "+" if eps >= 0 else "-"
+        return f"{const}{sign}{abs(eps)}e"
 
     @classmethod
     def parse(cls, text: str) -> "AreaValue":
         m = _AREA_RE.match(text.strip())
-        if not m:
-            raise AreaError(f"cannot parse area value: {text!r}")
-        const = Fraction(m.group("const"))
-        if m.group("eps") is None:
-            return cls(const, Fraction(0))
-        eps = Fraction(m.group("eps"))
-        if m.group("sign") == "-":
-            eps = -eps
-        return cls(const, eps)
+        if m:
+            try:
+                const, eps = Fraction(m["const"]), Fraction(m["eps"] or 0)
+            except ZeroDivisionError:
+                pass
+            else:
+                return cls(const, -eps if m["sign"] == "-" else eps)
+        raise AreaError(f"cannot parse area value: {text!r}")
 
 
 _RAT = r"-?\d+(?:/\d+)?"
@@ -116,7 +170,7 @@ _AREA_RE = re.compile(
 
 def area(const: RationalLike, eps: RationalLike = 0) -> AreaValue:
     """Convenience constructor."""
-    return AreaValue(_frac(const), _frac(eps))
+    return AreaValue(const, eps)
 
 
 def area_add(x: AreaValue, y: AreaValue) -> AreaValue:

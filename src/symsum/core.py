@@ -15,6 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
+from math import isqrt
 from typing import Optional, Union
 
 from .areas import AreaValue
@@ -192,9 +193,7 @@ def validate_ruled(
 
 
 def _cp2_degree(m: SurfaceMark) -> int:
-    d = 1
-    while d * d < m.normal_number:
-        d += 1
+    d = isqrt(max(m.normal_number, 1))
     if d * d != m.normal_number or m.genus != (d - 1) * (d - 2) // 2:
         raise MarkError(
             f"mark {m.label}: not a degree-d curve shadow "

@@ -71,7 +71,7 @@ class Bindings:
         if isinstance(v, AreaValue):
             return v
         if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            return AreaValue(Fraction(v))
+            return AreaValue(v)
         raise RuleError(f"slot {slot!r} expects an area, got {v!r}")
 
     def fraction(self, slot: str) -> Optional[Fraction]:

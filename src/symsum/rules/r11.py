@@ -37,6 +37,8 @@ def _r11(sub, b, rev):
         Fraction(new_keep_idx - new_blown_idx, 2)
     )
     pre_lbl = b.label("pre", other.label + "^pre")
+    if pre_lbl == sub.new_transform_label:
+        raise RuleError(f"R11 expects a pre label other than the transform {pre_lbl}")
     w_new = make_ruled_atom(
         kind.genus,
         new_fiber,
@@ -48,13 +50,14 @@ def _r11(sub, b, rev):
     new = BlowUp(
         w_new, pre_lbl, new_size, other.label, sub.exceptional_label
     )
-    # sanity: mark identities are preserved up to area deformation
-    old = {m.label: m for m in sub.marks}
-    for m in new.marks:
-        if m.label != sub.exceptional_label:
-            o = old[m.label]
-            got, want = (m.genus, m.normal_number), (o.genus, o.normal_number)
-            _expect(got, want, f"mark {m.label} keeps (g, i)")
+    # sanity: every old mark but the exceptional curve is still there,
+    # with its (g, i); only the areas deform
+    new_marks = {m.label: m for m in new.marks}
+    for o in sub.marks:
+        if o.label != sub.exceptional_label:
+            m = new_marks.get(o.label)
+            got = None if m is None else (m.genus, m.normal_number)
+            _expect(got, (o.genus, o.normal_number), f"mark {o.label} keeps (g, i)")
     return new, WK, [
         f"moved the blow-up to the companion ruled surface: sections "
         f"{new_keep_idx}, {new_blown_idx}, blown at {pre_lbl}"

@@ -327,16 +327,16 @@ class _Parser:
     # -- numbers and areas -------------------------------------------
 
     @staticmethod
-    def number(t: Token) -> Fraction:
-        """The value of a `num` token, `p` or `p/q`."""
+    def number(t: Token) -> Union[int, Fraction]:
+        """The value of a `num` token: an int for `p`, a Fraction for `p/q`."""
         num, _, den = t.value.partition("/")
         if not den:
-            return Fraction(int(num))
+            return int(num)
         if not int(den):
             raise ScriptError(f"zero denominator in {t.value!r}", t.line, t.col)
         return Fraction(int(num), int(den))
 
-    def parse_fraction(self) -> Fraction:
+    def parse_fraction(self) -> Union[int, Fraction]:
         neg = bool(self.accept("-"))
         f = self.number(self.expect("num", "number"))
         return -f if neg else f
@@ -349,7 +349,8 @@ class _Parser:
         f = self.number(t)
         if f.denominator != 1:
             raise ScriptError(f"{t.value!r} is not an integer", t.line, t.col)
-        return -int(f) if neg else int(f)
+        f = f.numerator
+        return -f if neg else f
 
     def parse_area(self) -> AreaValue:
         const = self.parse_fraction()
@@ -364,8 +365,8 @@ class _Parser:
         if t.kind == "name" and t.value in ("e", "eps"):
             # pure-eps form like "1e" after a bare number
             self.next()
-            return AreaValue(Fraction(0), const)
-        return AreaValue(const, Fraction(0))
+            return AreaValue(0, const)
+        return AreaValue(const, 0)
 
     # -- declarations ------------------------------------------------
 

@@ -1,12 +1,16 @@
 """Exact eps-linear area arithmetic and its order."""
 
+import pathlib
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from strategies import area_values
-from symsum.areas import AreaValue, area, area_add, area_less
+from symsum.areas import AreaError, AreaValue, area, area_add, area_less
 
 o = area
 
@@ -91,3 +95,103 @@ def test_parse_examples(text, expected):
 def test_parse_garbage():
     with pytest.raises(ValueError):
         AreaValue.parse("three eps")
+
+
+@pytest.mark.parametrize("text", ["1/0", "1+1/0e", "0/0", "1-2/00eps"])
+def test_parse_zero_denominator_is_an_area_error(text):
+    with pytest.raises(AreaError, match="cannot parse area value: "):
+        AreaValue.parse(text)
+
+
+# -- against the model of an area as a pair of Fractions ----------------------
+
+# denominators far beyond those of `strategies.py`, and integers of any size
+wide = st.one_of(
+    st.fractions(max_denominator=10**15),
+    st.integers().map(Fraction),
+    st.builds(Fraction, st.integers(), st.integers(min_value=1)),
+)
+
+
+def _pair(x: AreaValue) -> tuple:
+    return (x.const, x.eps_coeff)
+
+
+def _model_str(c: Fraction, e: Fraction) -> str:
+    return f"{c} - {-e}*eps" if e < 0 else f"{c} + {e}*eps"
+
+
+def _model_compact(c: Fraction, e: Fraction) -> str:
+    if e == 0:
+        return f"{c}"
+    return f"{c}{'+' if e >= 0 else '-'}{abs(e)}e"
+
+
+def _assert_canonical(x: AreaValue) -> None:
+    c, e, d = x._c, x._e, x._d
+    assert type(c) is int and type(e) is int and type(d) is int
+    assert d > 0 and gcd(c, e, d) == 1
+
+
+@given(wide, wide, wide, wide, wide)
+def test_area_value_agrees_with_the_fraction_pair_model(a, b, c, d, f):
+    x, y = AreaValue(a, b), AreaValue(c, d)
+    p, q = (a, b), (c, d)
+    results = {
+        "+": (x + y, (a + c, b + d)),
+        "-": (x - y, (a - c, b - d)),
+        "neg": (-x, (-a, -b)),
+        "scale": (x.scale(f), (a * f, b * f)),
+        "replace": (x.replace(const=c), (c, b)),
+        "x": (x, p),
+    }
+    for name, (value, model) in results.items():
+        assert _pair(value) == model, name
+        _assert_canonical(value)
+    assert (x < y, x <= y, x > y, x >= y) == (p < q, p <= q, p > q, p >= q)
+    assert ((x == y), (x != y)) == ((p == q), (p != q))
+    assert x.is_positive == (p > (0, 0))
+    assert str(x) == _model_str(a, b)
+    assert x.compact() == _model_compact(a, b)
+    assert repr(x) == f"AreaValue(const={a!r}, eps_coeff={b!r})"
+    # equal values built by different routes hash alike
+    back = x + y - y
+    assert back == x and hash(back) == hash(x)
+    assert AreaValue(str(a), str(b)) == x and hash(AreaValue(str(a), str(b))) == hash(x)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(wide, wide)
+def test_int_and_fraction_coefficients_make_the_same_area(a, b):
+    if a.denominator == 1 and b.denominator == 1:
+        ints = AreaValue(int(a), int(b))
+        assert ints == AreaValue(a, b) and repr(ints) == repr(AreaValue(a, b))
+    assert AreaValue(a) == AreaValue(a, 0) == AreaValue(a, Fraction(0))
+
+
+def test_floats_are_refused():
+    with pytest.raises(AreaError, match="not a rational coefficient: 0.5"):
+        AreaValue(0.5)
+    with pytest.raises(AreaError):
+        area(1).scale(0.5)
+
+
+def test_tracer_counts_each_area_value_once():
+    """perfbench's tracer counts `AreaValue.__post_init__`: an arithmetic
+    result passes through it once, as a constructed value does."""
+    root = str(pathlib.Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.tracer import Tracer
+
+    import symsum.invariants  # noqa: F401  (the tracer wraps its walks)
+    import symsum.sums  # noqa: F401
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        area(1, 2) + area(3, 4)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["areas.AreaValue.created"] == 3

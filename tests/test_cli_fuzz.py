@@ -11,6 +11,7 @@ standard error.
 
 import os
 import random
+import time
 
 import pytest
 
@@ -60,6 +61,7 @@ def test_byte_mutations_of_the_corpus_keep_the_exit_code_contract(tmp_path, caps
 
 
 GOOD = CORPUS["resolve"].encode("utf-8")
+HUGE_I = "123456789012345678901234567890"
 
 # each file at an edge of reading text, with the exit code it must give
 EDGE_FILES = {
@@ -71,6 +73,10 @@ EDGE_FILES = {
     "cr only": (GOOD.replace(b"\n", b"\r"), 0),
     "empty": (b"", 2),
     "truncated": (GOOD[: len(GOOD) // 2], 2),
+    "huge CP2 normal number": (
+        f"atom P CP2 {{ L1: g=0, i={HUGE_I}, a=1 }}\nlhs P\nrhs P\ntarget =\n".encode(),
+        2,
+    ),
 }
 
 
@@ -81,6 +87,21 @@ def test_edge_files(name, tmp_path, capsys):
     path.write_bytes(data)
     code, err = _check(path, capsys)
     assert code == expected, err
+
+
+def test_a_huge_cp2_normal_number_is_refused_at_once(tmp_path, capsys):
+    """A CP^2 mark's degree is the integer square root of its normal
+    number, found without counting up to it."""
+    path = tmp_path / "edge.ssum"
+    path.write_bytes(EDGE_FILES["huge CP2 normal number"][0])
+    start = time.perf_counter()
+    code, err = _check(path, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (
+        2,
+        "1:6: mark L1: not a degree-d curve shadow "
+        f"(needs i=d^2, g=(d-1)(d-2)/2; got g=0, i={HUGE_I})\n",
+    )
 
 
 def test_a_directory_is_a_file_error(tmp_path, capsys):

@@ -545,6 +545,20 @@ def test_r11_needs_disjoint_pair():
         apply_rule(blown, "R11", {})
 
 
+def test_r11_keeps_every_mark():
+    """R11 fails rather than drop a mark: the `pre` label may not be the
+    transform label, and a fiber mark has no place on the companion."""
+    w = make_ruled_atom(0, EPS, {"Gk": (3, area(1)), "Gm": (-3, area(1, -3))})
+    blown = BlowUp(w, "Gk", area(Fraction(1, 4)))
+    with pytest.raises(RuleError, match="pre label other than the transform Gk~"):
+        apply_rule(blown, "R11", {"pre": "Gk~"})
+    with_fiber = make_ruled_atom(
+        0, EPS, {"Gk": (3, area(1)), "Gm": (-3, area(1, -3))}, fibers={"F": None}
+    )
+    with pytest.raises(RuleError, match=r"mark F keeps \(g, i\): None vs \(0, 0\)"):
+        apply_rule(BlowUp(with_fiber, "Gk", area(Fraction(1, 4))), "R11", {})
+
+
 # -- regroup / deform --------------------------------------------------------
 
 

@@ -344,6 +344,10 @@ RULE_MESSAGES = {
     "desing unpaired": _script(_COLLAR, "desing(U, A, B)"),
     "desing unknown mark": _script(_E3, "desing(E3, Sigma-3, Nope)"),
     "desing label collision": _script(_COLLAR, "desing(E5, Sigma-3, F3, label=F2)"),
+    # R11 with `pre` naming the transform label, which would drop a section
+    "R11 pre is the transform": _script(
+        _RULED, "blowup(V, at=Gk, size=1/4)", "R11 { pre = Gk~ }"
+    ),
 }
 
 
