@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import ge, gt, le, lt
 from typing import Union
 
 from .record import Frozen, set_field
@@ -37,9 +38,21 @@ def _frac(x: RationalLike) -> Union[int, Fraction]:
 
 
 def _new(c: int, e: int, d: int) -> "AreaValue":
+    """The area (c + e*eps)/d, for d > 0, made through `__post_init__`."""
     value = object.__new__(AreaValue)
     value.__post_init__(c, e, d)
     return value
+
+
+def _comparison(op):
+    """The order `op` on areas: both over their common denominator, the
+    constant parts first and the eps coefficients second."""
+
+    def compare(self: "AreaValue", other: "AreaValue") -> bool:
+        d, od = self._d, other._d
+        return op((self._c * od, self._e * od), (other._c * d, other._e * d))
+
+    return compare
 
 
 class AreaValue(Frozen):
@@ -52,7 +65,8 @@ class AreaValue(Frozen):
         self.__post_init__(c.numerator * (d // cd), e.numerator * (d // ed), d)
 
     def __post_init__(self, c: int, e: int, d: int):
-        # every AreaValue passes here once (perfbench's tracer counts them)
+        # every AreaValue, built or computed, passes here once and is
+        # reduced to lowest terms (perfbench's tracer counts them); d > 0
         if d != 1:
             g = gcd(c, e, d)
             if g != 1:
@@ -81,14 +95,10 @@ class AreaValue(Frozen):
 
     def __add__(self, other: "AreaValue") -> "AreaValue":
         d, od = self._d, other._d
-        if d == od:
-            return _new(self._c + other._c, self._e + other._e, d)
         return _new(self._c * od + other._c * d, self._e * od + other._e * d, d * od)
 
     def __sub__(self, other: "AreaValue") -> "AreaValue":
         d, od = self._d, other._d
-        if d == od:
-            return _new(self._c - other._c, self._e - other._e, d)
         return _new(self._c * od - other._c * d, self._e * od - other._e * d, d * od)
 
     def __neg__(self) -> "AreaValue":
@@ -101,26 +111,7 @@ class AreaValue(Frozen):
 
     # -- order ------------------------------------------------------
 
-    def _cross(self, other: "AreaValue"):
-        """Both areas over the common denominator self._d * other._d."""
-        d, od = self._d, other._d
-        return (self._c * od, self._e * od), (other._c * d, other._e * d)
-
-    def __lt__(self, other: "AreaValue") -> bool:
-        x, y = self._cross(other)
-        return x < y
-
-    def __le__(self, other: "AreaValue") -> bool:
-        x, y = self._cross(other)
-        return x <= y
-
-    def __gt__(self, other: "AreaValue") -> bool:
-        x, y = self._cross(other)
-        return x > y
-
-    def __ge__(self, other: "AreaValue") -> bool:
-        x, y = self._cross(other)
-        return x >= y
+    __lt__, __le__, __gt__, __ge__ = map(_comparison, (lt, le, gt, ge))
 
     @property
     def is_positive(self) -> bool:

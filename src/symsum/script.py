@@ -349,8 +349,7 @@ class _Parser:
         f = self.number(t)
         if f.denominator != 1:
             raise ScriptError(f"{t.value!r} is not an integer", t.line, t.col)
-        f = f.numerator
-        return -f if neg else f
+        return -int(f) if neg else int(f)
 
     def parse_area(self) -> AreaValue:
         const = self.parse_fraction()
