@@ -162,12 +162,11 @@ def test_area_value_agrees_with_the_fraction_pair_model(a, b, c, d, f):
         assert hash(x) == hash(y)
 
 
-@given(wide, wide)
-def test_int_and_fraction_coefficients_make_the_same_area(a, b):
-    if a.denominator == 1 and b.denominator == 1:
-        ints = AreaValue(int(a), int(b))
-        assert ints == AreaValue(a, b) and repr(ints) == repr(AreaValue(a, b))
-    assert AreaValue(a) == AreaValue(a, 0) == AreaValue(a, Fraction(0))
+@given(st.integers(), st.integers())
+def test_int_coefficients_make_the_area_of_their_fractions(a, b):
+    x, model = AreaValue(a, b), AreaValue(Fraction(a), Fraction(b))
+    assert x == model and repr(x) == repr(model)
+    _assert_canonical(x)
 
 
 def test_floats_are_refused():
