@@ -33,7 +33,10 @@ def _frac(x: RationalLike) -> Union[int, Fraction]:
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise AreaError(f"not a rational coefficient: {x!r}")
 
 

@@ -781,8 +781,8 @@ class _Collar(_Unary):
     SUFFIX: str
 
     def __init__(self, inner: ManifoldExpr, mark_label: str, amount: AreaValue):
-        # amounts live in the eps lattice so results stay eps-linear
-        if amount.const != 0 or amount.eps_coeff <= 0:
+        # amounts live in the eps lattice so results stay eps-linear (d > 0)
+        if amount._c != 0 or amount._e <= 0:
             raise MarkError(
                 f"thickening/thinning amount must be a positive multiple of eps, "
                 f"got {amount}"

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
-from string import Formatter
+from string import Formatter, ascii_letters, digits
 from typing import NamedTuple, Optional, Union
 
 from .areas import AreaValue, area
@@ -70,7 +71,37 @@ class ScriptError(SymsumError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-# One master regex: optional blanks, then one alternative per token class,
+# The parser reads token values, found by one `findall`: blanks and
+# comments, then a token, or `\Z` for the eof "".  A string keeps its quotes;
+# a character that starts no token is a value that no rule takes.
+_VALUE_RE = re.compile(
+    r'(?:[ \t\r\n]+|\#[^\n]*)*([A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|"[^"]*"|.|\Z)'
+)
+
+
+def tokenize(text: str) -> list[str]:
+    """The value of each token of `text`, then one "" for the eof."""
+    values = _VALUE_RE.findall(text)
+    if len(values) > 1 and not values[-2]:  # blanks at the end, then the end
+        values.pop()
+    return values
+
+
+# the kind of a token value by its first character: punctuation is its own
+# kind, and so is a character that starts no token, a lone `"` among them
+_KIND_OF = {
+    **dict.fromkeys(ascii_letters, "name"), **dict.fromkeys(digits, "num"),
+    **{c: c for c in "{}(),;:=.+~-"}, "": "eof",
+}
+
+
+def _kind(value: str) -> str:
+    c = value[:1]
+    return _KIND_OF.get(c) or ("num" if c.isdecimal() else "str" if c == '"' != value else value)
+
+
+# The positional lexer defines kinds, line:col and lexical errors; a
+# message that needs a position lexes its text with it.  One master regex: optional blanks, then one alternative per token class,
 # named by `lastgroup`.  Every character that starts no token is `bad`, so
 # `finditer` skips nothing; `\Z` takes blanks at the end of the text.  A
 # token's column counts characters since the last newline outside a string
@@ -100,7 +131,7 @@ class Token(NamedTuple):
 _new_token = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 
-def tokenize(text: str) -> list[Token]:
+def token_positions(text: str) -> list[Token]:
     toks: list[Token] = []
     add = toks.append
     line, line_start, end = 1, 0, len(text)
@@ -141,6 +172,26 @@ def tokenize(text: str) -> list[Token]:
 class Pos(Record):
     def __init__(self, line: int = 0, col: int = 0):
         self.line, self.col = line, col
+
+
+class _Source:
+    """The text of one parse; its tokens' positions are lexed once, for the
+    first message that needs one."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    @cached_property
+    def tokens(self) -> list[Token]:
+        return token_positions(self.text)
+
+
+class _At(tuple):
+    """Where a parsed record starts: a `_Source` and a token index in it."""
+
+    __slots__ = ()
+    line = property(lambda self: self[0].tokens[self[1]].line)
+    col = property(lambda self: self[0].tokens[self[1]].col)
 
 
 class Syntax(Record):
@@ -276,94 +327,68 @@ class ExprFileAst(Record):
 
 
 class _Parser:
+    """Reads token values by index; a message's line:col lexes them again."""
+
     def __init__(self, text: str):
-        toks = tokenize(text)
-        # two more eofs, so that peek(2) from the eof is still the eof
-        self.toks = toks + [toks[-1], toks[-1]]
-        self.i = 0
+        self.toks, self.i, self.src = tokenize(text), 0, _Source(text)
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.i + ahead]
+    def error(self, message: Optional[str], i: int, expected=None) -> ScriptError:
+        """`message`, by default "unexpected" and token `i`, at token `i`."""
+        t = self.src.tokens[i]
+        message = message or f"unexpected {t.value or t.kind!r}"
+        return ScriptError(message, t.line, t.col, expected)
 
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
-    def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        t = self.toks[self.i]
-        if t.kind != kind:
-            raise ScriptError(
-                f"unexpected {t.kind!r}" + (f" {t.value!r}" if t.value else ""),
-                t.line,
-                t.col,
-                expected={what or kind},
-            )
-        if kind != "eof":
-            self.i += 1
-        return t
-
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        t = self.toks[self.i]
-        if t.kind == kind and (value is None or t.value == value):
-            self.i += 1  # never the eof, which no caller accepts
-            return t
-        return None
-
-    def keyword(self, word: str) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "name" or t.value != word:
-            raise ScriptError(
-                f"unexpected {t.value or t.kind!r}", t.line, t.col, expected={word}
-            )
+    def expect(self, kind: str, what: Optional[str] = None) -> str:
+        v = self.toks[self.i]
+        if _KIND_OF.get(v[:1]) != kind and _kind(v) != kind:
+            t = self.src.tokens[self.i]
+            got = f"{t.kind!r}" + (f" {t.value!r}" if t.value else "")
+            raise self.error(f"unexpected {got}", self.i, {what or kind})
         self.i += 1
-        return t
+        return v
 
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "name" and t.value == word
+    def accept(self, value: str) -> bool:
+        """Whether the next token is `value` (never the eof), then read."""
+        found = self.toks[self.i] == value
+        self.i += found
+        return found
+
+    def keyword(self, word: str) -> None:
+        if self.toks[self.i] != word:
+            raise self.error(None, self.i, {word})
+        self.i += 1
 
     # -- numbers and areas -------------------------------------------
 
-    @staticmethod
-    def number(t: Token) -> Union[int, Fraction]:
-        """The value of a `num` token: an int for `p`, a Fraction for `p/q`."""
-        num, _, den = t.value.partition("/")
-        if not den:
-            return int(num)
-        if not int(den):
-            raise ScriptError(f"zero denominator in {t.value!r}", t.line, t.col)
-        return Fraction(int(num), int(den))
-
     def parse_fraction(self) -> Union[int, Fraction]:
-        neg = bool(self.accept("-"))
-        f = self.number(self.expect("num", "number"))
+        """A number after an optional `-`: an int for `p`, a Fraction for `p/q`."""
+        neg = self.accept("-")
+        v = self.expect("num", "number")
+        num, _, den = v.partition("/")
+        if den and not int(den):
+            raise self.error(f"zero denominator in {v!r}", self.i - 1)
+        f = Fraction(int(num), int(den)) if den else int(num)
         return -f if neg else f
 
     def parse_int(self) -> int:
         """An integer slot: a number that is exactly an integer; never
         truncates."""
-        neg = bool(self.accept("-"))
-        t = self.expect("num", "number")
-        f = self.number(t)
+        f = self.parse_fraction()
         if f.denominator != 1:
-            raise ScriptError(f"{t.value!r} is not an integer", t.line, t.col)
-        return -int(f) if neg else int(f)
+            raise self.error(f"{self.toks[self.i - 1]!r} is not an integer", self.i - 1)
+        return int(f)
 
     def parse_area(self) -> AreaValue:
         const = self.parse_fraction()
-        t = self.peek()
-        if t.kind in "+-" and self.peek(1).kind == "num":
-            nxt = self.peek(2)
-            if nxt.kind == "name" and nxt.value in ("e", "eps"):
-                sign = -1 if self.next().kind == "-" else 1
-                eps = self.number(self.expect("num"))
-                self.next()  # e / eps
-                return AreaValue(const, sign * eps)
-        if t.kind == "name" and t.value in ("e", "eps"):
-            # pure-eps form like "1e" after a bare number
-            self.next()
+        toks, i = self.toks, self.i
+        sign = toks[i]
+        if (sign == "+" or sign == "-") and _kind(toks[i + 1]) == "num" and toks[i + 2] in _EPS:
+            self.i += 1
+            eps = self.parse_fraction()
+            self.i += 1  # e / eps
+            return AreaValue(const, -eps if sign == "-" else eps)
+        if sign in _EPS:  # pure-eps form like "1e" after a bare number
+            self.i += 1
             return AreaValue(0, const)
         return AreaValue(const, 0)
 
@@ -371,18 +396,17 @@ class _Parser:
 
     def parse_kind(self) -> AtomKind:
         """An atom kind: its tag, then the rest of its form."""
-        t = self.expect("name", "atom kind")
-        if t.value not in KINDS:
-            raise ScriptError(
-                f"unknown atom kind {t.value!r}", t.line, t.col, expected=set(KINDS)
-            )
-        return self.parse_form(KINDS[t.value])
+        tag = self.expect("name", "atom kind")
+        if tag not in KINDS:
+            raise self.error(f"unknown atom kind {tag!r}", self.i - 1, expected=set(KINDS))
+        return self.parse_form(KINDS[tag])
 
     def parse_atom(self) -> tuple[AtomKind, list[MarkSpec]]:
         kind = self.parse_kind()
-        return kind, self.parse_markblock() if self.peek().kind == "{" else []
+        return kind, self.parse_markblock() if self.toks[self.i] == "{" else []
 
     def parse_markspec(self) -> MarkSpec:
+        at = self.i
         name = self.expect("name", "mark label")
         self.expect(":")
         self.keyword("g")
@@ -397,19 +421,15 @@ class _Parser:
         self.expect("=")
         a = self.parse_area()
         perp = None
-        save = self.i
-        if self.accept(","):
-            if self.at_keyword("perp"):
-                self.next()
-                perp = self.expect("name", "mark label").value
-            else:
-                self.i = save
-        return MarkSpec(name.value, g, i, a, perp, Pos(name.line, name.col))
+        if self.toks[self.i] == "," and self.toks[self.i + 1] == "perp":
+            self.i += 2
+            perp = self.expect("name", "mark label")
+        return MarkSpec(name, g, i, a, perp, _At((self.src, at)))
 
     def parse_markblock(self) -> list[MarkSpec]:
         self.expect("{")
         marks = []
-        while self.peek().kind != "}":
+        while self.toks[self.i] != "}":
             marks.append(self.parse_markspec())
             if not self.accept(";"):
                 break
@@ -417,26 +437,16 @@ class _Parser:
         return marks
 
     def parse_decl(self):
-        t = self.peek()
-        if self.at_keyword("atom"):
-            self.next()
-            name = self.expect("name", "atom name")
-            return AtomDecl(name.value, *self.parse_atom(), Pos(name.line, name.col))
-        if self.at_keyword("triple"):
-            self.next()
-            name = self.expect("name", "triple name")
-            return TripleDecl(name.value, *self.parse_form(_TRIPLE), Pos(name.line, name.col))
-        raise ScriptError(
-            f"unexpected {t.value or t.kind!r}",
-            t.line,
-            t.col,
-            expected={"atom", "triple", "lhs", "declaration"},
-        )
+        word = self.toks[self.i]
+        if word != "atom" and word != "triple":
+            raise self.error(None, self.i, {"atom", "triple", "lhs", "declaration"})
+        self.i = at = self.i + 1
+        name = self.expect("name", f"{word} name")
+        if word == "atom":
+            return AtomDecl(name, *self.parse_atom(), _At((self.src, at)))
+        return TripleDecl(name, *self.parse_form(_TRIPLE), _At((self.src, at)))
 
     # -- expressions -------------------------------------------------
-
-    def parse_expr(self) -> ExprNode:
-        return self.parse_form(None)
 
     def parse_form(self, want: Optional[_Form]):
         """An expression (`want` None) or the form `want`, read with an
@@ -445,14 +455,14 @@ class _Parser:
         A leaf child is read in place."""
         toks, stack, expect = self.toks, [], _Parser.expect
         while True:
-            t = toks[self.i]
+            start = self.i
             if want is None:  # an operation, opened by its keyword, or a leaf
-                want = _GRAMMAR.get(t.value) if t.kind == "name" else None
+                want = _GRAMMAR.get(toks[start])
                 if want is None:
                     return self.parse_leaf()
                 self.i += 1
             # an open form: the form, its first token, its args, its next step
-            stack.append([want, t, {}, 0])
+            stack.append([want, start, {}, 0])
             value = None
             while stack:  # read on in the innermost open form
                 top = stack[-1]
@@ -465,11 +475,10 @@ class _Parser:
                 while True:
                     read, arg, field = steps[i]
                     i += 1
-                    if read is expect and toks[self.i].kind == arg:
+                    if read is expect and toks[self.i] == arg:
                         self.i += 1  # the punctuation expected
                     elif read is None:  # a child slot, or the end of the form
-                        t = toks[self.i]
-                        if arg is not None or t.kind == "name" and t.value in _GRAMMAR:
+                        if arg is not None or toks[self.i] in _GRAMMAR:
                             break
                         args[field] = self.parse_leaf()
                     elif field is not None:
@@ -482,50 +491,47 @@ class _Parser:
                     top[3], want = i, arg
                     break
                 stack.pop()
-                value = form.make(args, start)
+                value = form.make(args, _At((self.src, start)))
             else:
                 return value
 
-    def parse_options(self, form: _Form, args: dict, start: Token) -> None:
+    def parse_options(self, form: _Form, args: dict, start: int) -> None:
         """The `, key = value` options of `form`; a flag has no value, and
         only a repeatable option may be given twice."""
         while self.accept(","):
-            t = self.expect("name", f"{form.name} option")
-            option = form.options.get(t.value)
+            at = self.i
+            key = self.expect("name", f"{form.name} option")
+            option = form.options.get(key)
             if option is None or option[1] is not None:  # not a flag
                 self.expect("=")
             if option is None:
-                raise ScriptError(
-                    f"unknown {form.name} option {t.value!r}", start.line, start.col,
-                    expected=set(form.options),
+                raise self.error(
+                    f"unknown {form.name} option {key!r}", start, expected=set(form.options)
                 )
             field, read, repeats = option
             if field in args and not repeats:
-                raise ScriptError(f"repeated {form.name} option {t.value!r}", t.line, t.col)
+                raise self.error(f"repeated {form.name} option {key!r}", at)
             value = True if read is None else read(self)
             args[field] = args.get(field, ()) + (value,) if repeats else value
 
     def parse_leaf(self) -> ExprNode:
         """A reference to a declared name, or an inline atom."""
-        t = self.peek()
-        if t.kind != "name":
-            raise ScriptError(
-                f"unexpected {t.value or t.kind!r}", t.line, t.col,
-                expected={"expression"},
-            )
-        pos = Pos(t.line, t.col)
-        if t.value in KINDS and self.peek(1).kind in ("(", "{"):
+        at = self.i
+        name = self.toks[at]
+        if _kind(name) != "name":
+            raise self.error(None, at, {"expression"})
+        if name in KINDS and self.toks[at + 1] in ("(", "{"):
             # an inline atom: the kind tag is followed by parameters or marks
-            return AtomExpr(*self.parse_atom(), pos)
-        self.next()
-        return RefExpr(t.value, pos)
+            return AtomExpr(*self.parse_atom(), _At((self.src, at)))
+        self.i += 1
+        return RefExpr(name, _At((self.src, at)))
 
     def read_name(self) -> str:
-        return self.expect("name").value
+        return self.expect("name")
 
     def parse_at(self) -> Optional[str]:
         """A blow-up's point: `generic`, or `at = X` on the mark X."""
-        if self.accept("name", "generic"):
+        if self.accept("generic"):
             return None
         self.keyword("at")
         self.expect("=")
@@ -539,64 +545,58 @@ class _Parser:
     # -- steps -------------------------------------------------------
 
     def parse_step(self) -> StepNode:
-        t = self.keyword("by")
-        rid = self.expect("name", "rule id")
-        if rid.value not in RULE_IDS:
-            raise ScriptError(
-                f"unknown rule id {rid.value!r}", rid.line, rid.col,
-                expected=set(RULE_IDS),
-            )
+        at = self.i
+        self.keyword("by")
+        rule = self.expect("name", "rule id")
+        if rule not in RULE_IDS:
+            raise self.error(f"unknown rule id {rule!r}", self.i - 1, expected=set(RULE_IDS))
         self.expect("{")
         slots: dict[str, SlotVal] = {}
-        while self.peek().kind != "}":
-            key = self.expect("name", "slot name").value
+        while self.toks[self.i] != "}":
+            key = self.expect("name", "slot name")
             self.expect("=")
             slots[key] = self.parse_slot_value()
             if not self.accept(","):
                 break
         self.expect("}")
-        rev = self.accept("name", "rev") is not None
-        note = None
-        if self.peek().kind == "str":
-            note = self.next().value
-        return StepNode(rid.value, slots, rev, note, Pos(t.line, t.col))
+        rev, note = self.accept("rev"), None
+        if _kind(self.toks[self.i]) == "str":
+            note = self.toks[self.i][1:-1]
+            self.i += 1
+        return StepNode(rule, slots, rev, note, _At((self.src, at)))
 
     def parse_slot_value(self) -> SlotVal:
-        t = self.peek()
-        if t.kind == "str":
-            return ("str", self.next().value)
-        if t.kind == "num" or t.kind == "-":
+        v = self.toks[self.i]
+        kind = _kind(v)
+        if kind == "str":
+            self.i += 1
+            return ("str", v[1:-1])
+        if kind == "num" or kind == "-":
             value = self.parse_area()
             # an area ends in its `e` or `eps`, a plain number in a number
-            if self.toks[self.i - 1].kind == "name":
-                return ("area", value)
-            return ("num", value.const)
-        name = self.expect("name", "slot value").value
+            return ("area", value) if self.toks[self.i - 1] in _EPS else ("num", value.const)
+        name = self.expect("name", "slot value")
         while self.accept("."):
-            name += "." + self.expect("name").value
+            name += "." + self.expect("name")
         return ("name", name)
 
     # -- entry points ------------------------------------------------
 
     def parse_script(self) -> ScriptAst:
         decls = []
-        while not self.at_keyword("lhs"):
+        while self.toks[self.i] != "lhs":
             decls.append(self.parse_decl())
-        self.keyword("lhs")
-        lhs = self.parse_expr()
+        self.i += 1
+        lhs = self.parse_form(None)
         self.keyword("rhs")
-        rhs = self.parse_expr()
+        rhs = self.parse_form(None)
         self.keyword("target")
-        t = self.peek()
-        if t.kind in ("=", "~"):
-            self.next()
-            target = t.kind
-        else:
-            raise ScriptError(
-                f"unexpected {t.value or t.kind!r}", t.line, t.col, expected={"=", "~"}
-            )
+        target = self.toks[self.i]
+        if target != "=" and target != "~":
+            raise self.error(None, self.i, {"=", "~"})
+        self.i += 1
         steps = []
-        while self.at_keyword("by"):
+        while self.toks[self.i] == "by":
             steps.append(self.parse_step())
         self.expect("eof", "end of script")
         self._check_duplicates(decls)
@@ -604,10 +604,10 @@ class _Parser:
 
     def parse_expr_file(self) -> ExprFileAst:
         decls = []
-        while not self.at_keyword("expr"):
+        while self.toks[self.i] != "expr":
             decls.append(self.parse_decl())
-        self.keyword("expr")
-        e = self.parse_expr()
+        self.i += 1
+        e = self.parse_form(None)
         self.expect("eof", "end of file")
         self._check_duplicates(decls)
         return ExprFileAst(decls, e)
@@ -781,6 +781,7 @@ _OPTIONS = {
     "label": "label",
 }
 
+_EPS = ("e", "eps")  # the words after an area's eps coefficient
 _CLOSED = object()  # what the stop at the end of a form wants
 _ABSENT = object()  # the value of an option that is not given
 _ENTRIES = object()  # how FourSum's entries print: as triples
@@ -790,14 +791,14 @@ class _Form:
     """A source form compiled once: the steps in which the parser reads it,
     the pieces from which the printer writes it, and its options by
     keyword.  The fields of record class `cls` give the slots their kinds
-    and the options their defaults; `make(args, t)` is the value read from
-    the form that opened at token `t`."""
+    and the options their defaults; `make(args, at)` is the value read from
+    the form that opened at `at`, an `_At`."""
 
     def __init__(self, form: str, cls: type, make):
         self.make, self.steps, self.pieces, self.options, self.fields = make, [], [], {}, []
         kinds = dict(cls.FIELDS)
         for literal, field, _, _ in Formatter().parse(form):
-            for t in tokenize(literal)[:-1]:  # a word, or punctuation
+            for t in token_positions(literal)[:-1]:  # a word, or punctuation
                 read = _Parser.keyword if t.kind == "name" else _Parser.expect
                 self.steps.append((read, t.value, None))
             if field is None:
@@ -851,14 +852,14 @@ _SLOT_KINDS = {
 }
 
 
-_TRIPLE = _Form("({expr}, {s}, {t})", BuiltTriple, lambda args, t: tuple(args.values()))
+_TRIPLE = _Form("({expr}, {s}, {t})", BuiltTriple, lambda args, at: tuple(args.values()))
 _FORM_OF = {
-    cls: _Form(form, cls, lambda args, t, cls=cls: OpExpr(cls, args, Pos(t.line, t.col)))
+    cls: _Form(form, cls, lambda args, at, cls=cls: OpExpr(cls, args, at))
     for cls, form in _FORMS.items()
 }
 _GRAMMAR = {form.name: form for form in _FORM_OF.values()}  # the operations, by keyword
 for cls, form in _KIND_FORMS.items():
-    _FORM_OF[cls] = _Form(form, cls, lambda args, t, cls=cls: cls(**args))
+    _FORM_OF[cls] = _Form(form, cls, lambda args, at, cls=cls: cls(**args))
 KINDS = {_FORM_OF[cls].name: _FORM_OF[cls] for cls in _KIND_FORMS}  # the atom kinds, by tag
 
 
@@ -944,8 +945,6 @@ def _mark_text(m) -> str:
 
 def _slot_text(v: SlotVal) -> str:
     tag, val = v
-    if tag == "num":
-        return str(val)
     if tag == "area":  # with its eps term even at zero, so that it reads back as an area
         return val.compact() if val.eps_coeff else f"{val.const}+0e"
     if tag == "str":

@@ -169,6 +169,23 @@ def test_int_coefficients_make_the_area_of_their_fractions(a, b):
     _assert_canonical(x)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: area("1/0"),
+        lambda: AreaValue("1/0"),
+        lambda: AreaValue(1, "0/0"),
+        lambda: area("three"),
+        lambda: AreaValue(0, "1/2e"),
+        lambda: area(1).scale("1/0"),
+    ],
+    ids=["area 1/0", "AreaValue 1/0", "eps 0/0", "three", "eps 1/2e", "scale 1/0"],
+)
+def test_a_string_that_is_no_rational_is_an_area_error(make):
+    with pytest.raises(AreaError, match="not a rational coefficient: '"):
+        make()
+
+
 def test_floats_are_refused():
     with pytest.raises(AreaError, match="not a rational coefficient: 0.5"):
         AreaValue(0.5)

@@ -301,6 +301,21 @@ def test_amounts_live_in_the_eps_lattice():
         thin(e3_atom(), "Sigma-3", area(0, -1))
 
 
+@pytest.mark.parametrize("amount", [area(1), area(0), area(0, -1), area(1, 1)], ids=str)
+@pytest.mark.parametrize("collar", [thin, thicken])
+def test_an_amount_off_the_positive_eps_ray_fails_with_its_message(collar, amount):
+    message = f"thickening/thinning amount must be a positive multiple of eps, got {amount}"
+    with pytest.raises(MarkError) as got:
+        collar(e3_atom(), "Sigma-3", amount)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("collar", [thin, thicken])
+def test_a_fractional_eps_amount_builds(collar):
+    node = collar(e3_atom(), "Sigma-3", area(0, Fraction(1, 2)))
+    assert node.amount == area(0, Fraction(1, 2)) and node.amount._d == 2
+
+
 def test_thicken_as_w_sum_matches_node():
     e3 = e3_atom()
     node = thicken(e3, "Sigma-3", EPS)

@@ -14,7 +14,7 @@ from symsum.script import (
     render_trace_json,
     render_trace_text,
     run,
-    tokenize,
+    token_positions,
 )
 
 
@@ -392,7 +392,7 @@ TOKEN_EDGES = {
 
 def _token_lines(source: str) -> list[str]:
     try:
-        toks = tokenize(source)
+        toks = token_positions(source)
     except ScriptError as exc:
         return [f"error: {exc}"]
     return [f"{t.kind} {t.value!r} {t.line}:{t.col}" for t in toks]
