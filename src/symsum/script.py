@@ -348,7 +348,7 @@ class _Parser:
         return v
 
     def accept(self, value: str) -> bool:
-        """Whether the next token is `value` (never the eof), then read."""
+        """Reads the next token if it is `value` (never the eof); whether it was."""
         found = self.toks[self.i] == value
         self.i += found
         return found
