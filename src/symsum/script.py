@@ -82,7 +82,7 @@ _VALUE_RE = re.compile(
 def tokenize(text: str) -> list[str]:
     """The value of each token of `text`, then one "" for the eof."""
     values = _VALUE_RE.findall(text)
-    if len(values) > 1 and not values[-2]:  # blanks at the end, then the end
+    if len(values) > 1 and not values[-2]:  # text ending in blanks: `\Z` matched twice
         values.pop()
     return values
 
@@ -101,8 +101,9 @@ def _kind(value: str) -> str:
 
 
 # The positional lexer defines kinds, line:col and lexical errors; a
-# message that needs a position lexes its text with it.  One master regex: optional blanks, then one alternative per token class,
-# named by `lastgroup`.  Every character that starts no token is `bad`, so
+# message that needs a position lexes its text with it.  One master regex:
+# optional blanks, then one alternative per token class, named by
+# `lastgroup`.  Every character that starts no token is `bad`, so
 # `finditer` skips nothing; `\Z` takes blanks at the end of the text.  A
 # token's column counts characters since the last newline outside a string
 # (a string spanning a newline does not advance the line), and a comment
@@ -175,8 +176,7 @@ class Pos(Record):
 
 
 class _Source:
-    """The text of one parse; its tokens' positions are lexed once, for the
-    first message that needs one."""
+    """The text of one parse, lexed for positions once, by the first message."""
 
     def __init__(self, text: str):
         self.text = text
@@ -461,7 +461,7 @@ class _Parser:
                 if want is None:
                     return self.parse_leaf()
                 self.i += 1
-            # an open form: the form, its first token, its args, its next step
+            # an open form: the form, its first token's index, its args, its next step
             stack.append([want, start, {}, 0])
             value = None
             while stack:  # read on in the innermost open form

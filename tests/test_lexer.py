@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from test_fuzz import mutate
+from test_fuzz import MUTATIONS, SEED, mutate
 from test_memo import chain_script
 from test_script import _LEXER_TEXT
 from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES, TOKEN_EDGES
@@ -66,9 +66,10 @@ def test_values_are_the_positional_tokens_of_any_line(text):
 
 
 def test_values_are_the_positional_tokens_of_mutated_scripts():
-    rng = random.Random(11)
+    """The mutants of `test_fuzz`, drawn in the same order."""
+    rng = random.Random(SEED)
     names = sorted(CORPUS)
-    for n in range(600):
+    for n in range(MUTATIONS):
         text, _ = mutate(CORPUS[names[n % len(names)]], rng)
         _same_tokens(text)
 
