@@ -373,6 +373,71 @@ def test_shift_unknown_label():
         shift_section_area(e3_atom(), "nope", area(1))
 
 
+def _cp2(*labels):
+    """CP^2 with a line of area 1 per label, the two of a pair orthogonal."""
+    partner = dict(zip(labels, reversed(labels))) if len(labels) == 2 else {}
+    return AtomNode(
+        Atom(
+            ProjectivePlane(),
+            tuple(SurfaceMark(l, 0, 1, area(1), partner.get(l)) for l in labels),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "atom, label, message",
+    [
+        (_cp2("L1", "L2"), "L1", "cannot shift one CP^2 mark independently; use rescale"),
+        (
+            e3_atom(),
+            "F3",
+            "area shifts on an elliptic surface apply to sections only, "
+            "not to the fiber mark 'F3'",
+        ),
+    ],
+)
+def test_a_refused_shift_says_why(atom, label, message):
+    with pytest.raises(MarkError) as exc:
+        shift_section_area(atom, label, area(1))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, marks",
+    [
+        (ProjectivePlane(), (SurfaceMark("L", 0, 1, area(1)),)),
+        (
+            RationalSurface(1),
+            (SurfaceMark("A", 0, -1, area(1)), SurfaceMark("B", 0, 1, area(2), "C"),
+             SurfaceMark("C", 1, 0, area(3), "B")),
+        ),
+    ],
+)
+def test_a_shift_moves_only_its_mark(kind, marks):
+    shifted = shift_section_area(AtomNode(Atom(kind, marks)), marks[0].label, area(0, 1))
+    assert shifted.atom.kind == kind
+    assert shifted.atom.marks == (marks[0].replace(area=marks[0].area + area(0, 1)), *marks[1:])
+
+
+def test_shift_ruled_keeps_its_fibers():
+    w = make_ruled_atom(0, area(2), {"G1": (1, area(3)), "G-1": (-1, area(1))}, {"F": "G1"})
+    shifted = shift_section_area(w, "G-1", area(1))
+    assert [(m.label, m.area) for m in shifted.atom.marks] == [
+        ("F", area(2)), ("G-1", area(2)), ("G1", area(4))
+    ]
+    assert shifted.atom.kind == w.atom.kind
+
+
+def test_rescale_scales_a_ruled_fiber_area_with_its_marks():
+    w = make_ruled_atom(0, area(2), {"G1": (1, area(3)), "G-1": (-1, area(1))}, {"F": "G1"})
+    scaled = rescale(w, Fraction(3, 2))
+    assert scaled.atom.kind == RuledSurface(0, 1, area(3))
+    assert [(m.label, m.area) for m in scaled.atom.marks] == [
+        ("F", area(3)), ("G-1", area("3/2")), ("G1", area("9/2"))
+    ]
+    assert rescale(scaled, Fraction(2, 3)) == w
+
+
 # -- splitting a ruled surface ---------------------------------------------
 
 
