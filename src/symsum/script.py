@@ -71,9 +71,9 @@ class ScriptError(SymsumError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-# The parser reads token values, found by one `findall`: blanks and
-# comments, then a token, or `\Z` for the eof "".  A string keeps its quotes;
-# a character that starts no token is a value that no rule takes.
+# The one token pattern: blanks and comments, then a token, or `\Z` for
+# the eof "".  The parser reads the values of one `findall`, a string with
+# its quotes; a character that starts no token is a value no rule takes.
 _VALUE_RE = re.compile(
     r'(?:[ \t\r\n]+|\#[^\n]*)*([A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|"[^"]*"|.|\Z)'
 )
@@ -100,28 +100,6 @@ def _kind(value: str) -> str:
     return _KIND_OF.get(c) or ("num" if c.isdecimal() else "str" if c == '"' != value else value)
 
 
-# The positional lexer defines kinds, line:col and lexical errors; a
-# message that needs a position lexes its text with it.  One master regex:
-# optional blanks, then one alternative per token class, named by
-# `lastgroup`.  Every character that starts no token is `bad`, so
-# `finditer` skips nothing; `\Z` takes blanks at the end of the text.  A
-# token's column counts characters since the last newline outside a string
-# (a string spanning a newline does not advance the line), and a comment
-# running to the end of the text leaves the eof token at its `#`.
-_TOKEN_RE = re.compile(
-    r"""[ \t\r]*
-    (?: (?P<name>[A-Za-z][A-Za-z0-9_#+~^-]*)
-      | (?P<num>\d+(?:/\d+)?)
-      | (?P<punct>[{}(),;:=.+~-])
-      | (?P<newline>\n)
-      | (?P<comment>\#[^\n]*)
-      | (?P<str>"[^"]*")
-      | (?P<bad>.)
-      | \Z )""",
-    re.VERBOSE,
-)
-
-
 class Token(NamedTuple):
     kind: str  # "name" | "num" | "str" | one of "{}(),;:=.+-~" | "eof"
     value: str
@@ -129,40 +107,33 @@ class Token(NamedTuple):
     col: int
 
 
-_new_token = tuple.__new__  # skips NamedTuple's Python-level __new__
-
-
 def token_positions(text: str) -> list[Token]:
+    """The tokens of `tokenize`, each with its kind and line:col, which a
+    message needs.  A token's line and column count the newlines in the
+    blanks and comments before it (a string spanning a newline does not
+    advance the line), and a comment running to the end of the text
+    leaves the eof at its `#`.  A character that starts no token raises."""
     toks: list[Token] = []
-    add = toks.append
-    line, line_start, end = 1, 0, len(text)
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "name" or kind == "num":
-            start, stop = m.span(kind)
-            add(_new_token(Token, (kind, text[start:stop], line, start - line_start + 1)))
-        elif kind == "punct":
-            start = m.end() - 1
-            c = text[start]
-            add(_new_token(Token, (c, c, line, start - line_start + 1)))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "str":
-            start, stop = m.span(kind)
-            add(Token("str", text[start + 1 : stop - 1], line, start - line_start + 1))
-        elif kind == "comment":
-            if m.end() == len(text):
-                end = m.start(kind)  # the eof stays at the `#`
-        elif kind == "bad":
-            start = m.end() - 1
-            c = text[start]
-            col = start - line_start + 1
-            if c == '"':
+    line, line_start = 1, 0
+    for m in _VALUE_RE.finditer(text):
+        gap, start = m.start(), m.start(1)
+        newline = text.rfind("\n", gap, start)
+        if newline >= 0:
+            line += text.count("\n", gap, start)
+            line_start = newline + 1
+        v = m[1]
+        kind = _kind(v)
+        if not v:  # the eof; a text ending in blanks would match `\Z` again
+            comment = text.find("#", max(gap, line_start), start)
+            col = (start if comment < 0 else comment) - line_start + 1
+            toks.append(Token(kind, v, line, col))
+            return toks
+        col = start - line_start + 1
+        if kind == v and len(v) == 1 and v not in _KIND_OF:  # not a name "name"
+            if v == '"':
                 raise ScriptError("unterminated string", line, col)
-            raise ScriptError(f"unexpected character {c!r}", line, col)
-    add(Token("eof", "", line, end - line_start + 1))
-    return toks
+            raise ScriptError(f"unexpected character {v!r}", line, col)
+        toks.append(Token(kind, v[1:-1] if kind == "str" else v, line, col))
 
 
 # ---------------------------------------------------------------------------
