@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 from math import isqrt
-from typing import Optional, Union
+from typing import Optional
 
 from .areas import AreaValue
 from .record import Frozen, set_field, values_getter
@@ -133,24 +133,86 @@ def pairwise_violations(t1: SurfaceMark, s2: SurfaceMark) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-class EllipticSurface(Frozen):
+class AtomKind(Frozen):
+    """The kind of an atom: which marks it carries, and how a shift and a
+    rescale move them.  Each method's default suits a kind with no rule
+    of its own."""
+
+    def check_marks(self, marks: tuple[SurfaceMark, ...]) -> None:
+        """Raise `MarkError` unless an atom of this kind can carry `marks`."""
+
+    def shifted(self, marks: list, m: SurfaceMark, delta: AreaValue) -> list:
+        """`marks` once the area of the mark `m` moves by `delta`."""
+        return [nm if nm.label != m.label else nm.replace(area=nm.area + delta) for nm in marks]
+
+    def scaled(self, fn) -> "AtomKind":
+        """This kind with its own areas mapped by `fn`."""
+        return self
+
+
+class EllipticSurface(AtomKind):
     """E(n): fiber sums of the rational elliptic surface, n >= 1.
     Marks: sections (genus 0, normal number -n) and fibers (genus 1, 0)."""
 
     def __init__(self, n: int):
         set_field(self, "n", n)
 
+    def check_marks(self, marks):
+        if self.n < 1:
+            raise MarkError("elliptic surface needs n >= 1")
+        for m in marks:
+            section = m.genus == 0 and m.normal_number == -self.n
+            fiber = m.genus == 1 and m.normal_number == 0
+            if not (section or fiber):
+                raise MarkError(
+                    f"mark {m.label}: an E({self.n}) mark is a section "
+                    f"(g=0, i={-self.n}) or a fiber (g=1, i=0)"
+                )
 
-class ProjectivePlane(Frozen):
+    def shifted(self, marks, m, delta):
+        if m.genus != 0:
+            raise MarkError(
+                f"area shifts on an elliptic surface apply to sections only, "
+                f"not to the fiber mark {m.label!r}"
+            )
+        return super().shifted(marks, m, delta)
+
+
+class ProjectivePlane(AtomKind):
     """CP^2.  Marks are degree-d curve shadows: normal number d^2,
     genus (d-1)(d-2)/2, areas proportional to d."""
 
+    def check_marks(self, marks):
+        degrees = {m.label: _cp2_degree(m) for m in marks}
+        scales = {m.label: m.area.scale(Fraction(1, degrees[m.label])) for m in marks}
+        if len(set(scales.values())) > 1:
+            raise MarkError(
+                "CP^2 mark areas must be proportional to their degrees"
+            )
+        for m in marks:
+            if m.orthogonal_at is not None:
+                other = next(x for x in marks if x.label == m.orthogonal_at)
+                if degrees[m.label] * degrees[other.label] != 1:
+                    raise MarkError(
+                        f"CP^2 marks {m.label}, {other.label} meet in "
+                        f"{degrees[m.label] * degrees[other.label]} points, not one"
+                    )
 
-class ProjectivePlaneReversed(Frozen):
+    def shifted(self, marks, m, delta):
+        if len(marks) > 1:
+            raise MarkError("cannot shift one CP^2 mark independently; use rescale")
+        return super().shifted(marks, m, delta)
+
+
+class ProjectivePlaneReversed(AtomKind):
     """CP^2 with reversed orientation; carries no marks here."""
 
+    def check_marks(self, marks):
+        if marks:
+            raise MarkError("reversed CP^2 carries no marks")
 
-class RuledSurface(Frozen):
+
+class RuledSurface(AtomKind):
     """S^2-bundle over a genus-g surface, twist n >= 1.
     Sections G_k satisfy k = n (mod 2), |k| <= n; fibers have the
     declared fiber area, and section areas are spread by half a fiber
@@ -161,22 +223,82 @@ class RuledSurface(Frozen):
         set_field(self, "twist", twist)
         set_field(self, "fiber_area", fiber_area)
 
+    def check_marks(self, marks):
+        if self.genus < 0 or self.twist < 1:
+            raise MarkError("ruled surface needs g >= 0 and n >= 1")
+        if not self.fiber_area.is_positive:
+            raise MarkError("ruled surface fiber area must be positive")
+        sections = []
+        for m in marks:
+            if is_ruled_fiber(m, self):
+                continue
+            k = m.normal_number
+            if m.genus != self.genus:
+                raise MarkError(
+                    f"mark {m.label}: section genus must equal the base genus "
+                    f"{self.genus}"
+                )
+            if abs(k) > self.twist or (k - self.twist) % 2 != 0:
+                raise MarkError(
+                    f"mark {m.label}: section index {k} incompatible with "
+                    f"twist {self.twist}"
+                )
+            if not validate_ruled(self.genus, k, m.area, self.fiber_area):
+                raise MarkError(
+                    f"mark {m.label}: section area {m.area} too small for "
+                    f"index {k} and fiber {self.fiber_area}"
+                )
+            sections.append(m)
+        # the condition is antisymmetric, so each unordered pair is
+        # checked once, in the order that finds the same first failure
+        for i, a in enumerate(sections):
+            for b in sections[i + 1 :]:
+                spread = self.fiber_area.scale(
+                    Fraction(a.normal_number - b.normal_number, 2)
+                )
+                if a.area - b.area != spread:
+                    raise MarkError(
+                        f"sections {a.label}, {b.label}: areas must differ by "
+                        f"{spread}, got {a.area - b.area}"
+                    )
+        # declared intersections must be geometric: sections meet in
+        # (j+k)/2 points, a fiber meets every section once
+        by_label = {m.label: m for m in marks}
+        for m in marks:
+            if m.orthogonal_at is None:
+                continue
+            other = by_label[m.orthogonal_at]
+            mf, of = is_ruled_fiber(m, self), is_ruled_fiber(other, self)
+            if mf and of:
+                raise MarkError(f"fibers {m.label}, {other.label} are disjoint")
+            if not mf and not of:
+                if m.normal_number + other.normal_number != 2:
+                    raise MarkError(
+                        f"sections {m.label}, {other.label} do not meet in "
+                        "a single point"
+                    )
 
-class RationalSurface(Frozen):
+    def shifted(self, marks, m, delta):
+        # pullback from the base moves every section in step
+        return [
+            nm if is_ruled_fiber(nm, self) else nm.replace(area=nm.area + delta)
+            for nm in marks
+        ]
+
+    def scaled(self, fn):
+        return self.replace(fiber_area=fn(self.fiber_area))
+
+
+class RationalSurface(AtomKind):
     """CP^2 # k reversed-CP^2.  k = 8 is Y, k = 9 the rational elliptic
     surface.  Marks are unconstrained beyond the generic rules."""
 
     def __init__(self, blowups: int):
         set_field(self, "blowups", blowups)
 
-
-AtomKind = Union[
-    EllipticSurface,
-    ProjectivePlane,
-    ProjectivePlaneReversed,
-    RuledSurface,
-    RationalSurface,
-]
+    def check_marks(self, marks):
+        if self.blowups < 0:
+            raise MarkError("blow-up count must be >= 0")
 
 
 def validate_ruled(
@@ -208,97 +330,6 @@ def is_ruled_fiber(m: SurfaceMark, kind: RuledSurface) -> bool:
     return m.genus == 0 and m.normal_number == 0 and m.area == kind.fiber_area
 
 
-def _check_atom_marks(kind: AtomKind, marks: tuple[SurfaceMark, ...]) -> None:
-    if isinstance(kind, EllipticSurface):
-        if kind.n < 1:
-            raise MarkError("elliptic surface needs n >= 1")
-        for m in marks:
-            section = m.genus == 0 and m.normal_number == -kind.n
-            fiber = m.genus == 1 and m.normal_number == 0
-            if not (section or fiber):
-                raise MarkError(
-                    f"mark {m.label}: an E({kind.n}) mark is a section "
-                    f"(g=0, i={-kind.n}) or a fiber (g=1, i=0)"
-                )
-    elif isinstance(kind, ProjectivePlane):
-        degrees = {m.label: _cp2_degree(m) for m in marks}
-        scales = {m.label: m.area.scale(Fraction(1, degrees[m.label])) for m in marks}
-        if len(set(scales.values())) > 1:
-            raise MarkError(
-                "CP^2 mark areas must be proportional to their degrees"
-            )
-        for m in marks:
-            if m.orthogonal_at is not None:
-                other = next(x for x in marks if x.label == m.orthogonal_at)
-                if degrees[m.label] * degrees[other.label] != 1:
-                    raise MarkError(
-                        f"CP^2 marks {m.label}, {other.label} meet in "
-                        f"{degrees[m.label] * degrees[other.label]} points, not one"
-                    )
-    elif isinstance(kind, ProjectivePlaneReversed):
-        if marks:
-            raise MarkError("reversed CP^2 carries no marks")
-    elif isinstance(kind, RuledSurface):
-        if kind.genus < 0 or kind.twist < 1:
-            raise MarkError("ruled surface needs g >= 0 and n >= 1")
-        if not kind.fiber_area.is_positive:
-            raise MarkError("ruled surface fiber area must be positive")
-        sections = []
-        for m in marks:
-            if is_ruled_fiber(m, kind):
-                continue
-            k = m.normal_number
-            if m.genus != kind.genus:
-                raise MarkError(
-                    f"mark {m.label}: section genus must equal the base genus "
-                    f"{kind.genus}"
-                )
-            if abs(k) > kind.twist or (k - kind.twist) % 2 != 0:
-                raise MarkError(
-                    f"mark {m.label}: section index {k} incompatible with "
-                    f"twist {kind.twist}"
-                )
-            if not validate_ruled(kind.genus, k, m.area, kind.fiber_area):
-                raise MarkError(
-                    f"mark {m.label}: section area {m.area} too small for "
-                    f"index {k} and fiber {kind.fiber_area}"
-                )
-            sections.append(m)
-        # the condition is antisymmetric, so each unordered pair is
-        # checked once, in the order that finds the same first failure
-        for i, a in enumerate(sections):
-            for b in sections[i + 1 :]:
-                spread = kind.fiber_area.scale(
-                    Fraction(a.normal_number - b.normal_number, 2)
-                )
-                if a.area - b.area != spread:
-                    raise MarkError(
-                        f"sections {a.label}, {b.label}: areas must differ by "
-                        f"{spread}, got {a.area - b.area}"
-                    )
-        # declared intersections must be geometric: sections meet in
-        # (j+k)/2 points, a fiber meets every section once
-        by_label = {m.label: m for m in marks}
-        for m in marks:
-            if m.orthogonal_at is None:
-                continue
-            other = by_label[m.orthogonal_at]
-            mf, of = is_ruled_fiber(m, kind), is_ruled_fiber(other, kind)
-            if mf and of:
-                raise MarkError(f"fibers {m.label}, {other.label} are disjoint")
-            if not mf and not of:
-                if m.normal_number + other.normal_number != 2:
-                    raise MarkError(
-                        f"sections {m.label}, {other.label} do not meet in "
-                        "a single point"
-                    )
-    elif isinstance(kind, RationalSurface):
-        if kind.blowups < 0:
-            raise MarkError("blow-up count must be >= 0")
-    else:
-        raise MarkError(f"unknown atom kind {kind!r}")
-
-
 class Atom(Frozen):
     def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):
         marks = tuple(sorted(marks, key=lambda m: m.label))
@@ -321,7 +352,9 @@ class Atom(Frozen):
                     f"orthogonal pairing {m.label} <-> {other.label} "
                     "must be symmetric"
                 )
-        _check_atom_marks(kind, marks)
+        if not isinstance(kind, AtomKind):
+            raise MarkError(f"unknown atom kind {kind!r}")
+        kind.check_marks(marks)
         set_field(self, "kind", kind)
         set_field(self, "marks", marks)
 

@@ -14,14 +14,12 @@ from .core import (
     Atom,
     AtomNode,
     BlowUp,
-    EllipticSurface,
     FourSum,
     GluingChoice,
     ManifoldExpr,
     MarkError,
     PairSum,
     ProjectivePlane,
-    ProjectivePlaneReversed,
     QuadEntry,
     RuledSurface,
     STD_GLUE,
@@ -204,11 +202,8 @@ def rescale(e: ManifoldExpr, factor: Fraction) -> ManifoldExpr:
 
 def _map_areas(e: ManifoldExpr, fn) -> ManifoldExpr:
     def atom(a: AtomNode) -> AtomNode:
-        kind = a.atom.kind
-        if isinstance(kind, RuledSurface):
-            kind = kind.replace(fiber_area=fn(kind.fiber_area))
         marks = tuple(m.replace(area=fn(m.area)) for m in a.atom.marks)
-        return AtomNode(Atom(kind, marks))
+        return AtomNode(Atom(a.atom.kind.scaled(fn), marks))
 
     def own_areas(n: ManifoldExpr) -> dict:
         # blow-up sizes, thinning and thickening amounts
@@ -279,38 +274,8 @@ def _shift_atom(e: AtomNode, remaining: dict[str, AreaValue]) -> AtomNode:
     new_marks = list(e.atom.marks)
     kind = e.atom.kind
     for m in hits:
-        delta = remaining.pop(m.label)
-        _check_shift_allowed(kind, e.atom.marks, m)
-        if isinstance(kind, RuledSurface):
-            # pullback from the base moves every section in step
-            new_marks = [
-                nm
-                if is_ruled_fiber(nm, kind)
-                else nm.replace(area=nm.area + delta)
-                for nm in new_marks
-            ]
-        else:
-            new_marks = [
-                nm if nm.label != m.label else nm.replace(area=nm.area + delta)
-                for nm in new_marks
-            ]
+        new_marks = kind.shifted(new_marks, m, remaining.pop(m.label))
     return AtomNode(Atom(kind, tuple(new_marks)))
-
-
-def _check_shift_allowed(kind, marks, m: SurfaceMark) -> None:
-    if isinstance(kind, EllipticSurface):
-        if m.genus != 0:
-            raise MarkError(
-                f"area shifts on an elliptic surface apply to sections only, "
-                f"not to the fiber mark {m.label!r}"
-            )
-    elif isinstance(kind, ProjectivePlane):
-        if len(marks) > 1:
-            raise MarkError(
-                "cannot shift one CP^2 mark independently; use rescale"
-            )
-    elif isinstance(kind, ProjectivePlaneReversed):
-        raise MarkError("reversed CP^2 has no marks to shift")
 
 
 def shift_section_area(e: ManifoldExpr, mark: str, delta: AreaValue) -> ManifoldExpr:
