@@ -129,6 +129,8 @@ def thicken(e: ManifoldExpr, mark: str, amount: AreaValue) -> Thicken:
 def min_twist(*indices: int) -> int:
     """Smallest ruled-surface twist carrying sections of the given
     self-intersections (all of one parity)."""
+    if not indices:
+        raise MarkError("the least twist needs at least one section")
     m = max(abs(k) for k in indices)
     if m == 0:
         return 2

@@ -64,3 +64,17 @@ def test_r2_reverse_with_eps_certifies_its_own_grouping():
     r = run(script)
     assert r.code == 0, r.messages
     assert r.messages == ["verdict: = (symplectomorphic) chi=47 sigma=-31"]
+
+
+def test_r10_reverse_with_no_section_left_fails_its_step():
+    """Merging two ruled copies whose only sections were glued leaves no
+    section to take the least twist from: the step fails with a message,
+    where `max()` of no indices raised ValueError out of run()."""
+    r = run(
+        "atom A W(1,1,2) { G: g=1, i=1, a=3; F: g=0, i=0, a=2 }\n"
+        "atom B W(1,1,2) { H: g=1, i=-1, a=3; K: g=0, i=0, a=2 }\n"
+        "lhs sum(A, G, B, H)\nrhs A\ntarget ~\nby R10 { } rev\n"
+    )
+    assert (r.code, r.messages) == (
+        1, ["proof failed at step 1: R10: the least twist needs at least one section"]
+    )
