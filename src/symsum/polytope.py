@@ -17,6 +17,7 @@ neighborhood line.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 
 from .areas import AreaValue
 from .core import AdmissibilityError, ManifoldExpr, MarkError, SurfaceMark, pairwise_violations
@@ -37,7 +38,13 @@ Triple = tuple[ManifoldExpr, str, str]
 
 
 def display_len(a: AreaValue) -> float:
-    return float(a.const) * UNIT + float(a.eps_coeff) * EPS_UNIT
+    try:
+        length = float(a.const) * UNIT + float(a.eps_coeff) * EPS_UNIT
+        if isfinite(length):
+            return length
+    except OverflowError:
+        pass
+    raise MarkError(f"area {a} is too large to draw")
 
 
 def _fmt(x: float) -> str:

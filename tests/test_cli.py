@@ -174,6 +174,23 @@ def test_polytope_triple_with_unknown_mark_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("zeros", [307, 400])
+def test_polytope_of_an_area_beyond_float_range_is_a_mark_error(tmp_path, capsys, zeros):
+    """An area whose drawn length no float holds is refused in one line,
+    where `float()` of it raised OverflowError or drew at infinity."""
+    f = tmp_path / "big.expr"
+    big = "1" + "0" * zeros
+    f.write_text(
+        f"atom X W(0,1,1) {{ G: g=0, i=1, a={big}; F: g=0, i=0, a=1, perp G }}\n"
+        "triple T (X, G, F)\nexpr X\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "big.svg"
+    assert main(["polytope", str(f), "--figure", "triple", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: area {big} + 0*eps is too large to draw\n"
+    assert not out.exists()
+
+
 def test_check_past_the_recursion_limit_verifies(tmp_path, capsys):
     """No depth limit is left: parsing, building and printing keep explicit
     stacks, so a chain nested past the recursion limit verifies."""
