@@ -1,7 +1,9 @@
-"""A bytes-level fuzz of `symsum check`: corpus files with bytes deleted,
-inserted, replaced or cut off, and files at the edges of reading text
-(invalid UTF-8, NUL, a byte-order mark, CRLF and CR-only line ends, an
-empty file, a truncated one, a directory), fed to `cli.main`.
+"""A bytes-level fuzz of the command line: corpus files with bytes
+deleted, inserted, replaced or cut off, and files at the edges of reading
+text (invalid UTF-8, NUL, a byte-order mark, CRLF and CR-only line ends,
+an empty file, a truncated one, a directory), fed to `symsum check`
+through `cli.main`; and the sample expression files, mutated the same
+way, fed to `symsum invariants` and `symsum polytope`.
 
 Whatever the file holds, `main` must return an exit code of the contract
 (0 verified, 1 proof failure, 2 parse, resolution or file error) with no
@@ -10,6 +12,7 @@ standard error.
 """
 
 import os
+import pathlib
 import random
 import time
 
@@ -39,13 +42,19 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
     return bytes(data)
 
 
-def _check(path, capsys) -> tuple[int, str]:
-    code = main(["check", str(path)])
+def _main(args, capsys, one_line=(2,)) -> tuple[int, str]:
+    """`main(args)`'s exit code and standard error, checked against the
+    contract: an exit in `one_line` says why in exactly one line."""
+    code = main(args)
     err = capsys.readouterr().err
     assert code in (0, 1, 2), code
-    if code == 2:
+    if code in one_line:
         assert err.endswith("\n") and err.count("\n") == 1, err
     return code, err
+
+
+def _check(path, capsys) -> tuple[int, str]:
+    return _main(["check", str(path)], capsys)
 
 
 def test_byte_mutations_of_the_corpus_keep_the_exit_code_contract(tmp_path, capsys):
@@ -58,6 +67,35 @@ def test_byte_mutations_of_the_corpus_keep_the_exit_code_contract(tmp_path, caps
         code, _ = _check(path, capsys)
         codes[code] += 1
     assert all(codes.values()), codes  # the mutants reach every outcome
+
+
+EXPRS = sorted((pathlib.Path(__file__).parent.parent / "scripts" / "exprs").glob("*.expr"))
+EXPR_MUTATIONS = 600
+
+
+def test_byte_mutations_of_the_expression_files_keep_the_exit_code_contract(
+    tmp_path, capsys
+):
+    """The same byte mutations of the sample expression files, through
+    `invariants` and through `polytope` with each figure: a failure
+    outside a proof (exit 1) also says why in one line."""
+    rng = random.Random(SEED)
+    sources = [path.read_bytes() for path in EXPRS]
+    path, svg = str(tmp_path / "mutant.expr"), str(tmp_path / "mutant.svg")
+    commands = [["invariants", path]] + [
+        ["polytope", path, "--figure", figure, "-o", svg]
+        for figure in ("triple", "pairsum", "foursum")
+    ]
+    codes = [{0: 0, 1: 0, 2: 0} for _ in commands]
+    start = time.process_time()
+    for n in range(EXPR_MUTATIONS):
+        pathlib.Path(path).write_bytes(mutate(sources[n % len(sources)], rng))
+        for args, counts in zip(commands, codes):
+            code, _ = _main(args, capsys, one_line=(1, 2))
+            counts[code] += 1
+    seconds = time.process_time() - start
+    assert all(counts[0] and counts[2] for counts in codes), codes
+    assert seconds < 5, f"{EXPR_MUTATIONS} mutants took {seconds:.1f} s of CPU"
 
 
 GOOD = CORPUS["resolve"].encode("utf-8")
