@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # each exported name -> the submodule that defines it
 _HOMES = {
-    **dict.fromkeys(("AreaValue", "area", "area_add", "area_less"), "areas"),
+    **dict.fromkeys(("AreaValue", "area"), "areas"),
     **dict.fromkeys(
         (
             "AdmissibilityError",

@@ -166,12 +166,3 @@ def area(const: RationalLike, eps: RationalLike = 0) -> AreaValue:
     """Convenience constructor."""
     return AreaValue(const, eps)
 
-
-def area_add(x: AreaValue, y: AreaValue) -> AreaValue:
-    """Componentwise sum of two areas."""
-    return x + y
-
-
-def area_less(x: AreaValue, y: AreaValue) -> bool:
-    """Strict comparison in the small-eps (lexicographic) order."""
-    return x < y
