@@ -129,7 +129,7 @@ def token_positions(text: str) -> list[Token]:
             toks.append(Token(kind, v, line, col))
             return toks
         col = start - line_start + 1
-        if kind == v and len(v) == 1 and v not in _KIND_OF:  # not a name "name"
+        if kind == v and len(v) == 1 and v not in _KIND_OF:  # v starts no token
             if v == '"':
                 raise ScriptError("unterminated string", line, col)
             raise ScriptError(f"unexpected character {v!r}", line, col)

@@ -373,21 +373,22 @@ def test_shift_unknown_label():
         shift_section_area(e3_atom(), "nope", area(1))
 
 
-def _cp2(*labels):
-    """CP^2 with a line of area 1 per label, the two of a pair orthogonal."""
-    partner = dict(zip(labels, reversed(labels))) if len(labels) == 2 else {}
-    return AtomNode(
-        Atom(
-            ProjectivePlane(),
-            tuple(SurfaceMark(l, 0, 1, area(1), partner.get(l)) for l in labels),
-        )
-    )
-
-
 @pytest.mark.parametrize(
     "atom, label, message",
     [
-        (_cp2("L1", "L2"), "L1", "cannot shift one CP^2 mark independently; use rescale"),
+        (
+            AtomNode(
+                Atom(
+                    ProjectivePlane(),
+                    (
+                        SurfaceMark("L1", 0, 1, area(1), "L2"),
+                        SurfaceMark("L2", 0, 1, area(1), "L1"),
+                    ),
+                )
+            ),
+            "L1",
+            "cannot shift one CP^2 mark independently; use rescale",
+        ),
         (
             e3_atom(),
             "F3",
