@@ -40,6 +40,9 @@ _HOMES = {
             "Thicken",
             "Thin",
             "Violation",
+            "desingularize",
+            "fourfold_violations",
+            "pairwise_violations",
             "validate_ruled",
         ),
         "core",
@@ -65,18 +68,12 @@ _HOMES = {
     ),
     **dict.fromkeys(
         (
+            "apply_shifts",
             "blow_down",
-            "blow_up",
-            "check_fourfold_admissible",
-            "check_pairwise_admissible",
-            "desingularize",
             "fourfold_sum",
             "pairwise_sum",
             "rescale",
-            "shift_section_area",
             "split_ruled",
-            "thicken",
-            "thin",
         ),
         "sums",
     ),

@@ -460,8 +460,8 @@ class ManifoldExpr(Frozen):
 @cache
 def _data_fields(cls):
     # always a tuple: comparing tuples skips identical members, such as
-    # the atoms that both sides of a proof share.  Child fields are named
-    # by their selectors; FourSum, whose are not, has its own _local.
+    # the atoms that both sides of a proof share.  Every child field is
+    # named by its selector.
     return values_getter([n for n, _ in cls.FIELDS if n not in cls.SELECTORS])
 
 
@@ -657,46 +657,50 @@ def fourfold_violations(quad: tuple[QuadEntry, ...]) -> list[Violation]:
 
 
 class FourSum(ManifoldExpr):
-    """Simultaneous sum of four triples along T_i = S_{i+1}.  Stored
-    unevaluated; invariants and marks come from the fixed evaluation
-    ((1#2)#(3#4))."""
+    """Simultaneous sum of the four triples (x_i, s_i, t_i) along
+    T_i = S_{i+1}.  Stored unevaluated; invariants and marks come from
+    the fixed evaluation ((1#2)#(3#4))."""
 
-    # each child's mark references sit next to it in its entry
     SELECTORS = ("x1", "x2", "x3", "x4")
+    MARK_REFS = (("s1", "t1"), ("s2", "t2"), ("s3", "t3"), ("s4", "t4"))
 
     def __init__(
-        self, entries: tuple[QuadEntry, ...],
+        self,
+        x1: ManifoldExpr, s1: str, t1: str,
+        x2: ManifoldExpr, s2: str, t2: str,
+        x3: ManifoldExpr, s3: str, t3: str,
+        x4: ManifoldExpr, s4: str, t4: str,
         gluings: tuple[GluingChoice, ...] = (STD_GLUE,) * 4,
     ):
-        if len(entries) != 4 or len(gluings) != 4:
-            raise MarkError("a 4-fold sum needs exactly four triples")
-        _check_disjoint_pools(*(e for e, _, _ in entries))
-        for e, s, t in entries:
+        if len(gluings) != 4:
+            raise MarkError("a 4-fold sum needs exactly four gluings")
+        values = (x1, s1, t1, x2, s2, t2, x3, s3, t3, x4, s4, t4, gluings)
+        for (name, _), value in zip(self.FIELDS, values):
+            set_field(self, name, value)
+        _check_disjoint_pools(x1, x2, x3, x4)
+        for e, s, t in self.entries:
             sm, tm = e.mark(s), e.mark(t)
             if sm.orthogonal_at != tm.label:
                 raise MarkError(
                     f"triple marks {s}, {t} must be orthogonally paired"
                 )
-        bad = fourfold_violations(entries)
+        bad = fourfold_violations(self.entries)
         if bad:
             raise AdmissibilityError(bad)
-        set_field(self, "entries", entries)
-        set_field(self, "gluings", gluings)
         self.marks
 
     def children(self):
-        return tuple(e for e, _, _ in self.entries)
+        return (self.x1, self.x2, self.x3, self.x4)
 
-    def _local(self):
-        return (tuple((s, t) for _, s, t in self.entries), self.gluings)
-
-    def with_children(self, kids, relabel=None, at=None, **changes):
-        entries = []
-        for i, (kid, (_, s, t)) in enumerate(zip(kids, self.entries)):
-            if relabel and (at is None or i == at):
-                s, t = rename(relabel, (s, t))
-            entries.append((kid, s, t))
-        return self.replace(entries=tuple(entries), **changes)
+    @property
+    def entries(self) -> tuple[QuadEntry, ...]:
+        """The four triples (x_i, s_i, t_i)."""
+        return (
+            (self.x1, self.s1, self.t1),
+            (self.x2, self.s2, self.t2),
+            (self.x3, self.s3, self.t3),
+            (self.x4, self.s4, self.t4),
+        )
 
     def evaluated(self, rotation: int = 0) -> ManifoldExpr:
         """The pairwise-sum evaluation ((1#2)#(3#4)) after rotating the

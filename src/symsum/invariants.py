@@ -86,7 +86,7 @@ def _node_invariants(e: ManifoldExpr) -> InvariantVector:
     if isinstance(e, PairSum):
         return _fiber_sum(e.left._inv, e.right._inv, e.glue_genus)
     if isinstance(e, FourSum):
-        # the entries are done, so this only visits the three new sums
+        # the children are done, so this only visits the three new sums
         return expr_invariants(e.evaluated())
     if isinstance(e, BlowUp):
         inner = e.inner._inv

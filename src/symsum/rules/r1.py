@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..core import AdmissibilityError, FourSum, PairSum, STD_GLUE, fourfold_violations
 from ..rewrite import EQ, RuleError, rule
+from ..sums import fourfold_sum
 
 
 @rule("R1")
@@ -13,7 +14,7 @@ def _r1(sub, b, rev):
         if rev:
             r = -r
         r %= 4
-        new = FourSum(
+        new = fourfold_sum(
             sub.entries[r:] + sub.entries[:r], sub.gluings[r:] + sub.gluings[:r]
         )
         return new, EQ, [f"rotated the four summands by {r}"]
@@ -27,7 +28,7 @@ def _r1(sub, b, rev):
         r %= 4
         rot = quad[r:] + quad[:r]
         grot = gluings[r:] + gluings[:r]
-        new = FourSum(rot, grot).evaluated()
+        new = fourfold_sum(rot, grot).evaluated()
         return new, EQ, [f"regrouped the grand sum, starting at summand {r + 1}"]
     raise RuleError("R1 applies to a 4-fold sum or a sum of two pairwise sums")
 

@@ -1,6 +1,6 @@
 """R10: a ruled surface with a doubled fiber splits into two copies."""
 
-from ..core import Atom, AtomNode, PairSum, RuledSurface
+from ..core import Atom, AtomNode, PairSum, RuledSurface, is_ruled_fiber
 from ..rewrite import EQ, RuleError, _expect_same_marks, _require_ruled, rule
 from ..sums import min_twist, split_ruled
 
@@ -31,7 +31,7 @@ def _r10(sub, b, rev):
     doubled = k1.fiber_area.scale(2)
     marks = []
     for m in sub.marks:
-        if m.genus == 0 and m.normal_number == 0:
+        if is_ruled_fiber(m, k1):  # a fiber of the halves
             marks.append(m.replace(area=doubled, orthogonal_at=None))
         else:
             marks.append(m.replace(orthogonal_at=None))

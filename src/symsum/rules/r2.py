@@ -6,7 +6,6 @@ from __future__ import annotations
 from ..areas import AreaValue
 from ..core import (
     Desing,
-    FourSum,
     MarkError,
     PairSum,
     SurfaceMark,
@@ -29,7 +28,7 @@ from ..rewrite import (
     _partner_label,
     rule,
 )
-from ..sums import _neutral_w, make_ruled_atom
+from ..sums import _neutral_w, fourfold_sum, make_ruled_atom
 
 
 def _fresh(label: str, pool: set[str]) -> str:
@@ -196,7 +195,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         )
     notes.append("perturbed quadruple admissible; all four gluing areas exact")
 
-    grand = FourSum(quad)
+    grand = fourfold_sum(quad)
     eval_a = grand.evaluated(0)
     eval_b = grand.evaluated(3)
 

@@ -214,8 +214,7 @@ class OpExpr(Syntax):
 
     def __eq__(self, other):
         """Compares like a record, from an explicit stack of the value
-        pairs still to compare, so that nesting costs no Python frames;
-        FourSum's entries and their triples are compared member-wise."""
+        pairs still to compare, so that nesting costs no Python frames."""
         if other.__class__ is not OpExpr:
             return NotImplemented
         stack = [(self, other)]
@@ -227,8 +226,6 @@ class OpExpr(Syntax):
                 if a.cls is not b.cls or a.args.keys() != b.args.keys():
                     return False
                 stack.extend((v, b.args[k]) for k, v in a.args.items())
-            elif a.__class__ is tuple and b.__class__ is tuple and len(a) == len(b):
-                stack.extend(zip(a, b))
             elif a != b:
                 return False
         return True
@@ -236,8 +233,8 @@ class OpExpr(Syntax):
     def __repr__(self) -> str:
         """The record repr, written from an explicit stack of pieces, each
         a text and then a value, so that nesting costs no Python frames:
-        an OpExpr, a dict or a tuple value pushes its own pieces, and any
-        other value writes its repr."""
+        an OpExpr or a dict value pushes its own pieces, and any other
+        value writes its repr."""
         out, stack = [], [("", self)]
         while stack:
             text, x = stack.pop()
@@ -250,9 +247,6 @@ class OpExpr(Syntax):
                     (f"{', ' if i else '{'}{k!r}: ", v) for i, (k, v) in enumerate(x.items())
                 ]
                 pieces.append(("}" if x else "{}", _NO_VALUE))
-            elif cls is tuple:
-                pieces = [(", " if i else "(", v) for i, v in enumerate(x)]
-                pieces.append(("()" if not x else ",)" if len(x) == 1 else ")", _NO_VALUE))
             else:
                 if x is not _NO_VALUE:
                     out.append(repr(x))
@@ -440,9 +434,7 @@ class _Parser:
                 form, start, args, i = top
                 steps = form.steps
                 if value is not None:  # a closed child, for the slot where reading stopped
-                    _, child, field = steps[i - 1]
-                    # a triple joins the tuple of its slot
-                    args[field] = args.get(field, ()) + (value,) if child is _TRIPLE else value
+                    args[steps[i - 1][2]] = value
                 while True:
                     read, arg, field = steps[i]
                     i += 1
@@ -641,8 +633,8 @@ class BuiltTriple(Record):
 def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
     """The core expression of `node`, built bottom-up with an explicit
     stack of the operations being built, each with its arguments, in
-    which its children (under their selectors, FourSum's too) are replaced
-    as they are built; a node's failed check is reported at `node`."""
+    which its children (under their selectors) are replaced as they are
+    built; a node's failed check is reported at `node`."""
     try:
         top = {"": node}
         stack = [(None, top, iter(("",)), None)]  # a parent above the root
@@ -651,10 +643,7 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
             for name in names:
                 c = args[name]
                 if c.__class__ is OpExpr:
-                    c_args = dict(c.args)
-                    if c.cls is FourSum:
-                        c_args.update(zip(FourSum.SELECTORS, [x for x, _, _ in c_args["entries"]]))
-                    stack.append((c, c_args, iter(c.cls.SELECTORS), name))
+                    stack.append((c, dict(c.args), iter(c.cls.SELECTORS), name))
                     break
                 if c.__class__ is AtomExpr:
                     args[name] = _build_atom(c.kind, c.marks, c.pos)
@@ -666,9 +655,6 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
                 stack.pop()
                 if not stack:
                     return top[""]
-                if op.cls is FourSum:
-                    entries = zip(FourSum.SELECTORS, args["entries"])
-                    args["entries"] = tuple((args.pop(x), s, t) for x, (_, s, t) in entries)
                 stack[-1][1][slot] = op.cls(**args)
     except ScriptError:
         raise
@@ -726,7 +712,8 @@ def build_script(ast: ScriptAst) -> BuiltScript:
 # prints only when it is given.
 _FORMS = {
     PairSum: "sum({left}, {left_mark}, {right}, {right_mark}{gluing}{carry_label}{pairs})",
-    FourSum: "sum4({entries})",
+    FourSum: "sum4(({x1}, {s1}, {t1}), ({x2}, {s2}, {t2}), ({x3}, {s3}, {t3}), "
+    "({x4}, {s4}, {t4}))",
     BlowUp: "blowup({inner}, {at_mark}, size = {size}"
     "{transform_label}{exceptional_label}{pair_exceptional})",
     Thin: "thin({inner}, {mark_label}, {amount})",
@@ -755,7 +742,6 @@ _OPTIONS = {
 _EPS = ("e", "eps")  # the words after an area's eps coefficient
 _CLOSED = object()  # what the stop at the end of a form wants
 _ABSENT = object()  # the value of an option that is not given
-_ENTRIES = object()  # how FourSum's entries print: as triples
 
 
 class _Form:
@@ -786,11 +772,6 @@ class _Form:
                 literal = f", {key}" if read is None else f", {key} = "
                 if repeats:
                     show = lambda value, text=show, sep=literal: sep.join(map(text, value))
-            elif show is _ENTRIES:  # four triples, separated by commas
-                for j in range(4):
-                    if j:
-                        self.steps.append((_Parser.expect, ",", None))
-                    self.steps.append((None, _TRIPLE, field))
             else:  # a read, or a stop at a child slot (read None)
                 self.steps.append((read, None, field))
             self.pieces.append((literal, show))
@@ -806,13 +787,11 @@ class _Form:
 
 # how a slot or an option's value is read and printed, by the name of its
 # field or else by its annotation.  A child expression (read None) is read
-# and printed from the parser's and the printer's stacks, and FourSum's
-# entries as four triples; a flag (read None) has no value, and a tuple's
-# members repeat their option.
+# and printed from the parser's and the printer's stacks; a flag (read
+# None) has no value, and a tuple's members repeat their option.
 _SLOT_KINDS = {
     "at_mark": (_Parser.parse_at, lambda v: "generic" if v is None else f"at = {v}"),
     "ManifoldExpr": (None, None),
-    "tuple[QuadEntry, ...]": (None, _ENTRIES),
     "str": (_Parser.read_name, str),
     "Optional[str]": (_Parser.read_name, str),
     "int": (_Parser.parse_int, str),
@@ -861,11 +840,6 @@ def serialize_expr(node) -> str:
                     stack.append(_slots(value))
                     break
                 out.append(leaf)
-            elif show is _ENTRIES:  # triples, separated by commas, on top
-                seps = [", "] * (len(value) - 1) + [""]
-                for entry, sep in reversed(list(zip(value, seps))):
-                    stack.append((zip(_TRIPLE.pieces, entry, _TRIPLE.absent), _TRIPLE.tail + sep))
-                break
             else:
                 out.append(show(value))
         else:

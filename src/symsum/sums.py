@@ -1,6 +1,7 @@
-"""Constructive operations of the calculus: pairwise and 4-fold sums,
-desingularization, blow-up/-down, thickening/thinning, rescaling, and
-the splitting of a ruled surface into two thinner copies."""
+"""Constructive operations of the calculus beyond the node constructors:
+checked pairwise and 4-fold sums, blow-down, the explicit form of a
+thickening, rescaling, area shifts, and the splitting of a ruled surface
+into two thinner copies."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from .core import (
     AdmissibilityError,
     Atom,
     AtomNode,
-    BlowUp,
     FourSum,
     GluingChoice,
     ManifoldExpr,
@@ -25,18 +25,9 @@ from .core import (
     STD_GLUE,
     SurfaceMark,
     Thicken,
-    Thin,
     Violation,
-    desingularize,
-    fourfold_violations,
     is_ruled_fiber,
-    pairwise_violations,
 )
-
-# the admissibility checks and `desingularize` live with the mark types;
-# re-exported here as the public operation names
-check_pairwise_admissible = pairwise_violations
-check_fourfold_admissible = fourfold_violations
 
 Triple = tuple[ManifoldExpr, Optional[str], Optional[str]]  # (expr, S, T)
 
@@ -75,18 +66,10 @@ def fourfold_sum(
     quad: tuple[QuadEntry, ...],
     gluings: tuple[GluingChoice, ...] = (STD_GLUE,) * 4,
 ) -> FourSum:
-    return FourSum(tuple(quad), tuple(gluings))
-
-
-def blow_up(
-    e: ManifoldExpr,
-    at: Optional[str],
-    size: AreaValue,
-    transform_label: Optional[str] = None,
-    exceptional_label: str = "E",
-    pair_exceptional: bool = False,
-) -> BlowUp:
-    return BlowUp(e, at, size, transform_label, exceptional_label, pair_exceptional)
+    """The 4-fold sum of the four triples (expr, S, T) of `quad`."""
+    if len(quad) != 4:
+        raise MarkError("a 4-fold sum needs exactly four triples")
+    return FourSum(*(v for triple in quad for v in triple), tuple(gluings))
 
 
 def blow_down(
@@ -116,14 +99,6 @@ def blow_down(
         )
     )
     return PairSum(e, exceptional, plane, l1, gluing, carry_label=carry_label)
-
-
-def thin(e: ManifoldExpr, mark: str, amount: AreaValue) -> Thin:
-    return Thin(e, mark, amount)
-
-
-def thicken(e: ManifoldExpr, mark: str, amount: AreaValue) -> Thicken:
-    return Thicken(e, mark, amount)
 
 
 def min_twist(*indices: int) -> int:
@@ -278,12 +253,6 @@ def _shift_atom(e: AtomNode, remaining: dict[str, AreaValue]) -> AtomNode:
     for m in hits:
         new_marks = kind.shifted(new_marks, m, remaining.pop(m.label))
     return AtomNode(Atom(kind, tuple(new_marks)))
-
-
-def shift_section_area(e: ManifoldExpr, mark: str, delta: AreaValue) -> ManifoldExpr:
-    """Shift one atom-level mark's area (sections move together on a
-    ruled surface)."""
-    return apply_shifts(e, {mark: delta})
 
 
 def split_ruled(

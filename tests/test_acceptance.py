@@ -21,9 +21,11 @@ from symsum.core import (
     Atom,
     AtomNode,
     EquivLevel,
-    FourSum,
     RationalSurface,
     SurfaceMark,
+    Thicken,
+    Thin,
+    fourfold_violations,
 )
 from symsum.demos import CORPUS, DEMOS
 from symsum.invariants import (
@@ -34,7 +36,7 @@ from symsum.invariants import (
 )
 from symsum.core import EllipticSurface
 from symsum.script import parse, print_script, run
-from symsum.sums import check_fourfold_admissible, thicken, thin
+from symsum.sums import fourfold_sum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -76,7 +78,7 @@ def test_acceptance_3_fourfold_property_suite():
     failures = 0
     for _ in range(1000):
         quad = random_quad(rng)
-        fs = FourSum(quad)
+        fs = fourfold_sum(quad)
         a, b = fs.evaluated(0), fs.evaluated(3)
         if expr_invariants(a) != expr_invariants(b):
             failures += 1
@@ -112,7 +114,7 @@ def test_acceptance_3_fourfold_property_suite():
                         )
                     broken.append(m)
                 quad[idx] = (AtomNode(Atom(x.atom.kind, tuple(broken))), s, t)
-                bad = check_fourfold_admissible(tuple(quad))
+                bad = fourfold_violations(tuple(quad))
                 assert len(bad) == 1
                 assert bad[0].condition == cond
                 assert bad[0].index == idx + 1
@@ -203,23 +205,23 @@ def test_acceptance_7_thicken_thin_algebra():
         )
         s, t = x.mark("S"), x.mark("T")
 
-        thinned = thin(x, "S", eps1)
+        thinned = Thin(x, "S", eps1)
         assert thinned.mark("S-").area == s.area - eps1.scale(i)
         assert thinned.mark("T-").area == t.area - eps1
 
-        thickened = thicken(x, "S", eps1)
+        thickened = Thicken(x, "S", eps1)
         assert thickened.mark("S+").area == s.area + eps1.scale(i)
         assert thickened.mark("T+").area == t.area + eps1
 
         # thicken then thin restores every mark's data
-        back = thin(thickened, "S+", eps1)
+        back = Thin(thickened, "S+", eps1)
         assert sorted(m.data for m in back.marks) == sorted(
             m.data for m in x.marks
         )
 
         # the order of thickening and thinning does not matter
-        route1 = thicken(thin(x, "S", eps1), "T-", eps2)
-        route2 = thin(thicken(x, "T", eps2), "S+", eps1)
+        route1 = Thicken(Thin(x, "S", eps1), "T-", eps2)
+        route2 = Thin(Thicken(x, "T", eps2), "S+", eps1)
         assert sorted(m.data for m in route1.marks) == sorted(
             m.data for m in route2.marks
         )

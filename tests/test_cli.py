@@ -174,6 +174,38 @@ def test_polytope_triple_with_unknown_mark_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+_E3 = "atom E3 E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=1, perp Sigma-3 }\n"
+
+
+@pytest.mark.parametrize(
+    "figure, source, message",
+    [
+        (
+            "triple",
+            "atom A E(3) { Sigma-3: g=0, i=-3, a=1; F3: g=1, i=0, a=1 }\n"
+            "triple t (A, Sigma-3, F3)\nexpr A\n",
+            "figure needs Sigma-3 and F3 orthogonally paired",
+        ),
+        (
+            "pairsum",
+            _E3 + "atom E1 E(1) { F1: g=1, i=0, a=2, perp Sigma-1; Sigma-1: g=0, i=-1, a=1, perp F1 }\n"
+            "triple t1 (E3, Sigma-3, F3)\ntriple t2 (E1, F1, Sigma-1)\nexpr E3\n",
+            "area mismatch: 1 + 0*eps vs 2 + 0*eps",
+        ),
+    ],
+    ids=["unpaired triple", "pairsum area mismatch"],
+)
+def test_a_figure_the_marks_cannot_draw_exits_1(tmp_path, capsys, figure, source, message):
+    """A declared triple whose marks do not meet, or two triples whose
+    gluing marks differ, builds but cannot be drawn: one error line, exit 1."""
+    f = tmp_path / "f.expr"
+    f.write_text(source, encoding="utf-8")
+    out = tmp_path / "f.svg"
+    assert main(["polytope", str(f), "--figure", figure, "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("zeros", [307, 400])
 def test_polytope_of_an_area_beyond_float_range_is_a_mark_error(tmp_path, capsys, zeros):
     """An area whose drawn length no float holds is refused in one line,

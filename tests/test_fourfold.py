@@ -10,12 +10,12 @@ from symsum.core import (
     AdmissibilityError,
     Atom,
     AtomNode,
-    FourSum,
     RationalSurface,
     SurfaceMark,
+    fourfold_violations,
 )
 from symsum.invariants import expr_invariants
-from symsum.sums import check_fourfold_admissible, fourfold_sum, make_ruled_atom
+from symsum.sums import fourfold_sum, make_ruled_atom
 
 
 def random_quad(rng: random.Random, extras: bool = True):
@@ -55,7 +55,7 @@ def random_quad(rng: random.Random, extras: bool = True):
 def test_symmetric_quadruple_admissible():
     rng = random.Random(7)
     quad = random_quad(rng, extras=False)
-    assert check_fourfold_admissible(quad) == []
+    assert fourfold_violations(quad) == []
 
 
 def test_resolution_style_quadruple():
@@ -95,7 +95,7 @@ def test_resolution_style_quadruple():
         pairs=(("S4", "T4"),),
     )
     quad = ((e3, "S1", "T1"), (e1, "S2", "T2"), (p, "S3", "T3"), (w, "S4", "T4"))
-    assert check_fourfold_admissible(quad) == []
+    assert fourfold_violations(quad) == []
     fs = fourfold_sum(quad)
     assert expr_invariants(fs.evaluated(0)) == expr_invariants(fs.evaluated(3))
 
@@ -109,7 +109,7 @@ def test_perturbed_area_reports_index():
         for m in x2.atom.marks
     ]
     quad[1] = (AtomNode(Atom(x2.atom.kind, tuple(marks))), s2, t2)
-    bad = check_fourfold_admissible(tuple(quad))
+    bad = fourfold_violations(tuple(quad))
     assert len(bad) == 1
     assert bad[0].condition == "area"
     assert bad[0].index == 2
@@ -119,7 +119,7 @@ def test_both_groupings_agree():
     rng = random.Random(2026)
     for _ in range(50):
         quad = random_quad(rng)
-        fs = FourSum(quad)
+        fs = fourfold_sum(quad)
         a = fs.evaluated(0)
         b = fs.evaluated(3)
         assert expr_invariants(a) == expr_invariants(b)
@@ -136,7 +136,7 @@ def test_inadmissible_foursum_rejected():
     ]
     quad[0] = (AtomNode(Atom(x1.atom.kind, tuple(marks))), s1, t1)
     with pytest.raises(AdmissibilityError) as exc:
-        FourSum(tuple(quad))
+        fourfold_sum(quad)
     assert any(v.condition == "genus" and v.index == 1 for v in exc.value.violations)
 
 
@@ -154,4 +154,4 @@ def test_unpaired_triple_rejected():
         )
         quad.append((x, f"S{i}", f"T{i}"))
     with pytest.raises(Exception, match="orthogonally paired"):
-        FourSum(tuple(quad))
+        fourfold_sum(quad)

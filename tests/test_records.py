@@ -350,6 +350,12 @@ def test_import_symsum_loads_no_submodule():
     assert {m for m in loaded if m.startswith("symsum")} == {"symsum"}
 
 
+def test_each_export_is_defined_in_its_home_module():
+    """No alias or re-export: a public name is defined where `_HOMES` says."""
+    for name in symsum.__all__:
+        assert getattr(symsum, name).__module__ == "symsum." + symsum._HOMES[name], name
+
+
 def test_lazy_exports_are_their_home_modules_attributes():
     for name in symsum.__all__:
         home = symsum._HOMES[name]

@@ -78,3 +78,15 @@ def test_r10_reverse_with_no_section_left_fails_its_step():
     assert (r.code, r.messages) == (
         1, ["proof failed at step 1: R10: the least twist needs at least one section"]
     )
+
+
+def test_r10_round_trip_keeps_index_0_sections_on_a_genus_0_base():
+    """On a genus-0 base an index-0 section is a sphere of self-intersection
+    zero, like a fiber; the merge told them apart by genus and index only,
+    so it gave both sections the doubled fiber area and failed its check."""
+    r = run(
+        "atom W W(0,2,2) { P: g=0, i=0, a=3; M: g=0, i=0, a=3 }\n"
+        "lhs W rhs W target =\n"
+        "by R10 { plus = P, minus = M }\nby R10 { } rev\n"
+    )
+    assert (r.code, r.messages) == (0, ["verdict: = (symplectomorphic) chi=4 sigma=0"])

@@ -38,7 +38,7 @@ from symsum.rewrite import (
     apply_rule,
     check_equiv,
 )
-from symsum.sums import make_ruled_atom
+from symsum.sums import fourfold_sum, make_ruled_atom
 
 EQ = EquivLevel.SYMPLECTOMORPHIC
 WK = EquivLevel.WEAK_DEFORMATION
@@ -128,7 +128,7 @@ def test_unknown_rule_id_loads_nothing():
 
 def test_r1_foursum_rotation():
     quad = random_quad(random.Random(3), extras=False)
-    fs = FourSum(quad)
+    fs = fourfold_sum(quad)
     app = apply_rule(fs, "R1", {"rotate": 1})
     assert app.level == EQ
     assert isinstance(app.expr, FourSum)
@@ -138,11 +138,11 @@ def test_r1_foursum_rotation():
 
 def test_r1_nested_regrouping():
     quad = random_quad(random.Random(4), extras=False)
-    nested = FourSum(quad).evaluated(0)
+    nested = fourfold_sum(quad).evaluated(0)
     app = apply_rule(nested, "R1", {})
     assert app.level == EQ
     # default rotation starts the grouping at the fourth summand
-    assert app.expr == FourSum(quad).evaluated(3)
+    assert app.expr == fourfold_sum(quad).evaluated(3)
 
 
 def test_r1_shape_error():

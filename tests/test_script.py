@@ -74,10 +74,10 @@ def test_deep_asts_differing_at_the_bottom_are_unequal():
     innermost = "sum(W1, B1, W2, A2)"
     changed = src.replace(innermost, "sum(W1, B1, W2, A2, carry=Z)")
     assert parse(src).lhs != parse(changed).lhs
-    # FourSum's entries compare member-wise
+    # FourSum's children compare under their selectors
     four = parse(CORPUS["fourfold-cyclic"]).lhs
     assert four == parse(CORPUS["fourfold-cyclic"]).lhs
-    other = four.replace(args={**four.args, "entries": four.args["entries"][::-1]})
+    other = four.replace(args={**four.args, "x1": four.args["x4"], "x4": four.args["x1"]})
     assert four != other
 
 
