@@ -20,7 +20,6 @@ _HOMES = {
     **dict.fromkeys(
         (
             "AdmissibilityError",
-            "Atom",
             "AtomNode",
             "BlowUp",
             "Desing",
@@ -71,7 +70,6 @@ _HOMES = {
             "apply_shifts",
             "blow_down",
             "fourfold_sum",
-            "pairwise_sum",
             "rescale",
             "split_ruled",
         ),

@@ -12,7 +12,6 @@ integer operations.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd
 from operator import ge, gt, le, lt
@@ -141,25 +140,6 @@ class AreaValue(Frozen):
             return f"{const}"
         sign = "+" if eps >= 0 else "-"
         return f"{const}{sign}{abs(eps)}e"
-
-    @classmethod
-    def parse(cls, text: str) -> "AreaValue":
-        m = _AREA_RE.match(text.strip())
-        if m:
-            try:
-                const, eps = Fraction(m["const"]), Fraction(m["eps"] or 0)
-            except ZeroDivisionError:
-                pass
-            else:
-                return cls(const, -eps if m["sign"] == "-" else eps)
-        raise AreaError(f"cannot parse area value: {text!r}")
-
-
-_RAT = r"-?\d+(?:/\d+)?"
-_AREA_RE = re.compile(
-    rf"^(?P<const>{_RAT})"
-    rf"(?:\s*(?P<sign>[+-])\s*(?P<eps>\d+(?:/\d+)?)\s*\*?\s*(?:eps|e))?$"
-)
 
 
 def area(const: RationalLike, eps: RationalLike = 0) -> AreaValue:

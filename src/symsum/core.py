@@ -330,35 +330,6 @@ def is_ruled_fiber(m: SurfaceMark, kind: RuledSurface) -> bool:
     return m.genus == 0 and m.normal_number == 0 and m.area == kind.fiber_area
 
 
-class Atom(Frozen):
-    def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):
-        marks = tuple(sorted(marks, key=lambda m: m.label))
-        labels = [m.label for m in marks]
-        if len(set(labels)) != len(labels):
-            dup = next(l for l in labels if labels.count(l) > 1)
-            raise MarkError(f"duplicate mark label {dup!r}")
-        by_label = {m.label: m for m in marks}
-        for m in marks:
-            if m.orthogonal_at is None:
-                continue
-            other = by_label.get(m.orthogonal_at)
-            if other is None:
-                raise MarkError(
-                    f"mark {m.label} declares partner {m.orthogonal_at!r} "
-                    "which does not exist"
-                )
-            if other.orthogonal_at != m.label:
-                raise MarkError(
-                    f"orthogonal pairing {m.label} <-> {other.label} "
-                    "must be symmetric"
-                )
-        if not isinstance(kind, AtomKind):
-            raise MarkError(f"unknown atom kind {kind!r}")
-        kind.check_marks(marks)
-        set_field(self, "kind", kind)
-        set_field(self, "marks", marks)
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -460,8 +431,8 @@ class ManifoldExpr(Frozen):
 @cache
 def _data_fields(cls):
     # always a tuple: comparing tuples skips identical members, such as
-    # the atoms that both sides of a proof share.  Every child field is
-    # named by its selector.
+    # the kind that two atoms share.  Every child field is named by its
+    # selector.
     return values_getter([n for n, _ in cls.FIELDS if n not in cls.SELECTORS])
 
 
@@ -521,20 +492,44 @@ def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
 
 
 class AtomNode(ManifoldExpr):
+    """A closed atom of the given kind with its marks, sorted by label.
+    The marks must have distinct labels and symmetric orthogonal
+    partners, and the kind must allow them."""
+
     # memo of the atom's source text, filled in by script.serialize_expr;
     # only atoms keep one, as a memo per operation node would hold
     # O(depth^2) text on a nested chain
     _text = None
 
-    def __init__(self, atom: Atom):
-        set_field(self, "atom", atom)
+    def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):
+        marks = tuple(sorted(marks, key=lambda m: m.label))
+        labels = [m.label for m in marks]
+        if len(set(labels)) != len(labels):
+            dup = next(l for l in labels if labels.count(l) > 1)
+            raise MarkError(f"duplicate mark label {dup!r}")
+        by_label = {m.label: m for m in marks}
+        for m in marks:
+            if m.orthogonal_at is None:
+                continue
+            other = by_label.get(m.orthogonal_at)
+            if other is None:
+                raise MarkError(
+                    f"mark {m.label} declares partner {m.orthogonal_at!r} "
+                    "which does not exist"
+                )
+            if other.orthogonal_at != m.label:
+                raise MarkError(
+                    f"orthogonal pairing {m.label} <-> {other.label} "
+                    "must be symmetric"
+                )
+        if not isinstance(kind, AtomKind):
+            raise MarkError(f"unknown atom kind {kind!r}")
+        kind.check_marks(marks)
+        set_field(self, "kind", kind)
+        set_field(self, "marks", marks)
         # an atom's label pool is no bigger than the atom, so it is set
         # here and never handed over (see label_pool)
-        set_field(self, "_pool", frozenset(m.label for m in atom.marks))
-
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
-        return self.atom.marks
+        set_field(self, "_pool", frozenset(labels))
 
 
 class PairSum(ManifoldExpr):

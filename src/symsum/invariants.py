@@ -10,7 +10,6 @@ chi = chi_1 + chi_2 - 2*(2-2g) and additive signature, a blow-up adds
 from __future__ import annotations
 
 from .core import (
-    Atom,
     AtomNode,
     BlowUp,
     Desing,
@@ -50,7 +49,7 @@ def connected_sum(a: InvariantVector, b: InvariantVector) -> InvariantVector:
     return InvariantVector(a.euler + b.euler - 2, a.signature + b.signature)
 
 
-def atom_invariants(a: Atom) -> InvariantVector:
+def atom_invariants(a: AtomNode) -> InvariantVector:
     k = a.kind
     if isinstance(k, ProjectivePlane):
         return CP2
@@ -82,7 +81,7 @@ def expr_invariants(e: ManifoldExpr) -> InvariantVector:
 def _node_invariants(e: ManifoldExpr) -> InvariantVector:
     # every child's invariants are memoized already
     if isinstance(e, AtomNode):
-        return atom_invariants(e.atom)
+        return atom_invariants(e)
     if isinstance(e, PairSum):
         return _fiber_sum(e.left._inv, e.right._inv, e.glue_genus)
     if isinstance(e, FourSum):

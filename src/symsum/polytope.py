@@ -17,7 +17,6 @@ neighborhood line.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
 
 from .areas import AreaValue
 from .core import AdmissibilityError, ManifoldExpr, MarkError, SurfaceMark, pairwise_violations
@@ -37,10 +36,15 @@ STYLES = {
 Triple = tuple[ManifoldExpr, str, str]
 
 
+# SVG 1.1 (section 4.2) asks viewers to hold single-precision numbers,
+# up to about 3.4e38; a figure spans at most two lengths and its margins
+MAX_LEN = 1e38
+
+
 def display_len(a: AreaValue) -> float:
     try:
         length = float(a.const) * UNIT + float(a.eps_coeff) * EPS_UNIT
-        if isfinite(length):
+        if abs(length) <= MAX_LEN:
             return length
     except OverflowError:
         pass

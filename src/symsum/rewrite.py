@@ -52,19 +52,25 @@ WK = EquivLevel.WEAK_DEFORMATION
 
 
 class Bindings:
+    """A step's slot values.  Each slot whose value a rule asks for is
+    noted in `read`, so that a slot the rule never reads is refused."""
+
     def __init__(self, raw: dict):
         self.raw = dict(raw)
+        self.read: set[str] = set()
 
     def has(self, slot: str) -> bool:
         return slot in self.raw
 
     def label(self, slot: str, default: Optional[str] = None) -> Optional[str]:
+        self.read.add(slot)
         v = self.raw.get(slot, default)
         if v is None or isinstance(v, str):
             return v
         raise RuleError(f"slot {slot!r} expects a label, got {v!r}")
 
     def area(self, slot: str, default: Optional[AreaValue] = None) -> Optional[AreaValue]:
+        self.read.add(slot)
         v = self.raw.get(slot)
         if v is None:
             return default
@@ -75,6 +81,7 @@ class Bindings:
         raise RuleError(f"slot {slot!r} expects an area, got {v!r}")
 
     def fraction(self, slot: str) -> Optional[Fraction]:
+        self.read.add(slot)
         v = self.raw.get(slot)
         if v is None:
             return None
@@ -222,6 +229,10 @@ def apply_rule(
         raise InvariantDriftError(
             f"rule {rule_id} changed invariants: {before} -> {after}"
         )
+    # after the drift check, which reports a defect of the rule itself
+    unread = [slot for slot in b.raw if slot not in b.read]
+    if unread:
+        raise RuleError(f"unused slot {unread[0]!r}")
     return RuleApplication(new_whole, level, notes, relabel)
 
 
@@ -281,9 +292,9 @@ def _partner_label(e: ManifoldExpr, label: str) -> str:
 
 
 def _require_ruled(node: AtomNode) -> RuledSurface:
-    if not isinstance(node.atom.kind, RuledSurface):
+    if not isinstance(node.kind, RuledSurface):
         raise RuleError("expected a ruled-surface atom")
-    return node.atom.kind
+    return node.kind
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +332,6 @@ class Verdict(Record):
     ):
         self.verified, self.level, self.trace = verified, level, trace
         self.failure, self.failed_step = failure, failed_step
-
-    @property
-    def invariants(self) -> InvariantVector:
-        return self.trace[0].invariants
 
 
 def check_equiv(

@@ -1,6 +1,6 @@
 """R10: a ruled surface with a doubled fiber splits into two copies."""
 
-from ..core import Atom, AtomNode, PairSum, RuledSurface, is_ruled_fiber
+from ..core import AtomNode, PairSum, RuledSurface, is_ruled_fiber
 from ..rewrite import EQ, RuleError, _expect_same_marks, _require_ruled, rule
 from ..sums import min_twist, split_ruled
 
@@ -36,6 +36,6 @@ def _r10(sub, b, rev):
         else:
             marks.append(m.replace(orthogonal_at=None))
     twist = min_twist(*(m.normal_number for m in marks if m.genus == k1.genus))
-    new = AtomNode(Atom(RuledSurface(k1.genus, twist, doubled), tuple(marks)))
+    new = AtomNode(RuledSurface(k1.genus, twist, doubled), tuple(marks))
     _expect_same_marks(new, sub, "merged atom reproduces the sum's marks bitwise")
     return new, EQ, ["merged two half-fiber ruled copies"]

@@ -17,7 +17,7 @@ def _r11(sub, b, rev):
     ):
         raise RuleError("R11 applies to a blown-up ruled-surface atom")
     kind = _require_ruled(sub.inner)
-    sections = [m for m in sub.inner.atom.marks if not is_ruled_fiber(m, kind)]
+    sections = [m for m in sub.inner.marks if not is_ruled_fiber(m, kind)]
     if len(sections) != 2:
         raise RuleError("R11 expects exactly two disjoint sections")
     blown = sub.inner.mark(sub.at_mark)

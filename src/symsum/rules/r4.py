@@ -36,13 +36,13 @@ def _r4(sub, b, rev):
         raise RuleError("R4 (reverse) applies to a pairwise sum")
     halves = _halves(sub)
     for (side, side_glue), (other, other_glue) in (halves, halves[::-1]):
-        if isinstance(side, AtomNode) and isinstance(side.atom.kind, RuledSurface):
+        if isinstance(side, AtomNode) and isinstance(side.kind, RuledSurface):
             _check_neutral_shape(side, side_glue)
             return other, WK, ["removed a neutral ruled summand"]
         if (
             isinstance(side, BlowUp)
             and isinstance(side.inner, AtomNode)
-            and isinstance(side.inner.atom.kind, RuledSurface)
+            and isinstance(side.inner.kind, RuledSurface)
             and side.at_mark is not None
         ):
             _check_neutral_shape(side.inner, side_glue)
@@ -63,8 +63,8 @@ def _r4(sub, b, rev):
 def _check_neutral_shape(w: AtomNode, glue_label: str) -> None:
     """The ruled summand must consist of two sections of opposite
     self-intersection (one of them glued) plus at most fiber marks."""
-    kind = w.atom.kind
-    sections = [m for m in w.atom.marks if not is_ruled_fiber(m, kind)]
+    kind = w.kind
+    sections = [m for m in w.marks if not is_ruled_fiber(m, kind)]
     if len(sections) != 2:
         raise RuleError("neutral ruled summand needs exactly two sections")
     a, b = sections

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..core import (
-    Atom,
     AtomNode,
     BlowUp,
     Desing,
@@ -52,9 +51,7 @@ def _r6(sub, b, rev):
         raise RuleError("R6 (reverse) needs a blow-up size")
     q_lbl = b.label("quadric", "Q")
     tl = b.label("transform", s_lbl + "~")
-    plane = AtomNode(
-        Atom(ProjectivePlane(), (SurfaceMark(q_lbl, 0, 4, s.area - size),))
-    )
+    plane = AtomNode(ProjectivePlane(), (SurfaceMark(q_lbl, 0, 4, s.area - size),))
     new = PairSum(
         BlowUp(sub, s_lbl, size, tl, b.label("exceptional", "E")),
         tl,
@@ -66,7 +63,7 @@ def _r6(sub, b, rev):
 
 def _is_plane_side(e: ManifoldExpr) -> bool:
     if isinstance(e, AtomNode):
-        return isinstance(e.atom.kind, ProjectivePlane)
+        return isinstance(e.kind, ProjectivePlane)
     if isinstance(e, Desing):
         return _is_plane_side(e.inner)
     return False

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..core import (
-    Atom,
     AtomNode,
     BlowUp,
     EllipticSurface,
@@ -23,12 +22,9 @@ def _r7(sub, b, rev):
         if not isinstance(sub, PairSum):
             raise RuleError("R7 applies to a pairwise sum")
         plane = sub.right
-        if not (
-            isinstance(plane, AtomNode)
-            and isinstance(plane.atom.kind, ProjectivePlane)
-        ):
+        if not (isinstance(plane, AtomNode) and isinstance(plane.kind, ProjectivePlane)):
             raise RuleError("R7 expects a plane as the right summand")
-        lines = plane.atom.marks
+        lines = plane.marks
         if len(lines) != 2 or any(m.normal_number != 1 for m in lines):
             raise RuleError("R7 expects the plane to carry exactly two lines")
         ex = sub.left.mark(sub.left_mark)
@@ -69,7 +65,7 @@ def _r7(sub, b, rev):
 
 
 def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
-    kind = sub.left.atom.kind
+    kind = sub.left.kind
     if isinstance(kind, EllipticSurface) and kind.n == 1:
         new_kind = RationalSurface(8)
     elif isinstance(kind, RationalSurface) and kind.blowups >= 1:
@@ -90,7 +86,7 @@ def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
         )
         for m in sub.marks
     )
-    new = AtomNode(Atom(new_kind, marks))
+    new = AtomNode(new_kind, marks)
     notes = [
         f"blow-down of {ex.label} folds the summand into a plane with "
         f"{new_kind.blowups} reversed summands"

@@ -1,20 +1,20 @@
 """R9: the inductive structure of the elliptic surfaces."""
 
 from ..areas import area
-from ..core import Atom, AtomNode, EllipticSurface, PairSum, SurfaceMark
+from ..core import AtomNode, EllipticSurface, PairSum, SurfaceMark
 from ..rewrite import WK, RuleError, rule
 
 
 @rule("R9")
 def _r9(sub, b, rev):
     if not rev:
-        if not (isinstance(sub, AtomNode) and isinstance(sub.atom.kind, EllipticSurface)):
+        if not (isinstance(sub, AtomNode) and isinstance(sub.kind, EllipticSurface)):
             raise RuleError("R9 applies to an elliptic-surface atom")
-        n = sub.atom.kind.n
+        n = sub.kind.n
         if n < 2:
             raise RuleError("the inductive step needs n >= 2")
-        sections = [m for m in sub.atom.marks if m.genus == 0]
-        fibers = [m for m in sub.atom.marks if m.genus == 1]
+        sections = [m for m in sub.marks if m.genus == 0]
+        fibers = [m for m in sub.marks if m.genus == 1]
         if len(sections) != 1:
             raise RuleError("R9 expects exactly one section mark to split")
         sec = sections[0]
@@ -37,8 +37,8 @@ def _r9(sub, b, rev):
             SurfaceMark(rs_lbl, 0, -1, rsa, rf),
             SurfaceMark(rf, 1, 0, fiber, rs_lbl),
         )
-        left = AtomNode(Atom(EllipticSurface(n - 1), tuple(left_marks)))
-        right = AtomNode(Atom(EllipticSurface(1), right_marks))
+        left = AtomNode(EllipticSurface(n - 1), tuple(left_marks))
+        right = AtomNode(EllipticSurface(1), right_marks)
         carry = b.label("carry", sec.label)
         pairs = ()
         if sec.orthogonal_at is not None:
@@ -54,12 +54,12 @@ def _r9(sub, b, rev):
     if not (
         isinstance(left, AtomNode)
         and isinstance(right, AtomNode)
-        and isinstance(left.atom.kind, EllipticSurface)
-        and isinstance(right.atom.kind, EllipticSurface)
-        and right.atom.kind.n == 1
+        and isinstance(left.kind, EllipticSurface)
+        and isinstance(right.kind, EllipticSurface)
+        and right.kind.n == 1
     ):
         raise RuleError("R9 (reverse) expects E(m) summed with E(1) along fibers")
-    m = left.atom.kind.n
+    m = left.kind.n
     marks = tuple(sub.marks)
-    new = AtomNode(Atom(EllipticSurface(m + 1), marks))
+    new = AtomNode(EllipticSurface(m + 1), marks)
     return new, WK, [f"folded the fiber sum into E({m + 1})"]

@@ -33,7 +33,6 @@ from typing import NamedTuple, Optional, Union
 
 from .areas import AreaValue, area
 from .core import (
-    Atom,
     AtomKind,
     AtomNode,
     BlowUp,
@@ -611,15 +610,11 @@ def _build_atom(kind: AtomKind, marks: list[MarkSpec], pos: Pos) -> AtomNode:
             perp[m.orthogonal_at] = m.label
     try:
         return AtomNode(
-            Atom(
-                kind,
-                tuple(
-                    SurfaceMark(
-                        m.label, m.genus, m.normal_number, m.area, perp[m.label]
-                    )
-                    for m in marks
-                ),
-            )
+            kind,
+            tuple(
+                SurfaceMark(m.label, m.genus, m.normal_number, m.area, perp[m.label])
+                for m in marks
+            ),
         )
     except SymsumError as exc:
         raise ScriptError(str(exc), pos.line, pos.col) from exc
@@ -664,11 +659,9 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
 
 class BuiltScript(Record):
     def __init__(
-        self, lhs: ManifoldExpr, rhs: ManifoldExpr, target: EquivLevel,
-        steps: list[ProofStep], triples: dict[str, BuiltTriple], ast: ScriptAst,
+        self, lhs: ManifoldExpr, rhs: ManifoldExpr, target: EquivLevel, steps: list[ProofStep]
     ):
         self.lhs, self.rhs, self.target, self.steps = lhs, rhs, target, steps
-        self.triples, self.ast = triples, ast
 
 
 def build_decls(decls: list) -> tuple[dict[str, ManifoldExpr], dict[str, BuiltTriple]]:
@@ -691,14 +684,14 @@ def build_decls(decls: list) -> tuple[dict[str, ManifoldExpr], dict[str, BuiltTr
 
 
 def build_script(ast: ScriptAst) -> BuiltScript:
-    env, triples = build_decls(ast.decls)
+    env, _ = build_decls(ast.decls)
     lhs = build_expr(ast.lhs, env)
     rhs = build_expr(ast.rhs, env)
     steps = [
         ProofStep(s.rule, {k: v[1] for k, v in s.slots.items()}, s.rev, s.note)
         for s in ast.steps
     ]
-    return BuiltScript(lhs, rhs, EquivLevel.from_symbol(ast.target), steps, triples, ast)
+    return BuiltScript(lhs, rhs, EquivLevel.from_symbol(ast.target), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +859,7 @@ def _leaf_text(node) -> Optional[str]:
         # memoized on the atom, which the trees of a proof's steps share
         text = node._text
         if text is None:
-            text = node.__dict__["_text"] = _atom_text(node.atom.kind, node.atom.marks)
+            text = node.__dict__["_text"] = _atom_text(node.kind, node.marks)
         return text
     if cls is RefExpr:
         return node.name
@@ -939,16 +932,8 @@ def mark_table(e: ManifoldExpr) -> str:
 class RunResult(Record):
     # code: 0 verified at target, 1 proof failure or a rule that changed
     # chi/sigma, 2 parse/resolution error
-    def __init__(
-        self, code: int, verdict: Optional[Verdict], messages: list[str],
-        built: Optional[BuiltScript] = None,
-    ):
+    def __init__(self, code: int, verdict: Optional[Verdict], messages: list[str]):
         self.code, self.verdict, self.messages = code, verdict, messages
-        self.built = built
-
-    @property
-    def ok(self) -> bool:
-        return self.code == 0
 
 
 def run(source: str) -> RunResult:
@@ -960,13 +945,13 @@ def run(source: str) -> RunResult:
     try:
         verdict = check_equiv(built.lhs, built.rhs, built.steps)
     except InvariantDriftError as exc:  # a defect of a rule, not of the proof
-        return RunResult(1, None, [f"error: {exc}"], built)
+        return RunResult(1, None, [f"error: {exc}"])
     messages = []
     if not verdict.verified:
         messages.append(
             f"proof failed at step {verdict.failed_step}: {verdict.failure}"
         )
-        return RunResult(1, verdict, messages, built)
+        return RunResult(1, verdict, messages)
     if not verdict.level.implies(built.target):
         messages.append(
             f"target level {built.target.symbol!r} not reached: the chain "
@@ -976,14 +961,14 @@ def run(source: str) -> RunResult:
             if rec.level is not None and not rec.level.implies(built.target):
                 for note in rec.notes:
                     messages.append(f"  step {rec.index} ({rec.rule}): {note}")
-        return RunResult(1, verdict, messages, built)
+        return RunResult(1, verdict, messages)
     inv = verdict.trace[-1].invariants
     messages.append(
         f"verdict: {verdict.level.symbol} "
         f"({'symplectomorphic' if verdict.level == EquivLevel.SYMPLECTOMORPHIC else 'weak deformation'}) "
         f"chi={inv.euler} sigma={inv.signature}"
     )
-    return RunResult(0, verdict, messages, built)
+    return RunResult(0, verdict, messages)
 
 
 def render_trace_text(verdict: Verdict) -> str:

@@ -1,5 +1,5 @@
 """Constructive operations of the calculus beyond the node constructors:
-checked pairwise and 4-fold sums, blow-down, the explicit form of a
+the 4-fold sum of four triples, blow-down, the explicit form of a
 thickening, rescaling, area shifts, and the splitting of a ruled surface
 into two thinner copies."""
 
@@ -12,7 +12,6 @@ from typing import Optional
 from .areas import AreaValue
 from .core import (
     AdmissibilityError,
-    Atom,
     AtomNode,
     FourSum,
     GluingChoice,
@@ -28,38 +27,6 @@ from .core import (
     Violation,
     is_ruled_fiber,
 )
-
-Triple = tuple[ManifoldExpr, Optional[str], Optional[str]]  # (expr, S, T)
-
-
-def pairwise_sum(
-    x1: Triple,
-    x2: Triple,
-    gluing: GluingChoice = STD_GLUE,
-    carry_label: Optional[str] = None,
-) -> PairSum:
-    """Sum (expr1, S1, T1) with (expr2, S2, T2) along T1 = S2.  When both
-    S1 and T2 are given they must be the orthogonal partners of the glued
-    marks, and the result carries the connected sum S1 # T2."""
-    e1, s1, t1 = x1
-    e2, s2, t2 = x2
-    if t1 is None or s2 is None:
-        raise MarkError("both gluing marks must be given")
-    for expr, carried, glue, side in ((e1, s1, t1, "left"), (e2, t2, s2, "right")):
-        if carried is None:
-            continue
-        partner = expr.mark(glue).orthogonal_at
-        if partner != carried:
-            raise MarkError(
-                f"{side} mark {carried!r} is not the orthogonal partner of "
-                f"the glued mark {glue!r} (declared partner: {partner!r})"
-            )
-    if (s1 is None) != (t2 is None):
-        raise MarkError(
-            "a carried connected-sum mark needs an orthogonal partner on "
-            "both sides of the gluing"
-        )
-    return PairSum(e1, t1, e2, s2, gluing, carry_label=carry_label)
 
 
 def fourfold_sum(
@@ -90,13 +57,11 @@ def blow_down(
         )
     l1, l2 = line_labels
     plane = AtomNode(
-        Atom(
-            ProjectivePlane(),
-            (
-                SurfaceMark(l1, 0, 1, ex.area, l2),
-                SurfaceMark(l2, 0, 1, ex.area, l1),
-            ),
-        )
+        ProjectivePlane(),
+        (
+            SurfaceMark(l1, 0, 1, ex.area, l2),
+            SurfaceMark(l2, 0, 1, ex.area, l1),
+        ),
     )
     return PairSum(e, exceptional, plane, l1, gluing, carry_label=carry_label)
 
@@ -137,7 +102,7 @@ def make_ruled_atom(
                 m if m.label != partner else m.replace(orthogonal_at=label)
                 for m in marks
             ]
-    return AtomNode(Atom(RuledSurface(genus, twist, fiber_area), tuple(marks)))
+    return AtomNode(RuledSurface(genus, twist, fiber_area), tuple(marks))
 
 
 def thicken_as_w_sum(node: Thicken, labels: tuple[str, str, str] = ("Gk", "G-k", "Fw")) -> PairSum:
@@ -179,8 +144,8 @@ def rescale(e: ManifoldExpr, factor: Fraction) -> ManifoldExpr:
 
 def _map_areas(e: ManifoldExpr, fn) -> ManifoldExpr:
     def atom(a: AtomNode) -> AtomNode:
-        marks = tuple(m.replace(area=fn(m.area)) for m in a.atom.marks)
-        return AtomNode(Atom(a.atom.kind.scaled(fn), marks))
+        marks = tuple(m.replace(area=fn(m.area)) for m in a.marks)
+        return AtomNode(a.kind.scaled(fn), marks)
 
     def own_areas(n: ManifoldExpr) -> dict:
         # blow-up sizes, thinning and thickening amounts
@@ -245,14 +210,14 @@ def _shift_walk(e: ManifoldExpr, remaining: dict[str, AreaValue]) -> ManifoldExp
 
 
 def _shift_atom(e: AtomNode, remaining: dict[str, AreaValue]) -> AtomNode:
-    hits = [m for m in e.atom.marks if m.label in remaining]
+    hits = [m for m in e.marks if m.label in remaining]
     if not hits:
         return e
-    new_marks = list(e.atom.marks)
-    kind = e.atom.kind
+    new_marks = list(e.marks)
+    kind = e.kind
     for m in hits:
         new_marks = kind.shifted(new_marks, m, remaining.pop(m.label))
-    return AtomNode(Atom(kind, tuple(new_marks)))
+    return AtomNode(kind, tuple(new_marks))
 
 
 def split_ruled(
@@ -266,7 +231,7 @@ def split_ruled(
     copies with half the fiber, cutting between the named disjoint
     sections G_k (plus) and G_-k (minus).  The outer sections of the sum
     reproduce the original marks exactly."""
-    kind = w.atom.kind
+    kind = w.kind
     if not isinstance(kind, RuledSurface):
         raise MarkError("split applies to a ruled-surface atom")
     plus = w.mark(plus_label)
@@ -277,7 +242,7 @@ def split_ruled(
             f"split needs disjoint sections of opposite self-intersection, "
             f"got {plus.normal_number} and {minus.normal_number}"
         )
-    extra = [m for m in w.atom.marks if m.label not in (plus_label, minus_label)]
+    extra = [m for m in w.marks if m.label not in (plus_label, minus_label)]
     if any(not is_ruled_fiber(m, kind) for m in extra):
         raise MarkError("split tracks only the two named sections and fibers")
     if len(extra) > 1 or any(m.orthogonal_at for m in extra):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from symsum.areas import AreaValue
-from symsum.core import Atom, AtomNode, RationalSurface, SurfaceMark
+from symsum.core import AtomNode, RationalSurface, SurfaceMark
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 positive_fractions = st.fractions(
@@ -36,4 +36,4 @@ def marked_atoms(draw, s_label="S", t_label="T"):
     k = draw(st.integers(min_value=0, max_value=9))
     s = draw(marks(label=s_label, paired_with=t_label))
     t = draw(marks(label=t_label, paired_with=s_label))
-    return AtomNode(Atom(RationalSurface(k), (s, t)))
+    return AtomNode(RationalSurface(k), (s, t))

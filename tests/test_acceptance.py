@@ -18,7 +18,6 @@ from test_fourfold import random_quad
 
 from symsum.areas import AreaValue, area
 from symsum.core import (
-    Atom,
     AtomNode,
     EquivLevel,
     RationalSurface,
@@ -66,7 +65,7 @@ def test_acceptance_2_inductive_invariants():
     for n in range(2, 9):
         assert en_inductive_invariants(n) == InvariantVector(12 * n, -8 * n)
         assert en_inductive_invariants(n) == atom_invariants(
-            Atom(EllipticSurface(n))
+            AtomNode(EllipticSurface(n))
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -93,7 +92,7 @@ def test_acceptance_3_fourfold_property_suite():
                 quad = list(random_quad(rng, extras=False))
                 x, s, t = quad[idx]
                 broken = []
-                for m in x.atom.marks:
+                for m in x.marks:
                     if m.label != t:
                         broken.append(m)
                         continue
@@ -113,7 +112,7 @@ def test_acceptance_3_fourfold_property_suite():
                             m.area + area(0, Fraction(1, 7)), m.orthogonal_at,
                         )
                     broken.append(m)
-                quad[idx] = (AtomNode(Atom(x.atom.kind, tuple(broken))), s, t)
+                quad[idx] = (AtomNode(x.kind, tuple(broken)), s, t)
                 bad = fourfold_violations(tuple(quad))
                 assert len(bad) == 1
                 assert bad[0].condition == cond
@@ -169,7 +168,7 @@ def test_acceptance_6_rational_blowdown():
     assert trace[0].invariants == trace[-1].invariants == InvariantVector(36, -24)
     final = trace[-1].expr
     assert isinstance(final, AtomNode)
-    assert final.atom.kind == EllipticSurface(3)
+    assert final.kind == EllipticSurface(3)
     _announce(
         6,
         "rational blow-down along the quadric restores the original "
@@ -193,15 +192,13 @@ def test_acceptance_7_thicken_thin_algebra():
         eps1 = area(0, Fraction(rng.randint(1, 12), rng.randint(1, 12)))
         eps2 = area(0, Fraction(rng.randint(1, 12), rng.randint(1, 12)))
         x = AtomNode(
-            Atom(
-                RationalSurface(rng.randint(0, 9)),
-                (
-                    SurfaceMark("S", g, i, a, "T"),
-                    SurfaceMark(
-                        "T", rng.randint(0, 3), rng.randint(-6, 6), pa, "S"
-                    ),
+            RationalSurface(rng.randint(0, 9)),
+            (
+                SurfaceMark("S", g, i, a, "T"),
+                SurfaceMark(
+                    "T", rng.randint(0, 3), rng.randint(-6, 6), pa, "S"
                 ),
-            )
+            ),
         )
         s, t = x.mark("S"), x.mark("T")
 

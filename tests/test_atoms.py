@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from strategies import positive_fractions
 from symsum.areas import area
 from symsum.core import (
-    Atom,
+    AtomNode,
     EllipticSurface,
     MarkError,
     ProjectivePlane,
@@ -41,7 +41,7 @@ def test_validate_ruled_needs_positive_fiber():
 
 
 def test_elliptic_marks():
-    Atom(
+    AtomNode(
         EllipticSurface(3),
         (
             SurfaceMark("S", 0, -3, area(1), "F"),
@@ -49,11 +49,11 @@ def test_elliptic_marks():
         ),
     )
     with pytest.raises(MarkError):
-        Atom(EllipticSurface(3), (SurfaceMark("S", 0, -2, area(1)),))
+        AtomNode(EllipticSurface(3), (SurfaceMark("S", 0, -2, area(1)),))
 
 
 def test_elliptic_allows_extra_fibers():
-    Atom(
+    AtomNode(
         EllipticSurface(2),
         (
             SurfaceMark("S", 0, -2, area(2), "F"),
@@ -64,7 +64,7 @@ def test_elliptic_allows_extra_fibers():
 
 
 def test_plane_degree_shadows():
-    Atom(
+    AtomNode(
         ProjectivePlane(),
         (
             SurfaceMark("L1", 0, 1, area(1), "L2"),
@@ -73,12 +73,12 @@ def test_plane_degree_shadows():
         ),
     )
     with pytest.raises(MarkError):
-        Atom(ProjectivePlane(), (SurfaceMark("bad", 0, 2, area(1)),))
+        AtomNode(ProjectivePlane(), (SurfaceMark("bad", 0, 2, area(1)),))
 
 
 def test_plane_areas_proportional_to_degree():
     with pytest.raises(MarkError):
-        Atom(
+        AtomNode(
             ProjectivePlane(),
             (
                 SurfaceMark("L1", 0, 1, area(1)),
@@ -89,7 +89,7 @@ def test_plane_areas_proportional_to_degree():
 
 def test_plane_line_quadric_cannot_pair():
     with pytest.raises(MarkError):
-        Atom(
+        AtomNode(
             ProjectivePlane(),
             (
                 SurfaceMark("L1", 0, 1, area(1), "Q"),
@@ -99,14 +99,14 @@ def test_plane_line_quadric_cannot_pair():
 
 
 def test_reversed_plane_carries_no_marks():
-    Atom(ProjectivePlaneReversed(), ())
+    AtomNode(ProjectivePlaneReversed(), ())
     with pytest.raises(MarkError):
-        Atom(ProjectivePlaneReversed(), (SurfaceMark("E", 0, -1, area(1)),))
+        AtomNode(ProjectivePlaneReversed(), (SurfaceMark("E", 0, -1, area(1)),))
 
 
 def test_pairing_must_be_symmetric():
     with pytest.raises(MarkError):
-        Atom(
+        AtomNode(
             RationalSurface(1),
             (
                 SurfaceMark("A", 0, 1, area(1), "B"),
@@ -117,7 +117,7 @@ def test_pairing_must_be_symmetric():
 
 def test_duplicate_labels_rejected():
     with pytest.raises(MarkError):
-        Atom(
+        AtomNode(
             RationalSurface(1),
             (SurfaceMark("A", 0, 1, area(1)), SurfaceMark("A", 0, 2, area(2))),
         )
@@ -125,7 +125,7 @@ def test_duplicate_labels_rejected():
 
 def test_ruled_section_spread_enforced():
     fiber = area(0, 1)
-    Atom(
+    AtomNode(
         RuledSurface(0, 1, fiber),
         (
             SurfaceMark("G-1", 0, -1, area(1)),
@@ -133,7 +133,7 @@ def test_ruled_section_spread_enforced():
         ),
     )
     with pytest.raises(MarkError):
-        Atom(
+        AtomNode(
             RuledSurface(0, 1, fiber),
             (
                 SurfaceMark("G-1", 0, -1, area(1)),
@@ -168,21 +168,21 @@ def test_ruled_spread_reports_the_first_failing_pair(off):
             key=lambda m: m.label,
         )
         with pytest.raises(MarkError) as exc:
-            Atom(RuledSurface(0, 3, fiber), tuple(sections))
+            AtomNode(RuledSurface(0, 3, fiber), tuple(sections))
         assert str(exc.value) == _first_spread_failure(fiber, sections)
 
 
 def test_ruled_parity_and_twist_bound():
     fiber = area(0, 1)
     with pytest.raises(MarkError):
-        Atom(RuledSurface(0, 2, fiber), (SurfaceMark("G1", 0, 1, area(1)),))
+        AtomNode(RuledSurface(0, 2, fiber), (SurfaceMark("G1", 0, 1, area(1)),))
     with pytest.raises(MarkError):
-        Atom(RuledSurface(0, 1, fiber), (SurfaceMark("G3", 0, 3, area(1)),))
+        AtomNode(RuledSurface(0, 1, fiber), (SurfaceMark("G3", 0, 3, area(1)),))
 
 
 def test_ruled_paired_sections_must_meet_once():
     fiber = area(0, 1)
-    Atom(
+    AtomNode(
         RuledSurface(0, 3, fiber),
         (
             SurfaceMark("G3", 0, 3, area(1), "G-1"),
@@ -190,7 +190,7 @@ def test_ruled_paired_sections_must_meet_once():
         ),
     )
     with pytest.raises(MarkError):
-        Atom(
+        AtomNode(
             RuledSurface(0, 3, fiber),
             (
                 SurfaceMark("G3", 0, 3, area(1), "G-3"),
@@ -212,7 +212,7 @@ def test_underfed_section_unconstructible(g, k, a, f):
     kind = RuledSurface(g, max(abs(k), 2 - (k % 2)), fiber)
     ok = validate_ruled(g, k, sect, fiber)
     try:
-        Atom(kind, (SurfaceMark("G", g, k, sect),))
+        AtomNode(kind, (SurfaceMark("G", g, k, sect),))
         built = True
     except MarkError:
         built = False

@@ -141,13 +141,13 @@ def test_proof_failure_exit_code(tmp_path, capsys):
 def test_invariant_drift_exits_1_through_run_and_main(tmp_path, capsys, monkeypatch):
     """A rule that changes chi is a defect of the rule: `run()` returns
     code 1 with the line the CLI prints, and the CLI exits 1 with it."""
-    from symsum.core import Atom, AtomNode, EquivLevel, ProjectivePlane
+    from symsum.core import AtomNode, EquivLevel, ProjectivePlane
     from symsum.demos import CORPUS
     from symsum.rewrite import RULES
     from symsum.script import run
 
     def drifting(sub, b, rev):  # a plane in place of the subtree: chi 3
-        return AtomNode(Atom(ProjectivePlane(), ())), EquivLevel.SYMPLECTOMORPHIC, []
+        return AtomNode(ProjectivePlane(), ()), EquivLevel.SYMPLECTOMORPHIC, []
 
     monkeypatch.setitem(RULES, "deform", drifting)
     source = CORPUS["deform-rescale"]
@@ -206,10 +206,12 @@ def test_a_figure_the_marks_cannot_draw_exits_1(tmp_path, capsys, figure, source
     assert not out.exists()
 
 
-@pytest.mark.parametrize("zeros", [307, 400])
+@pytest.mark.parametrize("zeros", [306, 307, 400])
 def test_polytope_of_an_area_beyond_float_range_is_a_mark_error(tmp_path, capsys, zeros):
     """An area whose drawn length no float holds is refused in one line,
-    where `float()` of it raised OverflowError or drew at infinity."""
+    where `float()` of it raised OverflowError or drew at infinity; so is
+    one whose length is beyond the single-precision range of SVG numbers,
+    which drew a figure hundreds of digits wide."""
     f = tmp_path / "big.expr"
     big = "1" + "0" * zeros
     f.write_text(

@@ -8,7 +8,6 @@ import pytest
 from symsum.areas import AreaValue, area
 from symsum.core import (
     AdmissibilityError,
-    Atom,
     AtomNode,
     RationalSurface,
     SurfaceMark,
@@ -47,7 +46,7 @@ def random_quad(rng: random.Random, extras: bool = True):
                     area(rng.randint(1, 5)),
                 )
             )
-        x = AtomNode(Atom(RationalSurface(rng.randint(0, 9)), tuple(marks)))
+        x = AtomNode(RationalSurface(rng.randint(0, 9)), tuple(marks))
         quad.append((x, f"S{i + 1}", f"T{i + 1}"))
     return tuple(quad)
 
@@ -61,31 +60,25 @@ def test_symmetric_quadruple_admissible():
 def test_resolution_style_quadruple():
     """The quadruple completing three triples with a ruled fourth."""
     e3 = AtomNode(
-        Atom(
-            RationalSurface(0),
-            (
-                SurfaceMark("S1", 0, -3, area(1, 2), "T1"),
-                SurfaceMark("T1", 1, 0, area(1), "S1"),
-            ),
-        )
+        RationalSurface(0),
+        (
+            SurfaceMark("S1", 0, -3, area(1, 2), "T1"),
+            SurfaceMark("T1", 1, 0, area(1), "S1"),
+        ),
     )
     e1 = AtomNode(
-        Atom(
-            RationalSurface(1),
-            (
-                SurfaceMark("S2", 1, 0, area(1), "T2"),
-                SurfaceMark("T2", 0, -1, area(1), "S2"),
-            ),
-        )
+        RationalSurface(1),
+        (
+            SurfaceMark("S2", 1, 0, area(1), "T2"),
+            SurfaceMark("T2", 0, -1, area(1), "S2"),
+        ),
     )
     p = AtomNode(
-        Atom(
-            RationalSurface(2),
-            (
-                SurfaceMark("S3", 0, 1, area(1), "T3"),
-                SurfaceMark("T3", 0, 1, area(1), "S3"),
-            ),
-        )
+        RationalSurface(2),
+        (
+            SurfaceMark("S3", 0, 1, area(1), "T3"),
+            SurfaceMark("T3", 0, 1, area(1), "S3"),
+        ),
     )
     # the fourth summand: sections of self-intersection 2-k and k, k=3
     w = make_ruled_atom(
@@ -106,9 +99,9 @@ def test_perturbed_area_reports_index():
     x2, s2, t2 = quad[1]
     marks = [
         m if m.label != t2 else SurfaceMark(t2, m.genus, m.normal_number, m.area + area(0, 1), m.orthogonal_at)
-        for m in x2.atom.marks
+        for m in x2.marks
     ]
-    quad[1] = (AtomNode(Atom(x2.atom.kind, tuple(marks))), s2, t2)
+    quad[1] = (AtomNode(x2.kind, tuple(marks)), s2, t2)
     bad = fourfold_violations(tuple(quad))
     assert len(bad) == 1
     assert bad[0].condition == "area"
@@ -132,9 +125,9 @@ def test_inadmissible_foursum_rejected():
     x1, s1, t1 = quad[0]
     marks = [
         m if m.label != t1 else SurfaceMark(t1, m.genus + 1, m.normal_number, m.area, m.orthogonal_at)
-        for m in x1.atom.marks
+        for m in x1.marks
     ]
-    quad[0] = (AtomNode(Atom(x1.atom.kind, tuple(marks))), s1, t1)
+    quad[0] = (AtomNode(x1.kind, tuple(marks)), s1, t1)
     with pytest.raises(AdmissibilityError) as exc:
         fourfold_sum(quad)
     assert any(v.condition == "genus" and v.index == 1 for v in exc.value.violations)
@@ -144,13 +137,11 @@ def test_unpaired_triple_rejected():
     quad = []
     for i in range(1, 5):
         x = AtomNode(
-            Atom(
-                RationalSurface(0),
-                (
-                    SurfaceMark(f"S{i}", 0, -1, area(1)),
-                    SurfaceMark(f"T{i}", 0, 1, area(1)),
-                ),
-            )
+            RationalSurface(0),
+            (
+                SurfaceMark(f"S{i}", 0, -1, area(1)),
+                SurfaceMark(f"T{i}", 0, 1, area(1)),
+            ),
         )
         quad.append((x, f"S{i}", f"T{i}"))
     with pytest.raises(Exception, match="orthogonally paired"):

@@ -4,7 +4,6 @@ import pytest
 
 from symsum.areas import area
 from symsum.core import (
-    Atom,
     AtomNode,
     EllipticSurface,
     PairSum,
@@ -24,17 +23,17 @@ from symsum.sums import make_ruled_atom
 
 
 def _atom(kind, *marks):
-    return AtomNode(Atom(kind, marks))
+    return AtomNode(kind, marks)
 
 
 def test_catalog_values():
-    assert atom_invariants(Atom(ProjectivePlane())) == InvariantVector(3, 1)
-    assert atom_invariants(Atom(ProjectivePlaneReversed())) == InvariantVector(3, -1)
-    assert atom_invariants(Atom(RationalSurface(9))) == InvariantVector(12, -8)
-    assert atom_invariants(Atom(RationalSurface(8))) == InvariantVector(11, -7)
-    assert atom_invariants(Atom(EllipticSurface(4))) == InvariantVector(48, -32)
+    assert atom_invariants(AtomNode(ProjectivePlane())) == InvariantVector(3, 1)
+    assert atom_invariants(AtomNode(ProjectivePlaneReversed())) == InvariantVector(3, -1)
+    assert atom_invariants(AtomNode(RationalSurface(9))) == InvariantVector(12, -8)
+    assert atom_invariants(AtomNode(RationalSurface(8))) == InvariantVector(11, -7)
+    assert atom_invariants(AtomNode(EllipticSurface(4))) == InvariantVector(48, -32)
     assert atom_invariants(
-        Atom(RuledSurface(1, 2, area(0, 1)))
+        AtomNode(RuledSurface(1, 2, area(0, 1)))
     ) == InvariantVector(0, 0)
 
 
@@ -84,7 +83,7 @@ def test_inductive_base_cases():
 def test_inductive_matches_catalog():
     for n in range(2, 9):
         assert en_inductive_invariants(n) == atom_invariants(
-            Atom(EllipticSurface(n))
+            AtomNode(EllipticSurface(n))
         )
 
 

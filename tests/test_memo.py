@@ -10,7 +10,6 @@ import tracemalloc
 
 from symsum.areas import area
 from symsum.core import (
-    Atom,
     AtomNode,
     BlowUp,
     Desing,
@@ -67,13 +66,11 @@ def chain_script(depth: int, path_len: int) -> str:
 
 def ruled(i: int) -> AtomNode:
     return AtomNode(
-        Atom(
-            RuledSurface(0, 1, area(0, 1)),
-            (
-                SurfaceMark(f"A{i}", 0, -1, area(1, i)),
-                SurfaceMark(f"B{i}", 0, 1, area(1, i + 1)),
-            ),
-        )
+        RuledSurface(0, 1, area(0, 1)),
+        (
+            SurfaceMark(f"A{i}", 0, -1, area(1, i)),
+            SurfaceMark(f"B{i}", 0, 1, area(1, i + 1)),
+        ),
     )
 
 
@@ -81,10 +78,8 @@ def chain(depth: int, bottom_area=area(1)) -> PairSum:
     """A left-nested chain whose bottom atom is a rational surface with a
     free mark P of the given area, then ruled atoms 2..depth."""
     e = AtomNode(
-        Atom(
-            RationalSurface(1),
-            (SurfaceMark("P", 0, -1, bottom_area), SurfaceMark("B1", 0, 1, area(1, 2))),
-        )
+        RationalSurface(1),
+        (SurfaceMark("P", 0, -1, bottom_area), SurfaceMark("B1", 0, 1, area(1, 2))),
     )
     for i in range(2, depth + 1):
         e = PairSum(e, f"B{i - 1}", ruled(i), f"A{i}")
@@ -123,7 +118,7 @@ def test_deep_trees_compare_without_recursion():
 def _ref_pool(e) -> frozenset:
     """The label pool by a full recursive walk, from first principles."""
     if isinstance(e, AtomNode):
-        return frozenset(m.label for m in e.atom.marks)
+        return frozenset(m.label for m in e.marks)
     pool = set()
     for c in e.children():
         pool |= _ref_pool(c)
@@ -144,7 +139,7 @@ def _ref_pool(e) -> frozenset:
 
 def _ref_invariants(e) -> InvariantVector:
     if isinstance(e, AtomNode):
-        return atom_invariants(e.atom)
+        return atom_invariants(e)
     if isinstance(e, PairSum):
         a, b = _ref_invariants(e.left), _ref_invariants(e.right)
         genus = e.left.mark(e.left_mark).genus
@@ -160,12 +155,10 @@ def _ref_invariants(e) -> InvariantVector:
 def shared_atom_tree() -> PairSum:
     """A valid tree holding one markless atom twice: two generic blow-ups
     of the same reversed plane, one of them blown down again."""
-    r = AtomNode(Atom(ProjectivePlaneReversed()))
+    r = AtomNode(ProjectivePlaneReversed())
     plane = AtomNode(
-        Atom(
-            ProjectivePlane(),
-            (SurfaceMark("L1", 0, 1, area(1)), SurfaceMark("L2", 0, 1, area(1))),
-        )
+        ProjectivePlane(),
+        (SurfaceMark("L1", 0, 1, area(1)), SurfaceMark("L2", 0, 1, area(1))),
     )
     left = BlowUp(r, None, area(1), exceptional_label="E1")
     right = PairSum(BlowUp(r, None, area(1), exceptional_label="E2"), "E2", plane, "L1")

@@ -8,7 +8,6 @@ from figures import FIGURES, plane_triple, rational_quad
 from symsum.areas import area
 from symsum.core import (
     AdmissibilityError,
-    Atom,
     AtomNode,
     MarkError,
     RationalSurface,
@@ -21,13 +20,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def _triple(g_s, i_s, a_s, g_t, i_t, a_t):
     x = AtomNode(
-        Atom(
-            RationalSurface(0),
-            (
-                SurfaceMark("S", g_s, i_s, a_s, "T"),
-                SurfaceMark("T", g_t, i_t, a_t, "S"),
-            ),
-        )
+        RationalSurface(0),
+        (
+            SurfaceMark("S", g_s, i_s, a_s, "T"),
+            SurfaceMark("T", g_t, i_t, a_t, "S"),
+        ),
     )
     return (x, "S", "T")
 
@@ -70,13 +67,11 @@ def test_concavity_annotation():
 
 def test_pair_sum_requires_pairing():
     x = AtomNode(
-        Atom(
-            RationalSurface(0),
-            (
-                SurfaceMark("S", 0, 1, area(1)),
-                SurfaceMark("T", 0, -1, area(1)),
-            ),
-        )
+        RationalSurface(0),
+        (
+            SurfaceMark("S", 0, 1, area(1)),
+            SurfaceMark("T", 0, -1, area(1)),
+        ),
     )
     with pytest.raises(MarkError):
         render_triple((x, "S", "T"))
@@ -95,39 +90,33 @@ def _mirror_pair():
     t1 = _triple(0, -3, area(1), 1, 0, area(1))
     t2 = (
         AtomNode(
-            Atom(
-                RationalSurface(1),
-                (
-                    SurfaceMark("S2", 1, 0, area(1), "T2"),
-                    SurfaceMark("T2", 0, 3, area(2), "S2"),
-                ),
-            )
+            RationalSurface(1),
+            (
+                SurfaceMark("S2", 1, 0, area(1), "T2"),
+                SurfaceMark("T2", 0, 3, area(2), "S2"),
+            ),
         ),
         "S2",
         "T2",
     )
     m1 = (
         AtomNode(
-            Atom(
-                RationalSurface(2),
-                (
-                    SurfaceMark("S", 0, 3, area(2), "T"),
-                    SurfaceMark("T", 1, 0, area(1), "S"),
-                ),
-            )
+            RationalSurface(2),
+            (
+                SurfaceMark("S", 0, 3, area(2), "T"),
+                SurfaceMark("T", 1, 0, area(1), "S"),
+            ),
         ),
         "S",
         "T",
     )
     m2 = (
         AtomNode(
-            Atom(
-                RationalSurface(3),
-                (
-                    SurfaceMark("S2", 1, 0, area(1), "T2"),
-                    SurfaceMark("T2", 0, -3, area(1), "S2"),
-                ),
-            )
+            RationalSurface(3),
+            (
+                SurfaceMark("S2", 1, 0, area(1), "T2"),
+                SurfaceMark("T2", 0, -3, area(1), "S2"),
+            ),
         ),
         "S2",
         "T2",

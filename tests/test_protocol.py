@@ -10,7 +10,7 @@ import pytest
 from test_memo import chain
 
 from symsum.areas import area
-from symsum.core import Atom, AtomNode, rename
+from symsum.core import AtomNode, rename
 from symsum.rewrite import RuleError, apply_rule, parse_path, resolve_path
 from symsum.script import build_script, parse
 
@@ -46,12 +46,12 @@ def node(name):
 
 def primed(atom_node: AtomNode) -> tuple[AtomNode, dict]:
     """The atom with every mark label primed, and the label map."""
-    relabel = {m.label: m.label + "'" for m in atom_node.atom.marks}
+    relabel = {m.label: m.label + "'" for m in atom_node.marks}
     marks = tuple(
         m.replace(label=relabel[m.label], orthogonal_at=rename(relabel, m.orthogonal_at))
-        for m in atom_node.atom.marks
+        for m in atom_node.marks
     )
-    return AtomNode(Atom(atom_node.atom.kind, marks)), relabel
+    return AtomNode(atom_node.kind, marks), relabel
 
 
 def data(e) -> dict:

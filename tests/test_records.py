@@ -18,7 +18,6 @@ import pytest
 import symsum
 from symsum.areas import area
 from symsum.core import (
-    Atom,
     AtomNode,
     BlowUp,
     EllipticSurface,
@@ -57,8 +56,8 @@ from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
 
 S = SurfaceMark("S", 0, -1, area(1), "T")
 T = SurfaceMark("T", 1, 0, area("1/2", -3), "S")
-E1 = AtomNode(Atom(EllipticSurface(1), (SurfaceMark("S", 0, -1, area(1)),)))
-CP2 = AtomNode(Atom(ProjectivePlane(), (SurfaceMark("L", 0, 1, area(1)),)))
+E1 = AtomNode(EllipticSurface(1), (SurfaceMark("S", 0, -1, area(1)),))
+CP2 = AtomNode(ProjectivePlane(), (SurfaceMark("L", 0, 1, area(1)),))
 
 ONE = "AreaValue(const=Fraction(1, 1), eps_coeff=Fraction(0, 1))"
 EPS = "AreaValue(const=Fraction(0, 1), eps_coeff=Fraction(1, 1))"
@@ -68,12 +67,12 @@ MARK_T = (
     "area=AreaValue(const=Fraction(1, 2), eps_coeff=Fraction(-3, 1)), orthogonal_at='S')"
 )
 ATOM_E1 = (
-    "AtomNode(atom=Atom(kind=EllipticSurface(n=1), marks=(SurfaceMark(label='S', "
-    f"genus=0, normal_number=-1, area={ONE}, orthogonal_at=None),)))"
+    "AtomNode(kind=EllipticSurface(n=1), marks=(SurfaceMark(label='S', "
+    f"genus=0, normal_number=-1, area={ONE}, orthogonal_at=None),))"
 )
 ATOM_CP2 = (
-    "AtomNode(atom=Atom(kind=ProjectivePlane(), marks=(SurfaceMark(label='L', "
-    f"genus=0, normal_number=1, area={ONE}, orthogonal_at=None),)))"
+    "AtomNode(kind=ProjectivePlane(), marks=(SurfaceMark(label='L', "
+    f"genus=0, normal_number=1, area={ONE}, orthogonal_at=None),))"
 )
 
 REPRS = [
@@ -98,12 +97,8 @@ REPRS = [
     ),
     (lambda: RationalSurface(9), "RationalSurface(blowups=9)"),
     (
-        lambda: Atom(EllipticSurface(1), (T, S)),
-        f"Atom(kind=EllipticSurface(n=1), marks=({MARK_S}, {MARK_T}))",
-    ),
-    (
-        lambda: AtomNode(Atom(EllipticSurface(1), (S, T))),
-        f"AtomNode(atom=Atom(kind=EllipticSurface(n=1), marks=({MARK_S}, {MARK_T})))",
+        lambda: AtomNode(EllipticSurface(1), (T, S)),
+        f"AtomNode(kind=EllipticSurface(n=1), marks=({MARK_S}, {MARK_T}))",
     ),
     (
         lambda: PairSum(E1, "S", CP2, "L"),
@@ -217,7 +212,7 @@ def test_fields_are_the_init_parameters():
 
 
 def _collars():
-    x = AtomNode(Atom(RationalSurface(0), (S.replace(normal_number=1), T)))
+    x = AtomNode(RationalSurface(0), (S.replace(normal_number=1), T))
     return Thin(x, "S", area(0, 1)), Thicken(x, "S", area(0, 1))
 
 

@@ -15,7 +15,6 @@ from test_fourfold import random_quad
 
 from symsum.areas import area
 from symsum.core import (
-    Atom,
     AtomNode,
     BlowUp,
     Desing,
@@ -47,37 +46,31 @@ EPS = area(0, 1)
 
 def e3_atom(section="Sigma-3", fiber="F3", sa=area(1), fa=area(1)):
     return AtomNode(
-        Atom(
-            EllipticSurface(3),
-            (
-                SurfaceMark(section, 0, -3, sa, fiber),
-                SurfaceMark(fiber, 1, 0, fa, section),
-            ),
-        )
+        EllipticSurface(3),
+        (
+            SurfaceMark(section, 0, -3, sa, fiber),
+            SurfaceMark(fiber, 1, 0, fa, section),
+        ),
     )
 
 
 def e1_atom(section="Sigma-1", fiber="F1", sa=area(1), fa=area(1)):
     return AtomNode(
-        Atom(
-            EllipticSurface(1),
-            (
-                SurfaceMark(fiber, 1, 0, fa, section),
-                SurfaceMark(section, 0, -1, sa, fiber),
-            ),
-        )
+        EllipticSurface(1),
+        (
+            SurfaceMark(fiber, 1, 0, fa, section),
+            SurfaceMark(section, 0, -1, sa, fiber),
+        ),
     )
 
 
 def plane_atom(a=area(1)):
     return AtomNode(
-        Atom(
-            ProjectivePlane(),
-            (
-                SurfaceMark("L1", 0, 1, a, "L2"),
-                SurfaceMark("L2", 0, 1, a, "L1"),
-            ),
-        )
+        ProjectivePlane(),
+        (
+            SurfaceMark("L1", 0, 1, a, "L2"),
+            SurfaceMark("L2", 0, 1, a, "L1"),
+        ),
     )
 
 
@@ -97,11 +90,11 @@ def test_applying_a_rule_registers_exactly_its_module(rule_id):
     which registers exactly the ids that the table maps to it."""
     code = (
         "import sys\n"
-        "from symsum.core import Atom, AtomNode, ProjectivePlane\n"
+        "from symsum.core import AtomNode, ProjectivePlane\n"
         "from symsum.rewrite import RULES, RuleError, apply_rule\n"
         "assert not RULES\n"
         "try:\n"
-        f"    apply_rule(AtomNode(Atom(ProjectivePlane(), ())), {rule_id!r}, {{}})\n"
+        f"    apply_rule(AtomNode(ProjectivePlane(), ()), {rule_id!r}, {{}})\n"
         "except RuleError:\n"
         "    pass\n"
         "print(sorted(RULES), sorted(m for m in sys.modules if m.startswith('symsum.rules.')))\n"
@@ -174,13 +167,11 @@ def test_r2_side_condition_reported():
     # a quadric in place of the two lines has i = 4, breaking i(T3) = -(i(S1)+2)
     inner = PairSum(e3_atom(), "F3", e1_atom(), "F1")
     bad_plane = AtomNode(
-        Atom(
-            RationalSurface(0),
-            (
-                SurfaceMark("L1", 0, 1, area(1), "L2"),
-                SurfaceMark("L2", 0, 3, area(1), "L1"),
-            ),
-        )
+        RationalSurface(0),
+        (
+            SurfaceMark("L1", 0, 1, area(1), "L2"),
+            SurfaceMark("L2", 0, 3, area(1), "L1"),
+        ),
     )
     # keep the outer admissible: desing mark has i = 1+3+2 = 6 vs -4: not
     # admissible, so construction itself refuses; check the condition path
@@ -255,7 +246,7 @@ def test_r4_plain_insert_and_strip():
 def test_r4_localized_roundtrip():
     blown = BlowUp(e1_atom(section="S", fiber="F"), None, area(Fraction(1, 5)))
     # localization needs a marked point; use an unpaired -3 sphere
-    x = AtomNode(Atom(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),)))
+    x = AtomNode(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),))
     b = BlowUp(x, "S", area(Fraction(1, 4)), "St", "E")
     app = apply_rule(b, "R4", {"fiber": EPS})
     out = app.expr
@@ -274,7 +265,7 @@ def test_r4_localized_needs_unpaired():
 
 def test_r4_reverse_rejects_non_neutral():
     w = make_ruled_atom(0, EPS, {"G3": (3, area(1)), "G1": (1, area(1, -1))})
-    x = AtomNode(Atom(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),)))
+    x = AtomNode(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),))
     s = PairSum(w, "G3", x, "S")
     with pytest.raises(RuleError):
         apply_rule(s, "R4", {}, rev=True)
@@ -284,8 +275,8 @@ def test_r4_reverse_rejects_non_neutral():
 
 
 def _trade_lhs():
-    x = AtomNode(Atom(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),)))
-    p = AtomNode(Atom(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(Fraction(5, 4))),)))
+    x = AtomNode(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),))
+    p = AtomNode(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(Fraction(5, 4))),))
     blown = BlowUp(p, "Q", area(Fraction(1, 4)), "Qt", "E")
     return PairSum(x, "S", blown, "Qt")
 
@@ -306,8 +297,8 @@ def test_r5_trade_forward():
 
 def test_r5_shape_error():
     # gluing along the exceptional sphere instead of the proper transform
-    x = AtomNode(Atom(RationalSurface(0), (SurfaceMark("S", 0, 1, area(Fraction(1, 4))),)))
-    p = AtomNode(Atom(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(2)),)))
+    x = AtomNode(RationalSurface(0), (SurfaceMark("S", 0, 1, area(Fraction(1, 4))),))
+    p = AtomNode(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(2)),))
     blown = BlowUp(p, "Q", area(Fraction(1, 4)), "Qt", "Ex")
     lhs = PairSum(x, "S", blown, "Ex")
     with pytest.raises(RuleError, match="proper transform"):
@@ -318,33 +309,29 @@ def test_r5_shape_error():
 
 
 def test_r6_rational_blowdown():
-    x = AtomNode(Atom(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),)))
+    x = AtomNode(EllipticSurface(3), (SurfaceMark("S", 0, -3, area(1)),))
     b = BlowUp(x, "S", area(Fraction(1, 4)), "St", "E")
-    p = AtomNode(Atom(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(Fraction(3, 4))),)))
+    p = AtomNode(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(Fraction(3, 4))),))
     lhs = PairSum(b, "St", p, "Q")
     app = apply_rule(lhs, "R6", {})
     assert app.expr == x
-    assert expr_invariants(app.expr) == atom_invariants(x.atom)
+    assert expr_invariants(app.expr) == atom_invariants(x)
 
 
 def test_r6_requires_minus_three():
     # a -2 sphere blown up and glued to a non-quadric (0, 3) mark
-    x = AtomNode(Atom(RationalSurface(0), (SurfaceMark("S", 0, -2, area(1)),)))
+    x = AtomNode(RationalSurface(0), (SurfaceMark("S", 0, -2, area(1)),))
     b = BlowUp(x, "S", area(Fraction(1, 4)), "St", "E")
-    q_side = AtomNode(
-        Atom(RationalSurface(1), (SurfaceMark("Q", 0, 3, area(Fraction(3, 4))),))
-    )
+    q_side = AtomNode(RationalSurface(1), (SurfaceMark("Q", 0, 3, area(Fraction(3, 4))),))
     lhs = PairSum(b, "St", q_side, "Q")
     with pytest.raises(RuleError, match=r"i\(S\) = -3"):
         apply_rule(lhs, "R6", {})
 
 
 def test_r6_requires_sphere():
-    x = AtomNode(Atom(RationalSurface(0), (SurfaceMark("S", 1, -3, area(1)),)))
+    x = AtomNode(RationalSurface(0), (SurfaceMark("S", 1, -3, area(1)),))
     b = BlowUp(x, "S", area(Fraction(1, 4)), "St", "E")
-    q_side = AtomNode(
-        Atom(RationalSurface(1), (SurfaceMark("Q", 1, 4, area(Fraction(3, 4))),))
-    )
+    q_side = AtomNode(RationalSurface(1), (SurfaceMark("Q", 1, 4, area(Fraction(3, 4))),))
     lhs = PairSum(b, "St", q_side, "Q")
     with pytest.raises(RuleError, match=r"g\(S\) = 0"):
         apply_rule(lhs, "R6", {})
@@ -357,13 +344,11 @@ def test_r7_generic_inverse():
     x = e3_atom()
     b = BlowUp(x, None, area(Fraction(1, 4)))
     p = AtomNode(
-        Atom(
-            ProjectivePlane(),
-            (
-                SurfaceMark("L1", 0, 1, area(Fraction(1, 4)), "L2"),
-                SurfaceMark("L2", 0, 1, area(Fraction(1, 4)), "L1"),
-            ),
-        )
+        ProjectivePlane(),
+        (
+            SurfaceMark("L1", 0, 1, area(Fraction(1, 4)), "L2"),
+            SurfaceMark("L2", 0, 1, area(Fraction(1, 4)), "L1"),
+        ),
     )
     lhs = PairSum(b, "E", p, "L1")
     app = apply_rule(lhs, "R7", {})
@@ -372,16 +357,14 @@ def test_r7_generic_inverse():
 
 
 def test_r7_paired_inverse_bitwise():
-    x = AtomNode(Atom(RationalSurface(2), (SurfaceMark("S", 0, -2, area(1)),)))
+    x = AtomNode(RationalSurface(2), (SurfaceMark("S", 0, -2, area(1)),))
     b = BlowUp(x, "S", area(Fraction(1, 3)), pair_exceptional=True)
     p = AtomNode(
-        Atom(
-            ProjectivePlane(),
-            (
-                SurfaceMark("L1", 0, 1, area(Fraction(1, 3)), "L2"),
-                SurfaceMark("L2", 0, 1, area(Fraction(1, 3)), "L1"),
-            ),
-        )
+        ProjectivePlane(),
+        (
+            SurfaceMark("L1", 0, 1, area(Fraction(1, 3)), "L2"),
+            SurfaceMark("L2", 0, 1, area(Fraction(1, 3)), "L1"),
+        ),
     )
     lhs = PairSum(b, "E", p, "L1")
     app = apply_rule(lhs, "R7", {})
@@ -393,7 +376,7 @@ def test_r7_fold_elliptic_to_rational():
     app = apply_rule(lhs, "R7", {"mark": "T1"})
     assert app.level == WK
     out = app.expr
-    assert out.atom.kind == RationalSurface(8)
+    assert out.kind == RationalSurface(8)
     t1 = out.mark("T1")
     assert (t1.genus, t1.normal_number) == (1, 1)
     assert t1.area == area(2)
@@ -442,10 +425,8 @@ def test_r8_reverse_needs_equal_amounts():
 
 def _en_atom(n, section_area):
     return AtomNode(
-        Atom(
-            EllipticSurface(n),
-            (SurfaceMark(f"Sigma-{n}", 0, -n, section_area),),
-        )
+        EllipticSurface(n),
+        (SurfaceMark(f"Sigma-{n}", 0, -n, section_area),),
     )
 
 
@@ -511,7 +492,7 @@ def test_r10_split_and_merge():
     assert sorted(m.data for m in out.marks) == sorted(m.data for m in w2.marks)
     back = apply_rule(out, "R10", {}, rev=True).expr
     assert sorted(m.data for m in back.marks) == sorted(m.data for m in w2.marks)
-    assert back.atom.kind.fiber_area == area(0, 2)
+    assert back.kind.fiber_area == area(0, 2)
 
 
 # -- R11 ---------------------------------------------------------------------
@@ -563,9 +544,9 @@ def test_r11_keeps_every_mark():
 
 
 def _regroup_instance():
-    a = AtomNode(Atom(RationalSurface(0), (SurfaceMark("SA", 0, -1, area(1)),)))
+    a = AtomNode(RationalSurface(0), (SurfaceMark("SA", 0, -1, area(1)),))
     m = make_ruled_atom(0, EPS, {"M1": (1, area(1)), "M2": (-1, area(1, -1))})
-    b = AtomNode(Atom(RationalSurface(1), (SurfaceMark("SB", 0, 1, area(1, -1)),)))
+    b = AtomNode(RationalSurface(1), (SurfaceMark("SB", 0, 1, area(1, -1)),))
     inner = PairSum(a, "SA", m, "M1")
     return PairSum(inner, "M2", b, "SB")
 
@@ -585,7 +566,7 @@ def test_regroup_intersecting_guard():
     partner of a glued mark is consumed or dropped, so the reachable
     failure is the missing-mark one; the disjointness guard itself is
     exercised directly on the middle's data."""
-    a = AtomNode(Atom(RationalSurface(0), (SurfaceMark("SA", 0, -1, area(1)),)))
+    a = AtomNode(RationalSurface(0), (SurfaceMark("SA", 0, -1, area(1)),))
     m = make_ruled_atom(
         0, EPS, {"M1": (1, area(1)), "M2": (1, area(1))}, pairs=(("M1", "M2"),)
     )
@@ -596,16 +577,14 @@ def test_regroup_intersecting_guard():
 
 def test_regroup_needs_common_middle():
     a = AtomNode(
-        Atom(
-            RationalSurface(0),
-            (
-                SurfaceMark("SA", 0, -1, area(1)),
-                SurfaceMark("UA", 0, 1, area(1)),
-            ),
-        )
+        RationalSurface(0),
+        (
+            SurfaceMark("SA", 0, -1, area(1)),
+            SurfaceMark("UA", 0, 1, area(1)),
+        ),
     )
     m = make_ruled_atom(0, EPS, {"M1": (1, area(1)), "M2": (-1, area(1, -1))})
-    b = AtomNode(Atom(RationalSurface(1), (SurfaceMark("SB", 0, -1, area(1)),)))
+    b = AtomNode(RationalSurface(1), (SurfaceMark("SB", 0, -1, area(1)),))
     inner = PairSum(a, "SA", m, "M1")
     lhs = PairSum(inner, "UA", b, "SB")
     with pytest.raises(RuleError, match="common middle"):
@@ -668,22 +647,18 @@ def test_rule_soundness_random_r8():
         i = rng.randint(-6, 6)
         a = area(Fraction(rng.randint(1, 30), rng.randint(1, 6)))
         x1 = AtomNode(
-            Atom(
-                RationalSurface(rng.randint(0, 5)),
-                (
-                    SurfaceMark("S1", rng.randint(0, 3), rng.randint(-6, 6), area(1), "T1"),
-                    SurfaceMark("T1", g, i, a, "S1"),
-                ),
-            )
+            RationalSurface(rng.randint(0, 5)),
+            (
+                SurfaceMark("S1", rng.randint(0, 3), rng.randint(-6, 6), area(1), "T1"),
+                SurfaceMark("T1", g, i, a, "S1"),
+            ),
         )
         x2 = AtomNode(
-            Atom(
-                RationalSurface(rng.randint(0, 5)),
-                (
-                    SurfaceMark("S2", g, -i, a, "T2"),
-                    SurfaceMark("T2", rng.randint(0, 3), rng.randint(-6, 6), area(1), "S2"),
-                ),
-            )
+            RationalSurface(rng.randint(0, 5)),
+            (
+                SurfaceMark("S2", g, -i, a, "T2"),
+                SurfaceMark("T2", rng.randint(0, 3), rng.randint(-6, 6), area(1), "S2"),
+            ),
         )
         lhs = PairSum(x1, "T1", x2, "S2")
         app = apply_rule(lhs, "R8", {"eps": EPS})

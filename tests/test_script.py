@@ -15,7 +15,6 @@ from traces import corpus_traces, script_golden, token_golden
 from symsum import script
 from symsum.areas import area
 from symsum.core import (
-    Atom,
     AtomNode,
     BlowUp,
     Desing,
@@ -327,7 +326,7 @@ def test_markless_inline_atom_round_trips():
 
 
 def test_markless_built_atom_round_trips():
-    e = AtomNode(Atom(RationalSurface(2)))
+    e = AtomNode(RationalSurface(2))
     text = serialize_expr(e)
     assert text == "Rational(2) { }"
     rebuilt = build_expr(parse_expr_file("expr " + text).expr, {})

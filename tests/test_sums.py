@@ -10,7 +10,6 @@ from strategies import marked_atoms
 from symsum.areas import area
 from symsum.core import (
     AdmissibilityError,
-    Atom,
     AtomNode,
     BlowUp,
     EllipticSurface,
@@ -30,7 +29,6 @@ from symsum.sums import (
     apply_shifts,
     blow_down,
     make_ruled_atom,
-    pairwise_sum,
     rescale,
     split_ruled,
     thicken_as_w_sum,
@@ -41,25 +39,21 @@ EPS = area(0, 1)
 
 def e3_atom():
     return AtomNode(
-        Atom(
-            EllipticSurface(3),
-            (
-                SurfaceMark("Sigma-3", 0, -3, area(1), "F3"),
-                SurfaceMark("F3", 1, 0, area(1), "Sigma-3"),
-            ),
-        )
+        EllipticSurface(3),
+        (
+            SurfaceMark("Sigma-3", 0, -3, area(1), "F3"),
+            SurfaceMark("F3", 1, 0, area(1), "Sigma-3"),
+        ),
     )
 
 
 def e1_atom():
     return AtomNode(
-        Atom(
-            EllipticSurface(1),
-            (
-                SurfaceMark("F1", 1, 0, area(1), "Sigma-1"),
-                SurfaceMark("Sigma-1", 0, -1, area(1), "F1"),
-            ),
-        )
+        EllipticSurface(1),
+        (
+            SurfaceMark("F1", 1, 0, area(1), "Sigma-1"),
+            SurfaceMark("Sigma-1", 0, -1, area(1), "F1"),
+        ),
     )
 
 
@@ -90,7 +84,7 @@ def test_genus_mismatch_named():
 
 
 def test_inductive_sum_carries_joined_section():
-    s = pairwise_sum((e3_atom(), "Sigma-3", "F3"), (e1_atom(), "F1", "Sigma-1"))
+    s = PairSum(e3_atom(), "F3", e1_atom(), "F1")
     carried = s.mark("Sigma-3#Sigma-1")
     assert carried.genus == 0
     assert carried.normal_number == -4
@@ -98,30 +92,16 @@ def test_inductive_sum_carries_joined_section():
 
 
 def test_bare_sum_without_partners():
-    a = AtomNode(Atom(EllipticSurface(3), (SurfaceMark("F3", 1, 0, area(1)),)))
-    b = AtomNode(Atom(EllipticSurface(1), (SurfaceMark("F1", 1, 0, area(1)),)))
-    s = pairwise_sum((a, None, "F3"), (b, "F1", None))
+    a = AtomNode(EllipticSurface(3), (SurfaceMark("F3", 1, 0, area(1)),))
+    b = AtomNode(EllipticSurface(1), (SurfaceMark("F1", 1, 0, area(1)),))
+    s = PairSum(a, "F3", b, "F1")
     assert s.marks == ()
     assert expr_invariants(s).euler == 36 + 12
 
 
-def test_requested_carry_needs_pairing():
-    a = AtomNode(
-        Atom(
-            EllipticSurface(3),
-            (
-                SurfaceMark("S", 0, -3, area(1)),
-                SurfaceMark("F3", 1, 0, area(1)),
-            ),
-        )
-    )
-    with pytest.raises(MarkError):
-        pairwise_sum((a, "S", "F3"), (e1_atom(), "F1", "Sigma-1"))
-
-
 def test_inadmissible_sum_reports_area():
-    a = AtomNode(Atom(EllipticSurface(3), (SurfaceMark("F3", 1, 0, area(1)),)))
-    b = AtomNode(Atom(EllipticSurface(1), (SurfaceMark("F1", 1, 0, area(2)),)))
+    a = AtomNode(EllipticSurface(3), (SurfaceMark("F3", 1, 0, area(1)),))
+    b = AtomNode(EllipticSurface(1), (SurfaceMark("F1", 1, 0, area(2)),))
     with pytest.raises(AdmissibilityError) as exc:
         PairSum(a, "F3", b, "F1")
     assert [v.condition for v in exc.value.violations] == ["area"]
@@ -201,7 +181,7 @@ def test_blow_up_on_mark():
 
 
 def test_blow_up_quadric():
-    p = AtomNode(Atom(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(2)),)))
+    p = AtomNode(ProjectivePlane(), (SurfaceMark("Q", 0, 4, area(2)),))
     b = BlowUp(p, "Q", area(Fraction(1, 2)))
     assert b.mark("Q~").normal_number == 3
 
@@ -239,7 +219,7 @@ def test_blow_down_inverts_generic_blow_up():
 
 
 def test_blow_down_restores_paired_transform():
-    x = AtomNode(Atom(RationalSurface(2), (SurfaceMark("S", 0, -2, area(1)),)))
+    x = AtomNode(RationalSurface(2), (SurfaceMark("S", 0, -2, area(1)),))
     b = BlowUp(x, "S", area(Fraction(1, 3)), pair_exceptional=True)
     down = blow_down(b, "E")
     restored = down.mark("S~#L2")
@@ -265,7 +245,7 @@ def test_thin_zero_normal_number():
 
 
 def test_thicken_area_formulas():
-    x = AtomNode(Atom(RationalSurface(0), (SurfaceMark("S", 0, 2, area(1)),)))
+    x = AtomNode(RationalSurface(0), (SurfaceMark("S", 0, 2, area(1)),))
     t = Thicken(x, "S", EPS)
     assert t.mark("S+").area == area(1, 2)
     assert t.volume_flag == "increased"
@@ -289,7 +269,7 @@ def test_thicken_thin_commute():
 
 
 def test_thicken_validates_section_bound():
-    x = AtomNode(Atom(RationalSurface(0), (SurfaceMark("S", 0, -3, area(0, 1)),)))
+    x = AtomNode(RationalSurface(0), (SurfaceMark("S", 0, -3, area(0, 1)),))
     with pytest.raises(AdmissibilityError):
         Thicken(x, "S", area(0, 1))
 
@@ -330,8 +310,8 @@ def test_thicken_as_w_sum_matches_node():
 
 
 def test_rescale_makes_fibers_match():
-    e3 = AtomNode(Atom(EllipticSurface(3), (SurfaceMark("F3", 1, 0, area(2)),)))
-    e1 = AtomNode(Atom(EllipticSurface(1), (SurfaceMark("F1", 1, 0, area(1)),)))
+    e3 = AtomNode(EllipticSurface(3), (SurfaceMark("F3", 1, 0, area(2)),))
+    e1 = AtomNode(EllipticSurface(1), (SurfaceMark("F1", 1, 0, area(1)),))
     scaled = rescale(e3, Fraction(1, 2))
     s = PairSum(scaled, "F3", e1, "F1")
     assert expr_invariants(s).euler == 48
@@ -378,13 +358,11 @@ def test_shift_unknown_label():
     [
         (
             AtomNode(
-                Atom(
-                    ProjectivePlane(),
-                    (
-                        SurfaceMark("L1", 0, 1, area(1), "L2"),
-                        SurfaceMark("L2", 0, 1, area(1), "L1"),
-                    ),
-                )
+                ProjectivePlane(),
+                (
+                    SurfaceMark("L1", 0, 1, area(1), "L2"),
+                    SurfaceMark("L2", 0, 1, area(1), "L1"),
+                ),
             ),
             "L1",
             "cannot shift one CP^2 mark independently; use rescale",
@@ -415,25 +393,25 @@ def test_a_refused_shift_says_why(atom, label, message):
     ],
 )
 def test_a_shift_moves_only_its_mark(kind, marks):
-    shifted = apply_shifts(AtomNode(Atom(kind, marks)), {marks[0].label: area(0, 1)})
-    assert shifted.atom.kind == kind
-    assert shifted.atom.marks == (marks[0].replace(area=marks[0].area + area(0, 1)), *marks[1:])
+    shifted = apply_shifts(AtomNode(kind, marks), {marks[0].label: area(0, 1)})
+    assert shifted.kind == kind
+    assert shifted.marks == (marks[0].replace(area=marks[0].area + area(0, 1)), *marks[1:])
 
 
 def test_shift_ruled_keeps_its_fibers():
     w = make_ruled_atom(0, area(2), {"G1": (1, area(3)), "G-1": (-1, area(1))}, {"F": "G1"})
     shifted = apply_shifts(w, {"G-1": area(1)})
-    assert [(m.label, m.area) for m in shifted.atom.marks] == [
+    assert [(m.label, m.area) for m in shifted.marks] == [
         ("F", area(2)), ("G-1", area(2)), ("G1", area(4))
     ]
-    assert shifted.atom.kind == w.atom.kind
+    assert shifted.kind == w.kind
 
 
 def test_rescale_scales_a_ruled_fiber_area_with_its_marks():
     w = make_ruled_atom(0, area(2), {"G1": (1, area(3)), "G-1": (-1, area(1))}, {"F": "G1"})
     scaled = rescale(w, Fraction(3, 2))
-    assert scaled.atom.kind == RuledSurface(0, 1, area(3))
-    assert [(m.label, m.area) for m in scaled.atom.marks] == [
+    assert scaled.kind == RuledSurface(0, 1, area(3))
+    assert [(m.label, m.area) for m in scaled.marks] == [
         ("F", area(3)), ("G-1", area("3/2")), ("G1", area("9/2"))
     ]
     assert rescale(scaled, Fraction(2, 3)) == w
@@ -464,14 +442,12 @@ def test_split_genus_one_euler():
 
 def test_split_fiber_accounting():
     w = AtomNode(
-        Atom(
-            RuledSurface(0, 1, area(0, 2)),
-            (
-                SurfaceMark("G-1", 0, -1, area(1)),
-                SurfaceMark("G1", 0, 1, area(1, 2)),
-                SurfaceMark("F", 0, 0, area(0, 2)),
-            ),
-        )
+        RuledSurface(0, 1, area(0, 2)),
+        (
+            SurfaceMark("G-1", 0, -1, area(1)),
+            SurfaceMark("G1", 0, 1, area(1, 2)),
+            SurfaceMark("F", 0, 0, area(0, 2)),
+        ),
     )
     s = split_ruled(w, "G1", "G-1")
     assert s.mark("F").area == area(0, 2)

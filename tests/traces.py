@@ -348,6 +348,13 @@ RULE_MESSAGES = {
     "R11 pre is the transform": _script(
         _RULED, "blowup(V, at=Gk, size=1/4)", "R11 { pre = Gk~ }"
     ),
+    # a slot that the rule never reads
+    "R8 unused slot": _script(
+        _E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { at = root, eps = 0+1e, cary = Zz }"
+    ),
+    "R8 shift2 without shift1": _script(
+        _E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { eps = 0+1e, shift2 = F1, by2 = 1 }"
+    ),
 }
 
 
