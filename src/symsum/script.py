@@ -170,20 +170,9 @@ class Syntax(Record):
     HIDDEN = ("pos",)
 
 
-class MarkSpec(Syntax):
-    def __init__(
-        self, label: str, genus: int, normal_number: int, area: AreaValue,
-        orthogonal_at: Optional[str] = None, pos: Optional[Pos] = None,
-    ):
-        self.label, self.genus, self.normal_number = label, genus, normal_number
-        self.area, self.orthogonal_at, self.pos = area, orthogonal_at, pos or Pos()
-
-
 class AtomDecl(Syntax):
-    def __init__(
-        self, name: str, kind: AtomKind, marks: list[MarkSpec], pos: Optional[Pos] = None
-    ):
-        self.name, self.kind, self.marks, self.pos = name, kind, marks, pos or Pos()
+    def __init__(self, name: str, atom: AtomNode, pos: Optional[Pos] = None):
+        self.name, self.atom, self.pos = name, atom, pos or Pos()
 
 
 class TripleDecl(Syntax):
@@ -197,11 +186,6 @@ class TripleDecl(Syntax):
 class RefExpr(Syntax):
     def __init__(self, name: str, pos: Optional[Pos] = None):
         self.name, self.pos = name, pos or Pos()
-
-
-class AtomExpr(Syntax):
-    def __init__(self, kind: AtomKind, marks: list[MarkSpec], pos: Optional[Pos] = None):
-        self.kind, self.marks, self.pos = kind, marks, pos or Pos()
 
 
 class OpExpr(Syntax):
@@ -257,7 +241,7 @@ class OpExpr(Syntax):
 _NO_VALUE = object()  # the value of a repr piece that is only text
 
 
-ExprNode = Union[RefExpr, AtomExpr, OpExpr]
+ExprNode = Union[RefExpr, AtomNode, OpExpr]
 
 SlotVal = tuple  # ("num", Fraction) | ("area", AreaValue) | ("name", str) | ("str", str)
 
@@ -291,10 +275,14 @@ class ExprFileAst(Record):
 
 
 class _Parser:
-    """Reads token values by index; a message's line:col lexes them again."""
+    """Reads token values by index; a message's line:col lexes them again.
+    An atom is built as it is read, and the first atom that fails its
+    checks is held (`failed`) until the parse ends, so that a syntax error
+    or a duplicate identifier later in the text wins."""
 
     def __init__(self, text: str):
         self.toks, self.i, self.src = tokenize(text), 0, _Source(text)
+        self.failed: Optional[ScriptError] = None
 
     def error(self, message: Optional[str], i: int, expected=None) -> ScriptError:
         """`message`, by default "unexpected" and token `i`, at token `i`."""
@@ -365,11 +353,34 @@ class _Parser:
             raise self.error(f"unknown atom kind {tag!r}", self.i - 1, expected=set(KINDS))
         return self.parse_form(KINDS[tag])
 
-    def parse_atom(self) -> tuple[AtomKind, list[MarkSpec]]:
+    def parse_atom(self, at: int) -> Optional[AtomNode]:
+        """An atom kind and its marks, built; a one-sided `perp` implies its
+        mirror.  An atom that fails its checks is held, at token `at` or
+        at the mark whose `perp` names no mark, and reads as None."""
         kind = self.parse_kind()
-        return kind, self.parse_markblock() if self.toks[self.i] == "{" else []
+        marks = self.parse_markblock() if self.toks[self.i] == "{" else []
+        perp = {label: p for label, _, _, _, p, _ in marks}
+        for label, _, _, _, p, i in marks:
+            if p is None:
+                continue
+            if p not in perp:
+                return self.hold(f"unresolved mark {p!r}", i)
+            if perp[p] is None:
+                perp[p] = label
+        try:
+            marks = tuple(SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in marks)
+            return AtomNode(kind, marks)
+        except SymsumError as exc:
+            return self.hold(str(exc), at)
 
-    def parse_markspec(self) -> MarkSpec:
+    def hold(self, message: str, i: int) -> None:
+        """Keeps `message`, at token `i`, unless an earlier atom failed."""
+        if self.failed is None:
+            self.failed = self.error(message, i)
+
+    def parse_markspec(self) -> tuple:
+        """A mark's label, genus, normal number, area and `perp` partner
+        (or None), and the index of its label token."""
         at = self.i
         name = self.expect("name", "mark label")
         self.expect(":")
@@ -388,9 +399,9 @@ class _Parser:
         if self.toks[self.i] == "," and self.toks[self.i + 1] == "perp":
             self.i += 2
             perp = self.expect("name", "mark label")
-        return MarkSpec(name, g, i, a, perp, _At((self.src, at)))
+        return name, g, i, a, perp, at
 
-    def parse_markblock(self) -> list[MarkSpec]:
+    def parse_markblock(self) -> list[tuple]:
         self.expect("{")
         marks = []
         while self.toks[self.i] != "}":
@@ -407,7 +418,7 @@ class _Parser:
         self.i = at = self.i + 1
         name = self.expect("name", f"{word} name")
         if word == "atom":
-            return AtomDecl(name, *self.parse_atom(), _At((self.src, at)))
+            return AtomDecl(name, self.parse_atom(at), _At((self.src, at)))
         return TripleDecl(name, *self.parse_form(_TRIPLE), _At((self.src, at)))
 
     # -- expressions -------------------------------------------------
@@ -484,7 +495,7 @@ class _Parser:
             raise self.error(None, at, {"expression"})
         if name in KINDS and self.toks[at + 1] in ("(", "{"):
             # an inline atom: the kind tag is followed by parameters or marks
-            return AtomExpr(*self.parse_atom(), _At((self.src, at)))
+            return self.parse_atom(at)
         self.i += 1
         return RefExpr(name, _At((self.src, at)))
 
@@ -561,7 +572,7 @@ class _Parser:
         while self.toks[self.i] == "by":
             steps.append(self.parse_step())
         self.expect("eof", "end of script")
-        self._check_duplicates(decls)
+        self.finish(decls)
         return ScriptAst(decls, lhs, rhs, target, steps)
 
     def parse_expr_file(self) -> ExprFileAst:
@@ -571,16 +582,18 @@ class _Parser:
         self.i += 1
         e = self.parse_form(None)
         self.expect("eof", "end of file")
-        self._check_duplicates(decls)
+        self.finish(decls)
         return ExprFileAst(decls, e)
 
-    @staticmethod
-    def _check_duplicates(decls):
+    def finish(self, decls: list) -> None:
+        """Raises a duplicate identifier, or else the atom failure held."""
         seen = set()
         for d in decls:
             if d.name in seen:
                 raise ScriptError(f"duplicate identifier {d.name!r}", d.pos.line, d.pos.col)
             seen.add(d.name)
+        if self.failed is not None:
+            raise self.failed
 
 
 def parse(source: str) -> ScriptAst:
@@ -596,30 +609,6 @@ def parse_expr_file(source: str) -> ExprFileAst:
 # ---------------------------------------------------------------------------
 
 
-def _build_atom(kind: AtomKind, marks: list[MarkSpec], pos: Pos) -> AtomNode:
-    declared = {m.label for m in marks}
-    for m in marks:
-        if m.orthogonal_at is not None and m.orthogonal_at not in declared:
-            raise ScriptError(
-                f"unresolved mark {m.orthogonal_at!r}", m.pos.line, m.pos.col
-            )
-    perp = {m.label: m.orthogonal_at for m in marks}
-    # a one-sided perp declaration implies its mirror
-    for m in marks:
-        if m.orthogonal_at is not None and perp[m.orthogonal_at] is None:
-            perp[m.orthogonal_at] = m.label
-    try:
-        return AtomNode(
-            kind,
-            tuple(
-                SurfaceMark(m.label, m.genus, m.normal_number, m.area, perp[m.label])
-                for m in marks
-            ),
-        )
-    except SymsumError as exc:
-        raise ScriptError(str(exc), pos.line, pos.col) from exc
-
-
 class BuiltTriple(Record):
     def __init__(self, expr: ManifoldExpr, s: str, t: str):
         self.expr, self.s, self.t = expr, s, t
@@ -629,7 +618,7 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
     """The core expression of `node`, built bottom-up with an explicit
     stack of the operations being built, each with its arguments, in
     which its children (under their selectors) are replaced as they are
-    built; a node's failed check is reported at `node`."""
+    built, an atom as it is; a node's failed check is reported at `node`."""
     try:
         top = {"": node}
         stack = [(None, top, iter(("",)), None)]  # a parent above the root
@@ -640,12 +629,12 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
                 if c.__class__ is OpExpr:
                     stack.append((c, dict(c.args), iter(c.cls.SELECTORS), name))
                     break
-                if c.__class__ is AtomExpr:
-                    args[name] = _build_atom(c.kind, c.marks, c.pos)
-                elif c.name in env:
+                if c.__class__ is RefExpr:
+                    if c.name not in env:
+                        raise ScriptError(
+                            f"unresolved identifier {c.name!r}", c.pos.line, c.pos.col
+                        )
                     args[name] = env[c.name]
-                else:
-                    raise ScriptError(f"unresolved identifier {c.name!r}", c.pos.line, c.pos.col)
             else:  # every child is built
                 stack.pop()
                 if not stack:
@@ -671,7 +660,7 @@ def build_decls(decls: list) -> tuple[dict[str, ManifoldExpr], dict[str, BuiltTr
     triples: dict[str, BuiltTriple] = {}
     for d in decls:
         if isinstance(d, AtomDecl):
-            env[d.name] = _build_atom(d.kind, d.marks, d.pos)
+            env[d.name] = d.atom
         else:
             e = build_expr(d.expr, env)
             for lbl in (d.s, d.t):
@@ -859,22 +848,20 @@ def _leaf_text(node) -> Optional[str]:
         # memoized on the atom, which the trees of a proof's steps share
         text = node._text
         if text is None:
-            text = node.__dict__["_text"] = _atom_text(node.kind, node.marks)
+            text = node.__dict__["_text"] = _atom_text(node)
         return text
     if cls is RefExpr:
         return node.name
-    if cls is AtomExpr:
-        return _atom_text(node.kind, node.marks)
     return None
 
 
-def _atom_text(kind: AtomKind, marks) -> str:
-    body = "; ".join(map(_mark_text, marks))
-    return f"{serialize_expr(kind)} {{ {body} }}" if marks else f"{serialize_expr(kind)} {{ }}"
+def _atom_text(node: AtomNode) -> str:
+    body = "; ".join(map(_mark_text, node.marks))
+    kind = serialize_expr(node.kind)
+    return f"{kind} {{ {body} }}" if body else f"{kind} {{ }}"
 
 
-def _mark_text(m) -> str:
-    """A mark, as a MarkSpec or a SurfaceMark."""
+def _mark_text(m: SurfaceMark) -> str:
     out = f"{m.label}: g={m.genus}, i={m.normal_number}, a={m.area.compact()}"
     if m.orthogonal_at:
         out += f", perp {m.orthogonal_at}"
@@ -894,7 +881,8 @@ def print_script(ast: ScriptAst) -> str:
     lines = []
     for d in ast.decls:
         if isinstance(d, AtomDecl):
-            text = _atom_text(d.kind, d.marks) if d.marks else serialize_expr(d.kind)
+            atom = d.atom
+            text = _leaf_text(atom) if atom.marks else serialize_expr(atom.kind)
             lines.append(f"atom {d.name} {text}")
         else:
             lines.append(

@@ -28,7 +28,7 @@ from symsum.script import (
 _PIECES = re.compile(
     r'\s+|#[^\n]*|"[^"]*"|[A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|.', re.DOTALL
 )
-MUTATIONS = 2000
+MUTATIONS = 3200
 SEED = 20261018
 
 
@@ -95,5 +95,6 @@ def test_mutated_corpus_scripts_keep_the_exit_code_contract():
     assert not broken, broken[:5]
     # the mutants reach every phase: some verify, some fail a proof step
     assert all(codes.values()), codes
-    assert parsed > MUTATIONS // 4, parsed
+    # a mutant with an atom that fails its checks stops at parse; enough still parse
+    assert parsed > 500, parsed
     assert seconds < 10, f"{MUTATIONS} mutations took {seconds:.1f} s of CPU"

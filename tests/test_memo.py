@@ -242,7 +242,7 @@ def test_building_a_2000_deep_ast_under_the_recursion_limit():
     deep = ast.lhs
     for k in range(2000):
         args = {"inner": deep, "mark_label": "A" + "-" * k, "amount": area(0, 1)}
-        deep = OpExpr(Thin, args, deep.pos)
+        deep = OpExpr(Thin, args)
     ast.lhs = deep
     built = build_script(ast).lhs
     assert [(m.label, m.area) for m in built.marks] == [("A" + "-" * 2000, area(1, 2000))]

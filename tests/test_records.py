@@ -38,9 +38,7 @@ from symsum.invariants import InvariantVector
 from symsum.rewrite import RULE_MODULES, ProofStep
 from symsum.script import (
     AtomDecl,
-    AtomExpr,
     ExprFileAst,
-    MarkSpec,
     OpExpr,
     Pos,
     RefExpr,
@@ -113,21 +111,12 @@ REPRS = [
     ),
     (lambda: InvariantVector(12, -8), "InvariantVector(euler=12, signature=-8)"),
     (lambda: Pos(3, 4), "Pos(line=3, col=4)"),
-    (
-        lambda: MarkSpec("S", 0, -1, area(1), None, Pos(1, 2)),
-        f"MarkSpec(label='S', genus=0, normal_number=-1, area={ONE}, orthogonal_at=None)",
-    ),
-    (
-        lambda: AtomDecl("X", EllipticSurface(1), [MarkSpec("F", 1, 0, area(1))], Pos(5, 6)),
-        "AtomDecl(name='X', kind=EllipticSurface(n=1), marks=[MarkSpec(label='F', "
-        f"genus=1, normal_number=0, area={ONE}, orthogonal_at=None)])",
-    ),
+    (lambda: AtomDecl("X", E1, Pos(5, 6)), f"AtomDecl(name='X', atom={ATOM_E1})"),
     (
         lambda: TripleDecl("T1", RefExpr("X", Pos(1, 1)), "S", "F", Pos(2, 2)),
         "TripleDecl(name='T1', expr=RefExpr(name='X'), s='S', t='F')",
     ),
     (lambda: RefExpr("X", Pos(7, 8)), "RefExpr(name='X')"),
-    (lambda: AtomExpr(ProjectivePlane(), [], Pos(1, 1)), "AtomExpr(kind=ProjectivePlane(), marks=[])"),
     (
         lambda: OpExpr(
             Thin, {"inner": RefExpr("X"), "mark_label": "S", "amount": area(0, 1)}, Pos(9, 9)
@@ -163,7 +152,7 @@ def test_repr_is_unchanged(make, expected):
 def test_syntax_records_compare_without_their_positions():
     assert RefExpr("X", Pos(1, 1)) == RefExpr("X", Pos(2, 5))
     assert RefExpr("X") != RefExpr("Y")
-    assert MarkSpec("S", 0, -1, area(1), None, Pos(1, 2)) == MarkSpec("S", 0, -1, area(1))
+    assert AtomDecl("X", E1, Pos(1, 2)) == AtomDecl("X", E1)
     assert RefExpr("X") != TripleDecl("X", RefExpr("X"), "S", "T")
     assert Pos(1, 1) != Pos(1, 2)  # a position itself compares by value
 

@@ -53,9 +53,14 @@ def test_gompf_script_shape():
     assert built.target == EquivLevel.WEAK_DEFORMATION
 
 
-# the corpus, and a chain nested past the recursion limit, which the AST
-# records compare without a frame per level
-ROUND_TRIP = {**CORPUS, "chain-2000": chain_script(2000, 2)}
+# the corpus, a chain nested past the recursion limit, which the AST
+# records compare without a frame per level, and a one-sided `perp`
+ONE_SIDED_PERP = "atom X CP2 { L1: g=0, i=1, a=1, perp L2; L2: g=0, i=1, a=1 }\n"
+ROUND_TRIP = {
+    **CORPUS,
+    "chain-2000": chain_script(2000, 2),
+    "one-sided-perp": ONE_SIDED_PERP + "lhs X rhs X target =\n",
+}
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP))
@@ -66,6 +71,17 @@ def test_print_parse_round_trip(name):
     reparsed = parse(printed)
     assert reparsed == ast
     assert print_script(reparsed) == printed
+
+
+def test_one_sided_perp_prints_its_mirror():
+    src = ROUND_TRIP["one-sided-perp"]
+    printed = print_script(parse(src))
+    assert printed.splitlines()[0] == (
+        "atom X CP2 { L1: g=0, i=1, a=1, perp L2; L2: g=0, i=1, a=1, perp L1 }"
+    )
+    assert run(printed).messages == run(src).messages == [
+        "verdict: = (symplectomorphic) chi=3 sigma=1"
+    ]
 
 
 def test_deep_asts_differing_at_the_bottom_are_unequal():
@@ -116,6 +132,31 @@ def test_duplicate_identifier():
     )
     with pytest.raises(ScriptError, match="duplicate"):
         parse(src)
+
+
+_BAD_ATOM = "atom X E(1) { F: g=0, i=0, a=1 }\n"
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        # an atom's failed check comes before a build error earlier in the text
+        (
+            "triple T (Y, S, F)\n" + _BAD_ATOM + "lhs X rhs X target =\n",
+            "2:6: mark F: an E(1) mark is a section (g=0, i=-1) or a fiber (g=1, i=0)",
+        ),
+        # a syntax error later in the text, and a duplicate identifier, come first
+        (_BAD_ATOM + "lhs X @ rhs X target =\n", "2:7: unexpected character '@'"),
+        (
+            "atom X E(1) { F: g=1, i=0, a=1 }\n" + _BAD_ATOM + "lhs X rhs X target =\n",
+            "2:6: duplicate identifier 'X'",
+        ),
+    ],
+    ids=["atom-before-build", "syntax-after-atom", "duplicate-before-atom"],
+)
+def test_error_order_around_a_failed_atom(src, message):
+    r = run(src)
+    assert (r.code, r.messages) == (2, [message])
 
 
 def test_unknown_rule_id():
@@ -384,24 +425,25 @@ _BIG = "123456789012345678901234567890"
 def test_number_literals_read_and_print_back_exactly():
     """Integer slots read `4/2`, `6/3` and `-0` as the integers they are,
     and areas keep `-0`, `0/5+1e` and a 30-digit constant exactly."""
-    src = (
-        f"atom A E(6/3) {{ F: g=4/2, i=-0, a=-0; G: g=1, i=0, a=0/5+1e;\n"
-        f"  H: g=1, i=0, a={_BIG}-{_BIG}/11e }}\nlhs A\nrhs A\ntarget =\n"
-    )
-    decl = parse(src).decls[0]
-    assert decl.kind.n == 2 and type(decl.kind.n) is int
-    (f, g, h) = decl.marks
-    assert (f.genus, f.normal_number) == (2, 0)
-    assert all(type(v) is int for m in decl.marks for v in (m.genus, m.normal_number))
+    for text, value in (("4/2", 2), ("6/3", 2), ("-0", 0)):
+        n = _Parser(text).parse_int()
+        assert n == value and type(n) is int
     big = int(_BIG)
-    assert (f.area, g.area, h.area) == (area(0), area(0, 1), area(big, Fraction(-big, 11)))
-    assert repr(h.area) == (
-        f"AreaValue(const=Fraction({_BIG}, 1), eps_coeff=Fraction(-{_BIG}, 11))"
+    h = _Parser(f"{_BIG}-{_BIG}/11e").parse_area()
+    assert (_Parser("-0").parse_area(), _Parser("0/5+1e").parse_area(), h) == (
+        area(0), area(0, 1), area(big, Fraction(-big, 11))
     )
+    assert repr(h) == f"AreaValue(const=Fraction({_BIG}, 1), eps_coeff=Fraction(-{_BIG}, 11))"
+    src = (
+        f"atom A E(6/3) {{ F: g=2/2, i=-0, a=0/5+1e;\n"
+        f"  S: g=0, i=-4/2, a={_BIG}-{_BIG}/11e }}\nlhs A\nrhs A\ntarget =\n"
+    )
+    atom = parse(src).decls[0].atom
+    assert atom.kind.n == 2 and type(atom.kind.n) is int
+    assert all(type(v) is int for m in atom.marks for v in (m.genus, m.normal_number))
     printed = print_script(parse(src))
     assert printed.splitlines()[:2] == [
-        "atom A E(2) { F: g=2, i=0, a=0; G: g=1, i=0, a=0+1e; "
-        f"H: g=1, i=0, a={_BIG}-{_BIG}/11e }}",
+        f"atom A E(2) {{ F: g=1, i=0, a=0+1e; S: g=0, i=-2, a={_BIG}-{_BIG}/11e }}",
         "lhs A",
     ]
     assert parse(printed) == parse(src)
