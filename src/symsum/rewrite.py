@@ -119,10 +119,6 @@ def _spine(e: ManifoldExpr, path: tuple[str, ...]):
     return nodes, e
 
 
-def resolve_path(e: ManifoldExpr, path: tuple[str, ...]) -> ManifoldExpr:
-    return _spine(e, path)[1]
-
-
 def _rebuild(
     spine: list[tuple[ManifoldExpr, int]],
     new_sub: ManifoldExpr,

@@ -23,7 +23,6 @@ from .core import (
     RuledSurface,
     STD_GLUE,
     SurfaceMark,
-    Thicken,
     Violation,
     is_ruled_fiber,
 )
@@ -103,20 +102,6 @@ def make_ruled_atom(
                 for m in marks
             ]
     return AtomNode(RuledSurface(genus, twist, fiber_area), tuple(marks))
-
-
-def thicken_as_w_sum(node: Thicken, labels: tuple[str, str, str] = ("Gk", "G-k", "Fw")) -> PairSum:
-    """The explicit form of a thickening: the sum with a ruled surface of
-    fiber area equal to the thickening amount, glued along the section of
-    opposite self-intersection."""
-    m = node.inner.mark(node.mark_label)
-    k = -m.normal_number
-    glue_label, twin_label, fiber_label = labels
-    w = _neutral_w(
-        m.genus, node.amount, k, m.area, -k, (glue_label, twin_label),
-        fibers={fiber_label: glue_label},
-    )
-    return PairSum(node.inner, node.mark_label, w, glue_label)
 
 
 def _neutral_w(g, fiber, glue_idx, glue_area, twin_idx, labels, pairs=(), fibers=None):

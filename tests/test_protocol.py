@@ -11,8 +11,13 @@ from test_memo import chain
 
 from symsum.areas import area
 from symsum.core import AtomNode, rename
-from symsum.rewrite import RuleError, apply_rule, parse_path, resolve_path
+from symsum.rewrite import RuleError, _spine, apply_rule, parse_path
 from symsum.script import build_script, parse
+
+
+def resolve_path(e, path):
+    """The subtree of `e` at `path`."""
+    return _spine(e, path)[1]
 
 DECLS = """
 atom A E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=1, perp Sigma-3 }

@@ -26,12 +26,12 @@ from symsum.core import (
 )
 from symsum.invariants import expr_invariants
 from symsum.sums import (
+    _neutral_w,
     apply_shifts,
     blow_down,
     make_ruled_atom,
     rescale,
     split_ruled,
-    thicken_as_w_sum,
 )
 
 EPS = area(0, 1)
@@ -294,6 +294,20 @@ def test_an_amount_off_the_positive_eps_ray_fails_with_its_message(collar, amoun
 def test_a_fractional_eps_amount_builds(collar):
     node = collar(e3_atom(), "Sigma-3", area(0, Fraction(1, 2)))
     assert node.amount == area(0, Fraction(1, 2)) and node.amount._d == 2
+
+
+def thicken_as_w_sum(node: Thicken, labels=("Gk", "G-k", "Fw")) -> PairSum:
+    """The explicit form of a thickening: the sum with a ruled surface of
+    fiber area equal to the thickening amount, glued along the section of
+    opposite self-intersection."""
+    m = node.inner.mark(node.mark_label)
+    k = -m.normal_number
+    glue_label, twin_label, fiber_label = labels
+    w = _neutral_w(
+        m.genus, node.amount, k, m.area, -k, (glue_label, twin_label),
+        fibers={fiber_label: glue_label},
+    )
+    return PairSum(node.inner, node.mark_label, w, glue_label)
 
 
 def test_thicken_as_w_sum_matches_node():
