@@ -618,7 +618,8 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
     """The core expression of `node`, built bottom-up with an explicit
     stack of the operations being built, each with its arguments, in
     which its children (under their selectors) are replaced as they are
-    built, an atom as it is; a node's failed check is reported at `node`."""
+    built (an atom is built already); a node's failed check is reported
+    at `node`."""
     try:
         top = {"": node}
         stack = [(None, top, iter(("",)), None)]  # a parent above the root
@@ -629,12 +630,11 @@ def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
                 if c.__class__ is OpExpr:
                     stack.append((c, dict(c.args), iter(c.cls.SELECTORS), name))
                     break
-                if c.__class__ is RefExpr:
-                    if c.name not in env:
-                        raise ScriptError(
-                            f"unresolved identifier {c.name!r}", c.pos.line, c.pos.col
-                        )
-                    args[name] = env[c.name]
+                if c.__class__ is AtomNode:
+                    continue  # built as it was parsed
+                if c.name not in env:
+                    raise ScriptError(f"unresolved identifier {c.name!r}", c.pos.line, c.pos.col)
+                args[name] = env[c.name]
             else:  # every child is built
                 stack.pop()
                 if not stack:
@@ -881,8 +881,7 @@ def print_script(ast: ScriptAst) -> str:
     lines = []
     for d in ast.decls:
         if isinstance(d, AtomDecl):
-            atom = d.atom
-            text = _leaf_text(atom) if atom.marks else serialize_expr(atom.kind)
+            text = _leaf_text(d.atom) if d.atom.marks else serialize_expr(d.atom.kind)
             lines.append(f"atom {d.name} {text}")
         else:
             lines.append(
