@@ -19,6 +19,7 @@ def resolve_path(e, path):
     """The subtree of `e` at `path`."""
     return _spine(e, path)[1]
 
+
 DECLS = """
 atom A E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=1, perp Sigma-3 }
 atom B E(1) { F1: g=1, i=0, a=1, perp Sigma-1; Sigma-1: g=0, i=-1, a=1, perp F1 }

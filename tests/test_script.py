@@ -55,11 +55,11 @@ def test_gompf_script_shape():
 
 # the corpus, a chain nested past the recursion limit, which the AST
 # records compare without a frame per level, and a one-sided `perp`
-ONE_SIDED_PERP = "atom X CP2 { L1: g=0, i=1, a=1, perp L2; L2: g=0, i=1, a=1 }\n"
 ROUND_TRIP = {
     **CORPUS,
     "chain-2000": chain_script(2000, 2),
-    "one-sided-perp": ONE_SIDED_PERP + "lhs X rhs X target =\n",
+    "one-sided-perp": "atom X CP2 { L1: g=0, i=1, a=1, perp L2; L2: g=0, i=1, a=1 }\n"
+    "lhs X rhs X target =\n",
 }
 
 

@@ -296,18 +296,14 @@ def test_a_fractional_eps_amount_builds(collar):
     assert node.amount == area(0, Fraction(1, 2)) and node.amount._d == 2
 
 
-def thicken_as_w_sum(node: Thicken, labels=("Gk", "G-k", "Fw")) -> PairSum:
+def thicken_as_w_sum(node: Thicken) -> PairSum:
     """The explicit form of a thickening: the sum with a ruled surface of
     fiber area equal to the thickening amount, glued along the section of
     opposite self-intersection."""
     m = node.inner.mark(node.mark_label)
     k = -m.normal_number
-    glue_label, twin_label, fiber_label = labels
-    w = _neutral_w(
-        m.genus, node.amount, k, m.area, -k, (glue_label, twin_label),
-        fibers={fiber_label: glue_label},
-    )
-    return PairSum(node.inner, node.mark_label, w, glue_label)
+    w = _neutral_w(m.genus, node.amount, k, m.area, -k, ("Gk", "G-k"), fibers={"Fw": "Gk"})
+    return PairSum(node.inner, node.mark_label, w, "Gk")
 
 
 def test_thicken_as_w_sum_matches_node():
