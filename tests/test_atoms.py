@@ -4,10 +4,16 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from strategies import positive_fractions
+from strategies import (
+    area_values,
+    genera,
+    normal_numbers,
+    positive_areas,
+    positive_fractions,
+)
 from symsum.areas import area
 from symsum.core import (
     AtomNode,
@@ -217,6 +223,57 @@ def test_underfed_section_unconstructible(g, k, a, f):
     except MarkError:
         built = False
     assert built == ok
+
+
+@given(g=genera, k=normal_numbers, section=area_values, fiber=positive_areas)
+def test_validate_ruled_is_the_half_fiber_bound(g, k, section, fiber):
+    """section > k'/2 * fiber, with k' = k + 1 for an odd k on a genus-0
+    base and k' = k otherwise, written with a Fraction."""
+    k_eff = k + 1 if g == 0 and k % 2 else k
+    assert validate_ruled(g, k, section, fiber) == (section > fiber.scale(Fraction(k_eff, 2)))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+    fiber=positive_areas,
+    a=positive_areas,
+)
+def test_ruled_spread_is_half_a_fiber_per_index(n, data, fiber, a):
+    """Two sections on a genus-1 base build exactly when each is above its
+    bound and their areas differ by (k_A - k_B)/2 fibers; the failure
+    names the first broken condition, with the spread as a Fraction."""
+    ka, kb = (data.draw(st.sampled_from(range(-n, n + 1, 2))) for _ in "AB")
+    spread = fiber.scale(Fraction(ka - kb, 2))
+    b = data.draw(st.one_of(st.just(a - spread), positive_areas))
+    assume(b.is_positive)
+    sections = (SurfaceMark("A", 1, ka, a), SurfaceMark("B", 1, kb, b))
+    expected = None
+    for m in sections:
+        if expected is None and not m.area > fiber.scale(Fraction(m.normal_number, 2)):
+            expected = (
+                f"mark {m.label}: section area {m.area} too small for "
+                f"index {m.normal_number} and fiber {fiber}"
+            )
+    if expected is None and a - b != spread:
+        expected = f"sections A, B: areas must differ by {spread}, got {a - b}"
+    try:
+        AtomNode(RuledSurface(1, n, fiber), sections)
+        got = None
+    except MarkError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_an_underfed_section_names_its_area_index_and_fiber():
+    with pytest.raises(MarkError) as exc:
+        AtomNode(
+            RuledSurface(0, 3, area(Fraction(1, 2), 1)),
+            (SurfaceMark("G", 0, 3, area(1, 2)),),
+        )
+    assert str(exc.value) == (
+        "mark G: section area 1 + 2*eps too small for index 3 and fiber 1/2 + 1*eps"
+    )
 
 
 def test_genus_negative_rejected():

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from symsum import cli
 from symsum.cli import main
 from symsum.demos import CORPUS
 
@@ -145,6 +146,23 @@ def test_a_huge_cp2_normal_number_is_refused_at_once(tmp_path, capsys):
 def test_a_directory_is_a_file_error(tmp_path, capsys):
     code, err = _check(tmp_path, capsys)
     assert code == 2 and err.startswith("file error: ")
+
+
+def test_a_permission_error_on_open_is_a_file_error(tmp_path, capsys, monkeypatch):
+    """The unreadable-file exit, reached whatever the user: `open` is made
+    to refuse the script as it refuses a file of mode 0 to a non-root user."""
+    path = tmp_path / "locked.ssum"
+    path.write_bytes(GOOD)
+
+    def refusing_open(file, *args, **kwargs):
+        if file == str(path):
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+    code, err = _check(path, capsys)
+    assert code == 2
+    assert err == f"file error: [Errno 13] Permission denied: '{path}'\n"
 
 
 @pytest.mark.skipif(
