@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import isqrt
 from typing import Optional
 
@@ -253,13 +253,11 @@ class RuledSurface(AtomKind):
         # checked once, in the order that finds the same first failure
         for i, a in enumerate(sections):
             for b in sections[i + 1 :]:
-                spread = self.fiber_area.scale(
-                    Fraction(a.normal_number - b.normal_number, 2)
-                )
-                if a.area - b.area != spread:
+                k, diff = a.normal_number - b.normal_number, a.area - b.area
+                if diff.scale(2) != self.fiber_area.scale(k):
                     raise MarkError(
                         f"sections {a.label}, {b.label}: areas must differ by "
-                        f"{spread}, got {a.area - b.area}"
+                        f"{self.fiber_area.scale(Fraction(k, 2))}, got {diff}"
                     )
         # declared intersections must be geometric: sections meet in
         # (j+k)/2 points, a fiber meets every section once
@@ -311,7 +309,7 @@ def validate_ruled(
         raise MarkError(f"fiber area {fiber_area} must be positive")
     if g == 0 and k % 2 != 0:
         k += 1
-    return section_area > fiber_area.scale(Fraction(k, 2))
+    return section_area.scale(2) > fiber_area.scale(k)
 
 
 def _cp2_degree(m: SurfaceMark) -> int:
@@ -345,7 +343,10 @@ def rename(relabel: dict[str, str], value):
 
 class ManifoldExpr(Frozen):
     """Base for all expression nodes.  Subclasses are frozen records;
-    `marks` is the tuple of surface marks visible on the composite.
+    `marks` is the tuple of surface marks visible on the composite.  A
+    composite computes it once, in `__init__`, from its children's marks,
+    and a child's mark that the node leaves unchanged is passed through
+    as the same object.
 
     Every tree walk goes through one protocol.  `children()` lists the
     child expressions in the order of their `at =` path selectors,
@@ -466,18 +467,23 @@ def _finish_marks(
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
         raise MarkError(f"derived mark label collision: {dup!r}")
-    by_label = {m.label: m for m in collected}
-    for a, b in pairs:
-        for lbl in (a, b):
-            if lbl not in by_label:
-                raise MarkError(f"declared pairing names unknown mark {lbl!r}")
-        if by_label[a].orthogonal_at is not None or by_label[b].orthogonal_at is not None:
-            raise MarkError(f"pairing {a} <-> {b}: a mark is already paired")
-        if a == b:
-            raise MarkError(f"mark {a!r} cannot be paired with itself")
-        by_label[a] = by_label[a].replace(orthogonal_at=b)
-        by_label[b] = by_label[b].replace(orthogonal_at=a)
-    return tuple(sorted(by_label.values(), key=lambda m: m.label))
+    if pairs:
+        by_label = {m.label: m for m in collected}
+        for a, b in pairs:
+            for lbl in (a, b):
+                if lbl not in by_label:
+                    raise MarkError(f"declared pairing names unknown mark {lbl!r}")
+            if (
+                by_label[a].orthogonal_at is not None
+                or by_label[b].orthogonal_at is not None
+            ):
+                raise MarkError(f"pairing {a} <-> {b}: a mark is already paired")
+            if a == b:
+                raise MarkError(f"mark {a!r} cannot be paired with itself")
+            by_label[a] = by_label[a].replace(orthogonal_at=b)
+            by_label[b] = by_label[b].replace(orthogonal_at=a)
+        collected = by_label.values()
+    return tuple(sorted(collected, key=lambda m: m.label))
 
 
 def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
@@ -555,7 +561,7 @@ class PairSum(ManifoldExpr):
         set_field(self, "carry_label", carry_label)
         set_field(self, "pairs", pairs)
         _check_disjoint_pools(left, right)
-        self.marks  # force validation
+        set_field(self, "marks", self._marks())
 
     def children(self):
         return (self.left, self.right)
@@ -582,8 +588,7 @@ class PairSum(ManifoldExpr):
     def glue_genus(self) -> int:
         return self.left.mark(self.left_mark).genus
 
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self) -> tuple[SurfaceMark, ...]:
         lt = self.left.mark(self.left_mark)
         rs = self.right.mark(self.right_mark)
         bad = pairwise_violations(lt, rs)
@@ -591,14 +596,9 @@ class PairSum(ManifoldExpr):
             raise AdmissibilityError(bad)
         lp = self.left.mark(lt.orthogonal_at) if lt.orthogonal_at else None
         rp = self.right.mark(rs.orthogonal_at) if rs.orthogonal_at else None
-        carry = None
+        carry = None  # the label of the connected-sum mark, if one is carried
         if lp is not None and rp is not None:
-            carry = SurfaceMark(
-                self.carry_name,
-                lp.genus + rp.genus,
-                lp.normal_number + rp.normal_number,
-                lp.area + rp.area,
-            )
+            carry = self.carry_name
         elif self.carry_label is not None:
             missing = self.left_mark if lp is None else self.right_mark
             raise MarkError(
@@ -621,16 +621,25 @@ class PairSum(ManifoldExpr):
                     if half_consumed and orth == half.label:
                         if carry_partner is not None:
                             raise MarkError(
-                                f"carried mark {carry.label} would meet both "
+                                f"carried mark {carry} would meet both "
                                 f"{carry_partner} and {m.label}"
                             )
                         carry_partner = m.label
-                        orth = carry.label
+                        orth = carry
                     elif half_dropped and orth == half.label:
                         orth = None
-                out.append(m.replace(orthogonal_at=orth))
+                # a mark whose partner stays is passed through as it is
+                out.append(m if orth == m.orthogonal_at else m.replace(orthogonal_at=orth))
         if carry is not None:
-            out.append(carry.replace(orthogonal_at=carry_partner))
+            out.append(
+                SurfaceMark(
+                    carry,
+                    lp.genus + rp.genus,
+                    lp.normal_number + rp.normal_number,
+                    lp.area + rp.area,
+                    carry_partner,
+                )
+            )
         return _finish_marks(out, self.pairs)
 
 
@@ -682,7 +691,7 @@ class FourSum(ManifoldExpr):
         bad = fourfold_violations(self.entries)
         if bad:
             raise AdmissibilityError(bad)
-        self.marks
+        set_field(self, "marks", self._marks())
 
     def children(self):
         return (self.x1, self.x2, self.x3, self.x4)
@@ -712,8 +721,7 @@ class FourSum(ManifoldExpr):
             )
         return PairSum(left, left.carry_name, right, right.carry_name, glu[1])
 
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self) -> tuple[SurfaceMark, ...]:
         return self.evaluated().marks
 
 
@@ -748,7 +756,7 @@ class BlowUp(_Unary):
         set_field(self, "transform_label", transform_label)
         set_field(self, "exceptional_label", exceptional_label)
         set_field(self, "pair_exceptional", pair_exceptional)
-        self.marks
+        set_field(self, "marks", self._marks())
 
     def introduced_labels(self):
         if self.new_transform_label:
@@ -761,8 +769,7 @@ class BlowUp(_Unary):
             return None
         return self.transform_label or f"{self.at_mark}~"
 
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self) -> tuple[SurfaceMark, ...]:
         out = []
         exceptional_partner = None
         if self.at_mark is not None:
@@ -823,14 +830,13 @@ class _Collar(_Unary):
         set_field(self, "inner", inner)
         set_field(self, "mark_label", mark_label)
         set_field(self, "amount", amount)
-        self.marks
+        set_field(self, "marks", self._marks())
 
     @staticmethod
     def _admit(inner: ManifoldExpr, mark_label: str, amount: AreaValue) -> None:
         """Raise if the collar cannot be taken along the mark."""
 
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self) -> tuple[SurfaceMark, ...]:
         m = self.inner.mark(self.mark_label)
         step = self.amount.scale(self.SIGN)  # the partner's change of area
         main = m.replace(
@@ -905,7 +911,7 @@ class Desing(_Unary):
         set_field(self, "mark_s", mark_s)
         set_field(self, "mark_t", mark_t)
         set_field(self, "label", label)
-        self.marks
+        set_field(self, "marks", self._marks())
 
     def introduced_labels(self):
         return (self.result_label,)
@@ -914,8 +920,7 @@ class Desing(_Unary):
     def result_label(self) -> str:
         return self.label or f"{self.mark_s}+{self.mark_t}"
 
-    @cached_property
-    def marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self) -> tuple[SurfaceMark, ...]:
         s = self.inner.mark(self.mark_s)
         t = self.inner.mark(self.mark_t)
         new = desingularize(s, t, self.result_label)

@@ -210,6 +210,30 @@ def test_pool_walk_memory_stays_linear_in_depth():
     assert peak < 500_000
 
 
+def test_a_chain_build_makes_no_mark_beyond_its_atoms(monkeypatch):
+    """A sum passes each mark whose partner it leaves unchanged through as
+    its child's object, so building a chain makes no new mark."""
+    made = []
+    init = SurfaceMark.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceMark, "__init__", counting_init)
+    built = build_script(parse(chain_script(200, 100)))
+    all_nodes = nodes(built.lhs, built.rhs)
+    atom_marks = [m for n in all_nodes if isinstance(n, AtomNode) for m in n.marks]
+    assert len(atom_marks) == 2 * 200
+    assert sorted(map(id, made)) == sorted(map(id, atom_marks))
+    sums = [n for n in all_nodes if isinstance(n, PairSum)]
+    assert len(sums) == 2 * 199
+    for n in sums:
+        for m in n.marks:
+            kid = n.left if n.left.has_mark(m.label) else n.right
+            assert m is kid.mark(m.label), m.label
+
+
 def test_render_prints_each_distinct_atom_once(monkeypatch):
     calls = []
     atom_text = script._atom_text
