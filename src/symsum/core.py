@@ -628,7 +628,6 @@ class PairSum(ManifoldExpr):
                         orth = carry
                     elif half_dropped and orth == half.label:
                         orth = None
-                # a mark whose partner stays is passed through as it is
                 out.append(m if orth == m.orthogonal_at else m.replace(orthogonal_at=orth))
         if carry is not None:
             out.append(
