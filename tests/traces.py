@@ -60,6 +60,55 @@ MALFORMED = {
     "triple names an unknown mark": _E3 + "triple T (E3, Sigma-3, Nope)\nlhs E3 rhs E3 target =",
 }
 
+# malformed mark specs: each fixed token of one spec (the pieces of
+# `_SPEC` at `_FIXED`) deleted or replaced, bad numbers, texts that end
+# early, unclosed kinds, and a kind's text read again after a failed atom
+_SPEC = ("A1", ":", "g", "=", "0", ",", "i", "=", "-1", ",", "a", "=", "1+1e", ",", "perp", "B1")
+_FIXED = (1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14)
+
+
+def _spec_script(*edits: tuple[int, str]) -> str:
+    """A script whose ruled atom's first mark spec is `_SPEC` with the
+    piece at each index replaced; it verifies as it stands."""
+    spec = list(_SPEC)
+    for k, piece in edits:
+        spec[k] = piece
+    spec = " ".join(piece for piece in spec if piece)
+    return f"atom W1 W(0,1,0+1e) {{ {spec}; B1: g=0, i=0, a=0+1e }}\nlhs W1 rhs W1 target =\n"
+
+
+_CUT = "atom W1 W(0,1,0+1e) { A1: g=0, i=-1, a ="
+MALFORMED.update(
+    {
+        f"mark spec {k}:{_SPEC[k]!r} {'deleted' if not r else f'as {r!r}'}": _spec_script((k, r))
+        for k in _FIXED
+        for r in ("", "h", ";", ":")
+        if r != _SPEC[k]
+    }
+)
+MALFORMED.update(
+    {
+        "mark spec g=-1": _spec_script((4, "-1")),
+        "mark spec g=3/2": _spec_script((4, "3/2")),
+        "mark spec i=1/2": _spec_script((8, "1/2")),
+        "mark spec i=-x": _spec_script((8, "-x")),
+        "mark spec ends after a =": _CUT,
+        "mark spec ends after perp": _CUT + " 1+1e, perp",
+        "mark spec ends after a kind tag": "atom W1 W",
+        "mark spec ends inside a kind": "atom W1 W(0,1",
+        "mark spec kind without )": _spec_script().replace("0+1e)", "0+1e", 1),
+        "mark spec kind CP2(": "atom P CP2( { L: g=0, i=1, a=1 }\nlhs P rhs P target =\n",
+        "mark spec kind repeated after a failed atom": (
+            "atom W1 W(0,1,0+1e) { A1: g=0, i=-3, a=1 }\n"
+            "atom W2 W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e }\nlhs W2 rhs W2 target =\n"
+        ),
+        "mark spec failed kind repeated": (
+            "atom W1 W(0,1,0) { }\natom W2 W(0,1,0) { A2: g=0, i=-1, a=1 }\n"
+            "atom W3 W(0,1,0+1e) { }\nlhs W3 rhs W3 target =\n"
+        ),
+    }
+)
+
 _W = (
     "atom W W(0,3,0+1e) { Gk: g=0, i=3, a=1, perp Gk2; Gk2: g=0, i=-1, a=1-2e, perp Gk }\n"
     "atom Y E(3) { S: g=0, i=-3, a=1 }\n"
