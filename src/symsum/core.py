@@ -503,8 +503,10 @@ class AtomNode(ManifoldExpr):
     partners, and the kind must allow them."""
 
     # memo of the atom's source text, filled in by script.serialize_expr;
-    # only atoms keep one, as a memo per operation node would hold
-    # O(depth^2) text on a nested chain
+    # only atoms keep one, as a text memo per operation node would hold
+    # O(depth^2) text on a nested chain.  A trace's renderer copies an
+    # operation node printed before from where its pieces sit, for the
+    # length of one render call (the spans of script._write)
     _text = None
 
     def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):

@@ -47,14 +47,42 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
-        return f"{type(self).__qualname__}({fields})"
+        """The class name and each shown field's repr, written from an
+        explicit stack of pieces, each a text and then a value, so that
+        nesting costs no Python frames: a record with this repr or a dict
+        pushes its own pieces, and any other value writes its repr."""
+        out, stack = [], [("", self)]
+        while stack:
+            text, x = stack.pop()
+            out.append(text)
+            cls = x.__class__
+            if cls.__repr__ is Record.__repr__:
+                names = x._shown
+                pieces = [
+                    (f"{', ' if i else cls.__qualname__ + '('}{n}=", getattr(x, n))
+                    for i, n in enumerate(names)
+                ]
+                pieces.append((")" if names else f"{cls.__qualname__}()", _TEXT))
+            elif cls is dict:
+                pieces = [
+                    (f"{', ' if i else '{'}{k!r}: ", v) for i, (k, v) in enumerate(x.items())
+                ]
+                pieces.append(("}" if x else "{}", _TEXT))
+            else:
+                if x is not _TEXT:
+                    out.append(repr(x))
+                continue
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
     def replace(self, **changes):
         for name, _ in self.FIELDS:
             if name not in changes:
                 changes[name] = getattr(self, name)
         return type(self)(**changes)
+
+
+_TEXT = object()  # the value of a repr piece that is only text
 
 
 class Frozen(Record):

@@ -213,33 +213,6 @@ class OpExpr(Syntax):
                 return False
         return True
 
-    def __repr__(self) -> str:
-        """The record repr, written from an explicit stack of pieces, each
-        a text and then a value, so that nesting costs no Python frames:
-        an OpExpr or a dict value pushes its own pieces, and any other
-        value writes its repr."""
-        out, stack = [], [("", self)]
-        while stack:
-            text, x = stack.pop()
-            out.append(text)
-            cls = x.__class__
-            if cls is OpExpr:
-                pieces = [(f"OpExpr(cls={x.cls!r}, args=", x.args), (")", _NO_VALUE)]
-            elif cls is dict:
-                pieces = [
-                    (f"{', ' if i else '{'}{k!r}: ", v) for i, (k, v) in enumerate(x.items())
-                ]
-                pieces.append(("}" if x else "{}", _NO_VALUE))
-            else:
-                if x is not _NO_VALUE:
-                    out.append(repr(x))
-                continue
-            stack.extend(reversed(pieces))
-        return "".join(out)
-
-
-_NO_VALUE = object()  # the value of a repr piece that is only text
-
 
 ExprNode = Union[RefExpr, AtomNode, OpExpr]
 
@@ -283,6 +256,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks, self.i, self.src = tokenize(text), 0, _Source(text)
         self.failed: Optional[ScriptError] = None
+        self.kinds: dict[tuple, AtomKind] = {}  # the atom kinds read, by their tokens
 
     def error(self, message: Optional[str], i: int, expected=None) -> ScriptError:
         """`message`, by default "unexpected" and token `i`, at token `i`."""
@@ -310,10 +284,29 @@ class _Parser:
             raise self.error(None, self.i, {word})
         self.i += 1
 
+    def read_run(self, run: list[str]) -> None:
+        """Reads the fixed words and punctuation `run` with one comparison;
+        where the text differs, `keyword` and `expect` read it token by
+        token and raise at the first that differs."""
+        i = self.i
+        end = i + len(run)
+        if self.toks[i:end] == run:
+            self.i = end
+            return
+        for v in run:
+            if v.isalpha():
+                self.keyword(v)
+            else:
+                self.expect(v)
+
     # -- numbers and areas -------------------------------------------
 
     def parse_fraction(self) -> Union[int, Fraction]:
         """A number after an optional `-`: an int for `p`, a Fraction for `p/q`."""
+        v = self.toks[self.i]
+        if v.isdecimal():  # a plain `p`
+            self.i += 1
+            return int(v)
         neg = self.accept("-")
         v = self.expect("num", "number")
         num, _, den = v.partition("/")
@@ -347,11 +340,27 @@ class _Parser:
     # -- declarations ------------------------------------------------
 
     def parse_kind(self) -> AtomKind:
-        """An atom kind: its tag, then the rest of its form."""
+        """An atom kind: its tag, then the rest of its form.  A kind is
+        read once per text: the kinds built are kept by their tokens, from
+        the tag to the first `)`, and the same tokens again give the same
+        kind."""
+        toks, at = self.toks, self.i
+        try:
+            end = toks.index(")", at, at + _KIND_SPAN) + 1
+        except ValueError:  # no `)` near: the key is the tag alone
+            end = at + 1
+        key = tuple(toks[at:end])
+        kind = self.kinds.get(key)
+        if kind is not None:
+            self.i = end
+            return kind
         tag = self.expect("name", "atom kind")
         if tag not in KINDS:
             raise self.error(f"unknown atom kind {tag!r}", self.i - 1, expected=set(KINDS))
-        return self.parse_form(KINDS[tag])
+        kind = self.parse_form(KINDS[tag])
+        if self.i == end:
+            self.kinds[key] = kind
+        return kind
 
     def parse_atom(self, at: int) -> Optional[AtomNode]:
         """An atom kind and its marks, built; a one-sided `perp` implies its
@@ -383,17 +392,11 @@ class _Parser:
         (or None), and the index of its label token."""
         at = self.i
         name = self.expect("name", "mark label")
-        self.expect(":")
-        self.keyword("g")
-        self.expect("=")
+        self.read_run(_GENUS)
         g = self.parse_int()
-        self.expect(",")
-        self.keyword("i")
-        self.expect("=")
+        self.read_run(_INDEX)
         i = self.parse_int()
-        self.expect(",")
-        self.keyword("a")
-        self.expect("=")
+        self.read_run(_AREA)
         a = self.parse_area()
         perp = None
         if self.toks[self.i] == "," and self.toks[self.i + 1] == "perp":
@@ -722,6 +725,9 @@ _OPTIONS = {
 }
 
 _EPS = ("e", "eps")  # the words after an area's eps coefficient
+# the fixed tokens before a mark spec's genus, normal number and area
+_GENUS, _INDEX, _AREA = [":", "g", "="], [",", "i", "="], [",", "a", "="]
+_KIND_SPAN = 16  # the most tokens from a kind's tag to its `)` that a kind key holds
 _CLOSED = object()  # what the stop at the end of a form wants
 _ABSENT = object()  # the value of an option that is not given
 
@@ -802,32 +808,52 @@ KINDS = {_FORM_OF[cls].name: _FORM_OF[cls] for cls in _KIND_FORMS}  # the atom k
 
 def serialize_expr(node) -> str:
     """The source text of a built expression, an AST expression or an atom
-    kind, written from an explicit stack of the forms being printed, each
-    with the slots it has still to print.  An option prints when the
-    source gave it (AST) or when it differs from its default (built node),
-    so an explicit `exc = E` prints from the AST only."""
+    kind, walked in full; a trace's renderers print through `_write` with
+    spans, which copies a node that an earlier tree printed.  An option
+    prints when the source gave it (AST) or when it differs from its
+    default (built node), so an explicit `exc = E` prints from the AST
+    only."""
+    return _write(node, [], None)
+
+
+def _write(node, out: list, spans: Optional[dict]) -> str:
+    """The text of `node`, appended to `out` in pieces from an explicit
+    stack of the forms being printed, each with the slots it has still to
+    print.  With `spans`, kept for one render call, the pieces of each
+    operation node printed sit at `out[start:end]` under
+    `spans[id(node)]`, and a node found there is copied, not walked again."""
+    start = len(out)
     leaf = _leaf_text(node)
     if leaf is not None:
         return leaf
-    out, stack = [], [_slots(node)]
-    while stack:
-        slots, tail = stack[-1]
-        for (literal, show), value, default in slots:
-            if value is default or (default is not _ABSENT and value == default):
-                continue  # an option not given
-            out.append(literal)
-            if show is None:  # a child: a leaf prints here, an operation on top
-                leaf = _leaf_text(value)
-                if leaf is None:
-                    stack.append(_slots(value))
-                    break
-                out.append(leaf)
-            else:
-                out.append(show(value))
+    stack, append, leaf_text, absent = [], out.append, _leaf_text, _ABSENT
+    while node is not None:  # an operation, to open or to copy
+        span = spans.get(id(node)) if spans is not None else None
+        if span is None:
+            stack.append((*_slots(node), id(node), len(out)))
         else:
-            out.append(tail)
-            stack.pop()
-    return "".join(out)
+            out.extend(out[span[0] : span[1]])
+        node = None
+        while stack and node is None:  # print on in the innermost open form
+            slots, tail, key, begin = stack[-1]
+            for (literal, show), value, default in slots:
+                if value is default or (default is not absent and value == default):
+                    continue  # an option not given
+                append(literal)
+                if show is None:  # a child: a leaf prints here, an operation next
+                    leaf = leaf_text(value)
+                    if leaf is None:
+                        node = value
+                        break
+                    append(leaf)
+                else:
+                    append(show(value))
+            else:
+                append(tail)
+                stack.pop()
+                if spans is not None:
+                    spans[key] = (begin, len(out))
+    return "".join(out[start:] if start else out)
 
 
 def _slots(node) -> tuple:
@@ -959,10 +985,10 @@ def run(source: str) -> RunResult:
 
 
 def render_trace_text(verdict: Verdict) -> str:
-    lines = []
+    lines, out, spans = [], [], {}  # the pieces printed, and where each node's sit
     for rec in verdict.trace:
         lines.append(rec.header())
-        lines.append("  " + serialize_expr(rec.expr))
+        lines.append("  " + _write(rec.expr, out, spans))
         for note in rec.notes:
             lines.append("  - " + note)
     return "\n".join(lines)
@@ -971,7 +997,7 @@ def render_trace_text(verdict: Verdict) -> str:
 def render_trace_json(verdict: Verdict) -> str:
     import json  # here, not at the top: only a JSON trace pays for the import
 
-    lines = []
+    lines, out, spans = [], [], {}  # the pieces printed, and where each node's sit
     for rec in verdict.trace:
         lines.append(
             json.dumps(
@@ -981,7 +1007,7 @@ def render_trace_json(verdict: Verdict) -> str:
                     "level": rec.level.symbol if rec.level else None,
                     "chi": rec.invariants.euler,
                     "sigma": rec.invariants.signature,
-                    "expr": serialize_expr(rec.expr),
+                    "expr": _write(rec.expr, out, spans),
                     "notes": rec.notes,
                 },
                 sort_keys=True,

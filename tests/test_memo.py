@@ -14,6 +14,7 @@ from symsum.core import (
     BlowUp,
     Desing,
     FourSum,
+    ManifoldExpr,
     PairSum,
     ProjectivePlane,
     ProjectivePlaneReversed,
@@ -249,6 +250,63 @@ def test_render_prints_each_distinct_atom_once(monkeypatch):
     assert len(calls) == 2 * len(atoms)
     assert all(f"  {s}" in text.splitlines() for s in fresh)
     assert [json.loads(line)["expr"] for line in js.splitlines()] == fresh
+
+
+def test_a_chain_parse_reads_its_atom_kind_once(monkeypatch):
+    """The 200 atoms of a chain write one kind text; the parser builds
+    that kind once and every atom holds it."""
+    made = []
+    init = RuledSurface.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RuledSurface, "__init__", counting_init)
+    ast = parse(chain_script(200, 100))
+    assert len(made) == 1
+    assert all(d.atom.kind is made[0] for d in ast.decls) and len(ast.decls) == 200
+
+
+def _render_exprs(verdict) -> list[str]:
+    """The printed tree of each record in each renderer's output; in the
+    text trace, a tree's line is indented and a note's starts `  - `."""
+    lines = render_trace_text(verdict).splitlines()
+    text = [line[2:] for line in lines if line[:2] == "  " and line[:4] != "  - "]
+    js = [json.loads(line)["expr"] for line in render_trace_json(verdict).splitlines()]
+    return text, js
+
+
+def test_render_walks_each_distinct_operation_node_once(monkeypatch):
+    r = run(chain_script(200, 100))
+    assert r.code == 0
+    exprs = [rec.expr for rec in r.verdict.trace]
+    operations = [n for n in nodes(*exprs) if not isinstance(n, AtomNode)]
+    walked = []
+    slots = script._slots
+
+    def counting_slots(node):
+        if isinstance(node, ManifoldExpr):  # not an atom's kind
+            walked.append(node)
+        return slots(node)
+
+    monkeypatch.setattr(script, "_slots", counting_slots)
+    render_trace_text(r.verdict)
+    assert sorted(map(id, walked)) == sorted(map(id, operations))
+    walked.clear()
+    render_trace_json(r.verdict)
+    assert sorted(map(id, walked)) == sorted(map(id, operations))
+    # each tree of 199 sums, printed in full, would walk 5 * 199 nodes
+    assert len(operations) < 3 * 199
+
+
+def test_renderers_print_every_record_as_serialize_expr_does():
+    results = [run(source) for source in CORPUS.values()] + [run(chain_script(300, 150))]
+    assert len(results) == 14 and results[-1].code == 0
+    for r in results:
+        fresh = [serialize_expr(rec.expr) for rec in r.verdict.trace]
+        text, js = _render_exprs(r.verdict)
+        assert text == fresh and js == fresh
 
 
 def test_nesting_past_the_recursion_limit_verifies():

@@ -46,7 +46,9 @@ from symsum.script import (
     ScriptError,
     StepNode,
     TripleDecl,
+    build_script,
     parse,
+    run,
 )
 from symsum.record import Record
 from test_memo import chain_script
@@ -261,15 +263,25 @@ def _asts():
             pass
 
 
+def _recursive_repr(record) -> str:
+    """The record repr written recursively, one Python frame or more per
+    level of nesting: the reference for the repr written from a stack."""
+    fields = ", ".join(f"{n}={getattr(record, n)!r}" for n in record._shown)
+    return f"{type(record).__qualname__}({fields})"
+
+
 def test_op_expr_repr_is_the_record_repr(monkeypatch):
-    """OpExpr's repr, written from a stack, prints the bytes of the
-    recursive record repr: options, pairs and FourSum's entries too."""
-    asts = list(_asts())
-    iterative = [repr(ast) for ast in asts]
-    monkeypatch.setattr(OpExpr, "__repr__", Record.__repr__)
-    assert iterative == [repr(ast) for ast in asts]
+    """The record repr, written from a stack, prints the bytes of the
+    recursive reference repr on ASTs (options, pairs and FourSum's entries
+    too) and on the built trees of the corpus's traces."""
+    values = list(_asts())
+    values += [rec.expr for source in CORPUS.values() for rec in run(source).verdict.trace]
+    iterative = [repr(value) for value in values]
+    monkeypatch.setattr(Record, "__repr__", _recursive_repr)
+    assert iterative == [repr(value) for value in values]
     for option in ("FourSum", "'pairs': ((", "'gluing': GluingChoice", "'pair_exceptional'"):
         assert any(option in text for text in iterative), option
+    assert any(text.startswith("FourSum(x1=") for text in iterative)
 
 
 def test_op_expr_repr_of_a_deep_tree():
@@ -283,6 +295,21 @@ def test_op_expr_repr_of_a_deep_tree():
     assert text.count("OpExpr(cls=<class 'symsum.core.PairSum'>") == 1999
     assert text.startswith("OpExpr(cls=<class 'symsum.core.PairSum'>, args={'left': OpExpr(")
     assert text.endswith("'right': RefExpr(name='W2000'), 'right_mark': 'A2000'})")
+
+
+def test_repr_of_a_deep_built_node():
+    lhs = build_script(parse(chain_script(2000, 2))).lhs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default, at which a recursive repr fails
+    try:
+        text = repr(lhs)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("PairSum(left=") == 1999
+    assert text.startswith("PairSum(left=PairSum(left=")
+    assert text.endswith(
+        "right_mark='A2000', gluing=GluingChoice(label='std'), carry_label=None, pairs=())"
+    )
 
 
 # what `import symsum.cli` loads of symsum: the checker, `symsum.sums`
