@@ -813,29 +813,32 @@ def serialize_expr(node) -> str:
     prints when the source gave it (AST) or when it differs from its
     default (built node), so an explicit `exc = E` prints from the AST
     only."""
-    return _write(node, [], None)
+    return _write(node, None)
 
 
-def _write(node, out: list, spans: Optional[dict]) -> str:
-    """The text of `node`, appended to `out` in pieces from an explicit
-    stack of the forms being printed, each with the slots it has still to
-    print.  With `spans`, kept for one render call, the pieces of each
-    operation node printed sit at `out[start:end]` under
-    `spans[id(node)]`, and a node found there is copied, not walked again."""
-    start = len(out)
+def _write(node, spans: Optional[dict]) -> str:
+    """The text of `node`, written in pieces from an explicit stack of the
+    forms being printed, each with the slots it has still to print.  With
+    `spans`, kept for one render call, the pieces of each operation node
+    printed are kept as `(pieces, start, end)` under `spans[id(node)]`,
+    and a node found there is copied, not walked again."""
     leaf = _leaf_text(node)
     if leaf is not None:
         return leaf
-    stack, append, leaf_text, absent = [], out.append, _leaf_text, _ABSENT
+    out, stack, opened = [], [], []  # opened: (id, start) of each form on the stack
+    append, leaf_text, absent = out.append, _leaf_text, _ABSENT
     while node is not None:  # an operation, to open or to copy
         span = spans.get(id(node)) if spans is not None else None
-        if span is None:
-            stack.append((*_slots(node), id(node), len(out)))
+        if span is not None:
+            pieces, start, end = span
+            out += pieces[start:end]
         else:
-            out.extend(out[span[0] : span[1]])
+            stack.append(_slots(node))
+            if spans is not None:
+                opened.append((id(node), len(out)))
         node = None
         while stack and node is None:  # print on in the innermost open form
-            slots, tail, key, begin = stack[-1]
+            slots, tail = stack[-1]
             for (literal, show), value, default in slots:
                 if value is default or (default is not absent and value == default):
                     continue  # an option not given
@@ -852,8 +855,9 @@ def _write(node, out: list, spans: Optional[dict]) -> str:
                 append(tail)
                 stack.pop()
                 if spans is not None:
-                    spans[key] = (begin, len(out))
-    return "".join(out[start:] if start else out)
+                    key, start = opened.pop()
+                    spans[key] = (out, start, len(out))
+    return "".join(out)
 
 
 def _slots(node) -> tuple:
@@ -985,10 +989,10 @@ def run(source: str) -> RunResult:
 
 
 def render_trace_text(verdict: Verdict) -> str:
-    lines, out, spans = [], [], {}  # the pieces printed, and where each node's sit
+    lines, spans = [], {}  # where each operation node's pieces sit
     for rec in verdict.trace:
         lines.append(rec.header())
-        lines.append("  " + _write(rec.expr, out, spans))
+        lines.append("  " + _write(rec.expr, spans))
         for note in rec.notes:
             lines.append("  - " + note)
     return "\n".join(lines)
@@ -997,7 +1001,7 @@ def render_trace_text(verdict: Verdict) -> str:
 def render_trace_json(verdict: Verdict) -> str:
     import json  # here, not at the top: only a JSON trace pays for the import
 
-    lines, out, spans = [], [], {}  # the pieces printed, and where each node's sit
+    lines, spans = [], {}  # where each operation node's pieces sit
     for rec in verdict.trace:
         lines.append(
             json.dumps(
@@ -1007,7 +1011,7 @@ def render_trace_json(verdict: Verdict) -> str:
                     "level": rec.level.symbol if rec.level else None,
                     "chi": rec.invariants.euler,
                     "sigma": rec.invariants.signature,
-                    "expr": _write(rec.expr, out, spans),
+                    "expr": _write(rec.expr, spans),
                     "notes": rec.notes,
                 },
                 sort_keys=True,
