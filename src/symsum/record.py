@@ -14,6 +14,7 @@ writes each field once with `set_field`.
 from operator import attrgetter
 
 set_field = object.__setattr__
+_TEXT = object()  # the value of a repr piece that is only text
 
 
 def values_getter(names):
@@ -80,9 +81,6 @@ class Record:
             if name not in changes:
                 changes[name] = getattr(self, name)
         return type(self)(**changes)
-
-
-_TEXT = object()  # the value of a repr piece that is only text
 
 
 class Frozen(Record):
