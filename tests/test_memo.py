@@ -268,7 +268,7 @@ def test_a_chain_parse_reads_its_atom_kind_once(monkeypatch):
     assert all(d.atom.kind is made[0] for d in ast.decls) and len(ast.decls) == 200
 
 
-def _render_exprs(verdict) -> list[str]:
+def _render_exprs(verdict) -> tuple[list[str], list[str]]:
     """The printed tree of each record in each renderer's output; in the
     text trace, a tree's line is indented and a note's starts `  - `."""
     lines = render_trace_text(verdict).splitlines()
