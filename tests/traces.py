@@ -124,6 +124,24 @@ _CHAIN = "".join(
     f"atom W{i} W(0,1,0+1e) {{ A{i}: g=0, i=-1, a=1+{i}e; B{i}: g=0, i=1, a=1+{i + 1}e }}\n"
     for i in range(5)
 )
+# a mark label that two summands share: an atom summed with itself, a
+# label that an inner gluing used up and a later summand carries again,
+# and a four-fold sum that repeats an entry
+MALFORMED.update(
+    {
+        "labels reused by an atom summed with itself": (
+            _CHAIN + "lhs sum(W1, B1, W1, A1) rhs W1 target =\n"
+        ),
+        "labels reused after an inner gluing": (
+            _CHAIN.replace("B3: g=0, i=1", "B1: g=0, i=1")
+            + "lhs sum(sum(W1, B1, W2, A2), B2, W3, B1) rhs W1 target =\n"
+        ),
+        "labels reused by a repeated sum4 entry": (
+            _E3 + "lhs sum4((E3, Sigma-3, F3), (E3, Sigma-3, F3), (E3, Sigma-3, F3), "
+            "(E3, Sigma-3, F3)) rhs E3 target =\n"
+        ),
+    }
+)
 _NEST_L = "sum(sum(W1, B1, W2, A2), B2, W3, A3)"
 _NEST_R = "sum(W1, B1, sum(W2, B2, W3, A3), A2)"
 _Q2 = _E3 + _E1 + "atom Q2 CP2 { Q: g=0, i=4, a=2 }\n"
@@ -403,6 +421,11 @@ RULE_MESSAGES = {
     ),
     "R8 shift2 without shift1": _script(
         _E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { eps = 0+1e, shift2 = F1, by2 = 1 }"
+    ),
+    # a rebuilt tree whose new summand carries a label of another summand
+    "R8 labels reused": _script(
+        _Q2, "sum(sum(E3, F3, E1, F1), Sigma-3#Sigma-1, Q2, Q)",
+        "R8 { at = left, eps = 0+1e, carry = Q }",
     ),
 }
 
