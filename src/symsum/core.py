@@ -15,6 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import isqrt
 from typing import Optional
 
@@ -137,6 +138,10 @@ class AtomKind(Frozen):
     """The kind of an atom: which marks it carries, and how a shift and a
     rescale move them.  Each method's default suits a kind with no rule
     of its own."""
+
+    # memo of the kind's source text, filled in by script._atom_text: the
+    # atoms that a parse reads from one kind text share one kind object
+    _text = None
 
     def check_marks(self, marks: tuple[SurfaceMark, ...]) -> None:
         """Raise `MarkError` unless an atom of this kind can carry `marks`."""
@@ -355,17 +360,19 @@ class ManifoldExpr(Frozen):
 
     Equality and hashing are structural, as for other records, but walk
     the tree with an explicit stack, so trees of any depth compare.
-    Derived quantities that depend on the whole subtree (label pool,
-    invariants, hash) are memoized on the node in the slots below and
-    computed bottom-up from the children's memos; see `fill_memo`."""
+    Every node sets its label pool once, in `__init__`, right after
+    `marks`, from its children's (see `label_pool`).  The invariants and
+    the hash are memoized on the node when first asked for, computed
+    bottom-up from the children's memos; see `fill_memo`."""
 
     marks: tuple[SurfaceMark, ...]
 
     SELECTORS: tuple[str, ...] = ()
     MARK_REFS: tuple[tuple[str, ...], ...] = ()
 
-    # per-node memos, filled in by label_pool, expr_invariants and __hash__
-    _pool: Optional[set[str]] = None  # a frozenset on an atom
+    # the label pool, a view (store, n) set in __init__ (see label_pool)
+    _pool: tuple[dict[str, int], int]
+    # per-node memos, filled in by expr_invariants and __hash__
     _inv = None
     _hash: Optional[int] = None
 
@@ -443,10 +450,10 @@ def _node_hash(node: ManifoldExpr) -> int:
 
 
 def fill_memo(root: ManifoldExpr, slot: str, compute) -> None:
-    """Set the memo `slot` on `root` to `compute(root)`, first filling it
-    on every node below whose memo is unset.  `compute` sees only nodes
-    whose children's memos are set; the walk keeps an explicit stack and
-    descends no further than the nearest set memos."""
+    """Set the memo `slot` (`_inv` or `_hash`) on `root` to `compute(root)`,
+    first filling it on every node below whose memo is unset.  `compute`
+    sees only nodes whose children's memos are set; the walk keeps an
+    explicit stack and descends no further than the nearest set memos."""
     stack = [root]
     while stack:
         node = stack[-1]
@@ -487,14 +494,32 @@ def _finish_marks(
 
 
 def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
-    pools = [label_pool(e) for e in exprs]
+    pools = [e._pool for e in exprs]
     for i in range(1, len(pools)):
         for earlier in pools[:i]:
-            if not pools[i].isdisjoint(earlier):
-                overlap = frozenset().union(*pools[:i]) & pools[i]
+            if _share_a_label(pools[i], earlier):
+                overlap = set().union(*map(_labels, pools[:i])) & _labels(pools[i])
                 raise MarkError(
                     f"mark labels reused across summands: {sorted(overlap)}"
                 )
+
+
+def _share_a_label(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int]) -> bool:
+    """Whether the pool views `a` and `b` share a label, looked up label
+    by label from the smaller view in the larger."""
+    if a[1] > b[1]:
+        a, b = b, a
+    small, k = a
+    store, n = b
+    for label in islice(small, k):
+        if store.get(label, n) < n:
+            return True
+    return False
+
+
+def _labels(pool: tuple[dict[str, int], int]) -> set[str]:
+    store, n = pool
+    return set(islice(store, n))
 
 
 class AtomNode(ManifoldExpr):
@@ -535,9 +560,7 @@ class AtomNode(ManifoldExpr):
         kind.check_marks(marks)
         set_field(self, "kind", kind)
         set_field(self, "marks", marks)
-        # an atom's label pool is no bigger than the atom, so it is set
-        # here and never handed over (see label_pool)
-        set_field(self, "_pool", frozenset(labels))
+        set_field(self, "_pool", ({label: i for i, label in enumerate(labels)}, len(labels)))
 
 
 class PairSum(ManifoldExpr):
@@ -564,6 +587,7 @@ class PairSum(ManifoldExpr):
         set_field(self, "pairs", pairs)
         _check_disjoint_pools(left, right)
         set_field(self, "marks", self._marks())
+        set_field(self, "_pool", _grow_pool(self))
 
     def children(self):
         return (self.left, self.right)
@@ -693,6 +717,7 @@ class FourSum(ManifoldExpr):
         if bad:
             raise AdmissibilityError(bad)
         set_field(self, "marks", self._marks())
+        set_field(self, "_pool", _grow_pool(self))
 
     def children(self):
         return (self.x1, self.x2, self.x3, self.x4)
@@ -758,6 +783,7 @@ class BlowUp(_Unary):
         set_field(self, "exceptional_label", exceptional_label)
         set_field(self, "pair_exceptional", pair_exceptional)
         set_field(self, "marks", self._marks())
+        set_field(self, "_pool", _grow_pool(self))
 
     def introduced_labels(self):
         if self.new_transform_label:
@@ -832,6 +858,7 @@ class _Collar(_Unary):
         set_field(self, "mark_label", mark_label)
         set_field(self, "amount", amount)
         set_field(self, "marks", self._marks())
+        set_field(self, "_pool", _grow_pool(self))
 
     @staticmethod
     def _admit(inner: ManifoldExpr, mark_label: str, amount: AreaValue) -> None:
@@ -913,6 +940,7 @@ class Desing(_Unary):
         set_field(self, "mark_t", mark_t)
         set_field(self, "label", label)
         set_field(self, "marks", self._marks())
+        set_field(self, "_pool", _grow_pool(self))
 
     def introduced_labels(self):
         return (self.result_label,)
@@ -929,27 +957,39 @@ class Desing(_Unary):
         return _finish_marks(rest + [new])
 
 
-def label_pool(e: ManifoldExpr) -> set[str] | frozenset[str]:
+def label_pool(e: ManifoldExpr) -> set[str]:
     """Every mark label introduced anywhere in the subtree (including
-    labels later consumed by gluings).
+    labels later consumed by gluings), as a new set.
 
-    Memoized without quadratic memory or time: a node's pool is its
-    children's pools plus its own introduced labels, and once it is built
-    the children hand theirs over; it grows the largest handed-over set in
-    place.  Atoms keep theirs, frozensets no bigger than the atoms.  Asking
-    again for a handed-over pool walks down only as far as the nearest
-    nodes that still hold one.  A parent may later take over and grow the
-    set returned, so a caller must not keep it."""
-    if e._pool is None:
-        fill_memo(e, "_pool", _take_over_pools)
-    return e._pool
+    Each node keeps its pool as a view `(store, n)`, set in `__init__`
+    and never changed: the first `n` keys of the insertion-ordered dict
+    `store`, which maps each label to its position, so a label is in the
+    view when `store.get(label, n) < n`.  An atom's store holds its own
+    labels; see `_grow_pool` for a composite's."""
+    return _labels(e._pool)
 
 
-def _take_over_pools(node: ManifoldExpr) -> set[str]:
+def _grow_pool(node: ManifoldExpr) -> tuple[dict[str, int], int]:
+    """The pool view of a composite: its largest child's store, grown in
+    place when that child's view is the whole store and otherwise copied
+    up to the view's end, with the labels of its other children and its
+    own introduced labels appended.  A view is never invalidated, so no
+    pool is made twice, and a rewrite copies only the views of subtrees
+    it builds over after another parent grew their stores."""
     kids = node.children()
-    owned = [c for c in kids if not isinstance(c, AtomNode)]
-    pool = max([c._pool for c in owned], key=len) if owned else set()
-    pool.update(node.introduced_labels(), *(c._pool for c in kids if c._pool is not pool))
-    for c in owned:
-        c.__dict__["_pool"] = None
-    return pool
+    big = kids[0]
+    for c in kids[1:]:
+        if c._pool[1] > big._pool[1]:
+            big = c
+    store, n = big._pool
+    if len(store) != n:
+        store = dict(islice(store.items(), n))
+    add = store.setdefault
+    for c in kids:
+        if c is not big:
+            kid_store, k = c._pool
+            for label in islice(kid_store, k):
+                add(label, len(store))
+    for label in node.introduced_labels():
+        add(label, len(store))
+    return store, len(store)

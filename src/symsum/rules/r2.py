@@ -143,7 +143,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
     s2p, t2p = s2l + "--", t2l + "--"
     s3p, t3p = s3l + "-+", t3l + "-+"
 
-    pool = set(label_pool(x1p) | label_pool(x2p) | label_pool(x3p))
+    pool = label_pool(x1p) | label_pool(x2p) | label_pool(x3p)
     w_hi = _fresh("Wg" + str(k), pool)
     w_lo = _fresh("Wg" + str(2 - k), pool)
     a_hi = x1p.mark(s1p).area

@@ -887,7 +887,10 @@ def _leaf_text(node) -> Optional[str]:
 
 def _atom_text(node: AtomNode) -> str:
     body = "; ".join(map(_mark_text, node.marks))
-    kind = serialize_expr(node.kind)
+    # memoized on the kind, which the atoms of one kind text share
+    kind = node.kind._text
+    if kind is None:
+        kind = node.kind.__dict__["_text"] = serialize_expr(node.kind)
     return f"{kind} {{ {body} }}" if body else f"{kind} {{ }}"
 
 

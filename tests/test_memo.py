@@ -7,9 +7,13 @@ nothing here raises it."""
 import json
 import sys
 import tracemalloc
+from itertools import islice
+
+from symsum import core
 
 from symsum.areas import area
 from symsum.core import (
+    AtomKind,
     AtomNode,
     BlowUp,
     Desing,
@@ -172,15 +176,19 @@ def test_memos_match_recomputation_on_every_corpus_node():
     checked = 0
     for name, tree in trees:
         all_nodes = nodes(tree)
-        # memos asked for top-down, then bottom-up, so that pools are
-        # both handed over and rebuilt from handed-over children
+        # memos asked for top-down, then bottom-up, so that invariants
+        # are both filled in below and built from filled-in children
         for n in all_nodes + all_nodes[::-1]:
             assert label_pool(n) == _ref_pool(n), name
             assert expr_invariants(n) == _ref_invariants(n), name
             checked += 1
         for n in all_nodes:
-            if n._pool is not None:
-                assert n._pool == _ref_pool(n), name
+            # a pool view is the first `size` labels of its store, each
+            # mapped to its position
+            store, size = n._pool
+            view = list(islice(store.items(), size))
+            assert view == [(label, i) for i, (label, _) in enumerate(view)], name
+            assert len(view) == size and {label for label, _ in view} == _ref_pool(n), name
             assert n._inv == _ref_invariants(n), name
     assert checked > 200
 
@@ -190,25 +198,54 @@ def test_pool_memos_stay_linear_in_depth():
     built = build_script(parse(chain_script(depth, depth // 2)))
     at = ".".join(["left"] * (depth // 2))
     app = apply_rule(built.lhs, "R8", {"at": at, "eps": area(0, 1)})
-    pools = [n._pool for n in nodes(built.lhs, built.rhs, app.expr) if n._pool is not None]
-    # atoms keep their own two labels and a few nodes a whole tree's
-    # pool; one memo per node would hold about depth^2 labels in all
-    assert sum(len(p) for p in pools) < 12 * depth
+    stores = {id(n._pool[0]): n._pool[0] for n in nodes(built.lhs, built.rhs, app.expr)}
+    # a chain's sums grow one store in place and atoms copy none; a store
+    # per node would hold about depth^2 labels in all
+    assert sum(len(store) for store in stores.values()) < 12 * depth
     assert label_pool(app.expr) == _ref_pool(app.expr)
 
 
-def test_pool_walk_memory_stays_linear_in_depth():
+def test_pool_walk_memory_stays_linear_in_depth(monkeypatch):
     e = chain(400)
-    label_pool(e)  # takes over every pool below, so e.left must walk to the atoms
+    label_pool(e)
+    grown = []
+    grow = core._grow_pool
+    monkeypatch.setattr(core, "_grow_pool", lambda node: grown.append(node) or grow(node))
+    monkeypatch.setattr(core, "fill_memo", lambda *args: grown.append(args))
     tracemalloc.start()
     try:
         pool = label_pool(e.left)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert grown == []  # e.left's pool was made with it; asking computes nothing
     assert len(pool) == 2 * 399
     # the pools of all 399 levels alive at once would take several MB
     assert peak < 500_000
+
+
+def test_a_run_makes_one_pool_per_composite_it_builds(monkeypatch):
+    grown, built = [], []
+    grow = core._grow_pool
+    monkeypatch.setattr(core, "_grow_pool", lambda node: grown.append(node) or grow(node))
+    for cls in (PairSum, FourSum, BlowUp, Thin, Thicken, Desing):
+        monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built))
+    r = run(chain_script(200, 100))
+    assert r.code == 0, r.messages
+    # both sides' chains, and the spine that each deep-path step rebuilds
+    assert len(built) > 3 * 199
+    assert [id(n) for n in grown] == [id(n) for n in built]
+    exprs = [rec.expr for rec in r.verdict.trace]
+    composites = {id(n) for n in nodes(*exprs) if not isinstance(n, AtomNode)}
+    assert composites <= {id(n) for n in built}
+
+
+def _counted(init, built):
+    """`init`, noting each node whose construction it finishes."""
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    return counting_init
 
 
 def test_a_chain_build_makes_no_mark_beyond_its_atoms(monkeypatch):
@@ -250,6 +287,24 @@ def test_render_prints_each_distinct_atom_once(monkeypatch):
     assert len(calls) == 2 * len(atoms)
     assert all(f"  {s}" in text.splitlines() for s in fresh)
     assert [json.loads(line)["expr"] for line in js.splitlines()] == fresh
+
+
+def test_render_prints_each_atom_kind_once(monkeypatch):
+    """The 200 atoms of a chain share one kind object, whose text is
+    printed once and kept on the kind."""
+    r = run(chain_script(200, 100))
+    kinds = []
+    slots = script._slots
+
+    def counting_slots(node):
+        if isinstance(node, AtomKind):
+            kinds.append(node)
+        return slots(node)
+
+    monkeypatch.setattr(script, "_slots", counting_slots)
+    text = render_trace_text(r.verdict)
+    assert len(kinds) == 1 and kinds[0]._text == "W(0,1,0+1e)"
+    assert text.count("W(0,1,0+1e) {") == 5 * 200  # once per atom in each tree
 
 
 def test_a_chain_parse_reads_its_atom_kind_once(monkeypatch):
@@ -335,7 +390,7 @@ def test_building_a_2000_deep_ast_under_the_recursion_limit():
 
 def test_pools_of_parents_over_a_shared_child():
     """Successive proof steps build new parents over one shared child: a
-    pool taken over in place by one parent leaves the other's right."""
+    store grown in place by one parent leaves the other's view right."""
     child = chain(6)
     first = PairSum(child, "B6", ruled(7), "A7")
     second = Thin(child, "B6", area(0, 1))
