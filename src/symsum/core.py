@@ -346,6 +346,10 @@ def rename(relabel: dict[str, str], value):
     return relabel.get(value, value)
 
 
+# a label pool: the first n keys of the store, each mapped to its position
+PoolView = tuple[dict[str, int], int]
+
+
 class ManifoldExpr(Frozen):
     """Base for all expression nodes.  Subclasses are frozen records;
     `marks` is the tuple of surface marks visible on the composite.  A
@@ -370,8 +374,7 @@ class ManifoldExpr(Frozen):
     SELECTORS: tuple[str, ...] = ()
     MARK_REFS: tuple[tuple[str, ...], ...] = ()
 
-    # the label pool, a view (store, n) set in __init__ (see label_pool)
-    _pool: tuple[dict[str, int], int]
+    _pool: PoolView  # set in __init__ (see label_pool)
     # per-node memos, filled in by expr_invariants and __hash__
     _inv = None
     _hash: Optional[int] = None
@@ -504,7 +507,7 @@ def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
                 )
 
 
-def _share_a_label(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int]) -> bool:
+def _share_a_label(a: PoolView, b: PoolView) -> bool:
     """Whether the pool views `a` and `b` share a label, looked up label
     by label from the smaller view in the larger."""
     if a[1] > b[1]:
@@ -517,7 +520,7 @@ def _share_a_label(a: tuple[dict[str, int], int], b: tuple[dict[str, int], int])
     return False
 
 
-def _labels(pool: tuple[dict[str, int], int]) -> set[str]:
+def _labels(pool: PoolView) -> set[str]:
     store, n = pool
     return set(islice(store, n))
 
@@ -969,7 +972,7 @@ def label_pool(e: ManifoldExpr) -> set[str]:
     return _labels(e._pool)
 
 
-def _grow_pool(node: ManifoldExpr) -> tuple[dict[str, int], int]:
+def _grow_pool(node: ManifoldExpr) -> PoolView:
     """The pool view of a composite: its largest child's store, grown in
     place when that child's view is the whole store and otherwise copied
     up to the view's end, with the labels of its other children and its
