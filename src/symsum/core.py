@@ -508,16 +508,10 @@ def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
 
 
 def _share_a_label(a: PoolView, b: PoolView) -> bool:
-    """Whether the pool views `a` and `b` share a label, looked up label
-    by label from the smaller view in the larger."""
-    if a[1] > b[1]:
-        a, b = b, a
-    small, k = a
-    store, n = b
-    for label in islice(small, k):
-        if store.get(label, n) < n:
-            return True
-    return False
+    """Whether two pool views share a label, looked up label by label
+    from the smaller view in the larger."""
+    (small, k), (store, n) = (a, b) if a[1] <= b[1] else (b, a)
+    return any(store.get(label, n) < n for label in islice(small, k))
 
 
 def _labels(pool: PoolView) -> set[str]:
@@ -980,10 +974,7 @@ def _grow_pool(node: ManifoldExpr) -> PoolView:
     pool is made twice, and a rewrite copies only the views of subtrees
     it builds over after another parent grew their stores."""
     kids = node.children()
-    big = kids[0]
-    for c in kids[1:]:
-        if c._pool[1] > big._pool[1]:
-            big = c
+    big = max(kids, key=lambda c: c._pool[1])
     store, n = big._pool
     if len(store) != n:
         store = dict(islice(store.items(), n))
