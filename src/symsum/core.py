@@ -511,7 +511,10 @@ def _share_a_label(a: PoolView, b: PoolView) -> bool:
     """Whether two pool views share a label, looked up label by label
     from the smaller view in the larger."""
     (small, k), (store, n) = (a, b) if a[1] <= b[1] else (b, a)
-    return any(store.get(label, n) < n for label in islice(small, k))
+    for label in islice(small, k):
+        if store.get(label, n) < n:
+            return True
+    return False
 
 
 def _labels(pool: PoolView) -> set[str]:
@@ -557,7 +560,7 @@ class AtomNode(ManifoldExpr):
         kind.check_marks(marks)
         set_field(self, "kind", kind)
         set_field(self, "marks", marks)
-        set_field(self, "_pool", ({label: i for i, label in enumerate(labels)}, len(labels)))
+        set_field(self, "_pool", (dict(zip(labels, range(len(labels)))), len(labels)))
 
 
 class PairSum(ManifoldExpr):
@@ -974,16 +977,22 @@ def _grow_pool(node: ManifoldExpr) -> PoolView:
     pool is made twice, and a rewrite copies only the views of subtrees
     it builds over after another parent grew their stores."""
     kids = node.children()
-    big = max(kids, key=lambda c: c._pool[1])
+    big = kids[0]
+    for c in kids[1:]:
+        if c._pool[1] > big._pool[1]:
+            big = c
     store, n = big._pool
     if len(store) != n:
         store = dict(islice(store.items(), n))
+    # the store holds n labels; setdefault returns n only for a new one
     add = store.setdefault
     for c in kids:
         if c is not big:
             kid_store, k = c._pool
             for label in islice(kid_store, k):
-                add(label, len(store))
+                if add(label, n) == n:
+                    n += 1
     for label in node.introduced_labels():
-        add(label, len(store))
-    return store, len(store)
+        if add(label, n) == n:
+            n += 1
+    return store, n

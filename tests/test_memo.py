@@ -392,6 +392,8 @@ def test_pools_of_parents_over_a_shared_child():
     """Successive proof steps build new parents over one shared child: a
     store grown in place by one parent leaves the other's view right."""
     child = chain(6)
+    pool = child._pool
+    labels = list(islice(pool[0].items(), pool[1]))
     first = PairSum(child, "B6", ruled(7), "A7")
     second = Thin(child, "B6", area(0, 1))
     for parent in (first, second, first, second):
@@ -401,3 +403,6 @@ def test_pools_of_parents_over_a_shared_child():
     assert label_pool(grand) == _ref_pool(grand)
     assert label_pool(second) == _ref_pool(second)
     assert label_pool(first) == _ref_pool(first)
+    # the child's view is the one it was made with, and its labels stay
+    assert child._pool is pool and list(islice(pool[0].items(), pool[1])) == labels
+    assert label_pool(child) is not label_pool(child)  # a set the caller keeps
