@@ -346,8 +346,7 @@ def rename(relabel: dict[str, str], value):
     return relabel.get(value, value)
 
 
-# a label pool: the first n keys of the store, each mapped to its position
-PoolView = tuple[dict[str, int], int]
+PoolView = tuple[dict[str, int], int]  # a label pool (store, n); see label_pool
 
 
 class ManifoldExpr(Frozen):
@@ -518,8 +517,7 @@ def _share_a_label(a: PoolView, b: PoolView) -> bool:
 
 
 def _labels(pool: PoolView) -> set[str]:
-    store, n = pool
-    return set(islice(store, n))
+    return set(islice(*pool))
 
 
 class AtomNode(ManifoldExpr):
@@ -988,8 +986,7 @@ def _grow_pool(node: ManifoldExpr) -> PoolView:
     add = store.setdefault
     for c in kids:
         if c is not big:
-            kid_store, k = c._pool
-            for label in islice(kid_store, k):
+            for label in islice(*c._pool):
                 if add(label, n) == n:
                     n += 1
     for label in node.introduced_labels():
