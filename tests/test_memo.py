@@ -9,8 +9,6 @@ import sys
 import tracemalloc
 from itertools import islice
 
-from symsum import core
-
 from symsum.areas import area
 from symsum.core import (
     AtomKind,
@@ -32,7 +30,7 @@ from symsum.core import (
 from symsum.demos import CORPUS
 from symsum.invariants import InvariantVector, atom_invariants, expr_invariants
 from symsum.rewrite import apply_rule
-from symsum import script
+from symsum import core, script
 from symsum.script import (
     OpExpr,
     build_script,
