@@ -92,6 +92,12 @@ MALFORMED.update(
         "mark spec g=3/2": _spec_script((4, "3/2")),
         "mark spec i=1/2": _spec_script((8, "1/2")),
         "mark spec i=-x": _spec_script((8, "-x")),
+        "mark spec i=-": _spec_script((8, "-")),
+        "mark spec i=--1": _spec_script((8, "--1")),
+        "mark spec i=-1/2": _spec_script((8, "-1/2")),
+        "mark spec g=-0": _spec_script((4, "-0")),
+        "mark spec i=-0": _spec_script((8, "-0")),
+        "mark spec label is a number": _spec_script((0, "1")),
         "mark spec ends after a =": _CUT,
         "mark spec ends after perp": _CUT + " 1+1e, perp",
         "mark spec ends after a kind tag": "atom W1 W",
