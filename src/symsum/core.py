@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import isqrt
+from operator import attrgetter
 from typing import Optional
 
 from .areas import AreaValue
@@ -254,15 +255,20 @@ class RuledSurface(AtomKind):
                     f"index {k} and fiber {self.fiber_area}"
                 )
             sections.append(m)
-        # the condition is antisymmetric, so each unordered pair is
-        # checked once, in the order that finds the same first failure
+        # 2(a - b) = k fibers for k = k_a - k_b: the condition is
+        # antisymmetric, so each unordered pair is checked once, in the
+        # order that finds the same first failure
         for i, a in enumerate(sections):
+            ac, ae, ad = _ints(a.area)
             for b in sections[i + 1 :]:
-                k, diff = a.normal_number - b.normal_number, a.area - b.area
-                if diff.scale(2) != self.fiber_area.scale(k):
+                k, (bc, be, bd) = a.normal_number - b.normal_number, _ints(b.area)
+                twice, fibers = _twice_and_fibers(
+                    ac * bd - bc * ad, ae * bd - be * ad, ad * bd, k, self.fiber_area
+                )
+                if twice != fibers:
                     raise MarkError(
                         f"sections {a.label}, {b.label}: areas must differ by "
-                        f"{self.fiber_area.scale(Fraction(k, 2))}, got {diff}"
+                        f"{self.fiber_area.scale(Fraction(k, 2))}, got {a.area - b.area}"
                     )
         # declared intersections must be geometric: sections meet in
         # (j+k)/2 points, a fiber meets every section once
@@ -314,7 +320,20 @@ def validate_ruled(
         raise MarkError(f"fiber area {fiber_area} must be positive")
     if g == 0 and k % 2 != 0:
         k += 1
-    return section_area.scale(2) > fiber_area.scale(k)
+    twice, fibers = _twice_and_fibers(*_ints(section_area), k, fiber_area)
+    return twice > fibers
+
+
+def _ints(a: AreaValue) -> tuple[int, int, int]:
+    return a._c, a._e, a._d
+
+
+def _twice_and_fibers(c: int, e: int, d: int, k: int, fiber: AreaValue):
+    """Twice the area (c + e*eps)/d and k times `fiber`, both over the
+    denominator d * fiber's, as (constant, eps) pairs of ints: they
+    compare as the two areas do, and no area is built."""
+    fd = fiber._d
+    return (2 * c * fd, 2 * e * fd), (k * fiber._c * d, k * fiber._e * d)
 
 
 def _cp2_degree(m: SurfaceMark) -> int:
@@ -468,6 +487,9 @@ def fill_memo(root: ManifoldExpr, slot: str, compute) -> None:
             node.__dict__[slot] = compute(node)
 
 
+_BY_LABEL = attrgetter("label")  # the sort key of a node's marks
+
+
 def _finish_marks(
     collected: list[SurfaceMark],
     pairs: tuple[tuple[str, str], ...] = (),
@@ -492,7 +514,7 @@ def _finish_marks(
             by_label[a] = by_label[a].replace(orthogonal_at=b)
             by_label[b] = by_label[b].replace(orthogonal_at=a)
         collected = by_label.values()
-    return tuple(sorted(collected, key=lambda m: m.label))
+    return tuple(sorted(collected, key=_BY_LABEL))
 
 
 def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
@@ -533,7 +555,7 @@ class AtomNode(ManifoldExpr):
     _text = None
 
     def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):
-        marks = tuple(sorted(marks, key=lambda m: m.label))
+        marks = tuple(sorted(marks, key=_BY_LABEL))
         labels = [m.label for m in marks]
         if len(set(labels)) != len(labels):
             dup = next(l for l in labels if labels.count(l) > 1)

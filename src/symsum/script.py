@@ -74,7 +74,7 @@ class ScriptError(SymsumError):
 # the eof "".  The parser reads the values of one `findall`, a string with
 # its quotes; a character that starts no token is a value no rule takes.
 _VALUE_RE = re.compile(
-    r'(?:[ \t\r\n]+|\#[^\n]*)*([A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|"[^"]*"|.|\Z)'
+    r'[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*([A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|"[^"]*"|.|\Z)'
 )
 
 
@@ -301,18 +301,29 @@ class _Parser:
 
     # -- numbers and areas -------------------------------------------
 
+    def number(self, digits: str, i: int) -> int:
+        """`digits`, read from token `i`, as an int; a located error where
+        there are more of them than `int()` converts."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"number too long: {len(digits)} digits", i) from None
+
     def parse_fraction(self) -> Union[int, Fraction]:
         """A number after an optional `-`: an int for `p`, a Fraction for `p/q`."""
         v = self.toks[self.i]
         if v.isdecimal():  # a plain `p`
             self.i += 1
-            return int(v)
+            return self.number(v, self.i - 1)
         neg = self.accept("-")
         v = self.expect("num", "number")
         num, _, den = v.partition("/")
-        if den and not int(den):
-            raise self.error(f"zero denominator in {v!r}", self.i - 1)
-        f = Fraction(int(num), int(den)) if den else int(num)
+        num = self.number(num, self.i - 1)
+        if den:
+            den = self.number(den, self.i - 1)
+            if not den:
+                raise self.error(f"zero denominator in {v!r}", self.i - 1)
+        f = Fraction(num, den) if den else num
         return -f if neg else f
 
     def parse_int(self) -> int:
@@ -389,14 +400,31 @@ class _Parser:
 
     def parse_markspec(self) -> tuple:
         """A mark's label, genus, normal number, area and `perp` partner
-        (or None), and the index of its label token."""
-        at = self.i
-        name = self.expect("name", "mark label")
-        self.read_run(_GENUS)
-        g = self.parse_int()
-        self.read_run(_INDEX)
-        i = self.parse_int()
-        self.read_run(_AREA)
+        (or None), and the index of its label token.  The common shape
+        `L : g = p , i = [-]q , a =` is read with slice comparisons; where
+        the text differs from it, the tokens are read one by one, which
+        raises at the first that differs."""
+        toks, at = self.toks, self.i
+        q = at + 8 + (toks[at + 8 : at + 9] == ["-"])  # the index of q
+        if (
+            toks[q + 1 : q + 4] == _AREA  # so every token up to q is there
+            and toks[at + 1 : at + 4] == _GENUS
+            and toks[at + 5 : at + 8] == _INDEX
+            and _KIND_OF.get(toks[at][:1]) == "name"
+            and toks[at + 4].isdecimal()
+            and toks[q].isdecimal()
+        ):
+            name, g, i = toks[at], self.number(toks[at + 4], at + 4), self.number(toks[q], q)
+            if q > at + 8:
+                i = -i
+            self.i = q + 4
+        else:
+            name = self.expect("name", "mark label")
+            self.read_run(_GENUS)
+            g = self.parse_int()
+            self.read_run(_INDEX)
+            i = self.parse_int()
+            self.read_run(_AREA)
         a = self.parse_area()
         perp = None
         if self.toks[self.i] == "," and self.toks[self.i + 1] == "perp":

@@ -265,6 +265,35 @@ def test_ruled_spread_is_half_a_fiber_per_index(n, data, fiber, a):
     assert got == expected
 
 
+@given(
+    g=genera,
+    k=normal_numbers,
+    n=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+    fiber=positive_areas,
+    a=positive_areas,
+)
+def test_the_integer_ruled_checks_are_the_area_formulas(g, k, n, data, fiber, a):
+    """`validate_ruled` and the section spread of a ruled surface compare
+    ints; they agree with the area formulas they replace, `2a > k'f` and
+    `2(a - b) == (k_A - k_B) f`, on areas with any denominators and eps
+    coefficients of either sign."""
+    k_eff = k + 1 if g == 0 and k % 2 else k
+    assert validate_ruled(g, k, a, fiber) == (a.scale(2) > fiber.scale(k_eff))
+    ka, kb = (data.draw(st.sampled_from(range(-n, n + 1, 2))) for _ in "AB")
+    spread = fiber.scale(Fraction(ka - kb, 2))
+    b = data.draw(st.one_of(st.just(a - spread), positive_areas))
+    assume(b.is_positive and fiber not in (a, b))
+    assume(validate_ruled(g, ka, a, fiber) and validate_ruled(g, kb, b, fiber))
+    sections = (SurfaceMark("A", g, ka, a), SurfaceMark("B", g, kb, b))
+    if (a - b).scale(2) == fiber.scale(ka - kb):
+        AtomNode(RuledSurface(g, n, fiber), sections)
+        return
+    with pytest.raises(MarkError) as exc:
+        AtomNode(RuledSurface(g, n, fiber), sections)
+    assert str(exc.value) == f"sections A, B: areas must differ by {spread}, got {a - b}"
+
+
 def test_an_underfed_section_names_its_area_index_and_fiber():
     with pytest.raises(MarkError) as exc:
         AtomNode(

@@ -57,6 +57,34 @@ def test_zero_denominator_exits_2(tmp_path, capsys):
     assert "1:30: zero denominator in '1/0'" in capsys.readouterr().err
 
 
+_LONG = "1" * 5000  # more digits than int() reads from a string
+
+
+@pytest.mark.parametrize(
+    "spec, col",
+    [
+        (f"E(1) {{ S: g=0, i=-1, a={_LONG} }}", 31),
+        (f"E({_LONG}) {{ S: g=0, i=-1, a=1 }}", 10),
+        (f"E(1) {{ S: g=0, i=-1, a=1/{_LONG} }}", 31),
+        (f"E(1) {{ S: g=0, i=-1, a=1-{_LONG}/2e }}", 33),
+        (f"E(1) {{ S: g={_LONG}, i=-1, a=1 }}", 20),
+        (f"E(1) {{ S: g=0, i=-{_LONG}, a=1 }}", 26),
+    ],
+    ids=["area constant", "E(n)", "denominator", "eps numerator", "genus", "normal number"],
+)
+def test_a_number_too_long_for_int_exits_2_at_its_token(tmp_path, capsys, spec, col):
+    f = tmp_path / "long.ssum"
+    f.write_text(f"atom X {spec}\nlhs X rhs X target =\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"1:{col}: number too long: 5000 digits\n")
+    # an expression file goes through the same parser
+    f.write_text(f"expr {spec}\n", encoding="utf-8")
+    assert main(["invariants", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", f"script error: 1:{col - 2}: number too long: 5000 digits\n"
+    )
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 

@@ -7,6 +7,7 @@ message the parser or the builder writes must locate itself as if the text
 had been lexed with positions up front."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES, TOKEN_EDGES
 
 from symsum.demos import CORPUS
 from symsum.script import (
+    _VALUE_RE,
     ScriptError,
     build_decls,
     build_expr,
@@ -116,3 +118,34 @@ def test_a_build_error_deep_in_a_long_text_keeps_its_position():
         build_expr(ast.expr, env)
     assert (got.value.line, got.value.col) == (2001, 48654)
     assert str(got.value) == "2001:48654: unresolved identifier 'W2001'"
+
+
+# the token pattern as it was written before its blank prefix became
+# `[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*`: the oracle of the pattern in use
+_ORACLE_RE = re.compile(
+    r'(?:[ \t\r\n]+|\#[^\n]*)*([A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|"[^"]*"|.|\Z)'
+)
+# every character class of the pattern, and characters that are blanks to
+# `\s` or digits to `\d` but not to the pattern's prefix
+_ALPHABET = 'aZe09_#+~^-/{}(),;:=."  \t\r\n\n\x0b\xa0٣é@'
+
+
+def _spans(pattern, text: str) -> list[tuple[int, int, int]]:
+    return [(m.start(), m.start(1), m.end()) for m in pattern.finditer(text)]
+
+
+def test_the_token_pattern_reads_as_its_oracle():
+    """Over slices of the corpus and random texts, `findall` gives the
+    same values and `finditer` the same spans as the oracle."""
+    rng = random.Random(SEED)
+    corpus = list(CORPUS.values())
+    texts = []
+    for _ in range(2000):
+        source = rng.choice(corpus)
+        start = rng.randrange(len(source))
+        texts.append(source[start : start + rng.randrange(1, 200)])
+    for _ in range(2000):
+        texts.append("".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(40))))
+    for text in texts:
+        assert _VALUE_RE.findall(text) == _ORACLE_RE.findall(text), text
+        assert _spans(_VALUE_RE, text) == _spans(_ORACLE_RE, text), text

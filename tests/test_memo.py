@@ -9,7 +9,7 @@ import sys
 import tracemalloc
 from itertools import islice
 
-from symsum.areas import area
+from symsum.areas import AreaValue, area
 from symsum.core import (
     AtomKind,
     AtomNode,
@@ -319,6 +319,23 @@ def test_a_chain_parse_reads_its_atom_kind_once(monkeypatch):
     ast = parse(chain_script(200, 100))
     assert len(made) == 1
     assert all(d.atom.kind is made[0] for d in ast.decls) and len(ast.decls) == 200
+
+
+def test_a_chain_parse_makes_one_area_per_area_literal_it_reads(monkeypatch):
+    """The ruled checks of the 200 atoms compare ints: parsing the chain
+    makes the 400 mark areas, the fiber area of its one kind text and
+    the eps of its two R8 steps, and no other area."""
+    made = []
+    post_init = AreaValue.__post_init__
+
+    def counting_post_init(self, *args):
+        made.append(self)
+        post_init(self, *args)
+
+    text = chain_script(200, 100)
+    monkeypatch.setattr(AreaValue, "__post_init__", counting_post_init)
+    parse(text)
+    assert len(made) == text.count("a=") + 1 + text.count("eps =") == 403
 
 
 def _render_exprs(verdict) -> tuple[list[str], list[str]]:
