@@ -259,11 +259,12 @@ class RuledSurface(AtomKind):
         # antisymmetric, so each unordered pair is checked once, in the
         # order that finds the same first failure
         for i, a in enumerate(sections):
-            ac, ae, ad = _ints(a.area)
+            x = a.area
             for b in sections[i + 1 :]:
-                k, (bc, be, bd) = a.normal_number - b.normal_number, _ints(b.area)
+                k, y = a.normal_number - b.normal_number, b.area
                 twice, fibers = _twice_and_fibers(
-                    ac * bd - bc * ad, ae * bd - be * ad, ad * bd, k, self.fiber_area
+                    x._c * y._d - y._c * x._d, x._e * y._d - y._e * x._d, x._d * y._d,
+                    k, self.fiber_area,
                 )
                 if twice != fibers:
                     raise MarkError(
@@ -320,12 +321,9 @@ def validate_ruled(
         raise MarkError(f"fiber area {fiber_area} must be positive")
     if g == 0 and k % 2 != 0:
         k += 1
-    twice, fibers = _twice_and_fibers(*_ints(section_area), k, fiber_area)
+    a = section_area
+    twice, fibers = _twice_and_fibers(a._c, a._e, a._d, k, fiber_area)
     return twice > fibers
-
-
-def _ints(a: AreaValue) -> tuple[int, int, int]:
-    return a._c, a._e, a._d
 
 
 def _twice_and_fibers(c: int, e: int, d: int, k: int, fiber: AreaValue):
