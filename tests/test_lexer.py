@@ -125,8 +125,8 @@ def test_a_build_error_deep_in_a_long_text_keeps_its_position():
 _ORACLE_RE = re.compile(
     r'(?:[ \t\r\n]+|\#[^\n]*)*([A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|"[^"]*"|.|\Z)'
 )
-# every character class of the pattern, and characters that are blanks to
-# `\s` or digits to `\d` but not to the pattern's prefix
+# a character of each class of the pattern; blanks that `\s` takes and the
+# pattern's prefix does not (`\x0b`, `\xa0`); a digit outside ASCII
 _ALPHABET = 'aZe09_#+~^-/{}(),;:=."  \t\r\n\n\x0b\xa0٣é@'
 
 
