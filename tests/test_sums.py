@@ -107,6 +107,40 @@ def test_inadmissible_sum_reports_area():
     assert [v.condition for v in exc.value.violations] == ["area"]
 
 
+def _one_sided(glued: str, half: str, free: str, normal: int) -> AtomNode:
+    """A rational surface whose mark `glued` is paired with `half`, and
+    whose mark `free` declares `half` too, one-sidedly: a pairing that no
+    checked atom holds and that no operation makes from one."""
+    atom = AtomNode(
+        RationalSurface(1),
+        (
+            SurfaceMark(glued, 0, normal, area(1), half),
+            SurfaceMark(half, 0, 0, area(1), glued),
+            SurfaceMark(free, 0, 0, area(1)),
+        ),
+    )
+    marks = [m.replace(orthogonal_at=half) if m.label == free else m for m in atom.marks]
+    atom.__dict__["marks"] = tuple(marks)
+    return atom
+
+
+def test_a_carried_mark_meeting_a_mark_on_each_side_is_refused():
+    left, right = _one_sided("T", "P", "M", 1), _one_sided("S", "Q", "N", -1)
+    with pytest.raises(MarkError, match=r"^carried mark P#Q would meet both M and N$"):
+        PairSum(left, "T", right, "S")
+
+
+def test_a_sum_that_fails_every_gluing_condition_lists_them_in_order():
+    a = AtomNode(RationalSurface(1), (SurfaceMark("T", 1, 0, area(1)),))
+    b = AtomNode(RationalSurface(1), (SurfaceMark("S", 0, 4, area(2)),))
+    with pytest.raises(AdmissibilityError) as exc:
+        PairSum(a, "T", b, "S")
+    assert str(exc.value) == (
+        "genus mismatch: 1 vs 0; normal_number mismatch: 0 vs 4; "
+        "area mismatch: 1 + 0*eps vs 2 + 0*eps"
+    )
+
+
 @given(marked_atoms(s_label="S1", t_label="T1"), marked_atoms(s_label="S2", t_label="T2"))
 def test_carried_mark_additivity(x1, x2):
     t1 = x1.mark("T1")

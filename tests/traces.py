@@ -1,6 +1,7 @@
 """Shared golden rendering for the trace golden tests and regeneration.
 
-`corpus_traces` is the text and JSON traces of the corpus.  `script_golden`
+`corpus_traces` is the text and JSON traces of the corpus and of one
+small ruled chain.  `script_golden`
 is everything else a script's user sees: the printed form and the run
 messages of every corpus script, and the exit code, messages and trace of
 each input in `MALFORMED`, `RULE_SHAPES` and `RULE_MESSAGES`.  `token_golden` is the token
@@ -16,13 +17,15 @@ from symsum.script import (
     run,
     token_positions,
 )
+from test_memo import chain_script
 
 
 def corpus_traces() -> str:
     """The text and JSON traces of every corpus script, with its exit code,
-    in corpus order."""
+    in corpus order, and then of a chain of 12 ruled atoms whose R8 pairs
+    rebuild the spine down to depth 6, as perfbench's `deep` chains do."""
     parts = []
-    for name, source in CORPUS.items():
+    for name, source in {**CORPUS, "chain_script(12, 6)": chain_script(12, 6)}.items():
         result = run(source)
         parts.append(f"=== {name} exit={result.code} text")
         parts.append(render_trace_text(result.verdict))
@@ -145,6 +148,80 @@ MALFORMED.update(
         "labels reused by a repeated sum4 entry": (
             _E3 + "lhs sum4((E3, Sigma-3, F3), (E3, Sigma-3, F3), (E3, Sigma-3, F3), "
             "(E3, Sigma-3, F3)) rhs E3 target =\n"
+        ),
+    }
+)
+# the checks that building an atom, a sum, a four-fold sum or a blow-up
+# makes, each failed on its own: the order of a node's checks decides
+# which message a script that fails several of them sees
+_E1U = "atom E1u E(1) { F1: g=1, i=0, a=1 }\n"
+_E1V = "atom E1v E(1) { Sigma-1: g=0, i=-1, a=1; F1: g=1, i=0, a=1 }\n"
+_Q3 = (
+    "atom Q3 CP2 { L1: g=0, i=1, a=1, perp L2; L2: g=0, i=1, a=1, perp L1; "
+    "L3: g=0, i=1, a=1 }\n"
+)
+_X = "".join(
+    f"atom X{n} Rational({n + 4}) {{ A{n}: g=1, i=2, a=1, perp B{n}; "
+    f"B{n}: g=1, i=-2, a=1, perp A{n} }}\n"
+    for n in (1, 2, 3, 4)
+)
+_SUM4 = "lhs sum4((X1, A1, B1), (X2, A2, B2), (X3, A3, B3), (X4, A4, B4)) rhs X1 target =\n"
+MALFORMED.update(
+    {
+        "atom duplicate mark label": (
+            "atom X E(3) { S: g=0, i=-3, a=1; S: g=1, i=0, a=1 }\nlhs X rhs X target =\n"
+        ),
+        "atom perp chain A perp B, B perp C": (
+            "atom X CP2 { A: g=0, i=1, a=1, perp B; B: g=0, i=1, a=1, perp C; "
+            "C: g=0, i=1, a=1 }\nlhs X rhs X target =\n"
+        ),
+        "atom CP2 lines meet twice": (
+            "atom X CP2 { L: g=0, i=1, a=1, perp Q; Q: g=0, i=4, a=2, perp L }\n"
+            "lhs X rhs X target =\n"
+        ),
+        "atom ruled section too small": (
+            "atom X W(0,1,0+1e) { A: g=0, i=1, a=0+1e }\nlhs X rhs X target =\n"
+        ),
+        "atom ruled sections meet twice": (
+            "atom X W(0,3,0+1e) { G3: g=0, i=3, a=1+1e, perp G1; G1: g=0, i=1, a=1 }\n"
+            "lhs X rhs X target =\n"
+        ),
+        "atom ruled fibers paired": (
+            "atom X W(0,1,0+1e) { F1: g=0, i=0, a=0+1e, perp F2; F2: g=0, i=0, a=0+1e }\n"
+            "lhs X rhs X target =\n"
+        ),
+        "sum fails genus, normal number and area": (
+            _E3 + "atom P2 CP2 { Q: g=0, i=4, a=2 }\nlhs sum(E3, F3, P2, Q) rhs E3 target =\n"
+        ),
+        "sum carry without a left partner": (
+            _CHAIN + "lhs sum(W1, B1, W2, A2, carry = Z) rhs W1 target =\n"
+        ),
+        "sum carry without a right partner": (
+            _E3 + _E1U + "lhs sum(E3, F3, E1u, F1, carry = Z) rhs E3 target =\n"
+        ),
+        "sum pair names an unknown mark": (
+            _E3 + _E1 + "lhs sum(E3, F3, E1, F1, pair = Sigma-3#Sigma-1:Nope) rhs E3 target =\n"
+        ),
+        "sum pair of a paired mark": (
+            _Q3 + _E1V + "lhs sum(Q3, L3, E1v, Sigma-1, pair = L1:F1) rhs Q3 target =\n"
+        ),
+        "sum pair of a mark with itself": (
+            _Q3 + _E1V + "lhs sum(Q3, L3, E1v, Sigma-1, pair = F1:F1) rhs Q3 target =\n"
+        ),
+        "sum4 triple not paired": (
+            _X.replace(", perp B4", "").replace(", perp A4", "") + _SUM4
+        ),
+        "sum4 fails at i=1 and i=2": (
+            _X.replace("A2: g=1, i=2, a=1", "A2: g=1, i=3, a=2")
+            .replace("A3: g=1, i=2", "A3: g=2, i=2") + _SUM4
+        ),
+        "blowup size zero": _E3 + "lhs blowup(E3, generic, size = 0) rhs E3 target =\n",
+        "blowup size too large": _E3 + "lhs blowup(E3, at = F3, size = 2) rhs E3 target =\n",
+        "blowup pairexc at a generic point": (
+            _E3 + "lhs blowup(E3, generic, size = 1/4, pairexc) rhs E3 target =\n"
+        ),
+        "blowup pairexc on a paired mark": (
+            _E3 + "lhs blowup(E3, at = F3, size = 1/4, pairexc) rhs E3 target =\n"
         ),
     }
 )
@@ -411,6 +488,8 @@ RULE_MESSAGES = {
     "thicken amount not positive": _script(_E3, "thicken(E3, F3, 0-1e)"),
     "thicken section too small": _script(_COLLAR, "thicken(B, B, 0+1e)"),
     "thin unknown mark": _script(_E3, "thin(E3, Nope, 0+1e)"),
+    "thicken unknown mark": _script(_E3, "thicken(E3, Nope, 0+1e)"),
+    "thicken unknown mark and amount": _script(_E3, "thicken(E3, Nope, 1)"),
     "thin label collision": _script(_COLLAR, "thin(A, A, 0+1e)"),
     "thin area not positive": _script(_COLLAR, "thin(A1, A, 0+1e)"),
     "desing default label": _script(_E3, "desing(E3, Sigma-3, F3)"),
