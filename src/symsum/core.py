@@ -273,11 +273,10 @@ class RuledSurface(AtomKind):
                     )
         # declared intersections must be geometric: sections meet in
         # (j+k)/2 points, a fiber meets every section once
-        by_label = {m.label: m for m in marks}
         for m in marks:
             if m.orthogonal_at is None:
                 continue
-            other = by_label[m.orthogonal_at]
+            other = next(x for x in marks if x.label == m.orthogonal_at)
             mf, of = is_ruled_fiber(m, self), is_ruled_fiber(other, self)
             if mf and of:
                 raise MarkError(f"fibers {m.label}, {other.label} are disjoint")
@@ -400,12 +399,6 @@ class ManifoldExpr(Frozen):
         expressions."""
         return _data_fields(type(self))(self)
 
-    def introduced_labels(self) -> tuple[str, ...]:
-        """Mark labels this node creates on top of its children's; by
-        default every label on the node, for nodes whose marks are all
-        new, as after thinning."""
-        return self.mark_labels
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -492,8 +485,8 @@ def _finish_marks(
     collected: list[SurfaceMark],
     pairs: tuple[tuple[str, str], ...] = (),
 ) -> tuple[SurfaceMark, ...]:
-    labels = [m.label for m in collected]
-    if len(set(labels)) != len(labels):
+    if len(set(map(_BY_LABEL, collected))) != len(collected):
+        labels = [m.label for m in collected]
         dup = next(l for l in labels if labels.count(l) > 1)
         raise MarkError(f"derived mark label collision: {dup!r}")
     if pairs:
@@ -516,14 +509,16 @@ def _finish_marks(
 
 
 def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
-    pools = [e._pool for e in exprs]
-    for i in range(1, len(pools)):
-        for earlier in pools[:i]:
-            if _share_a_label(pools[i], earlier):
-                overlap = set().union(*map(_labels, pools[:i])) & _labels(pools[i])
-                raise MarkError(
-                    f"mark labels reused across summands: {sorted(overlap)}"
-                )
+    for i in range(1, len(exprs)):
+        for earlier in exprs[:i]:
+            if _share_a_label(exprs[i]._pool, earlier._pool):
+                raise _reused(exprs[:i], exprs[i])
+
+
+def _reused(earlier, summand: ManifoldExpr) -> MarkError:
+    """The error for a summand whose labels meet those of the `earlier`."""
+    overlap = set().union(*(label_pool(e) for e in earlier)) & label_pool(summand)
+    return MarkError(f"mark labels reused across summands: {sorted(overlap)}")
 
 
 def _share_a_label(a: PoolView, b: PoolView) -> bool:
@@ -554,20 +549,22 @@ class AtomNode(ManifoldExpr):
 
     def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):
         marks = tuple(sorted(marks, key=_BY_LABEL))
-        labels = [m.label for m in marks]
-        if len(set(labels)) != len(labels):
+        # each label's position: the duplicate test, the partners and the pool
+        at = dict(zip(map(_BY_LABEL, marks), range(len(marks))))
+        if len(at) != len(marks):
+            labels = [m.label for m in marks]
             dup = next(l for l in labels if labels.count(l) > 1)
             raise MarkError(f"duplicate mark label {dup!r}")
-        by_label = {m.label: m for m in marks}
         for m in marks:
             if m.orthogonal_at is None:
                 continue
-            other = by_label.get(m.orthogonal_at)
-            if other is None:
+            j = at.get(m.orthogonal_at)
+            if j is None:
                 raise MarkError(
                     f"mark {m.label} declares partner {m.orthogonal_at!r} "
                     "which does not exist"
                 )
+            other = marks[j]
             if other.orthogonal_at != m.label:
                 raise MarkError(
                     f"orthogonal pairing {m.label} <-> {other.label} "
@@ -578,7 +575,7 @@ class AtomNode(ManifoldExpr):
         kind.check_marks(marks)
         set_field(self, "kind", kind)
         set_field(self, "marks", marks)
-        set_field(self, "_pool", (dict(zip(labels, range(len(labels)))), len(labels)))
+        set_field(self, "_pool", (at, len(marks)))
 
 
 class PairSum(ManifoldExpr):
@@ -603,15 +600,14 @@ class PairSum(ManifoldExpr):
         set_field(self, "gluing", gluing)
         set_field(self, "carry_label", carry_label)
         set_field(self, "pairs", pairs)
-        _check_disjoint_pools(left, right)
-        set_field(self, "marks", self._marks())
-        set_field(self, "_pool", _grow_pool(self))
+        if _share_a_label(left._pool, right._pool):
+            raise _reused((left,), right)
+        marks, carry = self._marks()
+        set_field(self, "marks", marks)
+        set_field(self, "_pool", _grow_pool(self, () if carry is None else (carry,)))
 
     def children(self):
         return (self.left, self.right)
-
-    def introduced_labels(self):
-        return (self.carry_name,) if all(self.partners) else ()
 
     @property
     def partners(self) -> tuple[Optional[str], Optional[str]]:
@@ -625,24 +621,27 @@ class PairSum(ManifoldExpr):
     def carry_name(self) -> str:
         """The label of the connected-sum mark of the two partners, which
         the sum carries when both glued marks have one."""
-        lp, rp = self.partners
+        return self._carry_name(*self.partners)
+
+    def _carry_name(self, lp: Optional[str], rp: Optional[str]) -> str:
         return self.carry_label or f"{lp}#{rp}"
 
     @property
     def glue_genus(self) -> int:
         return self.left.mark(self.left_mark).genus
 
-    def _marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self) -> tuple[tuple[SurfaceMark, ...], Optional[str]]:
+        """The sum's marks, and the label of the connected-sum mark that it
+        carries (None if it carries none)."""
         lt = self.left.mark(self.left_mark)
         rs = self.right.mark(self.right_mark)
-        bad = pairwise_violations(lt, rs)
-        if bad:
-            raise AdmissibilityError(bad)
+        if lt.genus != rs.genus or lt.normal_number + rs.normal_number or lt.area != rs.area:
+            raise AdmissibilityError(pairwise_violations(lt, rs))
         lp = self.left.mark(lt.orthogonal_at) if lt.orthogonal_at else None
         rp = self.right.mark(rs.orthogonal_at) if rs.orthogonal_at else None
-        carry = None  # the label of the connected-sum mark, if one is carried
+        carry = None
         if lp is not None and rp is not None:
-            carry = self.carry_name
+            carry = self._carry_name(lp.label, rp.label)
         elif self.carry_label is not None:
             missing = self.left_mark if lp is None else self.right_mark
             raise MarkError(
@@ -651,28 +650,23 @@ class PairSum(ManifoldExpr):
             )
         out: list[SurfaceMark] = []
         carry_partner = None
-        for side, glue, half in (
-            (self.left, lt, lp),
-            (self.right, rs, rp),
-        ):
-            half_consumed = half is not None and carry is not None
-            half_dropped = half is not None and carry is None
+        for side, glue, half in ((self.left, lt, lp), (self.right, rs, rp)):
             for m in side.marks:
-                if m.label == glue.label or (half and m.label == half.label):
+                if m is glue or m is half:
                     continue
-                orth = m.orthogonal_at
-                if orth is not None:
-                    if half_consumed and orth == half.label:
+                # a mark meeting a glued mark's partner meets the carried
+                # mark instead, or nothing when no mark is carried
+                if half is not None and m.orthogonal_at == half.label:
+                    if carry is not None:
                         if carry_partner is not None:
                             raise MarkError(
                                 f"carried mark {carry} would meet both "
                                 f"{carry_partner} and {m.label}"
                             )
                         carry_partner = m.label
-                        orth = carry
-                    elif half_dropped and orth == half.label:
-                        orth = None
-                out.append(m if orth == m.orthogonal_at else m.replace(orthogonal_at=orth))
+                    if carry != m.orthogonal_at:
+                        m = m.replace(orthogonal_at=carry)
+                out.append(m)
         if carry is not None:
             out.append(
                 SurfaceMark(
@@ -683,7 +677,7 @@ class PairSum(ManifoldExpr):
                     carry_partner,
                 )
             )
-        return _finish_marks(out, self.pairs)
+        return _finish_marks(out, self.pairs), carry
 
 
 QuadEntry = tuple[ManifoldExpr, str, str]  # (expr, S-label, T-label)
@@ -725,17 +719,20 @@ class FourSum(ManifoldExpr):
         for (name, _), value in zip(self.FIELDS, values):
             set_field(self, name, value)
         _check_disjoint_pools(x1, x2, x3, x4)
+        ends = []  # the S and T marks of each entry
         for e, s, t in self.entries:
             sm, tm = e.mark(s), e.mark(t)
             if sm.orthogonal_at != tm.label:
                 raise MarkError(
                     f"triple marks {s}, {t} must be orthogonally paired"
                 )
-        bad = fourfold_violations(self.entries)
-        if bad:
-            raise AdmissibilityError(bad)
-        set_field(self, "marks", self._marks())
-        set_field(self, "_pool", _grow_pool(self))
+            ends.append((sm, tm))
+        for i in range(4):
+            if pairwise_violations(ends[i][1], ends[(i + 1) % 4][0]):
+                raise AdmissibilityError(fourfold_violations(self.entries))
+        marks = self.evaluated().marks
+        set_field(self, "marks", marks)
+        set_field(self, "_pool", _grow_pool(self, map(_BY_LABEL, marks)))
 
     def children(self):
         return (self.x1, self.x2, self.x3, self.x4)
@@ -758,15 +755,16 @@ class FourSum(ManifoldExpr):
         (x1, _, t1), (x2, s2, _), (x3, _, t3), (x4, s4, _) = ent
         left = PairSum(x1, t1, x2, s2, glu[0])
         right = PairSum(x3, t3, x4, s4, glu[2])
-        if not all(left.partners + right.partners):
+        partners = left.partners + right.partners
+        if not all(partners):
             raise MarkError(
                 "four-fold entries must carry a connected-sum mark; a glued "
                 "mark is missing its orthogonal partner"
             )
-        return PairSum(left, left.carry_name, right, right.carry_name, glu[1])
-
-    def _marks(self) -> tuple[SurfaceMark, ...]:
-        return self.evaluated().marks
+        return PairSum(
+            left, left._carry_name(*partners[:2]), right, right._carry_name(*partners[2:]),
+            glu[1],
+        )
 
 
 class _Unary(ManifoldExpr):
@@ -800,13 +798,10 @@ class BlowUp(_Unary):
         set_field(self, "transform_label", transform_label)
         set_field(self, "exceptional_label", exceptional_label)
         set_field(self, "pair_exceptional", pair_exceptional)
-        set_field(self, "marks", self._marks())
-        set_field(self, "_pool", _grow_pool(self))
-
-    def introduced_labels(self):
-        if self.new_transform_label:
-            return (self.exceptional_label, self.new_transform_label)
-        return (self.exceptional_label,)
+        tlabel = self.new_transform_label
+        set_field(self, "marks", self._marks(tlabel))
+        introduced = (exceptional_label,) if tlabel is None else (exceptional_label, tlabel)
+        set_field(self, "_pool", _grow_pool(self, introduced))
 
     @property
     def new_transform_label(self) -> Optional[str]:
@@ -814,7 +809,7 @@ class BlowUp(_Unary):
             return None
         return self.transform_label or f"{self.at_mark}~"
 
-    def _marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self, tlabel: Optional[str]) -> tuple[SurfaceMark, ...]:
         out = []
         exceptional_partner = None
         if self.at_mark is not None:
@@ -829,7 +824,6 @@ class BlowUp(_Unary):
                     f"{at.label} is already paired with {at.orthogonal_at}; "
                     "its transform cannot also pair with the exceptional mark"
                 )
-            tlabel = self.new_transform_label
             orth = self.exceptional_label if self.pair_exceptional else at.orthogonal_at
             out.append(
                 SurfaceMark(
@@ -839,7 +833,7 @@ class BlowUp(_Unary):
             if self.pair_exceptional:
                 exceptional_partner = tlabel
             for m in self.inner.marks:
-                if m.label == at.label:
+                if m is at:
                     continue
                 if m.orthogonal_at == at.label:
                     m = m.replace(orthogonal_at=tlabel)
@@ -871,19 +865,20 @@ class _Collar(_Unary):
                 f"thickening/thinning amount must be a positive multiple of eps, "
                 f"got {amount}"
             )
-        self._admit(inner, mark_label, amount)
+        m = inner.mark(mark_label)
+        self._admit(m, amount)
         set_field(self, "inner", inner)
         set_field(self, "mark_label", mark_label)
         set_field(self, "amount", amount)
-        set_field(self, "marks", self._marks())
-        set_field(self, "_pool", _grow_pool(self))
+        marks = self._marks(m)
+        set_field(self, "marks", marks)
+        set_field(self, "_pool", _grow_pool(self, map(_BY_LABEL, marks)))
 
     @staticmethod
-    def _admit(inner: ManifoldExpr, mark_label: str, amount: AreaValue) -> None:
-        """Raise if the collar cannot be taken along the mark."""
+    def _admit(m: SurfaceMark, amount: AreaValue) -> None:
+        """Raise if the collar cannot be taken along the mark `m`."""
 
-    def _marks(self) -> tuple[SurfaceMark, ...]:
-        m = self.inner.mark(self.mark_label)
+    def _marks(self, m: SurfaceMark) -> tuple[SurfaceMark, ...]:
         step = self.amount.scale(self.SIGN)  # the partner's change of area
         main = m.replace(
             label=m.label + self.SUFFIX,
@@ -900,7 +895,7 @@ class _Collar(_Unary):
                         orthogonal_at=main.label,
                     )
                 )
-            elif other.label != m.label:
+            elif other is not m:
                 out.append(other)
         return _finish_marks(out)
 
@@ -921,8 +916,7 @@ class Thicken(_Collar):
     SIGN, SUFFIX, volume_flag = 1, "+", "increased"
 
     @staticmethod
-    def _admit(inner, mark_label, amount):
-        m = inner.mark(mark_label)
+    def _admit(m, amount):
         if not validate_ruled(m.genus, -m.normal_number, m.area, amount):
             raise AdmissibilityError([Violation("ruled_section_area", m.area, amount)])
 
@@ -957,22 +951,19 @@ class Desing(_Unary):
         set_field(self, "mark_s", mark_s)
         set_field(self, "mark_t", mark_t)
         set_field(self, "label", label)
-        set_field(self, "marks", self._marks())
-        set_field(self, "_pool", _grow_pool(self))
-
-    def introduced_labels(self):
-        return (self.result_label,)
+        result = self.result_label
+        set_field(self, "marks", self._marks(result))
+        set_field(self, "_pool", _grow_pool(self, (result,)))
 
     @property
     def result_label(self) -> str:
         return self.label or f"{self.mark_s}+{self.mark_t}"
 
-    def _marks(self) -> tuple[SurfaceMark, ...]:
+    def _marks(self, result: str) -> tuple[SurfaceMark, ...]:
         s = self.inner.mark(self.mark_s)
         t = self.inner.mark(self.mark_t)
-        new = desingularize(s, t, self.result_label)
-        rest = [m for m in self.inner.marks if m.label not in (s.label, t.label)]
-        return _finish_marks(rest + [new])
+        rest = [m for m in self.inner.marks if m is not s and m is not t]
+        return _finish_marks(rest + [desingularize(s, t, result)])
 
 
 def label_pool(e: ManifoldExpr) -> set[str]:
@@ -987,11 +978,11 @@ def label_pool(e: ManifoldExpr) -> set[str]:
     return _labels(e._pool)
 
 
-def _grow_pool(node: ManifoldExpr) -> PoolView:
+def _grow_pool(node: ManifoldExpr, introduced) -> PoolView:
     """The pool view of a composite: its largest child's store, grown in
     place when that child's view is the whole store and otherwise copied
-    up to the view's end, with the labels of its other children and its
-    own introduced labels appended.  A view is never invalidated, so no
+    up to the view's end, with the labels of its other children and the
+    labels `introduced` by the node itself appended.  A view is never invalidated, so no
     pool is made twice, and a rewrite copies only the views of subtrees
     it builds over after another parent grew their stores."""
     kids = node.children()
@@ -1009,7 +1000,7 @@ def _grow_pool(node: ManifoldExpr) -> PoolView:
             for label in islice(*c._pool):
                 if add(label, n) == n:
                     n += 1
-    for label in node.introduced_labels():
+    for label in introduced:
         if add(label, n) == n:
             n += 1
     return store, n

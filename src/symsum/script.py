@@ -458,8 +458,10 @@ class _Parser:
         """An expression (`want` None) or the form `want`, read with an
         explicit stack of the forms opened and not yet closed: a child
         slot opens a form on top, and a closed form fills the slot below.
-        A leaf child is read in place."""
-        toks, stack, expect = self.toks, [], _Parser.expect
+        A leaf child, a name slot that holds a name and the expected words
+        and punctuation are read in place; any other token goes to the
+        slot's reader, which raises its message."""
+        toks, stack, read_name = self.toks, [], _Parser.read_name
         while True:
             start = self.i
             if want is None:  # an operation, opened by its keyword, or a leaf
@@ -479,17 +481,21 @@ class _Parser:
                 while True:
                     read, arg, field = steps[i]
                     i += 1
-                    if read is expect and toks[self.i] == arg:
-                        self.i += 1  # the punctuation expected
+                    v = toks[self.i]
+                    if v == arg:  # the word or punctuation expected
+                        self.i += 1
+                    elif read is read_name and _KIND_OF.get(v[:1]) == "name":
+                        args[field] = v  # a name slot
+                        self.i += 1
                     elif read is None:  # a child slot, or the end of the form
-                        if arg is not None or toks[self.i] in _GRAMMAR:
+                        if arg is not None or v in _GRAMMAR:
                             break
                         args[field] = self.parse_leaf()
                     elif field is not None:
                         args[field] = read(self)
-                    elif arg is not None:  # a word, or punctuation
+                    elif arg is not None:  # not the word or punctuation expected
                         read(self, arg)
-                    else:
+                    elif v == ",":  # the options, if any are given
                         self.parse_options(form, args, start)
                 if arg is not _CLOSED:
                     top[3], want = i, arg

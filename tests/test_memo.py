@@ -208,7 +208,7 @@ def test_pool_walk_memory_stays_linear_in_depth(monkeypatch):
     label_pool(e)
     grown = []
     grow = core._grow_pool
-    monkeypatch.setattr(core, "_grow_pool", lambda node: grown.append(node) or grow(node))
+    monkeypatch.setattr(core, "_grow_pool", lambda node, *a: grown.append(node) or grow(node, *a))
     monkeypatch.setattr(core, "fill_memo", lambda *args: grown.append(args))
     tracemalloc.start()
     try:
@@ -225,7 +225,7 @@ def test_pool_walk_memory_stays_linear_in_depth(monkeypatch):
 def test_a_run_makes_one_pool_per_composite_it_builds(monkeypatch):
     grown, built = [], []
     grow = core._grow_pool
-    monkeypatch.setattr(core, "_grow_pool", lambda node: grown.append(node) or grow(node))
+    monkeypatch.setattr(core, "_grow_pool", lambda node, *a: grown.append(node) or grow(node, *a))
     for cls in (PairSum, FourSum, BlowUp, Thin, Thicken, Desing):
         monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built))
     r = run(chain_script(200, 100))
@@ -268,6 +268,24 @@ def test_a_chain_build_makes_no_mark_beyond_its_atoms(monkeypatch):
         for m in n.marks:
             kid = n.left if n.left.has_mark(m.label) else n.right
             assert m is kid.mark(m.label), m.label
+
+
+def test_a_chain_build_looks_up_two_marks_per_sum(monkeypatch):
+    """A sum reads its two glued marks once each and works out from them
+    the mark that it carries, so building a chain reads no `partners`."""
+    looked_up, partnered, built = [], [], []
+    mark, partners = ManifoldExpr.mark, PairSum.partners.fget
+    monkeypatch.setattr(
+        ManifoldExpr, "mark", lambda node, label: looked_up.append(label) or mark(node, label)
+    )
+    monkeypatch.setattr(
+        PairSum, "partners", property(lambda node: partnered.append(node) or partners(node))
+    )
+    monkeypatch.setattr(PairSum, "__init__", _counted(PairSum.__init__, built))
+    build_script(parse(chain_script(200, 100)))
+    assert len(built) == 2 * 199
+    assert partnered == []
+    assert len(looked_up) <= 2 * len(built)
 
 
 def test_render_prints_each_distinct_atom_once(monkeypatch):
