@@ -39,6 +39,31 @@ def _frac(x: RationalLike) -> Union[int, Fraction]:
     raise AreaError(f"not a rational coefficient: {x!r}")
 
 
+# a power of ten of fewer digits than the lowest limit that str() of an
+# int may be given (640, by sys.set_int_max_str_digits)
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def exact_str(x: Union[int, Fraction]) -> str:
+    """`str(x)` for an int or a Fraction, at any size.  str() is tried
+    first; only where it raises, past int()'s digit limit (4,300 by
+    default), is an int split into chunks of digits by divmod."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    num, den = x.numerator, x.denominator
+    if den != 1:
+        return f"{exact_str(num)}/{exact_str(den)}"
+    n, chunks = abs(num), []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "-" * (num < 0) + "".join(reversed(chunks))
+
+
 def _new(c: int, e: int, d: int) -> "AreaValue":
     """The area (c + e*eps)/d, for d > 0, made through `__post_init__`."""
     value = object.__new__(AreaValue)
@@ -130,16 +155,16 @@ class AreaValue(Frozen):
         # canonical long form, always two components
         const, eps = self._parts()
         if eps < 0:
-            return f"{const} - {-eps}*eps"
-        return f"{const} + {eps}*eps"
+            return f"{exact_str(const)} - {exact_str(-eps)}*eps"
+        return f"{exact_str(const)} + {exact_str(eps)}*eps"
 
     def compact(self) -> str:
         """Short form used in atom and script serializations, e.g. ``1+2e``."""
         const, eps = self._parts()
         if eps == 0:
-            return f"{const}"
+            return exact_str(const)
         sign = "+" if eps >= 0 else "-"
-        return f"{const}{sign}{abs(eps)}e"
+        return f"{exact_str(const)}{sign}{exact_str(abs(eps))}e"
 
 
 def area(const: RationalLike, eps: RationalLike = 0) -> AreaValue:

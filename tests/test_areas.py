@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strategies import area_values
-from symsum.areas import AreaError, AreaValue, area
+from symsum.areas import AreaError, AreaValue, area, exact_str
 from symsum.script import _Parser
 
 o = area
@@ -72,6 +72,47 @@ def test_order_transitive(x, y, z):
 @given(area_values)
 def test_round_trip_compact_form(x):
     assert _Parser(x.compact()).parse_area() == x
+
+
+def unlimited_str(x) -> str:
+    """str(x) with int()'s digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_HUGE = [
+    10**600 - 1, 10**600, 10**600 + 1, 10**1200, 7 * 10**5000 + 3, -(10**4300), 10**4300 - 1,
+    int("7" * 2200) * int("3" * 2200 + "1"),
+]
+
+
+@pytest.mark.parametrize(
+    "n", _HUGE + [-n for n in _HUGE] + [0, 1, -1, 10**4299],
+    ids=lambda n: f"{'-' * (n < 0)}{n.bit_length()} bits",  # str(n) may raise
+)
+def test_exact_str_writes_every_digit_of_an_int(n):
+    assert exact_str(n) == unlimited_str(n)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [Fraction(1, 3), Fraction(-10**5000, 7), Fraction(3, 10**5000 + 1), Fraction(10**4400, 1)],
+    ids=["1/3", "-10^5000/7", "3/(10^5000+1)", "10^4400"],
+)
+def test_exact_str_writes_a_fraction_as_str_does(x):
+    assert exact_str(x) == unlimited_str(x)
+
+
+def test_an_area_past_the_digit_limit_prints_in_both_forms():
+    d = 10**4400 + 1
+    a = AreaValue(Fraction(1, d), Fraction(-2, d))
+    assert str(a) == f"1/{unlimited_str(d)} - 2/{unlimited_str(d)}*eps"
+    assert a.compact() == f"1/{unlimited_str(d)}-2/{unlimited_str(d)}e"
+    assert area(10**4400).compact() == unlimited_str(10**4400)
 
 
 # -- against the model of an area as a pair of Fractions ----------------------

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ import symsum
 from symsum import cli
 from symsum.cli import main
 from symsum.demos import GOMPF_STIPSICZ
+from test_areas import unlimited_str
 from test_memo import chain_script
 
 EXPRS = pathlib.Path(__file__).parent.parent / "scripts" / "exprs"
@@ -83,6 +85,87 @@ def test_a_number_too_long_for_int_exits_2_at_its_token(tmp_path, capsys, spec, 
     assert capsys.readouterr() == (
         "", f"script error: 1:{col - 2}: number too long: 5000 digits\n"
     )
+
+
+# two denominators of ~2,200 digits, within what the parser reads, whose
+# product a sum or a difference of their areas needs: past int()'s 4,300
+_D1, _D2 = "7" * 2200, "3" * 2200 + "1"  # 1/_D2 < 1/_D1
+# a sum that carries the mark P#Q of area 1/_D1 + 1/_D2
+_PARTNERS = (
+    f"atom X Rational(0) {{ A: g=0, i=1, a=1, perp P; P: g=0, i=0, a=1/{_D1}, perp A }}\n"
+    f"atom Y Rational(0) {{ B: g=0, i=-1, a=1, perp Q; Q: g=0, i=0, a=1/{_D2}, perp B }}\n"
+    "atom Z Rational(0) { C: g=0, i=0, a=1 }\n"
+)
+_BIG = {
+    "ruled sections spread": (
+        f"atom W1 W(0,1,0+1e) {{ A1: g=0, i=-1, a=1/{_D1}; B1: g=0, i=1, a=1/{_D2} }}\n"
+        "lhs W1 rhs W1 target =\n"
+    ),
+    "ruled section too small": (
+        f"atom W W(0,1,0+1/{_D1}e) {{ A: g=0, i=1, a=0+1/{_D2}e }}\nlhs W rhs W target =\n"
+    ),
+    "thinned mark not positive": (
+        f"atom X Rational(0) {{ A: g=0, i=1, a=0+1/{_D2}e }}\n"
+        f"lhs thin(X, A, 0+1/{_D1}e) rhs X target =\n"
+    ),
+    "sum area mismatch": _PARTNERS + "lhs sum(sum(X, A, Y, B), P#Q, Z, C) rhs X target =\n",
+    "thicken section too small": (
+        f"atom X Rational(0) {{ A: g=0, i=-3, a=0+1/{_D1}e }}\n"
+        f"lhs thicken(thin(X, A, 0+1/{_D2}e), A-, 0+1e) rhs X target =\n"
+    ),
+    "blow-up too large": (
+        _PARTNERS + "lhs blowup(sum(X, A, Y, B), at = P#Q, size = 1) rhs X target =\n"
+    ),
+    "blow-up size not positive": (
+        f"atom X Rational(0) {{ A: g=0, i=1, a=1 }}\n"
+        f"lhs blowup(X, generic, size = 0-1/{_D1}e) rhs X target =\n"
+    ),
+    "collar amount not infinitesimal": (
+        f"atom X Rational(0) {{ A: g=0, i=1, a=1 }}\nlhs thin(X, A, 1/{_D1}) rhs X target =\n"
+    ),
+    "sum verifies": (
+        f"atom X Rational(0) {{ A: g=0, i=1, a=1/{_D1}; C: g=0, i=0, a=1/{_D2} }}\n"
+        f"atom Y Rational(0) {{ B: g=0, i=-1, a=1/{_D1} }}\n"
+        "lhs sum(X, A, Y, B) rhs sum(X, A, Y, B) target =\n"
+        "by R8 { eps = 0+1e } by R8 { } rev\n"
+    ),
+    "proof fails": (
+        f"atom X Rational(0) {{ A: g=0, i=1, a=1/{_D1} }}\n"
+        f"atom Y Rational(0) {{ A: g=0, i=1, a=1/{_D2} }}\nlhs X rhs Y target =\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("trace", ["text", "json"])
+@pytest.mark.parametrize("name", list(_BIG))
+def test_areas_past_the_digit_limit_keep_the_exit_code_contract(tmp_path, capsys, name, trace):
+    """One input per message of core.py that prints an area, each with
+    areas whose sums or differences have ~4,400-digit denominators."""
+    f = tmp_path / "big.ssum"
+    f.write_text(_BIG[name], encoding="utf-8")
+    code = main(["check", str(f), "--trace", trace])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+
+
+def test_a_spread_past_the_digit_limit_is_printed_in_full(tmp_path, capsys):
+    f = tmp_path / "big.ssum"
+    f.write_text(_BIG["ruled sections spread"], encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    spread = unlimited_str(Fraction(1, int(_D1)) - Fraction(1, int(_D2)))
+    want = f"1:6: sections A1, B1: areas must differ by 0 - 1*eps, got {spread} + 0*eps\n"
+    assert capsys.readouterr() == ("", want)
+
+
+def test_a_mark_table_prints_a_carried_area_past_the_digit_limit(tmp_path, capsys):
+    f = tmp_path / "big.expr"
+    f.write_text(_PARTNERS + "expr sum(X, A, Y, B)\n", encoding="utf-8")
+    assert main(["invariants", str(f)]) == 0
+    carried = Fraction(1, int(_D1)) + Fraction(1, int(_D2))
+    assert capsys.readouterr().out.splitlines()[-1] == f"P#Q 0 0 {unlimited_str(carried)}"
 
 
 def test_unknown_subcommand():
