@@ -39,16 +39,10 @@ def _frac(x: RationalLike) -> Union[int, Fraction]:
     raise AreaError(f"not a rational coefficient: {x!r}")
 
 
-# a power of ten of fewer digits than the lowest limit that str() of an
-# int may be given (640, by sys.set_int_max_str_digits)
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
 def exact_str(x: Union[int, Fraction]) -> str:
     """`str(x)` for an int or a Fraction, at any size.  str() is tried
     first; only where it raises, past int()'s digit limit (4,300 by
-    default), is an int split into chunks of digits by divmod."""
+    default), is an int split in two halves of its digits by divmod."""
     try:
         return str(x)
     except ValueError:
@@ -56,12 +50,9 @@ def exact_str(x: Union[int, Fraction]) -> str:
     num, den = x.numerator, x.denominator
     if den != 1:
         return f"{exact_str(num)}/{exact_str(den)}"
-    n, chunks = abs(num), []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    chunks.append(str(n))
-    return "-" * (num < 0) + "".join(reversed(chunks))
+    k = abs(num).bit_length() * 3 // 20  # about half its digits, as log10(2) > 0.3
+    high, low = divmod(abs(num), 10**k)
+    return "-" * (num < 0) + exact_str(high) + exact_str(low).zfill(k)
 
 
 def _new(c: int, e: int, d: int) -> "AreaValue":

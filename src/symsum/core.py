@@ -727,9 +727,8 @@ class FourSum(ManifoldExpr):
                     f"triple marks {s}, {t} must be orthogonally paired"
                 )
             ends.append((sm, tm))
-        for i in range(4):
-            if pairwise_violations(ends[i][1], ends[(i + 1) % 4][0]):
-                raise AdmissibilityError(fourfold_violations(self.entries))
+        if any(pairwise_violations(t, s) for (_, t), (s, _) in zip(ends, ends[1:] + ends[:1])):
+            raise AdmissibilityError(fourfold_violations(self.entries))
         marks = self.evaluated().marks
         set_field(self, "marks", marks)
         set_field(self, "_pool", _grow_pool(self, map(_BY_LABEL, marks)))
@@ -755,16 +754,13 @@ class FourSum(ManifoldExpr):
         (x1, _, t1), (x2, s2, _), (x3, _, t3), (x4, s4, _) = ent
         left = PairSum(x1, t1, x2, s2, glu[0])
         right = PairSum(x3, t3, x4, s4, glu[2])
-        partners = left.partners + right.partners
-        if not all(partners):
+        lp, rp, lq, rq = left.partners + right.partners
+        if not (lp and rp and lq and rq):
             raise MarkError(
                 "four-fold entries must carry a connected-sum mark; a glued "
                 "mark is missing its orthogonal partner"
             )
-        return PairSum(
-            left, left._carry_name(*partners[:2]), right, right._carry_name(*partners[2:]),
-            glu[1],
-        )
+        return PairSum(left, left._carry_name(lp, rp), right, right._carry_name(lq, rq), glu[1])
 
 
 class _Unary(ManifoldExpr):

@@ -458,9 +458,8 @@ class _Parser:
         """An expression (`want` None) or the form `want`, read with an
         explicit stack of the forms opened and not yet closed: a child
         slot opens a form on top, and a closed form fills the slot below.
-        A leaf child, a name slot that holds a name and the expected words
-        and punctuation are read in place; any other token goes to the
-        slot's reader, which raises its message."""
+        A leaf child, a name slot's name and an expected word or
+        punctuation are read in place, any other token by its reader."""
         toks, stack, read_name = self.toks, [], _Parser.read_name
         while True:
             start = self.i
