@@ -60,7 +60,23 @@ ROUND_TRIP = {
     "chain-2000": chain_script(2000, 2),
     "one-sided-perp": "atom X CP2 { L1: g=0, i=1, a=1, perp L2; L2: g=0, i=1, a=1 }\n"
     "lhs X rhs X target =\n",
+    "options-at-default": "atom A E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, a=1, "
+    "perp Sigma-3 }\natom B E(1) { F1: g=1, i=0, a=1, perp Sigma-1; Sigma-1: g=0, i=-1, a=1, "
+    "perp F1 }\nlhs sum(blowup(A, generic, size = 1/4, exc = E), F3, B, F1, glue = std)\n"
+    "rhs sum(blowup(A, generic, size = 1/4), F3, B, F1)\ntarget =\n",
 }
+
+
+def test_options_given_at_their_defaults_print_back():
+    """`exc = E` and `glue = std` are the defaults, and a script that
+    writes them prints them; a side that leaves them out prints neither."""
+    src = ROUND_TRIP["options-at-default"]
+    lines = print_script(parse(src)).splitlines()
+    assert lines[2:4] == [
+        "lhs sum(blowup(A, generic, size = 1/4, exc = E), F3, B, F1, glue = std)",
+        "rhs sum(blowup(A, generic, size = 1/4), F3, B, F1)",
+    ]
+    assert run(src).code == 0
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP))

@@ -62,6 +62,47 @@ MALFORMED = {
     "unresolved identifier": _E3 + "lhs E3 rhs E4 target =",
     "triple names an unknown mark": _E3 + "triple T (E3, Sigma-3, Nope)\nlhs E3 rhs E3 target =",
 }
+# where a build failure is reported, and what wins over it: an operation
+# failing below the root is reported at the root of its side or of its
+# triple's expression; a syntax error, a duplicate identifier and a failed
+# atom anywhere come first; the first build failure in the text wins
+_SIZE0 = "blowup(E3, generic, size = 0)"
+MALFORMED.update(
+    {
+        "operation failing below the lhs root": (
+            _E3 + f"lhs thin({_SIZE0}, F3, 0+1e) rhs E3 target =\n"
+        ),
+        "operation failing below a triple's root": (
+            _E3 + f"triple T (thin({_SIZE0}, F3, 0+1e), Sigma-3, F3)\nlhs E3 rhs E3 target =\n"
+        ),
+        "lhs build failure, then a failing inline atom in the rhs": (
+            _E3 + f"lhs {_SIZE0}\nrhs E(3) {{ S: g=0, i=-2, a=1 }} target =\n"
+        ),
+        "lhs build failure, then a syntax error": _E3 + f"lhs {_SIZE0}\nrhs E3 target = by\n",
+        "triple build failure, then a duplicate identifier": (
+            _E3 + f"triple T ({_SIZE0}, Sigma-3, F3)\ntriple T (E3, Sigma-3, F3)\n"
+            "lhs E3 rhs E3 target =\n"
+        ),
+        "lhs build failure, then an unresolved identifier in the rhs": (
+            _E3 + f"lhs {_SIZE0}\nrhs E4 target =\n"
+        ),
+        "unresolved identifier, then a syntax error": _E3 + "lhs E4 rhs E3 target = by\n",
+        "unresolved identifier, then a failing rhs": (
+            _E3 + f"lhs sum(E3, F3, E4, F1) rhs {_SIZE0} target =\n"
+        ),
+        "sum of an atom that failed": (
+            "atom X E(3) { S: g=0, i=-2, a=1 }\n" + _E1
+            + "lhs sum(X, S, E1, F1) rhs E1 target =\n"
+        ),
+        "triple of an atom declared after it": (
+            "triple T (E3, Sigma-3, F3)\n" + _E3 + "lhs E3 rhs E3 target =\n"
+        ),
+        "lhs names a triple": _E3 + "triple T (E3, Sigma-3, F3)\nlhs T rhs E3 target =\n",
+        "triple names an unknown mark, then a failing lhs": (
+            _E3 + f"triple T (E3, Sigma-3, Nope)\nlhs {_SIZE0} rhs E3 target =\n"
+        ),
+    }
+)
 
 # malformed mark specs: each fixed token of one spec (the pieces of
 # `_SPEC` at `_FIXED`) deleted or replaced, bad numbers, texts that end
