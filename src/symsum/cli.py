@@ -16,8 +16,7 @@ from .core import SymsumError
 from .invariants import expr_invariants
 from .script import (
     ScriptError,
-    build_decls,
-    build_expr,
+    TripleDecl,
     mark_table,
     parse_expr_file,
     run,
@@ -99,8 +98,7 @@ def _load_expr_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     ast = parse_expr_file(source)
-    env, triples = build_decls(ast.decls)
-    return build_expr(ast.expr, env), [(t.expr, t.s, t.t) for t in triples.values()]
+    return ast.expr, [(d.expr, d.s, d.t) for d in ast.decls if d.__class__ is TripleDecl]
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,7 @@
 """Proof-script DSL: grammar, parser, printer, and the driver that feeds
-scripts to the equivalence checker.
+scripts to the equivalence checker.  The parser builds each atom and
+operation as its form closes, so a script's sides come out of `parse` as
+checked `core` nodes; no second tree is walked to build them.
 
 Grammar (tokens are whitespace-insensitive; `#` at a token boundary
 starts a comment running to end of line):
@@ -136,101 +138,34 @@ def token_positions(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: the declarations and steps of a script, around its built sides
 # ---------------------------------------------------------------------------
 
 
-class Pos(Record):
-    def __init__(self, line: int = 0, col: int = 0):
-        self.line, self.col = line, col
+class AtomDecl(Record):
+    def __init__(self, name: str, atom: AtomNode):
+        self.name, self.atom = name, atom
 
 
-class _Source:
-    """The text of one parse, lexed for positions once, by the first message."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    @cached_property
-    def tokens(self) -> list[Token]:
-        return token_positions(self.text)
-
-
-class _At(tuple):
-    """Where a parsed record starts: a `_Source` and a token index in it."""
-
-    __slots__ = ()
-    line = property(lambda self: self[0].tokens[self[1]].line)
-    col = property(lambda self: self[0].tokens[self[1]].col)
-
-
-class Syntax(Record):
-    """An AST record: its source position `pos` is left out of == and repr."""
-
-    HIDDEN = ("pos",)
-
-
-class AtomDecl(Syntax):
-    def __init__(self, name: str, atom: AtomNode, pos: Optional[Pos] = None):
-        self.name, self.atom, self.pos = name, atom, pos or Pos()
-
-
-class TripleDecl(Syntax):
-    def __init__(
-        self, name: str, expr: ExprNode, s: str, t: str, pos: Optional[Pos] = None
-    ):
+class TripleDecl(Record):
+    def __init__(self, name: str, expr: ManifoldExpr, s: str, t: str):
         self.name, self.expr, self.s, self.t = name, expr, s, t
-        self.pos = pos or Pos()
 
-
-class RefExpr(Syntax):
-    def __init__(self, name: str, pos: Optional[Pos] = None):
-        self.name, self.pos = name, pos or Pos()
-
-
-class OpExpr(Syntax):
-    """An operation: its core node class and exactly the constructor
-    arguments that the source wrote, with AST expressions for children."""
-
-    def __init__(self, cls: type, args: dict, pos: Optional[Pos] = None):
-        self.cls, self.args, self.pos = cls, args, pos or Pos()
-
-    def __eq__(self, other):
-        """Compares like a record, from an explicit stack of the value
-        pairs still to compare, so that nesting costs no Python frames."""
-        if other.__class__ is not OpExpr:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is OpExpr and b.__class__ is OpExpr:
-                if a.cls is not b.cls or a.args.keys() != b.args.keys():
-                    return False
-                stack.extend((v, b.args[k]) for k, v in a.args.items())
-            elif a != b:
-                return False
-        return True
-
-
-ExprNode = Union[RefExpr, AtomNode, OpExpr]
 
 SlotVal = tuple  # ("num", Fraction) | ("area", AreaValue) | ("name", str) | ("str", str)
 
 
-class StepNode(Syntax):
+class StepNode(Record):
     def __init__(
         self, rule: str, slots: dict[str, SlotVal], rev: bool = False,
-        note: Optional[str] = None, pos: Optional[Pos] = None,
+        note: Optional[str] = None,
     ):
         self.rule, self.slots, self.rev, self.note = rule, slots, rev, note
-        self.pos = pos or Pos()
 
 
 class ScriptAst(Record):
     def __init__(
-        self, decls: list, lhs: ExprNode, rhs: ExprNode, target: str,
+        self, decls: list, lhs: ManifoldExpr, rhs: ManifoldExpr, target: str,
         steps: list[StepNode],
     ):
         self.decls, self.lhs, self.rhs = decls, lhs, rhs
@@ -238,7 +173,7 @@ class ScriptAst(Record):
 
 
 class ExprFileAst(Record):
-    def __init__(self, decls: list, expr: ExprNode):
+    def __init__(self, decls: list, expr: ManifoldExpr):
         self.decls, self.expr = decls, expr
 
 
@@ -247,27 +182,39 @@ class ExprFileAst(Record):
 # ---------------------------------------------------------------------------
 
 
+_DUPLICATE, _ATOM, _BUILD = range(3)  # the ranks of the failures that a parse holds
+
+
 class _Parser:
     """Reads token values by index; a message's line:col lexes them again.
-    An atom is built as it is read, and the first atom that fails its
-    checks is held (`failed`) until the parse ends, so that a syntax error
-    or a duplicate identifier later in the text wins."""
+    Each atom and operation is built as its form closes, a name resolved
+    against the atoms declared before it.  A failure is held until the
+    parse ends, so that a syntax error later in the text wins; then the
+    first duplicate identifier, the first atom that failed its checks and
+    the first other build failure win, in this order (`held`).  A node
+    that failed, and each node over it, reads as None."""
 
     def __init__(self, text: str):
-        self.toks, self.i, self.src = tokenize(text), 0, _Source(text)
-        self.failed: Optional[ScriptError] = None
+        self.text, self.toks, self.i = text, tokenize(text), 0
+        self.held: list[Optional[ScriptError]] = [None, None, None]  # by rank
+        self.atoms: dict[str, Optional[AtomNode]] = {}  # the atoms declared, by name
+        self.names: set[str] = set()  # every name declared
         self.kinds: dict[tuple, AtomKind] = {}  # the atom kinds read, by their tokens
+
+    @cached_property
+    def positions(self) -> list[Token]:
+        return token_positions(self.text)
 
     def error(self, message: Optional[str], i: int, expected=None) -> ScriptError:
         """`message`, by default "unexpected" and token `i`, at token `i`."""
-        t = self.src.tokens[i]
+        t = self.positions[i]
         message = message or f"unexpected {t.value or t.kind!r}"
         return ScriptError(message, t.line, t.col, expected)
 
     def expect(self, kind: str, what: Optional[str] = None) -> str:
         v = self.toks[self.i]
         if _KIND_OF.get(v[:1]) != kind and _kind(v) != kind:
-            t = self.src.tokens[self.i]
+            t = self.positions[self.i]
             got = f"{t.kind!r}" + (f" {t.value!r}" if t.value else "")
             raise self.error(f"unexpected {got}", self.i, {what or kind})
         self.i += 1
@@ -384,19 +331,20 @@ class _Parser:
             if p is None:
                 continue
             if p not in perp:
-                return self.hold(f"unresolved mark {p!r}", i)
+                return self.hold(f"unresolved mark {p!r}", i, _ATOM)
             if perp[p] is None:
                 perp[p] = label
         try:
             marks = tuple(SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in marks)
             return AtomNode(kind, marks)
         except SymsumError as exc:
-            return self.hold(str(exc), at)
+            return self.hold(str(exc), at, _ATOM)
 
-    def hold(self, message: str, i: int) -> None:
-        """Keeps `message`, at token `i`, unless an earlier atom failed."""
-        if self.failed is None:
-            self.failed = self.error(message, i)
+    def hold(self, message: str, i: int, rank: int) -> None:
+        """Keeps `message`, at token `i`, unless a failure of its rank came
+        before it."""
+        if self.held[rank] is None:
+            self.held[rank] = self.error(message, i)
 
     def parse_markspec(self) -> tuple:
         """A mark's label, genus, normal number, area and `perp` partner
@@ -448,19 +396,29 @@ class _Parser:
             raise self.error(None, self.i, {"atom", "triple", "lhs", "declaration"})
         self.i = at = self.i + 1
         name = self.expect("name", f"{word} name")
+        if name in self.names:
+            self.hold(f"duplicate identifier {name!r}", at, _DUPLICATE)
+        self.names.add(name)
         if word == "atom":
-            return AtomDecl(name, self.parse_atom(at), _At((self.src, at)))
-        return TripleDecl(name, *self.parse_form(_TRIPLE), _At((self.src, at)))
+            atom = self.atoms[name] = self.parse_atom(at)
+            return AtomDecl(name, atom)
+        expr, s, t = self.parse_form(_TRIPLE)
+        for label in (s, t):  # a triple must carry both of its marks
+            if expr is not None and not expr.has_mark(label):
+                self.hold(f"unresolved mark {label!r}", at, _BUILD)
+        return TripleDecl(name, expr, s, t)
 
     # -- expressions -------------------------------------------------
 
     def parse_form(self, want: Optional[_Form]):
         """An expression (`want` None) or the form `want`, read with an
         explicit stack of the forms opened and not yet closed: a child
-        slot opens a form on top, and a closed form fills the slot below.
-        A leaf child, a name slot's name and an expected word or
-        punctuation are read in place, any other token by its reader."""
+        slot opens a form on top, and a closed form is built and fills the
+        slot below.  A leaf child, a name slot's name and an expected word
+        or punctuation are read in place, any other token by its reader.
+        A failed check is held at the outermost operation, `root`."""
         toks, stack, read_name = self.toks, [], _Parser.read_name
+        root = None
         while True:
             start = self.i
             if want is None:  # an operation, opened by its keyword, or a leaf
@@ -468,15 +426,14 @@ class _Parser:
                 if want is None:
                     return self.parse_leaf()
                 self.i += 1
+                if root is None:
+                    root = start
             # an open form: the form, its first token's index, its args, its next step
             stack.append([want, start, {}, 0])
-            value = None
             while stack:  # read on in the innermost open form
                 top = stack[-1]
                 form, start, args, i = top
                 steps = form.steps
-                if value is not None:  # a closed child, for the slot where reading stopped
-                    args[steps[i - 1][2]] = value
                 while True:
                     read, arg, field = steps[i]
                     i += 1
@@ -500,9 +457,31 @@ class _Parser:
                     top[3], want = i, arg
                     break
                 stack.pop()
-                value = form.make(args, _At((self.src, start)))
+                value = self.build(form, args, root)
+                if stack:  # the child slot where reading stopped in the form below
+                    form, _, args, i = stack[-1]
+                    args[form.steps[i - 1][2]] = value
             else:
                 return value
+
+    def build(self, form: _Form, args: dict, root: Optional[int]):
+        """The value of a closed form, `form.make(**args)`: None where a
+        child is None, or where a check fails, which is held at token
+        `root`.  The options that the text gave at their defaults are
+        noted on the node, for print_script (`_given`)."""
+        for field in form.kids:
+            if args[field] is None:
+                return None
+        try:
+            value = form.make(**args)
+        except SymsumError as exc:
+            return self.hold(str(exc), root, _BUILD)
+        given = [
+            field for field, default in form.options_at if field in args and args[field] == default
+        ]
+        if given:
+            value.__dict__["_given"] = given
+        return value
 
     def parse_options(self, form: _Form, args: dict, start: int) -> None:
         """The `, key = value` options of `form`; a flag has no value, and
@@ -523,8 +502,9 @@ class _Parser:
             value = True if read is None else read(self)
             args[field] = args.get(field, ()) + (value,) if repeats else value
 
-    def parse_leaf(self) -> ExprNode:
-        """A reference to a declared name, or an inline atom."""
+    def parse_leaf(self) -> Optional[AtomNode]:
+        """A declared atom, by its name, or an inline atom; None for an
+        atom that failed or a name that no atom before it declares."""
         at = self.i
         name = self.toks[at]
         if _kind(name) != "name":
@@ -533,7 +513,9 @@ class _Parser:
             # an inline atom: the kind tag is followed by parameters or marks
             return self.parse_atom(at)
         self.i += 1
-        return RefExpr(name, _At((self.src, at)))
+        if name not in self.atoms:
+            self.hold(f"unresolved identifier {name!r}", at, _BUILD)
+        return self.atoms.get(name)
 
     def read_name(self) -> str:
         return self.expect("name")
@@ -554,7 +536,6 @@ class _Parser:
     # -- steps -------------------------------------------------------
 
     def parse_step(self) -> StepNode:
-        at = self.i
         self.keyword("by")
         rule = self.expect("name", "rule id")
         if rule not in RULE_IDS:
@@ -572,7 +553,7 @@ class _Parser:
         if _kind(self.toks[self.i]) == "str":
             note = self.toks[self.i][1:-1]
             self.i += 1
-        return StepNode(rule, slots, rev, note, _At((self.src, at)))
+        return StepNode(rule, slots, rev, note)
 
     def parse_slot_value(self) -> SlotVal:
         v = self.toks[self.i]
@@ -608,7 +589,7 @@ class _Parser:
         while self.toks[self.i] == "by":
             steps.append(self.parse_step())
         self.expect("eof", "end of script")
-        self.finish(decls)
+        self.finish()
         return ScriptAst(decls, lhs, rhs, target, steps)
 
     def parse_expr_file(self) -> ExprFileAst:
@@ -618,18 +599,14 @@ class _Parser:
         self.i += 1
         e = self.parse_form(None)
         self.expect("eof", "end of file")
-        self.finish(decls)
+        self.finish()
         return ExprFileAst(decls, e)
 
-    def finish(self, decls: list) -> None:
-        """Raises a duplicate identifier, or else the atom failure held."""
-        seen = set()
-        for d in decls:
-            if d.name in seen:
-                raise ScriptError(f"duplicate identifier {d.name!r}", d.pos.line, d.pos.col)
-            seen.add(d.name)
-        if self.failed is not None:
-            raise self.failed
+    def finish(self) -> None:
+        """Raises the failure held of the first rank that holds one."""
+        for failure in self.held:
+            if failure is not None:
+                raise failure
 
 
 def parse(source: str) -> ScriptAst:
@@ -640,48 +617,6 @@ def parse_expr_file(source: str) -> ExprFileAst:
     return _Parser(source).parse_expr_file()
 
 
-# ---------------------------------------------------------------------------
-# Building core expressions from the AST
-# ---------------------------------------------------------------------------
-
-
-class BuiltTriple(Record):
-    def __init__(self, expr: ManifoldExpr, s: str, t: str):
-        self.expr, self.s, self.t = expr, s, t
-
-
-def build_expr(node: ExprNode, env: dict[str, ManifoldExpr]) -> ManifoldExpr:
-    """The core expression of `node`, built bottom-up with an explicit
-    stack of the operations being built, each with its arguments, in
-    which its children (under their selectors) are replaced as they are
-    built (an atom is built already); a node's failed check is reported
-    at `node`."""
-    try:
-        top = {"": node}
-        stack = [(None, top, iter(("",)), None)]  # a parent above the root
-        while True:
-            op, args, names, slot = stack[-1]
-            for name in names:
-                c = args[name]
-                if c.__class__ is OpExpr:
-                    stack.append((c, dict(c.args), iter(c.cls.SELECTORS), name))
-                    break
-                if c.__class__ is AtomNode:
-                    continue  # built as it was parsed
-                if c.name not in env:
-                    raise ScriptError(f"unresolved identifier {c.name!r}", c.pos.line, c.pos.col)
-                args[name] = env[c.name]
-            else:  # every child is built
-                stack.pop()
-                if not stack:
-                    return top[""]
-                stack[-1][1][slot] = op.cls(**args)
-    except ScriptError:
-        raise
-    except SymsumError as exc:
-        raise ScriptError(str(exc), node.pos.line, node.pos.col) from exc
-
-
 class BuiltScript(Record):
     def __init__(
         self, lhs: ManifoldExpr, rhs: ManifoldExpr, target: EquivLevel, steps: list[ProofStep]
@@ -689,34 +624,14 @@ class BuiltScript(Record):
         self.lhs, self.rhs, self.target, self.steps = lhs, rhs, target, steps
 
 
-def build_decls(decls: list) -> tuple[dict[str, ManifoldExpr], dict[str, BuiltTriple]]:
-    """The atoms and the triples that a script or an expression file
-    declares, each by name; a triple must carry both of its marks."""
-    env: dict[str, ManifoldExpr] = {}
-    triples: dict[str, BuiltTriple] = {}
-    for d in decls:
-        if isinstance(d, AtomDecl):
-            env[d.name] = d.atom
-        else:
-            e = build_expr(d.expr, env)
-            for lbl in (d.s, d.t):
-                if not e.has_mark(lbl):
-                    raise ScriptError(
-                        f"unresolved mark {lbl!r}", d.pos.line, d.pos.col
-                    )
-            triples[d.name] = BuiltTriple(e, d.s, d.t)
-    return env, triples
-
-
-def build_script(ast: ScriptAst) -> BuiltScript:
-    env, _ = build_decls(ast.decls)
-    lhs = build_expr(ast.lhs, env)
-    rhs = build_expr(ast.rhs, env)
+def build_script(source: str) -> BuiltScript:
+    """The sides, target and steps of the script `source`, for the checker."""
+    ast = parse(source)
     steps = [
         ProofStep(s.rule, {k: v[1] for k, v in s.slots.items()}, s.rev, s.note)
         for s in ast.steps
     ]
-    return BuiltScript(lhs, rhs, EquivLevel.from_symbol(ast.target), steps)
+    return BuiltScript(ast.lhs, ast.rhs, EquivLevel.from_symbol(ast.target), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +642,8 @@ def build_script(ast: ScriptAst) -> BuiltScript:
 # expects and the printer writes; a `{field}` slot holds that constructor
 # argument, read and printed by the kind of the field (_SLOT_KINDS).  An
 # option (see _OPTIONS) is read as `, key = value` in any order, and
-# prints only when it is given.
+# prints when it differs from its default, or in print_script when the
+# text gave it.
 _FORMS = {
     PairSum: "sum({left}, {left_mark}, {right}, {right_mark}{gluing}{carry_label}{pairs})",
     FourSum: "sum4(({x1}, {s1}, {t1}), ({x2}, {s2}, {t2}), ({x3}, {s3}, {t3}), "
@@ -762,18 +678,20 @@ _EPS = ("e", "eps")  # the words after an area's eps coefficient
 _GENUS, _INDEX, _AREA = [":", "g", "="], [",", "i", "="], [",", "a", "="]
 _KIND_SPAN = 16  # the most tokens from a kind's tag to its `)` that a kind key holds
 _CLOSED = object()  # what the stop at the end of a form wants
-_ABSENT = object()  # the value of an option that is not given
+_NO_DEFAULT = object()  # the default of a slot that always prints
 
 
 class _Form:
     """A source form compiled once: the steps in which the parser reads it,
     the pieces from which the printer writes it, and its options by
     keyword.  The fields of record class `cls` give the slots their kinds
-    and the options their defaults; `make(args, at)` is the value read from
-    the form that opened at `at`, an `_At`."""
+    and the options their defaults; `make(**args)`, by default `cls`, is
+    the value read from the form, and `kids` the child slots that a failed
+    child, None, leaves unbuilt (an operation's selectors)."""
 
-    def __init__(self, form: str, cls: type, make):
-        self.make, self.steps, self.pieces, self.options, self.fields = make, [], [], {}, []
+    def __init__(self, form: str, cls: type, make=None):
+        self.make, self.kids = make or cls, getattr(cls, "SELECTORS", ())
+        self.steps, self.pieces, self.options, self.fields = [], [], {}, []
         kinds = dict(cls.FIELDS)
         for literal, field, _, _ in Formatter().parse(form):
             for t in token_positions(literal)[:-1]:  # a word, or punctuation
@@ -801,9 +719,9 @@ class _Form:
         if self.steps[0][0] is _Parser.keyword:
             self.name = self.steps.pop(0)[1]
         self.get = values_getter(self.fields)
-        # how a built node leaves an option out, at its default, and an AST
-        self.defaults = [cls.DEFAULTS[f] if f in _OPTIONS else _ABSENT for f in self.fields]
-        self.absent = [_ABSENT] * len(self.fields)
+        # how a node leaves an option out: at its default
+        self.defaults = [cls.DEFAULTS[f] if f in _OPTIONS else _NO_DEFAULT for f in self.fields]
+        self.options_at = [(f, d) for f, d in zip(self.fields, self.defaults) if f in _OPTIONS]
 
 
 # how a slot or an option's value is read and printed, by the name of its
@@ -823,14 +741,11 @@ _SLOT_KINDS = {
 }
 
 
-_TRIPLE = _Form("({expr}, {s}, {t})", BuiltTriple, lambda args, at: tuple(args.values()))
-_FORM_OF = {
-    cls: _Form(form, cls, lambda args, at, cls=cls: OpExpr(cls, args, at))
-    for cls, form in _FORMS.items()
-}
+_TRIPLE = _Form("({expr}, {s}, {t})", TripleDecl, lambda expr, s, t: (expr, s, t))
+_FORM_OF = {cls: _Form(form, cls) for cls, form in _FORMS.items()}
 _GRAMMAR = {form.name: form for form in _FORM_OF.values()}  # the operations, by keyword
 for cls, form in _KIND_FORMS.items():
-    _FORM_OF[cls] = _Form(form, cls, lambda args, at, cls=cls: cls(**args))
+    _FORM_OF[cls] = _Form(form, cls)
 KINDS = {_FORM_OF[cls].name: _FORM_OF[cls] for cls in _KIND_FORMS}  # the atom kinds, by tag
 
 
@@ -840,33 +755,35 @@ KINDS = {_FORM_OF[cls].name: _FORM_OF[cls] for cls in _KIND_FORMS}  # the atom k
 
 
 def serialize_expr(node) -> str:
-    """The source text of a built expression, an AST expression or an atom
-    kind, walked in full; a trace's renderers print through `_write` with
-    spans, which copies a node that an earlier tree printed.  An option
-    prints when the source gave it (AST) or when it differs from its
-    default (built node), so an explicit `exc = E` prints from the AST
-    only."""
+    """The source text of an expression or an atom kind, walked in full,
+    with every atom written out and an option printed where it differs
+    from its default; a trace's renderers print through `_write` with
+    spans, which copies a node that an earlier tree printed."""
     return _write(node, None)
 
 
-def _write(node, spans: Optional[dict]) -> str:
+def _write(node, spans: Optional[dict], names: Optional[dict] = None) -> str:
     """The text of `node`, written in pieces from an explicit stack of the
     forms being printed, each with the slots it has still to print.  With
     `spans`, kept for one render call, the pieces of each operation node
     printed are kept as `(pieces, start, end)` under `spans[id(node)]`,
-    and a node found there is copied, not walked again."""
-    leaf = _leaf_text(node)
+    and a node found there is copied, not walked again.  With `names`,
+    print_script's map from the id of each declared atom to its name, a
+    declared atom prints as its name, and an option that the text gave at
+    its default (`_given`) prints too."""
+    leaf_text = _leaf_text if names is None else lambda n: names.get(id(n)) or _leaf_text(n)
+    leaf = leaf_text(node)
     if leaf is not None:
         return leaf
     out, stack, opened = [], [], []  # opened: (id, start) of each form on the stack
-    append, leaf_text, absent = out.append, _leaf_text, _ABSENT
+    append, absent = out.append, _NO_DEFAULT
     while node is not None:  # an operation, to open or to copy
         span = spans.get(id(node)) if spans is not None else None
         if span is not None:
             pieces, start, end = span
             out += pieces[start:end]
         else:
-            stack.append(_slots(node))
+            stack.append(_slots(node) if names is None else _slots(node, vars(node).get("_given")))
             if spans is not None:
                 opened.append((id(node), len(out)))
         node = None
@@ -874,7 +791,7 @@ def _write(node, spans: Optional[dict]) -> str:
             slots, tail = stack[-1]
             for (literal, show), value, default in slots:
                 if value is default or (default is not absent and value == default):
-                    continue  # an option not given
+                    continue  # an option at its default
                 append(literal)
                 if show is None:  # a child: a leaf prints here, an operation next
                     leaf = leaf_text(value)
@@ -893,28 +810,25 @@ def _write(node, spans: Optional[dict]) -> str:
     return "".join(out)
 
 
-def _slots(node) -> tuple:
+def _slots(node, given: Optional[list] = None) -> tuple:
     """The slots of an operation node or an atom kind to print, with their
-    values and defaults, and the text after them."""
-    form = _FORM_OF.get(node.__class__)
-    if form is not None:  # a built node
-        return zip(form.pieces, form.get(node), form.defaults), form.tail
-    form, args = _FORM_OF[node.cls], node.args
-    values = [args.get(field, _ABSENT) for field in form.fields]
-    return zip(form.pieces, values, form.absent), form.tail
+    values and defaults, and the text after them; an option in `given`
+    prints even at its default."""
+    form = _FORM_OF[node.__class__]
+    defaults = form.defaults
+    if given:
+        defaults = [_NO_DEFAULT if f in given else d for f, d in zip(form.fields, defaults)]
+    return zip(form.pieces, form.get(node), defaults), form.tail
 
 
 def _leaf_text(node) -> Optional[str]:
-    """The text of an atom or a name; None for an operation."""
-    cls = node.__class__
-    if cls is AtomNode:
+    """The text of an atom; None for an operation."""
+    if node.__class__ is AtomNode:
         # memoized on the atom, which the trees of a proof's steps share
         text = node._text
         if text is None:
             text = node.__dict__["_text"] = _atom_text(node)
         return text
-    if cls is RefExpr:
-        return node.name
     return None
 
 
@@ -944,17 +858,16 @@ def _slot_text(v: SlotVal) -> str:
 
 
 def print_script(ast: ScriptAst) -> str:
+    names = {id(d.atom): d.name for d in ast.decls if d.__class__ is AtomDecl}
     lines = []
     for d in ast.decls:
-        if isinstance(d, AtomDecl):
+        if d.__class__ is AtomDecl:
             text = _leaf_text(d.atom) if d.atom.marks else serialize_expr(d.atom.kind)
             lines.append(f"atom {d.name} {text}")
         else:
-            lines.append(
-                f"triple {d.name} ({serialize_expr(d.expr)}, {d.s}, {d.t})"
-            )
-    lines.append(f"lhs {serialize_expr(ast.lhs)}")
-    lines.append(f"rhs {serialize_expr(ast.rhs)}")
+            lines.append(f"triple {d.name} ({_write(d.expr, None, names)}, {d.s}, {d.t})")
+    lines.append(f"lhs {_write(ast.lhs, None, names)}")
+    lines.append(f"rhs {_write(ast.rhs, None, names)}")
     lines.append(f"target {ast.target}")
     for s in ast.steps:
         slots = ", ".join(f"{k} = {_slot_text(v)}" for k, v in s.slots.items())
@@ -991,8 +904,7 @@ class RunResult(Record):
 
 def run(source: str) -> RunResult:
     try:
-        ast = parse(source)
-        built = build_script(ast)
+        built = build_script(source)
     except ScriptError as exc:
         return RunResult(2, None, [str(exc)])
     try:

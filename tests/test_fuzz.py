@@ -6,7 +6,7 @@ phases.  Whatever a mutant does, `run()` must return an exit code of the
 contract (0 verified, 1 proof failure, 2 parse/resolution error) with
 no exception escaping, an exit 2 must say why in exactly one line, and
 the traces of an exit 0 or 1 must render.  A mutant that parses must
-also print back to the same AST.
+also print back to the same AST, whose sides are built nodes.
 """
 
 import random
@@ -95,6 +95,7 @@ def test_mutated_corpus_scripts_keep_the_exit_code_contract():
     assert not broken, broken[:5]
     # the mutants reach every phase: some verify, some fail a proof step
     assert all(codes.values()), codes
-    # a mutant with an atom that fails its checks stops at parse; enough still parse
-    assert parsed > 500, parsed
+    # the parse builds both sides, so the mutants that parse are exactly
+    # those that run to a verdict (326 of 3200 at this seed)
+    assert parsed == codes[0] + codes[1] > 300, (parsed, codes)
     assert seconds < 10, f"{MUTATIONS} mutations took {seconds:.1f} s of CPU"

@@ -32,7 +32,6 @@ from symsum.invariants import InvariantVector, atom_invariants, expr_invariants
 from symsum.rewrite import apply_rule
 from symsum import core, script
 from symsum.script import (
-    OpExpr,
     build_script,
     parse,
     render_trace_json,
@@ -193,7 +192,7 @@ def test_memos_match_recomputation_on_every_corpus_node():
 
 def test_pool_memos_stay_linear_in_depth():
     depth = 400
-    built = build_script(parse(chain_script(depth, depth // 2)))
+    built = build_script(chain_script(depth, depth // 2))
     at = ".".join(["left"] * (depth // 2))
     app = apply_rule(built.lhs, "R8", {"at": at, "eps": area(0, 1)})
     stores = {id(n._pool[0]): n._pool[0] for n in nodes(built.lhs, built.rhs, app.expr)}
@@ -257,7 +256,7 @@ def test_a_chain_build_makes_no_mark_beyond_its_atoms(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SurfaceMark, "__init__", counting_init)
-    built = build_script(parse(chain_script(200, 100)))
+    built = build_script(chain_script(200, 100))
     all_nodes = nodes(built.lhs, built.rhs)
     atom_marks = [m for n in all_nodes if isinstance(n, AtomNode) for m in n.marks]
     assert len(atom_marks) == 2 * 200
@@ -272,7 +271,8 @@ def test_a_chain_build_makes_no_mark_beyond_its_atoms(monkeypatch):
 
 def test_a_chain_build_looks_up_two_marks_per_sum(monkeypatch):
     """A sum reads its two glued marks once each and works out from them
-    the mark that it carries, so building a chain reads no `partners`."""
+    the mark that it carries, so building a chain reads no `partners`;
+    the parse alone builds every sum of both sides."""
     looked_up, partnered, built = [], [], []
     mark, partners = ManifoldExpr.mark, PairSum.partners.fget
     monkeypatch.setattr(
@@ -282,7 +282,7 @@ def test_a_chain_build_looks_up_two_marks_per_sum(monkeypatch):
         PairSum, "partners", property(lambda node: partnered.append(node) or partners(node))
     )
     monkeypatch.setattr(PairSum, "__init__", _counted(PairSum.__init__, built))
-    build_script(parse(chain_script(200, 100)))
+    parse(chain_script(200, 100))
     assert len(built) == 2 * 199
     assert partnered == []
     assert len(looked_up) <= 2 * len(built)
@@ -405,20 +405,18 @@ def test_nesting_past_the_recursion_limit_verifies():
 
 
 def test_building_a_2000_deep_ast_under_the_recursion_limit():
-    """A valid AST no parse would have returned when parsing recursed:
-    2000 nested thinnings of the marks A, A-, A--, ..."""
+    """2000 nested thinnings of the marks A, A-, A--, ..., built by their
+    constructors, print and parse back to an equal node."""
     assert sys.getrecursionlimit() <= 1000
-    ast = parse("lhs W(0,1,0+1e) { A: g=0, i=-1, a=1 } rhs W(0,1,0+1e) { } target =")
-    deep = ast.lhs
+    deep = parse("lhs W(0,1,0+1e) { A: g=0, i=-1, a=1 } rhs W(0,1,0+1e) { } target =").lhs
     for k in range(2000):
-        args = {"inner": deep, "mark_label": "A" + "-" * k, "amount": area(0, 1)}
-        deep = OpExpr(Thin, args)
-    ast.lhs = deep
-    built = build_script(ast).lhs
-    assert [(m.label, m.area) for m in built.marks] == [("A" + "-" * 2000, area(1, 2000))]
-    assert label_pool(built) == {"A" + "-" * k for k in range(2001)}
-    text = serialize_expr(built)
-    assert text == serialize_expr(deep) and text.startswith("thin(" * 2000 + "W(0,1,0+1e) {")
+        deep = Thin(deep, "A" + "-" * k, area(0, 1))
+    assert [(m.label, m.area) for m in deep.marks] == [("A" + "-" * 2000, area(1, 2000))]
+    assert label_pool(deep) == {"A" + "-" * k for k in range(2001)}
+    text = serialize_expr(deep)
+    assert text.startswith("thin(" * 2000 + "W(0,1,0+1e) {")
+    parsed = parse(f"lhs {text} rhs {text} target =").lhs
+    assert parsed == deep and serialize_expr(parsed) == text
 
 
 def test_pools_of_parents_over_a_shared_child():

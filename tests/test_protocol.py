@@ -12,7 +12,7 @@ from test_memo import chain
 from symsum.areas import area
 from symsum.core import AtomNode, rename
 from symsum.rewrite import RuleError, _spine, apply_rule, parse_path
-from symsum.script import build_script, parse
+from symsum.script import parse
 
 
 def resolve_path(e, path):
@@ -47,7 +47,7 @@ NODES = {
 
 def node(name):
     expr = NODES[name]
-    return build_script(parse(f"{DECLS}lhs {expr} rhs {expr} target =")).lhs
+    return parse(f"{DECLS}lhs {expr} rhs {expr} target =").lhs
 
 
 def primed(atom_node: AtomNode) -> tuple[AtomNode, dict]:

@@ -39,14 +39,10 @@ from symsum.rewrite import RULE_MODULES, ProofStep
 from symsum.script import (
     AtomDecl,
     ExprFileAst,
-    OpExpr,
-    Pos,
-    RefExpr,
     ScriptAst,
     ScriptError,
     StepNode,
     TripleDecl,
-    build_script,
     parse,
     run,
 )
@@ -112,32 +108,21 @@ REPRS = [
         "transform_label=None, exceptional_label='E', pair_exceptional=False)",
     ),
     (lambda: InvariantVector(12, -8), "InvariantVector(euler=12, signature=-8)"),
-    (lambda: Pos(3, 4), "Pos(line=3, col=4)"),
-    (lambda: AtomDecl("X", E1, Pos(5, 6)), f"AtomDecl(name='X', atom={ATOM_E1})"),
+    (lambda: AtomDecl("X", E1), f"AtomDecl(name='X', atom={ATOM_E1})"),
     (
-        lambda: TripleDecl("T1", RefExpr("X", Pos(1, 1)), "S", "F", Pos(2, 2)),
-        "TripleDecl(name='T1', expr=RefExpr(name='X'), s='S', t='F')",
-    ),
-    (lambda: RefExpr("X", Pos(7, 8)), "RefExpr(name='X')"),
-    (
-        lambda: OpExpr(
-            Thin, {"inner": RefExpr("X"), "mark_label": "S", "amount": area(0, 1)}, Pos(9, 9)
-        ),
-        "OpExpr(cls=<class 'symsum.core.Thin'>, args={'inner': RefExpr(name='X'), "
-        f"'mark_label': 'S', 'amount': {EPS}}})",
+        lambda: TripleDecl("T1", E1, "S", "F"),
+        f"TripleDecl(name='T1', expr={ATOM_E1}, s='S', t='F')",
     ),
     (
-        lambda: StepNode(
-            "R2", {"at": ("name", "root"), "eps": ("area", area(0, 1))}, True, "why", Pos(1, 1)
-        ),
+        lambda: StepNode("R2", {"at": ("name", "root"), "eps": ("area", area(0, 1))}, True, "why"),
         "StepNode(rule='R2', slots={'at': ('name', 'root'), "
         f"'eps': ('area', {EPS})}}, rev=True, note='why')",
     ),
     (
-        lambda: ScriptAst([], RefExpr("A"), RefExpr("B"), "=", []),
-        "ScriptAst(decls=[], lhs=RefExpr(name='A'), rhs=RefExpr(name='B'), target='=', steps=[])",
+        lambda: ScriptAst([], E1, CP2, "=", []),
+        f"ScriptAst(decls=[], lhs={ATOM_E1}, rhs={ATOM_CP2}, target='=', steps=[])",
     ),
-    (lambda: ExprFileAst([], RefExpr("A")), "ExprFileAst(decls=[], expr=RefExpr(name='A'))"),
+    (lambda: ExprFileAst([], E1), f"ExprFileAst(decls=[], expr={ATOM_E1})"),
     (lambda: ProofStep("R8", {"at": "root"}), "ProofStep(rule='R8', bindings={'at': 'root'}, rev=False, note=None)"),
     (
         lambda: ProofStep("R2", {"eps": area(0, 1)}, True, "note"),
@@ -152,11 +137,13 @@ def test_repr_is_unchanged(make, expected):
 
 
 def test_syntax_records_compare_without_their_positions():
-    assert RefExpr("X", Pos(1, 1)) == RefExpr("X", Pos(2, 5))
-    assert RefExpr("X") != RefExpr("Y")
-    assert AtomDecl("X", E1, Pos(1, 2)) == AtomDecl("X", E1)
-    assert RefExpr("X") != TripleDecl("X", RefExpr("X"), "S", "T")
-    assert Pos(1, 1) != Pos(1, 2)  # a position itself compares by value
+    """A script's records keep no positions: the same script laid out
+    otherwise parses to an equal AST."""
+    source = CORPUS["assoc-sym"]
+    moved = "# a comment\n\n" + source.replace(" ", "  ").replace("\n", "\n\n")
+    assert parse(moved) == parse(source)
+    assert AtomDecl("X", E1) != AtomDecl("Y", E1)
+    assert AtomDecl("X", E1) != TripleDecl("X", E1, "S", "T")
 
 
 def test_frozen_records_hash_by_value_and_refuse_assignment():
@@ -169,10 +156,10 @@ def test_frozen_records_hash_by_value_and_refuse_assignment():
         with pytest.raises(AttributeError):
             delattr(record, name)
     with pytest.raises(TypeError):
-        hash(Pos(1, 1))  # mutable records are unhashable
-    p = Pos(1, 1)
-    p.line = 2
-    assert p == Pos(2, 1)
+        hash(AtomDecl("X", E1))  # mutable records are unhashable
+    d = AtomDecl("X", E1)
+    d.name = "Y"
+    assert d == AtomDecl("Y", E1)
 
 
 def test_replace_runs_the_checks_again():
@@ -199,7 +186,7 @@ def test_fields_are_the_init_parameters():
     assert BlowUp.DEFAULTS == {
         "transform_label": None, "exceptional_label": "E", "pair_exceptional": False
     }
-    assert [name for name, _ in RefExpr.FIELDS] == ["name", "pos"]
+    assert [name for name, _ in TripleDecl.FIELDS] == ["name", "expr", "s", "t"]
 
 
 def _collars():
@@ -253,8 +240,11 @@ def test_tracer_counts_each_collar_node_once():
 
 def _asts():
     """The AST of every corpus and golden script that parses, and of one
-    with a gluing option."""
-    glued = "lhs sum(A, F, B, F, glue = twist) rhs A target ="
+    with a gluing option and a paired exceptional mark."""
+    glued = (
+        "atom A E(1) { F: g=1, i=0, a=1 }\natom B E(1) { G: g=1, i=0, a=1 }\n"
+        "lhs sum(A, F, B, G, glue = twist) rhs blowup(A, at = F, size = 1/4, pairexc) target ="
+    )
     for source in [*CORPUS.values(), *MALFORMED.values(), *RULE_SHAPES.values(),
                    *RULE_MESSAGES.values(), glued]:
         try:
@@ -272,33 +262,21 @@ def _recursive_repr(record) -> str:
 
 def test_op_expr_repr_is_the_record_repr(monkeypatch):
     """The record repr, written from a stack, prints the bytes of the
-    recursive reference repr on ASTs (options, pairs and FourSum's entries
-    too) and on the built trees of the corpus's traces."""
+    recursive reference repr on ASTs, whose sides are built operation
+    nodes (options, pairs and FourSum's entries too), and on the trees of
+    the corpus's traces."""
     values = list(_asts())
     values += [rec.expr for source in CORPUS.values() for rec in run(source).verdict.trace]
     iterative = [repr(value) for value in values]
     monkeypatch.setattr(Record, "__repr__", _recursive_repr)
     assert iterative == [repr(value) for value in values]
-    for option in ("FourSum", "'pairs': ((", "'gluing': GluingChoice", "'pair_exceptional'"):
+    for option in ("pairs=((", "gluing=GluingChoice(label='twist')", "pair_exceptional=True"):
         assert any(option in text for text in iterative), option
     assert any(text.startswith("FourSum(x1=") for text in iterative)
 
 
-def test_op_expr_repr_of_a_deep_tree():
-    lhs = parse(chain_script(2000, 2)).lhs
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # the default, at which the record repr fails
-    try:
-        text = repr(lhs)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert text.count("OpExpr(cls=<class 'symsum.core.PairSum'>") == 1999
-    assert text.startswith("OpExpr(cls=<class 'symsum.core.PairSum'>, args={'left': OpExpr(")
-    assert text.endswith("'right': RefExpr(name='W2000'), 'right_mark': 'A2000'})")
-
-
 def test_repr_of_a_deep_built_node():
-    lhs = build_script(parse(chain_script(2000, 2))).lhs
+    lhs = parse(chain_script(2000, 2)).lhs
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the default, at which a recursive repr fails
     try:

@@ -31,7 +31,6 @@ from symsum.script import (
     AtomDecl,
     ScriptError,
     _Parser,
-    build_expr,
     build_script,
     parse,
     parse_expr_file,
@@ -49,12 +48,12 @@ def test_gompf_script_shape():
     assert [d.name for d in atoms] == ["E4", "E3", "E1", "P", "Y"]
     assert ast.target == "~"
     assert [s.rule for s in ast.steps] == ["R9", "R2", "R7"]
-    built = build_script(ast)
-    assert built.target == EquivLevel.WEAK_DEFORMATION
+    assert build_script(GOMPF_STIPSICZ).target == EquivLevel.WEAK_DEFORMATION
 
 
-# the corpus, a chain nested past the recursion limit, which the AST
-# records compare without a frame per level, and a one-sided `perp`
+# the corpus, a chain nested past the recursion limit, whose built sides
+# compare without a frame per level, a one-sided `perp`, and options
+# given at their defaults
 ROUND_TRIP = {
     **CORPUS,
     "chain-2000": chain_script(2000, 2),
@@ -103,13 +102,10 @@ def test_one_sided_perp_prints_its_mirror():
 def test_deep_asts_differing_at_the_bottom_are_unequal():
     src = chain_script(2000, 2)
     innermost = "sum(W1, B1, W2, A2)"
-    changed = src.replace(innermost, "sum(W1, B1, W2, A2, carry=Z)")
+    changed = src.replace(innermost, "sum(W1, B1, W2, A2, glue = twisted)")
     assert parse(src).lhs != parse(changed).lhs
-    # FourSum's children compare under their selectors
     four = parse(CORPUS["fourfold-cyclic"]).lhs
     assert four == parse(CORPUS["fourfold-cyclic"]).lhs
-    other = four.replace(args={**four.args, "x1": four.args["x4"], "x4": four.args["x1"]})
-    assert four != other
 
 
 def test_corpus_is_big_enough():
@@ -223,13 +219,9 @@ def test_target_miss_reports_weak_steps():
 
 
 def test_serialize_expr_round_trips_through_expr_file():
-    built = build_script(parse(GOMPF_STIPSICZ))
+    built = build_script(GOMPF_STIPSICZ)
     text = serialize_expr(built.lhs)
-    ast = parse_expr_file("expr " + text)
-    from symsum.script import build_expr
-
-    rebuilt = build_expr(ast.expr, {})
-    assert rebuilt == built.lhs
+    assert parse_expr_file("expr " + text).expr == built.lhs
 
 
 TOKENS = [
@@ -386,7 +378,7 @@ def test_markless_built_atom_round_trips():
     e = AtomNode(RationalSurface(2))
     text = serialize_expr(e)
     assert text == "Rational(2) { }"
-    rebuilt = build_expr(parse_expr_file("expr " + text).expr, {})
+    rebuilt = parse_expr_file("expr " + text).expr
     assert rebuilt == e
     assert serialize_expr(rebuilt) == text
 
@@ -546,12 +538,11 @@ def test_every_form_round_trips_with_every_option(cls):
     text = EVERY_OPTION[cls]
     keys = [script._OPTIONS[f] for f, _ in cls.FIELDS if f in script._OPTIONS]
     assert all(f", {key}" in text for key in keys)
-    ast = parse(_expr_script(text)).lhs
-    assert ast.cls is cls and serialize_expr(ast) == text
-    built = build_script(parse(_expr_script(text))).lhs
-    printed = serialize_expr(built)  # with the atoms written out
+    ast = parse(_expr_script(text))
+    assert type(ast.lhs) is cls and f"\nlhs {text}\n" in print_script(ast)
+    printed = serialize_expr(ast.lhs)  # with the atoms written out
     assert all(f", {key}" in printed for key in keys)
-    assert build_script(parse(_expr_script(printed))).lhs == built
+    assert parse(_expr_script(printed)).lhs == ast.lhs
 
 
 def test_unknown_desing_option_is_reported_like_the_others():
@@ -579,6 +570,9 @@ def test_repeated_option_is_a_script_error(expr, message):
 
 
 def test_pair_option_repeats():
-    expr = "sum(C, F1c, D, F1d, carry = Sigma-2, pair = Sigma-2:F2, pair = Sigma-1c:Sigma-1d)"
-    ast = parse(_expr_script(expr))
-    assert ast.lhs.args["pairs"] == (("Sigma-2", "F2"), ("Sigma-1c", "Sigma-1d"))
+    src = (
+        "atom P E(1) { F1: g=1, i=0, a=1; F2: g=1, i=0, a=1; F3: g=1, i=0, a=1 }\n"
+        "atom Q E(1) { G1: g=1, i=0, a=1; G2: g=1, i=0, a=1; G3: g=1, i=0, a=1 }\n"
+        "lhs sum(P, F1, Q, G1, pair = F2:G2, pair = F3:G3) rhs P target =\n"
+    )
+    assert parse(src).lhs.pairs == (("F2", "G2"), ("F3", "G3"))
