@@ -626,17 +626,15 @@ class PairSum(ManifoldExpr):
     def _carry_name(self, lp: Optional[str], rp: Optional[str]) -> str:
         return self.carry_label or f"{lp}#{rp}"
 
-    @property
-    def glue_genus(self) -> int:
-        return self.left.mark(self.left_mark).genus
-
     def _marks(self) -> tuple[tuple[SurfaceMark, ...], Optional[str]]:
         """The sum's marks, and the label of the connected-sum mark that it
-        carries (None if it carries none)."""
+        carries (None if it carries none); sets `glue_genus`, the genus of
+        the glued marks."""
         lt = self.left.mark(self.left_mark)
         rs = self.right.mark(self.right_mark)
         if lt.genus != rs.genus or lt.normal_number + rs.normal_number or lt.area != rs.area:
             raise AdmissibilityError(pairwise_violations(lt, rs))
+        set_field(self, "glue_genus", lt.genus)
         lp = self.left.mark(lt.orthogonal_at) if lt.orthogonal_at else None
         rp = self.right.mark(rs.orthogonal_at) if rs.orthogonal_at else None
         carry = None

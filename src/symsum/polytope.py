@@ -6,8 +6,10 @@ mark of a triple runs along the horizontal axis, the second along the
 vertical axis.  Slanted edges cut off the far ends: the edge over the
 horizontal end has slope -1/i(T) (vertical when i(T) = 0), the edge
 over the vertical end has slope -i(S) (horizontal when i(S) = 0).
-Scale: one area unit is 100 user units and one eps is a nominal 10
-(eps is formal; any positive display width is a convention).
+Scale: one area unit is 100 user units and one eps a nominal 10 (eps is
+formal; any positive display width is a convention), narrowed per figure
+so that each positive area draws positive (`eps_width`); the caption
+states the width used.
 
 Edge styles: solid = surface preimage, heavy dotted = attached
 boundary, light dotted = open boundary, bold = the connected-sum
@@ -41,9 +43,17 @@ Triple = tuple[ManifoldExpr, str, str]
 MAX_LEN = 1e38
 
 
-def display_len(a: AreaValue) -> float:
+def eps_width(areas) -> float:
+    """The display width of one eps in a figure of `areas`: at most
+    EPS_UNIT, and at most a tenth of UNIT * c / |e| for each area c + e*eps
+    with e < 0, which then draws at least 0.9 of its constant part."""
+    widths = [Fraction(UNIT) * a.const / -a.eps_coeff / 10 for a in areas if a.eps_coeff < 0]
+    return float(min([EPS_UNIT, *widths]))
+
+
+def display_len(a: AreaValue, eps: float) -> float:
     try:
-        length = float(a.const) * UNIT + float(a.eps_coeff) * EPS_UNIT
+        length = float(a.const) * UNIT + float(a.eps_coeff) * eps
         if abs(length) <= MAX_LEN:
             return length
     except OverflowError:
@@ -91,10 +101,10 @@ def slope_along_t(s_mark: SurfaceMark) -> str:
     return str(Fraction(-s_mark.normal_number))
 
 
-def _corner(ox: float, oy: float, s: SurfaceMark, t: SurfaceMark) -> list[str]:
+def _corner(ox: float, oy: float, s: SurfaceMark, t: SurfaceMark, eps: float) -> list[str]:
     """One corner figure with origin (ox, oy) in svg coordinates (y down)."""
-    ls = display_len(s.area)
-    lt = display_len(t.area)
+    ls = display_len(s.area, eps)
+    lt = display_len(t.area, eps)
     body = [
         _line(ox, oy, ox + ls, oy, "solid"),
         _line(ox, oy, ox, oy - lt, "solid"),
@@ -133,11 +143,12 @@ def _get_marks(t: Triple) -> tuple[SurfaceMark, SurfaceMark]:
 
 def render_triple(t: Triple) -> str:
     s, tm = _get_marks(t)
-    ls, lt = display_len(s.area), display_len(tm.area)
+    eps = eps_width((s.area, tm.area))
+    ls, lt = display_len(s.area, eps), display_len(tm.area, eps)
     w = ls + SLANT + 2 * PAD
     h = lt + SLANT + 2 * PAD
-    body = [_text(PAD, 24, "corner neighborhood; 1 area unit = 100, eps = 10")]
-    body += _corner(PAD, h - PAD, s, tm)
+    body = [_text(PAD, 24, f"corner neighborhood; 1 area unit = 100, eps = {eps:g}")]
+    body += _corner(PAD, h - PAD, s, tm, eps)
     return _svg(w, h, body)
 
 
@@ -147,15 +158,16 @@ def render_pair_sum(t1: Triple, t2: Triple) -> str:
     bad = pairwise_violations(tm1, s2)
     if bad:
         raise AdmissibilityError(bad)
-    ls1 = display_len(s1.area)
-    lt2 = display_len(tm2.area)
-    mid = display_len(tm1.area)
+    eps = eps_width((s1.area, tm1.area, tm2.area))
+    ls1 = display_len(s1.area, eps)
+    lt2 = display_len(tm2.area, eps)
+    mid = display_len(tm1.area, eps)
     w = ls1 + lt2 + 2 * PAD
     h = mid + SLANT + 2 * PAD
     oy = h - PAD
     jx = PAD + ls1
     body = [
-        _text(PAD, 24, "pairwise sum; 1 area unit = 100, eps = 10"),
+        _text(PAD, 24, f"pairwise sum; 1 area unit = 100, eps = {eps:g}"),
         # the connected-sum neighborhood along the base
         _line(PAD, oy, PAD + ls1 + lt2, oy, "bold"),
         _text(PAD + ls1 / 2 - 10, oy + 18, s1.label),
@@ -177,12 +189,13 @@ def render_pair_sum(t1: Triple, t2: Triple) -> str:
 
 def render_four_sum(quad: tuple[Triple, Triple, Triple, Triple]) -> str:
     pairs = [_get_marks(t) for t in quad]
-    cell_w = max(display_len(s.area) for s, _ in pairs) + SLANT + 2 * PAD
-    cell_h = max(display_len(t.area) for _, t in pairs) + SLANT + 2 * PAD
-    body = [_text(PAD, 24, "4-fold sum corners; 1 area unit = 100, eps = 10")]
+    eps = eps_width([m.area for pair in pairs for m in pair])
+    cell_w = max(display_len(s.area, eps) for s, _ in pairs) + SLANT + 2 * PAD
+    cell_h = max(display_len(t.area, eps) for _, t in pairs) + SLANT + 2 * PAD
+    body = [_text(PAD, 24, f"4-fold sum corners; 1 area unit = 100, eps = {eps:g}")]
     for i, (s, tm) in enumerate(pairs):
         ox = PAD + (i % 2) * cell_w
         oy = (1 + i // 2) * cell_h
         body.append(_text(ox, oy - cell_h + PAD, f"summand {i + 1}"))
-        body += _corner(ox, oy, s, tm)
+        body += _corner(ox, oy, s, tm, eps)
     return _svg(2 * cell_w + PAD, 2 * cell_h + PAD, body)

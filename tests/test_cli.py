@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -315,6 +316,27 @@ def test_a_figure_the_marks_cannot_draw_exits_1(tmp_path, capsys, figure, source
     assert main(["polytope", str(f), "--figure", figure, "-o", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_polytope_draws_a_large_negative_eps_term_inside_its_canvas(tmp_path, capsys):
+    """A positive area whose eps term is large and negative draws
+    positive: the figure narrows its eps to a tenth of 100 * c / |e|, here
+    0.5, says so in its caption, and every coordinate lies in its viewBox."""
+    f = tmp_path / "cp2.expr"
+    f.write_text(
+        "atom X CP2 { L1: g=0, i=1, a=1-20e, perp L2; L2: g=0, i=1, a=1-20e, perp L1 }\n"
+        "triple T (X, L1, L2)\nexpr X\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "cp2.svg"
+    assert main(["polytope", str(f), "--figure", "triple", "-o", str(out)]) == 0
+    svg = out.read_text(encoding="utf-8")
+    assert "1 area unit = 100, eps = 0.5<" in svg
+    width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', svg).groups())
+    coordinates = re.findall(r' ([xy])\d?="([^"]*)"', svg)
+    assert len(coordinates) > 20
+    for axis, value in coordinates:
+        assert 0 <= float(value) <= (width if axis == "x" else height), (axis, value)
 
 
 @pytest.mark.parametrize("zeros", [306, 307, 400])
