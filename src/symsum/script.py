@@ -203,6 +203,7 @@ class _Parser:
 
     @cached_property
     def positions(self) -> list[Token]:
+        """The tokens with their lines and columns, lexed by the first message."""
         return token_positions(self.text)
 
     def error(self, message: Optional[str], i: int, expected=None) -> ScriptError:
@@ -476,11 +477,9 @@ class _Parser:
             value = form.make(**args)
         except SymsumError as exc:
             return self.hold(str(exc), root, _BUILD)
-        given = [
-            field for field, default in form.options_at if field in args and args[field] == default
-        ]
-        if given:
-            value.__dict__["_given"] = given
+        for f, default in form.options_at:
+            if f in args and args[f] == default:
+                value.__dict__.setdefault("_given", []).append(f)
         return value
 
     def parse_options(self, form: _Form, args: dict, start: int) -> None:

@@ -106,6 +106,9 @@ def test_deep_asts_differing_at_the_bottom_are_unequal():
     assert parse(src).lhs != parse(changed).lhs
     four = parse(CORPUS["fourfold-cyclic"]).lhs
     assert four == parse(CORPUS["fourfold-cyclic"]).lhs
+    # FourSum's children compare under their selectors: rotated entries differ
+    entries = four.entries[1:] + four.entries[:1]
+    assert four != FourSum(*(value for entry in entries for value in entry))
 
 
 def test_corpus_is_big_enough():
