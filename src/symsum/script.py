@@ -477,7 +477,7 @@ class _Parser:
             value = form.make(**args)
         except SymsumError as exc:
             return self.hold(str(exc), root, _BUILD)
-        for f, default in form.options_at:
+        for f, default in form.option_defaults:
             if f in args and args[f] == default:
                 value.__dict__.setdefault("_given", []).append(f)
         return value
@@ -720,7 +720,7 @@ class _Form:
         self.get = values_getter(self.fields)
         # how a node leaves an option out: at its default
         self.defaults = [cls.DEFAULTS[f] if f in _OPTIONS else _NO_DEFAULT for f in self.fields]
-        self.options_at = [(f, d) for f, d in zip(self.fields, self.defaults) if f in _OPTIONS]
+        self.option_defaults = [(f, d) for f, d in zip(self.fields, self.defaults) if f in _OPTIONS]
 
 
 # how a slot or an option's value is read and printed, by the name of its
