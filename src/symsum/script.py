@@ -1,7 +1,7 @@
 """Proof-script DSL: grammar, parser, printer, and the driver that feeds
 scripts to the equivalence checker.  The parser builds each atom and
 operation as its form closes, so a script's sides come out of `parse` as
-checked `core` nodes; no second tree is walked to build them.
+checked `core` nodes, and a name in an expression is the declared atom.
 
 Grammar (tokens are whitespace-insensitive; `#` at a token boundary
 starts a comment running to end of line):
