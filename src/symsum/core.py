@@ -377,12 +377,14 @@ class ManifoldExpr(Frozen):
     `SELECTORS`.  `MARK_REFS[i]` names the fields that hold labels of
     child i's marks.  `with_children` builds a copy with new children.
 
-    Equality and hashing are structural, as for other records, but walk
-    the tree with an explicit stack, so trees of any depth compare.
-    Every node sets its label pool once, in `__init__`, right after
-    `marks`, from its children's (see `label_pool`).  The invariants and
-    the hash are memoized on the node when first asked for, computed
-    bottom-up from the children's memos; see `fill_memo`."""
+    Equality is structural, as for other records, but walks the tree
+    with an explicit stack, so trees of any depth compare.  The hash
+    reads no child: a node's marks are a function of its children and
+    its own data, so equal nodes have equal marks, and the hash of the
+    type, the own data and the marks agrees with `==`.  Every node sets
+    its label pool once, in `__init__`, right after `marks`, from its
+    children's (see `label_pool`).  Its one memo, the invariants, is
+    filled in by `invariants.expr_invariants` when first asked for."""
 
     marks: tuple[SurfaceMark, ...]
 
@@ -390,9 +392,7 @@ class ManifoldExpr(Frozen):
     MARK_REFS: tuple[tuple[str, ...], ...] = ()
 
     _pool: PoolView  # set in __init__ (see label_pool)
-    # per-node memos, filled in by expr_invariants and __hash__
-    _inv = None
-    _hash: Optional[int] = None
+    _inv = None  # memo, filled in by invariants.expr_invariants
 
     def _local(self):
         """The node's own data: its field values other than child
@@ -415,9 +415,7 @@ class ManifoldExpr(Frozen):
         return True
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            fill_memo(self, "_hash", _node_hash)
-        return self._hash
+        return hash((type(self), self._local(), self.marks))
 
     def mark(self, label: str) -> SurfaceMark:
         for m in self.marks:
@@ -454,28 +452,6 @@ def _data_fields(cls):
     # the kind that two atoms share.  Every child field is named by its
     # selector.
     return values_getter([n for n, _ in cls.FIELDS if n not in cls.SELECTORS])
-
-
-def _node_hash(node: ManifoldExpr) -> int:
-    kids = tuple(c._hash for c in node.children())
-    return hash((type(node), node._local(), kids))
-
-
-def fill_memo(root: ManifoldExpr, slot: str, compute) -> None:
-    """Set the memo `slot` (`_inv` or `_hash`) on `root` to `compute(root)`,
-    first filling it on every node below whose memo is unset.  `compute`
-    sees only nodes whose children's memos are set; the walk keeps an
-    explicit stack and descends no further than the nearest set memos."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        missing = [c for c in node.children() if getattr(c, slot) is None]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        if getattr(node, slot) is None:  # a shared node may be done already
-            node.__dict__[slot] = compute(node)
 
 
 _BY_LABEL = attrgetter("label")  # the sort key of a node's marks
@@ -582,8 +558,8 @@ class PairSum(ManifoldExpr):
     """Sum of `left` and `right` along left's mark `left_mark` and
     right's mark `right_mark` (removed from the composite).  Orthogonal
     partners of the two glued marks, when both are present, survive as
-    a single connected-sum mark; marks disjoint from the gluing pass
-    through unchanged."""
+    a single connected-sum mark, labelled `carried` (None when the sum
+    carries none); marks disjoint from the gluing pass through unchanged."""
 
     SELECTORS = ("left", "right")
     MARK_REFS = (("left_mark", "pairs"), ("right_mark", "pairs"))
@@ -602,34 +578,16 @@ class PairSum(ManifoldExpr):
         set_field(self, "pairs", pairs)
         if _share_a_label(left._pool, right._pool):
             raise _reused((left,), right)
-        marks, carry = self._marks()
-        set_field(self, "marks", marks)
-        set_field(self, "_pool", _grow_pool(self, () if carry is None else (carry,)))
+        set_field(self, "marks", self._marks())
+        set_field(self, "_pool", _grow_pool(self, (self.carried,) if self.carried else ()))
 
     def children(self):
         return (self.left, self.right)
 
-    @property
-    def partners(self) -> tuple[Optional[str], Optional[str]]:
-        """The orthogonal partners of the two glued marks."""
-        return (
-            self.left.mark(self.left_mark).orthogonal_at,
-            self.right.mark(self.right_mark).orthogonal_at,
-        )
-
-    @property
-    def carry_name(self) -> str:
-        """The label of the connected-sum mark of the two partners, which
-        the sum carries when both glued marks have one."""
-        return self._carry_name(*self.partners)
-
-    def _carry_name(self, lp: Optional[str], rp: Optional[str]) -> str:
-        return self.carry_label or f"{lp}#{rp}"
-
-    def _marks(self) -> tuple[tuple[SurfaceMark, ...], Optional[str]]:
-        """The sum's marks, and the label of the connected-sum mark that it
-        carries (None if it carries none); sets `glue_genus`, the genus of
-        the glued marks."""
+    def _marks(self) -> tuple[SurfaceMark, ...]:
+        """The sum's marks; sets `glue_genus`, the genus of the glued marks,
+        and `carried`, the label of the connected-sum mark of their partners
+        (None when the sum carries none)."""
         lt = self.left.mark(self.left_mark)
         rs = self.right.mark(self.right_mark)
         if lt.genus != rs.genus or lt.normal_number + rs.normal_number or lt.area != rs.area:
@@ -639,13 +597,14 @@ class PairSum(ManifoldExpr):
         rp = self.right.mark(rs.orthogonal_at) if rs.orthogonal_at else None
         carry = None
         if lp is not None and rp is not None:
-            carry = self._carry_name(lp.label, rp.label)
+            carry = self.carry_label or f"{lp.label}#{rp.label}"
         elif self.carry_label is not None:
             missing = self.left_mark if lp is None else self.right_mark
             raise MarkError(
                 f"carry label given but glued mark {missing!r} has no "
                 "orthogonal partner to carry"
             )
+        set_field(self, "carried", carry)
         out: list[SurfaceMark] = []
         carry_partner = None
         for side, glue, half in ((self.left, lt, lp), (self.right, rs, rp)):
@@ -675,7 +634,7 @@ class PairSum(ManifoldExpr):
                     carry_partner,
                 )
             )
-        return _finish_marks(out, self.pairs), carry
+        return _finish_marks(out, self.pairs)
 
 
 QuadEntry = tuple[ManifoldExpr, str, str]  # (expr, S-label, T-label)
@@ -752,13 +711,12 @@ class FourSum(ManifoldExpr):
         (x1, _, t1), (x2, s2, _), (x3, _, t3), (x4, s4, _) = ent
         left = PairSum(x1, t1, x2, s2, glu[0])
         right = PairSum(x3, t3, x4, s4, glu[2])
-        lp, rp, lq, rq = left.partners + right.partners
-        if not (lp and rp and lq and rq):
+        if left.carried is None or right.carried is None:
             raise MarkError(
                 "four-fold entries must carry a connected-sum mark; a glued "
                 "mark is missing its orthogonal partner"
             )
-        return PairSum(left, left._carry_name(lp, rp), right, right._carry_name(lq, rq), glu[1])
+        return PairSum(left, left.carried, right, right.carried, glu[1])
 
 
 class _Unary(ManifoldExpr):

@@ -24,7 +24,6 @@ from .core import (
     SymsumError,
     Thicken,
     Thin,
-    fill_memo,
 )
 from .record import Frozen, set_field
 
@@ -72,9 +71,19 @@ def _fiber_sum(a: InvariantVector, b: InvariantVector, genus: int) -> InvariantV
 
 def expr_invariants(e: ManifoldExpr) -> InvariantVector:
     """chi and sigma of the expression, memoized per node and computed
-    bottom-up from the children's, without recursion."""
-    if e._inv is None:
-        fill_memo(e, "_inv", _node_invariants)
+    bottom-up from the children's, without recursion: an explicit stack
+    lists the children of each node whose memo is unset once, and
+    descends no further than the nearest set memos."""
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node._inv is not None:  # a shared node may be done already
+            continue
+        if expanded:
+            set_field(node, "_inv", _node_invariants(node))
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children() if c._inv is None)
     return e._inv
 
 

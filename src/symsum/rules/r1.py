@@ -37,7 +37,8 @@ def _quad_of_nested(sub: PairSum):
     inner1, inner2 = sub.left, sub.right
     quad = []
     for ps in (inner1, inner2):
-        lp, rp = ps.partners
+        lp = ps.left.mark(ps.left_mark).orthogonal_at
+        rp = ps.right.mark(ps.right_mark).orthogonal_at
         if lp is None or rp is None:
             raise RuleError("grand-sum form needs carried marks on both inner sums")
         quad.append((ps.left, lp, ps.left_mark))

@@ -119,7 +119,7 @@ def _r2(sub, b, rev):
             x2, t2l, x3, s3l, sub.left.gluing, carry_label=b.label("carry")
         )
     new = _pair(
-        int(rev), (des, des.result_label), (inner, inner.carry_name), sub.gluing
+        int(rev), (des, des.result_label), (inner, inner.carried), sub.gluing
     )
     return new, level, notes
 
@@ -223,7 +223,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
     for name, (grouping, *outer) in groupings.items():
         carries = []
         for half, (what, data, delta) in zip((grouping.left, grouping.right), outer):
-            carry = half.mark(half.carry_name)
+            carry = half.mark(half.carried)
             want = _perturbed(data, delta)
             _expect(carry.data, want, f"{what} equals the perturbed carry bitwise")
             carries.append(carry.area)

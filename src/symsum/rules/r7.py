@@ -37,7 +37,12 @@ def _r7(sub, b, rev):
             # exact inverse of the blow-up
             blow = sub.left
             if blow.at_mark is not None and blow.pair_exceptional:
-                restored = sub.mark(sub.carry_name)
+                if sub.carried is None:
+                    raise RuleError(
+                        "R7 expects the plane's lines to be orthogonally paired, "
+                        "so that the sum carries the transform"
+                    )
+                restored = sub.mark(sub.carried)
                 original = blow.inner.mark(blow.at_mark)
                 _expect(
                     restored.data, original.data,
@@ -77,8 +82,8 @@ def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
         )
     relabel = {}
     result_label = b.label("mark")
-    if result_label and all(sub.partners):
-        relabel[sub.carry_name] = result_label
+    if result_label and sub.carried is not None:
+        relabel[sub.carried] = result_label
     marks = tuple(
         m.replace(
             label=rename(relabel, m.label),

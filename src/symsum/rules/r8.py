@@ -23,9 +23,9 @@ def _r8(sub, b, rev):
             sub.gluing,
             carry_label=b.label("carry"),
         )
-        if all(sub.partners):
-            old_carry = sub.mark(sub.carry_name)
-            new_carry = new.mark(new.carry_name)
+        if sub.carried is not None:
+            old_carry = sub.mark(sub.carried)
+            new_carry = new.mark(new.carried)
             _expect(new_carry.data, old_carry.data, "carried mark survives the trade bitwise")
         return new, EQ, [
             f"traded a collar of size {eps} across the gluing "

@@ -108,13 +108,37 @@ def test_depth_800_proof_verifies_under_default_recursion_limit():
     assert all(rec.invariants == InvariantVector(4, 0) for rec in r.verdict.trace)
 
 
-def test_deep_trees_compare_without_recursion():
+def test_deep_trees_compare_without_recursion(monkeypatch):
+    """Equality walks an explicit stack; a node hashes its type, its own
+    data and its marks, so hashing a tree of any depth lists no children,
+    and nodes that compare equal hash equal."""
     a, b = chain(800), chain(800)
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b)
     c = chain(800, bottom_area=area(2))
     assert a != c and not a == c
     assert chain(800) == a  # comparing leaves the trees as they were
+    by_text = {}
+    for src in CORPUS.values():
+        for rec in run(src).verdict.trace:
+            for n in nodes(rec.expr):
+                by_text.setdefault(serialize_expr(n), {})[id(n)] = n
+    twins = 0
+    for group in by_text.values():
+        first, *rest = group.values()
+        for n in rest:
+            assert n == first and hash(n) == hash(first)
+            twins += 1
+    assert twins > 20
+    deep, twin = chain(5000), chain(5000)
+    listed = []
+    for cls in (ManifoldExpr, PairSum, FourSum, BlowUp):
+        children = cls.children
+        monkeypatch.setattr(
+            cls, "children", lambda node, children=children: listed.append(node) or children(node)
+        )
+    assert hash(deep) == hash(twin)
+    assert listed == []
 
 
 def _ref_pool(e) -> frozenset:
@@ -125,9 +149,7 @@ def _ref_pool(e) -> frozenset:
     for c in e.children():
         pool |= _ref_pool(c)
     if isinstance(e, PairSum):
-        lt, rs = e.left.mark(e.left_mark), e.right.mark(e.right_mark)
-        if lt.orthogonal_at and rs.orthogonal_at:
-            pool.add(e.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}")
+        pool |= {_ref_carried(e)} - {None}
     elif isinstance(e, BlowUp):
         pool.add(e.exceptional_label)
         if e.at_mark is not None:
@@ -137,6 +159,15 @@ def _ref_pool(e) -> frozenset:
     elif isinstance(e, (Thin, Thicken, FourSum)):
         pool |= set(e.mark_labels)
     return frozenset(pool)
+
+
+def _ref_carried(e: PairSum):
+    """The label of the mark a sum carries: the connected sum of the
+    partners of its glued marks, when both have one."""
+    lt, rs = e.left.mark(e.left_mark), e.right.mark(e.right_mark)
+    if lt.orthogonal_at and rs.orthogonal_at:
+        return e.carry_label or f"{lt.orthogonal_at}#{rs.orthogonal_at}"
+    return None
 
 
 def _ref_invariants(e) -> InvariantVector:
@@ -187,6 +218,9 @@ def test_memos_match_recomputation_on_every_corpus_node():
             assert view == [(label, i) for i, (label, _) in enumerate(view)], name
             assert len(view) == size and {label for label, _ in view} == _ref_pool(n), name
             assert n._inv == _ref_invariants(n), name
+            if isinstance(n, PairSum):
+                assert n.carried == _ref_carried(n), name
+                assert n.carried is None or n.has_mark(n.carried), name
     assert checked > 200
 
 
@@ -208,7 +242,6 @@ def test_pool_walk_memory_stays_linear_in_depth(monkeypatch):
     grown = []
     grow = core._grow_pool
     monkeypatch.setattr(core, "_grow_pool", lambda node, *a: grown.append(node) or grow(node, *a))
-    monkeypatch.setattr(core, "fill_memo", lambda *args: grown.append(args))
     tracemalloc.start()
     try:
         pool = label_pool(e.left)
@@ -271,21 +304,18 @@ def test_a_chain_build_makes_no_mark_beyond_its_atoms(monkeypatch):
 
 def test_a_chain_build_looks_up_two_marks_per_sum(monkeypatch):
     """A sum reads its two glued marks once each and works out from them
-    the mark that it carries, so building a chain reads no `partners`;
-    the parse alone builds every sum of both sides."""
-    looked_up, partnered, built = [], [], []
-    mark, partners = ManifoldExpr.mark, PairSum.partners.fget
+    the label of the mark that it carries, `carried`; the parse alone
+    builds every sum of both sides."""
+    looked_up, built = [], []
+    mark = ManifoldExpr.mark
     monkeypatch.setattr(
         ManifoldExpr, "mark", lambda node, label: looked_up.append(label) or mark(node, label)
-    )
-    monkeypatch.setattr(
-        PairSum, "partners", property(lambda node: partnered.append(node) or partners(node))
     )
     monkeypatch.setattr(PairSum, "__init__", _counted(PairSum.__init__, built))
     parse(chain_script(200, 100))
     assert len(built) == 2 * 199
-    assert partnered == []
     assert len(looked_up) <= 2 * len(built)
+    assert all(n.carried == _ref_carried(n) for n in built)
 
 
 def test_render_prints_each_distinct_atom_once(monkeypatch):

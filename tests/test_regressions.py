@@ -80,6 +80,23 @@ def test_r10_reverse_with_no_section_left_fails_its_step():
     )
 
 
+def test_r7_blow_down_along_unpaired_lines_fails_its_step():
+    """A paired blow-up summed with a plane whose lines are not paired
+    carries no transform, so R7 cannot undo it: the step names the lines,
+    where looking up the carried mark named a label 'St#None' that no
+    node has."""
+    r = run(
+        "atom X E(3) { Sigma-3: g=0, i=-3, a=1 }\n"
+        "atom P CP2 { L1: g=0, i=1, a=1/4; L2: g=0, i=1, a=1/4 }\n"
+        "lhs sum(blowup(X, at = Sigma-3, size = 1/4, transform = St, pairexc), E, P, L1)\n"
+        "rhs X\ntarget =\nby R7 { }\n"
+    )
+    assert (r.code, r.messages) == (1, [
+        "proof failed at step 1: R7: R7 expects the plane's lines to be orthogonally "
+        "paired, so that the sum carries the transform"
+    ])
+
+
 def test_r10_round_trip_keeps_index_0_sections_on_a_genus_0_base():
     """On a genus-0 base an index-0 section is a sphere of self-intersection
     zero, like a fiber; the merge told them apart by genus and index only,
