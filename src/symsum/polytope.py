@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .areas import AreaValue
+from .areas import AreaValue, exact_str
 from .core import AdmissibilityError, ManifoldExpr, MarkError, SurfaceMark, pairwise_violations
 
-UNIT = 100.0
-EPS_UNIT = 10.0
+UNIT = 100
+EPS_UNIT = 10
 SLANT = 40.0
 PAD = 60.0
 
@@ -43,22 +43,31 @@ Triple = tuple[ManifoldExpr, str, str]
 MAX_LEN = 1e38
 
 
-def eps_width(areas) -> float:
-    """The display width of one eps in a figure of `areas`: at most
-    EPS_UNIT, and at most a tenth of UNIT * c / |e| for each area c + e*eps
-    with e < 0, which then draws at least 0.9 of its constant part."""
-    widths = [Fraction(UNIT) * a.const / -a.eps_coeff / 10 for a in areas if a.eps_coeff < 0]
-    return float(min([EPS_UNIT, *widths]))
+def eps_width(areas) -> Fraction:
+    """The display width of one eps in a figure of `areas`, exactly: at
+    most EPS_UNIT, and at most a tenth of UNIT * c / |e| for each area
+    c + e*eps with e < 0, which then draws at least 0.9 of its constant
+    part."""
+    widths = [UNIT * a.const / -a.eps_coeff / 10 for a in areas if a.eps_coeff < 0]
+    return min([Fraction(EPS_UNIT), *widths])
 
 
-def display_len(a: AreaValue, eps: float) -> float:
+def display_len(a: AreaValue, eps: Fraction) -> float:
+    """The drawn length of the area `a` at the eps width `eps`, worked out
+    exactly and rounded to a float once."""
     try:
-        length = float(a.const) * UNIT + float(a.eps_coeff) * eps
+        length = float(a.const * UNIT + a.eps_coeff * eps)
         if abs(length) <= MAX_LEN:
             return length
     except OverflowError:
         pass
     raise MarkError(f"area {a} is too large to draw")
+
+
+def _eps_text(eps: Fraction) -> str:
+    """The caption's eps width: as a float, or exactly where its float is
+    0, so a positive width never reads as 0."""
+    return f"{float(eps):g}" if float(eps) else exact_str(eps)
 
 
 def _fmt(x: float) -> str:
@@ -101,7 +110,7 @@ def slope_along_t(s_mark: SurfaceMark) -> str:
     return str(Fraction(-s_mark.normal_number))
 
 
-def _corner(ox: float, oy: float, s: SurfaceMark, t: SurfaceMark, eps: float) -> list[str]:
+def _corner(ox: float, oy: float, s: SurfaceMark, t: SurfaceMark, eps: Fraction) -> list[str]:
     """One corner figure with origin (ox, oy) in svg coordinates (y down)."""
     ls = display_len(s.area, eps)
     lt = display_len(t.area, eps)
@@ -147,7 +156,7 @@ def render_triple(t: Triple) -> str:
     ls, lt = display_len(s.area, eps), display_len(tm.area, eps)
     w = ls + SLANT + 2 * PAD
     h = lt + SLANT + 2 * PAD
-    body = [_text(PAD, 24, f"corner neighborhood; 1 area unit = 100, eps = {eps:g}")]
+    body = [_text(PAD, 24, f"corner neighborhood; 1 area unit = 100, eps = {_eps_text(eps)}")]
     body += _corner(PAD, h - PAD, s, tm, eps)
     return _svg(w, h, body)
 
@@ -167,7 +176,7 @@ def render_pair_sum(t1: Triple, t2: Triple) -> str:
     oy = h - PAD
     jx = PAD + ls1
     body = [
-        _text(PAD, 24, f"pairwise sum; 1 area unit = 100, eps = {eps:g}"),
+        _text(PAD, 24, f"pairwise sum; 1 area unit = 100, eps = {_eps_text(eps)}"),
         # the connected-sum neighborhood along the base
         _line(PAD, oy, PAD + ls1 + lt2, oy, "bold"),
         _text(PAD + ls1 / 2 - 10, oy + 18, s1.label),
@@ -192,7 +201,7 @@ def render_four_sum(quad: tuple[Triple, Triple, Triple, Triple]) -> str:
     eps = eps_width([m.area for pair in pairs for m in pair])
     cell_w = max(display_len(s.area, eps) for s, _ in pairs) + SLANT + 2 * PAD
     cell_h = max(display_len(t.area, eps) for _, t in pairs) + SLANT + 2 * PAD
-    body = [_text(PAD, 24, f"4-fold sum corners; 1 area unit = 100, eps = {eps:g}")]
+    body = [_text(PAD, 24, f"4-fold sum corners; 1 area unit = 100, eps = {_eps_text(eps)}")]
     for i, (s, tm) in enumerate(pairs):
         ox = PAD + (i % 2) * cell_w
         oy = (1 + i // 2) * cell_h

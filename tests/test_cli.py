@@ -321,22 +321,29 @@ def test_a_figure_the_marks_cannot_draw_exits_1(tmp_path, capsys, figure, source
 def test_polytope_draws_a_large_negative_eps_term_inside_its_canvas(tmp_path, capsys):
     """A positive area whose eps term is large and negative draws
     positive: the figure narrows its eps to a tenth of 100 * c / |e|, here
-    0.5, says so in its caption, and every coordinate lies in its viewBox."""
-    f = tmp_path / "cp2.expr"
-    f.write_text(
-        "atom X CP2 { L1: g=0, i=1, a=1-20e, perp L2; L2: g=0, i=1, a=1-20e, perp L1 }\n"
-        "triple T (X, L1, L2)\nexpr X\n",
-        encoding="utf-8",
-    )
-    out = tmp_path / "cp2.svg"
-    assert main(["polytope", str(f), "--figure", "triple", "-o", str(out)]) == 0
-    svg = out.read_text(encoding="utf-8")
-    assert "1 area unit = 100, eps = 0.5<" in svg
-    width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', svg).groups())
-    coordinates = re.findall(r' ([xy])\d?="([^"]*)"', svg)
-    assert len(coordinates) > 20
-    for axis, value in coordinates:
-        assert 0 <= float(value) <= (width if axis == "x" else height), (axis, value)
+    0.5 for e = -20, says so in its caption, and every coordinate lies in
+    its viewBox.  The drawn length is worked out exactly, so an eps term
+    no float holds draws the same 90 units, at a width whose float is 0
+    and which the caption prints exactly."""
+    for coeff, eps in ((20, "0.5"), (10**400, "1/1" + "0" * 399)):
+        f = tmp_path / "cp2.expr"
+        f.write_text(
+            f"atom X CP2 {{ L1: g=0, i=1, a=1-{coeff}e, perp L2; "
+            f"L2: g=0, i=1, a=1-{coeff}e, perp L1 }}\n"
+            "triple T (X, L1, L2)\nexpr X\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "cp2.svg"
+        assert main(["polytope", str(f), "--figure", "triple", "-o", str(out)]) == 0
+        svg = out.read_text(encoding="utf-8")
+        assert f"1 area unit = 100, eps = {eps}<" in svg
+        # L1 runs 90 units from the origin at x = 60
+        assert '<line x1="60.00" y1="190.00" x2="150.00" y2="190.00"' in svg
+        width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', svg).groups())
+        coordinates = re.findall(r' ([xy])\d?="([^"]*)"', svg)
+        assert len(coordinates) > 20
+        for axis, value in coordinates:
+            assert 0 <= float(value) <= (width if axis == "x" else height), (axis, value)
 
 
 @pytest.mark.parametrize("zeros", [306, 307, 400])
