@@ -5,10 +5,9 @@ their annotations.  `Record` derives the rest when the class is created,
 generating and `exec`-ing no code, so importing symsum stays cheap:
 `FIELDS` (the `(name, annotation)` pairs), `DEFAULTS`, `==` (same type,
 equal field values), a repr naming each field, and `replace(**changes)`,
-a copy built through `__init__` so that its checks run again.  Fields
-named in `HIDDEN` are left out of `==` and the repr.  A `Frozen` record
-also hashes by its field values and refuses assignment; its `__init__`
-writes each field once with `set_field`.
+a copy built through `__init__` so that its checks run again.  A
+`Frozen` record also hashes by its field values and refuses assignment;
+its `__init__` writes each field once with `set_field`.
 """
 
 from operator import attrgetter
@@ -28,7 +27,6 @@ def values_getter(names):
 class Record:
     FIELDS: tuple = ()
     DEFAULTS: dict = {}
-    HIDDEN: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -39,7 +37,7 @@ class Record:
             defaults = init.__defaults__ or ()
             cls.FIELDS = tuple((n, init.__annotations__.get(n)) for n in names)
             cls.DEFAULTS = dict(zip(names[len(names) - len(defaults) :], defaults))
-        cls._shown = tuple(n for n, _ in cls.FIELDS if n not in cls.HIDDEN)
+        cls._shown = tuple(n for n, _ in cls.FIELDS)
         cls._values = staticmethod(values_getter(cls._shown))
 
     def __eq__(self, other):
@@ -48,7 +46,7 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        """The class name and each shown field's repr, written from an
+        """The class name and each field's repr, written from an
         explicit stack of pieces, each a text and then a value, so that
         nesting costs no Python frames: a record with this repr or a dict
         pushes its own pieces, and any other value writes its repr."""
