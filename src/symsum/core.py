@@ -513,8 +513,8 @@ def _labels(pool: PoolView) -> set[str]:
 
 class AtomNode(ManifoldExpr):
     """A closed atom of the given kind with its marks, sorted by label.
-    The marks must have distinct labels and symmetric orthogonal
-    partners, and the kind must allow them."""
+    The marks must have distinct labels, each declared orthogonal
+    partner must name its mark back, and the kind must allow them."""
 
     # memo of the atom's source text, filled in by script.serialize_expr;
     # only atoms keep one, as a text memo per operation node would hold
@@ -525,7 +525,7 @@ class AtomNode(ManifoldExpr):
 
     def __init__(self, kind: AtomKind, marks: tuple[SurfaceMark, ...] = ()):
         marks = tuple(sorted(marks, key=_BY_LABEL))
-        # each label's position: the duplicate test, the partners and the pool
+        # each label's position: the duplicate test, the partner lookup and the pool
         at = dict(zip(map(_BY_LABEL, marks), range(len(marks))))
         if len(at) != len(marks):
             labels = [m.label for m in marks]
@@ -556,9 +556,9 @@ class AtomNode(ManifoldExpr):
 
 class PairSum(ManifoldExpr):
     """Sum of `left` and `right` along left's mark `left_mark` and
-    right's mark `right_mark` (removed from the composite).  Orthogonal
-    partners of the two glued marks, when both are present, survive as
-    a single connected-sum mark, labelled `carried` (None when the sum
+    right's mark `right_mark` (removed from the composite).  When both
+    glued marks have an orthogonal partner, the two partner marks survive
+    as a single connected-sum mark, labelled `carried` (None when the sum
     carries none); marks disjoint from the gluing pass through unchanged."""
 
     SELECTORS = ("left", "right")
@@ -586,8 +586,8 @@ class PairSum(ManifoldExpr):
 
     def _marks(self) -> tuple[SurfaceMark, ...]:
         """The sum's marks; sets `glue_genus`, the genus of the glued marks,
-        and `carried`, the label of the connected-sum mark of their partners
-        (None when the sum carries none)."""
+        and `carried`, the label of the connected-sum mark of their two
+        partner marks (None when the sum carries none)."""
         lt = self.left.mark(self.left_mark)
         rs = self.right.mark(self.right_mark)
         if lt.genus != rs.genus or lt.normal_number + rs.normal_number or lt.area != rs.area:
