@@ -407,13 +407,33 @@ def _assoc(*marks) -> str:
 _FWD2 = "sum(sum(X1, T1, X2, S2), S1#T2, desing(X3, S3, T3, label=Q), Q)"
 _REV2 = "sum(desing(X1, S1, T1, label=Q), Q, sum(X2, T2, X3, S3), S2#T3)"
 
+# sums of the shapes R1, R2 and R6 read, glued along other marks than
+# the carried ones, the desingularized one or the proper transform
+_GLUED_ELSEWHERE_R1 = "".join(
+    f"atom X{n} Rational({n}) {{ A{n}: g=1, i=2, a=1, perp B{n}; "
+    f"B{n}: g=1, i=-2, a=1, perp A{n}{extra} }}\n"
+    for n, extra in ((1, "; M: g=2, i=1, a=3"), (2, ""), (3, "; N: g=2, i=-1, a=3"), (4, ""))
+)
+_GLUED_ELSEWHERE_R2 = (
+    "atom X1 Rational(0) { S1: g=0, i=0, a=1, perp T1; T1: g=0, i=0, a=1, perp S1; "
+    "M1: g=0, i=2, a=5 }\n"
+    "atom X2 Rational(0) { S2: g=0, i=0, a=1, perp T2; T2: g=0, i=0, a=1, perp S2 }\n"
+    "atom X3 Rational(0) { S3: g=0, i=0, a=1, perp T3; T3: g=0, i=-2, a=1, perp S3; "
+    "N3: g=0, i=-2, a=5 }\n"
+)
+
+
+def _step(decls: str, lhs: str, rhs: str, target: str, step: str) -> str:
+    return f"{decls}lhs {lhs}\nrhs {rhs}\ntarget {target}\nby {step}\n"
+
+
 # the shape errors and side-condition failures of the other rules, and the
 # failures of building thin, thicken and desing, that a script can reach.
 # The side conditions that the marks of a well-formed expression always
 # meet have no input: R2's section difference and perturbed carries and
 # its rows settled by a gluing, R3r's carried mark, R5's two rows, R6's
 # quadric, R7's exceptional mark and carried transform, R8's carried
-# mark, R10's split reproduction and R11's (g, i) check.
+# mark and R10's split reproduction.
 RULE_MESSAGES = {
     # R2's side conditions that a script can break: the rows that the
     # glued marks do not settle already
@@ -523,6 +543,10 @@ RULE_MESSAGES = {
     "R11 one section": _script(_RULED, "blowup(V1, at=G1, size=1/4)", "R11 { }"),
     "R11 same sign": _script(_RULED, "blowup(V3, at=G3, size=1/4)", "R11 { }"),
     "R11 paired section": _script(_RULED, "blowup(Vp, at=Gm, size=1/4)", "R11 { }"),
+    "R11 fiber mark": _script(
+        "atom W W(0,1,2) { G1: g=0, i=1, a=3; G-1: g=0, i=-1, a=1; F: g=0, i=0, a=2 }\n",
+        "blowup(W, at = G1, size = 1/4)", "R11 { }",
+    ),
     # the collar forms thin and thicken, and desing
     "thin and thicken": _script(_E3, "thin(thicken(E3, F3, 0+1e), Sigma-3+, 0+1e)"),
     "thin amount not infinitesimal": _script(_E3, "thin(E3, Sigma-3, 1)"),
@@ -552,6 +576,31 @@ RULE_MESSAGES = {
     "R8 labels reused": _script(
         _Q2, "sum(sum(E3, F3, E1, F1), Sigma-3#Sigma-1, Q2, Q)",
         "R8 { at = left, eps = 0+1e, carry = Q }",
+    ),
+    # a sum of the shape a rule reads, glued along other marks
+    "R1 glued elsewhere": _step(
+        _GLUED_ELSEWHERE_R1, "sum(sum(X1, B1, X2, A2), M, sum(X3, B3, X4, A4), N)",
+        "sum(sum(X2, B2, X3, A3), A2#B3, sum(X4, B4, X1, A1), A4#B1)", "=", "R1 { rotate = 1 }",
+    ),
+    "R2 glued elsewhere": _step(
+        _GLUED_ELSEWHERE_R2, "sum(sum(X1, T1, X2, S2), M1, desing(X3, S3, T3, label=Q), N3)",
+        "sum(desing(X1, S1, T1, label=R), R, sum(X2, T2, X3, S3), S2#T3)", "~",
+        "R2 { resolve_label = R }",
+    ),
+    "R2 rev glued elsewhere": _step(
+        _GLUED_ELSEWHERE_R2, "sum(desing(X1, S1, T1, label=R), M1, sum(X2, T2, X3, S3), N3)",
+        "sum(sum(X1, T1, X2, S2), S1#T2, desing(X3, S3, T3, label=Q), Q)", "~",
+        "R2 { resolve_label = Q } rev",
+    ),
+    "R6 glued elsewhere": _step(
+        "atom R Rational(2) { S: g=0, i=-3, a=2; M: g=0, i=-4, a=1 }\n"
+        "atom Z CP2 { Q: g=0, i=4, a=1 }\n",
+        "sum(blowup(R, at = S, size = 1/4, transform = St), M, Z, Q)", "R", "~", "R6 { }",
+    ),
+    "R6 glued along a cubic": _step(
+        "atom R Rational(2) { S: g=0, i=-3, a=2; M: g=1, i=-9, a=3 }\n"
+        "atom Z CP2 { Q: g=1, i=9, a=3 }\n",
+        "sum(blowup(R, at = S, size = 1/4, transform = St), M, Z, Q)", "R", "~", "R6 { }",
     ),
 }
 
