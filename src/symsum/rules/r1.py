@@ -22,6 +22,8 @@ def _r1(sub, b, rev):
         sub.right, PairSum
     ):
         quad, gluings = _quad_of_nested(sub)
+        if (sub.left_mark, sub.right_mark) != (sub.left.carried, sub.right.carried):
+            raise RuleError("R1 expects the grand sum glued along the carried marks")
         r = b.integer("rotate", 3)
         if rev:
             r = -r

@@ -101,6 +101,13 @@ def _r2(sub, b, rev):
         raise RuleError("R2 applies to a pairwise sum")
     t1, t2, t3 = _extract_assoc_triples(sub, rev)
     notes = _check_assoc_conditions(t1, t2, t3)
+    inner, des = (sub.right, sub.left) if rev else (sub.left, sub.right)
+    glued = (sub.right_mark, sub.left_mark) if rev else (sub.left_mark, sub.right_mark)
+    if glued != (inner.carried, des.result_label):
+        raise RuleError(
+            f"R2{' (reverse)' if rev else ''} expects the sum glued along the "
+            "carried and the desingularized marks"
+        )
     level = WK
     eps = b.area("eps")
     if eps is not None:

@@ -27,6 +27,8 @@ def _r6(sub, b, rev):
             raise _failed(f"i({blow.at_mark}) = -3: got {s.normal_number}")
         if s.genus != 0:
             raise _failed(f"g({blow.at_mark}) = 0: got {s.genus}")
+        if sub.left_mark != blow.new_transform_label:
+            raise RuleError("R6 expects the sum glued along the proper transform")
         q_side = sub.right
         q = q_side.mark(sub.right_mark)
         if (q.genus, q.normal_number) != (0, 4):
