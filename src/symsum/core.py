@@ -656,8 +656,9 @@ def fourfold_violations(quad: tuple[QuadEntry, ...]) -> list[Violation]:
 
 class FourSum(ManifoldExpr):
     """Simultaneous sum of the four triples (x_i, s_i, t_i) along
-    T_i = S_{i+1}.  Stored unevaluated; invariants and marks come from
-    the fixed evaluation ((1#2)#(3#4))."""
+    T_i = S_{i+1}.  Its fixed evaluation ((1#2)#(3#4)) is built once and
+    kept as `evaluation`, outside the fields, so `==`, the hash and the
+    repr read the entries alone; marks and invariants are the evaluation's."""
 
     SELECTORS = ("x1", "x2", "x3", "x4")
     MARK_REFS = (("s1", "t1"), ("s2", "t2"), ("s3", "t3"), ("s4", "t4"))
@@ -686,9 +687,9 @@ class FourSum(ManifoldExpr):
             ends.append((sm, tm))
         if any(pairwise_violations(t, s) for (_, t), (s, _) in zip(ends, ends[1:] + ends[:1])):
             raise AdmissibilityError(fourfold_violations(self.entries))
-        marks = self.evaluated().marks
-        set_field(self, "marks", marks)
-        set_field(self, "_pool", _grow_pool(self, map(_BY_LABEL, marks)))
+        set_field(self, "evaluation", self.evaluated())
+        set_field(self, "marks", self.evaluation.marks)
+        set_field(self, "_pool", _grow_pool(self, map(_BY_LABEL, self.marks)))
 
     def children(self):
         return (self.x1, self.x2, self.x3, self.x4)

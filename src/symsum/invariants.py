@@ -95,7 +95,7 @@ def _node_invariants(e: ManifoldExpr) -> InvariantVector:
         return _fiber_sum(e.left._inv, e.right._inv, e.glue_genus)
     if isinstance(e, FourSum):
         # the children are done, so this only visits the three new sums
-        return expr_invariants(e.evaluated())
+        return expr_invariants(e.evaluation)
     if isinstance(e, BlowUp):
         inner = e.inner._inv
         return InvariantVector(inner.euler + 1, inner.signature - 1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import AdmissibilityError, FourSum, PairSum, STD_GLUE, fourfold_violations
+from ..core import FourSum, PairSum, STD_GLUE
 from ..rewrite import EQ, RuleError, rule
 from ..sums import fourfold_sum
 
@@ -21,21 +21,20 @@ def _r1(sub, b, rev):
     if isinstance(sub, PairSum) and isinstance(sub.left, PairSum) and isinstance(
         sub.right, PairSum
     ):
-        quad, gluings = _quad_of_nested(sub)
+        grand = _grand_of_nested(sub)
         if (sub.left_mark, sub.right_mark) != (sub.left.carried, sub.right.carried):
             raise RuleError("R1 expects the grand sum glued along the carried marks")
         r = b.integer("rotate", 3)
         if rev:
             r = -r
         r %= 4
-        rot = quad[r:] + quad[:r]
-        grot = gluings[r:] + gluings[:r]
-        new = fourfold_sum(rot, grot).evaluated()
-        return new, EQ, [f"regrouped the grand sum, starting at summand {r + 1}"]
+        return grand.evaluated(r), EQ, [f"regrouped the grand sum, starting at summand {r + 1}"]
     raise RuleError("R1 applies to a 4-fold sum or a sum of two pairwise sums")
 
 
-def _quad_of_nested(sub: PairSum):
+def _grand_of_nested(sub: PairSum) -> FourSum:
+    """The four-fold sum of the four summands of `sub`, in their order,
+    that the two inner sums glue along their carried marks' partners."""
     inner1, inner2 = sub.left, sub.right
     quad = []
     for ps in (inner1, inner2):
@@ -45,9 +44,4 @@ def _quad_of_nested(sub: PairSum):
             raise RuleError("grand-sum form needs carried marks on both inner sums")
         quad.append((ps.left, lp, ps.left_mark))
         quad.append((ps.right, ps.right_mark, rp))
-    entries = tuple(quad)
-    bad = fourfold_violations(entries)
-    if bad:
-        raise AdmissibilityError(bad)
-    gluings = (inner1.gluing, sub.gluing, inner2.gluing, STD_GLUE)
-    return entries, gluings
+    return fourfold_sum(quad, (inner1.gluing, sub.gluing, inner2.gluing, STD_GLUE))

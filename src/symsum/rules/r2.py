@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from ..areas import AreaValue
 from ..core import (
+    AdmissibilityError,
     Desing,
     MarkError,
     PairSum,
@@ -12,7 +13,6 @@ from ..core import (
     Thicken,
     Thin,
     desingularize,
-    fourfold_violations,
     label_pool,
 )
 from ..invariants import expr_invariants
@@ -111,7 +111,7 @@ def _r2(sub, b, rev):
     level = WK
     eps = b.area("eps")
     if eps is not None:
-        notes += _verify_assoc_expansion(sub, t1, t2, t3, eps, rev)
+        notes += _verify_assoc_expansion(sub, t1, t2, t3, eps)
         level = EQ
     # the other grouping: the desingularized pair moves to the other end
     (x1, s1l, t1l), (x2, s2l, t2l), (x3, s3l, t3l) = t1, t2, t3
@@ -131,7 +131,7 @@ def _r2(sub, b, rev):
     return new, level, notes
 
 
-def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[str]:
+def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue) -> list[str]:
     """Certify the associativity instance at the symplectomorphism level
     by rebuilding both groupings of the thickened/thinned 4-fold sum and
     checking every area identity bitwise."""
@@ -194,31 +194,20 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue, rev: bool) -> list[
         (x3p, s3p, t3p),
         (x4p, w_lo, w_hi),
     )
-    bad = fourfold_violations(quad)
-    if bad:
-        raise RuleError(
-            "perturbed quadruple is not admissible: "
-            + "; ".join(str(v) for v in bad)
-        )
+    try:
+        grand = fourfold_sum(quad)
+    except AdmissibilityError as exc:
+        raise RuleError(f"perturbed quadruple is not admissible: {exc}") from exc
     notes.append("perturbed quadruple admissible; all four gluing areas exact")
-
-    grand = fourfold_sum(quad)
-    eval_a = grand.evaluated(0)
+    eval_a = grand.evaluation
     eval_b = grand.evaluated(3)
 
-    # identities collapsing the perturbed groupings onto the two sides.
-    # The sub's own grouping, (1,2)(3,4) forward and (4,1)(2,3) reverse,
-    # is read off its marks; the other one is computed from the triples.
-    (inner, inner_mark), (des, des_label) = _halves(sub)[:: -1 if rev else 1]
-    own = (inner.mark(inner_mark).data, des.mark(des_label).data)
-    if not rev:
-        sum12, resolved34 = own
-        resolved41 = desingularize(x1.mark(s1l), x1.mark(t1l)).data
-        sum23 = _joined(x2.mark(s2l), x3.mark(t3l))
-    else:
-        sum23, resolved41 = own
-        sum12 = _joined(x1.mark(s1l), x2.mark(t2l))
-        resolved34 = desingularize(x3.mark(s3l), x3.mark(t3l)).data
+    # identities collapsing the perturbed groupings onto the two sides,
+    # whose outer marks are computed from the triples
+    sum12 = _joined(s1, x2.mark(t2l))
+    resolved34 = desingularize(x3.mark(s3l), t3m).data
+    resolved41 = desingularize(s1, x1.mark(t1l)).data
+    sum23 = _joined(x2.mark(s2l), t3m)
     groupings = {
         "(1,2)(3,4)": (
             eval_a, ("thinned (S1#T2)", sum12, -eps), ("thickened (S3+T3)", resolved34, eps)
