@@ -41,8 +41,9 @@ def _frac(x: RationalLike) -> Union[int, Fraction]:
 
 def exact_str(x: Union[int, Fraction]) -> str:
     """`str(x)` for an int or a Fraction, at any size.  str() is tried
-    first; only where it raises, past int()'s digit limit (4,300 by
-    default), is an int split in two halves of its digits by divmod."""
+    first, so any other value prints as its str(); only where it raises,
+    past int()'s digit limit (4,300 by default), is an int split in two
+    halves of its digits by divmod."""
     try:
         return str(x)
     except ValueError:
@@ -148,6 +149,14 @@ class AreaValue(Frozen):
         if eps < 0:
             return f"{exact_str(const)} - {exact_str(-eps)}*eps"
         return f"{exact_str(const)} + {exact_str(eps)}*eps"
+
+    def __repr__(self) -> str:
+        # a record's repr, with each Fraction written as repr() writes it, at any size
+        const, eps = (
+            f"Fraction({exact_str(x.numerator)}, {exact_str(x.denominator)})"
+            for x in (self.const, self.eps_coeff)
+        )
+        return f"AreaValue(const={const}, eps_coeff={eps})"
 
     def compact(self) -> str:
         """Short form used in atom and script serializations, e.g. ``1+2e``."""

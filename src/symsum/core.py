@@ -20,7 +20,7 @@ from math import isqrt
 from operator import attrgetter
 from typing import Optional
 
-from .areas import AreaValue
+from .areas import AreaValue, exact_str
 from .record import Frozen, set_field, values_getter
 
 
@@ -47,7 +47,8 @@ class Violation(Frozen):
 
     def __str__(self) -> str:
         where = f" at i={self.index}" if self.index is not None else ""
-        return f"{self.condition} mismatch{where}: {self.left} vs {self.right}"
+        left, right = exact_str(self.left), exact_str(self.right)
+        return f"{self.condition} mismatch{where}: {left} vs {right}"
 
 
 class AdmissibilityError(SymsumError):

@@ -33,7 +33,7 @@ from operator import attrgetter
 from string import Formatter, ascii_letters, digits
 from typing import NamedTuple, Optional, Union
 
-from .areas import AreaValue, area
+from .areas import AreaValue, area, exact_str
 from .core import (
     AtomKind,
     AtomNode,
@@ -883,7 +883,7 @@ def mark_table(e: ManifoldExpr) -> str:
     lines = ["label genus normal area"]
     for m in e.marks:
         lines.append(
-            f"{m.label} {m.genus} {m.normal_number} {m.area.compact()}"
+            f"{m.label} {exact_str(m.genus)} {exact_str(m.normal_number)} {m.area.compact()}"
             + (f" perp={m.orthogonal_at}" if m.orthogonal_at else "")
         )
     return "\n".join(lines)

@@ -97,6 +97,23 @@ _PARTNERS = (
     f"atom Y Rational(0) {{ B: g=0, i=-1, a=1, perp Q; Q: g=0, i=0, a=1/{_D2}, perp B }}\n"
     "atom Z Rational(0) { C: g=0, i=0, a=1 }\n"
 )
+# halves of a ruled surface whose fiber N/7 doubles to a 4,301-digit
+# numerator when R10 merges them, N = 5 * 10^4299; G-1's area 3/7 makes
+# G1's, 3/7 plus two fibers, an integer of 4,300 digits
+_N = 5 * 10**4299
+_HALVES = (
+    f"atom Wf W(0,1,{_N}/7) {{ G-1: g=0, i=-1, a=3/7; c1: g=0, i=1, a={_N + 3}/7; "
+    f"Fa: g=0, i=0, a={_N}/7 }}\n"
+    f"atom Wb W(0,1,{_N}/7) {{ c2: g=0, i=-1, a={_N + 3}/7; G1: g=0, i=1, a={(2 * _N + 3) // 7} }}\n"
+)
+# a sum that carries the mark P#Q whose normal number is the sum of two
+# 4,300-digit literals
+_NINES = "9" * 4300
+_BIG_NORMALS = (
+    f"atom X Rational(1) {{ A: g=0, i=1, a=1, perp P; P: g=0, i={_NINES}, a=1, perp A }}\n"
+    f"atom Y Rational(1) {{ B: g=0, i=-1, a=1, perp Q; Q: g=0, i={_NINES}, a=1, perp B }}\n"
+    "atom Z Rational(0) { C: g=0, i=0, a=1 }\n"
+)
 _BIG = {
     "ruled sections spread": (
         f"atom W1 W(0,1,0+1e) {{ A1: g=0, i=-1, a=1/{_D1}; B1: g=0, i=1, a=1/{_D2} }}\n"
@@ -134,6 +151,12 @@ _BIG = {
         f"atom X Rational(0) {{ A: g=0, i=1, a=1/{_D1} }}\n"
         f"atom Y Rational(0) {{ A: g=0, i=1, a=1/{_D2} }}\nlhs X rhs Y target =\n"
     ),
+    "merged fiber in mark data": (
+        _HALVES + "lhs sum(Wf, c1, Wb, c2) rhs sum(Wf, c1, Wb, c2) target =\nby R10 { } rev\n"
+    ),
+    "sum normal number mismatch": (
+        _BIG_NORMALS + "lhs sum(sum(X, A, Y, B), P#Q, Z, C) rhs X target =\n"
+    ),
 }
 
 
@@ -162,11 +185,16 @@ def test_a_spread_past_the_digit_limit_is_printed_in_full(tmp_path, capsys):
 
 
 def test_a_mark_table_prints_a_carried_area_past_the_digit_limit(tmp_path, capsys):
+    """The carried mark P#Q's area, and then its normal number, past the limit."""
     f = tmp_path / "big.expr"
-    f.write_text(_PARTNERS + "expr sum(X, A, Y, B)\n", encoding="utf-8")
-    assert main(["invariants", str(f)]) == 0
     carried = Fraction(1, int(_D1)) + Fraction(1, int(_D2))
-    assert capsys.readouterr().out.splitlines()[-1] == f"P#Q 0 0 {unlimited_str(carried)}"
+    for partners, line in (
+        (_PARTNERS, f"P#Q 0 0 {unlimited_str(carried)}"),
+        (_BIG_NORMALS, f"P#Q 0 {unlimited_str(2 * int(_NINES))} 2"),
+    ):
+        f.write_text(partners + "expr sum(X, A, Y, B)\n", encoding="utf-8")
+        assert main(["invariants", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 def test_unknown_subcommand():
