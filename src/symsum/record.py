@@ -37,8 +37,7 @@ class Record:
             defaults = init.__defaults__ or ()
             cls.FIELDS = tuple((n, init.__annotations__.get(n)) for n in names)
             cls.DEFAULTS = dict(zip(names[len(names) - len(defaults) :], defaults))
-        cls._shown = tuple(n for n, _ in cls.FIELDS)
-        cls._values = staticmethod(values_getter(cls._shown))
+        cls._values = staticmethod(values_getter([n for n, _ in cls.FIELDS]))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -56,12 +55,12 @@ class Record:
             out.append(text)
             cls = x.__class__
             if cls.__repr__ is Record.__repr__:
-                names = x._shown
+                fields = cls.FIELDS
                 pieces = [
                     (f"{', ' if i else cls.__qualname__ + '('}{n}=", getattr(x, n))
-                    for i, n in enumerate(names)
+                    for i, (n, _) in enumerate(fields)
                 ]
-                pieces.append((")" if names else f"{cls.__qualname__}()", _TEXT))
+                pieces.append((")" if fields else f"{cls.__qualname__}()", _TEXT))
             elif cls is dict:
                 pieces = [
                     (f"{', ' if i else '{'}{k!r}: ", v) for i, (k, v) in enumerate(x.items())

@@ -256,7 +256,7 @@ def _asts():
 def _recursive_repr(record) -> str:
     """The record repr written recursively, one Python frame or more per
     level of nesting: the reference for the repr written from a stack."""
-    fields = ", ".join(f"{n}={getattr(record, n)!r}" for n in record._shown)
+    fields = ", ".join(f"{n}={getattr(record, n)!r}" for n, _ in record.FIELDS)
     return f"{type(record).__qualname__}({fields})"
 
 
