@@ -25,8 +25,8 @@ import pathlib
 import random
 import subprocess
 import sys
-import tarfile
 import tempfile
+import zipfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -89,14 +89,12 @@ def tree(spec, tmp: str) -> pathlib.Path:
     if pathlib.Path(spec).is_dir():
         return pathlib.Path(spec).resolve()
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", spec, "src"], check=True, capture_output=True
+        ["git", "-C", str(ROOT), "archive", "--format=zip", spec, "src"],
+        check=True, capture_output=True,
     ).stdout
     out = pathlib.Path(tempfile.mkdtemp(dir=tmp))
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        if hasattr(tarfile, "data_filter"):
-            tar.extractall(out, filter="data")
-        else:
-            tar.extractall(out)
+    with zipfile.ZipFile(io.BytesIO(archive)) as z:
+        z.extractall(out)
     return out
 
 
