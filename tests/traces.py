@@ -201,10 +201,11 @@ _Q3 = (
     "atom Q3 CP2 { L1: g=0, i=1, a=1, perp L2; L2: g=0, i=1, a=1, perp L1; "
     "L3: g=0, i=1, a=1 }\n"
 )
+# X3's mark A1#B2 has the label that a sum of X1 and X2 would carry by default
 _X = "".join(
     f"atom X{n} Rational({n + 4}) {{ A{n}: g=1, i=2, a=1, perp B{n}; "
-    f"B{n}: g=1, i=-2, a=1, perp A{n} }}\n"
-    for n in (1, 2, 3, 4)
+    f"B{n}: g=1, i=-2, a=1, perp A{n}{extra} }}\n"
+    for n, extra in ((1, ""), (2, ""), (3, "; A1#B2: g=0, i=0, a=1"), (4, ""))
 )
 _SUM4 = "lhs sum4((X1, A1, B1), (X2, A2, B2), (X3, A3, B3), (X4, A4, B4)) rhs X1 target =\n"
 MALFORMED.update(
@@ -256,6 +257,7 @@ MALFORMED.update(
             _X.replace("A2: g=1, i=2, a=1", "A2: g=1, i=3, a=2")
             .replace("A3: g=1, i=2", "A3: g=2, i=2") + _SUM4
         ),
+        "sum4 with a mark named as a default carried one": _X + _SUM4,
         "blowup size zero": _E3 + "lhs blowup(E3, generic, size = 0) rhs E3 target =\n",
         "blowup size too large": _E3 + "lhs blowup(E3, at = F3, size = 2) rhs E3 target =\n",
         "blowup pairexc at a generic point": (
@@ -582,6 +584,19 @@ RULE_MESSAGES = {
         _GLUED_ELSEWHERE_R1, "sum(sum(X1, B1, X2, A2), M, sum(X3, B3, X4, A4), N)",
         "sum(sum(X2, B2, X3, A3), A2#B3, sum(X4, B4, X1, A1), A4#B1)", "=", "R1 { rotate = 1 }",
     ),
+    # R1 regrouping a grand sum whose X3 has a mark named as the default
+    # carried mark of X1 # X2: only rotation 2 builds that sum
+    **{
+        f"R1 rotate {r} past a mark named as a carried one": _step(
+            _X, "sum(sum(X1, B1, X2, A2, carry=Z), Z, sum(X3, B3, X4, A4), A3#B4)", rhs, "=",
+            f"R1 {{ rotate = {r} }}",
+        )
+        for r, rhs in (
+            (1, "sum(sum(X2, B2, X3, A3), A2#B3, sum(X4, B4, X1, A1), A4#B1)"),
+            (2, "sum(sum(X1, B1, X2, A2, carry=Z), Z, sum(X3, B3, X4, A4), A3#B4)"),
+            (3, "sum(sum(X4, B4, X1, A1), A4#B1, sum(X2, B2, X3, A3), A2#B3)"),
+        )
+    },
     "R2 glued elsewhere": _step(
         _GLUED_ELSEWHERE_R2, "sum(sum(X1, T1, X2, S2), M1, desing(X3, S3, T3, label=Q), N3)",
         "sum(desing(X1, S1, T1, label=R), R, sum(X2, T2, X3, S3), S2#T3)", "~",
