@@ -657,9 +657,9 @@ def fourfold_violations(quad: tuple[QuadEntry, ...]) -> list[Violation]:
 
 class FourSum(ManifoldExpr):
     """Simultaneous sum of the four triples (x_i, s_i, t_i) along
-    T_i = S_{i+1}.  Its fixed evaluation ((1#2)#(3#4)) is built once and
-    kept as `evaluation`, outside the fields, so `==`, the hash and the
-    repr read the entries alone; marks and invariants are the evaluation's."""
+    T_i = S_{i+1}, where each S_i meets T_i.  Its marks are its entries'
+    marks other than the eight glued ones, which is what every pairwise
+    evaluation (see `evaluated`) leaves; no evaluation is built for them."""
 
     SELECTORS = ("x1", "x2", "x3", "x4")
     MARK_REFS = (("s1", "t1"), ("s2", "t2"), ("s3", "t3"), ("s4", "t4"))
@@ -678,19 +678,19 @@ class FourSum(ManifoldExpr):
         for (name, _), value in zip(self.FIELDS, values):
             set_field(self, name, value)
         _check_disjoint_pools(x1, x2, x3, x4)
-        ends = []  # the S and T marks of each entry
+        glued = set()
         for e, s, t in self.entries:
-            sm, tm = e.mark(s), e.mark(t)
-            if sm.orthogonal_at != tm.label:
+            if e.mark(s).orthogonal_at != e.mark(t).label:
                 raise MarkError(
                     f"triple marks {s}, {t} must be orthogonally paired"
                 )
-            ends.append((sm, tm))
-        if any(pairwise_violations(t, s) for (_, t), (s, _) in zip(ends, ends[1:] + ends[:1])):
-            raise AdmissibilityError(fourfold_violations(self.entries))
-        set_field(self, "evaluation", self.evaluated())
-        set_field(self, "marks", self.evaluation.marks)
-        set_field(self, "_pool", _grow_pool(self, map(_BY_LABEL, self.marks)))
+            glued.update((s, t))
+        violations = fourfold_violations(self.entries)
+        if violations:
+            raise AdmissibilityError(violations)
+        marks = [m for e in self.children() for m in e.marks if m.label not in glued]
+        set_field(self, "marks", tuple(sorted(marks, key=_BY_LABEL)))
+        set_field(self, "_pool", _grow_pool(self, ()))
 
     def children(self):
         return (self.x1, self.x2, self.x3, self.x4)
@@ -713,11 +713,6 @@ class FourSum(ManifoldExpr):
         (x1, _, t1), (x2, s2, _), (x3, _, t3), (x4, s4, _) = ent
         left = PairSum(x1, t1, x2, s2, glu[0])
         right = PairSum(x3, t3, x4, s4, glu[2])
-        if left.carried is None or right.carried is None:
-            raise MarkError(
-                "four-fold entries must carry a connected-sum mark; a glued "
-                "mark is missing its orthogonal partner"
-            )
         return PairSum(left, left.carried, right, right.carried, glu[1])
 
 

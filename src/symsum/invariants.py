@@ -94,8 +94,11 @@ def _node_invariants(e: ManifoldExpr) -> InvariantVector:
     if isinstance(e, PairSum):
         return _fiber_sum(e.left._inv, e.right._inv, e.glue_genus)
     if isinstance(e, FourSum):
-        # the children are done, so this only visits the three new sums
-        return expr_invariants(e.evaluation)
+        # ((1#2)#(3#4)) from the entries: glued along T1, T3 and then the
+        # carried marks, of genus g(S1) + g(T2) = g(T4) + g(T2)
+        g1, g2, g3, g4 = (x.mark(t).genus for x, _, t in e.entries)
+        x12, x34 = _fiber_sum(e.x1._inv, e.x2._inv, g1), _fiber_sum(e.x3._inv, e.x4._inv, g3)
+        return _fiber_sum(x12, x34, g2 + g4)
     if isinstance(e, BlowUp):
         inner = e.inner._inv
         return InvariantVector(inner.euler + 1, inner.signature - 1)

@@ -199,7 +199,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue) -> list[str]:
     except AdmissibilityError as exc:
         raise RuleError(f"perturbed quadruple is not admissible: {exc}") from exc
     notes.append("perturbed quadruple admissible; all four gluing areas exact")
-    eval_a = grand.evaluation
+    eval_a = grand.evaluated()
     eval_b = grand.evaluated(3)
 
     # identities collapsing the perturbed groupings onto the two sides,
