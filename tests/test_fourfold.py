@@ -1,19 +1,27 @@
-"""The 4-fold sum: admissibility, both evaluation groupings, rejection."""
+"""The 4-fold sum: admissibility, both evaluation groupings, rejection,
+and the marks and chi/sigma that it reads off its entries."""
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symsum.areas import AreaValue, area
 from symsum.core import (
     AdmissibilityError,
     AtomNode,
+    FourSum,
+    PairSum,
     RationalSurface,
     SurfaceMark,
     fourfold_violations,
 )
+from symsum.demos import CORPUS
 from symsum.invariants import expr_invariants
+from symsum.script import run
 from symsum.sums import fourfold_sum, make_ruled_atom
 
 
@@ -38,9 +46,11 @@ def random_quad(rng: random.Random, extras: bool = True):
             SurfaceMark(f"T{i + 1}", tg, ti, ta, f"S{i + 1}"),
         ]
         if extras and rng.random() < 0.5:
+            # numbered against the entries' order, which a sum's marks
+            # are not in, as they are sorted by label
             marks.append(
                 SurfaceMark(
-                    f"U{i + 1}",
+                    f"U{4 - i}",
                     rng.randint(0, 3),
                     rng.randint(-6, 6),
                     area(rng.randint(1, 5)),
@@ -57,7 +67,7 @@ def test_symmetric_quadruple_admissible():
     assert fourfold_violations(quad) == []
 
 
-def test_resolution_style_quadruple():
+def resolution_quad():
     """The quadruple completing three triples with a ruled fourth."""
     e3 = AtomNode(
         RationalSurface(0),
@@ -87,7 +97,11 @@ def test_resolution_style_quadruple():
         {"S4": (-1, area(1)), "T4": (3, area(1, 2))},
         pairs=(("S4", "T4"),),
     )
-    quad = ((e3, "S1", "T1"), (e1, "S2", "T2"), (p, "S3", "T3"), (w, "S4", "T4"))
+    return ((e3, "S1", "T1"), (e1, "S2", "T2"), (p, "S3", "T3"), (w, "S4", "T4"))
+
+
+def test_resolution_style_quadruple():
+    quad = resolution_quad()
     assert fourfold_violations(quad) == []
     fs = fourfold_sum(quad)
     assert expr_invariants(fs.evaluated(0)) == expr_invariants(fs.evaluated(3))
@@ -146,3 +160,55 @@ def test_unpaired_triple_rejected():
         quad.append((x, f"S{i}", f"T{i}"))
     with pytest.raises(Exception, match="orthogonally paired"):
         fourfold_sum(quad)
+
+
+def _built_from_its_entries(build) -> FourSum:
+    """The four-fold sum `build()` makes, checked to construct no pairwise
+    sum and to have the marks and chi/sigma of each of its four pairwise
+    evaluations."""
+    made = []
+    init = PairSum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    with patch.object(PairSum, "__init__", counting_init):
+        fs = build()
+    assert made == []
+    for r in range(4):
+        grouping = fs.evaluated(r)
+        assert fs.marks == grouping.marks
+        assert expr_invariants(fs) == expr_invariants(grouping)
+    return fs
+
+
+def test_the_file_quadruples_take_marks_and_invariants_from_their_entries():
+    rng = random.Random(2026)
+    quads = [random_quad(rng) for _ in range(50)]
+    quads += [random_quad(random.Random(7), extras=False), resolution_quad()]
+    for quad in quads:
+        _built_from_its_entries(lambda: fourfold_sum(quad))
+
+
+@given(st.randoms(use_true_random=False))
+def test_random_quadruples_take_marks_and_invariants_from_their_entries(rng):
+    _built_from_its_entries(lambda: fourfold_sum(random_quad(rng)))
+
+
+def test_the_corpus_four_fold_sums_take_marks_and_invariants_from_their_entries():
+    """Every four-fold sum a corpus run builds: parsed, regrouped by R1
+    and the perturbed grand sums of R2, each built again from its fields."""
+    built = []
+    init = FourSum.__init__
+
+    def collecting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with patch.object(FourSum, "__init__", collecting_init):
+        for source in CORPUS.values():
+            run(source)
+    assert len(built) >= 4
+    for fs in built:
+        assert _built_from_its_entries(fs.replace) == fs
