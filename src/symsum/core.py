@@ -243,17 +243,17 @@ class RuledSurface(AtomKind):
             if m.genus != self.genus:
                 raise MarkError(
                     f"mark {m.label}: section genus must equal the base genus "
-                    f"{self.genus}"
+                    f"{exact_str(self.genus)}"
                 )
             if abs(k) > self.twist or (k - self.twist) % 2 != 0:
                 raise MarkError(
-                    f"mark {m.label}: section index {k} incompatible with "
-                    f"twist {self.twist}"
+                    f"mark {m.label}: section index {exact_str(k)} incompatible with "
+                    f"twist {exact_str(self.twist)}"
                 )
             if not validate_ruled(self.genus, k, m.area, self.fiber_area):
                 raise MarkError(
                     f"mark {m.label}: section area {m.area} too small for "
-                    f"index {k} and fiber {self.fiber_area}"
+                    f"index {exact_str(k)} and fiber {self.fiber_area}"
                 )
             sections.append(m)
         # 2(a - b) = k fibers for k = k_a - k_b: the condition is
@@ -339,7 +339,7 @@ def _cp2_degree(m: SurfaceMark) -> int:
     if d * d != m.normal_number or m.genus != (d - 1) * (d - 2) // 2:
         raise MarkError(
             f"mark {m.label}: not a degree-d curve shadow "
-            f"(needs i=d^2, g=(d-1)(d-2)/2; got g={m.genus}, i={m.normal_number})"
+            f"(needs i=d^2, g=(d-1)(d-2)/2; got g={exact_str(m.genus)}, i={exact_str(m.normal_number)})"
         )
     return d
 

@@ -102,12 +102,12 @@ def slope_along_s(t_mark: SurfaceMark) -> str:
     """Annotation for the slanted edge over the horizontal (S) end."""
     if t_mark.normal_number == 0:
         return "-1/0 (vertical)"
-    return str(Fraction(-1, t_mark.normal_number))
+    return exact_str(Fraction(-1, t_mark.normal_number))
 
 
 def slope_along_t(s_mark: SurfaceMark) -> str:
     """Annotation for the slanted edge over the vertical (T) end."""
-    return str(Fraction(-s_mark.normal_number))
+    return exact_str(Fraction(-s_mark.normal_number))
 
 
 def _corner(ox: float, oy: float, s: SurfaceMark, t: SurfaceMark, eps: Fraction) -> list[str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .areas import AreaValue
+from .areas import AreaValue, exact_str
 from .core import (
     AtomNode,
     EquivLevel,
@@ -260,7 +260,7 @@ def _expect(got, want, claim: str) -> None:
     """The side condition `got == want`, which fails as "claim: got vs
     want"; the values are formatted only once it has failed."""
     if got != want:
-        raise _failed(f"{claim}: {got} vs {want}")
+        raise _failed(f"{claim}: {exact_str(got)} vs {exact_str(want)}")
 
 
 def _expect_same_marks(new: ManifoldExpr, old: ManifoldExpr, claim: str) -> None:

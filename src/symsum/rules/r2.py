@@ -3,7 +3,7 @@ the exact expansion that certifies it at the symplectomorphism level."""
 
 from __future__ import annotations
 
-from ..areas import AreaValue
+from ..areas import AreaValue, exact_str
 from ..core import (
     AdmissibilityError,
     Desing,
@@ -84,6 +84,7 @@ def _check_assoc_conditions(t1, t2, t3) -> list[str]:
     for t, s, extra in _ROWS:
         i_t, i_s = marks[t].normal_number, marks[s].normal_number
         if i_t != -(i_s + extra):
+            i_t, i_s = exact_str(i_t), exact_str(i_s)
             claim, want = (
                 (f"-(i({s})+{extra})", f"-({i_s}+{extra})") if extra else (f"-i({s})", i_s)
             )
@@ -151,8 +152,8 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue) -> list[str]:
     s3p, t3p = s3l + "-+", t3l + "-+"
 
     pool = label_pool(x1p) | label_pool(x2p) | label_pool(x3p)
-    w_hi = _fresh("Wg" + str(k), pool)
-    w_lo = _fresh("Wg" + str(2 - k), pool)
+    w_hi = _fresh("Wg" + exact_str(k), pool)
+    w_lo = _fresh("Wg" + exact_str(2 - k), pool)
     a_hi = x1p.mark(s1p).area
     a_lo = x3p.mark(t3p).area
     try:
@@ -168,7 +169,7 @@ def _verify_assoc_expansion(sub, t1, t2, t3, eps: AreaValue) -> list[str]:
     _expect(diff, eps.scale(2 * (1 - k)), "section area difference 2(1-k)*eps")
     notes.append(
         f"ruled summand sections: {w_lo} area {a_lo}, {w_hi} area {a_hi}; "
-        f"difference 2(1-k)*eps = {diff} with k={k}"
+        f"difference 2(1-k)*eps = {diff} with k={exact_str(k)}"
     )
 
     # the ruled summand splits into two copies with half the fiber

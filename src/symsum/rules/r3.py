@@ -3,7 +3,7 @@ surface."""
 
 from __future__ import annotations
 
-from ..areas import area
+from ..areas import area, exact_str
 from ..core import AtomNode, Desing, PairSum
 from ..rewrite import (
     WK,
@@ -41,7 +41,7 @@ def _resolve_rule(name: str, w_side: int, glue_default: str, twin_default: str):
                 carry_label=b.label("carry", sub.result_label),
             )
             return new, WK, [
-                f"resolved {sub.mark_s}+{sub.mark_t} through a genus-{m.genus} "
+                f"resolved {sub.mark_s}+{sub.mark_t} through a genus-{exact_str(m.genus)} "
                 f"ruled surface with sections {j} and {2 - j}"
             ]
         halves = _halves(sub) if isinstance(sub, PairSum) else None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..areas import area
+from ..areas import area, exact_str
 from ..core import AtomNode, BlowUp, PairSum, RuledSurface, is_ruled_fiber
 from ..rewrite import WK, RuleError, _halves, rule
 from ..sums import _neutral_w
@@ -29,7 +29,7 @@ def _r4(sub, b, rev):
         carry = b.label("carry")
         new = PairSum(w, glue_lbl, sub, s_lbl, carry_label=carry)
         return new, WK, [
-            f"inserted a neutral genus-{s.genus} ruled summand along {s_lbl}"
+            f"inserted a neutral genus-{exact_str(s.genus)} ruled summand along {s_lbl}"
         ]
     # reverse: strip a neutral ruled summand (possibly blown up)
     if not isinstance(sub, PairSum):

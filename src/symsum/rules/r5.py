@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..areas import area
+from ..areas import area, exact_str
 from ..core import BlowUp, PairSum, SurfaceMark
 from ..rewrite import WK, RuleError, _expect, _failed, _halves, _pair, rule
 from ..sums import apply_shifts
@@ -42,8 +42,8 @@ def _r5(sub, b, rev):
     _expect(s.genus, sp.genus, f"g({s_lbl}) = g({sp_lbl})")
     if s.normal_number != -sp.normal_number + 1:
         raise _failed(
-            f"i({s_lbl}) = -i({sp_lbl})+1: {s.normal_number} vs "
-            f"-{sp.normal_number}+1"
+            f"i({s_lbl}) = -i({sp_lbl})+1: {exact_str(s.normal_number)} vs "
+            f"-{exact_str(sp.normal_number)}+1"
         )
     size = b.area("new_size", blow.size)
     tl = b.label("transform", s_lbl + "~")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..areas import exact_str
 from ..core import (
     AtomNode,
     BlowUp,
@@ -24,17 +25,17 @@ def _r6(sub, b, rev):
             raise RuleError("R6 expects a blown-up manifold on the left")
         s = blow.inner.mark(blow.at_mark)
         if s.normal_number != -3:
-            raise _failed(f"i({blow.at_mark}) = -3: got {s.normal_number}")
+            raise _failed(f"i({blow.at_mark}) = -3: got {exact_str(s.normal_number)}")
         if s.genus != 0:
-            raise _failed(f"g({blow.at_mark}) = 0: got {s.genus}")
+            raise _failed(f"g({blow.at_mark}) = 0: got {exact_str(s.genus)}")
         if sub.left_mark != blow.new_transform_label:
             raise RuleError("R6 expects the sum glued along the proper transform")
         q_side = sub.right
         q = q_side.mark(sub.right_mark)
         if (q.genus, q.normal_number) != (0, 4):
             raise _failed(
-                f"quadric mark needs (g, i) = (0, 4): got ({q.genus}, "
-                f"{q.normal_number})"
+                f"quadric mark needs (g, i) = (0, 4): got ({exact_str(q.genus)}, "
+                f"{exact_str(q.normal_number)})"
             )
         if not _is_plane_side(q_side):
             raise RuleError("R6 expects the quadric side to be a plane")
@@ -47,7 +48,7 @@ def _r6(sub, b, rev):
         raise RuleError("R6 (reverse) needs the -3 sphere mark (slot s)")
     s = sub.mark(s_lbl)
     if s.normal_number != -3:
-        raise _failed(f"i({s_lbl}) = -3: got {s.normal_number}")
+        raise _failed(f"i({s_lbl}) = -3: got {exact_str(s.normal_number)}")
     size = b.area("size")
     if size is None:
         raise RuleError("R6 (reverse) needs a blow-up size")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..areas import exact_str
 from ..core import (
     AtomNode,
     BlowUp,
@@ -31,7 +32,7 @@ def _r7(sub, b, rev):
         if (ex.genus, ex.normal_number) != (0, -1):
             raise RuleError(
                 f"R7 expects the gluing mark to be exceptional (g=0, i=-1); "
-                f"got (g={ex.genus}, i={ex.normal_number})"
+                f"got (g={exact_str(ex.genus)}, i={exact_str(ex.normal_number)})"
             )
         if isinstance(sub.left, BlowUp) and sub.left.exceptional_label == ex.label:
             # exact inverse of the blow-up

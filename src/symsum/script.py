@@ -841,7 +841,7 @@ def _atom_text(node: AtomNode) -> str:
 
 
 def _mark_text(m: SurfaceMark) -> str:
-    out = f"{m.label}: g={m.genus}, i={m.normal_number}, a={m.area.compact()}"
+    out = f"{m.label}: g={exact_str(m.genus)}, i={exact_str(m.normal_number)}, a={m.area.compact()}"
     if m.orthogonal_at:
         out += f", perp {m.orthogonal_at}"
     return out

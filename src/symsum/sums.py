@@ -9,7 +9,7 @@ from fractions import Fraction
 from operator import is_
 from typing import Optional
 
-from .areas import AreaValue
+from .areas import AreaValue, exact_str
 from .core import (
     AdmissibilityError,
     AtomNode,
@@ -52,7 +52,7 @@ def blow_down(
     if ex.genus != 0 or ex.normal_number != -1:
         raise MarkError(
             f"{exceptional!r} is not an exceptional mark (needs g=0, i=-1; "
-            f"got g={ex.genus}, i={ex.normal_number})"
+            f"got g={exact_str(ex.genus)}, i={exact_str(ex.normal_number)})"
         )
     l1, l2 = line_labels
     plane = AtomNode(
@@ -225,7 +225,7 @@ def split_ruled(
     if minus.normal_number != -k or k < 0:
         raise MarkError(
             f"split needs disjoint sections of opposite self-intersection, "
-            f"got {plus.normal_number} and {minus.normal_number}"
+            f"got {exact_str(plus.normal_number)} and {exact_str(minus.normal_number)}"
         )
     extra = [m for m in w.marks if m.label not in (plus_label, minus_label)]
     if any(not is_ruled_fiber(m, kind) for m in extra):

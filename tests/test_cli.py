@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import ast
 import json
 import os
 import pathlib
@@ -157,6 +158,15 @@ _BIG = {
     "sum normal number mismatch": (
         _BIG_NORMALS + "lhs sum(sum(X, A, Y, B), P#Q, Z, C) rhs X target =\n"
     ),
+    # R6 on the carried mark P#Q of normal number 2 * _N, a 4,301-digit int
+    "R6 normal number": (
+        f"atom X Rational(1) {{ A: g=0, i=1, a=1, perp P; P: g=0, i={_N}, a=1, perp A }}\n"
+        f"atom Y Rational(1) {{ B: g=0, i=-1, a=1, perp Q; Q: g=0, i={_N}, a=1, perp B }}\n"
+        f"atom U Rational(1) {{ C: g=0, i=1, a=1, perp R; R: g=0, i=-{_N}, a=7/8, perp C }}\n"
+        f"atom V Rational(1) {{ D: g=0, i=-1, a=1, perp T; T: g=0, i=-{_N - 1}, a=7/8, perp D }}\n"
+        "lhs sum(blowup(sum(X, A, Y, B), at = P#Q, size = 1/4, transform = St), St, "
+        "sum(U, C, V, D), R#T)\nrhs X target =\nby R6 { }\n"
+    ),
 }
 
 
@@ -164,7 +174,8 @@ _BIG = {
 @pytest.mark.parametrize("name", list(_BIG))
 def test_areas_past_the_digit_limit_keep_the_exit_code_contract(tmp_path, capsys, name, trace):
     """One input per message of core.py that prints an area, each with
-    areas whose sums or differences have ~4,400-digit denominators."""
+    areas whose sums or differences have ~4,400-digit denominators, and
+    a rule's message on a normal number of 4,301 digits."""
     f = tmp_path / "big.ssum"
     f.write_text(_BIG[name], encoding="utf-8")
     code = main(["check", str(f), "--trace", trace])
@@ -173,6 +184,26 @@ def test_areas_past_the_digit_limit_keep_the_exit_code_contract(tmp_path, capsys
     assert "Traceback" not in out + err
     if code == 2:
         assert out == "" and err.count("\n") == 1
+    if code == 1:
+        assert err.count("\n") == 1
+
+
+def test_every_printed_genus_and_normal_number_goes_through_exact_str():
+    """A sum adds genera and normal numbers, so they grow past the digits
+    that str() converts: src/ formats neither with an f-string or str()
+    that `areas.exact_str` does not wrap."""
+    bare = []
+    for path in sorted(pathlib.Path(symsum.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FormattedValue):
+                value = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str":
+                value = node.args[0]
+            else:
+                continue
+            if isinstance(value, ast.Attribute) and value.attr in ("genus", "normal_number"):
+                bare.append(f"{path.name}:{value.lineno} {ast.unparse(value)}")
+    assert bare == []
 
 
 def test_a_spread_past_the_digit_limit_is_printed_in_full(tmp_path, capsys):
