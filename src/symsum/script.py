@@ -233,14 +233,8 @@ class _Parser:
         self.i += 1
 
     def read_run(self, run: list[str]) -> None:
-        """Reads the fixed words and punctuation `run` with one comparison;
-        where the text differs, `keyword` and `expect` read it token by
-        token and raise at the first that differs."""
-        i = self.i
-        end = i + len(run)
-        if self.toks[i:end] == run:
-            self.i = end
-            return
+        """Reads the fixed words and punctuation `run` token by token, and
+        raises at the first that differs."""
         for v in run:
             if v.isalpha():
                 self.keyword(v)
