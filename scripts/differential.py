@@ -11,8 +11,9 @@ the `MALFORMED`, `RULE_SHAPES` and `RULE_MESSAGES` tables of
 `tests/traces.py`, and K seeded token mutants of the corpus
 (`tests/test_fuzz.mutate`), all generated once, from the working tree.
 A child per tree, with `PYTHONPATH=<tree>/src`, writes one JSON line per
-input: the exit code, the messages, the text and JSON traces and
-`print_script` of the parsed text.  The harness prints the first input
+input: the exit code, the messages, the text and JSON traces, the mark
+table of each traced expression, and `print_script` and the rhs's mark
+table of the parsed text, since a trace prints no composite's marks.  The harness prints the first input
 whose lines differ and the counts, and exits 1 on any difference.
 Standard library only.
 """
@@ -36,6 +37,7 @@ def child() -> None:
     that PYTHONPATH finds, and write one JSON record a line."""
     from symsum.script import (
         ScriptError,
+        mark_table,
         parse,
         print_script,
         render_trace_json,
@@ -51,8 +53,11 @@ def child() -> None:
             if result.verdict is not None:
                 rec["text"] = render_trace_text(result.verdict)
                 rec["json"] = render_trace_json(result.verdict)
+                rec["marks"] = [mark_table(step.expr) for step in result.verdict.trace]
             try:
-                rec["print"] = print_script(parse(text))
+                parsed = parse(text)
+                rec["print"] = print_script(parsed)
+                rec["rhs marks"] = mark_table(parsed.rhs)
             except ScriptError:
                 pass
         except Exception as exc:  # an escape is compared as any other output

@@ -1,8 +1,10 @@
 """A smoke test of `scripts/differential.py`, so that the harness cannot
 rot: a tree against itself differs nowhere, and a copy of `src/` with
-one message edited differs on the first input that prints it."""
+one message edited, or with a composite's marks in another order,
+differs on the first input that shows it."""
 
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -24,14 +26,32 @@ def test_a_tree_against_itself_differs_nowhere():
     assert proc.stdout.endswith("; 0 differ\n"), proc.stdout
 
 
-def test_an_edited_message_is_reported_at_its_first_input(tmp_path):
+def _edited_copy(tmp_path, module: str, old: str, new: str) -> str:
+    """A copy of `src/` with `old` replaced by `new` in `module`."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    r6 = tmp_path / "src" / "symsum" / "rules" / "r6.py"
-    text = r6.read_text(encoding="utf-8")
-    old = "R6 expects a blown-up manifold on the left"
+    path = tmp_path / "src" / "symsum" / module
+    text = path.read_text(encoding="utf-8")
     assert old in text
-    r6.write_text(text.replace(old, "R6 expects a blow-up on the left"), encoding="utf-8")
-    proc = _differential("--base", str(tmp_path))
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(tmp_path)
+
+
+def test_an_edited_message_is_reported_at_its_first_input(tmp_path):
+    old = "R6 expects a blown-up manifold on the left"
+    base = _edited_copy(tmp_path, "rules/r6.py", old, "R6 expects a blow-up on the left")
+    proc = _differential("--base", base)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.startswith("first difference: message R6 not blown up\n"), proc.stdout
     assert "; 1 differ\n" in proc.stdout
+
+
+def test_a_change_to_derived_marks_alone_is_reported(tmp_path):
+    """A trace prints no composite's marks: a copy that orders them by
+    label backwards differs from the first input in its mark tables only."""
+    old = "sorted(collected, key=_BY_LABEL)"
+    base = _edited_copy(tmp_path, "core.py", old, "sorted(collected, key=_BY_LABEL, reverse=True)")
+    proc = _differential("--base", base)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first = proc.stdout.split("\nalso differs")[0]
+    assert first.startswith("first difference: corpus neutral-w\n"), proc.stdout
+    assert re.findall(r"^  (\S.*):$", first, re.M) == ["marks", "rhs marks"]
