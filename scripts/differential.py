@@ -13,8 +13,9 @@ the `MALFORMED`, `RULE_SHAPES` and `RULE_MESSAGES` tables of
 A child per tree, with `PYTHONPATH=<tree>/src`, writes one JSON line per
 input: the exit code, the messages, the text and JSON traces, the mark
 table of each traced expression, and `print_script` and the rhs's mark
-table of the parsed text, since a trace prints no composite's marks.  The harness prints the first input
-whose lines differ and the counts, and exits 1 on any difference.
+table of the parsed text (a trace prints no composite's marks).  The
+harness prints the first input whose lines differ and the counts, and
+exits 1 on any difference.
 Standard library only.
 """
 

@@ -339,7 +339,8 @@ def _cp2_degree(m: SurfaceMark) -> int:
     if d * d != m.normal_number or m.genus != (d - 1) * (d - 2) // 2:
         raise MarkError(
             f"mark {m.label}: not a degree-d curve shadow "
-            f"(needs i=d^2, g=(d-1)(d-2)/2; got g={exact_str(m.genus)}, i={exact_str(m.normal_number)})"
+            f"(needs i=d^2, g=(d-1)(d-2)/2; got g={exact_str(m.genus)}, "
+            f"i={exact_str(m.normal_number)})"
         )
     return d
 
