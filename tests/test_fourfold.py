@@ -61,13 +61,35 @@ def random_quad(rng: random.Random, extras: bool = True):
     return tuple(quad)
 
 
+def _built_from_its_entries(build) -> FourSum:
+    """The four-fold sum `build()` makes, checked to construct no pairwise
+    sum and to have the marks and chi/sigma of each of its four pairwise
+    evaluations."""
+    made = []
+    init = PairSum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    with patch.object(PairSum, "__init__", counting_init):
+        fs = build()
+    assert made == []
+    for r in range(4):
+        grouping = fs.evaluated(r)
+        assert fs.marks == grouping.marks
+        assert expr_invariants(fs) == expr_invariants(grouping)
+    return fs
+
+
 def test_symmetric_quadruple_admissible():
     rng = random.Random(7)
     quad = random_quad(rng, extras=False)
     assert fourfold_violations(quad) == []
+    _built_from_its_entries(lambda: fourfold_sum(quad))
 
 
-def resolution_quad():
+def test_resolution_style_quadruple():
     """The quadruple completing three triples with a ruled fourth."""
     e3 = AtomNode(
         RationalSurface(0),
@@ -97,14 +119,9 @@ def resolution_quad():
         {"S4": (-1, area(1)), "T4": (3, area(1, 2))},
         pairs=(("S4", "T4"),),
     )
-    return ((e3, "S1", "T1"), (e1, "S2", "T2"), (p, "S3", "T3"), (w, "S4", "T4"))
-
-
-def test_resolution_style_quadruple():
-    quad = resolution_quad()
+    quad = ((e3, "S1", "T1"), (e1, "S2", "T2"), (p, "S3", "T3"), (w, "S4", "T4"))
     assert fourfold_violations(quad) == []
-    fs = fourfold_sum(quad)
-    assert expr_invariants(fs.evaluated(0)) == expr_invariants(fs.evaluated(3))
+    _built_from_its_entries(lambda: fourfold_sum(quad))
 
 
 def test_perturbed_area_reports_index():
@@ -126,11 +143,7 @@ def test_both_groupings_agree():
     rng = random.Random(2026)
     for _ in range(50):
         quad = random_quad(rng)
-        fs = fourfold_sum(quad)
-        a = fs.evaluated(0)
-        b = fs.evaluated(3)
-        assert expr_invariants(a) == expr_invariants(b)
-        assert sorted(m.data for m in a.marks) == sorted(m.data for m in b.marks)
+        _built_from_its_entries(lambda: fourfold_sum(quad))
 
 
 def test_inadmissible_foursum_rejected():
@@ -160,35 +173,6 @@ def test_unpaired_triple_rejected():
         quad.append((x, f"S{i}", f"T{i}"))
     with pytest.raises(Exception, match="orthogonally paired"):
         fourfold_sum(quad)
-
-
-def _built_from_its_entries(build) -> FourSum:
-    """The four-fold sum `build()` makes, checked to construct no pairwise
-    sum and to have the marks and chi/sigma of each of its four pairwise
-    evaluations."""
-    made = []
-    init = PairSum.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
-    with patch.object(PairSum, "__init__", counting_init):
-        fs = build()
-    assert made == []
-    for r in range(4):
-        grouping = fs.evaluated(r)
-        assert fs.marks == grouping.marks
-        assert expr_invariants(fs) == expr_invariants(grouping)
-    return fs
-
-
-def test_the_file_quadruples_take_marks_and_invariants_from_their_entries():
-    rng = random.Random(2026)
-    quads = [random_quad(rng) for _ in range(50)]
-    quads += [random_quad(random.Random(7), extras=False), resolution_quad()]
-    for quad in quads:
-        _built_from_its_entries(lambda: fourfold_sum(quad))
 
 
 @given(st.randoms(use_true_random=False))
