@@ -63,6 +63,11 @@ ROUND_TRIP = {
     "perp Sigma-3 }\natom B E(1) { F1: g=1, i=0, a=1, perp Sigma-1; Sigma-1: g=0, i=-1, a=1, "
     "perp F1 }\nlhs sum(blowup(A, generic, size = 1/4, exc = E), F3, B, F1, glue = std)\n"
     "rhs sum(blowup(A, generic, size = 1/4), F3, B, F1)\ntarget =\n",
+    "triple-quoted-slot-note": "atom E3 E(3) { Sigma-3: g=0, i=-3, a=1, perp F3; F3: g=1, i=0, "
+    "a=1, perp Sigma-3 }\natom E1 E(1) { F1: g=1, i=0, a=1, perp Sigma-1; Sigma-1: g=0, i=-1, "
+    "a=1, perp F1 }\ntriple t (blowup(E3, generic, size=1/4), Sigma-3, F3)\n"
+    "lhs sum(E3, F3, E1, F1)\nrhs sum(thin(E3, F3, 0+1e), F3-, thicken(E1, F1, 0+1e), F1+)\n"
+    'target =\nby R8 { at = "root", eps = 0+1e } "a note"\n',
 }
 
 
@@ -75,6 +80,14 @@ def test_options_given_at_their_defaults_print_back():
         "lhs sum(blowup(A, generic, size = 1/4, exc = E), F3, B, F1, glue = std)",
         "rhs sum(blowup(A, generic, size = 1/4), F3, B, F1)",
     ]
+    assert run(src).code == 0
+
+
+def test_a_triple_a_quoted_slot_and_a_step_note_print_back():
+    src = ROUND_TRIP["triple-quoted-slot-note"]
+    lines = print_script(parse(src)).splitlines()
+    assert lines[2] == "triple t (blowup(E3, generic, size = 1/4), Sigma-3, F3)"
+    assert lines[-1] == 'by R8 { at = "root", eps = 0+1e } "a note"'
     assert run(src).code == 0
 
 

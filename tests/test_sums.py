@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from strategies import marked_atoms
+from symsum.demos import CORPUS
+from symsum.script import run
+from test_memo import nodes
+from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
 from symsum.areas import area
 from symsum.core import (
     AdmissibilityError,
@@ -128,6 +133,47 @@ def test_a_carried_mark_meeting_a_mark_on_each_side_is_refused():
     left, right = _one_sided("T", "P", "M", 1), _one_sided("S", "Q", "N", -1)
     with pytest.raises(MarkError, match=r"^carried mark P#Q would meet both M and N$"):
         PairSum(left, "T", right, "S")
+
+
+def _assert_paired_both_ways(node):
+    """Each mark's partner is a mark of the same node that names it back,
+    so no two marks share a partner."""
+    by_label = {m.label: m for m in node.marks}
+    for m in node.marks:
+        if m.orthogonal_at is not None:
+            partner = by_label.get(m.orthogonal_at)
+            assert partner is not None and partner.orthogonal_at == m.label, (m, node.marks)
+
+
+def test_every_traced_node_pairs_its_marks_both_ways():
+    """The pairing that `AtomNode` checks holds at every node of every
+    trace of the corpus and the tables, so a sum drops a glued mark's
+    partner and no other mark names it."""
+    paired = 0
+    for table in (CORPUS, MALFORMED, RULE_SHAPES, RULE_MESSAGES):
+        for source in table.values():
+            verdict = run(source).verdict
+            for node in nodes(*(rec.expr for rec in verdict.trace)) if verdict else ():
+                _assert_paired_both_ways(node)
+                paired += any(m.orthogonal_at for m in node.marks)
+    assert paired > 100
+
+
+@given(marked_atoms(), st.sampled_from("ST"))
+def test_a_blow_up_and_a_collar_at_a_paired_mark_pair_both_ways(x, at):
+    """The transform of a paired mark and a collared paired mark keep
+    their partners, renamed with them, through further operations."""
+    blown = BlowUp(x, at, x.mark(at).area.scale(Fraction(1, 2)))
+    built = [
+        blown,
+        Thin(x, at, EPS),
+        Thicken(x, at, EPS),
+        Thin(blown, f"{at}~", EPS),
+        BlowUp(Thicken(x, at, EPS), f"{at}+", area(Fraction(1, 100)), exceptional_label="E2"),
+    ]
+    for node in built:
+        _assert_paired_both_ways(node)
+    assert all(any(m.orthogonal_at for m in node.marks) for node in built)
 
 
 @given(marked_atoms(s_label="S1", t_label="T1"), marked_atoms(s_label="S2", t_label="T2"))

@@ -266,6 +266,7 @@ MALFORMED.update(
         "blowup pairexc on a paired mark": (
             _E3 + "lhs blowup(E3, at = F3, size = 1/4, pairexc) rhs E3 target =\n"
         ),
+        "atom blow-up count negative": "atom R Rational(-1) { }\nlhs R rhs R target =\n",
     }
 )
 _NEST_L = "sum(sum(W1, B1, W2, A2), B2, W3, A3)"
@@ -427,6 +428,25 @@ _GLUED_ELSEWHERE_R2 = (
 
 def _step(decls: str, lhs: str, rhs: str, target: str, step: str) -> str:
     return f"{decls}lhs {lhs}\nrhs {rhs}\ntarget {target}\nby {step}\n"
+
+
+# ruled summands that R4 reverse refuses: three sections, a fiber glued,
+# sections whose self-intersections do not cancel
+_W3S = (
+    "atom W W(0,1,1) { G1: g=0, i=1, a=2; Ga: g=0, i=1, a=2; Gm: g=0, i=-1, a=1 }\n"
+    "atom P CP2 { L: g=0, i=1, a=1 }\n"
+)
+_WF = (
+    "atom W W(0,1,1) { G1: g=0, i=1, a=2; Gm: g=0, i=-1, a=1; F: g=0, i=0, a=1 }\n"
+    "atom R Rational(0) { M: g=0, i=0, a=1 }\n"
+)
+_V3 = _RULED + "atom R Rational(1) { S: g=0, i=-1, a=1-1e }\n"
+_E2 = (
+    "atom Ea E(2) { Sa: g=0, i=-2, a=1, perp Fa; Fa: g=1, i=0, a=1, perp Sa }\n"
+    "atom Eb E(2) { Sb: g=0, i=-2, a=1, perp Fb; Fb: g=1, i=0, a=1, perp Sb }\n"
+)
+_XP = _X.replace("; A1#B2: g=0, i=0, a=1", "")
+_SUM4X = "sum4((X1, A1, B1), (X2, A2, B2), (X3, A3, B3), (X4, A4, B4))"
 
 
 # the shape errors and side-condition failures of the other rules, and the
@@ -617,7 +637,110 @@ RULE_MESSAGES = {
         "atom Z CP2 { Q: g=1, i=9, a=3 }\n",
         "sum(blowup(R, at = S, size = 1/4, transform = St), M, Z, Q)", "R", "~", "R6 { }",
     ),
+    # rule sites that no input above reaches: R4's reverse and its slot s,
+    # R9 both ways, R1's shapes and its reverse, deform, R6's quadric side
+    # read through desing and refused as a blow-up, R7 on unpaired lines,
+    # the split's area refusal, and the slot readers' type errors
+    "R4 rev not a sum": _script(_E3, "E3", "R4 { } rev"),
+    "R4 rev no ruled summand": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R4 { } rev"),
+    "R4 rev three sections": _script(_W3S, "sum(W, Gm, P, L)", "R4 { } rev"),
+    "R4 rev glued along a fiber": _script(_WF, "sum(W, F, R, M)", "R4 { } rev"),
+    "R4 rev sections not opposite": _script(_V3, "sum(V3, G1, R, S)", "R4 { } rev"),
+    "R4 no slot s": _script(_E3, "E3", "R4 { }"),
+    "R4 localized at a paired mark": _script(_E3, "blowup(E3, at=F3, size=1/4)", "R4 { }"),
+    "R9 not elliptic": _script(_E3 + _E1, "sum(E3, F3, E1, F1)", "R9 { }"),
+    "R9 on E(1)": _script(_E1, "E1", "R9 { }"),
+    "R9 two sections": _script(
+        "atom E3 E(3) { S1: g=0, i=-3, a=1; S2: g=0, i=-3, a=1 }\n", "E3",
+        "R9 { left_section_area = 1/2 }",
+    ),
+    "R9 no left section area": _script(_E3, "E3", "R9 { }"),
+    "R9 rev not a sum": _script(_E3, "E3", "R9 { } rev"),
+    "R9 rev not E(1)": _script(_E2, "sum(Ea, Fa, Eb, Fb)", "R9 { } rev"),
+    "R1 not a sum": _script(_E3, "E3", "R1 { }"),
+    "R1 nested without carried marks": _script(
+        _CHAIN, "sum(sum(W1, B1, W2, A2), B2, sum(W3, B3, W4, A4), A3)", "R1 { }"
+    ),
+    "R1 rev and back": _script(_XP, _SUM4X, "R1 { } rev", "R1 { }"),
+    "R1 nested rev and back": _script(
+        _XP, "sum(sum(X1, B1, X2, A2), A1#B2, sum(X3, B3, X4, A4), A3#B4)", "R1 { } rev",
+        "R1 { }",
+    ),
+    "deform no slots": _script(_E3, "E3", "deform { }"),
+    "R6 quadric side desingularized": _step(
+        _P + "atom P2 CP2 { L1: g=0, i=1, a=3/8, perp L2; L2: g=0, i=1, a=3/8, perp L1 }\n",
+        f"sum({_BLOW_X}, St, desing(P2, L1, L2, label=Q2), Q2)", "X", "~", "R6 { }",
+    ),
+    "R6 quadric side blown up": _script(
+        _P + "atom Z CP2 { Q2: g=0, i=4, a=3/4 }\n",
+        f"sum({_BLOW_X}, St, blowup(Z, generic, size=1/8, exc=E9), Q2)", "R6 { }",
+    ),
+    "R7 lines not paired": _script(
+        _P + "atom P5 CP2 { L1: g=0, i=1, a=1/4; L2: g=0, i=1, a=1/4 }\n",
+        "sum(blowup(X, at=Sigma-3, size=1/4, pairexc), E, P5, L1)", "R7 { }",
+    ),
+    "R10 area mismatch": _script(
+        "atom W W(0,2,1) { G: g=0, i=0, a=2; F: g=0, i=0, a=1 }\n", "W",
+        "R10 { plus = F, minus = G }",
+    ),
+    "slot expects a label": _script(
+        _E3 + _E1, "sum(E3, F3, E1, F1)", "R8 { at = 3, eps = 0+1e }"
+    ),
+    "slot expects an integer": _script(_XP, _SUM4X, "R1 { rotate = 1/2 }"),
 }
+
+# The rule checks that no input above reaches, each named by its module and
+# its message or claim text, with the reason it holds for every expression
+# that builds; tests/test_rule_sites.py keeps this list equal to the checks
+# that the corpus, RULE_SHAPES and RULE_MESSAGES leave unreached
+CERTIFICATES = (
+    ("r2", "ruled summand cannot be built: {exc}",
+     "its sections are the collared S1 and T3, which Thin and Thicken have "
+     "checked positive, and they differ by the spread of a ruled surface"),
+    ("r2", "section area difference 2(1-k)*eps",
+     "a(T3) = a(S1) by the glue along S3+T3 and the checked row a(T2) = a(S3), "
+     "and the collars add (k+1)eps and (3-k)eps"),
+    ("r2", "sum of two half-fiber ruled pieces reproduces the ruled summand",
+     "both halves are spread from a(S1)+eps by the formula that built the "
+     "ruled summand, so their outer sections are its sections"),
+    ("r2", "perturbed quadruple is not admissible: {exc}",
+     "each glued pair moves by the same collar terms on both sides: T1, S2 by "
+     "the inner glue, T2, S3 by the checked rows, the ruled sections by construction"),
+    ("r2", "{what} equals the perturbed carry bitwise",
+     "a grouping's carry is the connected sum of two collared marks, whose "
+     "collar terms add up to the outer mark's eps"),
+    ("r2", "invariants agree across groupings: {inv_a}, {inv_b}, {inv_sub}",
+     "chi and sigma of a sum are its summands' less the glued surfaces' terms, "
+     "which neither a grouping nor a collar nor the ruled summand changes"),
+    ("r2", "leftover mark data agrees across groupings: {marks_a}, {marks_b}, {marks_sub}",
+     "each grouping keeps the entries' marks other than the glued ones, and "
+     "the collars touch only glued marks"),
+    ("r3r", "carried mark equals the thickened resolved mark bitwise",
+     "the carry of the ruled section and the collared T is desingularize(S, T) "
+     "thickened by eps, term by term"),
+    ("r7", "carried transform#line equals the original mark bitwise",
+     "the transform is (g, i-1, a-size) and the other line is (0, 1, size), "
+     "since a plane's lines have equal areas and one is glued to E"),
+    ("r8", "carried mark survives the trade bitwise",
+     "thin takes eps from one glued mark's partner and thicken gives eps to "
+     "the other, so their connected sum keeps its genus, normal number and area"),
+    ("r10", "outer marks of the split reproduce the atom bitwise",
+     "split_ruled builds the outer sections from the atom's own areas, after "
+     "checking plus's area against the spread"),
+    # settled by the sum's admissibility once the rule has checked the
+    # glue along the proper transform (R5, R6) or a plane's line (R7)
+    ("r5", "g({s_lbl}) = g({sp_lbl})",
+     "the sum glues S to the transform of S', which has the genus of S'"),
+    ("r5", "i({s_lbl}) = -i({sp_lbl})+1: {exact_str(s.normal_number)} vs "
+     "-{exact_str(sp.normal_number)}+1",
+     "the sum glues S to the transform of S', which has normal number i(S')-1"),
+    ("r6", "quadric mark needs (g, i) = (0, 4): got ({exact_str(q.genus)}, "
+     "{exact_str(q.normal_number)})",
+     "the quadric mark is glued to the transform of a -3 sphere, which is (0, -4)"),
+    ("r7", "R7 expects the gluing mark to be exceptional (g=0, i=-1); "
+     "got (g={exact_str(ex.genus)}, i={exact_str(ex.normal_number)})",
+     "the mark is glued to a plane's line with i = 1, which CP2 makes a sphere"),
+)
 
 
 def script_golden() -> str:
