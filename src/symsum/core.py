@@ -607,25 +607,13 @@ class PairSum(ManifoldExpr):
                 "orthogonal partner to carry"
             )
         set_field(self, "carried", carry)
-        out: list[SurfaceMark] = []
-        carry_partner = None
-        for side, glue, half in ((self.left, lt, lp), (self.right, rs, rp)):
-            for m in side.marks:
-                if m is glue or m is half:
-                    continue
-                # a mark meeting a glued mark's partner meets the carried
-                # mark instead, or nothing when no mark is carried
-                if half is not None and m.orthogonal_at == half.label:
-                    if carry is not None:
-                        if carry_partner is not None:
-                            raise MarkError(
-                                f"carried mark {carry} would meet both "
-                                f"{carry_partner} and {m.label}"
-                            )
-                        carry_partner = m.label
-                    if carry != m.orthogonal_at:
-                        m = m.replace(orthogonal_at=carry)
-                out.append(m)
+        # only a glued mark names its partner: AtomNode checks that partners name each other
+        out = [
+            m
+            for side, glue, half in ((self.left, lt, lp), (self.right, rs, rp))
+            for m in side.marks
+            if m is not glue and m is not half
+        ]
         if carry is not None:
             out.append(
                 SurfaceMark(
@@ -633,7 +621,6 @@ class PairSum(ManifoldExpr):
                     lp.genus + rp.genus,
                     lp.normal_number + rp.normal_number,
                     lp.area + rp.area,
-                    carry_partner,
                 )
             )
         return _finish_marks(out, self.pairs)

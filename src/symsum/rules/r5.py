@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ..areas import area, exact_str
+from ..areas import area
 from ..core import BlowUp, PairSum, SurfaceMark
-from ..rewrite import WK, RuleError, _expect, _failed, _halves, _pair, rule
+from ..rewrite import WK, RuleError, _halves, _pair, rule
 from ..sums import apply_shifts
 
 
@@ -38,13 +38,8 @@ def _r5(sub, b, rev):
             "proper transform"
         )
     y, sp_lbl = blow.inner, blow.at_mark
+    # g(S) = g(S') and i(S) = -i(S')+1: PairSum admitted S against the transform of S'
     s, sp = x.mark(s_lbl), y.mark(sp_lbl)
-    _expect(s.genus, sp.genus, f"g({s_lbl}) = g({sp_lbl})")
-    if s.normal_number != -sp.normal_number + 1:
-        raise _failed(
-            f"i({s_lbl}) = -i({sp_lbl})+1: {exact_str(s.normal_number)} vs "
-            f"-{exact_str(sp.normal_number)}+1"
-        )
     size = b.area("new_size", blow.size)
     tl = b.label("transform", s_lbl + "~")
     el = b.label("exceptional", "E2")

@@ -30,14 +30,8 @@ def _r6(sub, b, rev):
             raise _failed(f"g({blow.at_mark}) = 0: got {exact_str(s.genus)}")
         if sub.left_mark != blow.new_transform_label:
             raise RuleError("R6 expects the sum glued along the proper transform")
-        q_side = sub.right
-        q = q_side.mark(sub.right_mark)
-        if (q.genus, q.normal_number) != (0, 4):
-            raise _failed(
-                f"quadric mark needs (g, i) = (0, 4): got ({exact_str(q.genus)}, "
-                f"{exact_str(q.normal_number)})"
-            )
-        if not _is_plane_side(q_side):
+        # the quadric mark is (0, 4): PairSum admitted it against the transform, (0, -4)
+        if not _is_plane_side(sub.right):
             raise RuleError("R6 expects the quadric side to be a plane")
         return blow.inner, WK, [
             f"rational blow-down along {sub.right_mark} undoes the blow-up "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..areas import exact_str
 from ..core import (
     AtomNode,
     BlowUp,
@@ -10,7 +9,6 @@ from ..core import (
     PairSum,
     ProjectivePlane,
     RationalSurface,
-    SurfaceMark,
     rename,
 )
 from ..rewrite import EQ, WK, RuleError, _expect, rule
@@ -28,13 +26,8 @@ def _r7(sub, b, rev):
         lines = plane.marks
         if len(lines) != 2 or any(m.normal_number != 1 for m in lines):
             raise RuleError("R7 expects the plane to carry exactly two lines")
-        ex = sub.left.mark(sub.left_mark)
-        if (ex.genus, ex.normal_number) != (0, -1):
-            raise RuleError(
-                f"R7 expects the gluing mark to be exceptional (g=0, i=-1); "
-                f"got (g={exact_str(ex.genus)}, i={exact_str(ex.normal_number)})"
-            )
-        if isinstance(sub.left, BlowUp) and sub.left.exceptional_label == ex.label:
+        # the glued mark is (0, -1): PairSum admitted it against a CP2 line, which is (0, 1)
+        if isinstance(sub.left, BlowUp) and sub.left.exceptional_label == sub.left_mark:
             # exact inverse of the blow-up
             blow = sub.left
             if blow.at_mark is not None and blow.pair_exceptional:
@@ -51,7 +44,7 @@ def _r7(sub, b, rev):
                 )
             return blow.inner, EQ, ["blow-down undoes the blow-up exactly"]
         if isinstance(sub.left, AtomNode):
-            return _r7_fold_atom(sub, b, ex)
+            return _r7_fold_atom(sub, b)
         raise RuleError(
             "R7 expects the left summand to be a blow-up or an atom with an "
             "exceptional mark"
@@ -70,7 +63,7 @@ def _r7(sub, b, rev):
     return new, EQ, ["expressed a blow-up/blow-down pair as a plane sum"]
 
 
-def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
+def _r7_fold_atom(sub: PairSum, b):
     kind = sub.left.kind
     if isinstance(kind, EllipticSurface) and kind.n == 1:
         new_kind = RationalSurface(8)
@@ -94,7 +87,7 @@ def _r7_fold_atom(sub: PairSum, b, ex: SurfaceMark):
     )
     new = AtomNode(new_kind, marks)
     notes = [
-        f"blow-down of {ex.label} folds the summand into a plane with "
+        f"blow-down of {sub.left_mark} folds the summand into a plane with "
         f"{new_kind.blowups} reversed summands"
     ]
     return new, WK, notes, relabel

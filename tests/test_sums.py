@@ -112,29 +112,6 @@ def test_inadmissible_sum_reports_area():
     assert [v.condition for v in exc.value.violations] == ["area"]
 
 
-def _one_sided(glued: str, half: str, free: str, normal: int) -> AtomNode:
-    """A rational surface whose mark `glued` is paired with `half`, and
-    whose mark `free` declares `half` too, one-sidedly: a pairing that no
-    checked atom holds and that no operation makes from one."""
-    atom = AtomNode(
-        RationalSurface(1),
-        (
-            SurfaceMark(glued, 0, normal, area(1), half),
-            SurfaceMark(half, 0, 0, area(1), glued),
-            SurfaceMark(free, 0, 0, area(1)),
-        ),
-    )
-    marks = [m.replace(orthogonal_at=half) if m.label == free else m for m in atom.marks]
-    atom.__dict__["marks"] = tuple(marks)
-    return atom
-
-
-def test_a_carried_mark_meeting_a_mark_on_each_side_is_refused():
-    left, right = _one_sided("T", "P", "M", 1), _one_sided("S", "Q", "N", -1)
-    with pytest.raises(MarkError, match=r"^carried mark P#Q would meet both M and N$"):
-        PairSum(left, "T", right, "S")
-
-
 def _assert_paired_both_ways(node):
     """Each mark's partner is a mark of the same node that names it back,
     so no two marks share a partner."""

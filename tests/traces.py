@@ -451,11 +451,8 @@ _SUM4X = "sum4((X1, A1, B1), (X2, A2, B2), (X3, A3, B3), (X4, A4, B4))"
 
 # the shape errors and side-condition failures of the other rules, and the
 # failures of building thin, thicken and desing, that a script can reach.
-# The side conditions that the marks of a well-formed expression always
-# meet have no input: R2's section difference and perturbed carries and
-# its rows settled by a gluing, R3r's carried mark, R5's two rows, R6's
-# quadric, R7's exceptional mark and carried transform, R8's carried
-# mark and R10's split reproduction.
+# The checks that the marks of a well-formed expression always meet have
+# no input: they are listed, each with its reason, in CERTIFICATES below.
 RULE_MESSAGES = {
     # R2's side conditions that a script can break: the rows that the
     # glued marks do not settle already
@@ -727,19 +724,6 @@ CERTIFICATES = (
     ("r10", "outer marks of the split reproduce the atom bitwise",
      "split_ruled builds the outer sections from the atom's own areas, after "
      "checking plus's area against the spread"),
-    # settled by the sum's admissibility once the rule has checked the
-    # glue along the proper transform (R5, R6) or a plane's line (R7)
-    ("r5", "g({s_lbl}) = g({sp_lbl})",
-     "the sum glues S to the transform of S', which has the genus of S'"),
-    ("r5", "i({s_lbl}) = -i({sp_lbl})+1: {exact_str(s.normal_number)} vs "
-     "-{exact_str(sp.normal_number)}+1",
-     "the sum glues S to the transform of S', which has normal number i(S')-1"),
-    ("r6", "quadric mark needs (g, i) = (0, 4): got ({exact_str(q.genus)}, "
-     "{exact_str(q.normal_number)})",
-     "the quadric mark is glued to the transform of a -3 sphere, which is (0, -4)"),
-    ("r7", "R7 expects the gluing mark to be exceptional (g=0, i=-1); "
-     "got (g={exact_str(ex.genus)}, i={exact_str(ex.normal_number)})",
-     "the mark is glued to a plane's line with i = 1, which CP2 makes a sphere"),
 )
 
 
