@@ -87,20 +87,13 @@ def make_ruled_atom(
     {label: (k, area)} and fiber marks {label: partner-or-None}; `pairs`
     orthogonally pairs two sections."""
     twist = min_twist(*(k for k, _ in sections.values()))
+    fibers = fibers or {}
     paired: dict[str, str] = {}
-    for a, b in pairs:
-        paired[a], paired[b] = b, a
-    marks = []
-    for label, (k, a) in sections.items():
-        marks.append(SurfaceMark(label, genus, k, a, paired.get(label)))
-    for label, partner in (fibers or {}).items():
-        marks.append(SurfaceMark(label, 0, 0, fiber_area, partner))
-        if partner is not None:
-            k, a = sections[partner]
-            marks = [
-                m if m.label != partner else m.replace(orthogonal_at=label)
-                for m in marks
-            ]
+    for a, b in (*pairs, *fibers.items()):
+        if b is not None:
+            paired[a], paired[b] = b, a
+    marks = [SurfaceMark(m, genus, k, a, paired.get(m)) for m, (k, a) in sections.items()]
+    marks += [SurfaceMark(m, 0, 0, fiber_area, paired.get(m)) for m in fibers]
     return AtomNode(RuledSurface(genus, twist, fiber_area), tuple(marks))
 
 
