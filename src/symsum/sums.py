@@ -92,8 +92,8 @@ def make_ruled_atom(
     for a, b in (*pairs, *fibers.items()):
         if b is not None:
             paired[a], paired[b] = b, a
-    marks = [SurfaceMark(m, genus, k, a, paired.get(m)) for m, (k, a) in sections.items()]
-    marks += [SurfaceMark(m, 0, 0, fiber_area, paired.get(m)) for m in fibers]
+    marks = [SurfaceMark(s, genus, k, a, paired.get(s)) for s, (k, a) in sections.items()]
+    marks += [SurfaceMark(f, 0, 0, fiber_area, paired.get(f)) for f in fibers]
     return AtomNode(RuledSurface(genus, twist, fiber_area), tuple(marks))
 
 
