@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strategies import marked_atoms
-from symsum.demos import CORPUS
-from symsum.script import run
 from test_memo import nodes
 from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
 from symsum.areas import area
@@ -29,7 +27,9 @@ from symsum.core import (
     desingularize,
     pairwise_violations,
 )
+from symsum.demos import CORPUS
 from symsum.invariants import expr_invariants
+from symsum.script import run
 from symsum.sums import (
     _neutral_w,
     apply_shifts,
