@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_memo import chain_script
-from traces import corpus_traces, script_golden, token_golden
+from traces import MALFORMED, corpus_traces, script_golden, token_golden
 
 from symsum import script
 from symsum.areas import area
@@ -68,6 +68,14 @@ ROUND_TRIP = {
     "a=1, perp F1 }\ntriple t (blowup(E3, generic, size=1/4), Sigma-3, F3)\n"
     "lhs sum(E3, F3, E1, F1)\nrhs sum(thin(E3, F3, 0+1e), F3-, thicken(E1, F1, 0+1e), F1+)\n"
     'target =\nby R8 { at = "root", eps = 0+1e } "a note"\n',
+    **{
+        name: MALFORMED[name]
+        for name in (
+            "mark spec g=0/1", "mark spec i=2/2", "mark spec i=- 1", "mark block with a comment",
+            "mark block with line breaks", "mark label holding #", "kind split over lines",
+            "kind with a ) inside a comment",
+        )
+    },
 }
 
 

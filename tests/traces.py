@@ -158,6 +158,36 @@ MALFORMED.update(
         ),
     }
 )
+# declarations at the token boundaries of a mark spec, most of which a
+# pattern that lost a boundary would read on past: a word stuck to
+# `perp`, to `atom` or to an eps word (`e#x` and `e-3` are names), integer
+# slots written as fractions or with a blank after the sign, comments and
+# line breaks inside a mark block, a `}` that closes the block only inside
+# a comment, a label holding `#` whose text after it would read as a
+# comment, and a kind split over lines or holding a `)` inside a comment;
+# the ones that parse are in test_script's ROUND_TRIP
+_CP2 = "atom P CP2 { L: g=0, i=1, a=1 }\nlhs P rhs P target =\n"
+MALFORMED.update(
+    {
+        "mark spec perpX": _spec_script((14, "perpB1"), (15, "")),
+        "mark spec a=1+2e-3": _spec_script((12, "1+2e-3")),
+        "mark spec eps word holding #": _spec_script((12, "1+1e#x\n")),
+        "mark spec g=0/1": _CP2.replace("g=0", "g=0/1"),
+        "mark spec i=2/2": _CP2.replace("i=1", "i=2/2"),
+        "mark spec i=- 1": _spec_script((8, "- 1")),
+        "mark spec a=1/0": _spec_script((12, "1/0")),
+        "mark block with a comment": _spec_script((7, "= # a note ; }\n")),
+        "mark block with line breaks": _spec_script((5, "\n,"), (13, "\n,")),
+        "mark block closed only inside a comment": _CP2.replace("a=1 }", "a=1 # }"),
+        "mark label holding #": _spec_script((0, "A#1")),
+        "mark label holding # before a bad spec": _CP2.replace(
+            "L: g=0, i=1, a=1", "L#x: g=0, i=1, a=x\n: g=0, i=1, a=1"
+        ),
+        "atomX": _spec_script().replace("atom ", "atom", 1),
+        "kind split over lines": _spec_script().replace("W(0,1,0+1e)", "W(0,\n1,\n0+1e)"),
+        "kind with a ) inside a comment": _spec_script().replace("W(0,1,", "W(0,1 # )\n,"),
+    }
+)
 
 _W = (
     "atom W W(0,3,0+1e) { Gk: g=0, i=3, a=1, perp Gk2; Gk2: g=0, i=-1, a=1-2e, perp Gk }\n"
