@@ -22,6 +22,19 @@ A `kind` and an `op` are written in the source form of an atom kind
 tables are the grammar that the parser reads and the printer writes.
 Rational literals are `p/q`; areas are written `1`, `0+1e`, `5/4-3e`.
 Expression files use the same declarations followed by `expr <expr>`.
+
+Two readers read a text.  The fast reader, `_read_atoms`, matches the atom
+declarations at its start with two compiled patterns, `atom NAME KIND {`
+and then each mark spec, and builds each atom from the groups; it reads
+each new kind text with the token reader, and atoms of one kind text hold
+one kind object.  At the first declaration that the patterns do not match
+(a triple, say, or an integer slot written `p/q`), the token reader,
+`_Parser`, tokenizes the rest of the text and reads on with the atoms
+read.  After any failure on the way, a check that the fast reader fails or
+anything that the token reader raises or holds, the token reader alone
+parses the text again from its start; so every message, position and
+failure rank is the token reader's, as a second pass words CPython's
+syntax errors (PEP 617).
 """
 
 from __future__ import annotations
@@ -72,12 +85,17 @@ class ScriptError(SymsumError):
 # Lexer
 # ---------------------------------------------------------------------------
 
+# The pieces of the token pattern, which the fast reader's patterns share:
+# blanks and comments, a comment running to the end of its line or text
+# (so that a pattern that fails cannot read on from inside one), a name
+# and a number.
+_BLANK = r"[ \t\r\n]*(?:\#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
+_NAME = r"[A-Za-z][A-Za-z0-9_#+~^-]*"
+_NUM = r"\d+(?:/\d+)?"
 # The one token pattern: blanks and comments, then a token, or `\Z` for
-# the eof "".  The parser reads the values of one `findall`, a string with
-# its quotes; a character that starts no token is a value no rule takes.
-_VALUE_RE = re.compile(
-    r'[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*([A-Za-z][A-Za-z0-9_#+~^-]*|\d+(?:/\d+)?|"[^"]*"|.|\Z)'
-)
+# the eof "".  The token reader reads the values of one `findall`, a string
+# with its quotes; a character that starts no token is a value no rule takes.
+_VALUE_RE = re.compile(_BLANK + f'({_NAME}|{_NUM}|"[^"]*"|.|\\Z)')
 
 
 def tokenize(text: str) -> list[str]:
@@ -194,12 +212,14 @@ class _Parser:
     the first other build failure win, in this order (`held`).  A node
     that failed, and each node over it, reads as None."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, decls: tuple = (), atoms: Optional[dict] = None):
+        """A reader of `text`, after the declarations `decls` of the
+        atoms `atoms`, by name, that the fast reader read before it."""
         self.text, self.toks, self.i = text, tokenize(text), 0
         self.held: list[Optional[ScriptError]] = [None, None, None]  # by rank
-        self.atoms: dict[str, Optional[AtomNode]] = {}  # the atoms declared, by name
-        self.names: set[str] = set()  # every name declared
-        self.kinds: dict[tuple, AtomKind] = {}  # the atom kinds read, by their tokens
+        self.decls = list(decls)
+        self.atoms: dict[str, Optional[AtomNode]] = dict(atoms or {})  # the atoms declared
+        self.names: set[str] = set(self.atoms)  # every name declared
 
     @cached_property
     def positions(self) -> list[Token]:
@@ -253,10 +273,6 @@ class _Parser:
 
     def parse_fraction(self) -> Union[int, Fraction]:
         """A number after an optional `-`: an int for `p`, a Fraction for `p/q`."""
-        v = self.toks[self.i]
-        if v.isdecimal():  # a plain `p`
-            self.i += 1
-            return self.number(v, self.i - 1)
         neg = self.accept("-")
         v = self.expect("num", "number")
         num, _, den = v.partition("/")
@@ -292,46 +308,23 @@ class _Parser:
 
     # -- declarations ------------------------------------------------
 
-    def parse_kind(self) -> AtomKind:
-        """An atom kind: its tag, then the rest of its form.  A kind is
-        read once per text: the kinds built are kept by their tokens, from
-        the tag to the first `)`, and the same tokens again give the same
-        kind."""
-        toks, at = self.toks, self.i
-        try:
-            end = toks.index(")", at, at + _KIND_SPAN) + 1
-        except ValueError:  # no `)` near: the key is the tag alone
-            end = at + 1
-        key = tuple(toks[at:end])
-        kind = self.kinds.get(key)
-        if kind is not None:
-            self.i = end
-            return kind
+    def parse_kind(self) -> Optional[AtomKind]:
+        """An atom kind: its tag, then the rest of its form."""
         tag = self.expect("name", "atom kind")
         if tag not in KINDS:
             raise self.error(f"unknown atom kind {tag!r}", self.i - 1, expected=set(KINDS))
-        kind = self.parse_form(KINDS[tag])
-        if self.i == end:
-            self.kinds[key] = kind
-        return kind
+        return self.parse_form(KINDS[tag])
 
     def parse_atom(self, at: int) -> Optional[AtomNode]:
-        """An atom kind and its marks, built; a one-sided `perp` implies its
-        mirror.  An atom that fails its checks is held, at token `at` or
-        at the mark whose `perp` names no mark, and reads as None."""
+        """An atom kind and its marks, built.  An atom that fails its
+        checks is held, at token `at` or at the mark whose `perp` names no
+        mark, and reads as None."""
         kind = self.parse_kind()
-        marks = self.parse_markblock() if self.toks[self.i] == "{" else []
-        perp = {label: p for label, _, _, _, p, _ in marks}
-        for label, _, _, _, p, i in marks:
-            if p is None:
-                continue
-            if p not in perp:
-                return self.hold(f"unresolved mark {p!r}", i, _ATOM)
-            if perp[p] is None:
-                perp[p] = label
+        specs = self.parse_markblock() if self.toks[self.i] == "{" else []
         try:
-            marks = tuple(SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in marks)
-            return AtomNode(kind, marks)
+            return _atom(kind, specs)
+        except _UnresolvedMark as exc:
+            return self.hold(str(exc), exc.where, _ATOM)
         except SymsumError as exc:
             return self.hold(str(exc), at, _ATOM)
 
@@ -343,31 +336,14 @@ class _Parser:
 
     def parse_markspec(self) -> tuple:
         """A mark's label, genus, normal number, area and `perp` partner
-        (or None), and the index of its label token.  The common shape
-        `L : g = p , i = [-]q , a =` is read with slice comparisons; where
-        the text differs from it, the tokens are read one by one, which
-        raises at the first that differs."""
-        toks, at = self.toks, self.i
-        q = at + 8 + (toks[at + 8 : at + 9] == ["-"])  # the index of q
-        if (
-            toks[q + 1 : q + 4] == _AREA  # so every token up to q is there
-            and toks[at + 1 : at + 4] == _GENUS
-            and toks[at + 5 : at + 8] == _INDEX
-            and _KIND_OF.get(toks[at][:1]) == "name"
-            and toks[at + 4].isdecimal()
-            and toks[q].isdecimal()
-        ):
-            name, g, i = toks[at], self.number(toks[at + 4], at + 4), self.number(toks[q], q)
-            if q > at + 8:
-                i = -i
-            self.i = q + 4
-        else:
-            name = self.expect("name", "mark label")
-            self.read_run(_GENUS)
-            g = self.parse_int()
-            self.read_run(_INDEX)
-            i = self.parse_int()
-            self.read_run(_AREA)
+        (or None), and the index of its label token."""
+        at = self.i
+        name = self.expect("name", "mark label")
+        self.read_run(_GENUS)
+        g = self.parse_int()
+        self.read_run(_INDEX)
+        i = self.parse_int()
+        self.read_run(_AREA)
         a = self.parse_area()
         perp = None
         if self.toks[self.i] == "," and self.toks[self.i + 1] == "perp":
@@ -566,7 +542,7 @@ class _Parser:
     # -- entry points ------------------------------------------------
 
     def parse_script(self) -> ScriptAst:
-        decls = []
+        decls = self.decls
         while self.toks[self.i] != "lhs":
             decls.append(self.parse_decl())
         self.i += 1
@@ -586,7 +562,7 @@ class _Parser:
         return ScriptAst(decls, lhs, rhs, target, steps)
 
     def parse_expr_file(self) -> ExprFileAst:
-        decls = []
+        decls = self.decls
         while self.toks[self.i] != "expr":
             decls.append(self.parse_decl())
         self.i += 1
@@ -602,12 +578,123 @@ class _Parser:
                 raise failure
 
 
+class _UnresolvedMark(SymsumError):
+    """A `perp` that names no mark of its atom, read at `where`."""
+
+    def __init__(self, label: str, where: Optional[int]):
+        super().__init__(f"unresolved mark {label!r}")
+        self.where = where
+
+
+def _atom(kind: Optional[AtomKind], specs: list[tuple]) -> AtomNode:
+    """The atom of `kind` with the marks `specs`, each (label, genus,
+    normal number, area, `perp` partner or None, where it was read); a
+    one-sided `perp` implies its mirror.  Raises SymsumError where the
+    atom fails a check."""
+    perp = {label: p for label, _, _, _, p, _ in specs}
+    for label, _, _, _, p, where in specs:
+        if p is None:
+            continue
+        if p not in perp:
+            raise _UnresolvedMark(p, where)
+        if perp[p] is None:
+            perp[p] = label
+    return AtomNode(kind, tuple(SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in specs))
+
+
+def _pattern(text: str) -> re.Pattern:
+    """A fast reader's pattern written with the token pattern's pieces: a
+    blank stands for `_BLANK`, NAME and NUM for `_NAME` and `_NUM`, and `%`
+    ends a word where no name character follows, as the longest name does."""
+    return re.compile(
+        text.replace(" ", _BLANK).replace("NAME", _NAME).replace("NUM", _NUM)
+        .replace("%", r"(?![A-Za-z0-9_#+~^-])")
+    )
+
+
+# `atom NAME KIND {`, where KIND is a tag with an optional `( ... )`
+_ATOM_RE = _pattern(r" atom% (NAME%) (NAME%(?: \([^()]*\))?) \{")
+# a mark spec `L : g = p , i = [-]q , a = AREA [, perp M]` and then `;`
+# or `}`, or the `}` that closes the block
+_SPEC_RE = _pattern(
+    r" (?:(NAME%) : g% = (\d+) , i% = (-?) (\d+) , a% = (-?) (NUM) "
+    r"(?:([+-]) (NUM) (?:eps|e)% |((?:eps|e)%) )?(?:, perp% (NAME%) )?([;}])|(\}))"
+)
+
+
+def _rational(v: str, neg) -> Union[int, Fraction]:
+    """The number `p` or `p/q` written `v`, negated if `neg`; raises
+    where `int()` or `Fraction` does."""
+    num, _, den = v.partition("/")
+    f = Fraction(int(num), int(den)) if den else int(num)
+    return -f if neg else f
+
+
+def _read_atoms(text: str) -> tuple[list[AtomDecl], dict[str, AtomNode], int]:
+    """The fast reader: the atom declarations at the start of `text` that
+    `_ATOM_RE` and `_SPEC_RE` match, built, and where the first other
+    declaration starts.  An atom with a kind text read before holds the
+    same kind object; a new kind text is read by the token reader.  Any
+    failed check raises."""
+    decls, atoms, kinds = [], {}, {}
+    start = 0
+    while True:
+        m = _ATOM_RE.match(text, start)
+        if m is None:
+            return decls, atoms, start
+        name, kind_text = m.groups()
+        if name in atoms:
+            raise ScriptError(f"duplicate identifier {name!r}")
+        kind = kinds.get(kind_text)
+        if kind is None:
+            p = _Parser(kind_text)
+            kind = p.parse_kind()
+            p.expect("eof")
+            p.finish()
+            kinds[kind_text] = kind
+        specs, end = [], m.end()
+        while True:
+            m = _SPEC_RE.match(text, end)
+            if m is None:
+                return decls, atoms, start
+            end = m.end()
+            label, g, neg, i, a_neg, a, sign, eps, pure, perp, stop, close = m.groups()
+            if close:
+                break
+            a = _rational(a, a_neg)
+            if sign:
+                area = AreaValue(a, _rational(eps, sign == "-"))
+            else:
+                area = AreaValue(0, a) if pure else AreaValue(a, 0)
+            i = int(i)
+            specs.append((label, int(g), -i if neg else i, area, perp, None))
+            if stop == "}":
+                break
+        atoms[name] = _atom(kind, specs)
+        decls.append(AtomDecl(name, atoms[name]))
+        start = end
+
+
+def _read(source: str, entry):
+    """`entry` of a reader of `source`: the fast reader reads the atom
+    declarations it matches, and the token reader reads on from the first
+    other one, with the atoms read.  After a failure on the way, a check
+    that the fast reader fails or anything that the token reader raises or
+    holds, the token reader alone reads the text again, and its message,
+    position and failure rank are the parse's."""
+    try:
+        decls, atoms, start = _read_atoms(source)
+        return entry(_Parser(source[start:], decls, atoms))
+    except Exception:
+        return entry(_Parser(source))
+
+
 def parse(source: str) -> ScriptAst:
-    return _Parser(source).parse_script()
+    return _read(source, _Parser.parse_script)
 
 
 def parse_expr_file(source: str) -> ExprFileAst:
-    return _Parser(source).parse_expr_file()
+    return _read(source, _Parser.parse_expr_file)
 
 
 class BuiltScript(Record):
@@ -669,7 +756,6 @@ _OPTIONS = {
 _EPS = ("e", "eps")  # the words after an area's eps coefficient
 # the fixed tokens before a mark spec's genus, normal number and area
 _GENUS, _INDEX, _AREA = [":", "g", "="], [",", "i", "="], [",", "a", "="]
-_KIND_SPAN = 16  # the most tokens from a kind's tag to its `)` that a kind key holds
 _CLOSED = object()  # what the stop at the end of a form wants
 _NO_DEFAULT = object()  # the default of a slot that always prints
 
