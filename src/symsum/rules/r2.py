@@ -71,17 +71,22 @@ def _perturbed(data: tuple, eps: AreaValue) -> tuple:
 _ROWS = (("T1", "S2", 0), ("T2", "S3", 0), ("T3", "S1", 2))
 
 
-def _check_assoc_conditions(t1, t2, t3) -> list[str]:
+def _check_assoc_conditions(t1, t2, t3, rev: bool) -> list[str]:
+    """Checks the grand sum's rows, but for the inner sum's own row, (T1,
+    S2) forward and (T2, S3) in reverse, which that PairSum admitted when
+    it was built; returns the notes."""
     (x1, s1l, t1l), (x2, s2l, t2l), (x3, s3l, t3l) = t1, t2, t3
     marks = {
         "S1": x1.mark(s1l), "T1": x1.mark(t1l),
         "S2": x2.mark(s2l), "T2": x2.mark(t2l),
         "S3": x3.mark(s3l), "T3": x3.mark(t3l),
     }
-    for t, s, _ in _ROWS:
+    own = 1 if rev else 0
+    rows = _ROWS[:own] + _ROWS[own + 1 :]
+    for t, s, _ in rows:
         _expect(marks[t].genus, marks[s].genus, f"g({t}) = g({s})")
         _expect(marks[t].area, marks[s].area, f"area({t}) = area({s})")
-    for t, s, extra in _ROWS:
+    for t, s, extra in rows:
         i_t, i_s = marks[t].normal_number, marks[s].normal_number
         if i_t != -(i_s + extra):
             i_t, i_s = exact_str(i_t), exact_str(i_s)
@@ -101,7 +106,7 @@ def _r2(sub, b, rev):
     if not isinstance(sub, PairSum):
         raise RuleError("R2 applies to a pairwise sum")
     t1, t2, t3 = _extract_assoc_triples(sub, rev)
-    notes = _check_assoc_conditions(t1, t2, t3)
+    notes = _check_assoc_conditions(t1, t2, t3, rev)
     inner, des = (sub.right, sub.left) if rev else (sub.left, sub.right)
     glued = (sub.right_mark, sub.left_mark) if rev else (sub.left_mark, sub.right_mark)
     if glued != (inner.carried, des.result_label):
