@@ -685,7 +685,7 @@ def _read(source: str, entry):
     try:
         decls, atoms, start = _read_atoms(source)
         return entry(_Parser(source[start:], decls, atoms))
-    except Exception:
+    except (SymsumError, ValueError, ZeroDivisionError):
         return entry(_Parser(source))
 
 
