@@ -7,8 +7,10 @@ and compare everything a user sees.
 REF is a git ref, extracted with `git archive` into a temporary
 directory, or the path of a directory that holds a `src/` tree.  The
 head defaults to the working tree.  The inputs are the corpus scripts,
-the `MALFORMED`, `RULE_SHAPES` and `RULE_MESSAGES` tables of
-`tests/traces.py`, and K seeded token mutants of the corpus
+two ruled chains of `tests/test_memo.chain_script` (12 and 200 atoms,
+so that long texts cross both trees), the `MALFORMED`, `RULE_SHAPES` and
+`RULE_MESSAGES` tables of `tests/traces.py`, and K seeded token mutants
+of the corpus
 (`tests/test_fuzz.mutate`), all generated once, from the working tree.
 A child per tree, with `PYTHONPATH=<tree>/src`, writes one JSON line per
 input: the exit code, the messages, the text and JSON traces, the mark
@@ -67,13 +69,15 @@ def child() -> None:
 
 
 def inputs(seed: int, mutants: int) -> list[tuple[str, str]]:
-    """The named input stream: corpus, tables, then token mutants."""
+    """The named input stream: corpus, chains, tables, then token mutants."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from symsum.demos import CORPUS
     from test_fuzz import mutate
+    from test_memo import chain_script
     from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
 
     out = [(f"corpus {name}", text) for name, text in CORPUS.items()]
+    out += [(f"chain_script{size}", chain_script(*size)) for size in ((12, 6), (200, 100))]
     for table, entries in (
         ("malformed", MALFORMED), ("rule", RULE_SHAPES), ("message", RULE_MESSAGES)
     ):
@@ -156,7 +160,7 @@ def main(argv=None) -> int:
         for name, _, _ in differ[1:21]:
             print(f"also differs: {name}")
     print(
-        f"{len(named)} inputs ({len(named) - args.mutants} corpus and table, "
+        f"{len(named)} inputs ({len(named) - args.mutants} corpus, chain and table, "
         f"{args.mutants} mutants at seed {args.seed}); head exit codes "
         + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items(), key=str))
         + f"; {len(differ)} differ"
