@@ -21,6 +21,7 @@ from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
 
 from symsum.demos import CORPUS
 from symsum.script import (
+    ScriptAst,
     ScriptError,
     _Parser,
     _read_atoms,
@@ -32,20 +33,24 @@ from symsum.script import (
 
 
 def _outcome(read, text: str):
-    """What a reader gives for `text`: its tree and printed form, or its message."""
+    """What a reader gives for `text`: its tree, and a script's printed
+    form, or its message."""
     try:
-        ast = read(text)
+        tree = read(text)
     except ScriptError as exc:
         return str(exc)
-    return ast, print_script(ast) if hasattr(ast, "lhs") else None
+    return tree, print_script(tree) if isinstance(tree, ScriptAst) else None
 
 
-def _token_reader(text: str):
+def _token_reader(text: str) -> ScriptAst:
     return _Parser(text).parse_script()
 
 
-def _same(text: str) -> None:
-    assert _outcome(parse, text) == _outcome(_token_reader, text)
+def _same(text: str):
+    """What `parse` gives for `text`, once it is what the token reader gives."""
+    outcome = _outcome(parse, text)
+    assert outcome == _outcome(_token_reader, text)
+    return outcome
 
 
 _TABLES = {"malformed": MALFORMED, "rule": RULE_SHAPES, "message": RULE_MESSAGES}
@@ -63,8 +68,7 @@ def test_both_readers_agree_on_mutated_corpus_scripts():
     parsed = 0
     for n in range(1000):
         text, _ = mutate(CORPUS[names[n % len(names)]], rng)
-        _same(text)
-        parsed += not isinstance(_outcome(parse, text), str)
+        parsed += not isinstance(_same(text), str)
     assert parsed > 50  # some mutants parse (97 of 1000 at this seed)
 
 
