@@ -161,12 +161,12 @@ def test_the_fast_reader_reads_every_declaration_of_the_corpus_and_chains(name):
 _RUN = ("  \t# ; } # # perp\n \r\n" * 6000)[:100_000]  # blanks and comments
 
 
-def _timed(after: str) -> tuple[bool, bool, float]:
+def _timed(before: str, after: str) -> tuple[bool, bool, float]:
     """Whether both readers agree on a 10^5-character run of blanks and
-    comments inside a mark spec, before `after`; whether the text fails;
-    and the CPU seconds of `parse`."""
+    comments inside a mark spec, between `before` and `after`; whether
+    the text fails; and the CPU seconds of `parse`."""
     text = (
-        f"atom W1 W(0,1,0+1e) {{ A1: g=0,{_RUN}{after} B1: g=0, i=0, a=0+1e }}\n"
+        f"atom W1 W(0,1,0+1e) {{ A1: g=0,{before}{_RUN}{after} B1: g=0, i=0, a=0+1e }}\n"
         "lhs W1 rhs W1 target =\n"
     )
     start = time.process_time()
@@ -175,16 +175,34 @@ def _timed(after: str) -> tuple[bool, bool, float]:
     return outcome == _outcome(_token_reader, text), isinstance(outcome, str), seconds
 
 
-@pytest.mark.parametrize("after", ["i=-1, a=1+1e, perp B1;", "x=-1, a=1+1e;"])
-def test_blanks_and_comments_inside_a_mark_spec_read_in_linear_time(after):
+# where the run sits in the spec, what follows it, and whether the text parses
+_RUNS = [
+    ("", "i=-1, a=1+1e, perp B1;", True),
+    ("", "x=-1, a=1+1e;", False),
+    (" i=", "-1, a=1+1e;", True),
+    (" i=", "x, a=1;", False),
+    (" i=-", "1, a=1;", True),
+    (" i=-", "x, a=1;", False),
+    (" i=-1, a=", "1+1e;", True),
+    (" i=-1, a=", "2/2 x;", False),
+    (" i=-1, a=-", "x;", False),
+    (" i=-1, a=1", "x;", False),
+    (" i=-1, a=1+", "x;", False),
+]
+
+
+@pytest.mark.parametrize("before, after, parses", _RUNS)
+def test_blanks_and_comments_inside_a_mark_spec_read_in_linear_time(before, after, parses):
     """Before a spec that reads on, and before one that fails, which every
-    pattern backtracks over.  A child process reads the text, so that a
-    pattern that backtracks without end fails the test by its timeout."""
+    pattern backtracks over, at each blank of a spec that a sign or a
+    number may follow.  A child process reads the text, so that a pattern
+    that backtracks without end fails the test by its timeout."""
+    code = f"import test_reader; print(test_reader._timed({before!r}, {after!r}))"
     child = subprocess.run(
-        [sys.executable, "-c", f"import test_reader; print(test_reader._timed({after!r}))"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     same, failed, seconds = ast.literal_eval(child.stdout)
-    assert same and failed == after.startswith("x")
+    assert same and failed != parses
     assert seconds < 1, f"{seconds:.2f} s of CPU"
