@@ -27,8 +27,9 @@ Two readers read a text.  The fast reader, `_read_atoms`, matches the atom
 declarations at its start with two compiled patterns, `atom NAME KIND {`
 and then each mark spec, and builds each atom from the groups; it reads
 each new kind text with the token reader, and atoms of one kind text hold
-one kind object.  At the first declaration that the patterns do not match
-(a triple, say, or an integer slot written `p/q`), the token reader,
+one kind object (an atom read by the token reader builds its own).  At
+the first declaration that the patterns do not match (a triple, say, an
+integer slot written `p/q` or a `-` apart from its number), the token reader,
 `_Parser`, tokenizes the rest of the text and reads on with the atoms
 read.  After any failure on the way, a check that the fast reader fails or
 anything that the token reader raises or holds, the token reader alone
@@ -263,25 +264,21 @@ class _Parser:
 
     # -- numbers and areas -------------------------------------------
 
-    def number(self, digits: str, i: int) -> int:
-        """`digits`, read from token `i`, as an int; a located error where
-        there are more of them than `int()` converts."""
-        try:
-            return int(digits)
-        except ValueError:
-            raise self.error(f"number too long: {len(digits)} digits", i) from None
-
     def parse_fraction(self) -> Union[int, Fraction]:
         """A number after an optional `-`: an int for `p`, a Fraction for `p/q`."""
         neg = self.accept("-")
         v = self.expect("num", "number")
-        num, _, den = v.partition("/")
-        num = self.number(num, self.i - 1)
-        if den:
-            den = self.number(den, self.i - 1)
-            if not den:
-                raise self.error(f"zero denominator in {v!r}", self.i - 1)
-        f = Fraction(num, den) if den else num
+        try:
+            f = _rational(v)
+        except ValueError:  # more digits in `p` or `q` than `int()` converts
+            for digits in v.split("/"):
+                try:
+                    int(digits)
+                except ValueError:
+                    message = f"number too long: {len(digits)} digits"
+                    raise self.error(message, self.i - 1) from None
+        except ZeroDivisionError:
+            raise self.error(f"zero denominator in {v!r}", self.i - 1) from None
         return -f if neg else f
 
     def parse_int(self) -> int:
@@ -615,19 +612,20 @@ def _pattern(text: str) -> re.Pattern:
 # `atom NAME KIND {`, where KIND is a tag with an optional `( ... )`
 _ATOM_RE = _pattern(r" atom% (NAME%) (NAME%(?: \([^()]*\))?) \{")
 # a mark spec `L : g = p , i = [-]q , a = AREA [, perp M]` and then `;`
-# or `}`, or the `}` that closes the block
+# or `}`, or the `}` that closes the block.  A sign is read only where it
+# touches its number (`i = - 1` is the token reader's): two blanks never
+# meet, so a spec that fails is backtracked over in linear time.
 _SPEC_RE = _pattern(
-    r" (?:(NAME%) : g% = (\d+) , i% = (-?) (\d+) , a% = (-?) (NUM) "
-    r"(?:([+-]) (NUM) (?:eps|e)% |((?:eps|e)%) )?(?:, perp% (NAME%) )?([;}])|(\}))"
+    r" (?:(NAME%) : g% = (\d+) , i% = (-?\d+) , a% = (-?NUM) "
+    r"(?:(?:([+-]) (NUM) )?((?:eps|e)%) )?(?:, perp% (NAME%) )?([;}])|(\}))"
 )
 
 
-def _rational(v: str, neg) -> Union[int, Fraction]:
-    """The number `p` or `p/q` written `v`, negated if `neg`; raises
-    where `int()` or `Fraction` does."""
+def _rational(v: str) -> Union[int, Fraction]:
+    """The number `p` or `p/q`, after an optional `-`, written `v`; raises
+    ValueError where `int()` does and ZeroDivisionError where q is 0."""
     num, _, den = v.partition("/")
-    f = Fraction(int(num), int(den)) if den else int(num)
-    return -f if neg else f
+    return Fraction(int(num), int(den)) if den else int(num)
 
 
 def _read_atoms(text: str) -> tuple[list[AtomDecl], dict[str, AtomNode], int]:
@@ -658,16 +656,16 @@ def _read_atoms(text: str) -> tuple[list[AtomDecl], dict[str, AtomNode], int]:
             if m is None:
                 return decls, atoms, start
             end = m.end()
-            label, g, neg, i, a_neg, a, sign, eps, pure, perp, stop, close = m.groups()
+            label, g, i, a, sign, eps, e, perp, stop, close = m.groups()
             if close:
                 break
-            a = _rational(a, a_neg)
+            a = _rational(a)
             if sign:
-                area = AreaValue(a, _rational(eps, sign == "-"))
+                eps = _rational(eps)
+                area = AreaValue(a, -eps if sign == "-" else eps)
             else:
-                area = AreaValue(0, a) if pure else AreaValue(a, 0)
-            i = int(i)
-            specs.append((label, int(g), -i if neg else i, area, perp, None))
+                area = AreaValue(0, a) if e else AreaValue(a, 0)
+            specs.append((label, int(g), int(i), area, perp, None))
             if stop == "}":
                 break
         atoms[name] = _atom(kind, specs)
