@@ -10,8 +10,10 @@ head defaults to the working tree.  The inputs are the corpus scripts,
 two ruled chains of `tests/test_memo.chain_script` (12 and 200 atoms,
 so that long texts cross both trees), the `MALFORMED`, `RULE_SHAPES` and
 `RULE_MESSAGES` tables of `tests/traces.py`, and K seeded token mutants
-of the corpus
-(`tests/test_fuzz.mutate`), all generated once, from the working tree.
+(`tests/test_fuzz.mutate`) of the corpus scripts and of the 12-atom
+chain, so that a failure deep in a multi-line text, after the fast
+reader hands over, crosses both trees; all generated once, from the
+working tree.
 A child per tree, with `PYTHONPATH=<tree>/src`, writes one JSON line per
 input: the exit code, the messages, the text and JSON traces, the mark
 table of each traced expression, and `print_script` and the rhs's mark
@@ -83,10 +85,11 @@ def inputs(seed: int, mutants: int) -> list[tuple[str, str]]:
     ):
         out += [(f"{table} {name}", text) for name, text in entries.items()]
     rng = random.Random(seed)
-    names = sorted(CORPUS)
+    sources = {**CORPUS, "chain_script(12, 6)": chain_script(12, 6)}
+    names = sorted(sources)
     for n in range(mutants):
         name = names[n % len(names)]
-        text, op = mutate(CORPUS[name], rng)
+        text, op = mutate(sources[name], rng)
         out.append((f"mutant {n} ({op} in {name})", text))
     return out
 

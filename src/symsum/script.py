@@ -23,19 +23,18 @@ tables are the grammar that the parser reads and the printer writes.
 Rational literals are `p/q`; areas are written `1`, `0+1e`, `5/4-3e`.
 Expression files use the same declarations followed by `expr <expr>`.
 
-Two readers read a text.  The fast reader, `_read_atoms`, matches the atom
-declarations at its start with two compiled patterns, `atom NAME KIND {`
-and then each mark spec, and builds each atom from the groups; it reads
-each new kind text with the token reader, and atoms of one kind text hold
-one kind object (an atom read by the token reader builds its own).  At
-the first declaration that the patterns do not match (a triple, say, an
-integer slot written `p/q` or a `-` apart from its number), the token reader,
-`_Parser`, tokenizes the rest of the text and reads on with the atoms
-read.  After any failure on the way, a check that the fast reader fails or
-anything that the token reader raises or holds, the token reader alone
-parses the text again from its start; so every message, position and
-failure rank is the token reader's, as a second pass words CPython's
-syntax errors (PEP 617).
+Two readers read a text, once, from left to right.  The fast reader,
+`_read_atoms`, matches the atom declarations at its start with two
+compiled patterns, `atom NAME KIND {` and then each mark spec, and builds
+each atom from the groups; it reads each new kind text with the token
+reader, and atoms of one kind text hold one kind object (an atom read by
+the token reader builds its own).  At the first declaration that the
+patterns do not match (a triple, say, an integer slot written `p/q` or a
+`-` apart from its number) or that fails a check, the token reader,
+`_Parser`, reads on in the whole text from where it starts, with the
+atoms read.  The atoms before it hold no failure, so every message,
+position and failure rank is the token reader's, as if it had read the
+text from its start.
 """
 
 from __future__ import annotations
@@ -99,9 +98,10 @@ _NUM = r"\d+(?:/\d+)?"
 _VALUE_RE = re.compile(_BLANK + f'({_NAME}|{_NUM}|"[^"]*"|.|\\Z)')
 
 
-def tokenize(text: str) -> list[str]:
-    """The value of each token of `text`, then one "" for the eof."""
-    values = _VALUE_RE.findall(text)
+def tokenize(text: str, start: int = 0) -> list[str]:
+    """The value of each token of `text` from `start`, a token boundary,
+    then one "" for the eof."""
+    values = _VALUE_RE.findall(text, start)
     if len(values) > 1 and not values[-2]:  # text ending in blanks: `\Z` matched twice
         values.pop()
     return values
@@ -127,28 +127,32 @@ class Token(NamedTuple):
     col: int
 
 
-def token_positions(text: str) -> list[Token]:
+def token_positions(text: str, start: int = 0) -> list[Token]:
     """The tokens of `tokenize`, each with its kind and line:col, which a
     message needs.  A token's line and column count the newlines in the
     blanks and comments before it (a string spanning a newline does not
     advance the line), and a comment running to the end of the text
-    leaves the eof at its `#`.  A character that starts no token raises."""
+    leaves the eof at its `#`.  A character that starts no token raises.
+    Lines and columns count from the start of `text`, not from `start`."""
     toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _VALUE_RE.finditer(text):
-        gap, start = m.start(), m.start(1)
-        newline = text.rfind("\n", gap, start)
+    # Every newline before `start` is in blanks or comments: a string may
+    # only follow `lhs`, and a kind text that holds one fails its parse, so
+    # the fast reader stops before it.
+    line, line_start = text.count("\n", 0, start) + 1, text.rfind("\n", 0, start) + 1
+    for m in _VALUE_RE.finditer(text, start):
+        gap, at = m.start(), m.start(1)
+        newline = text.rfind("\n", gap, at)
         if newline >= 0:
-            line += text.count("\n", gap, start)
+            line += text.count("\n", gap, at)
             line_start = newline + 1
         v = m[1]
         kind = _kind(v)
         if not v:  # the eof; a text ending in blanks would match `\Z` again
-            comment = text.find("#", max(gap, line_start), start)
-            col = (start if comment < 0 else comment) - line_start + 1
+            comment = text.find("#", max(gap, line_start), at)
+            col = (at if comment < 0 else comment) - line_start + 1
             toks.append(Token(kind, v, line, col))
             return toks
-        col = start - line_start + 1
+        col = at - line_start + 1
         if kind == v and len(v) == 1 and v not in _KIND_OF:  # v starts no token
             if v == '"':
                 raise ScriptError("unterminated string", line, col)
@@ -213,10 +217,11 @@ class _Parser:
     the first other build failure win, in this order (`held`).  A node
     that failed, and each node over it, reads as None."""
 
-    def __init__(self, text: str, decls: tuple = (), atoms: Optional[dict] = None):
-        """A reader of `text`, after the declarations `decls` of the
-        atoms `atoms`, by name, that the fast reader read before it."""
-        self.text, self.toks, self.i = text, tokenize(text), 0
+    def __init__(self, text: str, start: int = 0, decls: tuple = (), atoms: Optional[dict] = None):
+        """A reader of `text` from `start`, after the declarations `decls`
+        of the atoms `atoms`, by name, that the fast reader read before it."""
+        self.text, self.start = text, start
+        self.toks, self.i = tokenize(text, start), 0
         self.held: list[Optional[ScriptError]] = [None, None, None]  # by rank
         self.decls = list(decls)
         self.atoms: dict[str, Optional[AtomNode]] = dict(atoms or {})  # the atoms declared
@@ -225,7 +230,7 @@ class _Parser:
     @cached_property
     def positions(self) -> list[Token]:
         """The tokens with their lines and columns, lexed by the first message."""
-        return token_positions(self.text)
+        return token_positions(self.text, self.start)
 
     def error(self, message: Optional[str], i: int, expected=None) -> ScriptError:
         """`message`, by default "unexpected" and token `i`, at token `i`."""
@@ -628,71 +633,59 @@ def _rational(v: str) -> Union[int, Fraction]:
     return Fraction(int(num), int(den)) if den else int(num)
 
 
-def _read_atoms(text: str) -> tuple[list[AtomDecl], dict[str, AtomNode], int]:
-    """The fast reader: the atom declarations at the start of `text` that
-    `_ATOM_RE` and `_SPEC_RE` match, built, and where the first other
-    declaration starts.  An atom with a kind text read before holds the
-    same kind object; a new kind text is read by the token reader.  Any
-    failed check raises."""
+def _read_atoms(text: str) -> tuple[int, list[AtomDecl], dict[str, AtomNode]]:
+    """The fast reader: where the first declaration starts that it does not
+    read, and the atom declarations before it, built.  It reads those that
+    `_ATOM_RE` and `_SPEC_RE` match and that pass every check, and stops
+    at the first other one, for the token reader to read on from and to
+    word.  An atom with a kind text read before holds the same kind
+    object; a new kind text is read by the token reader."""
     decls, atoms, kinds = [], {}, {}
     start = 0
     while True:
         m = _ATOM_RE.match(text, start)
-        if m is None:
-            return decls, atoms, start
+        if m is None or m[1] in atoms:
+            return start, decls, atoms
         name, kind_text = m.groups()
-        if name in atoms:
-            raise ScriptError(f"duplicate identifier {name!r}")
-        kind = kinds.get(kind_text)
-        if kind is None:
-            p = _Parser(kind_text)
-            kind = p.parse_kind()
-            p.expect("eof")
-            p.finish()
-            kinds[kind_text] = kind
-        specs, end = [], m.end()
-        while True:
-            m = _SPEC_RE.match(text, end)
-            if m is None:
-                return decls, atoms, start
-            end = m.end()
-            label, g, i, a, sign, eps, e, perp, stop, close = m.groups()
-            if close:
-                break
-            a = _rational(a)
-            if sign:
-                eps = _rational(eps)
-                area = AreaValue(a, -eps if sign == "-" else eps)
-            else:
-                area = AreaValue(0, a) if e else AreaValue(a, 0)
-            specs.append((label, int(g), int(i), area, perp, None))
-            if stop == "}":
-                break
-        atoms[name] = _atom(kind, specs)
+        try:
+            kind = kinds.get(kind_text)
+            if kind is None:
+                p = _Parser(kind_text)
+                kind = p.parse_kind()
+                p.expect("eof")
+                p.finish()
+                kinds[kind_text] = kind
+            specs, end = [], m.end()
+            while True:
+                m = _SPEC_RE.match(text, end)
+                if m is None:
+                    return start, decls, atoms
+                end = m.end()
+                label, g, i, a, sign, eps, e, perp, stop, close = m.groups()
+                if close:
+                    break
+                a = _rational(a)
+                if sign:
+                    eps = _rational(eps)
+                    area = AreaValue(a, -eps if sign == "-" else eps)
+                else:
+                    area = AreaValue(0, a) if e else AreaValue(a, 0)
+                specs.append((label, int(g), int(i), area, perp, None))
+                if stop == "}":
+                    break
+            atoms[name] = _atom(kind, specs)
+        except (SymsumError, ValueError, ZeroDivisionError):
+            return start, decls, atoms
         decls.append(AtomDecl(name, atoms[name]))
         start = end
 
 
-def _read(source: str, entry):
-    """`entry` of a reader of `source`: the fast reader reads the atom
-    declarations it matches, and the token reader reads on from the first
-    other one, with the atoms read.  After a failure on the way, a check
-    that the fast reader fails or anything that the token reader raises or
-    holds, the token reader alone reads the text again, and its message,
-    position and failure rank are the parse's."""
-    try:
-        decls, atoms, start = _read_atoms(source)
-        return entry(_Parser(source[start:], decls, atoms))
-    except (SymsumError, ValueError, ZeroDivisionError):
-        return entry(_Parser(source))
-
-
 def parse(source: str) -> ScriptAst:
-    return _read(source, _Parser.parse_script)
+    return _Parser(source, *_read_atoms(source)).parse_script()
 
 
 def parse_expr_file(source: str) -> ExprFileAst:
-    return _read(source, _Parser.parse_expr_file)
+    return _Parser(source, *_read_atoms(source)).parse_expr_file()
 
 
 class BuiltScript(Record):

@@ -4,8 +4,11 @@
 quotes) and one "" for the eof; `token_positions` gives each token's kind,
 value and line:col, and is the one definition of lexical errors.  Every
 message the parser or the builder writes must locate itself as if the text
-had been lexed with positions up front."""
+had been lexed with positions up front.  Both lex from an offset too, the
+point where the token reader reads on from the fast reader, as the tail
+of the whole text's tokens."""
 
+import pathlib
 import random
 import re
 
@@ -19,6 +22,7 @@ from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES, TOKEN_EDGES
 
 from symsum.demos import CORPUS
 from symsum.script import (
+    _KIND_OF,
     _VALUE_RE,
     ScriptError,
     parse,
@@ -72,6 +76,44 @@ def test_values_are_the_positional_tokens_of_mutated_scripts():
     for n in range(MUTATIONS):
         text, _ = mutate(CORPUS[names[n % len(names)]], rng)
         _same_tokens(text)
+
+
+_EXPRS = pathlib.Path(__file__).parent.parent / "scripts" / "exprs"
+_FROM_AN_OFFSET = {
+    **dict(_INPUTS),
+    **{f"expr {path.name}": path.read_text() for path in sorted(_EXPRS.glob("*.expr"))},
+    "chain_script(12, 6)": chain_script(12, 6),
+    "crlf": "atom A CP2 { F: g=0, i=1, a=1 }\r\n# a note\r\natom B CP2 { }\r\n"
+    "lhs A\r\nrhs B\r\ntarget =\r\n",
+    "eof in a comment": "atom A CP2 { }\natom B CP2 { }\nexpr A # no newline",
+    "string spanning a newline after lhs": 'atom A CP2 { }\nlhs A rhs A target =\n'
+    'by R8 { } "two\nlines"\nby R8 { }\n',
+}
+
+
+def _lexed(text: str, start: int = 0):
+    try:
+        return token_positions(text, start)
+    except ScriptError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", _FROM_AN_OFFSET.values(), ids=_FROM_AN_OFFSET)
+def test_lexing_from_an_offset_gives_the_tail_of_the_tokens(text):
+    """From the blanks before each `atom`, `triple`, `lhs` and `expr` word
+    and from the word itself, up to the first string that spans a newline
+    or the first character that starts no token: the values, kinds, lines
+    and columns of the whole text's tokens from that word on, or its
+    lexical error."""
+    values, whole = tokenize(text), _lexed(text)
+    for k, m in enumerate(_VALUE_RE.finditer(text)):
+        v = m[1]
+        if v.startswith('"') and "\n" in v or len(v) == 1 and v not in _KIND_OF:
+            break
+        if v in ("atom", "triple", "lhs", "expr"):
+            for start in (m.start(), m.start(1)):
+                assert tokenize(text, start) == values[k:]
+                assert _lexed(text, start) == (whole if isinstance(whole, str) else whole[k:])
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
-"""The two readers of a script agree.  `parse` reads the atom declarations
-with the fast reader's two patterns and the rest with the token reader,
-and reads the text again with the token reader alone after any failure;
-so on every text it gives what the token reader alone gives: equal nodes
+"""The two readers of a script agree.  `parse` reads a text once, from left
+to right: the fast reader reads the atom declarations that its two patterns
+match and that pass every check, and the token reader reads on in the whole
+text from the first other one, with no restart after a failure.  So on
+every text `parse` gives what the token reader alone gives: equal nodes
 and an equal `print_script`, or the same message."""
 
 import ast
@@ -19,6 +20,7 @@ from test_fuzz import mutate
 from test_memo import chain_script
 from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
 
+import symsum.script
 from symsum.demos import CORPUS
 from symsum.script import (
     ScriptAst,
@@ -146,8 +148,8 @@ def test_both_readers_agree_on_generated_declarations(rng):
 def _read_up_to_lhs(text: str) -> bool:
     """Whether the fast reader reads every declaration of `text`, with no
     failure, and hands the token reader the text from `lhs` on."""
-    decls, atoms, start = _read_atoms(text)
-    return tokenize(text[start:])[0] == "lhs" and decls == _token_reader(text).decls
+    start, decls, atoms = _read_atoms(text)
+    return tokenize(text, start)[0] == "lhs" and decls == _token_reader(text).decls
 
 
 _READ_FAST = {**CORPUS, **{f"chain_script{a}": chain_script(*a) for a in ((12, 6), (200, 100))}}
@@ -156,6 +158,32 @@ _READ_FAST = {**CORPUS, **{f"chain_script{a}": chain_script(*a) for a in ((12, 6
 @pytest.mark.parametrize("name", _READ_FAST)
 def test_the_fast_reader_reads_every_declaration_of_the_corpus_and_chains(name):
     assert _read_up_to_lhs(_READ_FAST[name])
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("\ntarget =", "\ntargte ="),
+        ("A100: g=0, i=-1", "A100: g=0, i=2/2"),
+        ("A100: g=0, i=-1, a=1+", "A100: g=0, i=-1, a=1/0+"),
+    ],
+    ids=["misspelt target", "i=2/2 in the middle", "a=1/0 in the middle"],
+)
+def test_a_failing_text_is_tokenized_once_past_the_fast_reader(monkeypatch, old, new):
+    """A failure after the handoff, or at a check the fast reader does not
+    pass, is worded by the one token reader that reads on: the long text is
+    lexed once (each kind text is lexed on its own and does not count)."""
+    text = chain_script(200, 100).replace(old, new)
+    lexed = []
+
+    def tokenize_counted(source, *args):
+        lexed.append(len(source))
+        return tokenize(source, *args)
+
+    monkeypatch.setattr(symsum.script, "tokenize", tokenize_counted)
+    with pytest.raises(ScriptError):
+        parse(text)
+    assert [n for n in lexed if n > 100] == [len(text)]
 
 
 _RUN = ("  \t# ; } # # perp\n \r\n" * 6000)[:100_000]  # blanks and comments
