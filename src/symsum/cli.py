@@ -118,8 +118,7 @@ def main(argv=None) -> int:
             return _run_script(DEMOS[args.name], args.trace)
         if args.command == "invariants":
             expr, _ = _load_expr_file(args.file)
-            inv = expr_invariants(expr)
-            print(f"chi={inv.euler} sigma={inv.signature}")
+            print(expr_invariants(expr))
             print(mark_table(expr))
             return 0
         if args.command == "polytope":

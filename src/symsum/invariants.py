@@ -9,6 +9,7 @@ chi = chi_1 + chi_2 - 2*(2-2g) and additive signature, a blow-up adds
 
 from __future__ import annotations
 
+from .areas import exact_str
 from .core import (
     AtomNode,
     BlowUp,
@@ -37,7 +38,7 @@ class InvariantVector(Frozen):
         return InvariantVector(self.euler + other.euler, self.signature + other.signature)
 
     def __str__(self) -> str:
-        return f"chi={self.euler} sigma={self.signature}"
+        return f"chi={exact_str(self.euler)} sigma={exact_str(self.signature)}"
 
 
 CP2 = InvariantVector(3, 1)

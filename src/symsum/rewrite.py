@@ -313,13 +313,6 @@ class StepRecord(Record):
         self.index, self.rule, self.level = index, rule, level
         self.invariants, self.expr, self.notes = invariants, expr, notes
 
-    def header(self) -> str:
-        lvl = self.level.symbol if self.level else "start"
-        return (
-            f"step {self.index}: {self.rule} level={lvl} "
-            f"chi={self.invariants.euler} sigma={self.invariants.signature}"
-        )
-
 
 class Verdict(Record):
     def __init__(

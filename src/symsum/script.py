@@ -997,11 +997,10 @@ def run(source: str) -> RunResult:
                 for note in rec.notes:
                     messages.append(f"  step {rec.index} ({rec.rule}): {note}")
         return RunResult(1, verdict, messages)
-    inv = verdict.trace[-1].invariants
     messages.append(
         f"verdict: {verdict.level.symbol} "
         f"({'symplectomorphic' if verdict.level == EquivLevel.SYMPLECTOMORPHIC else 'weak deformation'}) "
-        f"chi={inv.euler} sigma={inv.signature}"
+        f"{verdict.trace[-1].invariants}"
     )
     return RunResult(0, verdict, messages)
 
@@ -1009,7 +1008,8 @@ def run(source: str) -> RunResult:
 def render_trace_text(verdict: Verdict) -> str:
     lines, spans = [], {}  # where each operation node's pieces sit
     for rec in verdict.trace:
-        lines.append(rec.header())
+        level = rec.level.symbol if rec.level else "start"
+        lines.append(f"step {rec.index}: {rec.rule} level={level} {rec.invariants}")
         lines.append("  " + _write(rec.expr, spans))
         for note in rec.notes:
             lines.append("  - " + note)
