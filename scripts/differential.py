@@ -9,7 +9,8 @@ directory, or the path of a directory that holds a `src/` tree.  The
 head defaults to the working tree.  The inputs are the corpus scripts,
 two ruled chains of `tests/test_memo.chain_script` (12 and 200 atoms,
 so that long texts cross both trees), the `MALFORMED`, `RULE_SHAPES` and
-`RULE_MESSAGES` tables of `tests/traces.py`, and K seeded token mutants
+`RULE_MESSAGES` tables of `tests/traces.py`, the expression files of
+`scripts/exprs/` through `symsum invariants`, and K seeded token mutants
 (`tests/test_fuzz.mutate`) of the corpus scripts and of the 12-atom
 chain, so that a failure deep in a multi-line text, after the fast
 reader hands over, crosses both trees; all generated once, from the
@@ -17,13 +18,15 @@ working tree.
 A child per tree, with `PYTHONPATH=<tree>/src`, writes one JSON line per
 input: the exit code, the messages, the text and JSON traces, the mark
 table of each traced expression, and `print_script` and the rhs's mark
-table of the parsed text (a trace prints no composite's marks).  The
+table of the parsed text (a trace prints no composite's marks); for a
+command line, the exit code, stdout and stderr of `symsum`'s `main`.  The
 harness prints the first input whose lines differ and the counts, and
 exits 1 on any difference.
 Standard library only.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -38,8 +41,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def child() -> None:
-    """Run each input of stdin, one JSON string a line, with the symsum
-    that PYTHONPATH finds, and write one JSON record a line."""
+    """Run each input of stdin, one JSON value a line, with the symsum
+    that PYTHONPATH finds, and write one JSON record a line.  A string is
+    a script; a list is the arguments of a `symsum` command line."""
+    from symsum.cli import main
     from symsum.script import (
         ScriptError,
         mark_table,
@@ -53,25 +58,32 @@ def child() -> None:
     for line in sys.stdin:
         text = json.loads(line)
         try:
-            result = run(text)
-            rec = {"code": result.code, "messages": result.messages}
-            if result.verdict is not None:
-                rec["text"] = render_trace_text(result.verdict)
-                rec["json"] = render_trace_json(result.verdict)
-                rec["marks"] = [mark_table(step.expr) for step in result.verdict.trace]
-            try:
-                parsed = parse(text)
-                rec["print"] = print_script(parsed)
-                rec["rhs marks"] = mark_table(parsed.rhs)
-            except ScriptError:
-                pass
+            if isinstance(text, list):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(text)
+                rec = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+            else:
+                result = run(text)
+                rec = {"code": result.code, "messages": result.messages}
+                if result.verdict is not None:
+                    rec["text"] = render_trace_text(result.verdict)
+                    rec["json"] = render_trace_json(result.verdict)
+                    rec["marks"] = [mark_table(step.expr) for step in result.verdict.trace]
+                try:
+                    parsed = parse(text)
+                    rec["print"] = print_script(parsed)
+                    rec["rhs marks"] = mark_table(parsed.rhs)
+                except ScriptError:
+                    pass
         except Exception as exc:  # an escape is compared as any other output
             rec = {"escape": f"{type(exc).__name__}: {exc}"}
         sys.stdout.write(json.dumps(rec) + "\n")
 
 
-def inputs(seed: int, mutants: int) -> list[tuple[str, str]]:
-    """The named input stream: corpus, chains, tables, then token mutants."""
+def inputs(seed: int, mutants: int) -> list[tuple[str, object]]:
+    """The named input stream: corpus, chains, tables, expression files,
+    then token mutants."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from symsum.demos import CORPUS
     from test_fuzz import mutate
@@ -84,6 +96,8 @@ def inputs(seed: int, mutants: int) -> list[tuple[str, str]]:
         ("malformed", MALFORMED), ("rule", RULE_SHAPES), ("message", RULE_MESSAGES)
     ):
         out += [(f"{table} {name}", text) for name, text in entries.items()]
+    exprs = sorted((ROOT / "scripts" / "exprs").glob("*.expr"))
+    out += [(f"invariants {path.name}", ["invariants", str(path)]) for path in exprs]
     rng = random.Random(seed)
     sources = {**CORPUS, "chain_script(12, 6)": chain_script(12, 6)}
     names = sorted(sources)
@@ -163,7 +177,7 @@ def main(argv=None) -> int:
         for name, _, _ in differ[1:21]:
             print(f"also differs: {name}")
     print(
-        f"{len(named)} inputs ({len(named) - args.mutants} corpus, chain and table, "
+        f"{len(named)} inputs ({len(named) - args.mutants} corpus, chain, table and expression, "
         f"{args.mutants} mutants at seed {args.seed}); head exit codes "
         + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items(), key=str))
         + f"; {len(differ)} differ"

@@ -172,8 +172,8 @@ class EllipticSurface(AtomKind):
             fiber = m.genus == 1 and m.normal_number == 0
             if not (section or fiber):
                 raise MarkError(
-                    f"mark {m.label}: an E({self.n}) mark is a section "
-                    f"(g=0, i={-self.n}) or a fiber (g=1, i=0)"
+                    f"mark {m.label}: an E({exact_str(self.n)}) mark is a section "
+                    f"(g=0, i={exact_str(-self.n)}) or a fiber (g=1, i=0)"
                 )
 
     def shifted(self, marks, m, delta):

@@ -260,7 +260,19 @@ def _expect(got, want, claim: str) -> None:
     """The side condition `got == want`, which fails as "claim: got vs
     want"; the values are formatted only once it has failed."""
     if got != want:
-        raise _failed(f"{claim}: {exact_str(got)} vs {exact_str(want)}")
+        raise _failed(f"{claim}: {_operand(got)} vs {_operand(want)}")
+
+
+def _operand(x, show=exact_str) -> str:
+    """`show(x)` at any size, for an operand of `_expect`: a tuple's or a
+    list's members one by one, as str() writes them, each int through
+    `exact_str` and any other member by its repr."""
+    if x.__class__ is int:
+        return exact_str(x)
+    if x.__class__ is tuple or x.__class__ is list:
+        inner = ", ".join(_operand(m, repr) for m in x)
+        return f"[{inner}]" if x.__class__ is list else f"({inner}{',' * (len(x) == 1)})"
+    return show(x)
 
 
 def _expect_same_marks(new: ManifoldExpr, old: ManifoldExpr, claim: str) -> None:
@@ -350,6 +362,6 @@ def check_equiv(
             None,
             trace,
             "final expression does not match the right-hand side",
-            len(steps) + 1 if steps else 1,
+            len(steps) + 1,
         )
     return Verdict(True, level, trace)

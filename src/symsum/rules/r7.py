@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..areas import exact_str
 from ..core import (
     AtomNode,
     BlowUp,
@@ -88,6 +89,6 @@ def _r7_fold_atom(sub: PairSum, b):
     new = AtomNode(new_kind, marks)
     notes = [
         f"blow-down of {sub.left_mark} folds the summand into a plane with "
-        f"{new_kind.blowups} reversed summands"
+        f"{exact_str(new_kind.blowups)} reversed summands"
     ]
     return new, WK, notes, relabel

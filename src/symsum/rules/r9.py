@@ -1,6 +1,6 @@
 """R9: the inductive structure of the elliptic surfaces."""
 
-from ..areas import area
+from ..areas import area, exact_str
 from ..core import AtomNode, EllipticSurface, PairSum, SurfaceMark
 from ..rewrite import WK, RuleError, rule
 
@@ -23,9 +23,9 @@ def _r9(sub, b, rev):
         if lsa is None:
             raise RuleError("R9 needs the left section area (slot left_section_area)")
         rsa = sec.area - lsa
-        ls = b.label("left_section", "Sigma-" + str(n - 1))
+        ls = b.label("left_section", "Sigma-" + exact_str(n - 1))
         rs_lbl = b.label("right_section", "Sigma-1")
-        lf = b.label("left_fiber", "F" + str(n - 1))
+        lf = b.label("left_fiber", "F" + exact_str(n - 1))
         rf = b.label("right_fiber", "F1")
         left_marks = [
             SurfaceMark(ls, 0, -(n - 1), lsa, lf),
@@ -45,7 +45,7 @@ def _r9(sub, b, rev):
             pairs = ((carry, sec.orthogonal_at),)
         new = PairSum(left, lf, right, rf, carry_label=carry, pairs=pairs)
         return new, WK, [
-            f"split E({n}) into E({n - 1}) and E(1) along a fiber; section "
+            f"split E({exact_str(n)}) into E({exact_str(n - 1)}) and E(1) along a fiber; section "
             f"areas {lsa} + {rsa}"
         ]
     if not isinstance(sub, PairSum):
@@ -62,4 +62,4 @@ def _r9(sub, b, rev):
     m = left.kind.n
     marks = tuple(sub.marks)
     new = AtomNode(EllipticSurface(m + 1), marks)
-    return new, WK, [f"folded the fiber sum into E({m + 1})"]
+    return new, WK, [f"folded the fiber sum into E({exact_str(m + 1)})"]

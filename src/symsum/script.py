@@ -803,7 +803,7 @@ _SLOT_KINDS = {
     "ManifoldExpr": (None, None),
     "str": (_Parser.read_name, str),
     "Optional[str]": (_Parser.read_name, str),
-    "int": (_Parser.parse_int, str),
+    "int": (_Parser.parse_int, exact_str),
     "AreaValue": (_Parser.parse_area, AreaValue.compact),
     "GluingChoice": (lambda p: GluingChoice(p.read_name()), attrgetter("label")),
     "tuple[tuple[str, str], ...]": (_Parser.parse_pair, ":".join),
@@ -1021,18 +1021,21 @@ def render_trace_json(verdict: Verdict) -> str:
 
     lines, spans = [], {}  # where each operation node's pieces sit
     for rec in verdict.trace:
-        lines.append(
-            json.dumps(
-                {
-                    "step": rec.index,
-                    "rule": rec.rule,
-                    "level": rec.level.symbol if rec.level else None,
-                    "chi": rec.invariants.euler,
-                    "sigma": rec.invariants.signature,
-                    "expr": _write(rec.expr, spans),
-                    "notes": rec.notes,
-                },
-                sort_keys=True,
+        record = {
+            "step": rec.index,
+            "rule": rec.rule,
+            "level": rec.level.symbol if rec.level else None,
+            "chi": rec.invariants.euler,
+            "sigma": rec.invariants.signature,
+            "expr": _write(rec.expr, spans),
+            "notes": rec.notes,
+        }
+        try:
+            lines.append(json.dumps(record, sort_keys=True))
+        except ValueError:  # chi or sigma past int()'s digit limit: the same line, member by member
+            members = (
+                f"{json.dumps(k)}: {exact_str(v) if k in ('chi', 'sigma') else json.dumps(v)}"
+                for k, v in sorted(record.items())
             )
-        )
+            lines.append("{" + ", ".join(members) + "}")
     return "\n".join(lines)

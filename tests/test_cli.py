@@ -14,7 +14,9 @@ import pytest
 import symsum
 from symsum import cli
 from symsum.cli import main
+from symsum.areas import area
 from symsum.demos import GOMPF_STIPSICZ
+from symsum.rewrite import RuleError, _expect
 from test_areas import unlimited_str
 from test_memo import chain_script
 
@@ -167,6 +169,18 @@ _BIG = {
         "lhs sum(blowup(sum(X, A, Y, B), at = P#Q, size = 1/4, transform = St), St, "
         "sum(U, C, V, D), R#T)\nrhs X target =\nby R6 { }\n"
     ),
+    # E(n) with n = _NINES: chi = 12n has 4,302 digits
+    "E(n) chi past the digit limit": f"atom A E({_NINES}) {{ }}\nlhs A rhs A target =\n",
+    # R9 folds E(n) and E(1) into E(10^4300), whose n has 4,301 digits
+    "R9 rev past the digit limit": (
+        f"atom A E({_NINES}) {{ F: g=1, i=0, a=1 }}\natom B E(1) {{ F1: g=1, i=0, a=1 }}\n"
+        "lhs sum(A, F, B, F1) rhs A target ~\nby R9 { } rev\n"
+    ),
+    # ... and its section keeps i = -n, which E(10^4300) refuses
+    "R9 rev with a section past the digit limit": (
+        f"atom A E({_NINES}) {{ S: g=0, i=-{_NINES}, a=1; F: g=1, i=0, a=1 }}\n"
+        "atom B E(1) { F1: g=1, i=0, a=1 }\nlhs sum(A, F, B, F1) rhs A target ~\nby R9 { } rev\n"
+    ),
 }
 
 
@@ -189,9 +203,11 @@ def test_areas_past_the_digit_limit_keep_the_exit_code_contract(tmp_path, capsys
 
 
 def test_every_printed_genus_and_normal_number_goes_through_exact_str():
-    """A sum adds genera and normal numbers, so they grow past the digits
-    that str() converts: src/ formats neither with an f-string or str()
-    that `areas.exact_str` does not wrap."""
+    """A sum adds genera and normal numbers, and chi and sigma, and a rule
+    such as R9 builds a kind's integers from others, so they grow past the
+    digits that str() converts: src/ formats none of them with an f-string
+    or str() that `areas.exact_str` does not wrap."""
+    attrs = ("genus", "normal_number", "euler", "signature", "n", "blowups", "twist")
     bare = []
     for path in sorted(pathlib.Path(symsum.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -201,9 +217,73 @@ def test_every_printed_genus_and_normal_number_goes_through_exact_str():
                 value = node.args[0]
             else:
                 continue
-            if isinstance(value, ast.Attribute) and value.attr in ("genus", "normal_number"):
+            if isinstance(value, ast.Attribute) and value.attr in attrs:
                 bare.append(f"{path.name}:{value.lineno} {ast.unparse(value)}")
     assert bare == []
+
+
+_EN = (unlimited_str(12 * int(_NINES)), unlimited_str(-8 * int(_NINES)))  # chi, sigma of E(_NINES)
+_EN_CHI = "chi={} sigma={}".format(*_EN)
+
+
+@pytest.mark.parametrize("trace", ["text", "json"])
+def test_chi_and_sigma_past_the_digit_limit_are_printed_in_full(tmp_path, capsys, trace):
+    f = tmp_path / "big.ssum"
+    f.write_text(_BIG["E(n) chi past the digit limit"], encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert main(["check", str(f), "--trace", trace]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"verdict: = (symplectomorphic) {_EN_CHI}"
+    if trace == "text":
+        assert out[0] == f"step 0: start level=start {_EN_CHI}"
+    else:  # the line json.dumps(..., sort_keys=True) writes without the limit
+        assert out[0] == (
+            f'{{"chi": {_EN[0]}, "expr": "E({_NINES}) {{ }}", "level": null, "notes": [], '
+            f'"rule": "start", "sigma": {_EN[1]}, "step": 0}}'
+        )
+
+
+def test_invariants_prints_chi_and_sigma_past_the_digit_limit(tmp_path, capsys):
+    f = tmp_path / "big.expr"
+    f.write_text(f"atom A E({_NINES}) {{ }}\nexpr A\n", encoding="utf-8")
+    assert main(["invariants", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == _EN_CHI
+
+
+def test_kind_integers_past_the_digit_limit_are_printed_in_full(tmp_path, capsys):
+    """R9's note and the trace print E(10^4300), and so does the message
+    of the section that E(10^4300) refuses."""
+    big = unlimited_str(10**4300)
+    f = tmp_path / "big.ssum"
+    f.write_text(_BIG["R9 rev past the digit limit"], encoding="utf-8")
+    assert main(["check", str(f), "--trace", "text"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:5] == [f"  E({big}) {{ }}", f"  - folded the fiber sum into E({big})"]
+    f.write_text(_BIG["R9 rev with a section past the digit limit"], encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"proof failed at step 1: R9: mark S: an E({big}) mark is a section "
+        f"(g=0, i=-{big}) or a fiber (g=1, i=0)\n"
+    )
+
+
+def test_a_side_condition_prints_a_tuple_member_past_the_digit_limit():
+    """A member past the limit prints in full, and any other operand as
+    str() prints it."""
+    with pytest.raises(RuleError) as info:
+        _expect((0, 10**4300), (0, 1), "mark A keeps (g, i)")
+    assert str(info.value) == (
+        f"side condition failed: mark A keeps (g, i): (0, {unlimited_str(10**4300)}) vs (0, 1)"
+    )
+    for operand in (
+        3, -2, Fraction(1, 3), area(1, 2), (0, -1), (1,), (), [], None, "x",
+        (0, -1, area(Fraction(1, 3), -1)), [(0, 1, area(1)), (1, 0, area(2, 1))],
+        ("a", None, (True,)),
+    ):
+        with pytest.raises(RuleError) as info:
+            _expect(operand, object(), "claim")
+        assert str(info.value).startswith(f"side condition failed: claim: {operand} vs <object")
 
 
 def test_a_spread_past_the_digit_limit_is_printed_in_full(tmp_path, capsys):

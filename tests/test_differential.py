@@ -1,7 +1,8 @@
 """A smoke test of `scripts/differential.py`, so that the harness cannot
 rot: a tree against itself differs nowhere, and a copy of `src/` with
-one message edited, or with a composite's marks in another order,
-differs on the first input that shows it."""
+one message edited, with a composite's marks in another order, or with
+the output of `symsum invariants` edited, differs on the first input
+that shows it."""
 
 import pathlib
 import re
@@ -55,3 +56,15 @@ def test_a_change_to_derived_marks_alone_is_reported(tmp_path):
     first = proc.stdout.split("\nalso differs")[0]
     assert first.startswith("first difference: corpus neutral-w\n"), proc.stdout
     assert re.findall(r"^  (\S.*):$", first, re.M) == ["marks", "rhs marks"]
+
+
+def test_an_edited_invariants_output_is_reported_at_the_first_expression_file(tmp_path):
+    """The expression files run through `symsum invariants` in both trees."""
+    old = "print(mark_table(expr))"
+    base = _edited_copy(tmp_path, "cli.py", old, "print(mark_table(expr).upper())")
+    proc = _differential("--base", base)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first = proc.stdout.split("\nalso differs")[0]
+    assert first.startswith("first difference: invariants e4_cp2.expr\n"), proc.stdout
+    assert re.findall(r"^  (\S.*):$", first, re.M) == ["stdout"]
+    assert "; 4 differ\n" in proc.stdout
