@@ -1021,21 +1021,13 @@ def render_trace_json(verdict: Verdict) -> str:
 
     lines, spans = [], {}  # where each operation node's pieces sit
     for rec in verdict.trace:
-        record = {
-            "step": rec.index,
-            "rule": rec.rule,
-            "level": rec.level.symbol if rec.level else None,
-            "chi": rec.invariants.euler,
-            "sigma": rec.invariants.signature,
-            "expr": _write(rec.expr, spans),
-            "notes": rec.notes,
-        }
-        try:
-            lines.append(json.dumps(record, sort_keys=True))
-        except ValueError:  # chi or sigma past int()'s digit limit: the same line, member by member
-            members = (
-                f"{json.dumps(k)}: {exact_str(v) if k in ('chi', 'sigma') else json.dumps(v)}"
-                for k, v in sorted(record.items())
-            )
-            lines.append("{" + ", ".join(members) + "}")
+        # the line json.dumps(..., sort_keys=True) writes, with chi and sigma
+        # through exact_str, so that they print past int()'s digit limit
+        level = json.dumps(rec.level.symbol if rec.level else None)
+        lines.append(
+            f'{{"chi": {exact_str(rec.invariants.euler)}, '
+            f'"expr": {json.dumps(_write(rec.expr, spans))}, "level": {level}, '
+            f'"notes": {json.dumps(rec.notes)}, "rule": {json.dumps(rec.rule)}, '
+            f'"sigma": {exact_str(rec.invariants.signature)}, "step": {rec.index}}}'
+        )
     return "\n".join(lines)
