@@ -17,7 +17,7 @@ from math import gcd
 from operator import ge, gt, le, lt
 from typing import Union
 
-from .record import Frozen, set_field
+from .record import Frozen, exact_str, set_field
 
 RationalLike = Union[int, str, Fraction]
 
@@ -37,23 +37,6 @@ def _frac(x: RationalLike) -> Union[int, Fraction]:
         except (ValueError, ZeroDivisionError):
             pass
     raise AreaError(f"not a rational coefficient: {x!r}")
-
-
-def exact_str(x: Union[int, Fraction]) -> str:
-    """`str(x)` for an int or a Fraction, at any size.  str() is tried
-    first, so any other value prints as its str(); only where it raises,
-    past int()'s digit limit (4,300 by default), is an int split in two
-    halves of its digits by divmod."""
-    try:
-        return str(x)
-    except ValueError:
-        pass
-    num, den = x.numerator, x.denominator
-    if den != 1:
-        return f"{exact_str(num)}/{exact_str(den)}"
-    k = abs(num).bit_length() * 3 // 20  # about half its digits, as log10(2) > 0.3
-    high, low = divmod(abs(num), 10**k)
-    return "-" * (num < 0) + exact_str(high) + exact_str(low).zfill(k)
 
 
 def _new(c: int, e: int, d: int) -> "AreaValue":

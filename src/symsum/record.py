@@ -7,13 +7,31 @@ generating and `exec`-ing no code, so importing symsum stays cheap:
 equal field values), a repr naming each field, and `replace(**changes)`,
 a copy built through `__init__` so that its checks run again.  A
 `Frozen` record also hashes by its field values and refuses assignment;
-its `__init__` writes each field once with `set_field`.
+its `__init__` writes each field once with `set_field`.  `exact_str`,
+which prints a number at any size, lives here for the repr's int fields.
 """
 
 from operator import attrgetter
 
 set_field = object.__setattr__
 _TEXT = object()  # the value of a repr piece that is only text
+
+
+def exact_str(x) -> str:
+    """`str(x)` for an int or a Fraction, at any size.  str() is tried
+    first, so any other value prints as its str(); only where it raises,
+    past int()'s digit limit (4,300 by default), is an int split in two
+    halves of its digits by divmod."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    num, den = x.numerator, x.denominator
+    if den != 1:
+        return f"{exact_str(num)}/{exact_str(den)}"
+    k = abs(num).bit_length() * 3 // 20  # about half its digits, as log10(2) > 0.3
+    high, low = divmod(abs(num), 10**k)
+    return "-" * (num < 0) + exact_str(high) + exact_str(low).zfill(k)
 
 
 def values_getter(names):
@@ -48,7 +66,8 @@ class Record:
         """The class name and each field's repr, written from an
         explicit stack of pieces, each a text and then a value, so that
         nesting costs no Python frames: a record with this repr or a dict
-        pushes its own pieces, and any other value writes its repr."""
+        pushes its own pieces, an int writes its digits at any size, and
+        any other value writes its repr."""
         out, stack = [], [("", self)]
         while stack:
             text, x = stack.pop()
@@ -68,7 +87,7 @@ class Record:
                 pieces.append(("}" if x else "{}", _TEXT))
             else:
                 if x is not _TEXT:
-                    out.append(repr(x))
+                    out.append(exact_str(x) if cls is int else repr(x))
                 continue
             stack.extend(reversed(pieces))
         return "".join(out)

@@ -136,6 +136,28 @@ def test_repr_is_unchanged(make, expected):
     assert repr(make()) == expected
 
 
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda n: InvariantVector(n, 0), "InvariantVector(euler={}, signature=0)"),
+        (lambda n: InvariantVector(-7, -n), "InvariantVector(euler=-7, signature=-{})"),
+        (EllipticSurface, "EllipticSurface(n={})"),
+    ],
+    ids=["InvariantVector euler", "InvariantVector signature", "EllipticSurface"],
+)
+def test_an_int_field_past_the_digit_limit_prints_in_the_repr(make, text):
+    """An int field's repr is its digits at any size, as repr() writes
+    them below int()'s digit limit."""
+    n = 10**4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = text.format(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert repr(make(n)) == expected
+
+
 def test_syntax_records_compare_without_their_positions():
     """A script's records keep no positions: the same script laid out
     otherwise parses to an equal AST."""
