@@ -217,13 +217,17 @@ class _Parser:
     the first other build failure win, in this order (`held`).  A node
     that failed, and each node over it, reads as None."""
 
-    def __init__(self, text: str, start: int = 0, decls: tuple = (), atoms: Optional[dict] = None):
+    def __init__(
+        self, text: str, start: int = 0, decls: tuple = (), atoms: Optional[dict] = None,
+        sides: tuple = (),
+    ):
         """A reader of `text` from `start`, after the declarations `decls`
-        of the atoms `atoms`, by name, that the fast reader read before it."""
+        of the atoms `atoms`, by name, and the sides `sides`, that the fast
+        reader read before it."""
         self.text, self.start = text, start
         self.toks, self.i = tokenize(text, start), 0
         self.held: list[Optional[ScriptError]] = [None, None, None]  # by rank
-        self.decls = list(decls)
+        self.decls, self.sides = list(decls), list(sides)
         self.atoms: dict[str, Optional[AtomNode]] = dict(atoms or {})  # the atoms declared
         self.names: set[str] = set(self.atoms)  # every name declared
 
@@ -543,14 +547,20 @@ class _Parser:
 
     # -- entry points ------------------------------------------------
 
+    def read_sides(self, *words: str) -> list:
+        """The sides after the keywords `words`, the first of them after the
+        declarations: those that the fast reader read, then the rest."""
+        sides = self.sides
+        if not sides:
+            while self.toks[self.i] != words[0]:
+                self.decls.append(self.parse_decl())
+        for word in words[len(sides):]:
+            self.keyword(word)
+            sides.append(self.parse_form(None))
+        return sides
+
     def parse_script(self) -> ScriptAst:
-        decls = self.decls
-        while self.toks[self.i] != "lhs":
-            decls.append(self.parse_decl())
-        self.i += 1
-        lhs = self.parse_form(None)
-        self.keyword("rhs")
-        rhs = self.parse_form(None)
+        lhs, rhs = self.read_sides("lhs", "rhs")
         self.keyword("target")
         target = self.toks[self.i]
         if target != "=" and target != "~":
@@ -561,17 +571,13 @@ class _Parser:
             steps.append(self.parse_step())
         self.expect("eof", "end of script")
         self.finish()
-        return ScriptAst(decls, lhs, rhs, target, steps)
+        return ScriptAst(self.decls, lhs, rhs, target, steps)
 
     def parse_expr_file(self) -> ExprFileAst:
-        decls = self.decls
-        while self.toks[self.i] != "expr":
-            decls.append(self.parse_decl())
-        self.i += 1
-        e = self.parse_form(None)
+        (e,) = self.read_sides("expr")
         self.expect("eof", "end of file")
         self.finish()
-        return ExprFileAst(decls, e)
+        return ExprFileAst(self.decls, e)
 
     def finish(self) -> None:
         """Raises the failure held of the first rank that holds one."""
@@ -634,17 +640,18 @@ def _rational(v: str) -> Union[int, Fraction]:
 
 
 def _read_atoms(text: str) -> tuple[int, list[AtomDecl], dict[str, AtomNode]]:
-    """The fast reader: where the first declaration starts that it does not
-    read, and the atom declarations before it, built.  It reads those that
-    `_ATOM_RE` and `_SPEC_RE` match and that pass every check, and stops
-    at the first other one, for the token reader to read on from and to
-    word.  An atom with a kind text read before holds the same kind
-    object; a new kind text is read by the token reader."""
+    """The fast reader's declarations: where the first declaration starts
+    that it does not read, and the atom declarations before it, built.  It
+    reads those that `_ATOM_RE` and `_SPEC_RE` match, that pass every check
+    and whose name is new and no operation's keyword, and stops at the first
+    other one, for the token reader to read on from and to word.  An atom
+    with a kind text read before holds the same kind object; a new kind
+    text is read by the token reader."""
     decls, atoms, kinds = [], {}, {}
     start = 0
     while True:
         m = _ATOM_RE.match(text, start)
-        if m is None or m[1] in atoms:
+        if m is None or m[1] in atoms or m[1] in _GRAMMAR:
             return start, decls, atoms
         name, kind_text = m.groups()
         try:
@@ -680,12 +687,84 @@ def _read_atoms(text: str) -> tuple[int, list[AtomDecl], dict[str, AtomNode]]:
         start = end
 
 
+# a side's keyword and its first token, a leaf's name or an operation's keyword
+_SIDE = _pattern(" (NAME%) (NAME%)")
+
+
+def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
+    """The side whose first token, `name`, ends at `pos`, read with the
+    forms' runs and built, and where it ends; None where a name is neither
+    one of `atoms`, read by the fast reader, nor the keyword of a form with
+    runs, where a run misses or where a build fails.  A side that is one
+    name is read only where that name is no kind tag, which an inline atom's
+    parameters or marks may follow.  An explicit stack
+    holds the forms opened and not yet closed, each with its args, its next
+    run and the child slot that waits for a node."""
+    if name not in _GRAMMAR:
+        node = atoms.get(name)
+        return None if node is None or name in KINDS else (node, pos)
+    stack = []
+    while True:
+        if name is not None:  # open the form of the keyword `name`
+            form = _GRAMMAR.get(name)
+            if form is None or form.runs is None:
+                return None
+            top = [form, {}, 0, None]
+            stack.append(top)
+        form, args, run, _ = top
+        pattern, slots = form.runs[run]
+        m = pattern.match(text, pos)
+        if m is None:
+            return None
+        pos, name = m.end(), None
+        for k, ((field, run), value) in enumerate(zip(slots, m.groups()), 1):
+            if run is None:  # a name slot
+                args[field] = value
+            elif value is None:  # a child that starts with no name
+                return None
+            elif m.end(k) == pos:  # no run read on after the name: it opens a form
+                top[2], top[3], name = run, field, value
+                break
+            else:  # a leaf
+                node = args[field] = atoms.get(value)
+                if node is None:
+                    return None
+        else:  # the form closed
+            try:
+                node = form.make(**args)
+            except SymsumError:
+                return None
+            stack.pop()
+            if not stack:
+                return node, pos
+            top = stack[-1]
+            top[1][top[3]] = node
+
+
+def _read_fast(text: str, words: tuple) -> tuple:
+    """The fast reader: where the token reader starts, and the atom
+    declarations, the atoms by name and the sides that it read before.
+    After the declarations that `_read_atoms` reads, it reads each side,
+    after its keyword in `words`, that `_read_side` reads whole, and stops
+    at the first other one."""
+    start, decls, atoms = _read_atoms(text)
+    sides = []
+    for word in words:
+        m = _SIDE.match(text, start)
+        side = m and m[1] == word and _read_side(text, m[2], m.end(), atoms)
+        if not side:
+            break
+        sides.append(side[0])
+        start = side[1]
+    return start, decls, atoms, sides
+
+
 def parse(source: str) -> ScriptAst:
-    return _Parser(source, *_read_atoms(source)).parse_script()
+    return _Parser(source, *_read_fast(source, ("lhs", "rhs"))).parse_script()
 
 
 def parse_expr_file(source: str) -> ExprFileAst:
-    return _Parser(source, *_read_atoms(source)).parse_expr_file()
+    return _Parser(source, *_read_fast(source, ("expr",))).parse_expr_file()
 
 
 class BuiltScript(Record):
@@ -792,6 +871,36 @@ class _Form:
         # how a node leaves an option out: at its default
         self.defaults = [cls.DEFAULTS[f] if f in _OPTIONS else _NO_DEFAULT for f in self.fields]
         self.option_defaults = [(f, d) for f, d in zip(self.fields, self.defaults) if f in _OPTIONS]
+
+    @cached_property
+    def runs(self) -> Optional[list[tuple[re.Pattern, list]]]:
+        """The fast reader's patterns of this operation form, compiled on
+        first use; None where a step reads more than a fixed token, a name
+        slot or a child slot, with no option given.  Run j reads from the
+        keyword (j = 0) or from child slot j to the next child slot or to
+        the end of the form; `runs[j]` is its pattern, which goes on to
+        read, while each next child is a leaf name, that name and the run
+        after it, and the slot that each of its groups fills: (field, None)
+        for a name slot, and (field, the run after it) for a leaf."""
+        texts, slots = [""], [[]]  # by run: its pattern text, its groups' slots
+        for read, arg, field in self.steps[:-1]:
+            if read is None:  # a child slot ends a run
+                slots[-1].append((field, len(texts)))
+                texts.append("")
+                slots.append([])
+            elif read is _Parser.read_name:
+                texts[-1] += " (NAME%)"
+                slots[-1].append((field, None))
+            elif read is _Parser.keyword or read is _Parser.expect:
+                texts[-1] += " " + re.escape(arg) + "%" * (read is _Parser.keyword)
+            elif read is not _Parser.parse_options:
+                return None
+        runs, suffix, rest = [], None, []
+        for text, run_slots in zip(reversed(texts), reversed(slots)):
+            suffix = text if suffix is None else f"{text}(?: (NAME%)(?:{suffix})?)?"
+            rest = run_slots + rest
+            runs.append((_pattern(suffix), rest))
+        return runs[::-1]
 
 
 # how a slot or an option's value is read and printed, by the name of its
