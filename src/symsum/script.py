@@ -24,17 +24,19 @@ Rational literals are `p/q`; areas are written `1`, `0+1e`, `5/4-3e`.
 Expression files use the same declarations followed by `expr <expr>`.
 
 Two readers read a text, once, from left to right.  The fast reader,
-`_read_atoms`, matches the atom declarations at its start with two
-compiled patterns, `atom NAME KIND {` and then each mark spec, and builds
-each atom from the groups; it reads each new kind text with the token
-reader, and atoms of one kind text hold one kind object (an atom read by
-the token reader builds its own).  At the first declaration that the
-patterns do not match (a triple, say, an integer slot written `p/q` or a
-`-` apart from its number) or that fails a check, the token reader,
-`_Parser`, reads on in the whole text from where it starts, with the
-atoms read.  The atoms before it hold no failure, so every message,
-position and failure rank is the token reader's, as if it had read the
-text from its start.
+`_read_fast`, matches the atom declarations at its start with two compiled
+patterns, `atom NAME KIND {` and then each mark spec, and builds each atom
+from the groups; it reads each new kind text with the token reader, and
+atoms of one kind text hold one kind object (an atom read by the token
+reader builds its own).  After the declarations it reads each side, `lhs`
+and `rhs` or an expression file's `expr`, with patterns compiled from each
+operation's form (`_Form.runs`), and builds each operation as it closes.
+At the first declaration or side that the patterns do not match (a triple,
+say, an integer slot written `p/q`, an option, an area or an inline atom)
+or that fails a check, the token reader, `_Parser`, reads on in the whole
+text from where that declaration or side starts, with the atoms and sides
+read.  These hold no failure, so every message, position and failure rank
+is the token reader's, as if it had read the text from its start.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ class ScriptError(SymsumError):
 # blanks and comments, a comment running to the end of its line or text
 # (so that a pattern that fails cannot read on from inside one), a name
 # and a number.
-_BLANK = r"[ \t\r\n]*(?:\#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
+_SPACES = r"[ \t\r\n]*"
+_BLANK = _SPACES + r"(?:\#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
 _NAME = r"[A-Za-z][A-Za-z0-9_#+~^-]*"
 _NUM = r"\d+(?:/\d+)?"
 # The one token pattern: blanks and comments, then a token, or `\Z` for
@@ -136,8 +139,9 @@ def token_positions(text: str, start: int = 0) -> list[Token]:
     Lines and columns count from the start of `text`, not from `start`."""
     toks: list[Token] = []
     # Every newline before `start` is in blanks or comments: a string may
-    # only follow `lhs`, and a kind text that holds one fails its parse, so
-    # the fast reader stops before it.
+    # only follow `lhs`, where no pattern of the fast reader reads one, and
+    # a kind text that holds one fails its parse, so the fast reader stops
+    # before it.
     line, line_start = text.count("\n", 0, start) + 1, text.rfind("\n", 0, start) + 1
     for m in _VALUE_RE.finditer(text, start):
         gap, at = m.start(), m.start(1)
@@ -610,12 +614,13 @@ def _atom(kind: Optional[AtomKind], specs: list[tuple]) -> AtomNode:
     return AtomNode(kind, tuple(SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in specs))
 
 
-def _pattern(text: str) -> re.Pattern:
+def _pattern(text: str, blank: str = _BLANK) -> re.Pattern:
     """A fast reader's pattern written with the token pattern's pieces: a
-    blank stands for `_BLANK`, NAME and NUM for `_NAME` and `_NUM`, and `%`
-    ends a word where no name character follows, as the longest name does."""
+    blank stands for `blank`, by default `_BLANK`, NAME and NUM for `_NAME`
+    and `_NUM`, and `%` ends a word where no name character follows, as the
+    longest name does."""
     return re.compile(
-        text.replace(" ", _BLANK).replace("NAME", _NAME).replace("NUM", _NUM)
+        text.replace(" ", blank).replace("NAME", _NAME).replace("NUM", _NUM)
         .replace("%", r"(?![A-Za-z0-9_#+~^-])")
     )
 
@@ -687,66 +692,71 @@ def _read_atoms(text: str) -> tuple[int, list[AtomDecl], dict[str, AtomNode]]:
         start = end
 
 
-# a side's keyword and its first token, a leaf's name or an operation's keyword
+# a side's keyword and its first token
 _SIDE = _pattern(" (NAME%) (NAME%)")
 
 
 def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
     """The side whose first token, `name`, ends at `pos`, read with the
-    forms' runs and built, and where it ends; None where a name is neither
-    one of `atoms`, read by the fast reader, nor the keyword of a form with
-    runs, where a run misses or where a build fails.  A side that is one
-    name is read only where that name is no kind tag, which an inline atom's
-    parameters or marks may follow.  An explicit stack
-    holds the forms opened and not yet closed, each with its args, its next
-    run and the child slot that waits for a node."""
-    if name not in _GRAMMAR:
+    forms' runs and built, and where it ends.  None where a name is neither
+    the keyword of a form with runs nor one of `atoms` (or is a kind tag,
+    where a side is one name), where a run misses or where a build fails.
+    An explicit stack holds the forms that wait for a child, each with its
+    args, the child's slot and the run after it."""
+    form = _GRAMMAR.get(name)
+    if form is None:
         node = atoms.get(name)
         return None if node is None or name in KINDS else (node, pos)
-    stack = []
+    stack, args, run = [], {}, 0
     while True:
-        if name is not None:  # open the form of the keyword `name`
-            form = _GRAMMAR.get(name)
-            if form is None or form.runs is None:
-                return None
-            top = [form, {}, 0, None]
-            stack.append(top)
-        form, args, run, _ = top
-        pattern, slots = form.runs[run]
-        m = pattern.match(text, pos)
-        if m is None:
+        runs = form.runs
+        if runs is None:
             return None
-        pos, name = m.end(), None
-        for k, ((field, run), value) in enumerate(zip(slots, m.groups()), 1):
-            if run is None:  # a name slot
-                args[field] = value
-            elif value is None:  # a child that starts with no name
+        pattern, plans, again = runs[run]
+        if again:  # run 0, where the text may open the form again at its first child slot
+            more, kid = again
+            m = more.match(text, pos)
+            for _ in range(m[0].count(form.name)):
+                stack.append((form, args, kid, 1))
+                args = {}
+            pos = m.end()
+        m = pattern.match(text, pos)
+        plan = m and plans.get(m.lastindex)
+        if not plan:
+            return None
+        pos = m.end()
+        args.update(m.groupdict())
+        leaves, child, run = plan
+        for field in leaves:
+            node = args[field] = atoms.get(args[field])
+            if node is None:
                 return None
-            elif m.end(k) == pos:  # no run read on after the name: it opens a form
-                top[2], top[3], name = run, field, value
-                break
-            else:  # a leaf
-                node = args[field] = atoms.get(value)
-                if node is None:
-                    return None
-        else:  # the form closed
-            try:
-                node = form.make(**args)
-            except SymsumError:
+        if child is not None:  # the name read for the slot `child`
+            opened = _GRAMMAR.get(args[child])
+            if opened is not None:
+                stack.append((form, args, child, run))
+                form, args, run = opened, {}, 0
+                continue
+            node = args[child] = atoms.get(args[child])
+            if node is None:
                 return None
-            stack.pop()
-            if not stack:
-                return node, pos
-            top = stack[-1]
-            top[1][top[3]] = node
+            continue
+        try:
+            node = form.make(**args)
+        except SymsumError:
+            return None
+        if not stack:
+            return node, pos
+        form, args, child, run = stack.pop()
+        args[child] = node
 
 
 def _read_fast(text: str, words: tuple) -> tuple:
     """The fast reader: where the token reader starts, and the atom
-    declarations, the atoms by name and the sides that it read before.
-    After the declarations that `_read_atoms` reads, it reads each side,
-    after its keyword in `words`, that `_read_side` reads whole, and stops
-    at the first other one."""
+    declarations, the atoms by name and the sides that it read before:
+    those declarations that `_read_atoms` reads and then each side, after
+    its keyword in `words`, up to the first that `_read_side` does not
+    read whole."""
     start, decls, atoms = _read_atoms(text)
     sides = []
     for word in words:
@@ -873,34 +883,53 @@ class _Form:
         self.option_defaults = [(f, d) for f, d in zip(self.fields, self.defaults) if f in _OPTIONS]
 
     @cached_property
-    def runs(self) -> Optional[list[tuple[re.Pattern, list]]]:
+    def runs(self) -> Optional[list[tuple]]:
         """The fast reader's patterns of this operation form, compiled on
         first use; None where a step reads more than a fixed token, a name
         slot or a child slot, with no option given.  Run j reads from the
         keyword (j = 0) or from child slot j to the next child slot or to
-        the end of the form; `runs[j]` is its pattern, which goes on to
-        read, while each next child is a leaf name, that name and the run
-        after it, and the slot that each of its groups fills: (field, None)
-        for a name slot, and (field, the run after it) for a leaf."""
-        texts, slots = [""], [[]]  # by run: its pattern text, its groups' slots
+        the end of the form.  `runs[j]` is (pattern, plans, again):
+        - the pattern reads run j and then, where they follow, the next
+          child's name, the run after it, an empty group that marks that
+          run read, and the name after that; a slot's name is a group named
+          by its field;
+        - `plans` maps the index of the last group read to what the fast
+          reader does next: (the child slots read as leaves, the slot whose
+          name was read last, or None where the form closed, and the run
+          after that slot); an index that it does not map stops the reader;
+        - for run 0 where it holds no name slot, `again` is the pattern of
+          run 0 and the keyword, repeated with no comment between, which
+          opens the form again at its first child slot, and that slot."""
+        texts, names, kids = [""], [[]], []  # by run: its pattern text, its name slots
         for read, arg, field in self.steps[:-1]:
             if read is None:  # a child slot ends a run
-                slots[-1].append((field, len(texts)))
+                kids.append(field)
                 texts.append("")
-                slots.append([])
+                names.append([])
             elif read is _Parser.read_name:
-                texts[-1] += " (NAME%)"
-                slots[-1].append((field, None))
+                texts[-1] += f" (?P<{field}>NAME%)"
+                names[-1].append(field)
             elif read is _Parser.keyword or read is _Parser.expect:
                 texts[-1] += " " + re.escape(arg) + "%" * (read is _Parser.keyword)
             elif read is not _Parser.parse_options:
                 return None
-        runs, suffix, rest = [], None, []
-        for text, run_slots in zip(reversed(texts), reversed(slots)):
-            suffix = text if suffix is None else f"{text}(?: (NAME%)(?:{suffix})?)?"
-            rest = run_slots + rest
-            runs.append((_pattern(suffix), rest))
-        return runs[::-1]
+        last, runs = len(kids), []
+        for j, text in enumerate(texts):
+            groups = len(names[j])
+            if j == last:  # the closing run
+                runs.append((_pattern(text + "()"), {groups + 1: ((), None, None)}, None))
+                continue
+            kid, plans = kids[j], {groups + 1: ((), kids[j], j + 1)}
+            again = j == 0 and not groups and (_pattern(f"(?:{text} {self.name}%)*", _SPACES), kid)
+            text += f"(?: (?P<{kid}>NAME%)(?:{texts[j + 1]}()"
+            groups += 2 + len(names[j + 1])  # the marker after run j + 1
+            if j + 1 == last:
+                plans[groups] = ((kid,), None, None)
+            else:
+                text += f"(?: (?P<{kids[j + 1]}>NAME%))?"
+                plans[groups + 1] = ((kid,), kids[j + 1], j + 2)
+            runs.append((_pattern(text + ")?)?"), plans, again))
+        return runs
 
 
 # how a slot or an option's value is read and printed, by the name of its
