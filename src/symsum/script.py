@@ -698,11 +698,11 @@ _SIDE = _pattern(" (NAME%) (NAME%)")
 
 def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
     """The side whose first token, `name`, ends at `pos`, read with the
-    forms' runs and built, and where it ends.  None where a name is neither
-    the keyword of a form with runs nor one of `atoms` (or is a kind tag,
-    where a side is one name), where a run misses or where a build fails.
-    An explicit stack holds the forms that wait for a child, each with its
-    args, the child's slot and the run after it."""
+    forms' runs and built, and where it ends; None at a name that is no
+    keyword of a form with runs nor one of `atoms` (nor a kind tag, for a
+    side of one name), at a run that misses or a build that fails.  The
+    stack holds each form that waits for a child: its args, the child's
+    slot and the run after it."""
     form = _GRAMMAR.get(name)
     if form is None:
         node = atoms.get(name)
@@ -727,36 +727,31 @@ def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
         pos = m.end()
         args.update(m.groupdict())
         leaves, child, run = plan
+        opened = child and _GRAMMAR.get(args[child])  # the form of the name read last
+        if child and not opened:
+            leaves += (child,)
         for field in leaves:
             node = args[field] = atoms.get(args[field])
             if node is None:
                 return None
-        if child is not None:  # the name read for the slot `child`
-            opened = _GRAMMAR.get(args[child])
-            if opened is not None:
-                stack.append((form, args, child, run))
-                form, args, run = opened, {}, 0
-                continue
-            node = args[child] = atoms.get(args[child])
-            if node is None:
+        if opened:
+            stack.append((form, args, child, run))
+            form, args, run = opened, {}, 0
+        elif child is None:  # the form closed
+            try:
+                node = form.make(**args)
+            except SymsumError:
                 return None
-            continue
-        try:
-            node = form.make(**args)
-        except SymsumError:
-            return None
-        if not stack:
-            return node, pos
-        form, args, child, run = stack.pop()
-        args[child] = node
+            if not stack:
+                return node, pos
+            form, args, child, run = stack.pop()
+            args[child] = node
 
 
 def _read_fast(text: str, words: tuple) -> tuple:
     """The fast reader: where the token reader starts, and the atom
-    declarations, the atoms by name and the sides that it read before:
-    those declarations that `_read_atoms` reads and then each side, after
-    its keyword in `words`, up to the first that `_read_side` does not
-    read whole."""
+    declarations, atoms by name and sides, after their keywords `words`,
+    read before it by `_read_atoms` and `_read_side`."""
     start, decls, atoms = _read_atoms(text)
     sides = []
     for word in words:
@@ -884,22 +879,17 @@ class _Form:
 
     @cached_property
     def runs(self) -> Optional[list[tuple]]:
-        """The fast reader's patterns of this operation form, compiled on
-        first use; None where a step reads more than a fixed token, a name
-        slot or a child slot, with no option given.  Run j reads from the
-        keyword (j = 0) or from child slot j to the next child slot or to
-        the end of the form.  `runs[j]` is (pattern, plans, again):
-        - the pattern reads run j and then, where they follow, the next
-          child's name, the run after it, an empty group that marks that
-          run read, and the name after that; a slot's name is a group named
-          by its field;
-        - `plans` maps the index of the last group read to what the fast
-          reader does next: (the child slots read as leaves, the slot whose
-          name was read last, or None where the form closed, and the run
-          after that slot); an index that it does not map stops the reader;
-        - for run 0 where it holds no name slot, `again` is the pattern of
-          run 0 and the keyword, repeated with no comment between, which
-          opens the form again at its first child slot, and that slot."""
+        """The fast reader's patterns of this form, compiled on first use, or
+        None where a step is no fixed token, name slot, child slot or empty
+        options.  Run j goes from the keyword or child slot j to the next
+        child slot or the end.  `runs[j]` is (pattern, plans, again): the
+        pattern reads run j, the next child's name, the run after it, an
+        empty group and the name after that, as far as they match, a name
+        in a group named by its slot; `plans` maps the last group read to
+        (the slots read as leaves, the slot whose name was read last or None
+        where the form closed, the run after it), and stops the reader at
+        any other; `again`, for run 0 with no name slot, reads run 0 and the
+        keyword repeated, the form opened again at its first child slot."""
         texts, names, kids = [""], [[]], []  # by run: its pattern text, its name slots
         for read, arg, field in self.steps[:-1]:
             if read is None:  # a child slot ends a run

@@ -1,13 +1,15 @@
 """The two readers of a script agree.  `parse` reads a text once, from left
 to right: the fast reader reads the atom declarations that its two patterns
-match and that pass every check, and the token reader reads on in the whole
-text from the first other one, with no restart after a failure.  So on
-every text `parse` gives what the token reader alone gives: equal nodes
-and an equal `print_script`, or the same message."""
+match and that pass every check, then each side that the forms' runs read
+whole, and the token reader reads on in the whole text from the first
+other declaration or side, with no restart after a failure.  So on every
+text `parse` gives what the token reader alone gives: equal nodes and an
+equal `print_script`, or the same message."""
 
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from test_fuzz import mutate
 from test_memo import chain_script
-from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
+from traces import _SUM4, _X, MALFORMED, RULE_MESSAGES, RULE_SHAPES
 
 import symsum.script
 from symsum.demos import CORPUS
@@ -26,7 +28,7 @@ from symsum.script import (
     ScriptAst,
     ScriptError,
     _Parser,
-    _read_atoms,
+    _read_fast,
     parse,
     parse_expr_file,
     print_script,
@@ -72,6 +74,84 @@ def test_both_readers_agree_on_mutated_corpus_scripts():
         text, _ = mutate(CORPUS[names[n % len(names)]], rng)
         parsed += not isinstance(_same(text), str)
     assert parsed > 50  # some mutants parse (97 of 1000 at this seed)
+
+
+# pieces put into a chain's sides: forms and their parts, an option, an
+# inline atom, kind tags and keywords as leaves, declared and undeclared
+# names, a comment and a line break
+_SIDE_NOISE = [
+    "sum(", "sum4(", "desing(", "blowup(", "(", ")", ",", ", glue = twist", ", carry = Z",
+    "CP2 { }", "E(1) { }", "W", "E", "sum", "lhs", "rhs", "target", "W3", "W13", "B2", "A3",
+    " # a note (sum\n", "\n\t",
+]
+
+
+def _mutated_sides(text: str, rng: random.Random) -> str:
+    """`text` with its sides changed: a token mutated, or a piece of
+    `_SIDE_NOISE` put after a punctuation mark or a name."""
+    head, rest = text.split("lhs ", 1)
+    sides, tail = rest.split("\ntarget", 1)
+    if rng.random() < 0.5:
+        sides, _ = mutate(sides, rng)
+    else:
+        pieces = re.split(r"(?<=[(),])|(?<=\w)(?=[ ,)])", sides)
+        pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(_SIDE_NOISE))
+        sides = "".join(pieces)
+    return f"{head}lhs {sides}\ntarget{tail}"
+
+
+def test_both_readers_agree_on_chains_with_mutated_sides():
+    """The mutants parse or fail, and the fast reader hands them over at
+    each side's keyword and at `target`."""
+    rng = random.Random(31)
+    chains = [chain_script(12, 6), chain_script(5, 2)]
+    parsed, handoffs = 0, {}
+    for n in range(1000):
+        text = _mutated_sides(chains[n % 2], rng)
+        parsed += not isinstance(_same(text), str)
+        start = _read_fast(text, ("lhs", "rhs"))[0]
+        handoff = tokenize(text, start)[0]
+        handoffs[handoff] = handoffs.get(handoff, 0) + 1
+    assert 30 < parsed < 500  # 67 of 1000 parse at this seed
+    # 442 at lhs, 469 at rhs and 67 at target at this seed
+    assert min(handoffs.get(word, 0) for word in ("lhs", "rhs", "target")) > 50, handoffs
+
+
+# inputs at the edges of the fast reader's sides: names that are keywords
+# or kind tags, inline atoms, options, comments and every form with runs
+_EDGE_DECLS = (
+    "atom W W(0,1,0+1e) { A: g=0, i=-1, a=1+1e; B: g=0, i=1, a=1+2e }\n"
+    "atom V W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e; B2: g=0, i=1, a=1+3e }\n"
+)
+_SIDE_EDGES = {
+    "kind tag as a side": _EDGE_DECLS + "lhs W rhs W target =",
+    "kind tag as a leaf": _EDGE_DECLS + "lhs sum(W, B, V, A2) rhs sum(W, B, V, A2) target =",
+    "kind tag then marks": _EDGE_DECLS + "lhs W { } rhs W target =",
+    "keyword as a leaf": "atom sum CP2 { }\nlhs sum rhs sum target =",
+    "keyword as a leaf in a sum": _EDGE_DECLS.replace("atom V", "atom sum")
+    + "lhs sum(W, B, sum, A2) rhs W target =",
+    "inline atom in a sum": _EDGE_DECLS
+    + "lhs sum(W, B, W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e }, A2) rhs W target =",
+    "comments and line breaks": _EDGE_DECLS
+    + "lhs sum( # (\n W ,\n B # )\n, V,A2)\n# rhs\nrhs sum(W,B,V,A2) target =",
+    "comment among openers": _EDGE_DECLS
+    + "lhs sum(sum( # x\n sum(W, B, V, A2), B2, W, A), B, V, A2) rhs W target =",
+    "option in the rhs": _EDGE_DECLS + "lhs W rhs sum(W, B, V, A2, glue = t) target =",
+    "desing": _EDGE_DECLS + "lhs desing(W, B, A) rhs desing(W, A, B, label = Q) target =",
+    "sum4 of leaves": _X + _SUM4,
+    "sum4 of a sum": _X + _SUM4.replace("(X1, A1, B1)", "(sum(X1, B1, X2, A2), A1, B2)"),
+    "blowup": _EDGE_DECLS + "lhs blowup(W, generic, size = 1/4) rhs W target =",
+    "an expression file's side": _EDGE_DECLS + "expr sum(W, B, V, A2)",
+}
+
+
+@pytest.mark.parametrize("name", _SIDE_EDGES)
+def test_both_readers_agree_at_the_edges_of_the_side_patterns(name):
+    text = _SIDE_EDGES[name]
+    _same(text)
+    assert _outcome(parse_expr_file, text) == _outcome(
+        lambda t: _Parser(t).parse_expr_file(), text
+    )
 
 
 # the pieces of generated declarations, most of them well formed: blanks,
@@ -145,19 +225,50 @@ def test_both_readers_agree_on_generated_declarations(rng):
     )
 
 
-def _read_up_to_lhs(text: str) -> bool:
-    """Whether the fast reader reads every declaration of `text`, with no
-    failure, and hands the token reader the text from `lhs` on."""
-    start, decls, atoms = _read_atoms(text)
-    return tokenize(text, start)[0] == "lhs" and decls == _token_reader(text).decls
+def _handoff(text: str) -> str:
+    """The token where the fast reader hands `text` to the token reader,
+    once it has read every declaration and the sides before that token as
+    the token reader alone reads them."""
+    start, decls, atoms, sides = _read_fast(text, ("lhs", "rhs"))
+    alone = _token_reader(text)
+    assert decls == alone.decls and sides == [alone.lhs, alone.rhs][: len(sides)]
+    return tokenize(text, start)[0]
 
 
-_READ_FAST = {**CORPUS, **{f"chain_script{a}": chain_script(*a) for a in ((12, 6), (200, 100))}}
+def _first_side_with_an_option_or_area(text: str) -> str:
+    """`lhs` or `rhs`, whichever side first holds an option or an area (a
+    `=` or a number), or else `target`."""
+    toks = tokenize(text)
+    lhs, rhs, target = (toks.index(word) for word in ("lhs", "rhs", "target"))
+    for word, side in (("lhs", toks[lhs + 1 : rhs]), ("rhs", toks[rhs + 1 : target])):
+        if any(t == "=" or t[:1].isdigit() for t in side):
+            return word
+    return "target"
 
 
-@pytest.mark.parametrize("name", _READ_FAST)
-def test_the_fast_reader_reads_every_declaration_of_the_corpus_and_chains(name):
-    assert _read_up_to_lhs(_READ_FAST[name])
+_CHAINS = {f"chain_script{a}": chain_script(*a) for a in ((12, 6), (200, 100))}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_fast_reader_hands_over_a_corpus_script_at_its_first_side_with_an_option_or_area(
+    name,
+):
+    text = CORPUS[name]
+    assert _handoff(text) == _first_side_with_an_option_or_area(text)
+
+
+@pytest.mark.parametrize("name", _CHAINS)
+def test_the_fast_reader_hands_over_a_chain_at_target(name):
+    assert _handoff(_CHAINS[name]) == "target"
+
+
+def test_the_corpus_hands_over_at_each_keyword():
+    """The corpus covers the three hand-offs after the declarations."""
+    assert {_handoff(text) for text in CORPUS.values()} == {"lhs", "rhs", "target"}
+
+
+_INNERMOST = "sum(W1, B1, W2, A2)"
+_RHS_INNERMOST = "\nrhs " + "sum(" * 199 + "W1, B1, W2, A2)"
 
 
 @pytest.mark.parametrize(
@@ -166,14 +277,23 @@ def test_the_fast_reader_reads_every_declaration_of_the_corpus_and_chains(name):
         ("\ntarget =", "\ntargte ="),
         ("A100: g=0, i=-1", "A100: g=0, i=2/2"),
         ("A100: g=0, i=-1, a=1+", "A100: g=0, i=-1, a=1/0+"),
+        (_INNERMOST, _INNERMOST.replace("A2", "B2")),
+        (_RHS_INNERMOST, _RHS_INNERMOST.replace("A2", "B2")),
+        (_INNERMOST, _INNERMOST.replace(")", ", carry = Z)")),
     ],
-    ids=["misspelt target", "i=2/2 in the middle", "a=1/0 in the middle"],
+    ids=[
+        "misspelt target", "i=2/2 in the middle", "a=1/0 in the middle",
+        "gluing mismatch at the innermost lhs sum", "gluing mismatch at the innermost rhs sum",
+        "option at the innermost lhs sum",
+    ],
 )
 def test_a_failing_text_is_tokenized_once_past_the_fast_reader(monkeypatch, old, new):
     """A failure after the handoff, or at a check the fast reader does not
-    pass, is worded by the one token reader that reads on: the long text is
-    lexed once (each kind text is lexed on its own and does not count)."""
-    text = chain_script(200, 100).replace(old, new)
+    pass, in a declaration or in a side, is worded by the one token reader
+    that reads on: the long text is lexed once (each kind text is lexed on
+    its own and does not count)."""
+    text = chain_script(200, 100).replace(old, new, 1)
+    assert text != chain_script(200, 100)
     lexed = []
 
     def tokenize_counted(source, *args):
@@ -191,20 +311,18 @@ _RUN = ("  \t# ; } # # perp\n \r\n" * 6000)[:100_000]  # blanks and comments
 
 def _timed(before: str, after: str) -> tuple[bool, bool, float]:
     """Whether both readers agree on a 10^5-character run of blanks and
-    comments inside a mark spec, between `before` and `after`; whether
-    the text fails; and the CPU seconds of `parse`."""
-    text = (
-        f"atom W1 W(0,1,0+1e) {{ A1: g=0,{before}{_RUN}{after} B1: g=0, i=0, a=0+1e }}\n"
-        "lhs W1 rhs W1 target =\n"
-    )
+    comments between `before` and `after`; whether the text fails; and the
+    CPU seconds of `parse`."""
+    text = f"{before}{_RUN}{after}"
     start = time.process_time()
     outcome = _outcome(parse, text)
     seconds = time.process_time() - start
     return outcome == _outcome(_token_reader, text), isinstance(outcome, str), seconds
 
 
+_SPEC = "atom W1 W(0,1,0+1e) { A1: g=0,", " B1: g=0, i=0, a=0+1e }\nlhs W1 rhs W1 target =\n"
 # where the run sits in the spec, what follows it, and whether the text parses
-_RUNS = [
+_SPEC_RUNS = [
     ("", "i=-1, a=1+1e, perp B1;", True),
     ("", "x=-1, a=1+1e;", False),
     (" i=", "-1, a=1+1e;", True),
@@ -217,14 +335,43 @@ _RUNS = [
     (" i=-1, a=1", "x;", False),
     (" i=-1, a=1+", "x;", False),
 ]
+_TWO = (
+    "atom W1 W(0,1,0+1e) { A1: g=0, i=-1, a=1+1e; B1: g=0, i=1, a=1+2e }\n"
+    "atom W2 W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e; B2: g=0, i=1, a=1+3e }\nlhs sum("
+)
+# in a side: after `sum(` and after each `,`, before a sum that reads on,
+# that misses a run, that names no declared atom or no mark, or that
+# opens a form where a leaf would do
+_SIDE_RUNS = [
+    ("", "W1, B1, W2, A2) rhs W1 target =", True),
+    ("", "W1, B1, W2, A2 x) rhs W1 target =", False),
+    ("", "sum(W1, B1, W2, A2), B2, W1, A1) rhs W1 target =", False),
+    ("", "sum sum(W1, B1, W2, A2) rhs W1 target =", False),
+    ("W1,", "B1, W2, A2) rhs W1 target =", True),
+    ("W1,", "B1, W2, A9) rhs W1 target =", False),
+    ("W1, B1,", "W2, A2) rhs sum(W1, B1, W2, A2) target =", True),
+    ("W1, B1,", "W9, A2) rhs W1 target =", False),
+    ("W1, B1,", "W2 A2) rhs W1 target =", False),
+    ("W1, B1, W2,", "A2, carry = Z) rhs W1 target =", False),
+]
+_RUNS = [(_SPEC[0] + b, a + _SPEC[1], p) for b, a, p in _SPEC_RUNS] + [
+    (_TWO + b, a + "\n", p) for b, a, p in _SIDE_RUNS
+]
 
 
-@pytest.mark.parametrize("before, after, parses", _RUNS)
-def test_blanks_and_comments_inside_a_mark_spec_read_in_linear_time(before, after, parses):
+@pytest.mark.parametrize(
+    "before, after, parses",
+    _RUNS,
+    ids=[f"spec {b}|{a}" for b, a, _ in _SPEC_RUNS] + [f"side sum({b}|{a}" for b, a, _ in _SIDE_RUNS],
+)
+def test_blanks_and_comments_inside_a_mark_spec_or_a_side_read_in_linear_time(
+    before, after, parses
+):
     """Before a spec that reads on, and before one that fails, which every
     pattern backtracks over, at each blank of a spec that a sign or a
-    number may follow.  A child process reads the text, so that a pattern
-    that backtracks without end fails the test by its timeout."""
+    number may follow; and in a side after `sum(` and after a `,`.  A child
+    process reads the text, so that a pattern that backtracks without end
+    fails the test by its timeout."""
     code = f"import test_reader; print(test_reader._timed({before!r}, {after!r}))"
     child = subprocess.run(
         [sys.executable, "-c", code],
