@@ -297,6 +297,14 @@ MALFORMED.update(
             _E3 + "lhs blowup(E3, at = F3, size = 1/4, pairexc) rhs E3 target =\n"
         ),
         "atom blow-up count negative": "atom R Rational(-1) { }\nlhs R rhs R target =\n",
+        # the atom checks that no other input pins
+        "atom elliptic n zero": "lhs E(0) { } rhs E(0) { } target =\n",
+        "atom ruled base genus negative": "lhs W(-1,1,1) { } rhs W(-1,1,1) { } target =\n",
+        "atom ruled twist zero": "lhs W(0,0,1) { } rhs W(0,0,1) { } target =\n",
+        "atom mark perp itself": "atom X CP2 { L: g=0, i=1, a=1, perp L }\nlhs X rhs X target =\n",
+        "atom ruled section genus not the base genus": (
+            "lhs W(1,1,1) { A: g=0, i=1, a=5 } rhs W(1,1,1) { } target =\n"
+        ),
     }
 )
 _NEST_L = "sum(sum(W1, B1, W2, A2), B2, W3, A3)"
@@ -694,6 +702,7 @@ RULE_MESSAGES = {
         "R1 { }",
     ),
     "deform no slots": _script(_E3, "E3", "deform { }"),
+    "deform rescale zero": _script(_E3, "E3", "deform { rescale = 0 }"),
     "R6 quadric side desingularized": _step(
         _P + "atom P2 CP2 { L1: g=0, i=1, a=3/8, perp L2; L2: g=0, i=1, a=3/8, perp L1 }\n",
         f"sum({_BLOW_X}, St, desing(P2, L1, L2, label=Q2), Q2)", "X", "~", "R6 { }",
