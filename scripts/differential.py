@@ -9,9 +9,9 @@ directory, or the path of a directory that holds a `src/` tree.  The
 head defaults to the working tree.  The inputs are the corpus scripts,
 two ruled chains of `tests/test_memo.chain_script` (12 and 200 atoms,
 so that long texts cross both trees) and two variants of the 12-atom one
-for the fast reader's sides (comments and line breaks in the lhs, which it
-reads, and a rhs glued along a wrong mark, where it hands over to the token
-reader), the `MALFORMED`, `RULE_SHAPES` and
+that the fast reader hands over inside the sides (comments and line
+breaks in the lhs, and a rhs glued along a wrong mark), the `MALFORMED`,
+`RULE_SHAPES` and
 `RULE_MESSAGES` tables of `tests/traces.py`, the expression files of
 `scripts/exprs/` through `symsum invariants`, and K seeded token mutants
 (`tests/test_fuzz.mutate`) of the corpus scripts and of the 12-atom
@@ -98,10 +98,9 @@ def inputs(seed: int, mutants: int) -> list[tuple[str, object]]:
     chain = chain_script(12, 6)
     lhs = chain[chain.index("lhs ") : chain.index("\nrhs ")]
     rhs = chain[chain.index("rhs ") : chain.index("\ntarget")]
+    commented = lhs.replace("sum(", "sum( # (\n").replace(", B", ",\n  # a mark\n  B")
     out += [
-        ("chain_script(12, 6), lhs commented", chain.replace(
-            lhs, lhs.replace("sum(", "sum( # (\n").replace(", B", ",\n  # a mark\n  B")
-        )),
+        ("chain_script(12, 6), lhs commented", chain.replace(lhs, commented)),
         ("chain_script(12, 6), rhs glued wrong", chain.replace(rhs, rhs.replace("W7, A7", "W7, B7"))),
     ]
     for table, entries in (

@@ -32,8 +32,8 @@ reader builds its own).  After the declarations it reads each side, `lhs`
 and `rhs` or an expression file's `expr`, with patterns compiled from each
 operation's form (`_Form.runs`), and builds each operation as it closes.
 At the first declaration or side that the patterns do not match (a triple,
-say, an integer slot written `p/q`, an option, an area or an inline atom)
-or that fails a check, the token reader, `_Parser`, reads on in the whole
+say, an integer slot written `p/q`, an option, an area, an inline atom or
+a comment in a side) or that fails a check, the token reader, `_Parser`, reads on in the whole
 text from where that declaration or side starts, with the atoms and sides
 read.  These hold no failure, so every message, position and failure rank
 is the token reader's, as if it had read the text from its start.
@@ -882,14 +882,15 @@ class _Form:
         """The fast reader's patterns of this form, compiled on first use, or
         None where a step is no fixed token, name slot, child slot or empty
         options.  Run j goes from the keyword or child slot j to the next
-        child slot or the end.  `runs[j]` is (pattern, plans, again): the
-        pattern reads run j, the next child's name, the run after it, an
-        empty group and the name after that, as far as they match, a name
-        in a group named by its slot; `plans` maps the last group read to
-        (the slots read as leaves, the slot whose name was read last or None
-        where the form closed, the run after it), and stops the reader at
-        any other; `again`, for run 0 with no name slot, reads run 0 and the
-        keyword repeated, the form opened again at its first child slot."""
+        child slot or the end, and its blanks hold no comment.  `runs[j]` is
+        (pattern, plans, again): the pattern reads run j, the next child's
+        name, the run after it, an empty group and the name after that, as
+        far as they match, a name in a group named by its slot; `plans` maps
+        the last group read to (the slots read as leaves, the slot whose name
+        was read last or None where the form closed, the run after it), and
+        stops the reader at any other; `again`, for run 0 with no name slot,
+        reads run 0 and the keyword repeated, the form opened again at its
+        first child slot."""
         texts, names, kids = [""], [[]], []  # by run: its pattern text, its name slots
         for read, arg, field in self.steps[:-1]:
             if read is None:  # a child slot ends a run
@@ -907,7 +908,8 @@ class _Form:
         for j, text in enumerate(texts):
             groups = len(names[j])
             if j == last:  # the closing run
-                runs.append((_pattern(text + "()"), {groups + 1: ((), None, None)}, None))
+                closed = {groups + 1: ((), None, None)}
+                runs.append((_pattern(text + "()", _SPACES), closed, None))
                 continue
             kid, plans = kids[j], {groups + 1: ((), kids[j], j + 1)}
             again = j == 0 and not groups and (_pattern(f"(?:{text} {self.name}%)*", _SPACES), kid)
@@ -918,7 +920,7 @@ class _Form:
             else:
                 text += f"(?: (?P<{kids[j + 1]}>NAME%))?"
                 plans[groups + 1] = ((kid,), kids[j + 1], j + 2)
-            runs.append((_pattern(text + ")?)?"), plans, again))
+            runs.append((_pattern(text + ")?)?", _SPACES), plans, again))
         return runs
 
 
