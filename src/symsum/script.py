@@ -395,10 +395,10 @@ class _Parser:
         """An expression (`want` None) or the form `want`, read with an
         explicit stack of the forms opened and not yet closed: a child
         slot opens a form on top, and a closed form is built and fills the
-        slot below.  A leaf child, a name slot's name and an expected word
-        or punctuation are read in place, any other token by its reader.
+        slot below.  A leaf child and an expected word or punctuation are
+        read in place, any other token by its reader.
         A failed check is held at the outermost operation, `root`."""
-        toks, stack, read_name = self.toks, [], _Parser.read_name
+        toks, stack = self.toks, []
         root = None
         while True:
             start = self.i
@@ -420,9 +420,6 @@ class _Parser:
                     i += 1
                     v = toks[self.i]
                     if v == arg:  # the word or punctuation expected
-                        self.i += 1
-                    elif read is read_name and _KIND_OF.get(v[:1]) == "name":
-                        args[field] = v  # a name slot
                         self.i += 1
                     elif read is None:  # a child slot, or the end of the form
                         if arg is not None or v in _GRAMMAR:
@@ -708,16 +705,12 @@ def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
         node = atoms.get(name)
         return None if node is None or name in KINDS else (node, pos)
     stack, args, run = [], {}, 0
-    while True:
-        runs = form.runs
-        if runs is None:
-            return None
-        pattern, plans, again = runs[run]
+    while form.runs:
+        pattern, plans, again = form.runs[run]
         if again:  # run 0, where the text may open the form again at its first child slot
-            more, kid = again
-            m = more.match(text, pos)
+            m = again[0].match(text, pos)
             for _ in range(m[0].count(form.name)):
-                stack.append((form, args, kid, 1))
+                stack.append((form, args, again[1], 1))
                 args = {}
             pos = m.end()
         m = pattern.match(text, pos)
@@ -746,6 +739,7 @@ def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
                 return node, pos
             form, args, child, run = stack.pop()
             args[child] = node
+    return None  # a form with no runs
 
 
 def _read_fast(text: str, words: tuple) -> tuple:
@@ -879,18 +873,16 @@ class _Form:
 
     @cached_property
     def runs(self) -> Optional[list[tuple]]:
-        """The fast reader's patterns of this form, compiled on first use, or
-        None where a step is no fixed token, name slot, child slot or empty
+        """The fast reader's patterns of this form, compiled on first use;
+        None where a step is no fixed token, name or child slot or empty
         options.  Run j goes from the keyword or child slot j to the next
-        child slot or the end, and its blanks hold no comment.  `runs[j]` is
-        (pattern, plans, again): the pattern reads run j, the next child's
-        name, the run after it, an empty group and the name after that, as
-        far as they match, a name in a group named by its slot; `plans` maps
-        the last group read to (the slots read as leaves, the slot whose name
-        was read last or None where the form closed, the run after it), and
-        stops the reader at any other; `again`, for run 0 with no name slot,
-        reads run 0 and the keyword repeated, the form opened again at its
-        first child slot."""
+        child slot or the end, with no comment.  `runs[j]` is a pattern
+        that reads run j, the next child's name, the run after it, an empty
+        group and the name after that, as far as they match, each name in a
+        group named by its slot; `plans`, from the last group read to (the
+        slots read as leaves, the slot of the name read last or None where
+        the form closed, the run after it); and for run 0 with no name slot
+        `again`, run 0 and the keyword repeated, and the first child slot."""
         texts, names, kids = [""], [[]], []  # by run: its pattern text, its name slots
         for read, arg, field in self.steps[:-1]:
             if read is None:  # a child slot ends a run
