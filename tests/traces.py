@@ -703,6 +703,8 @@ RULE_MESSAGES = {
     ),
     "deform no slots": _script(_E3, "E3", "deform { }"),
     "deform rescale zero": _script(_E3, "E3", "deform { rescale = 0 }"),
+    # no mark's area check refuses this one
+    "deform rescale zero, markless": _script("", "E(3) { }", "deform { rescale = 0 }"),
     "R6 quadric side desingularized": _step(
         _P + "atom P2 CP2 { L1: g=0, i=1, a=3/8, perp L2; L2: g=0, i=1, a=3/8, perp L1 }\n",
         f"sum({_BLOW_X}, St, desing(P2, L1, L2, label=Q2), Q2)", "X", "~", "R6 { }",
