@@ -30,12 +30,12 @@ from the groups; it reads each new kind text with the token reader, and
 atoms of one kind text hold one kind object (an atom read by the token
 reader builds its own).  After the declarations it reads each side, `lhs`
 and `rhs` or an expression file's `expr`, with patterns compiled from each
-operation's form (`_Form.runs`), and builds each operation as it closes.
-At the first declaration or side that the patterns do not match (a triple,
-say, an integer slot written `p/q`, an option, an area, an inline atom or
-a comment in a side) or that fails a check, the token reader, `_Parser`, reads on in the whole
-text from where that declaration or side starts, with the atoms and sides
-read.  These hold no failure, so every message, position and failure rank
+operation's form (`_Form.runs`), and builds its operations once the whole
+side is read.  At the first declaration or side that the patterns do not
+match (a triple, say, an integer slot written `p/q`, an option, an area,
+an inline atom or a comment in a side) or that fails a check, the token
+reader, `_Parser`, reads on in the whole text from where that declaration
+or side starts, with the atoms and sides read.  These hold no failure, so every message, position and failure rank
 is the token reader's, as if it had read the text from its start.
 """
 
@@ -699,12 +699,13 @@ def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
     keyword of a form with runs nor one of `atoms` (nor a kind tag, for a
     side of one name), at a run that misses or a build that fails.  The
     stack holds each form that waits for a child: its args, the child's
-    slot and the run after it."""
+    slot and the run after it.  The forms are built once the whole side is
+    read, each after its children, so that a side that misses builds none."""
     form = _GRAMMAR.get(name)
     if form is None:
         node = atoms.get(name)
         return None if node is None or name in KINDS else (node, pos)
-    stack, args, run = [], {}, 0
+    stack, closed, args, run = [], [], {}, 0
     while form.runs:
         pattern, plans, again = form.runs[run]
         if again:  # run 0, where the text may open the form again at its first child slot
@@ -730,16 +731,20 @@ def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
         if opened:
             stack.append((form, args, child, run))
             form, args, run = opened, {}, 0
-        elif child is None:  # the form closed
-            try:
-                node = form.make(**args)
-            except SymsumError:
-                return None
+        elif child is None:  # the form closed, to be built into its parent's slot
             if not stack:
-                return node, pos
-            form, args, child, run = stack.pop()
-            args[child] = node
-    return None  # a form with no runs
+                break
+            closed.append((form, args, *stack[-1][1:3]))
+            form, args, _, run = stack.pop()
+    else:
+        return None  # a form with no runs
+    closed.append((form, args, {}, None))
+    try:
+        for form, args, into, slot in closed:
+            into[slot] = node = form.make(**args)
+    except SymsumError:
+        return None
+    return node, pos
 
 
 def _read_fast(text: str, words: tuple) -> tuple:

@@ -306,6 +306,24 @@ def test_a_failing_text_is_tokenized_once_past_the_fast_reader(monkeypatch, old,
     assert [n for n in lexed if n > 100] == [len(text)]
 
 
+def test_a_side_that_misses_at_its_last_run_builds_no_form(monkeypatch):
+    """The fast reader builds a side's forms once it has read the whole
+    side, so the token reader, which rereads the side, builds each once."""
+    chain = chain_script(12, 6)
+    text = chain.replace("A12)\nrhs", "A12, carry = Z)\nrhs")
+    sum_form, built = symsum.script._GRAMMAR["sum"], []
+    make = sum_form.make
+
+    def make_counted(**args):
+        built.append(args)
+        return make(**args)
+
+    monkeypatch.setattr(sum_form, "make", make_counted)
+    start, _, _, sides = _read_fast(text, ("lhs", "rhs"))
+    assert (sides, built, tokenize(text, start)[0]) == ([], [], "lhs")
+    assert len(_read_fast(chain, ("lhs", "rhs"))[3]) == 2 and len(built) == 22
+
+
 _RUN = ("  \t# ; } # # perp\n \r\n" * 6000)[:100_000]  # blanks and comments
 _SPACE_RUN = (" \t\r\n" * 25_000)[:100_000]  # blanks only, which a side's runs read
 
