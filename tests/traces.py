@@ -62,6 +62,19 @@ MALFORMED = {
     "unresolved identifier": _E3 + "lhs E3 rhs E4 target =",
     "triple names an unknown mark": _E3 + "triple T (E3, Sigma-3, Nope)\nlhs E3 rhs E3 target =",
 }
+# a number where a name slot or an option wants a name or a pair
+MALFORMED.update(
+    {
+        "name slot given a number": _E3 + _E1 + "lhs sum(E3, 1, E1, F1)",
+        "desing label given a number": _E3 + "lhs desing(E3, Sigma-3, F3, label = 3)",
+        "sum glue given a number": _E3 + _E1 + "lhs sum(E3, F3, E1, F1, glue = 3)",
+        "sum pair given a name": _E3 + _E1 + "lhs sum(E3, F3, E1, F1, pair = A)",
+        "blowup transform given a number": (
+            _E3 + "lhs blowup(E3, generic, size = 1/4, transform = 3)"
+        ),
+        "blowup exc given a number": _E3 + "lhs blowup(E3, generic, size = 1/4, exc = 3)",
+    }
+)
 # where a build failure is reported, and what wins over it: an operation
 # failing below the root is reported at the root of its side or of its
 # triple's expression; a syntax error, a duplicate identifier and a failed
