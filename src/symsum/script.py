@@ -9,34 +9,37 @@ starts a comment running to end of line):
     script   := decl* "lhs" expr "rhs" expr "target" ("=" | "~") step*
     decl     := "atom" NAME kind [markblock]
               | "triple" NAME "(" expr "," NAME "," NAME ")"
-    markspec := NAME ":" "g" "=" NUM "," "i" "=" SNUM "," "a" "=" area
-                ["," "perp" NAME]
     markblock := "{" [markspec (";" markspec)* [";"]] "}"
     expr     := NAME | kind markblock | op
     step     := "by" RULEID "{" [slot ("," slot)*] "}" ["rev"] [STRING]
     slot     := NAME "=" (area | NUM | NAME ("." NAME)* | STRING)
     area     := SNUM [("+" | "-") NUM ("e" | "eps")]
 
-A `kind` and an `op` are written in the source form of an atom kind
-(`_KIND_FORMS`) or of an operation (`_FORMS`, with its `_OPTIONS`): those
-tables are the grammar that the parser reads and the printer writes.
+A `kind`, an `op` and a `markspec` are written in the source form of an
+atom kind (`_KIND_FORMS`), of an operation (`_FORMS`, whose `{field:key}`
+slots are its options `, key = value`) or of a mark (`_MARK`, which reads
+`NAME: g=SNUM, i=SNUM, a=area [, perp NAME]`): those forms are the grammar
+that the parser reads and the printer writes, and from which the fast
+reader's patterns are compiled.
 Rational literals are `p/q`; areas are written `1`, `0+1e`, `5/4-3e`.
 Expression files use the same declarations followed by `expr <expr>`.
 
 Two readers read a text, once, from left to right.  The fast reader,
 `_read_fast`, matches the atom declarations at its start with two compiled
-patterns, `atom NAME KIND {` and then each mark spec, and builds each atom
-from the groups; it reads each new kind text with the token reader, and
-atoms of one kind text hold one kind object (an atom read by the token
-reader builds its own).  After the declarations it reads each side, `lhs`
-and `rhs` or an expression file's `expr`, with patterns compiled from each
-operation's form (`_Form.runs`), and builds its operations once the whole
-side is read.  At the first declaration or side that the patterns do not
-match (a triple, say, an integer slot written `p/q`, an option, an area,
-an inline atom or a comment in a side) or that fails a check, the token
-reader, `_Parser`, reads on in the whole text from where that declaration
-or side starts, with the atoms and sides read.  These hold no failure, so every message, position and failure rank
-is the token reader's, as if it had read the text from its start.
+patterns, `atom NAME KIND {` and then each mark spec (`_SPEC_RE`, compiled
+from `_MARK`), and builds each atom from the groups; it reads each new
+kind text with the token reader, and atoms of one kind text hold one kind
+object (an atom read by the token reader builds its own).  After the
+declarations it reads each side, `lhs` and `rhs` or an expression file's
+`expr`, with patterns compiled from each operation's form (`_Form.runs`),
+and builds its operations once the whole side is read.  At the first
+declaration or side that the patterns do not match (a triple, say, an
+integer slot written `p/q`, an option, an area, an inline atom or a
+comment in a side) or that fails a check, the token reader, `_Parser`,
+reads on in the whole text from where that declaration or side starts,
+with the atoms and sides read.  These hold no failure, so every message,
+position and failure rank is the token reader's, as if it had read the
+text from its start.
 """
 
 from __future__ import annotations
@@ -138,10 +141,10 @@ def token_positions(text: str, start: int = 0) -> list[Token]:
     leaves the eof at its `#`.  A character that starts no token raises.
     Lines and columns count from the start of `text`, not from `start`."""
     toks: list[Token] = []
-    # Every newline before `start` is in blanks or comments: a string may
-    # only follow `lhs`, where no pattern of the fast reader reads one, and
-    # a kind text that holds one fails its parse, so the fast reader stops
-    # before it.
+    # Every newline before `start` is in blanks or comments: a string is
+    # read only in a step, after `target`, where no pattern of the fast
+    # reader reads, and a kind text that holds one fails its parse, so the
+    # fast reader stops before it.
     line, line_start = text.count("\n", 0, start) + 1, text.rfind("\n", 0, start) + 1
     for m in _VALUE_RE.finditer(text, start):
         gap, at = m.start(), m.start(1)
@@ -266,15 +269,6 @@ class _Parser:
             raise self.error(None, self.i, {word})
         self.i += 1
 
-    def read_run(self, run: list[str]) -> None:
-        """Reads the fixed words and punctuation `run` token by token, and
-        raises at the first that differs."""
-        for v in run:
-            if v.isalpha():
-                self.keyword(v)
-            else:
-                self.expect(v)
-
     # -- numbers and areas -------------------------------------------
 
     def parse_fraction(self) -> Union[int, Fraction]:
@@ -344,28 +338,14 @@ class _Parser:
         if self.held[rank] is None:
             self.held[rank] = self.error(message, i)
 
-    def parse_markspec(self) -> tuple:
-        """A mark's label, genus, normal number, area and `perp` partner
-        (or None), and the index of its label token."""
-        at = self.i
-        name = self.expect("name", "mark label")
-        self.read_run(_GENUS)
-        g = self.parse_int()
-        self.read_run(_INDEX)
-        i = self.parse_int()
-        self.read_run(_AREA)
-        a = self.parse_area()
-        perp = None
-        if self.toks[self.i] == "," and self.toks[self.i + 1] == "perp":
-            self.i += 2
-            perp = self.expect("name", "mark label")
-        return name, g, i, a, perp, at
-
     def parse_markblock(self) -> list[tuple]:
+        """Each mark spec's label, genus, normal number, area and `perp`
+        partner (or None), and the index of its label token."""
         self.expect("{")
         marks = []
         while self.toks[self.i] != "}":
-            marks.append(self.parse_markspec())
+            at = self.i
+            marks.append((*self.parse_form(_MARK), at))
             if not self.accept(";"):
                 break
         self.expect("}")
@@ -496,6 +476,16 @@ class _Parser:
     def read_name(self) -> str:
         return self.expect("name")
 
+    def read_label(self) -> str:
+        return self.expect("name", "mark label")
+
+    def parse_perp(self) -> Optional[str]:
+        """A mark's partner, after `, perp` if that follows; else None."""
+        if self.toks[self.i] != "," or self.toks[self.i + 1] != "perp":
+            return None
+        self.i += 2
+        return self.read_label()
+
     def parse_at(self) -> Optional[str]:
         """A blow-up's point: `generic`, or `at = X` on the mark X."""
         if self.accept("generic"):
@@ -624,14 +614,6 @@ def _pattern(text: str, blank: str = _BLANK) -> re.Pattern:
 
 # `atom NAME KIND {`, where KIND is a tag with an optional `( ... )`
 _ATOM_RE = _pattern(r" atom% (NAME%) (NAME%(?: \([^()]*\))?) \{")
-# a mark spec `L : g = p , i = [-]q , a = AREA [, perp M]` and then `;`
-# or `}`, or the `}` that closes the block.  A sign is read only where it
-# touches its number (`i = - 1` is the token reader's): two blanks never
-# meet, so a spec that fails is backtracked over in linear time.
-_SPEC_RE = _pattern(
-    r" (?:(NAME%) : g% = (\d+) , i% = (-?\d+) , a% = (-?NUM) "
-    r"(?:(?:([+-]) (NUM) )?((?:eps|e)%) )?(?:, perp% (NAME%) )?([;}])|(\}))"
-)
 
 
 def _rational(v: str) -> Union[int, Fraction]:
@@ -794,19 +776,20 @@ def build_script(source: str) -> BuiltScript:
 
 # the source form of each operation.  Literal text is what the parser
 # expects and the printer writes; a `{field}` slot holds that constructor
-# argument, read and printed by the kind of the field (_SLOT_KINDS).  An
-# option (see _OPTIONS) is read as `, key = value` in any order, and
-# prints when it differs from its default, or in print_script when the
-# text gave it.
+# argument, read and printed by the kind of the field (_SLOT_KINDS).  A
+# `{field:key}` slot is an option, read as `, key = value` in any order,
+# which prints when it differs from its default, or in print_script when
+# the text gave it.
 _FORMS = {
-    PairSum: "sum({left}, {left_mark}, {right}, {right_mark}{gluing}{carry_label}{pairs})",
+    PairSum: "sum({left}, {left_mark}, {right}, {right_mark}"
+    "{gluing:glue}{carry_label:carry}{pairs:pair})",
     FourSum: "sum4(({x1}, {s1}, {t1}), ({x2}, {s2}, {t2}), ({x3}, {s3}, {t3}), "
     "({x4}, {s4}, {t4}))",
     BlowUp: "blowup({inner}, {at_mark}, size = {size}"
-    "{transform_label}{exceptional_label}{pair_exceptional})",
+    "{transform_label:transform}{exceptional_label:exc}{pair_exceptional:pairexc})",
     Thin: "thin({inner}, {mark_label}, {amount})",
     Thicken: "thicken({inner}, {mark_label}, {amount})",
-    Desing: "desing({inner}, {mark_s}, {mark_t}{label})",
+    Desing: "desing({inner}, {mark_s}, {mark_t}{label:label})",
 }
 # the source form of each atom kind, opened by its tag
 _KIND_FORMS = {
@@ -816,20 +799,8 @@ _KIND_FORMS = {
     RuledSurface: "W({genus},{twist},{fiber_area})",
     RationalSurface: "Rational({blowups})",
 }
-# the source keyword of each option
-_OPTIONS = {
-    "gluing": "glue",
-    "carry_label": "carry",
-    "pairs": "pair",
-    "transform_label": "transform",
-    "exceptional_label": "exc",
-    "pair_exceptional": "pairexc",
-    "label": "label",
-}
 
 _EPS = ("e", "eps")  # the words after an area's eps coefficient
-# the fixed tokens before a mark spec's genus, normal number and area
-_GENUS, _INDEX, _AREA = [":", "g", "="], [",", "i", "="], [",", "a", "="]
 _CLOSED = object()  # what the stop at the end of a form wants
 _NO_DEFAULT = object()  # the default of a slot that always prints
 
@@ -845,8 +816,10 @@ class _Form:
     def __init__(self, form: str, cls: type, make=None):
         self.make, self.kids = make or cls, getattr(cls, "SELECTORS", ())
         self.steps, self.pieces, self.options, self.fields = [], [], {}, []
+        # how a node leaves out an option: at its default
+        self.defaults, self.option_defaults, self.tail = [], [], ""
         kinds = dict(cls.FIELDS)
-        for literal, field, _, _ in Formatter().parse(form):
+        for literal, field, key, _ in Formatter().parse(form):
             for t in token_positions(literal)[:-1]:  # a word, or punctuation
                 read = _Parser.keyword if t.kind == "name" else _Parser.expect
                 self.steps.append((read, t.value, None))
@@ -854,11 +827,13 @@ class _Form:
                 self.tail = literal
                 continue
             self.fields.append(field)
-            read, show = _SLOT_KINDS.get(field) or _SLOT_KINDS[kinds[field]]
-            if field in _OPTIONS:  # printed after its key, per member if it repeats
-                key = _OPTIONS[field]
+            self.defaults.append(cls.DEFAULTS[field] if key else _NO_DEFAULT)
+            # an option's value is read by its annotation, a slot's by its field first
+            read, show = (not key and _SLOT_KINDS.get(field)) or _SLOT_KINDS[kinds[field]]
+            if key:  # printed after its key, per member if it repeats
                 repeats = kinds[field].startswith("tuple")
                 self.options[key] = (field, read, repeats)
+                self.option_defaults.append((field, self.defaults[-1]))
                 if self.steps[-1][0] is not _Parser.parse_options:
                     self.steps.append((_Parser.parse_options, None, None))
                 literal = f", {key}" if read is None else f", {key} = "
@@ -872,9 +847,6 @@ class _Form:
         if self.steps[0][0] is _Parser.keyword:
             self.name = self.steps.pop(0)[1]
         self.get = values_getter(self.fields)
-        # how a node leaves an option out: at its default
-        self.defaults = [cls.DEFAULTS[f] if f in _OPTIONS else _NO_DEFAULT for f in self.fields]
-        self.option_defaults = [(f, d) for f, d in zip(self.fields, self.defaults) if f in _OPTIONS]
 
     @cached_property
     def runs(self) -> Optional[list[tuple]]:
@@ -927,6 +899,8 @@ class _Form:
 # None) has no value, and a tuple's members repeat their option.
 _SLOT_KINDS = {
     "at_mark": (_Parser.parse_at, lambda v: "generic" if v is None else f"at = {v}"),
+    "label": (_Parser.read_label, str),
+    "orthogonal_at": (_Parser.parse_perp, lambda v: "" if v is None else f", perp {v}"),
     "ManifoldExpr": (None, None),
     "str": (_Parser.read_name, str),
     "Optional[str]": (_Parser.read_name, str),
@@ -936,6 +910,16 @@ _SLOT_KINDS = {
     "tuple[tuple[str, str], ...]": (_Parser.parse_pair, ":".join),
     "bool": (None, lambda value: ""),
 }
+# the fast reader's pattern piece of a mark spec's slot, by its reader: its
+# groups and the blank after it.  A sign is read only where it touches its
+# number (`i = - 1` is the token reader's): two blanks never meet, so a spec
+# that fails is backtracked over in linear time.
+_PIECES = {
+    _Parser.read_label: "(NAME%) ",
+    _Parser.parse_int: r"(-?\d+) ",
+    _Parser.parse_area: "(-?NUM) (?:(?:([+-]) (NUM) )?((?:eps|e)%) )?",
+    _Parser.parse_perp: "(?:, perp% (NAME%) )?",
+}
 
 
 _TRIPLE = _Form("({expr}, {s}, {t})", TripleDecl, lambda expr, s, t: (expr, s, t))
@@ -944,6 +928,17 @@ _GRAMMAR = {form.name: form for form in _FORM_OF.values()}  # the operations, by
 for cls, form in _KIND_FORMS.items():
     _FORM_OF[cls] = _Form(form, cls)
 KINDS = {_FORM_OF[cls].name: _FORM_OF[cls] for cls in _KIND_FORMS}  # the atom kinds, by tag
+# a mark spec, read as the slots of its SurfaceMark and the mark built by its atom
+_MARK = _FORM_OF[SurfaceMark] = _Form(
+    "{label}: g={genus}, i={normal_number}, a={area}{orthogonal_at}", SurfaceMark,
+    lambda **spec: tuple(spec.values()),
+)
+# the fast reader's mark spec and then `;` or `}`, or the `}` that closes
+# the block: each fixed token of `_MARK`, and each slot's piece
+_SPEC_RE = _pattern(" (?:" + "".join(
+    _PIECES[read] if field else re.escape(arg) + "%" * (read is _Parser.keyword) + " "
+    for read, arg, field in _MARK.steps[:-1]
+) + r"([;}])|(\}))")
 
 
 # ---------------------------------------------------------------------------

@@ -560,7 +560,7 @@ def _expr_script(expr: str) -> str:
 @pytest.mark.parametrize("cls", list(EVERY_OPTION), ids=lambda cls: cls.__name__)
 def test_every_form_round_trips_with_every_option(cls):
     text = EVERY_OPTION[cls]
-    keys = [script._OPTIONS[f] for f, _ in cls.FIELDS if f in script._OPTIONS]
+    keys = list(script._FORM_OF[cls].options)
     assert all(f", {key}" in text for key in keys)
     ast = parse(_expr_script(text))
     assert type(ast.lhs) is cls and f"\nlhs {text}\n" in print_script(ast)
