@@ -8,6 +8,7 @@ equal `print_script`, or the same message."""
 
 import ast
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -19,19 +20,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_fuzz import mutate
-from test_memo import chain_script
+from test_memo import chain_script, nodes
 from traces import _SUM4, _X, MALFORMED, RULE_MESSAGES, RULE_SHAPES
 
 import symsum.script
+from symsum.areas import AreaValue, area
+from symsum.core import AtomNode, RationalSurface, SurfaceMark
 from symsum.demos import CORPUS
 from symsum.script import (
+    AtomDecl,
     ScriptAst,
     ScriptError,
+    _mark_text,
     _Parser,
+    _read_atoms,
     _read_fast,
     parse,
     parse_expr_file,
     print_script,
+    serialize_expr,
     tokenize,
 )
 
@@ -223,6 +230,73 @@ def test_both_readers_agree_on_generated_declarations(rng):
     assert _outcome(parse_expr_file, expr_file) == _outcome(
         lambda text: _Parser(text).parse_expr_file(), expr_file
     )
+
+
+# The mark spec has one description, the form `_MARK`: the printer's
+# `_mark_text` writes what `serialize_expr` writes from it, and that text
+# reads back to the same mark through the fast reader's `_SPEC_RE`, which
+# is compiled from it, and through the token reader, which reads it.
+_BIG = 10**4300  # an int of 4,301 digits, past int()'s digit limit
+_INTS = st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(lambda k: k + _BIG))
+_MARK_LABELS = st.builds(str.__add__, st.sampled_from("AbZ"), st.text("#+-~^_0aZ", max_size=4))
+_MARK_AREAS = st.builds(
+    AreaValue,
+    st.fractions(min_value=0, max_value=50, max_denominator=12),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+).filter(lambda a: a.is_positive)
+
+
+def _read_back(marks: tuple) -> None:
+    """Each of `marks` prints as its form writes it, and a rational
+    surface with `marks` reads back equal through either reader, or past
+    the digit limit fails the same way through both."""
+    for m in marks:
+        assert _mark_text(m) == serialize_expr(m)
+    body = "; ".join(map(_mark_text, marks))
+    text = f"atom X Rational(0) {{ {body} }}\nlhs X rhs X target =\n"
+    atom = AtomNode(RationalSurface(0), marks)
+    outcome = _same(text)
+    if isinstance(outcome, str):
+        assert "number too long" in outcome
+        assert any(abs(m.genus) > _BIG // 2 or abs(m.normal_number) > _BIG // 2 for m in marks)
+        return
+    assert outcome[0].decls[0].atom == atom
+    assert _read_atoms(text)[2] == {"X": atom}  # read by the fast reader alone
+
+
+@given(_MARK_LABELS, _INTS, _INTS, _MARK_AREAS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_drawn_mark_prints_as_its_form_and_reads_back(label, genus, index, a, perp):
+    mark = SurfaceMark(label, abs(genus), index, a, "P" + label if perp else None)
+    partner = SurfaceMark("P" + label, 0, 0, area(1), label)
+    _read_back((mark, partner) if perp else (mark,))
+
+
+def _marks_of(text: str, read=parse):
+    """Every mark of each atom that `text` declares or writes inline, and
+    of each node over them; none where the text fails."""
+    try:
+        tree = read(text)
+    except ScriptError:
+        return []
+    sides = (tree.lhs, tree.rhs) if isinstance(tree, ScriptAst) else (tree.expr,)
+    atoms = [d.atom for d in tree.decls if isinstance(d, AtomDecl)]
+    return [m for n in nodes(*atoms, *sides) for m in n.marks]
+
+
+_EXPR_FILES = sorted((pathlib.Path(__file__).parent.parent / "scripts" / "exprs").glob("*.expr"))
+
+
+def test_every_mark_of_the_corpus_tables_and_expression_files_reads_back():
+    texts = [*CORPUS.values(), chain_script(12, 6), *(t for _, t in _INPUTS)]
+    marks = [m for text in texts for m in _marks_of(text)]
+    marks += [m for f in _EXPR_FILES for m in _marks_of(f.read_text(), parse_expr_file)]
+    assert len(marks) > 1000
+    for m in dict.fromkeys(marks):
+        partner = ()
+        if m.orthogonal_at is not None:
+            partner = (SurfaceMark(m.orthogonal_at, 0, 0, area(1), m.label),)
+        _read_back((m, *partner))
 
 
 def _handoff(text: str) -> str:
