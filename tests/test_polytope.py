@@ -13,7 +13,7 @@ from symsum.core import (
     RationalSurface,
     SurfaceMark,
 )
-from symsum.polytope import render_pair_sum, render_triple
+from symsum.polytope import STYLES, render_pair_sum, render_triple
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -56,6 +56,13 @@ def test_vertical_convention_for_zero():
     svg = render_triple(_triple(0, -3, area(1), 1, 0, area(1)))
     assert "slope=-1/0 (vertical)" in svg
     assert "slope=3" in svg
+
+
+def test_horizontal_convention_for_zero():
+    svg = render_triple(_triple(1, 0, area(1), 0, -1, area(1)))
+    # the light edge over the T end, at (60, 100), runs level with it
+    assert '<line x1="60.00" y1="100.00" x2="100.00" y2="100.00" ' + STYLES["light"] in svg
+    assert "slope=0<" in svg and "slope=1<" in svg
 
 
 def test_concavity_annotation():

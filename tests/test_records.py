@@ -359,6 +359,9 @@ def test_import_symsum_loads_no_submodule():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symsum.__file__).parent.parent))
     loaded = _imported(["-c", "import symsum"], env)
     assert {m for m in loaded if m.startswith("symsum")} == {"symsum"}
+    # a submodule loads on first use, through the package's __getattr__
+    loaded = _imported(["-c", "import symsum; symsum.sums"], env)
+    assert {m for m in loaded if m.startswith("symsum")} >= {"symsum", "symsum.sums"}
 
 
 def test_each_export_is_defined_in_its_home_module():

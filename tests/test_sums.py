@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from strategies import marked_atoms
 from test_memo import nodes
 from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
+from symsum import sums
 from symsum.areas import area
 from symsum.core import (
     AdmissibilityError,
@@ -29,7 +30,7 @@ from symsum.core import (
 )
 from symsum.demos import CORPUS
 from symsum.invariants import expr_invariants
-from symsum.script import run
+from symsum.script import parse, run
 from symsum.sums import (
     _neutral_w,
     apply_shifts,
@@ -407,6 +408,24 @@ def test_shift_ruled_moves_sections_together():
 def test_shift_unknown_label():
     with pytest.raises(MarkError):
         apply_shifts(e3_atom(), {"nope": area(1)})
+
+
+def test_a_shift_keeps_the_nodes_after_its_last_target(monkeypatch):
+    """Once every target is found, the walk visits no further node: the
+    right summand of thicken-thin's lhs comes back as the same object."""
+    lhs = parse(CORPUS["thicken-thin"]).lhs
+    calls = []
+
+    def counted(atom, remaining):
+        calls.append(atom)
+        return shift_atom(atom, remaining)
+
+    shift_atom = sums._shift_atom
+    monkeypatch.setattr(sums, "_shift_atom", counted)
+    shifted = apply_shifts(lhs, {"Sigma-3": EPS})
+    assert calls == [lhs.left]
+    assert shifted.right is lhs.right
+    assert shifted.left.mark("Sigma-3").area == area(1, 1)
 
 
 @pytest.mark.parametrize(
