@@ -828,7 +828,6 @@ class _Form:
                 continue
             self.fields.append(field)
             self.defaults.append(cls.DEFAULTS[field] if key else _NO_DEFAULT)
-            # an option's value is read by its annotation, a slot's by its field first
             read, show = (not key and _SLOT_KINDS.get(field)) or _SLOT_KINDS[kinds[field]]
             if key:  # printed after its key, per member if it repeats
                 repeats = kinds[field].startswith("tuple")
@@ -893,10 +892,11 @@ class _Form:
         return runs
 
 
-# how a slot or an option's value is read and printed, by the name of its
-# field or else by its annotation.  A child expression (read None) is read
-# and printed from the parser's and the printer's stacks; a flag (read
-# None) has no value, and a tuple's members repeat their option.
+# how a slot or an option's value is read and printed: a slot's by the name
+# of its field or else by its annotation, an option's by its annotation.  A
+# child expression (read None) is read and printed from the parser's and the
+# printer's stacks; a flag (read None) has no value, and a tuple's members
+# repeat their option.
 _SLOT_KINDS = {
     "at_mark": (_Parser.parse_at, lambda v: "generic" if v is None else f"at = {v}"),
     "label": (_Parser.read_label, str),
@@ -928,7 +928,8 @@ _GRAMMAR = {form.name: form for form in _FORM_OF.values()}  # the operations, by
 for cls, form in _KIND_FORMS.items():
     _FORM_OF[cls] = _Form(form, cls)
 KINDS = {_FORM_OF[cls].name: _FORM_OF[cls] for cls in _KIND_FORMS}  # the atom kinds, by tag
-# a mark spec, read as the slots of its SurfaceMark and the mark built by its atom
+# a mark spec, printed from a SurfaceMark and read as the tuple of its
+# fields, from which `_atom` builds the mark with its atom's other marks
 _MARK = _FORM_OF[SurfaceMark] = _Form(
     "{label}: g={genus}, i={normal_number}, a={area}{orthogonal_at}", SurfaceMark,
     lambda **spec: tuple(spec.values()),
