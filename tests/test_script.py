@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_memo import chain_script
-from traces import MALFORMED, corpus_traces, script_golden, token_golden
+from traces import (
+    MALFORMED,
+    RULE_MESSAGES,
+    RULE_SHAPES,
+    corpus_traces,
+    script_golden,
+    token_golden,
+)
 
 from symsum import script
 from symsum.areas import area
@@ -27,6 +34,7 @@ from symsum.core import (
     Thin,
 )
 from symsum.demos import BLOWUP_TRADE, CORPUS, DEMOS, GOMPF_STIPSICZ, VERIFYING
+from symsum.invariants import expr_invariants
 from symsum.script import (
     AtomDecl,
     ScriptError,
@@ -246,6 +254,34 @@ def test_serialize_expr_round_trips_through_expr_file():
     built = build_script(GOMPF_STIPSICZ)
     text = serialize_expr(built.lhs)
     assert parse_expr_file("expr " + text).expr == built.lhs
+
+
+TRACED = {
+    "corpus": CORPUS,
+    "malformed": MALFORMED,
+    "rule": RULE_SHAPES,
+    "message": RULE_MESSAGES,
+    "chain": {f"chain_script{size}": chain_script(*size) for size in ((12, 6), (200, 100))},
+}
+
+
+@pytest.mark.parametrize("table", list(TRACED))
+def test_every_traced_step_reads_back(table):
+    """The text of each step of each trace reads back, as an expression
+    file, as a node equal to the step's, with the same invariants."""
+    unread = []
+    for name, source in TRACED[table].items():
+        verdict = run(source).verdict
+        for rec in verdict.trace if verdict is not None else ():
+            text = serialize_expr(rec.expr)
+            try:
+                back = parse_expr_file("expr " + text).expr
+            except ScriptError as exc:
+                unread.append((name, rec.index, str(exc)))
+                continue
+            if back != rec.expr or expr_invariants(back) != expr_invariants(rec.expr):
+                unread.append((name, rec.index, text))
+    assert unread == []
 
 
 TOKENS = [

@@ -75,6 +75,17 @@ MALFORMED.update(
         "blowup exc given a number": _E3 + "lhs blowup(E3, generic, size = 1/4, exc = 3)",
     }
 )
+# a step's slot value written as a string: labels that no reader reads
+# back, and a path that reads the same written bare
+MALFORMED.update(
+    {
+        "step slot given quoted labels": _E3 + "lhs E3 rhs E3 target ~\n"
+        'by R4 { s = Sigma-3, glue_section = "a b", twin_section = "1" }\n',
+        "step slot given a quoted path": _E3 + _E1 + "lhs sum(E3, F3, E1, F1)\n"
+        "rhs sum(thin(E3, F3, 0+1e), F3-, thicken(E1, F1, 0+1e), F1+)\ntarget =\n"
+        'by R8 { at = "root", eps = 0+1e }\n',
+    }
+)
 # where a build failure is reported, and what wins over it: an operation
 # failing below the root is reported at the root of its side or of its
 # triple's expression; a syntax error, a duplicate identifier and a failed
