@@ -74,14 +74,6 @@ class EquivLevel(Enum):
     def implies(self, other: "EquivLevel") -> bool:
         return self.value >= other.value
 
-    @classmethod
-    def from_symbol(cls, sym: str) -> "EquivLevel":
-        if sym == "=":
-            return cls.SYMPLECTOMORPHIC
-        if sym == "~":
-            return cls.WEAK_DEFORMATION
-        raise SymsumError(f"unknown equivalence symbol {sym!r}")
-
 
 class GluingChoice(Frozen):
     """Opaque tag for the boundary identification; equality is by label."""

@@ -12,7 +12,7 @@ starts a comment running to end of line):
     markblock := "{" [markspec (";" markspec)* [";"]] "}"
     expr     := NAME | kind markblock | op
     step     := "by" RULEID "{" [slot ("," slot)*] "}" ["rev"] [STRING]
-    slot     := NAME "=" (area | NUM | NAME ("." NAME)* | STRING)
+    slot     := NAME "=" (area | NUM | NAME ("." NAME)*)
     area     := SNUM [("+" | "-") NUM ("e" | "eps")]
 
 A `kind`, an `op` and a `markspec` are written in the source form of an
@@ -168,7 +168,8 @@ def token_positions(text: str, start: int = 0) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST: the declarations and steps of a script, around its built sides
+# AST: the declarations of a script, its built sides, and its steps as the
+# checker's records
 # ---------------------------------------------------------------------------
 
 
@@ -182,21 +183,10 @@ class TripleDecl(Record):
         self.name, self.expr, self.s, self.t = name, expr, s, t
 
 
-SlotVal = tuple  # ("num", Fraction) | ("area", AreaValue) | ("name", str) | ("str", str)
-
-
-class StepNode(Record):
-    def __init__(
-        self, rule: str, slots: dict[str, SlotVal], rev: bool = False,
-        note: Optional[str] = None,
-    ):
-        self.rule, self.slots, self.rev, self.note = rule, slots, rev, note
-
-
 class ScriptAst(Record):
     def __init__(
         self, decls: list, lhs: ManifoldExpr, rhs: ManifoldExpr, target: str,
-        steps: list[StepNode],
+        steps: list[ProofStep],
     ):
         self.decls, self.lhs, self.rhs = decls, lhs, rhs
         self.target, self.steps = target, steps
@@ -501,13 +491,13 @@ class _Parser:
 
     # -- steps -------------------------------------------------------
 
-    def parse_step(self) -> StepNode:
+    def parse_step(self) -> ProofStep:
         self.keyword("by")
         rule = self.expect("name", "rule id")
         if rule not in RULE_IDS:
             raise self.error(f"unknown rule id {rule!r}", self.i - 1, expected=set(RULE_IDS))
         self.expect("{")
-        slots: dict[str, SlotVal] = {}
+        slots = {}
         while self.toks[self.i] != "}":
             key = self.expect("name", "slot name")
             self.expect("=")
@@ -519,22 +509,19 @@ class _Parser:
         if _kind(self.toks[self.i]) == "str":
             note = self.toks[self.i][1:-1]
             self.i += 1
-        return StepNode(rule, slots, rev, note)
+        return ProofStep(rule, slots, rev, note)
 
-    def parse_slot_value(self) -> SlotVal:
-        v = self.toks[self.i]
-        kind = _kind(v)
-        if kind == "str":
-            self.i += 1
-            return ("str", v[1:-1])
+    def parse_slot_value(self) -> Union[AreaValue, Fraction, str]:
+        """An area, a plain number as a Fraction, or a name path."""
+        kind = _kind(self.toks[self.i])
         if kind == "num" or kind == "-":
             value = self.parse_area()
             # an area ends in its `e` or `eps`, a plain number in a number
-            return ("area", value) if self.toks[self.i - 1] in _EPS else ("num", value.const)
+            return value if self.toks[self.i - 1] in _EPS else value.const
         name = self.expect("name", "slot value")
         while self.accept("."):
             name += "." + self.expect("name")
-        return ("name", name)
+        return name
 
     # -- entry points ------------------------------------------------
 
@@ -763,11 +750,8 @@ class BuiltScript(Record):
 def build_script(source: str) -> BuiltScript:
     """The sides, target and steps of the script `source`, for the checker."""
     ast = parse(source)
-    steps = [
-        ProofStep(s.rule, {k: v[1] for k, v in s.slots.items()}, s.rev, s.note)
-        for s in ast.steps
-    ]
-    return BuiltScript(ast.lhs, ast.rhs, EquivLevel.from_symbol(ast.target), steps)
+    level = EquivLevel.SYMPLECTOMORPHIC if ast.target == "=" else EquivLevel.WEAK_DEFORMATION
+    return BuiltScript(ast.lhs, ast.rhs, level, ast.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,13 +1025,10 @@ def _mark_text(m: SurfaceMark) -> str:
     return out
 
 
-def _slot_text(v: SlotVal) -> str:
-    tag, val = v
-    if tag == "area":  # with its eps term even at zero, so that it reads back as an area
-        return val.compact() if val.eps_coeff else f"{val.const}+0e"
-    if tag == "str":
-        return f'"{val}"'
-    return str(val)
+def _slot_text(v) -> str:
+    if isinstance(v, AreaValue):  # with its eps term even at zero, so that it reads back as an area
+        return v.compact() if v.eps_coeff else f"{v.const}+0e"
+    return str(v)
 
 
 def print_script(ast: ScriptAst) -> str:
@@ -1063,7 +1044,7 @@ def print_script(ast: ScriptAst) -> str:
     lines.append(f"rhs {_write(ast.rhs, None, names)}")
     lines.append(f"target {ast.target}")
     for s in ast.steps:
-        slots = ", ".join(f"{k} = {_slot_text(v)}" for k, v in s.slots.items())
+        slots = ", ".join(f"{k} = {_slot_text(v)}" for k, v in s.bindings.items())
         line = f"by {s.rule} {{ {slots} }}" if slots else f"by {s.rule} {{ }}"
         if s.rev:
             line += " rev"

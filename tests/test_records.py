@@ -41,7 +41,6 @@ from symsum.script import (
     ExprFileAst,
     ScriptAst,
     ScriptError,
-    StepNode,
     TripleDecl,
     parse,
     run,
@@ -112,11 +111,6 @@ REPRS = [
     (
         lambda: TripleDecl("T1", E1, "S", "F"),
         f"TripleDecl(name='T1', expr={ATOM_E1}, s='S', t='F')",
-    ),
-    (
-        lambda: StepNode("R2", {"at": ("name", "root"), "eps": ("area", area(0, 1))}, True, "why"),
-        "StepNode(rule='R2', slots={'at': ('name', 'root'), "
-        f"'eps': ('area', {EPS})}}, rev=True, note='why')",
     ),
     (
         lambda: ScriptAst([], E1, CP2, "=", []),

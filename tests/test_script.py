@@ -75,7 +75,7 @@ ROUND_TRIP = {
     "a=1, perp Sigma-3 }\natom E1 E(1) { F1: g=1, i=0, a=1, perp Sigma-1; Sigma-1: g=0, i=-1, "
     "a=1, perp F1 }\ntriple t (blowup(E3, generic, size=1/4), Sigma-3, F3)\n"
     "lhs sum(E3, F3, E1, F1)\nrhs sum(thin(E3, F3, 0+1e), F3-, thicken(E1, F1, 0+1e), F1+)\n"
-    'target =\nby R8 { at = "root", eps = 0+1e } "a note"\n',
+    'target =\nby R8 { at = root, eps = 0+1e } "a note"\n',
     **{
         name: MALFORMED[name]
         for name in (
@@ -100,10 +100,12 @@ def test_options_given_at_their_defaults_print_back():
 
 
 def test_a_triple_a_quoted_slot_and_a_step_note_print_back():
+    """A step's note is its one string: its slot `at` is written bare, as
+    a quoted slot value is refused (MALFORMED "step slot given a quoted path")."""
     src = ROUND_TRIP["triple-quoted-slot-note"]
     lines = print_script(parse(src)).splitlines()
     assert lines[2] == "triple t (blowup(E3, generic, size = 1/4), Sigma-3, F3)"
-    assert lines[-1] == 'by R8 { at = "root", eps = 0+1e } "a note"'
+    assert lines[-1] == 'by R8 { at = root, eps = 0+1e } "a note"'
     assert run(src).code == 0
 
 
@@ -547,21 +549,21 @@ def test_zero_eps_area_slot_round_trips():
 @pytest.mark.parametrize(
     "literal, slot",
     [
-        ("3", ("num", Fraction(3))),
-        ("-3/4", ("num", Fraction(-3, 4))),
-        ("2 + 1", ("num", Fraction(2))),
-        ("0+1e", ("area", area(0, 1))),
-        ("1 - 2/3 eps", ("area", area(1, Fraction(-2, 3)))),
-        ("-1/2e", ("area", area(0, Fraction(-1, 2)))),
-        ("5/4-3e", ("area", area(Fraction(5, 4), -3))),
+        ("3", Fraction(3)),
+        ("-3/4", Fraction(-3, 4)),
+        ("2 + 1", Fraction(2)),
+        ("0+1e", area(0, 1)),
+        ("1 - 2/3 eps", area(1, Fraction(-2, 3))),
+        ("-1/2e", area(0, Fraction(-1, 2))),
+        ("5/4-3e", area(Fraction(5, 4), -3)),
     ],
 )
 def test_slot_value_is_an_area_exactly_when_it_ends_in_eps(literal, slot):
     """A slot reads its number as an area, and keeps it as a plain number
     unless its last token is `e` or `eps`."""
     parser = _Parser(literal)
-    tag, value = parser.parse_slot_value()
-    assert (tag, value) == slot and type(value) is type(slot[1])
+    value = parser.parse_slot_value()
+    assert value == slot and type(value) is type(slot)
     assert parser.toks[parser.i] == ("+" if literal == "2 + 1" else "")
 
 
