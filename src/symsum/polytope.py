@@ -127,13 +127,10 @@ def _corner(ox: float, oy: float, s: SurfaceMark, t: SurfaceMark, eps: Fraction)
         slope = -1.0 / t.normal_number
         body.append(_line(ox + ls, oy, ox + ls + SLANT, oy - slope * SLANT, "light"))
     body.append(_text(ox + ls + 4, oy - SLANT - 4, f"slope={slope_along_s(t)}"))
-    # slanted edge over the T end: slope -i(S); horizontal when i(S) = 0
-    if s.normal_number == 0:
-        body.append(_line(ox, oy - lt, ox + SLANT, oy - lt, "light"))
-    else:
-        slope = float(-s.normal_number)
-        run = SLANT / max(1.0, abs(slope))
-        body.append(_line(ox, oy - lt, ox + run, oy - lt - slope * run, "light"))
+    # slanted edge over the T end: slope -i(S), so horizontal when i(S) = 0
+    slope = float(-s.normal_number)
+    run = SLANT / max(1.0, abs(slope))
+    body.append(_line(ox, oy - lt, ox + run, oy - lt - slope * run, "light"))
     body.append(_text(ox + 4, oy - lt - 8, f"slope={slope_along_t(s)}"))
     if s.normal_number > 0 or t.normal_number > 0:
         body.append(_text(ox + 4, oy + 34, "concave side"))

@@ -73,6 +73,16 @@ def test_with_own_children_is_equal(name):
 
 
 @pytest.mark.parametrize("name", NODES)
+def test_a_node_compared_with_another_type_is_unequal(name):
+    """A node leaves the comparison with a number or a string to the
+    other operand, so `==` falls back to identity and does not raise."""
+    e = node(name)
+    for other in (3, "x"):
+        assert e.__eq__(other) is NotImplemented
+        assert e != other and other != e and not e == other
+
+
+@pytest.mark.parametrize("name", NODES)
 def test_each_selector_resolves_through_at(name):
     e = node(name)
     for sel, child in zip(e.SELECTORS, e.children()):
