@@ -20,8 +20,10 @@ reader hands over, crosses both trees; all generated once, from the
 working tree.
 A child per tree, with `PYTHONPATH=<tree>/src`, writes one JSON line per
 input: the exit code, the messages, the text and JSON traces, the mark
-table of each traced expression, and `print_script` and the rhs's mark
-table of the parsed text (a trace prints no composite's marks); for a
+table of each traced expression, the index of the first traced step whose
+`serialize_expr` text does not read back, as an expression file, as an
+equal node (None when every step does), and `print_script` and the rhs's
+mark table of the parsed text (a trace prints no composite's marks); for a
 command line, the exit code, stdout and stderr of `symsum`'s `main`.  The
 harness prints the first input whose lines differ and the counts, and
 exits 1 on any difference.
@@ -52,11 +54,19 @@ def child() -> None:
         ScriptError,
         mark_table,
         parse,
+        parse_expr_file,
         print_script,
         render_trace_json,
         render_trace_text,
         run,
+        serialize_expr,
     )
+
+    def reads_back(expr) -> bool:
+        try:
+            return parse_expr_file("expr " + serialize_expr(expr)).expr == expr
+        except ScriptError:
+            return False
 
     for line in sys.stdin:
         text = json.loads(line)
@@ -72,7 +82,11 @@ def child() -> None:
                 if result.verdict is not None:
                     rec["text"] = render_trace_text(result.verdict)
                     rec["json"] = render_trace_json(result.verdict)
-                    rec["marks"] = [mark_table(step.expr) for step in result.verdict.trace]
+                    trace = result.verdict.trace
+                    rec["marks"] = [mark_table(step.expr) for step in trace]
+                    rec["unread step"] = next(
+                        (step.index for step in trace if not reads_back(step.expr)), None
+                    )
                 try:
                     parsed = parse(text)
                     rec["print"] = print_script(parsed)

@@ -1,8 +1,8 @@
 """A smoke test of `scripts/differential.py`, so that the harness cannot
 rot: a tree against itself differs nowhere, and a copy of `src/` with
-one message edited, with a composite's marks in another order, or with
-the output of `symsum invariants` edited, differs on the first input
-that shows it."""
+one message edited, with a composite's marks in another order, with
+the output of `symsum invariants` edited, or with an expression file
+reader that refuses every text, differs on the first input that shows it."""
 
 import pathlib
 import re
@@ -68,3 +68,16 @@ def test_an_edited_invariants_output_is_reported_at_the_first_expression_file(tm
     assert first.startswith("first difference: invariants e4_cp2.expr\n"), proc.stdout
     assert re.findall(r"^  (\S.*):$", first, re.M) == ["stdout"]
     assert "; 4 differ\n" in proc.stdout
+
+
+def test_a_traced_step_that_does_not_read_back_is_reported(tmp_path):
+    """A copy whose expression file reader refuses every text runs every
+    script as before: the first input differs in its first unread step alone."""
+    old = "return _Parser(source, *_read_fast(source, (\"expr\",))).parse_expr_file()"
+    new = old.replace("_Parser(source,", "_Parser(source + \" }\",")
+    base = _edited_copy(tmp_path, "script.py", old, new)
+    proc = _differential("--base", base)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first = proc.stdout.split("\nalso differs")[0]
+    assert first.startswith("first difference: corpus "), proc.stdout
+    assert re.findall(r"^  (\S.*):$", first, re.M) == ["unread step"]
