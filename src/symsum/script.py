@@ -512,7 +512,6 @@ class _Parser:
         return ProofStep(rule, slots, rev, note)
 
     def parse_slot_value(self) -> Union[AreaValue, Fraction, str]:
-        """An area, a plain number as a Fraction, or a name path."""
         kind = _kind(self.toks[self.i])
         if kind == "num" or kind == "-":
             value = self.parse_area()
