@@ -73,8 +73,8 @@ def test_an_edited_invariants_output_is_reported_at_the_first_expression_file(tm
 def test_a_traced_step_that_does_not_read_back_is_reported(tmp_path):
     """A copy whose expression file reader refuses every text runs every
     script as before: the first input differs in its first unread step alone."""
-    old = "return _Parser(source, *_read_fast(source, (\"expr\",))).parse_expr_file()"
-    new = old.replace("_Parser(source,", "_Parser(source + \" }\",")
+    old = 'return _Parser(source, *_read_fast(source, ("expr",))).parse_expr_file()'
+    new = old.replace("_Parser(source,", '_Parser(source + " }",')
     base = _edited_copy(tmp_path, "script.py", old, new)
     proc = _differential("--base", base)
     assert proc.returncode == 1, proc.stdout + proc.stderr
