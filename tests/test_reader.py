@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from test_fuzz import mutate
 from test_memo import chain_script, nodes
-from traces import _SUM4, _X, MALFORMED, RULE_MESSAGES, RULE_SHAPES
+from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES, SIDE_EDGES
 
 import symsum.script
 from symsum.areas import AreaValue, area
@@ -124,37 +124,9 @@ def test_both_readers_agree_on_chains_with_mutated_sides():
     assert min(handoffs.get(word, 0) for word in ("lhs", "rhs", "target")) > 20, handoffs
 
 
-# inputs at the edges of the fast reader's sides: names that are keywords
-# or kind tags, inline atoms, options, comments and every form with runs
-_EDGE_DECLS = (
-    "atom W W(0,1,0+1e) { A: g=0, i=-1, a=1+1e; B: g=0, i=1, a=1+2e }\n"
-    "atom V W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e; B2: g=0, i=1, a=1+3e }\n"
-)
-_SIDE_EDGES = {
-    "kind tag as a side": _EDGE_DECLS + "lhs W rhs W target =",
-    "kind tag as a leaf": _EDGE_DECLS + "lhs sum(W, B, V, A2) rhs sum(W, B, V, A2) target =",
-    "kind tag then marks": _EDGE_DECLS + "lhs W { } rhs W target =",
-    "keyword as a leaf": "atom sum CP2 { }\nlhs sum rhs sum target =",
-    "keyword as a leaf in a sum": _EDGE_DECLS.replace("atom V", "atom sum")
-    + "lhs sum(W, B, sum, A2) rhs W target =",
-    "inline atom in a sum": _EDGE_DECLS
-    + "lhs sum(W, B, W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e }, A2) rhs W target =",
-    "comments and line breaks": _EDGE_DECLS
-    + "lhs sum( # (\n W ,\n B # )\n, V,A2)\n# rhs\nrhs sum(W,B,V,A2) target =",
-    "comment among openers": _EDGE_DECLS
-    + "lhs sum(sum( # x\n sum(W, B, V, A2), B2, W, A), B, V, A2) rhs W target =",
-    "option in the rhs": _EDGE_DECLS + "lhs W rhs sum(W, B, V, A2, glue = t) target =",
-    "desing": _EDGE_DECLS + "lhs desing(W, B, A) rhs desing(W, A, B, label = Q) target =",
-    "sum4 of leaves": _X + _SUM4,
-    "sum4 of a sum": _X + _SUM4.replace("(X1, A1, B1)", "(sum(X1, B1, X2, A2), A1, B2)"),
-    "blowup": _EDGE_DECLS + "lhs blowup(W, generic, size = 1/4) rhs W target =",
-    "an expression file's side": _EDGE_DECLS + "expr sum(W, B, V, A2)",
-}
-
-
-@pytest.mark.parametrize("name", _SIDE_EDGES)
+@pytest.mark.parametrize("name", SIDE_EDGES)
 def test_both_readers_agree_at_the_edges_of_the_side_patterns(name):
-    text = _SIDE_EDGES[name]
+    text = SIDE_EDGES[name]
     _same(text)
     assert _outcome(parse_expr_file, text) == _outcome(
         lambda t: _Parser(t).parse_expr_file(), text
@@ -334,6 +306,13 @@ def test_the_fast_reader_hands_over_a_corpus_script_at_its_first_side_with_an_op
 @pytest.mark.parametrize("name", _CHAINS)
 def test_the_fast_reader_hands_over_a_chain_at_target(name):
     assert _handoff(_CHAINS[name]) == "target"
+
+
+@pytest.mark.parametrize("name", ["desing chain", "sum of a desing chain"])
+def test_the_fast_reader_reads_sides_of_desing_whole(name):
+    """A form other than `sum` is opened again at its first child slot
+    and read one run at a time, alone and as a sum's child."""
+    assert _handoff(SIDE_EDGES[name]) == "target"
 
 
 def test_the_corpus_hands_over_at_each_keyword():

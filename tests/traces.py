@@ -5,7 +5,8 @@ small ruled chain.  `script_golden`
 is everything else a script's user sees: the printed form and the run
 messages of every corpus script, and the exit code, messages and trace of
 each input in `MALFORMED`, `RULE_SHAPES` and `RULE_MESSAGES`.  `token_golden` is the token
-stream of every corpus script and of each input in `TOKEN_EDGES`."""
+stream of every corpus script and of each input in `TOKEN_EDGES`.
+`SIDE_EDGES` are inputs at the edges of the fast reader's sides."""
 
 from symsum.demos import CORPUS
 from symsum.script import (
@@ -809,6 +810,47 @@ def script_golden() -> str:
             if result.verdict is not None:
                 parts.append(render_trace_text(result.verdict))
     return "\n".join(parts) + "\n"
+
+
+# inputs at the edges of the fast reader's sides: names that are keywords
+# or kind tags, inline atoms, options, comments and every form with runs,
+# and sides of `desing` read whole: a left-nested chain of three, and a
+# sum of a chain of two
+_EDGE_DECLS = (
+    "atom W W(0,1,0+1e) { A: g=0, i=-1, a=1+1e; B: g=0, i=1, a=1+2e }\n"
+    "atom V W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e; B2: g=0, i=1, a=1+3e }\n"
+)
+_DESING_DECLS = (
+    "atom X Rational(1) { "
+    + "; ".join(
+        f"A{n}: g=0, i=-1, a=1, perp B{n}; B{n}: g=0, i=-1, a=1, perp A{n}" for n in (1, 2, 3)
+    )
+    + " }\natom Z Rational(1) { M: g=0, i=0, a=2 }\n"
+)
+_DESING_CHAIN = "desing(desing(desing(X, A1, B1), A2, B2), A3, B3)"
+_DESING_SUM = "sum(desing(desing(X, A1, B1), A2, B2), A1+B1, Z, M)"
+SIDE_EDGES = {
+    "kind tag as a side": _EDGE_DECLS + "lhs W rhs W target =",
+    "kind tag as a leaf": _EDGE_DECLS + "lhs sum(W, B, V, A2) rhs sum(W, B, V, A2) target =",
+    "kind tag then marks": _EDGE_DECLS + "lhs W { } rhs W target =",
+    "keyword as a leaf": "atom sum CP2 { }\nlhs sum rhs sum target =",
+    "keyword as a leaf in a sum": _EDGE_DECLS.replace("atom V", "atom sum")
+    + "lhs sum(W, B, sum, A2) rhs W target =",
+    "inline atom in a sum": _EDGE_DECLS
+    + "lhs sum(W, B, W(0,1,0+1e) { A2: g=0, i=-1, a=1+2e }, A2) rhs W target =",
+    "comments and line breaks": _EDGE_DECLS
+    + "lhs sum( # (\n W ,\n B # )\n, V,A2)\n# rhs\nrhs sum(W,B,V,A2) target =",
+    "comment among openers": _EDGE_DECLS
+    + "lhs sum(sum( # x\n sum(W, B, V, A2), B2, W, A), B, V, A2) rhs W target =",
+    "option in the rhs": _EDGE_DECLS + "lhs W rhs sum(W, B, V, A2, glue = t) target =",
+    "desing": _EDGE_DECLS + "lhs desing(W, B, A) rhs desing(W, A, B, label = Q) target =",
+    "sum4 of leaves": _X + _SUM4,
+    "sum4 of a sum": _X + _SUM4.replace("(X1, A1, B1)", "(sum(X1, B1, X2, A2), A1, B2)"),
+    "blowup": _EDGE_DECLS + "lhs blowup(W, generic, size = 1/4) rhs W target =",
+    "an expression file's side": _EDGE_DECLS + "expr sum(W, B, V, A2)",
+    "desing chain": _DESING_DECLS + f"lhs {_DESING_CHAIN}\nrhs {_DESING_CHAIN}\ntarget =\n",
+    "sum of a desing chain": _DESING_DECLS + f"lhs {_DESING_SUM}\nrhs {_DESING_SUM}\ntarget =\n",
+}
 
 
 # inputs at the edges of the lexer: where a token's line:col comes from,
