@@ -77,7 +77,7 @@ MALFORMED.update(
     }
 )
 # a step's slot value written as a string: labels that no reader reads
-# back, and a path that reads the same written bare
+# back, and a path that reads the same written bare; and a slot written twice
 MALFORMED.update(
     {
         "step slot given quoted labels": _E3 + "lhs E3 rhs E3 target ~\n"
@@ -85,6 +85,9 @@ MALFORMED.update(
         "step slot given a quoted path": _E3 + _E1 + "lhs sum(E3, F3, E1, F1)\n"
         "rhs sum(thin(E3, F3, 0+1e), F3-, thicken(E1, F1, 0+1e), F1+)\ntarget =\n"
         'by R8 { at = "root", eps = 0+1e }\n',
+        "step slot given twice": _E3 + _E1 + "lhs sum(E3, F3, E1, F1)\n"
+        "rhs sum(thin(E3, F3, 0+1e), F3-, thicken(E1, F1, 0+1e), F1+)\ntarget =\n"
+        "by R8 { eps = 0+5e, eps = 0+1e }\n",
     }
 )
 # where a build failure is reported, and what wins over it: an operation
