@@ -11,8 +11,9 @@ two ruled chains of `tests/test_memo.chain_script` (12 and 200 atoms,
 so that long texts cross both trees) and two variants of the 12-atom one
 that the fast reader hands over inside the sides (comments and line
 breaks in the lhs, and a rhs glued along a wrong mark), the `MALFORMED`,
-`RULE_SHAPES` and
-`RULE_MESSAGES` tables of `tests/traces.py`, the expression files of
+`RULE_SHAPES`, `RULE_MESSAGES` and `SIDE_EDGES` tables of
+`tests/traces.py` (the last crosses each hand-off of the fast reader's
+sides, at every form that it reads), the expression files of
 `scripts/exprs/` through `symsum invariants`, and K seeded token mutants
 (`tests/test_fuzz.mutate`) of the corpus scripts and of the 12-atom
 chain, so that a failure deep in a multi-line text, after the fast
@@ -105,7 +106,7 @@ def inputs(seed: int, mutants: int) -> list[tuple[str, object]]:
     from symsum.demos import CORPUS
     from test_fuzz import mutate
     from test_memo import chain_script
-    from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES
+    from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES, SIDE_EDGES
 
     out = [(f"corpus {name}", text) for name, text in CORPUS.items()]
     out += [(f"chain_script{size}", chain_script(*size)) for size in ((12, 6), (200, 100))]
@@ -118,7 +119,8 @@ def inputs(seed: int, mutants: int) -> list[tuple[str, object]]:
         ("chain_script(12, 6), rhs glued wrong", chain.replace(rhs, rhs.replace("W7, A7", "W7, B7"))),
     ]
     for table, entries in (
-        ("malformed", MALFORMED), ("rule", RULE_SHAPES), ("message", RULE_MESSAGES)
+        ("malformed", MALFORMED), ("rule", RULE_SHAPES), ("message", RULE_MESSAGES),
+        ("side", SIDE_EDGES),
     ):
         out += [(f"{table} {name}", text) for name, text in entries.items()]
     exprs = sorted((ROOT / "scripts" / "exprs").glob("*.expr"))
