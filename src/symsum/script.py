@@ -31,8 +31,9 @@ from `_MARK`), and builds each atom from the groups; it reads each new
 kind text with the token reader, and atoms of one kind text hold one kind
 object (an atom read by the token reader builds its own).  After the
 declarations it reads each side, `lhs` and `rhs` or an expression file's
-`expr`, with patterns compiled from each operation's form (`_Form.runs`),
-and builds its operations once the whole side is read.  At the first
+`expr`, one run of a form per match, with patterns compiled from each
+operation's form (`_Form.runs`), and builds its operations once the whole
+side is read.  At the first
 declaration or side that the patterns do not match (a triple, say, an
 integer slot written `p/q`, an option, an area, an inline atom or a
 comment in a side) or that fails a check, the token reader, `_Parser`,
@@ -665,45 +666,41 @@ def _read_side(text: str, name: str, pos: int, atoms: dict) -> Optional[tuple]:
     """The side whose first token, `name`, ends at `pos`, read with the
     forms' runs and built, and where it ends; None at a name that is no
     keyword of a form with runs nor one of `atoms` (nor a kind tag, for a
-    side of one name), at a run that misses or a build that fails.  The
-    stack holds each form that waits for a child: its args, the child's
-    slot and the run after it.  The forms are built once the whole side is
-    read, each after its children, so that a side that misses builds none."""
+    side of one name), at a run that misses or a build that fails.  Each
+    match reads a run and its child's name, which opens a form or is an
+    atom.  The stack holds each form that waits for a child: its args, the
+    child's slot and the run after it.  The forms are built once the whole
+    side is read, each after its children, so a side that misses builds none."""
     form = _GRAMMAR.get(name)
     if form is None:
         node = atoms.get(name)
         return None if node is None or name in KINDS else (node, pos)
     stack, closed, args, run = [], [], {}, 0
     while form.runs:
-        pattern, plans, again = form.runs[run]
+        pattern, child, again = form.runs[run]
         if again:  # run 0, where the text may open the form again at its first child slot
-            m = again[0].match(text, pos)
+            m = again.match(text, pos)
             for _ in range(m[0].count(form.name)):
-                stack.append((form, args, again[1], 1))
+                stack.append((form, args, child, 1))
                 args = {}
             pos = m.end()
         m = pattern.match(text, pos)
-        plan = m and plans.get(m.lastindex)
-        if not plan:
+        if m is None:
             return None
         pos = m.end()
         args.update(m.groupdict())
-        leaves, child, run = plan
-        opened = child and _GRAMMAR.get(args[child])  # the form of the name read last
-        if child and not opened:
-            leaves += (child,)
-        for field in leaves:
-            node = args[field] = atoms.get(args[field])
-            if node is None:
-                return None
-        if opened:
-            stack.append((form, args, child, run))
-            form, args, run = opened, {}, 0
-        elif child is None:  # the form closed, to be built into its parent's slot
+        if child is None:  # the form closed, to be built into its parent's slot
             if not stack:
                 break
             closed.append((form, args, *stack[-1][1:3]))
             form, args, _, run = stack.pop()
+        elif args[child] in _GRAMMAR:  # the child opens a form
+            stack.append((form, args, child, run + 1))
+            form, args, run = _GRAMMAR[args[child]], {}, 0
+        elif args[child] in atoms:
+            args[child], run = atoms[args[child]], run + 1
+        else:
+            return None
     else:
         return None  # a form with no runs
     closed.append((form, args, {}, None))
@@ -835,44 +832,24 @@ class _Form:
         """The fast reader's patterns of this form, compiled on first use;
         None where a step is no fixed token, name or child slot or empty
         options.  Run j goes from the keyword or child slot j to the next
-        child slot or the end, with no comment.  `runs[j]` is a pattern
-        that reads run j, the next child's name, the run after it, an empty
-        group and the name after that, as far as they match, each name in a
-        group named by its slot; `plans`, from the last group read to (the
-        slots read as leaves, the slot of the name read last or None where
-        the form closed, the run after it); and for run 0 with no name slot
-        `again`, run 0 and the keyword repeated, and the first child slot."""
-        texts, names, kids = [""], [[]], []  # by run: its pattern text, its name slots
+        child slot or the `)`, with no comment.  `runs[j]` is a pattern that
+        reads run j and the name in its child slot, each name in a group
+        named by its slot; that slot, None for the closing run; and for run
+        0 with no name slot `again`, run 0 and the keyword repeated."""
+        runs, text = [], ""
         for read, arg, field in self.steps[:-1]:
             if read is None:  # a child slot ends a run
-                kids.append(field)
-                texts.append("")
-                names.append([])
+                pattern = _pattern(f"{text} (?P<{field}>NAME%)", _SPACES)
+                opener = not runs and pattern.groups == 1 and f"(?:{text} {self.name}%)*"
+                runs.append((pattern, field, opener and _pattern(opener, _SPACES)))
+                text = ""
             elif read is _Parser.read_name:
-                texts[-1] += f" (?P<{field}>NAME%)"
-                names[-1].append(field)
+                text += f" (?P<{field}>NAME%)"
             elif read is _Parser.keyword or read is _Parser.expect:
-                texts[-1] += " " + re.escape(arg) + "%" * (read is _Parser.keyword)
+                text += " " + re.escape(arg) + "%" * (read is _Parser.keyword)
             elif read is not _Parser.parse_options:
                 return None
-        last, runs = len(kids), []
-        for j, text in enumerate(texts):
-            groups = len(names[j])
-            if j == last:  # the closing run
-                closed = {groups + 1: ((), None, None)}
-                runs.append((_pattern(text + "()", _SPACES), closed, None))
-                continue
-            kid, plans = kids[j], {groups + 1: ((), kids[j], j + 1)}
-            again = j == 0 and not groups and (_pattern(f"(?:{text} {self.name}%)*", _SPACES), kid)
-            text += f"(?: (?P<{kid}>NAME%)(?:{texts[j + 1]}()"
-            groups += 2 + len(names[j + 1])  # the marker after run j + 1
-            if j + 1 == last:
-                plans[groups] = ((kid,), None, None)
-            else:
-                text += f"(?: (?P<{kids[j + 1]}>NAME%))?"
-                plans[groups + 1] = ((kid,), kids[j + 1], j + 2)
-            runs.append((_pattern(text + ")?)?", _SPACES), plans, again))
-        return runs
+        return runs + [(_pattern(text, _SPACES), None, None)]
 
 
 # how a slot or an option's value is read and printed: a slot's by the name
