@@ -501,6 +501,8 @@ class _Parser:
         slots = {}
         while self.toks[self.i] != "}":
             key = self.expect("name", "slot name")
+            if key in slots:
+                raise self.error(f"repeated {rule} slot {key!r}", self.i - 1)
             self.expect("=")
             slots[key] = self.parse_slot_value()
             if not self.accept(","):
