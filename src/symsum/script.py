@@ -912,15 +912,17 @@ _SPEC_RE = _pattern(" (?:" + "".join(
 def serialize_expr(node) -> str:
     """The source text of an expression or an atom kind, walked in full,
     with every atom written out and an option printed where it differs
-    from its default; a trace's renderers print through `_write` with
-    spans, which copies a node that an earlier tree printed."""
+    from its default; a trace's renderers print the texts of
+    `_step_texts`, written through `_write` with spans, which copies a
+    node that an earlier tree printed."""
     return _write(node, None)
 
 
 def _write(node, spans: Optional[dict], names: Optional[dict] = None) -> str:
     """The text of `node`, written in pieces from an explicit stack of the
     forms being printed, each with the slots it has still to print.  With
-    `spans`, kept for one render call, the pieces of each operation node
+    `spans`, kept for one verdict's trace (`_step_texts`, whose texts both
+    renderers print), the pieces of each operation node
     printed are kept as `(pieces, start, end)` under `spans[id(node)]`,
     and a node found there is copied, not walked again.  With `names`,
     print_script's map from the id of each declared atom to its name, a
@@ -1087,12 +1089,23 @@ def run(source: str) -> RunResult:
     return RunResult(0, verdict, messages)
 
 
+def _step_texts(verdict: Verdict) -> list[str]:
+    """The text of each trace record's tree, written the first time either
+    renderer asks, with one `_write` walk and one spans dict for the whole
+    trace, and kept with the verdict, as an atom keeps its `_text`."""
+    texts = vars(verdict).get("_texts")
+    if texts is None:
+        spans = {}  # where each operation node's pieces sit
+        texts = verdict.__dict__["_texts"] = [_write(rec.expr, spans) for rec in verdict.trace]
+    return texts
+
+
 def render_trace_text(verdict: Verdict) -> str:
-    lines, spans = [], {}  # where each operation node's pieces sit
-    for rec in verdict.trace:
+    lines = []
+    for rec, text in zip(verdict.trace, _step_texts(verdict)):
         level = rec.level.symbol if rec.level else "start"
         lines.append(f"step {rec.index}: {rec.rule} level={level} {rec.invariants}")
-        lines.append("  " + _write(rec.expr, spans))
+        lines.append("  " + text)
         for note in rec.notes:
             lines.append("  - " + note)
     return "\n".join(lines)
@@ -1101,14 +1114,14 @@ def render_trace_text(verdict: Verdict) -> str:
 def render_trace_json(verdict: Verdict) -> str:
     import json  # here, not at the top: only a JSON trace pays for the import
 
-    lines, spans = [], {}  # where each operation node's pieces sit
-    for rec in verdict.trace:
+    lines = []
+    for rec, text in zip(verdict.trace, _step_texts(verdict)):
         # the line json.dumps(..., sort_keys=True) writes, with chi and sigma
         # through exact_str, so that they print past int()'s digit limit
         level = json.dumps(rec.level.symbol if rec.level else None)
         lines.append(
             f'{{"chi": {exact_str(rec.invariants.euler)}, '
-            f'"expr": {json.dumps(_write(rec.expr, spans))}, "level": {level}, '
+            f'"expr": {json.dumps(text)}, "level": {level}, '
             f'"notes": {json.dumps(rec.notes)}, "rule": {json.dumps(rec.rule)}, '
             f'"sigma": {exact_str(rec.invariants.signature)}, "step": {rec.index}}}'
         )

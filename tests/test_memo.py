@@ -396,10 +396,9 @@ def _render_exprs(verdict) -> tuple[list[str], list[str]]:
 
 
 def test_render_walks_each_distinct_operation_node_once(monkeypatch):
-    r = run(chain_script(200, 100))
-    assert r.code == 0
-    exprs = [rec.expr for rec in r.verdict.trace]
-    operations = [n for n in nodes(*exprs) if not isinstance(n, AtomNode)]
+    """The two renderers together walk each operation node of a trace
+    once, in either order: the first writes every tree, and the second
+    prints the texts kept with the verdict and walks none."""
     walked = []
     slots = script._slots
 
@@ -409,13 +408,30 @@ def test_render_walks_each_distinct_operation_node_once(monkeypatch):
         return slots(node)
 
     monkeypatch.setattr(script, "_slots", counting_slots)
-    render_trace_text(r.verdict)
-    assert sorted(map(id, walked)) == sorted(map(id, operations))
-    walked.clear()
-    render_trace_json(r.verdict)
-    assert sorted(map(id, walked)) == sorted(map(id, operations))
-    # each tree of 199 sums, printed in full, would walk 5 * 199 nodes
-    assert len(operations) < 3 * 199
+    renderers = render_trace_text, render_trace_json
+    for first, second in renderers, renderers[::-1]:
+        r = run(chain_script(200, 100))
+        assert r.code == 0
+        exprs = [rec.expr for rec in r.verdict.trace]
+        operations = [n for n in nodes(*exprs) if not isinstance(n, AtomNode)]
+        walked.clear()
+        first(r.verdict)
+        assert sorted(map(id, walked)) == sorted(map(id, operations))
+        walked.clear()
+        second(r.verdict)
+        assert walked == []
+        # each tree of 199 sums, printed in full, would walk 5 * 199 nodes
+        assert len(operations) < 3 * 199
+
+
+def test_renderers_print_the_same_in_either_order():
+    sources = [*CORPUS.values(), chain_script(30, 15)]
+    for source in sources:
+        text_first, json_first = run(source).verdict, run(source).verdict
+        text = render_trace_text(text_first)
+        js = render_trace_json(json_first)
+        assert render_trace_json(text_first) == js
+        assert render_trace_text(json_first) == text
 
 
 def test_renderers_print_every_record_as_serialize_expr_does():
