@@ -8,9 +8,10 @@ REF is a git ref, extracted with `git archive` into a temporary
 directory, or the path of a directory that holds a `src/` tree.  The
 head defaults to the working tree.  The inputs are the corpus scripts,
 two ruled chains of `tests/test_memo.chain_script` (12 and 200 atoms,
-so that long texts cross both trees) and two variants of the 12-atom one
-that the fast reader hands over inside the sides (comments and line
-breaks in the lhs, and a rhs glued along a wrong mark), the `MALFORMED`,
+so that long texts cross both trees) and three variants of the 12-atom
+one that the fast reader hands over inside a mark block or a side
+(comments in each mark block, comments and line breaks in the lhs, and
+a rhs glued along a wrong mark), the `MALFORMED`,
 `RULE_SHAPES`, `RULE_MESSAGES` and `SIDE_EDGES` tables of
 `tests/traces.py` (the last crosses each hand-off of the fast reader's
 sides, at every form that it reads), the expression files of
@@ -114,7 +115,12 @@ def inputs(seed: int, mutants: int) -> list[tuple[str, object]]:
     lhs = chain[chain.index("lhs ") : chain.index("\nrhs ")]
     rhs = chain[chain.index("rhs ") : chain.index("\ntarget")]
     commented = lhs.replace("sum(", "sum( # (\n").replace(", B", ",\n  # a mark\n  B")
+    decls = chain[: chain.index("lhs ")]
+    # after `{`, at the end of a spec's line, between specs and before `}`
+    blocks = decls.replace("{ A", "{ # (\n  A").replace("e; B", "e # a mark; }\n;\n  # perp\n  B")
+    blocks = blocks.replace("e }", "e;\n# }\n}")
     out += [
+        ("chain_script(12, 6), mark blocks commented", chain.replace(decls, blocks)),
         ("chain_script(12, 6), lhs commented", chain.replace(lhs, commented)),
         ("chain_script(12, 6), rhs glued wrong", chain.replace(rhs, rhs.replace("W7, A7", "W7, B7"))),
     ]

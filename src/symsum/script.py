@@ -27,18 +27,18 @@ Expression files use the same declarations followed by `expr <expr>`.
 Two readers read a text, once, from left to right.  The fast reader,
 `_read_fast`, matches the atom declarations at its start with two compiled
 patterns, `atom NAME KIND {` and then each mark spec (`_SPEC_RE`, compiled
-from `_MARK`), and builds each atom from the groups; it reads each new
-kind text with the token reader, and atoms of one kind text hold one kind
-object (an atom read by the token reader builds its own).  After the
-declarations it reads each side, `lhs` and `rhs` or an expression file's
-`expr`, one run of a form per match, with patterns compiled from each
-operation's form (`_Form.runs`), and builds its operations once the whole
-side is read.  At the first
-declaration or side that the patterns do not match (a triple, say, an
-integer slot written `p/q`, an option, an area, an inline atom or a
-comment in a side) or that fails a check, the token reader, `_Parser`,
-reads on in the whole text from where that declaration or side starts,
-with the atoms and sides read.  These hold no failure, so every message,
+from `_MARK`, whose blanks are spaces, tabs and line breaks), and builds
+each atom from the groups; it reads each new kind text with the token
+reader, and atoms of one kind text hold one kind object (an atom read by
+the token reader builds its own).  After the declarations it reads each
+side, `lhs` and `rhs` or an expression file's `expr`, one run of a form
+per match, with patterns compiled from each operation's form
+(`_Form.runs`), and builds its operations once the whole side is read.
+At the first declaration or side that the patterns do not match (a
+triple, say, an integer slot written `p/q`, an option, an area, an inline
+atom or a comment in a mark block or a side) or that fails a check, the
+token reader, `_Parser`, reads on in the whole text from where that
+declaration or side starts, with the atoms and sides read.  These hold no failure, so every message,
 position and failure rank is the token reader's, as if it had read the
 text from its start.
 """
@@ -897,11 +897,13 @@ _MARK = _FORM_OF[SurfaceMark] = _Form(
     lambda **spec: tuple(spec.values()),
 )
 # the fast reader's mark spec and then `;` or `}`, or the `}` that closes
-# the block: each fixed token of `_MARK`, and each slot's piece
+# the block: each fixed token of `_MARK`, and each slot's piece.  Its
+# blanks are spaces, tabs and line breaks, as a side's runs' are, so a
+# comment in a mark block hands its declaration to the token reader.
 _SPEC_RE = _pattern(" (?:" + "".join(
     _PIECES[read] if field else re.escape(arg) + "%" * (read is _Parser.keyword) + " "
     for read, arg, field in _MARK.steps[:-1]
-) + r"([;}])|(\}))")
+) + r"([;}])|(\}))", _SPACES)
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def test_a_side_that_misses_at_its_last_run_builds_no_form(monkeypatch):
 
 
 _RUN = ("  \t# ; } # # perp\n \r\n" * 6000)[:100_000]  # blanks and comments
-_SPACE_RUN = (" \t\r\n" * 25_000)[:100_000]  # blanks only, which a side's runs read
+_SPACE_RUN = (" \t\r\n" * 25_000)[:100_000]  # blanks only, which the spec and side runs read
 
 
 def _timed(before: str, after: str, run: str = _RUN) -> tuple[bool, bool, float]:
@@ -426,26 +426,29 @@ _SIDE_RUNS = [
     ("W1, B1,", "W2 A2) rhs W1 target =", False),
     ("W1, B1, W2,", "A2, carry = Z) rhs W1 target =", False),
 ]
-_RUNS = [(_SPEC[0] + b, a + _SPEC[1], p, "_RUN") for b, a, p in _SPEC_RUNS] + [
-    (_TWO + b, a + "\n", p, run) for b, a, p in _SIDE_RUNS for run in ("_RUN", "_SPACE_RUN")
-]
+_RUNS = (
+    [(_SPEC[0] + b, a + _SPEC[1], p, "_RUN") for b, a, p in _SPEC_RUNS]
+    + [(_TWO + b, a + "\n", p, run) for b, a, p in _SIDE_RUNS for run in ("_RUN", "_SPACE_RUN")]
+    + [(_SPEC[0] + b, a + _SPEC[1], p, "_SPACE_RUN") for b, a, p in _SPEC_RUNS]
+)
 
 
 @pytest.mark.parametrize(
     "before, after, parses, run",
     _RUNS,
     ids=[f"spec {b}|{a}" for b, a, _ in _SPEC_RUNS]
-    + [f"side sum({b}|{a} {run}" for b, a, _ in _SIDE_RUNS for run in ("_RUN", "_SPACE_RUN")],
+    + [f"side sum({b}|{a} {run}" for b, a, _ in _SIDE_RUNS for run in ("_RUN", "_SPACE_RUN")]
+    + [f"spec {b}|{a} _SPACE_RUN" for b, a, _ in _SPEC_RUNS],
 )
 def test_blanks_and_comments_inside_a_mark_spec_or_a_side_read_in_linear_time(
     before, after, parses, run
 ):
     """Before a spec that reads on, and before one that fails, which every
     pattern backtracks over, at each blank of a spec that a sign or a
-    number may follow; and in a side after `sum(` and after a `,`, with
-    blanks and comments or blanks alone, which the side's runs read.  A
-    child process reads the text, so that a pattern that backtracks without
-    end fails the test by its timeout."""
+    number may follow; and in a side after `sum(` and after a `,`; with
+    blanks and comments, or blanks alone, which the spec and side runs
+    read.  A child process reads the text, so that a pattern that
+    backtracks without end fails the test by its timeout."""
     code = (
         f"import test_reader; "
         f"print(test_reader._timed({before!r}, {after!r}, test_reader.{run}))"
@@ -458,3 +461,38 @@ def test_blanks_and_comments_inside_a_mark_spec_or_a_side_read_in_linear_time(
     same, failed, seconds = ast.literal_eval(child.stdout)
     assert same and failed != parses
     assert seconds < 1, f"{seconds:.2f} s of CPU"
+
+
+# a second atom's mark block with a comment in one of four places, which
+# holds the characters that end a spec or a block
+_NOTE = " # a note; } perp B2\n"
+_COMMENTED = {
+    "after {": "{" + _NOTE + " A2: g=0, i=-1, a=1+2e; B2: g=0, i=1, a=1+3ePERP }",
+    "between specs": "{ A2: g=0, i=-1, a=1+2e;\n" + _NOTE + " B2: g=0, i=1, a=1+3ePERP }",
+    "at the end of a spec's line": "{ A2: g=0, i=-1, a=1+2e" + _NOTE
+    + "; B2: g=0, i=1, a=1+3ePERP }",
+    "before }": "{ A2: g=0, i=-1, a=1+2e; B2: g=0, i=1, a=1+3ePERP;" + _NOTE + "}",
+}
+
+
+@pytest.mark.parametrize("block", _COMMENTED.values(), ids=_COMMENTED)
+@pytest.mark.parametrize("perp", ["", ", perp Z"], ids=["parses", "unresolved perp"])
+def test_a_comment_in_a_mark_block_hands_its_declaration_over(block, perp):
+    """`_SPEC_RE`'s blanks hold no comment, so the fast reader reads the
+    first declaration and hands the second, commented, to the token
+    reader, which reads it, or words its failure, as it alone does."""
+    assert symsum.script._BLANK not in symsum.script._SPEC_RE.pattern
+    head = "atom W1 W(0,1,0+1e) { A1: g=0, i=-1, a=1+1e; B1: g=0, i=1, a=1+2e }\n"
+    text = (
+        f"{head}atom W2 W(0,1,0+1e) {block}\n"
+        "lhs sum(W1, B1, W2, A2) rhs sum(W1, B1, W2, A2) target =\n"
+    ).replace("PERP", perp)
+    start, decls, _, sides = _read_fast(text, ("lhs", "rhs"))
+    assert ([d.name for d in decls], sides) == (["W1"], [])
+    assert tokenize(text, start)[:2] == ["atom", "W2"]
+    outcome = _same(text)
+    assert isinstance(outcome, str) == bool(perp)
+    if not perp:  # without the comment, the fast reader reads both atoms
+        plain = text.replace(_NOTE, " ")
+        assert [d.name for d in _read_fast(plain, ("lhs", "rhs"))[1]] == ["W1", "W2"]
+        assert outcome == _same(plain)
