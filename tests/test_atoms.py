@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strategies import (
@@ -250,6 +250,7 @@ def test_validate_ruled_is_the_half_fiber_bound(g, k, section, fiber):
     fiber=positive_areas,
     a=positive_areas,
 )
+@settings(deadline=None)
 def test_ruled_spread_is_half_a_fiber_per_index(n, data, fiber, a):
     """Two sections on a genus-1 base build exactly when each is above its
     bound and their areas differ by (k_A - k_B)/2 fibers; the failure
