@@ -38,9 +38,9 @@ At the first declaration or side that the patterns do not match (a
 triple, say, an integer slot written `p/q`, an option, an area, an inline
 atom or a comment in a mark block or a side) or that fails a check, the
 token reader, `_Parser`, reads on in the whole text from where that
-declaration or side starts, with the atoms and sides read.  These hold no failure, so every message,
-position and failure rank is the token reader's, as if it had read the
-text from its start.
+declaration or side starts, with the atoms and sides read.  These hold
+no failure, so every message, position and failure rank is the token
+reader's, as if it had read the text from its start.
 """
 
 from __future__ import annotations
@@ -923,13 +923,12 @@ def serialize_expr(node) -> str:
 def _write(node, spans: Optional[dict], names: Optional[dict] = None) -> str:
     """The text of `node`, written in pieces from an explicit stack of the
     forms being printed, each with the slots it has still to print.  With
-    `spans`, kept for one verdict's trace (`_step_texts`, whose texts both
-    renderers print), the pieces of each operation node
-    printed are kept as `(pieces, start, end)` under `spans[id(node)]`,
-    and a node found there is copied, not walked again.  With `names`,
-    print_script's map from the id of each declared atom to its name, a
-    declared atom prints as its name, and an option that the text gave at
-    its default (`_given`) prints too."""
+    `spans`, kept for the trees of one trace (`_step_texts`), the pieces
+    of each operation node printed are kept as `(pieces, start, end)`
+    under `spans[id(node)]`, and a node found there is copied, not walked
+    again.  With `names`, print_script's map from the id of each declared
+    atom to its name, a declared atom prints as its name, and an option
+    that the text gave at its default (`_given`) prints too."""
     leaf_text = _leaf_text if names is None else lambda n: names.get(id(n)) or _leaf_text(n)
     leaf = leaf_text(node)
     if leaf is not None:
@@ -1098,7 +1097,7 @@ def _step_texts(verdict: Verdict) -> list[str]:
     texts = vars(verdict).get("_texts")
     if texts is None:
         spans = {}  # where each operation node's pieces sit
-        texts = verdict.__dict__["_texts"] = [_write(rec.expr, spans) for rec in verdict.trace]
+        texts = verdict._texts = [_write(rec.expr, spans) for rec in verdict.trace]
     return texts
 
 
