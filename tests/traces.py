@@ -641,6 +641,10 @@ RULE_MESSAGES = {
     "thicken unknown mark": _script(_E3, "thicken(E3, Nope, 0+1e)"),
     "thicken unknown mark and amount": _script(_E3, "thicken(E3, Nope, 1)"),
     "thin label collision": _script(_COLLAR, "thin(A, A, 0+1e)"),
+    # the carried label names a mark that the right summand keeps
+    "sum carry label collision": _script(
+        _E3 + _E1.replace(" }", "; M: g=1, i=0, a=1 }"), "sum(E3, F3, E1, F1, carry = M)"
+    ),
     "thin area not positive": _script(_COLLAR, "thin(A1, A, 0+1e)"),
     "desing default label": _script(_E3, "desing(E3, Sigma-3, F3)"),
     "desing unpaired": _script(_COLLAR, "desing(U, A, B)"),
