@@ -9,6 +9,8 @@ import sys
 import tracemalloc
 from itertools import islice
 
+import pytest
+
 from symsum.areas import AreaValue, area
 from symsum.core import (
     AtomKind,
@@ -483,3 +485,26 @@ def test_pools_of_parents_over_a_shared_child():
     # the child's view is the one it was made with, and its labels stay
     assert child._pool is pool and list(islice(pool[0].items(), pool[1])) == labels
     assert label_pool(child) is not label_pool(child)  # a set the caller keeps
+
+
+def test_a_failed_sum_leaves_every_pool_right():
+    """A sum that fails after it grew its larger child's store, at a mark
+    that no summand has or at a label found midway through its smaller
+    summand, leaves the views of its children and of later parents right."""
+    child = chain(6)
+    pool = child._pool
+    labels = list(islice(pool[0].items(), pool[1]))
+    # A0 comes before P in the atom's pool, so a pass over it meets P second
+    overlap = AtomNode(RationalSurface(1), (SurfaceMark("A0", 0, -1, area(1, 7)), child.mark("P")))
+    for summand, label, message in (
+        (ruled(7), "Nope", "no mark 'Nope' on this expression"),
+        (overlap, "A0", "mark labels reused across summands: ['P']"),
+    ):
+        with pytest.raises(core.MarkError) as failed:
+            PairSum(child, "B6", summand, label)
+        assert str(failed.value) == message
+        assert child._pool is pool and list(islice(pool[0].items(), pool[1])) == labels
+    parent = PairSum(child, "B6", ruled(7), "A7")
+    assert label_pool(parent) == _ref_pool(parent)
+    assert label_pool(child) == _ref_pool(child)
+

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_memo import chain_script
+from test_memo import chain_script, nodes
 from traces import (
     MALFORMED,
     RULE_MESSAGES,
     RULE_SHAPES,
+    SIDE_EDGES,
     corpus_traces,
     script_golden,
     token_golden,
@@ -32,6 +33,7 @@ from symsum.core import (
     SymsumError,
     Thicken,
     Thin,
+    label_pool,
 )
 from symsum.demos import BLOWUP_TRADE, CORPUS, DEMOS, GOMPF_STIPSICZ, VERIFYING
 from symsum.invariants import expr_invariants
@@ -284,6 +286,31 @@ def test_every_traced_step_reads_back(table):
             if back != rec.expr or expr_invariants(back) != expr_invariants(rec.expr):
                 unread.append((name, rec.index, text))
     assert unread == []
+
+
+_POOLED = {
+    **{table: TRACED[table] for table in ("corpus", "malformed", "rule", "message")},
+    "side": SIDE_EDGES,
+    "chain": {"chain_script(60, 30)": chain_script(60, 30)},
+}
+
+
+@pytest.mark.parametrize("table", list(_POOLED))
+def test_marks_are_distinct_and_pooled_and_summands_share_no_label(table):
+    """What a sum relies on to test only its carried label for a clash:
+    on every node of every traced tree, the mark labels are distinct and
+    lie in the node's label pool, and a sum's two children have disjoint
+    pools, so the marks that it passes through share no label."""
+    seen = 0
+    for name, source in _POOLED[table].items():
+        verdict = run(source).verdict
+        for n in nodes(*(rec.expr for rec in verdict.trace) if verdict is not None else ()):
+            labels, seen = n.mark_labels, seen + 1
+            assert len(set(labels)) == len(labels), name
+            assert set(labels) <= label_pool(n), name
+            if isinstance(n, PairSum):
+                assert not label_pool(n.left) & label_pool(n.right), name
+    assert seen > 0
 
 
 TOKENS = [
