@@ -13,12 +13,12 @@ import random
 import re
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readers import _outcome, _token_reader
 from test_fuzz import mutate
 from test_memo import chain_script, nodes
 from traces import MALFORMED, RULE_MESSAGES, RULE_SHAPES, SIDE_EDGES
@@ -37,24 +37,9 @@ from symsum.script import (
     _read_fast,
     parse,
     parse_expr_file,
-    print_script,
     serialize_expr,
     tokenize,
 )
-
-
-def _outcome(read, text: str):
-    """What a reader gives for `text`: its tree, and a script's printed
-    form, or its message."""
-    try:
-        tree = read(text)
-    except ScriptError as exc:
-        return str(exc)
-    return tree, print_script(tree) if isinstance(tree, ScriptAst) else None
-
-
-def _token_reader(text: str) -> ScriptAst:
-    return _Parser(text).parse_script()
 
 
 def _same(text: str):
@@ -377,21 +362,6 @@ def test_a_side_that_misses_at_its_last_run_builds_no_form(monkeypatch):
     assert len(_read_fast(chain, ("lhs", "rhs"))[3]) == 2 and len(built) == 22
 
 
-_RUN = ("  \t# ; } # # perp\n \r\n" * 6000)[:100_000]  # blanks and comments
-_SPACE_RUN = (" \t\r\n" * 25_000)[:100_000]  # blanks only, which the spec and side runs read
-
-
-def _timed(before: str, after: str, run: str = _RUN) -> tuple[bool, bool, float]:
-    """Whether both readers agree on a 10^5-character `run` between
-    `before` and `after`; whether the text fails; and the CPU seconds of
-    `parse`."""
-    text = f"{before}{run}{after}"
-    start = time.process_time()
-    outcome = _outcome(parse, text)
-    seconds = time.process_time() - start
-    return outcome == _outcome(_token_reader, text), isinstance(outcome, str), seconds
-
-
 _SPEC = "atom W1 W(0,1,0+1e) { A1: g=0,", " B1: g=0, i=0, a=0+1e }\nlhs W1 rhs W1 target =\n"
 # where the run sits in the spec, what follows it, and whether the text parses
 _SPEC_RUNS = [
@@ -447,11 +417,12 @@ def test_blanks_and_comments_inside_a_mark_spec_or_a_side_read_in_linear_time(
     pattern backtracks over, at each blank of a spec that a sign or a
     number may follow; and in a side after `sum(` and after a `,`; with
     blanks and comments, or blanks alone, which the spec and side runs
-    read.  A child process reads the text, so that a pattern that
-    backtracks without end fails the test by its timeout."""
+    read.  A child process that imports symsum and `readers` alone reads
+    the text, so that a pattern that backtracks without end fails the
+    test by its timeout."""
     code = (
-        f"import test_reader; "
-        f"print(test_reader._timed({before!r}, {after!r}, test_reader.{run}))"
+        f"import readers; "
+        f"print(readers._timed({before!r}, {after!r}, readers.{run}))"
     )
     child = subprocess.run(
         [sys.executable, "-c", code],
