@@ -479,26 +479,18 @@ def _finish_marks(
 
 
 def _check_disjoint_pools(*exprs: ManifoldExpr) -> None:
-    for i in range(1, len(exprs)):
-        for earlier in exprs[:i]:
-            if _share_a_label(exprs[i]._pool, earlier._pool):
-                raise _reused(exprs[:i], exprs[i])
+    seen = set()
+    for i, e in enumerate(exprs):
+        labels = _labels(e._pool)
+        if not seen.isdisjoint(labels):
+            raise _reused(exprs[:i], e)
+        seen |= labels
 
 
 def _reused(earlier, summand: ManifoldExpr) -> MarkError:
     """The error for a summand whose labels meet those of the `earlier`."""
     overlap = set().union(*(label_pool(e) for e in earlier)) & label_pool(summand)
     return MarkError(f"mark labels reused across summands: {sorted(overlap)}")
-
-
-def _share_a_label(a: PoolView, b: PoolView) -> bool:
-    """Whether two pool views share a label, looked up label by label
-    from the smaller view in the larger."""
-    (small, k), (store, n) = (a, b) if a[1] <= b[1] else (b, a)
-    for label in islice(small, k):
-        if store.get(label, n) < n:
-            return True
-    return False
 
 
 def _labels(pool: PoolView) -> set[str]:
@@ -570,10 +562,21 @@ class PairSum(ManifoldExpr):
         set_field(self, "gluing", gluing)
         set_field(self, "carry_label", carry_label)
         set_field(self, "pairs", pairs)
-        if _share_a_label(left._pool, right._pool):
-            raise _reused((left,), right)
+        # the pool, as in _grow_pool, in one pass over the smaller child's
+        # labels: the first one that the store holds is shared
+        big, small = (right, left) if right._pool[1] > left._pool[1] else (left, right)
+        store, n = big._pool
+        if len(store) != n:
+            store = dict(islice(store.items(), n))
+        add = store.setdefault
+        for label in islice(*small._pool):
+            if add(label, n) != n:
+                raise _reused((left,), right)
+            n += 1
         set_field(self, "marks", self._marks())
-        set_field(self, "_pool", _grow_pool(self, (self.carried,) if self.carried else ()))
+        if self.carried is not None and add(self.carried, n) == n:
+            n += 1
+        set_field(self, "_pool", (store, n))
 
     def children(self):
         return (self.left, self.right)
@@ -607,6 +610,11 @@ class PairSum(ManifoldExpr):
             if m is not glue and m is not half
         ]
         if carry is not None:
+            # the children's marks have distinct labels from disjoint pools,
+            # so only the carried label can clash
+            for m in out:
+                if m.label == carry:
+                    raise MarkError(f"derived mark label collision: {carry!r}")
             out.append(
                 SurfaceMark(
                     carry,
@@ -615,7 +623,10 @@ class PairSum(ManifoldExpr):
                     lp.area + rp.area,
                 )
             )
-        return _finish_marks(out, self.pairs)
+        if self.pairs:
+            return _finish_marks(out, self.pairs)
+        out.sort(key=_BY_LABEL)
+        return tuple(out)
 
 
 QuadEntry = tuple[ManifoldExpr, str, str]  # (expr, S-label, T-label)

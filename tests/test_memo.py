@@ -238,12 +238,25 @@ def test_pool_memos_stay_linear_in_depth():
     assert label_pool(app.expr) == _ref_pool(app.expr)
 
 
+def _note_pools(monkeypatch) -> list:
+    """The nodes that set their label pool from now on, in order: a node
+    sets it once, with `set_field`, when its pool is made."""
+    pooled = []
+    set_field = core.set_field
+
+    def noting(obj, name, value):
+        if name == "_pool":
+            pooled.append(obj)
+        set_field(obj, name, value)
+
+    monkeypatch.setattr(core, "set_field", noting)
+    return pooled
+
+
 def test_pool_walk_memory_stays_linear_in_depth(monkeypatch):
     e = chain(400)
     label_pool(e)
-    grown = []
-    grow = core._grow_pool
-    monkeypatch.setattr(core, "_grow_pool", lambda node, *a: grown.append(node) or grow(node, *a))
+    grown = _note_pools(monkeypatch)
     tracemalloc.start()
     try:
         pool = label_pool(e.left)
@@ -257,16 +270,14 @@ def test_pool_walk_memory_stays_linear_in_depth(monkeypatch):
 
 
 def test_a_run_makes_one_pool_per_composite_it_builds(monkeypatch):
-    grown, built = [], []
-    grow = core._grow_pool
-    monkeypatch.setattr(core, "_grow_pool", lambda node, *a: grown.append(node) or grow(node, *a))
+    grown, built = _note_pools(monkeypatch), []
     for cls in (PairSum, FourSum, BlowUp, Thin, Thicken, Desing):
         monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, built))
     r = run(chain_script(200, 100))
     assert r.code == 0, r.messages
     # both sides' chains, and the spine that each deep-path step rebuilds
     assert len(built) > 3 * 199
-    assert [id(n) for n in grown] == [id(n) for n in built]
+    assert [id(n) for n in grown if not isinstance(n, AtomNode)] == [id(n) for n in built]
     exprs = [rec.expr for rec in r.verdict.trace]
     composites = {id(n) for n in nodes(*exprs) if not isinstance(n, AtomNode)}
     assert composites <= {id(n) for n in built}
