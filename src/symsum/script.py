@@ -48,11 +48,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from string import Formatter, ascii_letters, digits
 from typing import NamedTuple, Optional, Union
 
-from .areas import AreaValue, area, exact_str
+from .areas import AreaValue, _new, area, exact_str
 from .core import (
     AtomKind,
     AtomNode,
@@ -579,6 +579,8 @@ def _atom(kind: Optional[AtomKind], specs: list[tuple]) -> AtomNode:
     normal number, area, `perp` partner or None, where it was read); a
     one-sided `perp` implies its mirror.  Raises SymsumError where the
     atom fails a check."""
+    if not any(map(_PARTNER, specs)):
+        return AtomNode(kind, [SurfaceMark(l, g, n, a) for l, g, n, a, _, _ in specs])
     perp = {label: p for label, _, _, _, p, _ in specs}
     for label, _, _, _, p, where in specs:
         if p is None:
@@ -587,7 +589,10 @@ def _atom(kind: Optional[AtomKind], specs: list[tuple]) -> AtomNode:
             raise _UnresolvedMark(p, where)
         if perp[p] is None:
             perp[p] = label
-    return AtomNode(kind, tuple(SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in specs))
+    return AtomNode(kind, [SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in specs])
+
+
+_PARTNER = itemgetter(4)  # a spec's `perp` partner
 
 
 def _pattern(text: str, blank: str = _BLANK) -> re.Pattern:
@@ -646,10 +651,11 @@ def _read_atoms(text: str) -> tuple[int, list[AtomDecl], dict[str, AtomNode]]:
                     break
                 a = _rational(a)
                 if sign:
-                    eps = _rational(eps)
-                    area = AreaValue(a, -eps if sign == "-" else eps)
+                    c, e = a, -_rational(eps) if sign == "-" else _rational(eps)
                 else:
-                    area = AreaValue(0, a) if e else AreaValue(a, 0)
+                    c, e = (0, a) if e else (a, 0)
+                # an area of int parts, the common case, is (c + e*eps)/1
+                area = _new(c, e, 1) if type(c) is int and type(e) is int else AreaValue(c, e)
                 specs.append((label, int(g), int(i), area, perp, None))
                 if stop == "}":
                     break
