@@ -73,18 +73,18 @@ def _fiber_sum(a: InvariantVector, b: InvariantVector, genus: int) -> InvariantV
 def expr_invariants(e: ManifoldExpr) -> InvariantVector:
     """chi and sigma of the expression, memoized per node and computed
     bottom-up from the children's, without recursion: an explicit stack
-    lists the children of each node whose memo is unset once, and
-    descends no further than the nearest set memos."""
-    stack = [(e, False)]
+    lists the nodes whose memo is unset in preorder, descending no further
+    than the nearest set memos, and their memos are filled in reverse, so
+    each node's after its children's."""
+    unset, stack = [], [e]
     while stack:
-        node, expanded = stack.pop()
-        if node._inv is not None:  # a shared node may be done already
-            continue
-        if expanded:
+        node = stack.pop()
+        if node._inv is None:
+            unset.append(node)
+            stack.extend(node.children())
+    for node in reversed(unset):
+        if node._inv is None:  # a shared node is listed once per parent
             set_field(node, "_inv", _node_invariants(node))
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children() if c._inv is None)
     return e._inv
 
 
