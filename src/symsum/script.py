@@ -574,6 +574,9 @@ class _UnresolvedMark(SymsumError):
         self.where = where
 
 
+_PARTNER = itemgetter(4)  # a spec's `perp` partner
+
+
 def _atom(kind: Optional[AtomKind], specs: list[tuple]) -> AtomNode:
     """The atom of `kind` with the marks `specs`, each (label, genus,
     normal number, area, `perp` partner or None, where it was read); a
@@ -590,9 +593,6 @@ def _atom(kind: Optional[AtomKind], specs: list[tuple]) -> AtomNode:
         if perp[p] is None:
             perp[p] = label
     return AtomNode(kind, [SurfaceMark(l, g, n, a, perp[l]) for l, g, n, a, _, _ in specs])
-
-
-_PARTNER = itemgetter(4)  # a spec's `perp` partner
 
 
 def _pattern(text: str, blank: str = _BLANK) -> re.Pattern:
