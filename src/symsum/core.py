@@ -924,7 +924,8 @@ def _grow_pool(node: ManifoldExpr, introduced) -> PoolView:
     up to the view's end, with the labels of its other children and the
     labels `introduced` by the node itself appended.  A view is never invalidated, so no
     pool is made twice, and a rewrite copies only the views of subtrees
-    it builds over after another parent grew their stores."""
+    it builds over after another parent grew their stores.  A sum makes
+    its view the same way in `PairSum.__init__`."""
     kids = node.children()
     big = kids[0]
     for c in kids[1:]:

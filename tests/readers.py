@@ -1,6 +1,7 @@
-"""The two readers of a script, compared, and a timed read: for a child
-process that times a read, so it imports symsum and the standard library
-alone, and starts in a tenth of the time that importing pytest takes."""
+"""The two readers of a script, compared, and a timed read.  A child
+process that times a read imports this module, which imports symsum and
+the standard library alone, so the child starts without loading pytest
+and hypothesis."""
 
 import time
 

@@ -518,4 +518,3 @@ def test_a_failed_sum_leaves_every_pool_right():
     parent = PairSum(child, "B6", ruled(7), "A7")
     assert label_pool(parent) == _ref_pool(parent)
     assert label_pool(child) == _ref_pool(child)
-
